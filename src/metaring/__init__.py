@@ -8,7 +8,6 @@ from .core import (
     SegmentParams,
     capacitance_from_impedance,
     derive_line_constants,
-    total_length,
 )
 from .modes import (
     ModeTable,

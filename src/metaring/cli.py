@@ -1,6 +1,6 @@
 """Command dispatch and deterministic file output.
 
-    metaring <command> --config <path> --out <dir> [--threads n]
+    metaring <command> --config <path> --out <dir>
 
 Commands: modes, dispersion, tune, convert, fringe, saturate, fit, sweep.
 Every command writes RFC-4180 CSV (LF line endings) and/or JSON data files
@@ -17,8 +17,7 @@ import csv
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence
@@ -47,13 +46,17 @@ class RunManifest:
 
 
 def _fmt(value) -> str:
+    """One CSV cell; None and NaN (a missing value) are written empty."""
     if value is None:
         return ""
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return repr(float(value))
+    number = float(value)
+    if math.isnan(number):
+        return ""
+    return repr(number + 0.0)  # adding 0.0 writes -0.0 as 0.0
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -70,14 +73,7 @@ def _write_json(path: Path, payload: dict) -> None:
         handle.write("\n")
 
 
-def _map(fn, items, threads: int):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
-def _run_modes(config: Config, out: Path, threads: int) -> List[str]:
+def _run_modes(config: Config, out: Path) -> List[str]:
     band = (config.sweeps["band"]["start_hz"], config.sweeps["band"]["stop_hz"])
     table = modes.free_spectral_range(config.ring, band)
     _write_csv(out / "modes.csv", ("m", "f_hz", "fsr_to_next_hz"), table.csv_rows())
@@ -89,7 +85,7 @@ def _run_modes(config: Config, out: Path, threads: int) -> List[str]:
     return ["modes.csv", "modes_summary.json"]
 
 
-def _run_dispersion(config: Config, out: Path, threads: int) -> List[str]:
+def _run_dispersion(config: Config, out: Path) -> List[str]:
     n_cells = config.ring.cell_count
     band = (config.sweeps["band"]["start_hz"], config.sweeps["band"]["stop_hz"])
     curve = dispersion.fsr_curve(config.cell, n_cells, band)
@@ -109,7 +105,7 @@ def _run_dispersion(config: Config, out: Path, threads: int) -> List[str]:
     return ["fsr_curve.csv", "mismatch.csv"]
 
 
-def _run_tune(config: Config, out: Path, threads: int) -> List[str]:
+def _run_tune(config: Config, out: Path) -> List[str]:
     sweep = config.sweeps["field"]
     fields = np.linspace(0.0, sweep["stop_T"], sweep["points"])
 
@@ -120,25 +116,20 @@ def _run_tune(config: Config, out: Path, threads: int) -> List[str]:
         return (b_ext, bias.dc_current, shift,
                 report["twm"], report["fwm"], report["c3"], report["c4"])
 
-    rows = _map(evaluate, fields, threads)
     _write_csv(
         out / "tuning.csv",
         ("b_ext_tesla", "i_dc_amp", "df_over_f", "T", "F", "c3", "c4"),
-        rows,
+        [evaluate(b_ext) for b_ext in fields],
     )
     return ["tuning.csv"]
 
 
-def _run_convert(config: Config, out: Path, threads: int) -> List[str]:
+def _run_convert(config: Config, out: Path) -> List[str]:
     params = config.converter
     pump = config.sweeps["pump"]
     powers = np.linspace(0.0, pump["stop"], pump["points"])
-
-    def at_power(p: float):
-        result = conversion.scattering(float(p), params.eta_s, params.eta_i)
-        return (p, result.t2, result.r2)
-
-    _write_csv(out / "pump.csv", ("p0_norm", "t2", "r2"), _map(at_power, powers, threads))
+    split = conversion.scattering(powers, params.eta_s, params.eta_i)
+    _write_csv(out / "pump.csv", ("p0_norm", "t2", "r2"), zip(powers, split.t2, split.r2))
 
     det = config.sweeps["detuning"]
     deltas = np.linspace(-det["span_hz"] / 2.0, det["span_hz"] / 2.0, det["points"])
@@ -163,7 +154,7 @@ def _run_convert(config: Config, out: Path, threads: int) -> List[str]:
     return ["pump.csv", "spectrum.csv", "pairs.csv", "convert_summary.json"]
 
 
-def _run_fringe(config: Config, out: Path, threads: int) -> List[str]:
+def _run_fringe(config: Config, out: Path) -> List[str]:
     scenario = config.fringe
     split = conversion.scattering(scenario.cooperativity, scenario.eta_s, scenario.eta_i)
     r_mag, t_mag = math.sqrt(split.r2), math.sqrt(split.t2)
@@ -183,7 +174,7 @@ def _run_fringe(config: Config, out: Path, threads: int) -> List[str]:
     return ["fringe.csv", "fringe_summary.json"]
 
 
-def _run_saturate(config: Config, out: Path, threads: int) -> List[str]:
+def _run_saturate(config: Config, out: Path) -> List[str]:
     scenario = config.kerr
     kappa, kappa_ex = scenario.kappa, scenario.kappa_ex
     critical = conversion.bifurcation_point(scenario.rate_hz, kappa, kappa_ex)
@@ -194,19 +185,13 @@ def _run_saturate(config: Config, out: Path, threads: int) -> List[str]:
     detuning = 2.0 * critical.detuning
     pump = config.sweeps["pump"]
     drive_ratios = np.linspace(0.0, pump["stop"], pump["points"])
-
-    def at_drive(ratio: float):
-        state = conversion.kerr_steady_state(
-            detuning, float(ratio) * critical.drive_flux,
-            scenario.rate_hz, kappa, kappa_ex,
-        )
-        branches = list(state.photon_numbers) + [None] * (3 - len(state.photon_numbers))
-        return (ratio, ratio * power_w, *branches[:3], state.bifurcated)
-
+    state = conversion.kerr_steady_state(
+        detuning, drive_ratios * critical.drive_flux, scenario.rate_hz, kappa, kappa_ex,
+    )
     _write_csv(
         out / "saturation.csv",
         ("drive_over_critical", "drive_w", "n_low", "n_mid", "n_high", "bifurcated"),
-        _map(at_drive, drive_ratios, threads),
+        zip(drive_ratios, drive_ratios * power_w, *state.photon_numbers.T, state.bifurcated),
     )
     _write_json(out / "kerr_summary.json", {
         "kappa_hz": kappa,
@@ -220,7 +205,7 @@ def _run_saturate(config: Config, out: Path, threads: int) -> List[str]:
     return ["saturation.csv", "kerr_summary.json"]
 
 
-def _run_fit(config: Config, out: Path, threads: int) -> List[str]:
+def _run_fit(config: Config, out: Path) -> List[str]:
     if config.fit_trace is None:
         raise ConfigError(["fit.trace_csv: required for the fit command"])
     trace = fitting.Trace.from_csv(config.fit_trace)
@@ -242,12 +227,10 @@ _RUNNERS = {
 }
 
 
-def run(command: str, config_path, out_dir, threads: int = 1) -> RunManifest:
+def run(command: str, config_path, out_dir) -> RunManifest:
     """Execute one command, write its outputs plus a manifest."""
     if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r}; expected one of {COMMANDS}")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     config = load_config(config_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -256,25 +239,15 @@ def run(command: str, config_path, out_dir, threads: int = 1) -> RunManifest:
     for name in names:
         if command == "sweep" and name == "fit" and config.fit_trace is None:
             continue
-        outputs.extend(_RUNNERS[name](config, out, threads))
+        outputs.extend(_RUNNERS[name](config, out))
     manifest = RunManifest(
         command=command,
         config_hash=config.config_hash,
         output_paths=sorted(outputs),
         timestamp=datetime.now(timezone.utc).isoformat(),
     )
-    _write_json(out / "manifest.json", {
-        "command": manifest.command,
-        "config_hash": manifest.config_hash,
-        "output_paths": manifest.output_paths,
-        "timestamp": manifest.timestamp,
-    })
+    _write_json(out / "manifest.json", asdict(manifest))
     return manifest
-
-
-def validate(config_path) -> List[str]:
-    """Violations for a config file; empty list when it loads cleanly."""
-    return validate_config(config_path)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -285,16 +258,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("command", choices=COMMANDS + ("validate",))
     parser.add_argument("--config", required=True, help="JSON configuration path")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--threads", type=int, default=1, help="parallel sweep workers")
     args = parser.parse_args(argv)
 
     try:
         if args.command == "validate":
-            violations = validate(args.config)
+            violations = validate_config(args.config)
             for violation in violations:
                 print(violation, file=sys.stderr)
             return 2 if violations else 0
-        manifest = run(args.command, args.config, args.out, threads=args.threads)
+        manifest = run(args.command, args.config, args.out)
     except ConfigError as exc:
         for violation in exc.violations:
             print(f"config error: {violation}", file=sys.stderr)

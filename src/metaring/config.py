@@ -23,6 +23,10 @@ from .core import MicroloopSpec, RingSpec, SegmentParams
 from .dispersion import UnitCell
 from .errors import ConfigError
 
+# sweeps allocate their whole axis at once; far above any real sweep, this
+# catches a typo before it exhausts memory
+_MAX_SWEEP_POINTS = 1_000_000
+
 _UNIT_SUFFIXES = {
     "mT": ("T", lambda v: v * 1e-3),
     "dBm": ("W", lambda v: 1e-3 * 10.0 ** (v / 10.0)),
@@ -370,6 +374,8 @@ def _build_config(raw: dict) -> Config:
                                ("detuning", "sweep.detuning"), ("phase", "sweep.phase")):
             if sweeps[name]["points"] < 0:
                 b.violations.append(f"{section_}.points: must be >= 0")
+            elif sweeps[name]["points"] > _MAX_SWEEP_POINTS:
+                b.violations.append(f"{section_}.points: must be <= {_MAX_SWEEP_POINTS}")
 
     fit_raw = raw.get("fit", {})
     fit_trace = None

@@ -38,20 +38,6 @@ def dbm_from_watts(watts: float) -> float:
     return 10.0 * math.log10(watts / 1e-3)
 
 
-def photon_flux(power_w: float, frequency_hz: float) -> float:
-    """Photon arrival rate P/(h f) [1/s]."""
-    if frequency_hz <= 0:
-        raise ValueError("frequency must be positive")
-    return power_w / (PLANCK_H * frequency_hz)
-
-
-def linewidth_from_quality(frequency_hz: float, quality_factor: float) -> float:
-    """Total linewidth kappa = f/Q [Hz] (an angular rate of 2*pi*f/Q)."""
-    if frequency_hz <= 0 or quality_factor <= 0:
-        raise ValueError("frequency and quality factor must be positive")
-    return frequency_hz / quality_factor
-
-
 @dataclass(frozen=True)
 class ConverterParams:
     """Mode-pair rates of the converter.
@@ -96,27 +82,34 @@ def cooperativity(params: ConverterParams) -> float:
 
 @dataclass(frozen=True)
 class ScatteringResult:
-    """On-chip conversion |t|^2, reflection |r|^2 = 1 - |t|^2, and bandwidth."""
+    """On-chip conversion |t|^2, reflection |r|^2 = 1 - |t|^2, and bandwidth.
 
-    t2: float
-    r2: float
+    ``t2`` and ``r2`` are floats, or arrays for an array of cooperativities.
+    """
+
+    t2: ArrayLike
+    r2: ArrayLike
     bandwidth: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.t2 <= 1.0):
+        if not np.all((self.t2 >= 0.0) & (self.t2 <= 1.0)):
             raise ValueError(f"t2 must lie in [0, 1], got {self.t2!r}")
 
 
-def scattering(c: float, eta_s: float, eta_i: float) -> ScatteringResult:
+def scattering(c: ArrayLike, eta_s: float, eta_i: float) -> ScatteringResult:
     """Beam-splitter conversion at zero detuning.
 
     t2 peaks at C = 1 where it equals eta_s*eta_i; C = 0 is a perfect
-    mirror.  The law is self-dual: t2(C) = t2(1/C).
+    mirror.  The law is self-dual: t2(C) = t2(1/C).  A scalar ``c`` gives
+    float fields, an array ``c`` array fields.
     """
-    if c < 0:
+    coop = np.asarray(c, dtype=float)
+    if np.any(coop < 0):
         raise ValueError("cooperativity must be non-negative")
-    # 4C/(1+C)^2 <= 1 identically; min() guards the one-ulp rounding excess
-    t2 = min(eta_s * eta_i * 4.0 * c / (1.0 + c) ** 2, 1.0)
+    # 4C/(1+C)^2 <= 1 identically; minimum() guards the one-ulp rounding excess
+    t2 = np.minimum(eta_s * eta_i * 4.0 * coop / (1.0 + coop) ** 2, 1.0)
+    if np.ndim(c) == 0:
+        t2 = float(t2)
     return ScatteringResult(t2=t2, r2=1.0 - t2)
 
 
@@ -268,15 +261,20 @@ def added_noise(p0_norm: ArrayLike, model: NoiseModel) -> Tuple[ArrayLike, Array
 
 @dataclass(frozen=True)
 class KerrSteadyState:
-    """Real positive intracavity photon-number branches, sorted ascending."""
+    """Real positive intracavity photon-number branches, sorted ascending.
 
-    photon_numbers: Tuple[float, ...]
-    bifurcated: bool
+    For one drive ``photon_numbers`` is a tuple and ``bifurcated`` a bool;
+    for an array of n drives they are an (n, 3) array padded with NaN and a
+    bool array of length n.
+    """
+
+    photon_numbers: Union[Tuple[float, ...], np.ndarray]
+    bifurcated: Union[bool, np.ndarray]
 
 
 def kerr_steady_state(
     detuning: float,
-    drive_photon_flux: float,
+    drive_photon_flux: ArrayLike,
     kerr_rate: float = DEFAULT_KERR_RATE_HZ,
     kappa: float = 1.0,
     kappa_ex: float = 1.0,
@@ -287,32 +285,47 @@ def kerr_steady_state(
     soft-spring convention: the resonance pulls down under load, so positive
     ``detuning`` means driving below the unloaded resonance and is where the
     response becomes multivalued.  All rate arguments are in Hz; the flux is
-    an absolute rate in photons/s.  ``bifurcated`` flags three distinct
-    positive branches.
+    an absolute rate in photons/s, one value or an array.  ``bifurcated``
+    flags three distinct positive branches.
+
+    Every cubic is solved at once as the eigenvalues of its companion matrix
+    (the matrix ``np.roots`` builds), stacked over the drives.
     """
     if kappa <= 0 or kappa_ex < 0 or kerr_rate < 0:
         raise ValueError("kappa must be positive; kappa_ex and kerr_rate non-negative")
-    if drive_photon_flux < 0:
+    flux = np.asarray(drive_photon_flux, dtype=float)
+    if np.any(flux < 0):
         raise ValueError("drive flux must be non-negative")
     two_pi = 2.0 * math.pi
     delta = two_pi * detuning
     k_ang = two_pi * kerr_rate
     kap = two_pi * kappa
     kap_ex = two_pi * kappa_ex
-    drive = kap_ex * drive_photon_flux
+    drive = kap_ex * np.atleast_1d(flux)
 
     if k_ang == 0.0:
-        n = drive / ((kap / 2.0) ** 2 + delta**2)
-        return KerrSteadyState(photon_numbers=(n,), bifurcated=False)
+        branches = np.full((drive.size, 3), np.nan)
+        branches[:, 0] = drive / ((kap / 2.0) ** 2 + delta**2)
+    else:
+        # monic form of k_ang^2 n^3 - 2 delta k_ang n^2 + ((kap/2)^2 + delta^2) n - drive
+        companion = np.zeros((drive.size, 3, 3))
+        companion[:, 0, 0] = 2.0 * delta * k_ang / k_ang**2
+        companion[:, 0, 1] = -((kap / 2.0) ** 2 + delta**2) / k_ang**2
+        companion[:, 0, 2] = drive / k_ang**2
+        companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+        roots = np.linalg.eigvals(companion)
+        real = np.abs(roots.imag) <= 1e-8 * np.maximum(1.0, np.abs(roots))
+        keep = real & (roots.real > 0.0)
+        branches = np.sort(np.where(keep, roots.real, np.nan), axis=1)
+    bifurcated = (branches[:, 0] < branches[:, 1]) & (branches[:, 1] < branches[:, 2])
 
-    coeffs = [k_ang**2, -2.0 * delta * k_ang, (kap / 2.0) ** 2 + delta**2, -drive]
-    roots = np.roots(coeffs)
-    real = [float(r.real) for r in roots if abs(r.imag) <= 1e-8 * max(1.0, abs(r))]
-    positive = sorted(n for n in real if n > 0.0)
-    return KerrSteadyState(
-        photon_numbers=tuple(positive),
-        bifurcated=len(positive) == 3 and positive[0] < positive[1] < positive[2],
-    )
+    if flux.ndim == 0:
+        row = branches[0]
+        return KerrSteadyState(
+            photon_numbers=tuple(float(n) for n in row[~np.isnan(row)]),
+            bifurcated=bool(bifurcated[0]),
+        )
+    return KerrSteadyState(photon_numbers=branches, bifurcated=bifurcated)
 
 
 @dataclass(frozen=True)

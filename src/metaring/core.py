@@ -269,8 +269,3 @@ def capacitance_from_impedance(
     _positive("characteristic_impedance", characteristic_impedance)
     total_l = kinetic_inductance_per_length + geometric_inductance_per_length
     return total_l / characteristic_impedance**2
-
-
-def total_length(ring: RingSpec) -> float:
-    """Ring circumference N*(l_1+l_2) [m]."""
-    return ring.total_length

@@ -13,20 +13,33 @@ and the periodic chain supports Bloch waves at frequencies where
 
 Closing the chain into an N-cell ring quantizes cos(k l_0) = cos(2*pi*m/N);
 mode frequencies are the roots of that condition in the first propagating
-band, found by bracket marching plus bisection.
+band.  All requested modes are bisected at once on one shared bracket,
+[0, 1/(2 tau)] with tau the cell delay.  Write t_j = k_j l_j and chi for
+the mismatch factor (Z_1/Z_2 + Z_2/Z_1)/2 >= 1.  At the top of the bracket
+t_1 + t_2 = pi, so the half-trace is -cos^2 t_1 - chi sin^2 t_1 <= -1 and
+the first band closes inside the bracket.  On the bracket the half-trace is
+at most cos(t_1 + t_2) < 1, and by Foster's reactance theorem it is
+strictly monotone wherever it lies in (-1, 1).  So it falls from 1 to -1
+across the first band and stays at or below -1 from the band edge to the
+top: a second band, once open, would have to rise to +1 before closing.
+Every target in [-1, 1) therefore has exactly one crossing on the bracket,
+the smallest root, and bisection finds it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple, Union
+
+import numpy as np
 
 from .core import SegmentParams
 from .errors import BandEdgeError
 
 _BISECTION_WIDTH = 1e-3  # Hz; comfortably below the 1 Hz contract
-_MARCH_FRACTION = 0.1    # bracket step as a fraction of the estimated FSR
+
+ArrayLike = Union[float, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -110,16 +123,20 @@ def segment_abcd(segment: SegmentParams, frequency: float) -> TwoPortMatrix:
     )
 
 
-def cell_trace(cell: UnitCell, frequency: float) -> float:
+def cell_trace(cell: UnitCell, frequency: ArrayLike) -> ArrayLike:
     """cos(k l_0) of the unit cell: half the trace of M_2 M_1."""
-    if frequency < 0:
+    f = np.asarray(frequency, dtype=float)
+    if np.any(f < 0):
         raise ValueError("frequency must be non-negative")
     s1, s2 = cell.segment1, cell.segment2
-    t1 = s1.wave_number(frequency) * s1.length
-    t2 = s2.wave_number(frequency) * s2.length
+    t1 = s1.wave_number(f) * s1.length
+    t2 = s2.wave_number(f) * s2.length
     z1, z2 = s1.impedance, s2.impedance
     mismatch = 0.5 * (z1 / z2 + z2 / z1)
-    return math.cos(t1) * math.cos(t2) - mismatch * math.sin(t1) * math.sin(t2)
+    value = np.cos(t1) * np.cos(t2) - mismatch * np.sin(t1) * np.sin(t2)
+    if np.ndim(frequency) == 0:
+        return float(value)
+    return value
 
 
 def cell_matrix(cell: UnitCell, frequency: float) -> TwoPortMatrix:
@@ -127,67 +144,41 @@ def cell_matrix(cell: UnitCell, frequency: float) -> TwoPortMatrix:
     return segment_abcd(cell.segment2, frequency).cascade(segment_abcd(cell.segment1, frequency))
 
 
-def estimated_fsr(cell: UnitCell, n_cells: int) -> float:
-    """Low-frequency mode spacing [Hz].
-
-    Expanding the trace to second order in frequency gives an effective
-    cell delay sqrt(t1^2 + t2^2 + 2 chi t1 t2) with chi the impedance
-    mismatch factor; for matched segments this is the plain delay sum.
-    """
-    t1, t2 = cell.segment1.delay, cell.segment2.delay
-    z1, z2 = cell.segment1.impedance, cell.segment2.impedance
-    chi = 0.5 * (z1 / z2 + z2 / z1)
-    return 1.0 / (n_cells * math.sqrt(t1 * t1 + t2 * t2 + 2.0 * chi * t1 * t2))
-
-
 def solve_mode_frequency(
     cell: UnitCell,
     n_cells: int,
-    m: int,
-    f_start: Optional[float] = None,
-) -> float:
+    m: Union[int, np.ndarray],
+) -> ArrayLike:
     """Smallest positive root of cell_trace(f) = cos(2*pi*m/N) [Hz].
 
-    Brackets by marching upward in steps of 0.1 x estimated FSR (from
-    ``f_start`` when given, e.g. the previous mode's root), then bisects the
-    bracket well below 1 Hz.  Raises ``BandEdgeError`` when the search runs
-    out of the first propagating band, and ``ValueError`` for the trivial
-    m = 0 (mod N) target.
+    ``m`` is one mode index (returns a float) or an integer array of them
+    (returns an array of the same shape).  Every target is bisected on the
+    shared bracket [0, 1/(2 cell_delay)] (see the module docstring) with a
+    fixed number of halvings that leaves it narrower than 1e-3 Hz, so a
+    mode gets the same bits whether solved alone or in an array.  Raises
+    ``ValueError`` for m < 1 and for the trivial m = 0 (mod N) target.
     """
     if n_cells < 3:
         raise ValueError("n_cells must be >= 3")
-    if m < 1:
+    modes = np.asarray(m)
+    if np.any(modes < 1):
         raise ValueError(f"mode index must be >= 1, got {m}")
-    if m % n_cells == 0:
+    if np.any(modes % n_cells == 0):
         raise ValueError("m = 0 (mod N) only has the trivial root f = 0")
-    target = math.cos(2.0 * math.pi * m / n_cells)
+    target = np.cos(2.0 * math.pi * modes / n_cells)
 
-    step = _MARCH_FRACTION * estimated_fsr(cell, n_cells)
-    # the first band closes near half the cell round-trip frequency; allow slack
-    f_cap = 1.5 / cell.cell_delay
-    f_lo = max(f_start if f_start is not None else 0.0, 0.0)
-    g_lo = cell_trace(cell, f_lo) - target
-    if g_lo <= 0.0:
-        raise ValueError("f_start is already past the requested mode")
-    f_hi = f_lo
-    while True:
-        f_hi += step
-        if f_hi > f_cap:
-            raise BandEdgeError(
-                f"band edge exceeded before reaching cos(2 pi {m}/{n_cells})"
-            )
-        g_hi = cell_trace(cell, f_hi) - target
-        if g_hi <= 0.0:
-            break
-        f_lo = f_hi
-
-    while f_hi - f_lo > _BISECTION_WIDTH:
+    f_top = 0.5 / cell.cell_delay
+    f_lo = np.zeros(target.shape)
+    f_hi = np.full(target.shape, f_top)
+    for _ in range(math.ceil(math.log2(f_top / _BISECTION_WIDTH))):
         mid = 0.5 * (f_lo + f_hi)
-        if cell_trace(cell, mid) - target > 0.0:
-            f_lo = mid
-        else:
-            f_hi = mid
-    return 0.5 * (f_lo + f_hi)
+        above = cell_trace(cell, mid) > target
+        f_lo = np.where(above, mid, f_lo)
+        f_hi = np.where(above, f_hi, mid)
+    roots = 0.5 * (f_lo + f_hi)
+    if modes.ndim == 0:
+        return float(roots)
+    return roots
 
 
 def mode_index_near(cell: UnitCell, n_cells: int, frequency: float) -> int:
@@ -203,23 +194,6 @@ def mode_index_near(cell: UnitCell, n_cells: int, frequency: float) -> int:
     return max(1, round(n_cells * phase / (2.0 * math.pi)))
 
 
-def mode_frequencies(
-    cell: UnitCell,
-    n_cells: int,
-    m_first: int,
-    m_last: int,
-) -> List[float]:
-    """Roots for consecutive modes m_first..m_last, reusing brackets."""
-    if m_last < m_first:
-        return []
-    freqs: List[float] = []
-    previous: Optional[float] = None
-    for m in range(m_first, m_last + 1):
-        previous = solve_mode_frequency(cell, n_cells, m, f_start=previous)
-        freqs.append(previous)
-    return freqs
-
-
 def fsr_curve(
     cell: UnitCell,
     n_cells: int,
@@ -231,21 +205,17 @@ def fsr_curve(
         return []
     m_lo = mode_index_near(cell, n_cells, lo)
     m_hi = mode_index_near(cell, n_cells, hi)
-    freqs = mode_frequencies(cell, n_cells, max(1, m_lo - 1), m_hi + 1)
-    points = []
-    for f, f_next in zip(freqs, freqs[1:]):
-        if lo <= f <= hi:
-            points.append((f, f_next - f))
-    return points
+    modes = np.arange(max(1, m_lo - 1), m_hi + 2)
+    freqs = solve_mode_frequency(cell, n_cells, modes).tolist()
+    return [(f, f_next - f) for f, f_next in zip(freqs, freqs[1:]) if lo <= f <= hi]
 
 
 def conversion_mismatch(cell: UnitCell, n_cells: int, m: int, n: int) -> MismatchReport:
     """Mismatch 2 f_m - (f_{m+n} + f_{m-n}) when pumping m <-> m+n."""
     if n < 1 or m - n < 1:
         raise ValueError("require n >= 1 and m - n >= 1")
-    f_low = solve_mode_frequency(cell, n_cells, m - n)
-    f_sig = solve_mode_frequency(cell, n_cells, m, f_start=f_low)
-    f_high = solve_mode_frequency(cell, n_cells, m + n, f_start=f_sig)
+    modes = np.array([m - n, m, m + n])
+    f_low, f_sig, f_high = solve_mode_frequency(cell, n_cells, modes).tolist()
     return MismatchReport(m=m, n=n, delta_f=2.0 * f_sig - (f_high + f_low), signal_f=f_sig)
 
 

@@ -140,8 +140,3 @@ def eigenmode_frequencies(ring: RingSpec, island_potential: float = 0.0) -> np.n
     # 2*(omega/omega0)**2 = eigenvalue of the second difference
     frequencies = omega0 * np.sqrt(eigenvalues / 2.0) / (2.0 * math.pi)
     return np.sort(frequencies)
-
-
-def rescaled_ring(ring: RingSpec, fsr_target: float, fsr_model: float) -> RingSpec:
-    """Ring with phase velocity rescaled by fsr_target/fsr_model."""
-    return ring.with_phase_velocity_scale(fsr_target / fsr_model)

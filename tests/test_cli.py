@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from metaring.cli import main, run, validate
-from metaring.config import load_config, normalize_units
+from metaring.cli import main, run
+from metaring.config import _MAX_SWEEP_POINTS, load_config, normalize_units, validate_config
 from metaring.errors import ConfigError
 
 
@@ -53,7 +53,7 @@ class TestUnitNormalization:
 
 class TestValidate:
     def test_shipped_config_is_valid(self, default_config_path):
-        assert validate(default_config_path) == []
+        assert validate_config(default_config_path) == []
 
     def test_width_ratio_violation_names_path(self, tmp_path, default_config_path):
         raw = load_default(default_config_path)
@@ -65,7 +65,7 @@ class TestValidate:
             raw["device"]["microloop"]["i_star_wide"] * 1.5
         )
         path = write_config(tmp_path, raw, default_config_path)
-        violations = validate(path)
+        violations = validate_config(path)
         assert len(violations) == 1
         assert "device.microloop" in violations[0]
         assert "width_ratio" in violations[0]
@@ -74,24 +74,24 @@ class TestValidate:
         raw = load_default(default_config_path)
         raw["device"]["cell"]["segment1"]["capacitance_per_length"] = -2.89e-10
         path = write_config(tmp_path, raw, default_config_path)
-        violations = validate(path)
+        violations = validate_config(path)
         assert any("device.cell.segment1" in v and "capacitance" in v for v in violations)
 
     def test_missing_section_reported(self, tmp_path, default_config_path):
         raw = load_default(default_config_path)
         del raw["converter"]["tls"]
         path = write_config(tmp_path, raw, default_config_path)
-        assert any("tls" in v for v in validate(path))
+        assert any("tls" in v for v in validate_config(path))
 
     def test_invalid_json_reported(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
-        violations = validate(path)
+        violations = validate_config(path)
         assert violations and "invalid JSON" in violations[0]
 
     def test_unreadable_file_is_io_error(self, tmp_path):
         with pytest.raises(OSError):
-            validate(tmp_path / "missing.json")
+            validate_config(tmp_path / "missing.json")
 
 
 class TestRun:
@@ -167,12 +167,12 @@ class TestRun:
         manifest_payload = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest_payload["config_hash"] == manifest.config_hash
 
-    def test_threads_match_serial(self, default_config_path, tmp_path):
-        run("tune", default_config_path, tmp_path / "serial", threads=1)
-        run("tune", default_config_path, tmp_path / "parallel", threads=4)
-        serial = (tmp_path / "serial" / "tuning.csv").read_bytes()
-        parallel = (tmp_path / "parallel" / "tuning.csv").read_bytes()
-        assert serial == parallel
+    def test_no_negative_zero_cells(self, default_config_path, tmp_path):
+        manifest = run("sweep", default_config_path, tmp_path / "out")
+        for name in manifest.output_paths:
+            if name.endswith(".csv"):
+                cells = [c for row in read_csv(tmp_path / "out" / name) for c in row]
+                assert "-0.0" not in cells, name
 
     def test_unknown_command_rejected(self, default_config_path, tmp_path):
         with pytest.raises(ValueError):
@@ -238,6 +238,14 @@ class TestMainExitCodes:
 
     def test_validate_command(self, default_config_path, tmp_path):
         assert main(["validate", "--config", str(default_config_path)]) == 0
+
+    def test_oversized_sweep_exit_2(self, tmp_path, default_config_path, capsys):
+        raw = load_default(default_config_path)
+        raw["sweep"]["phase"]["points"] = _MAX_SWEEP_POINTS + 1
+        path = write_config(tmp_path, raw, default_config_path)
+        code = main(["fringe", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "sweep.phase.points: must be <=" in capsys.readouterr().err
 
 
 class TestConfigObjects:

@@ -100,6 +100,15 @@ class TestScattering:
     def test_rejects_negative_cooperativity(self):
         with pytest.raises(ValueError):
             scattering(-0.1, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            scattering(np.array([0.5, -0.1]), 1.0, 1.0)
+
+    def test_array_matches_scalar_calls(self):
+        grid = np.linspace(0.0, 5.0, 501)
+        batched = scattering(grid, 0.99, 0.98)
+        for c, t2, r2 in zip(grid, batched.t2, batched.r2):
+            single = scattering(float(c), 0.99, 0.98)
+            assert (single.t2, single.r2) == (t2, r2)
 
 
 class TestConversionSpectrum:
@@ -288,6 +297,32 @@ class TestKerrSteadyState:
     def test_rejects_bad_rates(self):
         with pytest.raises(ValueError):
             kerr_steady_state(0.0, 1.0, kerr_rate=0.1, kappa=0.0, kappa_ex=1.0)
+
+    def test_batched_matches_per_point_roots(self):
+        point = bifurcation_point(0.1, self.KAPPA, self.KAPPA_EX)
+        detuning = 2 * point.detuning
+        fluxes = np.linspace(0.0, 6.0, 6001) * point.drive_flux
+        state = kerr_steady_state(detuning, fluxes, 0.1, self.KAPPA, self.KAPPA_EX)
+        assert state.photon_numbers.shape == (len(fluxes), 3)
+
+        # reference: one np.roots call per drive, with the same real/positive filter
+        two_pi = 2 * math.pi
+        k, kap, kex = two_pi * 0.1, two_pi * self.KAPPA, two_pi * self.KAPPA_EX
+        delta = two_pi * detuning
+        counts = []
+        for flux, row, flag in zip(fluxes, state.photon_numbers, state.bifurcated):
+            roots = np.roots([k**2, -2 * delta * k, (kap / 2) ** 2 + delta**2, -kex * flux])
+            real = [r.real for r in roots if abs(r.imag) <= 1e-8 * max(1.0, abs(r))]
+            expected = sorted(n for n in real if n > 0.0)
+            got = row[~np.isnan(row)]
+            assert len(got) == len(expected)
+            assert np.all(np.abs(got - expected) <= 1e-12 * np.abs(expected))
+            assert flag == (len(expected) == 3)
+            counts.append(len(expected))
+        # zero drive has no branch (the only steady state is n = 0); the grid
+        # then enters and leaves the bistable window
+        runs = [c for j, c in enumerate(counts) if j == 0 or c != counts[j - 1]]
+        assert runs == [0, 1, 3, 1]
 
 
 class TestBifurcationPoint:

@@ -9,7 +9,6 @@ from metaring import (
     RingSpec,
     SegmentParams,
     derive_line_constants,
-    total_length,
 )
 from conftest import GEOMETRIC_L, IMPEDANCE, KINETIC_L, rel_err
 
@@ -57,7 +56,7 @@ class TestDeriveLineConstants:
 
 class TestTotalLength:
     def test_design_length_80mm(self, design_ring):
-        assert total_length(design_ring) == pytest.approx(0.080, rel=1e-12)
+        assert design_ring.total_length == pytest.approx(0.080, rel=1e-12)
 
     def test_two_segment_cell_96mm(self, line_capacitance):
         ring = RingSpec(
@@ -67,12 +66,12 @@ class TestTotalLength:
             geometric_inductance_per_length=GEOMETRIC_L,
             kinetic_inductance_per_length=KINETIC_L,
         )
-        assert total_length(ring) == pytest.approx(0.096, rel=1e-12)
+        assert ring.total_length == pytest.approx(0.096, rel=1e-12)
 
     def test_minimum_cell_count(self, line_capacitance):
         seg = SegmentParams(57e-6, line_capacitance, 25e-6)
         ring = RingSpec(3, seg, None, GEOMETRIC_L, KINETIC_L)
-        assert total_length(ring) == pytest.approx(3 * 25e-6, rel=1e-12)
+        assert ring.total_length == pytest.approx(3 * 25e-6, rel=1e-12)
         with pytest.raises(ValueError):
             RingSpec(1, seg, None, GEOMETRIC_L, KINETIC_L)
 

@@ -18,7 +18,7 @@ from metaring import (
     segment_abcd,
     solve_mode_frequency,
 )
-from metaring.dispersion import cell_matrix, estimated_fsr
+from metaring.dispersion import cell_matrix
 from metaring.errors import BandEdgeError
 from conftest import rel_err
 
@@ -131,13 +131,35 @@ class TestSolveModeFrequency:
             f = solve_mode_frequency(bloch_cell, N_CELLS, m)
             assert mode_index_near(bloch_cell, N_CELLS, f) == m
 
+    @pytest.mark.parametrize("ratio", [1.0, 2.0, 3.0, 4.0])  # 1.0 is the design cell
+    def test_array_solve_equals_scalar_solves(self, bloch_cell, ratio):
+        cell = bloch_cell.with_capacitance_ratio(ratio)
+        # every 97th index, the band edge target m = N/2 and indices above it
+        m = np.append(np.arange(1, N_CELLS, 97), N_CELLS // 2)
+        batched = solve_mode_frequency(cell, N_CELLS, m)
+        assert batched.shape == m.shape
+        for m_k, f_k in zip(m, batched):
+            scalar = solve_mode_frequency(cell, N_CELLS, int(m_k))
+            assert isinstance(scalar, float) and scalar == f_k
+
+    @pytest.mark.parametrize("ratio", [1.0, 2.0, 3.0, 4.0])  # 1.0 is the design cell
+    def test_trace_brackets_a_single_crossing(self, bloch_cell, ratio):
+        # the bisection bracket [0, 1/(2 cell_delay)] holds one crossing per
+        # target: falling through the first band, at or below -1 above it
+        cell = bloch_cell.with_capacitance_ratio(ratio)
+        edge = solve_mode_frequency(cell, N_CELLS, N_CELLS // 2)
+        band = cell_trace(cell, np.linspace(0.0, edge, 20001))
+        assert np.all(np.diff(band) < 0.0)
+        above = cell_trace(cell, np.linspace(edge, 0.5 / cell.cell_delay, 20001)[1:])
+        assert np.all(above <= -1.0)
+
     def test_consistent_with_fsr_curve_near_5ghz(self, bloch_cell):
         m = mode_index_near(bloch_cell, N_CELLS, 5e9)
         f_m = solve_mode_frequency(bloch_cell, N_CELLS, m)
         points = fsr_curve(bloch_cell, N_CELLS, (f_m - 1e6, f_m + 1e8))
         assert any(abs(p[0] - f_m) < 1e-2 for p in points)
         nearest = min(points, key=lambda p: abs(p[0] - f_m))
-        f_next = solve_mode_frequency(bloch_cell, N_CELLS, m + 1, f_start=f_m)
+        f_next = solve_mode_frequency(bloch_cell, N_CELLS, m + 1)
         assert abs(nearest[1] - (f_next - f_m)) < 1e-2
 
 
@@ -235,9 +257,3 @@ class TestIdcEnhancement:
         assert [(p.ratio, p.offset) for p in points] == [
             (1.0, 1e9), (1.0, 2e9), (2.0, 1e9), (2.0, 2e9)
         ]
-
-
-def test_estimated_fsr_matches_low_frequency_spacing(bloch_cell):
-    estimate = estimated_fsr(bloch_cell, N_CELLS)
-    f1 = solve_mode_frequency(bloch_cell, N_CELLS, 1)
-    assert rel_err(estimate, f1) < 0.02
