@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import math
 import sys
@@ -41,6 +42,7 @@ COMMANDS = ("modes", "dispersion", "tune", "convert", "fringe", "saturate", "fit
 class RunManifest:
     command: str
     config_hash: str
+    trace_sha256: Optional[str]  # the fit.trace_csv bytes; None without a trace
     output_paths: List[str]
     timestamp: str
 
@@ -240,9 +242,13 @@ def run(command: str, config_path, out_dir) -> RunManifest:
         if command == "sweep" and name == "fit" and config.fit_trace is None:
             continue
         outputs.extend(_RUNNERS[name](config, out))
+    trace_sha256 = None
+    if config.fit_trace is not None:
+        trace_sha256 = hashlib.sha256(config.fit_trace.read_bytes()).hexdigest()
     manifest = RunManifest(
         command=command,
         config_hash=config.config_hash,
+        trace_sha256=trace_sha256,
         output_paths=sorted(outputs),
         timestamp=datetime.now(timezone.utc).isoformat(),
     )

@@ -1,8 +1,10 @@
 """JSON configuration: schema, unit normalization, validation, loading.
 
-Configs are plain JSON in SI units.  Two convenience suffixes are accepted
-and converted on load: ``*_mT`` (millitesla, becomes ``*_T``) and ``*_dBm``
-(becomes ``*_W``).  Everything else, including ``*_hz`` keys, is already SI.
+Configs are plain JSON in SI units.  Three convenience suffixes are
+accepted and converted on load: ``*_mT`` (millitesla, becomes ``*_T``),
+``*_dBm`` (becomes ``*_W``) and ``*_dB`` (a power ratio in decibels, becomes
+the linear ratio under the key without the suffix).  Everything else,
+including ``*_hz`` keys, is already SI.
 
 ``load_config`` raises :class:`ConfigError` carrying one
 ``"json.path: message"`` violation per problem; ``validate_config`` returns
@@ -18,7 +20,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from .conversion import ConverterParams, NoiseModel, TlsModel
+from .conversion import ConverterParams, NoiseModel, TlsModel, watts_from_dbm
 from .core import MicroloopSpec, RingSpec, SegmentParams
 from .dispersion import UnitCell
 from .errors import ConfigError
@@ -29,7 +31,7 @@ _MAX_SWEEP_POINTS = 1_000_000
 
 _UNIT_SUFFIXES = {
     "mT": ("T", lambda v: v * 1e-3),
-    "dBm": ("W", lambda v: 1e-3 * 10.0 ** (v / 10.0)),
+    "dBm": ("W", watts_from_dbm),
     "dB": ("", lambda v: 10.0 ** (v / 10.0)),
 }
 

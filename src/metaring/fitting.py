@@ -1,15 +1,30 @@
 """Damped nonlinear least squares and the toolkit's standard fits.
 
-The engine is a Levenberg-Marquardt iteration on numerically differenced
-Jacobians: the damping term lambda*diag(J^T J) grows on rejected steps and
-shrinks on accepted ones, so the accepted-step residual norm never
-increases.  Iteration stops when the gradient norm falls below 1e-10 of its
-initial value or after ``max_iter`` steps.
+The engine is a Levenberg-Marquardt iteration: the damping term
+lambda*diag(J^T J) grows on rejected steps and shrinks on accepted ones, so
+the accepted-step residual norm never increases.  The Jacobian comes from a
+caller-supplied ``jac`` or, by default, from central differences.  After
+each step the iteration stops, with a named reason, on the first of these
+MINPACK-style tests (More 1978):
+
+* ``zero_residual``: the residuals vanish;
+* ``gtol``: the largest gradient component falls below ``gradient_rtol``
+  times its initial value;
+* ``ftol``: the step lowered the cost by at most ``_FTOL`` of the cost or,
+  for a rejected step, raised it by at most that while the undamped
+  Gauss-Newton step predicts a drop of at most that;
+* ``xtol``: the scaled step is at most ``_XTOL`` of the scaled parameters.
+
+These four mean converged.  The iteration also ends, unconverged, after
+``max_iter`` accepted steps (``max_iter``) or when the damping passes its
+cap without any step lowering the cost (``damping_cap``), which bounds the
+rejected steps in a row.
 
 Fits built on the engine:
 
 * one-port reflection resonance (f0, Q_in, Q_ex, background amplitude,
-  phase offset, cable delay) on complex traces;
+  phase offset, cable delay) on complex traces, with the closed-form
+  Jacobian of :func:`reflection_s11`;
 * quadratic magnetic-field frequency shift;
 * ordinary least squares of mode frequency versus mode number.
 """
@@ -26,6 +41,9 @@ import numpy as np
 from .errors import ConditioningError, NoResonanceError
 
 _STEP_REL = 6.0e-6  # ~cbrt(eps): central-difference step fraction
+_FTOL = 1e-10  # relative cost reduction of an accepted step
+_XTOL = 1e-10  # scaled step relative to the scaled parameters
+_CONVERGED = frozenset({"zero_residual", "gtol", "ftol", "xtol"})
 
 
 @dataclass(frozen=True)
@@ -68,13 +86,23 @@ class Trace:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Estimated parameters with linearized standard errors."""
+    """Estimated parameters with linearized standard errors.
+
+    ``iterations`` counts accepted steps, each followed by one Jacobian
+    evaluation (MINPACK's ``iter``); ``termination`` names the stop rule
+    that ended the iteration (see the module docstring).
+    """
 
     parameters: Dict[str, float]
     standard_errors: Dict[str, float]
     residual_norm: float
-    converged: bool
+    iterations: int
+    termination: str
     residual_history: Tuple[float, ...] = field(default=(), repr=False)
+
+    @property
+    def converged(self) -> bool:
+        return self.termination in _CONVERGED
 
     def to_dict(self) -> dict:
         return {
@@ -82,6 +110,8 @@ class FitResult:
             "standard_errors": dict(self.standard_errors),
             "residual_norm": self.residual_norm,
             "converged": self.converged,
+            "iterations": self.iterations,
+            "termination": self.termination,
         }
 
 
@@ -96,7 +126,14 @@ def _stack(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values)
     if np.iscomplexobj(values):
         return np.concatenate([values.real, values.imag])
-    return values.astype(float)
+    return np.asarray(values, dtype=float)
+
+
+def _sum_squares(values: np.ndarray) -> float:
+    # numpy's pairwise sum, not a BLAS dot: threaded BLAS splits a long dot
+    # into per-thread partial sums, and the accept and stop tests compare
+    # costs, so a fit would depend on the BLAS thread count
+    return float(np.sum(np.square(values)))
 
 
 def least_squares(
@@ -108,13 +145,18 @@ def least_squares(
     scales: Optional[Sequence[float]] = None,
     max_iter: int = 200,
     gradient_rtol: float = 1e-10,
+    jac: Optional[Callable] = None,
 ) -> FitResult:
     """Minimize ||y - model(params, x)||^2 with adaptive damping.
 
     ``data`` is a :class:`Trace` or an ``(x, y)`` pair; complex responses
     are fitted on stacked real/imaginary parts.  ``bounds`` is an optional
     (lower, upper) pair of per-parameter limits; trial steps are projected
-    onto the box.  Raises :class:`ConditioningError` when the damped normal
+    onto the box.  ``jac(params, x)``, when given, returns the model's
+    (n, n_par) derivative; a complex one is stacked like the residuals, a
+    real one must already have one row per stacked residual.  Without it
+    the Jacobian is central-differenced.  ``max_iter`` bounds the accepted
+    steps.  Raises :class:`ConditioningError` when the damped normal
     equations are singular (a parameter the model never responds to).
     """
     x, y = _as_xy(data)
@@ -131,22 +173,26 @@ def least_squares(
         return _stack(y - model(params, x))
 
     def jacobian(params: np.ndarray) -> np.ndarray:
+        """Derivative of the stacked model (minus that of the residuals)."""
+        if jac is not None:
+            return _stack(jac(params, x))
         cols = []
         for j in range(n_par):
             h = _STEP_REL * max(abs(params[j]), step_scale[j])
             up = params.copy(); up[j] += h
             down = params.copy(); down[j] -= h
-            cols.append((residual(up) - residual(down)) / (2.0 * h))
+            cols.append((residual(down) - residual(up)) / (2.0 * h))
         return np.column_stack(cols)
 
     res = residual(p)
-    cost = float(res @ res)
+    cost = _sum_squares(res)
     history = [math.sqrt(cost)]
-    jac = jacobian(p)
-    grad = jac.T @ res
-    grad_norm0 = float(np.max(np.abs(grad)))
+    jmat = jacobian(p)
+    normal = jmat.T @ jmat
+    descent = jmat.T @ res  # minus half the cost gradient
+    grad_norm0 = float(np.max(np.abs(descent)))
     grad_tol = gradient_rtol * grad_norm0
-    converged = grad_norm0 == 0.0
+    termination = "zero_residual" if cost == 0.0 else "gtol" if grad_norm0 == 0.0 else ""
     lam = 0.0  # pure Gauss-Newton until a step is rejected
 
     def column_scale(normal: np.ndarray) -> np.ndarray:
@@ -157,43 +203,57 @@ def least_squares(
             )
         return 1.0 / np.sqrt(diag)
 
-    iteration = 0
-    while not converged and iteration < max_iter:
-        iteration += 1
-        normal = jac.T @ jac
+    iterations = 0
+    while not termination:
+        if iterations >= max_iter:
+            termination = "max_iter"
+            break
         # Marquardt scaling: unit-diagonal coordinates keep the solve stable
         # when parameter magnitudes span many decades
         scale = column_scale(normal)
         scaled = normal * scale[:, None] * scale[None, :]
+        scaled_descent = descent * scale
         try:
-            step = scale * np.linalg.solve(
-                scaled + lam * np.eye(n_par), -(grad * scale)
-            )
+            step = scale * np.linalg.solve(scaled + lam * np.eye(n_par), scaled_descent)
         except np.linalg.LinAlgError as exc:
             raise ConditioningError("singular normal equations in least-squares step") from exc
         if not np.all(np.isfinite(step)):
             raise ConditioningError("singular normal equations in least-squares step")
         trial = np.clip(p + step, lower, upper)
         res_trial = residual(trial)
-        cost_trial = float(res_trial @ res_trial)
+        cost_trial = _sum_squares(res_trial)
         if cost_trial < cost:
+            iterations += 1
+            cost_drop = cost - cost_trial
+            moved = float(np.linalg.norm((trial - p) / step_scale))
             p, res, cost = trial, res_trial, cost_trial
             history.append(math.sqrt(cost))
             lam = 0.0 if lam < 1e-12 else lam * 0.25
-            jac = jacobian(p)
-            grad = jac.T @ res
-            if float(np.max(np.abs(grad))) <= grad_tol or cost == 0.0:
-                converged = True
+            jmat = jacobian(p)
+            normal = jmat.T @ jmat
+            descent = jmat.T @ res
+            if cost == 0.0:
+                termination = "zero_residual"
+            elif float(np.max(np.abs(descent))) <= grad_tol:
+                termination = "gtol"
+            elif cost_drop <= _FTOL * cost:
+                termination = "ftol"
+            elif moved <= _XTOL * (float(np.linalg.norm(p / step_scale)) + _XTOL):
+                termination = "xtol"
+        elif (cost_trial - cost <= _FTOL * cost
+              and scaled_descent @ np.linalg.pinv(scaled) @ scaled_descent <= _FTOL * cost):
+            # even the undamped Gauss-Newton step predicts a negligible drop:
+            # the fit sits at its optimum to rounding (a refit from a result)
+            termination = "ftol"
         else:
             lam = 1e-4 if lam == 0.0 else lam * 4.0
             if lam > 1e14:
-                break  # no direction improves the fit at any damping
+                termination = "damping_cap"  # no direction improves the fit at any damping
 
     m_res = len(res)
     errors = np.full(n_par, float("nan"))
     if m_res > n_par:
         sigma2 = cost / (m_res - n_par)
-        normal = jac.T @ jac
         diag = np.diag(normal)
         if np.all(np.isfinite(diag)) and np.all(diag > 0.0):
             scale = 1.0 / np.sqrt(diag)
@@ -204,7 +264,8 @@ def least_squares(
         parameters=dict(zip(names, (float(v) for v in p))),
         standard_errors=dict(zip(names, (float(e) for e in errors))),
         residual_norm=math.sqrt(cost),
-        converged=converged,
+        iterations=iterations,
+        termination=termination,
         residual_history=tuple(history),
     )
 
@@ -230,12 +291,51 @@ def reflection_s11(
     """
     freq = np.asarray(frequency, dtype=float)
     f_ref = f0 if reference_frequency is None else reference_frequency
+    x, a, b, background = _reflection_terms(freq, f0, q_in, q_ex, amplitude,
+                                            phase_offset, delay, f_ref)
+    return background * ((a - 2j * x) / (b + 2j * x))
+
+
+def _reflection_terms(freq, f0, q_in, q_ex, amplitude, phase_offset, delay, f_ref):
+    """(x, a, b, background) of :func:`reflection_s11`."""
     x = (freq - f0) / f0
     a = 1.0 / q_ex - 1.0 / q_in
     b = 1.0 / q_ex + 1.0 / q_in
-    ideal = (a - 2j * x) / (b + 2j * x)
     background = amplitude * np.exp(1j * (phase_offset + 2.0 * math.pi * (freq - f_ref) * delay))
-    return background * ideal
+    return x, a, b, background
+
+
+def reflection_jacobian(frequency, params, reference_frequency: float) -> np.ndarray:
+    """Closed-form derivative of :func:`reflection_s11` for the engine.
+
+    ``params`` is (f0, Q_in, Q_ex, amplitude, phase_offset, delay) with the
+    delay phase referenced to the fixed ``reference_frequency``.  Returns the
+    (2n, 6) real array whose first n rows are the real parts and last n
+    the imaginary parts of dS11/dparams, stacked like the residuals.
+    """
+    freq = np.asarray(frequency, dtype=float)
+    f0, q_in, q_ex, amplitude, phase_offset, delay = params
+    x, a, b, background = _reflection_terms(freq, f0, q_in, q_ex, amplitude,
+                                            phase_offset, delay, reference_frequency)
+    d = b + 2j * x
+    # the background is computed, not S11 divided by the ideal reflection,
+    # which vanishes at the dip of a critically coupled mode
+    over_d2 = background / (d * d)
+    s11 = background * ((a - 2j * x) / d)
+    columns = (
+        2j * (a + b) * over_d2 * (freq / f0**2),
+        (a + b) * over_d2 / q_in**2,
+        -(b - a + 4j * x) * over_d2 / q_ex**2,
+        s11 / amplitude,
+        1j * s11,
+        2j * math.pi * (freq - reference_frequency) * s11,
+    )
+    n = len(freq)
+    out = np.empty((len(columns), 2 * n))
+    for row, column in zip(out, columns):
+        row[:n] = column.real
+        row[n:] = column.imag
+    return out.T
 
 
 _REFLECTION_PARAMS = ("f0", "q_in", "q_ex", "amplitude", "phase_offset", "delay")
@@ -312,6 +412,9 @@ def fit_reflection_resonance(
             f, f0, q_in, q_ex, amplitude, phase_offset, delay, reference_frequency=f_ref
         )
 
+    def jac(params, f):
+        return reflection_jacobian(f, params, f_ref)
+
     span = float(freq[-1] - freq[0])
     scales = np.array([span, guess[1], guess[2], max(guess[3], 1e-3), 1.0, 1.0 / span])
     lower = [freq[0], 1.0, 1.0, 1e-12, -math.tau, -1.0]
@@ -323,6 +426,7 @@ def fit_reflection_resonance(
         bounds=(lower, upper),
         param_names=_REFLECTION_PARAMS,
         scales=scales,
+        jac=jac,
     )
 
 

@@ -126,6 +126,8 @@ class TestRun:
         assert abs(payload["parameters"]["f0"] - 4.85e9) / 4.85e9 < 1e-4
         assert abs(payload["parameters"]["q_in"] - 3.93e5) / 3.93e5 < 0.05
         assert 0.9 < payload["coupling_fraction"] < 0.99
+        assert payload["converged"] is True
+        assert payload["termination"] in {"gtol", "ftol", "xtol", "zero_residual"}
 
     def test_saturate_reports_threshold(self, default_config_path, tmp_path):
         run("saturate", default_config_path, tmp_path / "out")
@@ -201,6 +203,32 @@ class TestDeterminism:
         b = json.loads((tmp_path / "b" / "manifest.json").read_text())
         a.pop("timestamp"); b.pop("timestamp")
         assert a == b
+
+    def test_manifest_hashes_trace_bytes(self, default_config_path, tmp_path):
+        raw = load_default(default_config_path)
+        manifests = []
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            config = write_config(tmp_path / name, raw, default_config_path)
+            if name == "b":
+                trace = tmp_path / name / "trace_s11.csv"
+                lines = trace.read_text().splitlines(keepends=True)
+                f_hz, re_, im = lines[1].rstrip("\n").split(",")
+                lines[1] = f"{f_hz},{float(re_) + 1e-3!r},{im}\n"
+                trace.write_text("".join(lines))
+            run("fit", config, tmp_path / name / "out")
+            manifests.append(json.loads((tmp_path / name / "out" / "manifest.json").read_text()))
+        a, b = manifests
+        assert a["config_hash"] == b["config_hash"]
+        assert len(a["trace_sha256"]) == 64
+        assert a["trace_sha256"] != b["trace_sha256"]
+
+    def test_manifest_trace_hash_null_without_trace(self, default_config_path, tmp_path):
+        raw = load_default(default_config_path)
+        del raw["fit"]
+        run("modes", write_config(tmp_path, raw, default_config_path), tmp_path / "out")
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["trace_sha256"] is None
 
 
 class TestMainExitCodes:

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import metaring
 from metaring import (
     FitResult,
     Trace,
@@ -13,12 +18,25 @@ from metaring import (
     reflection_s11,
 )
 from metaring.errors import ConditioningError, NoResonanceError
-from metaring.fitting import coupling_fraction
+from metaring.fitting import coupling_fraction, reflection_jacobian
 from conftest import rel_err
 
 F0 = 4.85e9
 Q_IN = 3.93e5
 Q_EX = 2.51e4
+
+
+CONVERGED = {"gtol", "ftol", "xtol", "zero_residual"}
+
+
+def criterion_13_trace(seed):
+    """Design-point trace of acceptance criterion 13 with its 1 % noise."""
+    freq = np.linspace(F0 - 0.75e6, F0 + 0.75e6, 6001)
+    clean = reflection_s11(freq, F0, Q_IN, Q_EX, amplitude=0.8, phase_offset=0.3,
+                           delay=1e-9, reference_frequency=float(np.median(freq)))
+    rng = np.random.default_rng(seed)
+    noise = 0.01 * 0.8 * (rng.standard_normal(freq.size) + 1j * rng.standard_normal(freq.size))
+    return Trace(frequency=freq, response=clean + noise)
 
 
 def make_trace(noise=0.0, seed=0, points=801, span=2e6, amplitude=0.8,
@@ -132,6 +150,27 @@ class TestLeastSquaresEngine:
         result = least_squares(lambda p, xx: np.tanh(p[0] * xx), (x, y), [50.0],
                                max_iter=1)
         assert not result.converged
+        assert result.termination == "max_iter"
+        assert result.iterations == 1
+
+    def test_start_at_optimum_converges(self):
+        rng = np.random.default_rng(0)
+        x = np.arange(10.0)
+        y = 2.0 * x + 1.0 + rng.standard_normal(x.size)
+        slope, offset = np.polyfit(x, y, 1)
+        result = least_squares(lambda p, xx: p[0] * xx + p[1], (x, y), [slope, offset])
+        assert result.termination == "ftol"
+        assert result.converged
+
+    def test_wrong_sign_jacobian_hits_damping_cap(self):
+        x = np.arange(1.0, 11.0)
+        y = 3.0 * x
+        result = least_squares(lambda p, xx: p[0] * xx, (x, y), [1.0],
+                               jac=lambda p, xx: -xx[:, None])
+        assert result.termination == "damping_cap"
+        assert not result.converged
+        assert result.iterations == 0
+        assert result.parameters["p0"] == 1.0
 
     def test_bounds_respected(self):
         x = np.arange(10.0)
@@ -152,6 +191,24 @@ class TestLeastSquaresEngine:
         result = least_squares(model, (x, y), [1.0, 0.0])
         assert rel_err(result.parameters["p0"], 1.5) < 1e-9
         assert rel_err(result.parameters["p1"], 0.5) < 1e-9
+
+    def test_complex_analytic_jacobian_matches_differenced(self):
+        x = np.linspace(0, 1, 21)
+        y = np.exp((-1.5 + 4.0j) * x)
+
+        def model(p, xx):
+            return np.exp((p[0] + 1j * p[1]) * xx)
+
+        def jac(p, xx):
+            d = xx * model(p, xx)
+            return np.column_stack([d, 1j * d])
+
+        analytic = least_squares(model, (x, y), [-1.0, 3.5], jac=jac)
+        differenced = least_squares(model, (x, y), [-1.0, 3.5])
+        assert analytic.converged and differenced.converged
+        for key in ("p0", "p1"):
+            assert rel_err(analytic.parameters[key], differenced.parameters[key]) < 1e-9
+        assert rel_err(analytic.parameters["p1"], 4.0) < 1e-9
 
 
 class TestReflectionFit:
@@ -220,8 +277,74 @@ class TestReflectionFit:
     def test_result_serializes(self):
         result = fit_reflection_resonance(make_trace())
         payload = result.to_dict()
-        assert set(payload) == {"parameters", "standard_errors", "residual_norm", "converged"}
+        assert set(payload) == {"parameters", "standard_errors", "residual_norm", "converged",
+                                "iterations", "termination"}
+        assert payload["termination"] in CONVERGED
         assert isinstance(result, FitResult)
+
+    def test_refit_from_result_converges(self):
+        trace = criterion_13_trace(1)
+        first = fit_reflection_resonance(trace)
+        again = fit_reflection_resonance(trace, initial_guess=list(first.parameters.values()))
+        assert again.converged
+        assert again.residual_norm <= first.residual_norm
+
+    def test_noisy_design_traces_converge(self):
+        for seed in range(20):
+            result = fit_reflection_resonance(criterion_13_trace(seed))
+            assert result.converged, seed
+            assert result.termination in CONVERGED, seed
+            assert result.iterations <= 10, seed
+
+    def test_fit_is_independent_of_blas_threads(self):
+        code = (
+            "from test_fitting import criterion_13_trace;"
+            "from metaring import fit_reflection_resonance;"
+            "r = fit_reflection_resonance(criterion_13_trace(2));"
+            "print(sorted((k, repr(v)) for k, v in r.parameters.items()), r.iterations)"
+        )
+        paths = [str(Path(__file__).parent), str(Path(metaring.__file__).parent.parent)]
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(paths))
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True, timeout=120, check=True)
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+
+
+def _differenced_reflection_jacobian(freq, params, f_ref, steps):
+    def stacked(p):
+        z = reflection_s11(freq, *p, reference_frequency=f_ref)
+        return np.concatenate([z.real, z.imag])
+
+    columns = []
+    for j, h in enumerate(steps):
+        up = np.array(params, dtype=float); up[j] += h
+        down = np.array(params, dtype=float); down[j] -= h
+        columns.append((stacked(up) - stacked(down)) / (2.0 * h))
+    return np.column_stack(columns)
+
+
+class TestReflectionJacobian:
+    @pytest.mark.parametrize("f0, q_in, q_ex", [
+        (F0, Q_IN, Q_EX),            # design point
+        (F0, Q_EX, Q_EX),            # critical coupling: S11 vanishes at f0
+        (F0 + 3e5, Q_IN, Q_EX),      # resonance detuned from the span centre
+    ])
+    def test_matches_central_differences(self, f0, q_in, q_ex):
+        freq = np.linspace(F0 - 1e6, F0 + 1e6, 801)
+        f_ref = float(np.median(freq))
+        params = (f0, q_in, q_ex, 0.8, 0.3, 1e-9)
+        # the f0 step must be far below the ~200 kHz linewidth
+        steps = (1.0, 1e-6 * q_in, 1e-6 * q_ex, 1e-6, 1e-6, 1e-14)
+        numeric = _differenced_reflection_jacobian(freq, params, f_ref, steps)
+        analytic = reflection_jacobian(freq, params, f_ref)
+        assert analytic.shape == (2 * freq.size, 6)
+        for j in range(6):
+            scale = np.max(np.abs(numeric[:, j]))
+            assert np.max(np.abs(analytic[:, j] - numeric[:, j])) <= 1e-6 * scale, j
 
 
 class TestQuadraticFieldShift:
