@@ -6,6 +6,10 @@ accepted and converted on load: ``*_mT`` (millitesla, becomes ``*_T``),
 the linear ratio under the key without the suffix).  Everything else,
 including ``*_hz`` keys, is already SI.
 
+``_SCHEMA`` mirrors the JSON.  ``_walk`` checks each leaf's kind, fills in
+defaults, reports every key the schema does not name and builds each section
+with its constructor, which checks the section's physical bounds.
+
 ``load_config`` raises :class:`ConfigError` carrying one
 ``"json.path: message"`` violation per problem; ``validate_config`` returns
 the same list without raising.
@@ -15,12 +19,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from .conversion import ConverterParams, NoiseModel, TlsModel, watts_from_dbm
+from .conversion import ConverterParams, watts_from_dbm
 from .core import MicroloopSpec, RingSpec, SegmentParams
 from .dispersion import UnitCell
 from .errors import ConfigError
@@ -36,6 +40,12 @@ _UNIT_SUFFIXES = {
 }
 
 
+def _is_finite(value) -> bool:
+    """A JSON number in the float range; not true/false, NaN or an infinity."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 def normalize_units(node):
     """Recursively convert suffixed keys to their SI equivalents."""
     if isinstance(node, dict):
@@ -47,9 +57,9 @@ def normalize_units(node):
                 if key.endswith("_" + suffix):
                     stem = key[: -(len(suffix) + 1)]
                     base = f"{stem}_{target}" if target else stem
-                    if isinstance(value, (int, float)):
+                    if _is_finite(value):
                         converted = fn(float(value))
-                    elif isinstance(value, list):
+                    elif isinstance(value, list) and all(map(_is_finite, value)):
                         converted = [fn(float(v)) for v in value]
                     break
             out[base] = normalize_units(converted)
@@ -98,16 +108,6 @@ class FringeScenario:
 
 
 @dataclass(frozen=True)
-class SinglePhotonScenario:
-    q_ex: float
-    saturation_photons: float
-
-    def __post_init__(self) -> None:
-        if self.q_ex <= 0 or self.saturation_photons < 0:
-            raise ValueError("q_ex must be positive and saturation_photons non-negative")
-
-
-@dataclass(frozen=True)
 class Config:
     """Validated configuration with constructed domain objects."""
 
@@ -115,11 +115,8 @@ class Config:
     microloop: MicroloopSpec
     cell: UnitCell
     converter: ConverterParams
-    noise: NoiseModel
-    tls: TlsModel
     kerr: KerrScenario
     fringe: FringeScenario
-    single_photon: SinglePhotonScenario
     pairs: Tuple[Tuple[float, float], ...]
     sweeps: Dict[str, dict]
     fit_trace: Optional[Path]
@@ -131,277 +128,147 @@ def _hash(raw: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-class _Builder:
-    def __init__(self, raw: dict):
-        self.raw = raw
-        self.violations: List[str] = []
+def _kind(noun: str, test: Callable, convert: Callable = lambda value: value) -> Callable:
+    """A leaf kind: the converted value, or ``ValueError("must be <noun>, ...")``."""
+    def check(value):
+        if not test(value):
+            raise ValueError(f"must be {noun}, got {value!r}")
+        return convert(value)
+    return check
 
-    def section(self, parent: dict, key: str, path: str) -> dict:
-        node = parent.get(key) if isinstance(parent, dict) else None
-        if node is None:
-            self.violations.append(f"{path}: required section is missing")
-            return {}
-        if not isinstance(node, dict):
-            self.violations.append(f"{path}: must be a JSON object")
-            return {}
-        return node
 
-    def number(self, section: dict, path: str, key: str, default=None):
-        if key not in section:
-            if default is not None:
-                return default
-            self.violations.append(f"{path}.{key}: required number is missing")
-            return float("nan")
-        value = section[key]
-        if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
-            self.violations.append(f"{path}.{key}: must be a finite number, got {value!r}")
-            return float("nan")
-        return value
+def _is_pair(pair) -> bool:
+    return (isinstance(pair, list) and len(pair) == 2
+            and all(_is_finite(v) and 0.0 <= v <= 1.0 for v in pair))
 
-    def integer(self, section: dict, path: str, key: str, default=None) -> int:
-        value = self.number(section, path, key, default)
-        if isinstance(value, float) and not value.is_integer():
-            self.violations.append(f"{path}.{key}: must be an integer, got {value!r}")
-            return 0
-        return int(value) if math.isfinite(value) else 0
 
-    def build(self, factory, path: str, **kwargs):
-        if any(isinstance(v, float) and math.isnan(v) for v in kwargs.values()):
+_number = _kind("a finite number", _is_finite)
+_number_or_null = _kind("a finite number or null", lambda v: v is None or _is_finite(v))
+_integer = _kind("an integer", lambda v: _is_finite(v) and float(v).is_integer(), int)
+_numbers = _kind("a list of finite numbers",
+                 lambda v: isinstance(v, list) and all(map(_is_finite, v)), tuple)
+_pairs = _kind("a list of [eta_s, eta_i] pairs with values in [0, 1]",
+               lambda v: isinstance(v, list) and all(map(_is_pair, v)),
+               lambda v: tuple((float(eta_s), float(eta_i)) for eta_s, eta_i in v))
+_string = _kind("a non-empty string", lambda v: isinstance(v, str) and v != "")
+
+
+def _points(value) -> int:
+    points = _integer(value)
+    if points < 0:
+        raise ValueError("must be >= 0")
+    if points > _MAX_SWEEP_POINTS:
+        raise ValueError(f"must be <= {_MAX_SWEEP_POINTS}")
+    return points
+
+
+_REQUIRED = object()  # default of a leaf that must be given
+_FAILED = object()    # a leaf or section that has already reported a violation
+
+
+@dataclass(frozen=True)
+class _Section:
+    """A JSON object; a field is a section, a kind (required) or (kind, default)."""
+
+    fields: dict
+    build: Optional[Callable] = None  # None keeps the field values as a dict
+    optional: bool = False            # missing or null builds to None
+
+
+def _numbers_section(build, *keys: str) -> _Section:
+    return _Section(dict.fromkeys(keys, _number), build)
+
+
+def _converter(kerr, fringe, pairs, **rates):
+    return ConverterParams(**rates), kerr, fringe, pairs
+
+
+def _config(device, converter, sweep, fit):
+    converter, kerr, fringe, pairs = converter
+    trace = fit and fit["trace_csv"]
+    return Config(**device, converter=converter, kerr=kerr, fringe=fringe, pairs=pairs,
+                  sweeps=sweep, fit_trace=trace and Path(trace), config_hash="")
+
+
+_SEGMENT = _numbers_section(
+    SegmentParams, "inductance_per_length", "capacitance_per_length", "length")
+
+_SCHEMA = _Section({
+    "device": _Section({
+        "ring": _Section({
+            "cell_count": _integer,
+            "kinetic_inductance_per_length": _number,
+            "geometric_inductance_per_length": _number,
+            "segment1": _SEGMENT,
+            "segment2": replace(_SEGMENT, optional=True),
+        }, RingSpec),
+        "microloop": _numbers_section(
+            MicroloopSpec, "width_ratio", "gap", "loop_dc_inductance", "inductance_wide",
+            "inductance_narrow", "i_star_wide", "i_star_narrow"),
+        "cell": _Section({"segment1": _SEGMENT, "segment2": _SEGMENT}, UnitCell),
+    }),
+    "converter": _Section({
+        "kappa_s": _number, "kappa_i": _number, "eta_s": _number, "eta_i": _number,
+        "g0": (_number, 0.0), "n_eff": (_number_or_null, None),
+        "p0_norm": (_number_or_null, 1.0),
+        "kerr": _numbers_section(
+            KerrScenario, "rate_hz", "quality_factor", "coupling_efficiency", "frequency_hz"),
+        "fringe": _Section({
+            "cooperativity": _number, "eta_s": (_number, 1.0), "eta_i": (_number, 1.0),
+        }, FringeScenario),
+        "pairs": (_pairs, ()),
+    }, _converter),
+    "sweep": _Section({
+        "field": _Section({"stop_T": _number, "points": _points}),
+        "pump": _Section({"stop": _number, "points": _points}),
+        "detuning": _Section({"span_hz": _number, "points": _points}),
+        "phase": _Section({"points": _points}),
+        "ratio": _Section({
+            "signal_hz": _number, "offsets_hz": (_numbers, ()), "values": (_numbers, ()),
+        }),
+        "band": _numbers_section(None, "start_hz", "stop_hz"),
+    }),
+    "fit": _Section({"trace_csv": (_string, None)}, optional=True),
+}, _config)
+
+
+def _walk(node, spec: _Section, path: str, violations: List[str]):
+    """The section built from ``node``, or ``_FAILED`` once a violation is recorded."""
+    if node is None:
+        if spec.optional:
             return None
+        violations.append(f"{path}: required section is missing")
+        return _FAILED
+    if not isinstance(node, dict):
+        violations.append(f"{path}: must be a JSON object")
+        return _FAILED
+    prefix = f"{path}." if path else ""
+    violations.extend(f"{prefix}{key}: unknown key" for key in node if key not in spec.fields)
+    values = {}
+    for key, field in spec.fields.items():
+        if isinstance(field, _Section):
+            values[key] = _walk(node.get(key), field, prefix + key, violations)
+            continue
+        kind, default = field if isinstance(field, tuple) else (field, _REQUIRED)
         try:
-            return factory(**kwargs)
+            if key in node:
+                values[key] = kind(node[key])
+            elif default is _REQUIRED:
+                raise ValueError("required value is missing")
+            else:
+                values[key] = default
         except ValueError as exc:
-            self.violations.append(f"{path}: {exc}")
-            return None
-
-
-def _segment(builder: _Builder, parent: dict, path: str):
-    section = builder.section(parent, path.rsplit(".", 1)[-1], path)
-    full = path
-    return builder.build(
-        SegmentParams,
-        full,
-        inductance_per_length=builder.number(section, full, "inductance_per_length"),
-        capacitance_per_length=builder.number(section, full, "capacitance_per_length"),
-        length=builder.number(section, full, "length"),
-    )
-
-
-def _build_config(raw: dict) -> Config:
-    b = _Builder(raw)
-
-    device = b.section(raw, "device", "device")
-    ring_raw = b.section(device, "ring", "device.ring") if device else {}
-    seg1 = _segment(b, ring_raw, "device.ring.segment1") if ring_raw else None
-    seg2 = None
-    if ring_raw and ring_raw.get("segment2") is not None:
-        seg2 = _segment(b, ring_raw, "device.ring.segment2")
-    ring = None
-    if ring_raw and seg1 is not None:
-        ring = b.build(
-            RingSpec,
-            "device.ring",
-            cell_count=b.integer(ring_raw, "device.ring", "cell_count"),
-            segment1=seg1,
-            segment2=seg2,
-            geometric_inductance_per_length=b.number(
-                ring_raw, "device.ring", "geometric_inductance_per_length"
-            ),
-            kinetic_inductance_per_length=b.number(
-                ring_raw, "device.ring", "kinetic_inductance_per_length"
-            ),
-        )
-
-    loop_raw = b.section(device, "microloop", "device.microloop") if device else {}
-    microloop = None
-    if loop_raw:
-        microloop = b.build(
-            MicroloopSpec,
-            "device.microloop",
-            width_ratio=b.number(loop_raw, "device.microloop", "width_ratio"),
-            gap=b.number(loop_raw, "device.microloop", "gap"),
-            loop_dc_inductance=b.number(loop_raw, "device.microloop", "loop_dc_inductance"),
-            inductance_wide=b.number(loop_raw, "device.microloop", "inductance_wide"),
-            inductance_narrow=b.number(loop_raw, "device.microloop", "inductance_narrow"),
-            i_star_wide=b.number(loop_raw, "device.microloop", "i_star_wide"),
-            i_star_narrow=b.number(loop_raw, "device.microloop", "i_star_narrow"),
-        )
-
-    cell_raw = b.section(device, "cell", "device.cell") if device else {}
-    cell = None
-    if cell_raw:
-        cseg1 = _segment(b, cell_raw, "device.cell.segment1")
-        cseg2 = _segment(b, cell_raw, "device.cell.segment2")
-        if cseg1 is not None and cseg2 is not None:
-            cell = b.build(UnitCell, "device.cell", segment1=cseg1, segment2=cseg2)
-
-    conv_raw = b.section(raw, "converter", "converter")
-    converter = None
-    if conv_raw:
-        n_eff = conv_raw.get("n_eff")
-        if n_eff is not None and not isinstance(n_eff, (int, float)):
-            b.violations.append(f"converter.n_eff: must be a number or null, got {n_eff!r}")
-            n_eff = None
-        p0_norm = conv_raw.get("p0_norm", 1.0)
-        if p0_norm is not None and not isinstance(p0_norm, (int, float)):
-            b.violations.append(f"converter.p0_norm: must be a number or null, got {p0_norm!r}")
-            p0_norm = None
-        converter = b.build(
-            ConverterParams,
-            "converter",
-            kappa_s=b.number(conv_raw, "converter", "kappa_s"),
-            kappa_i=b.number(conv_raw, "converter", "kappa_i"),
-            eta_s=b.number(conv_raw, "converter", "eta_s"),
-            eta_i=b.number(conv_raw, "converter", "eta_i"),
-            g0=b.number(conv_raw, "converter", "g0", default=0.0),
-            n_eff=n_eff,
-            p0_norm=p0_norm,
-        )
-
-    noise_raw = b.section(conv_raw, "noise", "converter.noise") if conv_raw else {}
-    noise = None
-    if noise_raw:
-        noise = b.build(
-            NoiseModel,
-            "converter.noise",
-            slope_s=b.number(noise_raw, "converter.noise", "slope_s"),
-            slope_i=b.number(noise_raw, "converter.noise", "slope_i"),
-            intercept_s=b.number(noise_raw, "converter.noise", "intercept_s"),
-            intercept_i=b.number(noise_raw, "converter.noise", "intercept_i"),
-        )
-
-    tls_raw = b.section(conv_raw, "tls", "converter.tls") if conv_raw else {}
-    tls = None
-    if tls_raw:
-        tls = b.build(
-            TlsModel,
-            "converter.tls",
-            q_tls0=b.number(tls_raw, "converter.tls", "q_tls0"),
-            n_c=b.number(tls_raw, "converter.tls", "n_c"),
-            alpha=b.number(tls_raw, "converter.tls", "alpha"),
-            q_other=b.number(tls_raw, "converter.tls", "q_other"),
-        )
-
-    kerr_raw = b.section(conv_raw, "kerr", "converter.kerr") if conv_raw else {}
-    kerr = None
-    if kerr_raw:
-        kerr = b.build(
-            KerrScenario,
-            "converter.kerr",
-            rate_hz=b.number(kerr_raw, "converter.kerr", "rate_hz"),
-            quality_factor=b.number(kerr_raw, "converter.kerr", "quality_factor"),
-            coupling_efficiency=b.number(kerr_raw, "converter.kerr", "coupling_efficiency"),
-            frequency_hz=b.number(kerr_raw, "converter.kerr", "frequency_hz"),
-        )
-
-    fringe_raw = b.section(conv_raw, "fringe", "converter.fringe") if conv_raw else {}
-    fringe = None
-    if fringe_raw:
-        fringe = b.build(
-            FringeScenario,
-            "converter.fringe",
-            cooperativity=b.number(fringe_raw, "converter.fringe", "cooperativity"),
-            eta_s=b.number(fringe_raw, "converter.fringe", "eta_s", default=1.0),
-            eta_i=b.number(fringe_raw, "converter.fringe", "eta_i", default=1.0),
-        )
-
-    sp_raw = b.section(conv_raw, "single_photon", "converter.single_photon") if conv_raw else {}
-    single_photon = None
-    if sp_raw:
-        single_photon = b.build(
-            SinglePhotonScenario,
-            "converter.single_photon",
-            q_ex=b.number(sp_raw, "converter.single_photon", "q_ex"),
-            saturation_photons=b.number(
-                sp_raw, "converter.single_photon", "saturation_photons"
-            ),
-        )
-
-    pairs: List[Tuple[float, float]] = []
-    raw_pairs = conv_raw.get("pairs", []) if conv_raw else []
-    if not isinstance(raw_pairs, list):
-        b.violations.append("converter.pairs: must be a list of [eta_s, eta_i] pairs")
-        raw_pairs = []
-    for idx, pair in enumerate(raw_pairs):
-        if (
-            not isinstance(pair, list) or len(pair) != 2
-            or not all(isinstance(v, (int, float)) and 0.0 <= v <= 1.0 for v in pair)
-        ):
-            b.violations.append(
-                f"converter.pairs[{idx}]: must be [eta_s, eta_i] with values in [0, 1]"
-            )
-        else:
-            pairs.append((float(pair[0]), float(pair[1])))
-
-    sweep_raw = b.section(raw, "sweep", "sweep")
-    sweeps: Dict[str, dict] = {}
-    if sweep_raw:
-        field = b.section(sweep_raw, "field", "sweep.field")
-        sweeps["field"] = {
-            "stop_T": b.number(field, "sweep.field", "stop_T"),
-            "points": b.integer(field, "sweep.field", "points"),
-        }
-        pump = b.section(sweep_raw, "pump", "sweep.pump")
-        sweeps["pump"] = {
-            "stop": b.number(pump, "sweep.pump", "stop"),
-            "points": b.integer(pump, "sweep.pump", "points"),
-        }
-        detuning = b.section(sweep_raw, "detuning", "sweep.detuning")
-        sweeps["detuning"] = {
-            "span_hz": b.number(detuning, "sweep.detuning", "span_hz"),
-            "points": b.integer(detuning, "sweep.detuning", "points"),
-        }
-        phase = b.section(sweep_raw, "phase", "sweep.phase")
-        sweeps["phase"] = {"points": b.integer(phase, "sweep.phase", "points")}
-        ratio = b.section(sweep_raw, "ratio", "sweep.ratio")
-        sweeps["ratio"] = {
-            "signal_hz": b.number(ratio, "sweep.ratio", "signal_hz"),
-            "offsets_hz": ratio.get("offsets_hz", []),
-            "values": ratio.get("values", []),
-        }
-        band = b.section(sweep_raw, "band", "sweep.band")
-        sweeps["band"] = {
-            "start_hz": b.number(band, "sweep.band", "start_hz"),
-            "stop_hz": b.number(band, "sweep.band", "stop_hz"),
-        }
-        for key, name in (("offsets_hz", "sweep.ratio.offsets_hz"),
-                          ("values", "sweep.ratio.values")):
-            values = sweeps["ratio"][key]
-            if not isinstance(values, list) or not all(
-                isinstance(v, (int, float)) and math.isfinite(v) for v in values
-            ):
-                b.violations.append(f"{name}: must be a list of finite numbers")
-                sweeps["ratio"][key] = []
-        for name, section_ in (("field", "sweep.field"), ("pump", "sweep.pump"),
-                               ("detuning", "sweep.detuning"), ("phase", "sweep.phase")):
-            if sweeps[name]["points"] < 0:
-                b.violations.append(f"{section_}.points: must be >= 0")
-            elif sweeps[name]["points"] > _MAX_SWEEP_POINTS:
-                b.violations.append(f"{section_}.points: must be <= {_MAX_SWEEP_POINTS}")
-
-    fit_raw = raw.get("fit", {})
-    fit_trace = None
-    if isinstance(fit_raw, dict) and fit_raw.get("trace_csv"):
-        fit_trace = Path(fit_raw["trace_csv"])
-
-    required = {
-        "device.ring": ring, "device.microloop": microloop, "device.cell": cell,
-        "converter": converter, "converter.noise": noise, "converter.tls": tls,
-        "converter.kerr": kerr, "converter.fringe": fringe,
-        "converter.single_photon": single_photon,
-    }
-    if b.violations:
-        raise ConfigError(sorted(set(b.violations)))
-    missing = [path for path, value in required.items() if value is None]
-    if missing:
-        raise ConfigError([f"{path}: section failed to build" for path in missing])
-
-    return Config(
-        ring=ring, microloop=microloop, cell=cell, converter=converter,
-        noise=noise, tls=tls, kerr=kerr, fringe=fringe,
-        single_photon=single_photon, pairs=tuple(pairs), sweeps=sweeps,
-        fit_trace=fit_trace, config_hash=_hash(raw),
-    )
+            violations.append(f"{prefix}{key}: {exc}")
+            values[key] = _FAILED
+    if any(value is _FAILED for value in values.values()):
+        return _FAILED
+    if spec.build is None:
+        return values
+    try:
+        return spec.build(**values)
+    except ValueError as exc:
+        violations.append(f"{path}: {exc}")
+        return _FAILED
 
 
 def load_config(path) -> Config:
@@ -413,10 +280,15 @@ def load_config(path) -> Config:
         raise ConfigError([f"$: invalid JSON ({exc})"]) from None
     if not isinstance(raw, dict):
         raise ConfigError(["$: top level must be a JSON object"])
-    config = _build_config(normalize_units(raw))
-    if config.fit_trace is not None and not config.fit_trace.is_absolute():
-        config = replace(config, fit_trace=Path(path).parent / config.fit_trace)
-    return config
+    raw = normalize_units(raw)
+    violations: List[str] = []
+    config = _walk(raw, _SCHEMA, "", violations)
+    if violations:
+        raise ConfigError(sorted(set(violations)))
+    trace = config.fit_trace
+    if trace is not None and not trace.is_absolute():
+        trace = Path(path).parent / trace
+    return replace(config, fit_trace=trace, config_hash=_hash(raw))
 
 
 def validate_config(path) -> List[str]:

@@ -112,6 +112,15 @@ def free_spectral_range(ring: RingSpec, band: tuple) -> ModeTable:
     return ModeTable.from_frequencies(indices, freqs)
 
 
+def _cyclic_second_difference(n_cells: int) -> np.ndarray:
+    """The N x N operator 2 on the diagonal, -1 on the cyclic neighbours (N >= 3)."""
+    matrix = 2.0 * np.eye(n_cells)
+    rows = np.arange(n_cells)
+    matrix[rows, (rows + 1) % n_cells] -= 1.0
+    matrix[rows, (rows - 1) % n_cells] -= 1.0
+    return matrix
+
+
 def eigenmode_frequencies(ring: RingSpec, island_potential: float = 0.0) -> np.ndarray:
     """Spectrum from the dense cyclic second-difference eigenproblem [Hz].
 
@@ -128,12 +137,7 @@ def eigenmode_frequencies(ring: RingSpec, island_potential: float = 0.0) -> np.n
     constants = ring.line_constants()
     omega0 = 1.0 / math.sqrt(constants.cell_inductance * constants.cell_capacitance)
 
-    second_difference = (
-        2.0 * np.eye(n_cells)
-        - np.eye(n_cells, k=1) - np.eye(n_cells, k=-1)
-        - np.eye(n_cells, k=n_cells - 1) - np.eye(n_cells, k=-(n_cells - 1))
-    )
-    eigenvalues = np.linalg.eigvalsh(second_difference)
+    eigenvalues = np.linalg.eigvalsh(_cyclic_second_difference(n_cells))
     # the smallest true eigenvalue is (2*pi/N)^2 >= 4e-7 for N <= 1e4, far
     # above solver noise; anything below that floor is the exact-zero mode
     eigenvalues[eigenvalues < 1e-10] = 0.0

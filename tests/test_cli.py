@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from metaring.cli import main, run
-from metaring.config import _MAX_SWEEP_POINTS, load_config, normalize_units, validate_config
+from metaring.config import (
+    _MAX_SWEEP_POINTS,
+    _SCHEMA,
+    _Section,
+    load_config,
+    normalize_units,
+    validate_config,
+)
 from metaring.errors import ConfigError
 
 
@@ -79,9 +86,62 @@ class TestValidate:
 
     def test_missing_section_reported(self, tmp_path, default_config_path):
         raw = load_default(default_config_path)
-        del raw["converter"]["tls"]
+        del raw["converter"]["kerr"]
         path = write_config(tmp_path, raw, default_config_path)
-        assert any("tls" in v for v in validate_config(path))
+        assert any("kerr" in v for v in validate_config(path))
+
+    @pytest.mark.parametrize("keys, value, expected", [
+        (("sweeps",), {}, "sweeps: unknown key"),
+        (("converter", "g_0"), 5, "converter.g_0: unknown key"),
+        (("converter", "fringe", "etas"), 0.5, "converter.fringe.etas: unknown key"),
+        (("converter", "n_eff"), True, "converter.n_eff: must be a finite number or null"),
+        (("converter", "p0_norm"), True, "converter.p0_norm: must be a finite number or null"),
+        (("sweep", "ratio", "values"), [1.0, True], "sweep.ratio.values: must be a list"),
+        (("converter", "pairs"), [[0.99, 0.97], True], "converter.pairs: must be a list"),
+        (("converter", "n_eff"), float("nan"), "converter.n_eff: must be a finite number"),
+        (("device", "ring", "segment2"), 5, "device.ring.segment2: must be a JSON object"),
+        (("sweep", "phase", "points"), True, "sweep.phase.points: must be an integer"),
+        (("device", "ring", "cell_count"), 10 ** 400, "device.ring.cell_count: must be an integer"),
+        (("fit", "trace_csv"), 5, "fit.trace_csv: must be a non-empty string"),
+        (("fit",), "trace_s11.csv", "fit: must be a JSON object"),
+    ], ids=["top_unknown", "section_unknown", "nested_unknown", "n_eff_true", "p0_norm_true",
+            "values_true", "pairs_true", "n_eff_nan", "segment2_int", "points_true",
+            "cell_count_huge", "trace_csv_int", "fit_string"])
+    def test_single_violation_names_path(self, tmp_path, default_config_path,
+                                         keys, value, expected):
+        raw = load_default(default_config_path)
+        node = raw
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        violations = validate_config(write_config(tmp_path, raw, default_config_path))
+        assert len(violations) == 1, violations
+        assert violations[0].startswith(expected)
+
+    def test_defaults_fill_optional_leaves(self, tmp_path, default_config_path):
+        raw = load_default(default_config_path)
+        for key in ("g0", "n_eff", "p0_norm", "pairs"):
+            del raw["converter"][key]
+        del raw["converter"]["fringe"]["eta_s"]
+        del raw["sweep"]["ratio"]["values"]
+        raw["device"]["ring"]["segment2"] = None
+        config = load_config(write_config(tmp_path, raw, default_config_path))
+        assert (config.converter.g0, config.converter.n_eff, config.converter.p0_norm) == (
+            0.0, None, 1.0)
+        assert config.pairs == () and config.sweeps["ratio"]["values"] == ()
+        assert config.fringe.eta_s == 1.0 and config.ring.segment2 is None
+
+    def test_missing_leaf_reported(self, tmp_path, default_config_path):
+        raw = load_default(default_config_path)
+        del raw["converter"]["kappa_s"]
+        path = write_config(tmp_path, raw, default_config_path)
+        assert validate_config(path) == ["converter.kappa_s: required value is missing"]
+
+    def test_negative_points_reported(self, tmp_path, default_config_path):
+        raw = load_default(default_config_path)
+        raw["sweep"]["pump"]["points"] = -1
+        path = write_config(tmp_path, raw, default_config_path)
+        assert validate_config(path) == ["sweep.pump.points: must be >= 0"]
 
     def test_invalid_json_reported(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -92,6 +152,22 @@ class TestValidate:
     def test_unreadable_file_is_io_error(self, tmp_path):
         with pytest.raises(OSError):
             validate_config(tmp_path / "missing.json")
+
+
+def schema_leaf_paths(section, prefix=""):
+    for key, field in section.fields.items():
+        if isinstance(field, _Section):
+            yield from schema_leaf_paths(field, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+def test_readme_config_reference_lists_schema_leaves():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    reference = readme.split("### Config reference", 1)[1].split("\n## ", 1)[0]
+    documented = [line.split("`")[1] for line in reference.splitlines()
+                  if line.startswith("| `")]
+    assert documented == list(schema_leaf_paths(_SCHEMA))
 
 
 class TestRun:
@@ -266,6 +342,19 @@ class TestMainExitCodes:
 
     def test_validate_command(self, default_config_path, tmp_path):
         assert main(["validate", "--config", str(default_config_path)]) == 0
+
+    @pytest.mark.parametrize("fit, violation", [
+        ({"trace_csv": 5}, "fit.trace_csv: must be a non-empty string, got 5"),
+        ("trace_s11.csv", "fit: must be a JSON object"),
+    ])
+    def test_malformed_fit_exit_2(self, tmp_path, default_config_path, capsys, fit, violation):
+        raw = load_default(default_config_path)
+        raw["fit"] = fit
+        path = write_config(tmp_path, raw, default_config_path)
+        assert main(["validate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"{violation}\n"
+        assert main(["fit", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: {violation}\n"
 
     def test_oversized_sweep_exit_2(self, tmp_path, default_config_path, capsys):
         raw = load_default(default_config_path)

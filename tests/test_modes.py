@@ -138,6 +138,17 @@ class TestFreeSpectralRange:
 
 
 class TestEigenmodeOracle:
+    @pytest.mark.parametrize("n_cells", [3, 4, 7, 64])
+    def test_second_difference_matches_five_eye_formula(self, n_cells):
+        from metaring.modes import _cyclic_second_difference
+
+        five_eye = (
+            2.0 * np.eye(n_cells)
+            - np.eye(n_cells, k=1) - np.eye(n_cells, k=-1)
+            - np.eye(n_cells, k=n_cells - 1) - np.eye(n_cells, k=-(n_cells - 1))
+        )
+        assert _cyclic_second_difference(n_cells).tobytes() == five_eye.tobytes()
+
     def test_island_potential_invariance(self):
         ring = small_ring(256)
         base = eigenmode_frequencies(ring, island_potential=0.0)
