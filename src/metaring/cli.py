@@ -21,7 +21,7 @@ import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -36,6 +36,9 @@ from .errors import (
 )
 
 COMMANDS = ("modes", "dispersion", "tune", "convert", "fringe", "saturate", "fit", "sweep")
+# rows formatted and written at a time: the cell strings of a whole scaled
+# sweep column set would otherwise all be alive at once
+_CSV_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -61,12 +64,29 @@ def _fmt(value) -> str:
     return repr(number + 0.0)  # adding 0.0 writes -0.0 as 0.0
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+def _format_column(values: np.ndarray) -> List[str]:
+    """The cells of one column, formatted as ``_fmt`` would, chosen once by dtype."""
+    kind = values.dtype.kind
+    items = values.tolist()
+    if kind == "f":
+        return ["" if v != v else repr(v + 0.0) for v in items]
+    if kind == "b":
+        return ["true" if v else "false" for v in items]
+    if kind in "iu":
+        return [str(v) for v in items]
+    return [_fmt(v) for v in items]
+
+
+def _write_csv(path: Path, header: Sequence[str], columns: Sequence) -> None:
+    """Write equal-length ``columns`` (arrays or lists) under ``header``."""
+    arrays = [np.asarray(column) for column in columns]
+    rows = len(arrays[0]) if arrays else 0
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        for start in range(0, rows, _CSV_BLOCK_ROWS):
+            block = [_format_column(a[start:start + _CSV_BLOCK_ROWS]) for a in arrays]
+            writer.writerows(zip(*block))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -78,7 +98,7 @@ def _write_json(path: Path, payload: dict) -> None:
 def _run_modes(config: Config, out: Path) -> List[str]:
     band = (config.sweeps["band"]["start_hz"], config.sweeps["band"]["stop_hz"])
     table = modes.free_spectral_range(config.ring, band)
-    _write_csv(out / "modes.csv", ("m", "f_hz", "fsr_to_next_hz"), table.csv_rows())
+    _write_csv(out / "modes.csv", ("m", "f_hz", "fsr_to_next_hz"), table.csv_columns())
     _write_json(out / "modes_summary.json", {
         "band_hz": list(band),
         "mode_count": len(table),
@@ -91,7 +111,8 @@ def _run_dispersion(config: Config, out: Path) -> List[str]:
     n_cells = config.ring.cell_count
     band = (config.sweeps["band"]["start_hz"], config.sweeps["band"]["stop_hz"])
     curve = dispersion.fsr_curve(config.cell, n_cells, band)
-    _write_csv(out / "fsr_curve.csv", ("f_hz", "fsr_hz"), curve)
+    _write_csv(out / "fsr_curve.csv", ("f_hz", "fsr_hz"),
+               ([f for f, _ in curve], [fsr for _, fsr in curve]))
     ratio = config.sweeps["ratio"]
     points = dispersion.idc_enhancement_sweep(
         config.cell, n_cells,
@@ -102,7 +123,7 @@ def _run_dispersion(config: Config, out: Path) -> List[str]:
     _write_csv(
         out / "mismatch.csv",
         ("ratio", "offset_hz", "delta_f_hz"),
-        ((p.ratio, p.offset, p.delta_f) for p in points),
+        ([p.ratio for p in points], [p.offset for p in points], [p.delta_f for p in points]),
     )
     return ["fsr_curve.csv", "mismatch.csv"]
 
@@ -110,18 +131,14 @@ def _run_dispersion(config: Config, out: Path) -> List[str]:
 def _run_tune(config: Config, out: Path) -> List[str]:
     sweep = config.sweeps["field"]
     fields = np.linspace(0.0, sweep["stop_T"], sweep["points"])
-
-    def evaluate(b_ext: float):
-        bias = tuning.BiasState.from_field(config.microloop, float(b_ext))
-        shift = tuning.fractional_frequency_shift(config.microloop, bias)
-        report = tuning.nonlinearity_report(config.microloop, bias)
-        return (b_ext, bias.dc_current, shift,
-                report["twm"], report["fwm"], report["c3"], report["c4"])
-
+    bias = tuning.BiasState.from_field(config.microloop, fields)
+    shift = tuning.fractional_frequency_shift(config.microloop, bias)
+    report = tuning.nonlinearity_report(config.microloop, bias)
     _write_csv(
         out / "tuning.csv",
         ("b_ext_tesla", "i_dc_amp", "df_over_f", "T", "F", "c3", "c4"),
-        [evaluate(b_ext) for b_ext in fields],
+        (fields, bias.dc_current, shift,
+         report["twm"], report["fwm"], report["c3"], report["c4"]),
     )
     return ["tuning.csv"]
 
@@ -131,23 +148,18 @@ def _run_convert(config: Config, out: Path) -> List[str]:
     pump = config.sweeps["pump"]
     powers = np.linspace(0.0, pump["stop"], pump["points"])
     split = conversion.scattering(powers, params.eta_s, params.eta_i)
-    _write_csv(out / "pump.csv", ("p0_norm", "t2", "r2"), zip(powers, split.t2, split.r2))
+    _write_csv(out / "pump.csv", ("p0_norm", "t2", "r2"), (powers, split.t2, split.r2))
 
     det = config.sweeps["detuning"]
     deltas = np.linspace(-det["span_hz"] / 2.0, det["span_hz"] / 2.0, det["points"])
-    if len(deltas):
-        t2, r2 = conversion.conversion_spectrum(deltas, params)
-        spectrum_rows = zip(deltas, np.atleast_1d(t2), np.atleast_1d(r2))
-    else:
-        spectrum_rows = ()
-    _write_csv(out / "spectrum.csv", ("delta_hz", "t2", "r2"), spectrum_rows)
+    t2, r2 = conversion.conversion_spectrum(deltas, params)
+    _write_csv(out / "spectrum.csv", ("delta_hz", "t2", "r2"), (deltas, t2, r2))
 
     c = conversion.cooperativity(params)
-    pair_rows = (
-        (p.index, p.bound, p.efficiency)
-        for p in conversion.pair_sweep(config.pairs, c)
-    )
-    _write_csv(out / "pairs.csv", ("pair_index", "eta_product", "t2"), pair_rows)
+    pairs = conversion.pair_sweep(config.pairs, c)
+    _write_csv(out / "pairs.csv", ("pair_index", "eta_product", "t2"),
+               ([p.index for p in pairs], [p.bound for p in pairs],
+                [p.efficiency for p in pairs]))
     bandwidth = conversion.conversion_bandwidth(params) if c > 0 else None
     _write_json(out / "convert_summary.json", {
         "cooperativity": c,
@@ -162,12 +174,8 @@ def _run_fringe(config: Config, out: Path) -> List[str]:
     r_mag, t_mag = math.sqrt(split.r2), math.sqrt(split.t2)
     points = config.sweeps["phase"]["points"]
     phases = np.linspace(0.0, 2.0 * math.pi, points)
-    if len(phases):
-        power = np.atleast_1d(conversion.interference_fringe(phases, r_mag, t_mag))
-        rows = zip(phases, power)
-    else:
-        rows = ()
-    _write_csv(out / "fringe.csv", ("phi_rad", "p_ratio"), rows)
+    power = conversion.interference_fringe(phases, r_mag, t_mag)
+    _write_csv(out / "fringe.csv", ("phi_rad", "p_ratio"), (phases, power))
     _write_json(out / "fringe_summary.json", {
         "r_mag": r_mag,
         "t_mag": t_mag,
@@ -193,7 +201,7 @@ def _run_saturate(config: Config, out: Path) -> List[str]:
     _write_csv(
         out / "saturation.csv",
         ("drive_over_critical", "drive_w", "n_low", "n_mid", "n_high", "bifurcated"),
-        zip(drive_ratios, drive_ratios * power_w, *state.photon_numbers.T, state.bifurcated),
+        (drive_ratios, drive_ratios * power_w, *state.photon_numbers.T, state.bifurcated),
     )
     _write_json(out / "kerr_summary.json", {
         "kappa_hz": kappa,

@@ -1,10 +1,9 @@
 """JSON configuration: schema, unit normalization, validation, loading.
 
-Configs are plain JSON in SI units.  Three convenience suffixes are
-accepted and converted on load: ``*_mT`` (millitesla, becomes ``*_T``),
-``*_dBm`` (becomes ``*_W``) and ``*_dB`` (a power ratio in decibels, becomes
-the linear ratio under the key without the suffix).  Everything else,
-including ``*_hz`` keys, is already SI.
+Configs are plain JSON in SI units.  One convenience suffix is accepted and
+converted on load: ``*_mT`` (millitesla, becomes ``*_T``).  Everything else,
+including ``*_hz`` keys, is already SI.  A value given twice, as a repeated
+JSON key or as ``stop_mT`` next to ``stop_T``, is a violation.
 
 ``_SCHEMA`` mirrors the JSON.  ``_walk`` checks each leaf's kind, fills in
 defaults, reports every key the schema does not name and builds each section
@@ -20,11 +19,12 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .conversion import ConverterParams, watts_from_dbm
+from .conversion import ConverterParams
 from .core import MicroloopSpec, RingSpec, SegmentParams
 from .dispersion import UnitCell
 from .errors import ConfigError
@@ -35,8 +35,6 @@ _MAX_SWEEP_POINTS = 1_000_000
 
 _UNIT_SUFFIXES = {
     "mT": ("T", lambda v: v * 1e-3),
-    "dBm": ("W", watts_from_dbm),
-    "dB": ("", lambda v: 10.0 ** (v / 10.0)),
 }
 
 
@@ -46,23 +44,44 @@ def _is_finite(value) -> bool:
             and abs(value) <= sys.float_info.max)
 
 
+class _JsonObject(dict):
+    """A JSON object that remembers the keys its source gave more than once."""
+
+    repeated: Tuple[str, ...] = ()
+
+
+def _json_object(pairs: List[tuple]) -> _JsonObject:
+    """``object_pairs_hook`` for ``json.loads``: the last value of a key wins."""
+    obj = _JsonObject(pairs)
+    obj.repeated = tuple(key for key, count in Counter(k for k, _ in pairs).items()
+                         if count > 1)
+    return obj
+
+
 def normalize_units(node):
-    """Recursively convert suffixed keys to their SI equivalents."""
+    """Recursively convert suffixed keys to their SI equivalents.
+
+    Objects come back as ``_JsonObject``s; a converted key that lands on a key
+    already given (``stop_mT`` next to ``stop_T``) is added to ``repeated``.
+    """
     if isinstance(node, dict):
-        out = {}
+        out = _JsonObject()
+        repeated = list(getattr(node, "repeated", ()))
         for key, value in node.items():
             base = key
             converted = value
             for suffix, (target, fn) in _UNIT_SUFFIXES.items():
                 if key.endswith("_" + suffix):
-                    stem = key[: -(len(suffix) + 1)]
-                    base = f"{stem}_{target}" if target else stem
+                    base = f"{key[: -(len(suffix) + 1)]}_{target}"
                     if _is_finite(value):
                         converted = fn(float(value))
                     elif isinstance(value, list) and all(map(_is_finite, value)):
                         converted = [fn(float(v)) for v in value]
                     break
+            if base in out:
+                repeated.append(base)
             out[base] = normalize_units(converted)
+        out.repeated = tuple(repeated)
         return out
     if isinstance(node, list):
         return [normalize_units(item) for item in node]
@@ -146,11 +165,23 @@ _number = _kind("a finite number", _is_finite)
 _number_or_null = _kind("a finite number or null", lambda v: v is None or _is_finite(v))
 _integer = _kind("an integer", lambda v: _is_finite(v) and float(v).is_integer(), int)
 _numbers = _kind("a list of finite numbers",
-                 lambda v: isinstance(v, list) and all(map(_is_finite, v)), tuple)
+                 lambda v: isinstance(v, list) and all(map(_is_finite, v)),
+                 lambda v: tuple(map(float, v)))
 _pairs = _kind("a list of [eta_s, eta_i] pairs with values in [0, 1]",
                lambda v: isinstance(v, list) and all(map(_is_pair, v)),
                lambda v: tuple((float(eta_s), float(eta_i)) for eta_s, eta_i in v))
 _string = _kind("a non-empty string", lambda v: isinstance(v, str) and v != "")
+
+
+def _numbers_each(bound: str, test: Callable) -> Callable:
+    """A list of finite numbers whose every entry is ``bound`` (passes ``test``)."""
+    def check(value):
+        numbers = _numbers(value)
+        for number in numbers:
+            if not test(number):
+                raise ValueError(f"every entry must be {bound}, got {number!r}")
+        return numbers
+    return check
 
 
 def _points(value) -> int:
@@ -224,7 +255,9 @@ _SCHEMA = _Section({
         "detuning": _Section({"span_hz": _number, "points": _points}),
         "phase": _Section({"points": _points}),
         "ratio": _Section({
-            "signal_hz": _number, "offsets_hz": (_numbers, ()), "values": (_numbers, ()),
+            "signal_hz": _number,
+            "offsets_hz": (_numbers_each("> 0", lambda v: v > 0), ()),
+            "values": (_numbers_each(">= 1", lambda v: v >= 1), ()),
         }),
         "band": _numbers_section(None, "start_hz", "stop_hz"),
     }),
@@ -244,6 +277,7 @@ def _walk(node, spec: _Section, path: str, violations: List[str]):
         return _FAILED
     prefix = f"{path}." if path else ""
     violations.extend(f"{prefix}{key}: unknown key" for key in node if key not in spec.fields)
+    violations.extend(f"{prefix}{key}: given twice" for key in node.repeated)
     values = {}
     for key, field in spec.fields.items():
         if isinstance(field, _Section):
@@ -275,7 +309,7 @@ def load_config(path) -> Config:
     """Parse, unit-normalize, validate and build a configuration."""
     text = Path(path).read_text()
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_json_object)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"$: invalid JSON ({exc})"]) from None
     if not isinstance(raw, dict):

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Union
+
+import numpy as np
 
 _REL_TOL = 1e-12
 
@@ -203,17 +205,22 @@ class MicroloopSpec:
 
 @dataclass(frozen=True)
 class BiasState:
-    """Magnetic bias point: external field and the loop supercurrent it drives."""
+    """Magnetic bias: external field and the loop supercurrent it drives.
 
-    external_field: float
-    dc_current: float
+    One bias point holds floats; a field axis holds two arrays of one shape.
+    """
+
+    external_field: Union[float, np.ndarray]
+    dc_current: Union[float, np.ndarray]
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.external_field) or not math.isfinite(self.dc_current):
+        if not (np.all(np.isfinite(self.external_field))
+                and np.all(np.isfinite(self.dc_current))):
             raise ValueError("bias fields must be finite")
 
     @classmethod
-    def from_field(cls, loop: MicroloopSpec, external_field: float) -> "BiasState":
+    def from_field(cls, loop: MicroloopSpec,
+                   external_field: Union[float, np.ndarray]) -> "BiasState":
         """Construct the bias consistent with I_dc = B_ext*d/L_dc."""
         current = external_field * loop.gap / loop.loop_dc_inductance
         return cls(external_field=external_field, dc_current=current)

@@ -249,16 +249,22 @@ def idc_enhancement_sweep(
         scaled = cell.with_capacitance_ratio(ratio)
         m_sig = mode_index_near(scaled, n_cells, signal_f)
         f_sig = solve_mode_frequency(scaled, n_cells, m_sig)
+        steps = []
         for offset in offsets:
             if offset <= 0:
                 raise ValueError("idler offsets must be positive")
-            m_idl = mode_index_near(scaled, n_cells, f_sig + offset)
-            n = m_idl - m_sig
-            report = conversion_mismatch(scaled, n_cells, m_sig, n)
-            points.append(
-                EnhancementPoint(
-                    ratio=ratio, offset=offset, n=n,
-                    signal_f=report.signal_f, delta_f=report.delta_f,
-                )
-            )
+            steps.append(mode_index_near(scaled, n_cells, f_sig + offset) - m_sig)
+        n = np.array(steps, dtype=int)
+        if np.any(n < 1) or np.any(m_sig - n < 1):
+            raise ValueError("require n >= 1 and m - n >= 1")
+        # every offset's [m - n, m, m + n] in one bisection, as conversion_mismatch
+        # solves one of them
+        triples = np.stack([m_sig - n, np.full_like(n, m_sig), m_sig + n], axis=-1)
+        f_low, f_mid, f_high = solve_mode_frequency(scaled, n_cells, triples).T
+        delta_f = 2.0 * f_mid - (f_high + f_low)
+        points.extend(
+            EnhancementPoint(ratio=ratio, offset=offset, n=int(step),
+                             signal_f=float(f), delta_f=float(delta))
+            for offset, step, f, delta in zip(offsets, n, f_mid, delta_f)
+        )
     return points

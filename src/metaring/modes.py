@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -75,11 +75,11 @@ class ModeTable:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def csv_rows(self) -> Iterable[tuple]:
-        """Rows (m, f_hz, fsr_to_next_hz); the last spacing is empty."""
-        for j, (m, f) in enumerate(self.entries):
-            fsr = self.fsr_list[j] if j < len(self.fsr_list) else None
-            yield (m, f, fsr)
+    def csv_columns(self) -> Tuple[list, list, list]:
+        """Columns m, f_hz and fsr_to_next_hz; the last spacing is None (empty)."""
+        indices = [m for m, _ in self.entries]
+        freqs = [f for _, f in self.entries]
+        return indices, freqs, list(self.fsr_list) + ([None] if self.entries else [])
 
 
 def free_spectral_range(ring: RingSpec, band: tuple) -> ModeTable:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from metaring.cli import main, run
+from metaring.cli import _CSV_BLOCK_ROWS, _fmt, _write_csv, main, run
 from metaring.config import (
     _MAX_SWEEP_POINTS,
     _SCHEMA,
@@ -40,13 +40,14 @@ class TestUnitNormalization:
     def test_millitesla_suffix(self):
         assert normalize_units({"stop_mT": 0.2}) == {"stop_T": pytest.approx(2e-4)}
 
+    # no schema key takes watts or a decibel ratio: these stay unknown keys
     def test_dbm_suffix(self):
-        out = normalize_units({"power_dBm": -30.0})
-        assert out["power_W"] == pytest.approx(1e-6)
+        raw = {"power_dBm": -30.0}
+        assert normalize_units(raw) == raw
 
     def test_db_suffix(self):
-        out = normalize_units({"gain_dB": 3.0})
-        assert out["gain"] == pytest.approx(10 ** 0.3)
+        raw = {"gain_dB": 4000}
+        assert normalize_units(raw) == raw
 
     def test_nested_and_lists(self):
         out = normalize_units({"a": {"b_mT": [1.0, 2.0]}, "c_hz": 5.0})
@@ -104,9 +105,15 @@ class TestValidate:
         (("device", "ring", "cell_count"), 10 ** 400, "device.ring.cell_count: must be an integer"),
         (("fit", "trace_csv"), 5, "fit.trace_csv: must be a non-empty string"),
         (("fit",), "trace_s11.csv", "fit: must be a JSON object"),
+        (("sweep", "ratio", "offsets_hz"), [1e9, 0.0],
+         "sweep.ratio.offsets_hz: every entry must be > 0, got 0.0"),
+        (("sweep", "ratio", "values"), [1.0, 0.5],
+         "sweep.ratio.values: every entry must be >= 1, got 0.5"),
+        (("sweep", "field", "stop_T"), 5.0, "sweep.field.stop_T: given twice"),
     ], ids=["top_unknown", "section_unknown", "nested_unknown", "n_eff_true", "p0_norm_true",
             "values_true", "pairs_true", "n_eff_nan", "segment2_int", "points_true",
-            "cell_count_huge", "trace_csv_int", "fit_string"])
+            "cell_count_huge", "trace_csv_int", "fit_string", "offset_zero", "ratio_below_one",
+            "stop_given_twice"])
     def test_single_violation_names_path(self, tmp_path, default_config_path,
                                          keys, value, expected):
         raw = load_default(default_config_path)
@@ -117,6 +124,20 @@ class TestValidate:
         violations = validate_config(write_config(tmp_path, raw, default_config_path))
         assert len(violations) == 1, violations
         assert violations[0].startswith(expected)
+
+    @pytest.mark.parametrize("old, new, violation", [
+        ('"kappa_s"', '"gain_dB": 4000, "kappa_s"', "converter.gain_dB: unknown key"),
+        ('"points": 41', '"points": 41, "points": 7', "sweep.field.points: given twice"),
+    ], ids=["decibel_suffix", "duplicate_key"])
+    def test_text_edit_gives_one_line_exit_2(self, tmp_path, default_config_path, capsys,
+                                             old, new, violation):
+        text = default_config_path.read_text()
+        assert text.count(old) == 1
+        path = tmp_path / "config.json"
+        path.write_text(text.replace(old, new))
+        shutil.copy(default_config_path.parent / "trace_s11.csv", tmp_path / "trace_s11.csv")
+        assert main(["validate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"{violation}\n"
 
     def test_defaults_fill_optional_leaves(self, tmp_path, default_config_path):
         raw = load_default(default_config_path)
@@ -168,6 +189,40 @@ def test_readme_config_reference_lists_schema_leaves():
     documented = [line.split("`")[1] for line in reference.splitlines()
                   if line.startswith("| `")]
     assert documented == list(schema_leaf_paths(_SCHEMA))
+
+
+def write_csv_per_cell(path: Path, header, rows) -> None:
+    """The per-cell writer that the column writer replaced: the byte oracle."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
+
+
+def _long_table():
+    rows = 2 * _CSV_BLOCK_ROWS + 3
+    floats = np.linspace(-1e20, 1e20, rows)
+    floats[::7] = -0.0
+    floats[::11] = np.nan
+    return floats, np.arange(rows) - rows // 2, np.arange(rows) % 3 == 0
+
+
+class TestColumnWriter:
+    @pytest.mark.parametrize("columns", [
+        (np.array([np.nan, 0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1e-20]),
+         np.array([0, -1, 2, 2**62, -2**63, 7, 8, 9, 10]),
+         np.array([True, False, True, True, False, False, True, False, True]),
+         [None, 1.0, -0.0, 3, float("nan"), None, 2.5, True, 1e308]),
+        ([0.5, -0.0, float("nan")], [1, 2, 3], [np.bool_(True), np.bool_(False), None]),
+        (np.array([]), [], np.array([], dtype=bool)),
+        _long_table(),
+    ], ids=["cell_kinds", "lists", "empty", "longer_than_a_block"])
+    def test_same_bytes_as_per_cell_writer(self, tmp_path, columns):
+        header = [f"c{j}" for j in range(len(columns))]
+        _write_csv(tmp_path / "columns.csv", header, columns)
+        write_csv_per_cell(tmp_path / "cells.csv", header, zip(*columns))
+        assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
 
 
 class TestRun:

@@ -248,6 +248,20 @@ class TestIdcEnhancement:
             assert len(series) == len(ratios)
             assert all(b > a for a, b in zip(series, series[1:]))
 
+    def test_batched_rows_match_per_pair_solves(self, bloch_cell):
+        ratios, offsets = [1.0, 1.5, 2.0, 2.5, 3.0], [1e9, 2e9, 3e9]
+        points = idc_enhancement_sweep(bloch_cell, N_CELLS, 5e9, offsets, ratios)
+        assert len(points) == len(ratios) * len(offsets)
+        for p in points:
+            scaled = bloch_cell.with_capacitance_ratio(p.ratio)
+            m = mode_index_near(scaled, N_CELLS, 5e9)
+            direct = conversion_mismatch(scaled, N_CELLS, m, p.n)
+            assert (p.delta_f, p.signal_f) == (direct.delta_f, direct.signal_f)
+
+    def test_rejects_non_positive_offset(self, bloch_cell):
+        with pytest.raises(ValueError, match="offsets must be positive"):
+            idc_enhancement_sweep(bloch_cell, N_CELLS, 5e9, [1e9, 0.0], [1.0])
+
     def test_rejects_sub_unity_ratio(self, bloch_cell):
         with pytest.raises(ValueError):
             idc_enhancement_sweep(bloch_cell, N_CELLS, 5e9, [1e9], [0.5])

@@ -121,12 +121,13 @@ class TestFreeSpectralRange:
         top = f0 * math.sqrt(2)
         assert len(free_spectral_range(design_ring, (top * 1.01, top * 1.5))) == 0
 
-    def test_csv_rows_shape(self, design_ring):
+    def test_csv_columns_shape(self, design_ring):
         table = free_spectral_range(design_ring, (4e9, 4.5e9))
-        rows = list(table.csv_rows())
-        assert len(rows) == len(table)
-        assert rows[-1][2] is None
-        assert all(len(row) == 3 for row in rows)
+        columns = table.csv_columns()
+        assert len(columns) == 3
+        assert all(len(column) == len(table) for column in columns)
+        assert columns[2][-1] is None
+        assert free_spectral_range(design_ring, (5e9, 4e9)).csv_columns() == ([], [], [])
 
     def test_table_sorts_unordered_input(self):
         from metaring import ModeTable

@@ -16,6 +16,7 @@ from metaring import (
     taylor_coefficients,
     twm_fwm_coefficients,
 )
+from metaring.config import load_config
 from metaring.errors import PrecisionError
 from conftest import rel_err
 
@@ -231,3 +232,38 @@ class TestNonlinearityReport:
             report = nonlinearity_report(microloop, bias)
             assert report["c3_vs_twm_rel"] < 1e-6
             assert report["c4_vs_fwm_rel"] < 1e-6
+
+
+class TestBatchedExpansion:
+    @pytest.mark.parametrize("points", [41, 6001])
+    def test_batch_matches_per_point_calls(self, default_config_path, points):
+        # the shipped field axis, and the same span at the scaled sweep's density
+        config = load_config(default_config_path)
+        loop = config.microloop
+        fields = np.linspace(0.0, config.sweeps["field"]["stop_T"], points)
+        batch = nonlinearity_report(loop, BiasState.from_field(loop, fields))
+        for j, b_ext in enumerate(fields.tolist()):
+            single = nonlinearity_report(loop, BiasState.from_field(loop, b_ext))
+            for key in ("c3", "c4"):
+                assert isinstance(single[key], float)
+                assert abs(batch[key][j] - single[key]) <= 1e-12 * abs(single[key]), (key, j)
+
+    def test_one_unconverged_point_fails_the_batch(self):
+        wobble = np.array([0.0, 0.0, 1e-3, 0.0])
+        c3, c4 = taylor_coefficients(lambda x: x**3, scale=np.ones(4))
+        assert np.all(np.abs(c3 - 1.0) < 1e-10) and np.all(np.abs(c4) < 1e-8)
+        with pytest.raises(PrecisionError, match="at 1 of 4 points"):
+            taylor_coefficients(lambda x: x**3 + wobble * np.sin(1e7 * x), scale=np.ones(4))
+
+    def test_one_point_past_i_star_raises(self, microloop):
+        i_star = microloop.i_star_narrow
+        bias = BiasState(external_field=np.zeros(3),
+                         dc_current=np.array([0.0, 0.5, 1.01]) * i_star)
+        with pytest.raises(ValueError, match="superconducting"):
+            loop_energy(np.zeros(3), microloop, bias)
+        with pytest.raises(ValueError):
+            nonlinearity_report(microloop, bias)
+
+    def test_non_positive_fwm_anywhere_rejected(self):
+        with pytest.raises(ValueError):
+            NonlinearCoefficients(twm=np.zeros(3), fwm=np.array([1.0, 0.0, 2.0]), kerr_rate=0.1)
