@@ -23,8 +23,14 @@ rejected steps in a row.
 Fits built on the engine:
 
 * one-port reflection resonance (f0, Q_in, Q_ex, background amplitude,
-  phase offset, cable delay) on complex traces, with the closed-form
-  Jacobian of :func:`reflection_s11`;
+  phase offset, cable delay) on complex traces.  The start is closed form:
+  an algebraic circle fit (Chernov & Lesort 2005, J. Math. Imaging Vis. 23,
+  239) gives the background and the coupling fraction, a weighted linear
+  fit of the phase around the circle (Probst et al. 2015, Rev. Sci.
+  Instrum. 86, 024706) gives f0 and Q_tot, and the edge phase slope less
+  the resonator's own phase tail gives the cable delay.  The steps use the
+  closed-form Jacobian of :func:`reflection_s11`, which reads the
+  background from the model value the engine has just computed;
 * quadratic magnetic-field frequency shift;
 * ordinary least squares of mode frequency versus mode number.
 """
@@ -123,10 +129,18 @@ def _as_xy(data) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _stack(values: np.ndarray) -> np.ndarray:
+    """Real view of complex values, each real part followed by its imaginary part.
+
+    A complex (n, k) array becomes (2n, k); no copy is made when it is the
+    transpose of a C-contiguous (k, n) array, as a Jacobian filled one
+    parameter row at a time is.
+    """
     values = np.asarray(values)
-    if np.iscomplexobj(values):
-        return np.concatenate([values.real, values.imag])
-    return np.asarray(values, dtype=float)
+    if not np.iscomplexobj(values):
+        return np.asarray(values, dtype=float)
+    if values.ndim == 1:
+        return np.ascontiguousarray(values, dtype=complex).view(float)
+    return np.ascontiguousarray(values.T, dtype=complex).view(float).T
 
 
 def _sum_squares(values: np.ndarray) -> float:
@@ -150,11 +164,12 @@ def least_squares(
     """Minimize ||y - model(params, x)||^2 with adaptive damping.
 
     ``data`` is a :class:`Trace` or an ``(x, y)`` pair; complex responses
-    are fitted on stacked real/imaginary parts.  ``bounds`` is an optional
+    are fitted on their real and imaginary parts, each point's real part
+    followed by its imaginary part.  ``bounds`` is an optional
     (lower, upper) pair of per-parameter limits; trial steps are projected
     onto the box.  ``jac(params, x)``, when given, returns the model's
-    (n, n_par) derivative; a complex one is stacked like the residuals, a
-    real one must already have one row per stacked residual.  Without it
+    (n, n_par) derivative; a complex one is split like the residuals, a
+    real one must already have one row per real residual.  Without it
     the Jacobian is central-differenced.  ``max_iter`` bounds the accepted
     steps.  Raises :class:`ConditioningError` when the damped normal
     equations are singular (a parameter the model never responds to).
@@ -291,97 +306,186 @@ def reflection_s11(
     """
     freq = np.asarray(frequency, dtype=float)
     f_ref = f0 if reference_frequency is None else reference_frequency
-    x, a, b, background = _reflection_terms(freq, f0, q_in, q_ex, amplitude,
-                                            phase_offset, delay, f_ref)
-    return background * ((a - 2j * x) / (b + 2j * x))
-
-
-def _reflection_terms(freq, f0, q_in, q_ex, amplitude, phase_offset, delay, f_ref):
-    """(x, a, b, background) of :func:`reflection_s11`."""
     x = (freq - f0) / f0
     a = 1.0 / q_ex - 1.0 / q_in
     b = 1.0 / q_ex + 1.0 / q_in
     background = amplitude * np.exp(1j * (phase_offset + 2.0 * math.pi * (freq - f_ref) * delay))
-    return x, a, b, background
+    return background * ((a - 2j * x) / (b + 2j * x))
 
 
-def reflection_jacobian(frequency, params, reference_frequency: float) -> np.ndarray:
+def reflection_jacobian(frequency, params, reference_frequency: float,
+                        s11: Optional[np.ndarray] = None) -> np.ndarray:
     """Closed-form derivative of :func:`reflection_s11` for the engine.
 
     ``params`` is (f0, Q_in, Q_ex, amplitude, phase_offset, delay) with the
-    delay phase referenced to the fixed ``reference_frequency``.  Returns the
-    (2n, 6) real array whose first n rows are the real parts and last n
-    the imaginary parts of dS11/dparams, stacked like the residuals.
+    delay phase referenced to the fixed ``reference_frequency``.  ``s11``,
+    when given, must be :func:`reflection_s11` at these parameters; the
+    background is then read from it instead of from a complex exponential.
+    Returns the complex (n, 6) array dS11/dparams, the transpose of one
+    C-contiguous (6, n) array, which the engine splits without a copy.
     """
     freq = np.asarray(frequency, dtype=float)
     f0, q_in, q_ex, amplitude, phase_offset, delay = params
-    x, a, b, background = _reflection_terms(freq, f0, q_in, q_ex, amplitude,
-                                            phase_offset, delay, reference_frequency)
-    d = b + 2j * x
-    # the background is computed, not S11 divided by the ideal reflection,
-    # which vanishes at the dip of a critically coupled mode
-    over_d2 = background / (d * d)
-    s11 = background * ((a - 2j * x) / d)
-    columns = (
-        2j * (a + b) * over_d2 * (freq / f0**2),
-        (a + b) * over_d2 / q_in**2,
-        -(b - a + 4j * x) * over_d2 / q_ex**2,
-        s11 / amplitude,
-        1j * s11,
-        2j * math.pi * (freq - reference_frequency) * s11,
-    )
-    n = len(freq)
-    out = np.empty((len(columns), 2 * n))
-    for row, column in zip(out, columns):
-        row[:n] = column.real
-        row[n:] = column.imag
+    a = 1.0 / q_ex - 1.0 / q_in
+    b = 1.0 / q_ex + 1.0 / q_in
+    offset = freq - reference_frequency
+    out = np.empty((6, freq.size), dtype=complex)
+    # S11 = A e (a - 2ix)/d with d = b + 2ix, e the unit background and
+    # a - 2ix = (a + b) - d; row 0 holds d until the f0 column replaces it
+    d = out[0]
+    d.real = b
+    np.multiply(freq - f0, 2.0 / f0, out=d.imag)
+    unit = out[3]  # dS11/dA = S11/A
+    if s11 is None or a == 0.0:
+        # at critical coupling (a = 0) S11 vanishes at x = 0, so the
+        # background cannot be read back from it there
+        phase = offset * (2.0 * math.pi * delay)
+        phase += phase_offset
+        e = np.exp(1j * phase)
+        h = e / d
+        np.multiply(h, a + b, out=unit)
+        unit -= e
+    else:
+        np.multiply(s11, 1.0 / amplitude, out=unit)
+        h = unit / ((a + b) - d)
+    v = np.divide(h, d, out=d)  # e / d^2
+    np.multiply(unit, 1j * amplitude, out=out[4])
+    offset *= 2.0 * math.pi
+    np.multiply(out[4], offset, out=out[5])
+    np.multiply(v, (a + b) * amplitude / (q_in * q_in), out=out[1])
+    # dS11/dQ_ex = -A e (b - a + 4ix)/(d^2 Q_ex^2) = A e ((a + b) - 2d)/(d^2 Q_ex^2)
+    np.multiply(v, (a + b) * amplitude / (q_ex * q_ex), out=out[2])
+    h *= 2.0 * amplitude / (q_ex * q_ex)
+    out[2] -= h
+    v *= freq
+    v *= 2j * (a + b) * amplitude / (f0 * f0)
     return out.T
 
 
 _REFLECTION_PARAMS = ("f0", "q_in", "q_ex", "amplitude", "phase_offset", "delay")
 
 
+def _circle_fit(z: np.ndarray) -> Tuple[complex, float]:
+    """Centre and radius of the algebraic (Kasa) circle through complex points.
+
+    Minimizes sum (|z - c|^2 - r^2)^2.  About the centroid the 3x3 moment
+    equations decouple into a 2x2 solve for the centre and r^2 = |c|^2 +
+    mean |z|^2 (Chernov & Lesort 2005, J. Math. Imaging Vis. 23, 239).
+    """
+    mean = complex(np.mean(z))
+    w = z - mean
+    u, v = w.real, w.imag
+    s = u * u
+    s += v * v
+    suu, svv, suv = float(np.dot(u, u)), float(np.dot(v, v)), float(np.dot(u, v))
+    sus, svs = float(np.dot(u, s)), float(np.dot(v, s))
+    det = suu * svv - suv * suv
+    if not det > 0.0:
+        raise NoResonanceError("trace points are collinear: no resonance circle")
+    cu = 0.5 * (svv * sus - suv * svs) / det
+    cv = 0.5 * (suu * svs - suv * sus) / det
+    return mean + complex(cu, cv), math.sqrt(cu * cu + cv * cv + float(np.mean(s)))
+
+
+def _circle_phase_fit(z: np.ndarray, offset: np.ndarray) -> Tuple[complex, float, float, float]:
+    """(centre, radius, f0 - f_ref, 2 Q_tot/f0) of a trace without cable delay.
+
+    About the circle's centre c the trace is r exp(i psi) along the resonant
+    direction -c/|c|, the off-resonant point sitting at psi = pi, with
+    tan(psi/2) = -2 Q_tot (f - f0)/f0 (Probst et al. 2015, Rev. Sci.
+    Instrum. 86, 024706).  The weighted linear fit of u = -tan(psi/2)
+    against ``offset`` = f - f_ref is written on s = exp(i psi) as
+    s - 1 + i u (1 + s) = 0, so the points near the off-resonant point,
+    where tan diverges, stay bounded.  The first pass weights each point by
+    |1 + s|^4, which vanishes at the off-resonant point; the second by
+    1/(1 + u^2)^2 from the first pass's line, so the many far-off points,
+    whose noise wraps around psi = pi, cannot bias the slope.
+    """
+    center, radius = _circle_fit(z)
+    amplitude = abs(center) + radius
+    # a circle centred on zero has no off-resonant direction
+    if not (2.0 * radius >= 0.05 * amplitude and abs(center) > 0.0):
+        raise NoResonanceError("no resonance circle in trace")
+    s = (center - z) * (center.conjugate() / (abs(center) * radius))
+    p2 = 1.0 + s.real
+    p2 *= p2
+    p2 += s.imag * s.imag  # |1 + s|^2
+    y = -2.0 * s.imag
+    span = float(offset[-1] - offset[0])
+
+    def line(weight: np.ndarray) -> Tuple[float, float]:
+        wp = weight * p2
+        m0, m1 = float(np.sum(wp)), float(np.dot(wp, offset))
+        m2 = float(np.dot(wp * offset, offset))
+        wy = weight * y
+        r0, r1 = float(np.sum(wy)), float(np.dot(wy, offset))
+        det = m0 * m2 - m1 * m1
+        slope = (m0 * r1 - m1 * r0) / det if det > 0.0 else 0.0
+        # the phase must wind the right way round through at least one
+        # linewidth (u from -1 to 1) before the slope is divided by
+        if not slope * span >= 2.0:
+            raise NoResonanceError("trace phase does not wind through a resonance")
+        return slope, (m2 * r0 - m1 * r1) / det
+
+    slope, intercept = line(p2 * p2)
+    u = slope * offset
+    u += intercept
+    u *= u
+    u += 1.0
+    slope, intercept = line(1.0 / (u * u))
+    f0_offset = -intercept / slope
+    return center, radius, f0_offset, slope
+
+
+def _edge_delay(z_edge: np.ndarray, f_edge: np.ndarray) -> float:
+    """Cable delay from the phase slope of z over the (2, n_edge) edge windows.
+
+    Each window's phase is taken about its own mean, so no unwrapping is
+    needed while the phase turns by less than pi across one window.
+    """
+    phase = np.angle(z_edge * np.mean(z_edge, axis=1, keepdims=True).conjugate())
+    f_edge = f_edge - np.mean(f_edge, axis=1, keepdims=True)
+    return float(np.sum(phase * f_edge) / np.sum(f_edge * f_edge)) / (2.0 * math.pi)
+
+
 def _reflection_guess(trace: Trace) -> Tuple[np.ndarray, float]:
+    """Closed-form start (f0, Q_in, Q_ex, amplitude, phase_offset, delay).
+
+    The raw edge phase slope still holds the resonator's own phase tail, so
+    the delay it gives is only good enough to unwind the trace for a first
+    circle and phase fit.  The delay is then the edge phase slope of the
+    trace less that of the fitted resonator, and the circle and phase fits
+    are repeated on the trace with this delay removed.
+    """
     freq, z = trace.frequency, trace.response
-    n_edge = max(2, len(freq) // 20)
-    z_far = 0.5 * (np.mean(z[:n_edge]) + np.mean(z[-n_edge:]))
-    baseline = float(np.abs(z_far))
-    if baseline == 0.0:
-        raise NoResonanceError("trace has zero background amplitude")
-    distance = np.abs(z - z_far)
-    peak = int(np.argmax(distance))
-    d_max = float(distance[peak])
-    if d_max < 0.05 * baseline:
-        raise NoResonanceError("no resonance dip found in trace")
-    f0 = float(freq[peak])
-    # resonance circle diameter 2*eta*A fixes the coupling fraction directly
-    eta = min(d_max / (2.0 * baseline), 0.999)
-    # width of the |z - z_far|^2 peak gives the total quality factor
-    half = 0.5 * d_max**2
-    d2 = distance**2
-    left = peak
-    while left > 0 and d2[left] > half:
-        left -= 1
-    right = peak
-    while right < len(freq) - 1 and d2[right] > half:
-        right += 1
-    fwhm = max(float(freq[right] - freq[left]), float(freq[1] - freq[0]))
-    q_tot = f0 / fwhm
-    q_ex = q_tot / eta
-    q_in = q_tot / max(1.0 - eta, 1e-6)
-
-    # edge phase slope approximates the cable delay
-    phase = np.unwrap(np.angle(z))
-    slope_lo = (phase[n_edge - 1] - phase[0]) / (freq[n_edge - 1] - freq[0])
-    slope_hi = (phase[-1] - phase[-n_edge]) / (freq[-1] - freq[-n_edge])
-    delay = 0.5 * (slope_lo + slope_hi) / (2.0 * math.pi)
-
     f_ref = float(np.median(freq))
-    bare = reflection_s11(freq, f0, q_in, q_ex, 1.0, 0.0, delay, reference_frequency=f_ref)
-    overlap = np.sum(z * np.conj(bare)) / np.sum(np.abs(bare) ** 2)
-    amplitude = float(np.abs(overlap))
-    phase_offset = float(np.angle(overlap))
-    guess = np.array([f0, q_in, q_ex, amplitude, phase_offset, delay])
+    offset = freq - f_ref
+    n_edge = max(2, len(freq) // 20)
+    edges = np.stack([np.arange(n_edge), np.arange(len(freq) - n_edge, len(freq))])
+    f_edge = offset[edges]
+    delay = _edge_delay(z[edges], f_edge)
+    center, radius, f0_offset, slope = _circle_phase_fit(
+        z * np.exp(-2j * math.pi * delay * offset), offset)
+    eta = radius / (abs(center) + radius)
+    resonator = 2.0 * eta / (1.0 + 1j * slope * (f_edge - f0_offset)) - 1.0
+    delay = _edge_delay(z[edges] * resonator.conjugate(), f_edge)
+    center, radius, f0_offset, slope = _circle_phase_fit(
+        z * np.exp(-2j * math.pi * delay * offset), offset)
+
+    amplitude = abs(center) + radius
+    eta = min(radius / amplitude, 0.999)
+    f0 = min(max(f_ref + f0_offset, freq[0]), freq[-1])
+    q_tot = 0.5 * slope * f0
+    guess = np.array([
+        f0,
+        min(max(q_tot / (1.0 - eta), 1.0), 1e12),
+        min(max(q_tot / eta, 1.0), 1e12),
+        amplitude,
+        math.atan2(-center.imag, -center.real),
+        min(max(delay, -1.0), 1.0),
+    ])
+    if not np.all(np.isfinite(guess)):
+        raise NoResonanceError("no finite resonance parameters fit the trace")
     return guess, f_ref
 
 
@@ -391,11 +495,15 @@ def fit_reflection_resonance(
 ) -> FitResult:
     """Fit (f0, Q_in, Q_ex, amplitude, phase_offset, delay) to a complex trace.
 
-    The automatic guess reads the resonance-circle diameter for the coupling
-    fraction and the dip width for the total linewidth; raises
-    :class:`NoResonanceError` when no dip stands out.  The background scale
-    is a nuisance parameter, so the extracted f0/Q_in/Q_ex are invariant
-    under multiplying the trace by any non-zero complex constant.
+    The automatic start is closed form: an algebraic circle fit (Chernov &
+    Lesort 2005) gives the background and the coupling fraction from the
+    circle's radius and its off-resonant point, a weighted linear fit of
+    tan(psi/2) = -2 Q_tot (f - f0)/f0 around the circle (Probst et al.
+    2015) gives f0 and Q_tot, and the edge phase slope less the resonator's
+    own phase tail gives the cable delay.  Raises :class:`NoResonanceError`
+    when the trace holds no resonance circle.  The background scale is a
+    nuisance parameter, so the extracted f0/Q_in/Q_ex are invariant under
+    multiplying the trace by any non-zero complex constant.
     """
     if not np.iscomplexobj(trace.response):
         raise ValueError("reflection fitting needs a complex trace")
@@ -405,15 +513,20 @@ def fit_reflection_resonance(
         f_ref = float(np.median(freq))
     else:
         guess, f_ref = _reflection_guess(trace)
+    last = {"params": None, "s11": None}
 
     def model(params, f):
         f0, q_in, q_ex, amplitude, phase_offset, delay = params
-        return reflection_s11(
+        s11 = reflection_s11(
             f, f0, q_in, q_ex, amplitude, phase_offset, delay, reference_frequency=f_ref
         )
+        last["params"], last["s11"] = params.copy(), s11
+        return s11
 
     def jac(params, f):
-        return reflection_jacobian(f, params, f_ref)
+        # the engine takes each Jacobian where it has just evaluated the model
+        same = np.array_equal(params, last["params"])
+        return reflection_jacobian(f, params, f_ref, last["s11"] if same else None)
 
     span = float(freq[-1] - freq[0])
     scales = np.array([span, guess[1], guess[2], max(guess[3], 1e-3), 1.0, 1.0 / span])

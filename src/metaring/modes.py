@@ -106,10 +106,12 @@ def free_spectral_range(ring: RingSpec, band: tuple) -> ModeTable:
         return ModeTable.from_frequencies((), ())
     m_lo = max(1, math.ceil(index_at(lo) - 1e-9))
     m_hi = min(n_cells // 2, math.floor(index_at(min(hi, f_top)) + 1e-9))
-    indices = [m for m in range(m_lo, m_hi + 1)
-               if lo <= analytic_mode_frequency(ring, m) <= hi]
-    freqs = [analytic_mode_frequency(ring, m) for m in indices]
-    return ModeTable.from_frequencies(indices, freqs)
+    # the closed form of analytic_mode_frequency over the whole index range;
+    # m <= N/2, so no index needs folding
+    indices = np.arange(m_lo, m_hi + 1)
+    freqs = f0 * np.sqrt(1.0 - np.cos(2.0 * math.pi * indices / n_cells))
+    inside = (lo <= freqs) & (freqs <= hi)
+    return ModeTable.from_frequencies(indices[inside].tolist(), freqs[inside].tolist())
 
 
 def _cyclic_second_difference(n_cells: int) -> np.ndarray:

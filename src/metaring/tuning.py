@@ -15,7 +15,7 @@ energy callable and is the in-package check on the closed forms.
 
 Every function of a bias takes one bias point or a whole field axis: the dc
 current may be a float or an array, and the results follow its shape.  The
-energy and the Taylor stencil write squares and cubes as products: numpy
+energy, the closed forms and the Taylor stencil write powers as products: numpy
 squares an array as x*x, while a float's x**2 calls libm's pow, which
 differs from x*x in the last bit for some x.  With products a point gets the
 same bits, and so the same stop halving, alone or in an array.
@@ -130,9 +130,12 @@ def twm_fwm_coefficients(
     l_narrow = loop.inductance_narrow
     gamma = loop.width_ratio
     i_dc = bias.dc_current
-    ratio = (i_dc**2 + i_star**2) / (gamma**2 * i_dc**2 + i_star**2)
-    twm = 2.0 * i_dc * l_narrow / i_star**2 * (ratio**3 - 1.0)
-    fwm = l_narrow / (2.0 * i_star**2) * (1.0 + ratio**4 / gamma)
+    i_dc2 = i_dc * i_dc
+    i_star2 = i_star * i_star
+    ratio = (i_dc2 + i_star2) / (gamma * gamma * i_dc2 + i_star2)
+    ratio2 = ratio * ratio
+    twm = 2.0 * i_dc * l_narrow / i_star2 * (ratio2 * ratio - 1.0)
+    fwm = l_narrow / (2.0 * i_star2) * (1.0 + ratio2 * ratio2 / gamma)
     return NonlinearCoefficients(twm=twm, fwm=fwm, kerr_rate=kerr_rate)
 
 

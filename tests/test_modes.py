@@ -121,6 +121,21 @@ class TestFreeSpectralRange:
         top = f0 * math.sqrt(2)
         assert len(free_spectral_range(design_ring, (top * 1.01, top * 1.5))) == 0
 
+    @pytest.mark.parametrize("cell_count", [3200, 32000])  # shipped and scaled rings
+    def test_matches_scalar_closed_form(self, default_config_path, cell_count):
+        import dataclasses
+
+        from metaring.config import load_config
+
+        ring = dataclasses.replace(load_config(default_config_path).ring, cell_count=cell_count)
+        for band in ((4e9, 10e9), (0.0, 1e12)):
+            expected = []
+            for m in range(1, cell_count // 2 + 1):
+                f_m = analytic_mode_frequency(ring, m)
+                if band[0] <= f_m <= band[1]:
+                    expected.append((m, f_m))
+            assert free_spectral_range(ring, band).entries == tuple(expected)
+
     def test_csv_columns_shape(self, design_ring):
         table = free_spectral_range(design_ring, (4e9, 4.5e9))
         columns = table.csv_columns()

@@ -248,6 +248,17 @@ class TestBatchedExpansion:
                 assert isinstance(single[key], float)
                 assert abs(batch[key][j] - single[key]) <= 1e-12 * abs(single[key]), (key, j)
 
+    def test_closed_forms_bit_identical_alone_and_batched(self, default_config_path):
+        # a float's x**3 calls libm pow, an array's goes through numpy's own
+        # power loop; written as products, both give the same bits
+        loop = load_config(default_config_path).microloop
+        fields = np.linspace(0.0, 2e-4, 6001)
+        batch = twm_fwm_coefficients(loop, BiasState.from_field(loop, fields))
+        for j, b_ext in enumerate(fields.tolist()):
+            single = twm_fwm_coefficients(loop, BiasState.from_field(loop, b_ext))
+            assert single.twm == batch.twm[j], j
+            assert single.fwm == batch.fwm[j], j
+
     def test_one_unconverged_point_fails_the_batch(self):
         wobble = np.array([0.0, 0.0, 1e-3, 0.0])
         c3, c4 = taylor_coefficients(lambda x: x**3, scale=np.ones(4))
