@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 configuration invalid, 3 solver error, 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -38,7 +37,7 @@ from .errors import (
 COMMANDS = ("modes", "dispersion", "tune", "convert", "fringe", "saturate", "fit", "sweep")
 # rows formatted and written at a time: the cell strings of a whole scaled
 # sweep column set would otherwise all be alive at once
-_CSV_BLOCK_ROWS = 4096
+_CSV_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -67,26 +66,32 @@ def _fmt(value) -> str:
 def _format_column(values: np.ndarray) -> List[str]:
     """The cells of one column, formatted as ``_fmt`` would, chosen once by dtype."""
     kind = values.dtype.kind
-    items = values.tolist()
     if kind == "f":
-        return ["" if v != v else repr(v + 0.0) for v in items]
+        cells = list(map(repr, (values + 0.0).tolist()))  # adding 0.0 writes -0.0 as 0.0
+        for i in np.flatnonzero(np.isnan(values)).tolist():
+            cells[i] = ""
+        return cells
     if kind == "b":
-        return ["true" if v else "false" for v in items]
+        return ["true" if v else "false" for v in values.tolist()]
     if kind in "iu":
-        return [str(v) for v in items]
-    return [_fmt(v) for v in items]
+        return list(map(str, values.tolist()))
+    return [_fmt(v) for v in values.tolist()]
 
 
 def _write_csv(path: Path, header: Sequence[str], columns: Sequence) -> None:
-    """Write equal-length ``columns`` (arrays or lists) under ``header``."""
+    """Write equal-length ``columns`` (arrays or lists) under ``header``.
+
+    Cells are numbers, ``true``/``false`` or empty, so RFC-4180 quoting
+    never applies and rows are joined as plain text.  Every table has at
+    least two columns, so no row is a lone empty field (written ``""``).
+    """
     arrays = [np.asarray(column) for column in columns]
     rows = len(arrays[0]) if arrays else 0
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
+        handle.write(",".join(header) + "\n")
         for start in range(0, rows, _CSV_BLOCK_ROWS):
             block = [_format_column(a[start:start + _CSV_BLOCK_ROWS]) for a in arrays]
-            writer.writerows(zip(*block))
+            handle.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
 def _write_json(path: Path, payload: dict) -> None:

@@ -18,7 +18,11 @@ MINPACK-style tests (More 1978):
 These four mean converged.  The iteration also ends, unconverged, after
 ``max_iter`` accepted steps (``max_iter``) or when the damping passes its
 cap without any step lowering the cost (``damping_cap``), which bounds the
-rejected steps in a row.
+rejected steps in a row.  An ``ftol``, ``xtol`` or ``damping_cap`` stop, or
+a trial step that the box clips away entirely, at which some parameter
+sits on its bound while the descent direction points out of the box there
+is reported as ``bound``, also unconverged: the box, not the fit, stopped
+the iteration.
 
 Fits built on the engine:
 
@@ -37,8 +41,8 @@ Fits built on the engine:
 
 from __future__ import annotations
 
-import csv
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -73,21 +77,28 @@ class Trace:
 
     @classmethod
     def from_csv(cls, path) -> "Trace":
-        """Read columns (f_hz, re, im) or (f_hz, power_db)."""
+        """Read columns (f_hz, re, im) or (f_hz, power_db), named by the header in any order."""
         with open(path, newline="") as handle:
-            reader = csv.DictReader(handle)
-            rows = list(reader)
-        if not rows:
+            names = handle.readline().rstrip("\r\n").split(",")
+            with warnings.catch_warnings():
+                # a header-only file is reported below, not as a numpy warning
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                table = np.loadtxt(handle, delimiter=",", ndmin=2, comments=None)
+        if table.size == 0:
             raise ValueError(f"{path}: empty trace file")
-        names = set(rows[0])
-        freq = np.array([float(r["f_hz"]) for r in rows])
-        if {"re", "im"} <= names:
-            resp = np.array([float(r["re"]) + 1j * float(r["im"]) for r in rows])
-        elif "power_db" in names:
-            resp = np.array([10.0 ** (float(r["power_db"]) / 10.0) for r in rows])
+        if table.shape[1] != len(names):
+            raise ValueError(f"{path}: the header names {len(names)} columns, "
+                             f"the rows hold {table.shape[1]}")
+        columns = dict(zip(names, np.ascontiguousarray(table.T)))
+        if {"f_hz", "re", "im"} <= columns.keys():
+            resp = columns["re"] + 1j * columns["im"]
+        elif {"f_hz", "power_db"} <= columns.keys():
+            # libm pow per point, as a scalar parse gives: numpy's vectorized
+            # power differs from it in the last bit of some points
+            resp = np.array([10.0 ** v for v in (columns["power_db"] / 10.0).tolist()])
         else:
             raise ValueError(f"{path}: expected columns f_hz,re,im or f_hz,power_db")
-        return cls(frequency=freq, response=resp)
+        return cls(frequency=columns["f_hz"], response=resp)
 
 
 @dataclass(frozen=True)
@@ -167,7 +178,8 @@ def least_squares(
     are fitted on their real and imaginary parts, each point's real part
     followed by its imaginary part.  ``bounds`` is an optional
     (lower, upper) pair of per-parameter limits; trial steps are projected
-    onto the box.  ``jac(params, x)``, when given, returns the model's
+    onto the box, and a stop held there by a bound is ``bound``, not
+    converged.  ``jac(params, x)``, when given, returns the model's
     (n, n_par) derivative; a complex one is split like the residuals, a
     real one must already have one row per real residual.  Without it
     the Jacobian is central-differenced.  ``max_iter`` bounds the accepted
@@ -218,6 +230,11 @@ def least_squares(
             )
         return 1.0 / np.sqrt(diag)
 
+    def held_by_bound() -> bool:
+        """Some parameter sits on its bound and the descent points out of the box there."""
+        return bool(np.any((p >= upper) & (descent > 0.0))
+                    or np.any((p <= lower) & (descent < 0.0)))
+
     iterations = 0
     while not termination:
         if iterations >= max_iter:
@@ -235,6 +252,9 @@ def least_squares(
         if not np.all(np.isfinite(step)):
             raise ConditioningError("singular normal equations in least-squares step")
         trial = np.clip(p + step, lower, upper)
+        if np.array_equal(trial, p) and held_by_bound():
+            termination = "bound"  # the box clips the whole step away
+            break
         res_trial = residual(trial)
         cost_trial = _sum_squares(res_trial)
         if cost_trial < cost:
@@ -265,6 +285,8 @@ def least_squares(
             if lam > 1e14:
                 termination = "damping_cap"  # no direction improves the fit at any damping
 
+    if termination in ("ftol", "xtol", "damping_cap") and held_by_bound():
+        termination = "bound"
     m_res = len(res)
     errors = np.full(n_par, float("nan"))
     if m_res > n_par:

@@ -225,6 +225,30 @@ class TestColumnWriter:
         assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
 
 
+class TestSweepBytes:
+    @pytest.mark.parametrize("points", [None, 2500], ids=["shipped", "across_block_edges"])
+    def test_sweep_csvs_match_per_cell_writer(self, tmp_path, default_config_path,
+                                              monkeypatch, points):
+        config = default_config_path
+        if points is not None:
+            assert points > 2 * _CSV_BLOCK_ROWS
+            raw = load_default(default_config_path)
+            for axis in ("pump", "detuning", "phase"):
+                raw["sweep"][axis]["points"] = points
+            config = write_config(tmp_path, raw, default_config_path)
+        manifest = run("sweep", config, tmp_path / "columns")
+        monkeypatch.setattr(
+            "metaring.cli._write_csv",
+            lambda path, header, columns: write_csv_per_cell(path, header, zip(*columns)),
+        )
+        run("sweep", config, tmp_path / "cells")
+        names = [name for name in manifest.output_paths if name.endswith(".csv")]
+        assert len(names) == 9
+        for name in names:
+            columns = (tmp_path / "columns" / name).read_bytes()
+            assert columns == (tmp_path / "cells" / name).read_bytes(), name
+
+
 class TestRun:
     def test_modes_outputs_design_fsr(self, default_config_path, tmp_path):
         manifest = run("modes", default_config_path, tmp_path / "out")
@@ -385,6 +409,16 @@ class TestMainExitCodes:
         lines = ["f_hz,re,im"]
         lines += [f"{4.85e9 + 1e3 * k!r},0.8,0.0" for k in range(64)]
         flat.write_text("\n".join(lines) + "\n")
+        code = main(["fit", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "solver error" in capsys.readouterr().err
+
+    def test_bad_trace_cell_exit_3(self, tmp_path, default_config_path, capsys):
+        path = write_config(tmp_path, load_default(default_config_path), default_config_path)
+        trace = tmp_path / "trace_s11.csv"
+        lines = trace.read_text().splitlines(keepends=True)
+        lines[3] = lines[3].replace(",", ",x", 1)
+        trace.write_text("".join(lines))
         code = main(["fit", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 3
         assert "solver error" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import csv
 import math
 import os
 import subprocess
@@ -37,6 +38,16 @@ def criterion_13_trace(seed, q_in=Q_IN, q_ex=Q_EX, delay=1e-9):
     rng = np.random.default_rng(seed)
     noise = 0.01 * 0.8 * (rng.standard_normal(freq.size) + 1j * rng.standard_normal(freq.size))
     return Trace(frequency=freq, response=clean + noise)
+
+
+def dict_reader_parse(path):
+    """The per-row csv.DictReader parse that np.loadtxt replaced: the bit oracle."""
+    with open(path, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    freq = np.array([float(r["f_hz"]) for r in rows])
+    if "power_db" in rows[0]:
+        return freq, np.array([10.0 ** (float(r["power_db"]) / 10.0) for r in rows])
+    return freq, np.array([float(r["re"]) + 1j * float(r["im"]) for r in rows])
 
 
 def make_trace(noise=0.0, seed=0, points=801, span=2e6, amplitude=0.8,
@@ -84,6 +95,57 @@ class TestTrace:
         loaded = Trace.from_csv(path)
         assert not np.iscomplexobj(loaded.response)
         assert loaded.response[2] == pytest.approx(1.0)
+
+    def test_header_only_file_is_empty(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("f_hz,re,im\n")
+        with pytest.raises(ValueError, match="empty trace file"):
+            Trace.from_csv(path)
+
+    def test_columns_selected_by_name(self, tmp_path):
+        trace = make_trace(noise=0.01, seed=4)
+        path = tmp_path / "trace.csv"
+        lines = ["im,re,f_hz"] + [f"{float(z.imag)!r},{float(z.real)!r},{float(f)!r}"
+                                  for f, z in zip(trace.frequency, trace.response)]
+        path.write_text("\n".join(lines) + "\n")
+        loaded = Trace.from_csv(path)
+        assert np.array_equal(loaded.frequency, trace.frequency)
+        assert np.array_equal(loaded.response, trace.response)
+
+    @pytest.mark.parametrize("body", ["1e9,0.5,x\n", "1e9,0.5,\n", "1e9,0.5\n"],
+                             ids=["text_cell", "empty_cell", "short_row"])
+    def test_bad_cell_is_value_error(self, tmp_path, body):
+        path = tmp_path / "trace.csv"
+        rows = "".join(f"{1e9 + k!r},0.5,0.25\n" for k in range(1, 6))
+        path.write_text("f_hz,re,im\n" + rows + body)
+        with pytest.raises(ValueError):
+            Trace.from_csv(path)
+
+    def test_unknown_columns_rejected(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("f_hz,s11\n" + "".join(f"{1e9 + k!r},0.5\n" for k in range(6)))
+        with pytest.raises(ValueError, match="expected columns"):
+            Trace.from_csv(path)
+
+    @pytest.mark.parametrize("layout", [None, "f_hz,re,im", "power_db,f_hz"],
+                             ids=["shipped", "re_im", "power_db"])
+    def test_bits_match_dict_reader(self, tmp_path, default_config_path, layout):
+        path = default_config_path.parent / "trace_s11.csv"
+        if layout is not None:
+            rng = np.random.default_rng(11)
+            cells = rng.uniform(-80.0, 10.0, (400, 2))
+            cells[::9] = -0.0
+            cells[1::13, 1] = 5e-324
+            freq = 1e9 + 25.0 * np.arange(400)
+            path = tmp_path / "trace.csv"
+            lines = [layout]
+            for f, (a, b) in zip(freq.tolist(), cells.tolist()):
+                lines.append(f"{f!r},{a!r},{b!r}" if layout[0] == "f" else f"{a!r},{f!r}")
+            path.write_text("\n".join(lines) + "\n")
+        loaded = Trace.from_csv(path)
+        freq, resp = dict_reader_parse(path)
+        assert loaded.frequency.tobytes() == freq.tobytes()
+        assert loaded.response.tobytes() == resp.tobytes()
 
 
 class TestLeastSquaresEngine:
@@ -180,6 +242,33 @@ class TestLeastSquaresEngine:
         assert result.parameters["p0"] <= 2.0 + 1e-15
         with pytest.raises(ValueError):
             least_squares(lambda p, xx: p[0] * xx, (x, y), [3.0], bounds=([0.0], [2.0]))
+
+    def test_stop_held_by_bound_is_not_converged(self):
+        # the optimum p0 = 2 lies outside the box: the fit stops on p0 = 1
+        # with p1 short of the constrained optimum 4.8
+        x = np.arange(10.0)
+        result = least_squares(lambda p, xx: p[0] * xx + p[1], (x, 2.0 * x + 0.3), [0.5, 0.0],
+                               bounds=([-np.inf, -np.inf], [1.0, np.inf]))
+        assert result.termination == "bound"
+        assert not result.converged
+        assert result.parameters["p0"] == 1.0
+
+    def test_step_clipped_away_stops_at_once(self):
+        x = np.arange(10.0)
+        evals = []
+
+        def model(p, xx):
+            evals.append(float(p[0]))
+            return p[0] * xx
+
+        result = least_squares(model, (x, 2.0 * x + 0.3), [0.5], bounds=([-np.inf], [1.0]))
+        assert result.termination == "bound"
+        assert not result.converged
+        assert result.parameters["p0"] == 1.0
+        assert result.iterations == 1
+        # the start and the accepted step, each with its two differenced
+        # Jacobian evaluations: no rejected trial is evaluated
+        assert len(evals) == 6
 
     def test_complex_residuals_supported(self):
         x = np.linspace(0, 1, 21)
