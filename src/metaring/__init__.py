@@ -6,7 +6,6 @@ from .core import (
     MicroloopSpec,
     RingSpec,
     SegmentParams,
-    capacitance_from_impedance,
     derive_line_constants,
 )
 from .modes import (

@@ -272,6 +272,40 @@ class KerrSteadyState:
     bifurcated: Union[bool, np.ndarray]
 
 
+def _newton_polish(x: np.ndarray, a: float, b: float, c: np.ndarray) -> np.ndarray:
+    """One Newton step on x^3 + a x^2 + b x + c, kept only where it lowers |residual|."""
+    value = ((x + a) * x + b) * x + c
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # at a double root the derivative vanishes; such a step is never kept
+        step = x - value / ((3.0 * x + 2.0 * a) * x + b)
+        better = np.abs(((step + a) * step + b) * step + c) < np.abs(value)
+    return np.where(better, step, x)
+
+
+def _cubic_real_roots(a: float, b: float, c: np.ndarray) -> np.ndarray:
+    """Real roots of x^3 + a x^2 + b x + c for every entry of ``c``.
+
+    Returns an (n, 3) array; the two slots of a complex pair hold NaN.
+    """
+    q = (a * a - 3.0 * b) / 9.0
+    r = (2.0 * a**3 - 9.0 * a * b + 27.0 * c) / 54.0
+    q3 = q**3
+    three = r * r < q3  # then q > 0
+    roots = np.full((c.size, 3), np.nan)
+    if np.any(three):
+        theta = np.arccos(np.clip(r[three] / math.sqrt(q3), -1.0, 1.0))
+        turns = np.array([0.0, 2.0 * math.pi, -2.0 * math.pi])
+        trig = -2.0 * math.sqrt(q) * np.cos((theta[:, None] + turns) / 3.0) - a / 3.0
+        roots[three] = _newton_polish(trig, a, b, c[three, None])
+    one = ~three
+    r1 = r[one]
+    # -sign(r) (|r| + sqrt(r^2 - q^3))^(1/3), summed without cancellation
+    big = np.cbrt(-(r1 + np.copysign(np.sqrt(r1 * r1 - q3), r1)))
+    small = np.divide(q, big, out=np.zeros_like(big), where=big != 0.0)
+    roots[one, 0] = _newton_polish(big + small - a / 3.0, a, b, c[one])
+    return roots
+
+
 def kerr_steady_state(
     detuning: float,
     drive_photon_flux: ArrayLike,
@@ -288,8 +322,13 @@ def kerr_steady_state(
     an absolute rate in photons/s, one value or an array.  ``bifurcated``
     flags three distinct positive branches.
 
-    Every cubic is solved at once as the eigenvalues of its companion matrix
-    (the matrix ``np.roots`` builds), stacked over the drives.
+    Every cubic is solved at once in closed form (Numerical Recipes, 3rd
+    ed., section 5.6): the trigonometric form where the discriminant gives
+    three real roots, Cardano's formula with ``np.cbrt`` where it gives one.
+    Each root is then polished by a Newton step on the undepressed cubic,
+    kept only where it lowers the residual.  The tests hold the
+    companion-matrix eigenvalues (the matrix ``np.roots`` builds) as the
+    oracle for the branch count and the residual.
     """
     if kappa <= 0 or kappa_ex < 0 or kerr_rate < 0:
         raise ValueError("kappa must be positive; kappa_ex and kerr_rate non-negative")
@@ -308,15 +347,12 @@ def kerr_steady_state(
         branches[:, 0] = drive / ((kap / 2.0) ** 2 + delta**2)
     else:
         # monic form of k_ang^2 n^3 - 2 delta k_ang n^2 + ((kap/2)^2 + delta^2) n - drive
-        companion = np.zeros((drive.size, 3, 3))
-        companion[:, 0, 0] = 2.0 * delta * k_ang / k_ang**2
-        companion[:, 0, 1] = -((kap / 2.0) ** 2 + delta**2) / k_ang**2
-        companion[:, 0, 2] = drive / k_ang**2
-        companion[:, 1, 0] = companion[:, 2, 1] = 1.0
-        roots = np.linalg.eigvals(companion)
-        real = np.abs(roots.imag) <= 1e-8 * np.maximum(1.0, np.abs(roots))
-        keep = real & (roots.real > 0.0)
-        branches = np.sort(np.where(keep, roots.real, np.nan), axis=1)
+        roots = _cubic_real_roots(
+            -2.0 * delta * k_ang / k_ang**2,
+            ((kap / 2.0) ** 2 + delta**2) / k_ang**2,
+            -(drive / k_ang**2),
+        )
+        branches = np.sort(np.where(roots > 0.0, roots, np.nan), axis=1)
     bifurcated = (branches[:, 0] < branches[:, 1]) & (branches[:, 1] < branches[:, 2])
 
     if flux.ndim == 0:

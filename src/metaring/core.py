@@ -263,16 +263,3 @@ def derive_line_constants(
         cell_inductance=total_l * cell_length,
         cell_capacitance=capacitance_per_length * cell_length / 2.0,
     )
-
-
-def capacitance_from_impedance(
-    kinetic_inductance_per_length: float,
-    geometric_inductance_per_length: float,
-    characteristic_impedance: float,
-) -> float:
-    """Back out the line capacitance C = (L_k+L_m)/Z_c**2 [F/m]."""
-    _positive("kinetic_inductance_per_length", kinetic_inductance_per_length)
-    _positive("geometric_inductance_per_length", geometric_inductance_per_length)
-    _positive("characteristic_impedance", characteristic_impedance)
-    total_l = kinetic_inductance_per_length + geometric_inductance_per_length
-    return total_l / characteristic_impedance**2

@@ -23,7 +23,9 @@ strictly monotone wherever it lies in (-1, 1).  So it falls from 1 to -1
 across the first band and stays at or below -1 from the band edge to the
 top: a second band, once open, would have to rise to +1 before closing.
 Every target in [-1, 1) therefore has exactly one crossing on the bracket,
-the smallest root, and bisection finds it.
+the smallest root, and bisection finds it.  Several cells (the rows of a
+capacitance-enhancement sweep) share one halving loop, each row on its own
+bracket.
 """
 
 from __future__ import annotations
@@ -123,17 +125,80 @@ def segment_abcd(segment: SegmentParams, frequency: float) -> TwoPortMatrix:
     )
 
 
+class _CellRows:
+    """Constants of the half trace of one or more cells, one row per cell.
+
+    Every constant is a (rows, 1) column, so it broadcasts against (rows, k)
+    frequencies or targets and each row is evaluated with the arithmetic of
+    :func:`cell_trace` on its own cell, giving the same bits.
+    """
+
+    def __init__(self, cells: Sequence[UnitCell]) -> None:
+        def column(values, dtype=float) -> np.ndarray:
+            return np.array(values, dtype=dtype).reshape(-1, 1)
+
+        rails = [cell.segment1 for cell in cells]
+        bridges = [cell.segment2 for cell in cells]
+        f_top = [0.5 / cell.cell_delay for cell in cells]
+        self.v1 = column([s.phase_velocity for s in rails])  # rail phase velocity [m/s]
+        self.l1 = column([s.length for s in rails])
+        self.v2 = column([s.phase_velocity for s in bridges])  # bridge phase velocity [m/s]
+        self.l2 = column([s.length for s in bridges])
+        self.mismatch = column([0.5 * (s1.impedance / s2.impedance + s2.impedance / s1.impedance)
+                                for s1, s2 in zip(rails, bridges)])
+        self.f_top = column(f_top)  # bisection bracket top 1/(2 cell_delay) [Hz]
+        # halvings that narrow each bracket below _BISECTION_WIDTH
+        self.halvings = column(
+            [math.ceil(math.log2(f / _BISECTION_WIDTH)) for f in f_top], int)
+
+    def trace(self, f: np.ndarray) -> np.ndarray:
+        """cos(k l_0) of each row's cell at that row's frequencies."""
+        t1 = 2.0 * math.pi * f / self.v1 * self.l1
+        t2 = 2.0 * math.pi * f / self.v2 * self.l2
+        return np.cos(t1) * np.cos(t2) - self.mismatch * np.sin(t1) * np.sin(t2)
+
+    def solve(self, n_cells: int, modes: np.ndarray) -> np.ndarray:
+        """Roots of the half trace at cos(2*pi*m/N) for (rows, k) mode indices.
+
+        One halving loop serves every row; a row stops at its own halving
+        count, so each mode gets the bits of a solve of its cell alone.
+        """
+        if n_cells < 3:
+            raise ValueError("n_cells must be >= 3")
+        if np.any(modes < 1):
+            raise ValueError(f"mode index must be >= 1, got {modes.min()}")
+        if np.any(modes % n_cells == 0):
+            raise ValueError("m = 0 (mod N) only has the trivial root f = 0")
+        target = np.cos(2.0 * math.pi * modes / n_cells)
+        f_lo = np.zeros(target.shape)
+        f_hi = np.broadcast_to(self.f_top, target.shape)
+        for i in range(self.halvings.max(initial=0)):
+            mid = 0.5 * (f_lo + f_hi)
+            above = self.trace(mid) > target
+            live = i < self.halvings
+            f_lo = np.where(above & live, mid, f_lo)
+            f_hi = np.where(above | ~live, f_hi, mid)
+        return 0.5 * (f_lo + f_hi)
+
+    def mode_index(self, n_cells: int, frequency: np.ndarray) -> np.ndarray:
+        """Nearest first-band mode index of each row's cell at (rows, k) frequencies."""
+        if np.any(frequency < 0):
+            raise ValueError("frequency must be non-negative")
+        value = self.trace(frequency)
+        outside = np.abs(value) > 1.0
+        if np.any(outside):
+            raise BandEdgeError(
+                f"{float(frequency[outside][0])} Hz lies outside the propagating band")
+        phase = np.arccos(value)
+        return np.maximum(1, np.rint(n_cells * phase / (2.0 * math.pi)).astype(int))
+
+
 def cell_trace(cell: UnitCell, frequency: ArrayLike) -> ArrayLike:
     """cos(k l_0) of the unit cell: half the trace of M_2 M_1."""
     f = np.asarray(frequency, dtype=float)
     if np.any(f < 0):
         raise ValueError("frequency must be non-negative")
-    s1, s2 = cell.segment1, cell.segment2
-    t1 = s1.wave_number(f) * s1.length
-    t2 = s2.wave_number(f) * s2.length
-    z1, z2 = s1.impedance, s2.impedance
-    mismatch = 0.5 * (z1 / z2 + z2 / z1)
-    value = np.cos(t1) * np.cos(t2) - mismatch * np.sin(t1) * np.sin(t2)
+    value = _CellRows([cell]).trace(f.reshape(1, -1)).reshape(f.shape)
     if np.ndim(frequency) == 0:
         return float(value)
     return value
@@ -158,40 +223,26 @@ def solve_mode_frequency(
     mode gets the same bits whether solved alone or in an array.  Raises
     ``ValueError`` for m < 1 and for the trivial m = 0 (mod N) target.
     """
-    if n_cells < 3:
-        raise ValueError("n_cells must be >= 3")
     modes = np.asarray(m)
-    if np.any(modes < 1):
-        raise ValueError(f"mode index must be >= 1, got {m}")
-    if np.any(modes % n_cells == 0):
-        raise ValueError("m = 0 (mod N) only has the trivial root f = 0")
-    target = np.cos(2.0 * math.pi * modes / n_cells)
-
-    f_top = 0.5 / cell.cell_delay
-    f_lo = np.zeros(target.shape)
-    f_hi = np.full(target.shape, f_top)
-    for _ in range(math.ceil(math.log2(f_top / _BISECTION_WIDTH))):
-        mid = 0.5 * (f_lo + f_hi)
-        above = cell_trace(cell, mid) > target
-        f_lo = np.where(above, mid, f_lo)
-        f_hi = np.where(above, f_hi, mid)
-    roots = 0.5 * (f_lo + f_hi)
+    roots = _CellRows([cell]).solve(n_cells, modes.reshape(1, -1)).reshape(modes.shape)
     if modes.ndim == 0:
         return float(roots)
     return roots
 
 
-def mode_index_near(cell: UnitCell, n_cells: int, frequency: float) -> int:
-    """Index of the first-band mode closest to ``frequency``.
+def mode_index_near(cell: UnitCell, n_cells: int,
+                    frequency: ArrayLike) -> Union[int, np.ndarray]:
+    """Index of the first-band mode closest to ``frequency`` [Hz].
 
     Inverts the dispersion relation directly: m = N*acos(cos k l_0)/(2 pi).
-    Raises ``BandEdgeError`` when the frequency lies in a stop band.
+    One frequency gives an int, an array of them an int array of its shape.
+    Raises ``BandEdgeError`` when a frequency lies in a stop band.
     """
-    value = cell_trace(cell, frequency)
-    if abs(value) > 1.0:
-        raise BandEdgeError(f"{frequency} Hz lies outside the propagating band")
-    phase = math.acos(value)
-    return max(1, round(n_cells * phase / (2.0 * math.pi)))
+    f = np.asarray(frequency, dtype=float)
+    index = _CellRows([cell]).mode_index(n_cells, f.reshape(1, -1)).reshape(f.shape)
+    if f.ndim == 0:
+        return int(index)
+    return index
 
 
 def fsr_curve(
@@ -203,8 +254,7 @@ def fsr_curve(
     lo, hi = band
     if hi <= lo:
         return []
-    m_lo = mode_index_near(cell, n_cells, lo)
-    m_hi = mode_index_near(cell, n_cells, hi)
+    m_lo, m_hi = mode_index_near(cell, n_cells, np.array([lo, hi])).tolist()
     modes = np.arange(max(1, m_lo - 1), m_hi + 2)
     freqs = solve_mode_frequency(cell, n_cells, modes).tolist()
     return [(f, f_next - f) for f, f_next in zip(freqs, freqs[1:]) if lo <= f <= hi]
@@ -244,27 +294,22 @@ def idc_enhancement_sweep(
     each idler offset the partner index n is chosen so f_{m+n} is nearest
     f_m + offset.  Rows are ordered ratio-major, then by offset.
     """
-    points: List[EnhancementPoint] = []
-    for ratio in ratios:
-        scaled = cell.with_capacitance_ratio(ratio)
-        m_sig = mode_index_near(scaled, n_cells, signal_f)
-        f_sig = solve_mode_frequency(scaled, n_cells, m_sig)
-        steps = []
-        for offset in offsets:
-            if offset <= 0:
-                raise ValueError("idler offsets must be positive")
-            steps.append(mode_index_near(scaled, n_cells, f_sig + offset) - m_sig)
-        n = np.array(steps, dtype=int)
-        if np.any(n < 1) or np.any(m_sig - n < 1):
-            raise ValueError("require n >= 1 and m - n >= 1")
-        # every offset's [m - n, m, m + n] in one bisection, as conversion_mismatch
-        # solves one of them
-        triples = np.stack([m_sig - n, np.full_like(n, m_sig), m_sig + n], axis=-1)
-        f_low, f_mid, f_high = solve_mode_frequency(scaled, n_cells, triples).T
-        delta_f = 2.0 * f_mid - (f_high + f_low)
-        points.extend(
-            EnhancementPoint(ratio=ratio, offset=offset, n=int(step),
-                             signal_f=float(f), delta_f=float(delta))
-            for offset, step, f, delta in zip(offsets, n, f_mid, delta_f)
-        )
-    return points
+    offset_hz = np.asarray(offsets, dtype=float)
+    if np.any(offset_hz <= 0):
+        raise ValueError("idler offsets must be positive")
+    rows = _CellRows([cell.with_capacitance_ratio(ratio) for ratio in ratios])
+    m_sig = rows.mode_index(n_cells, np.full((len(ratios), 1), float(signal_f)))
+    f_sig = rows.solve(n_cells, m_sig)
+    n = rows.mode_index(n_cells, f_sig + offset_hz) - m_sig
+    if np.any(n < 1) or np.any(m_sig - n < 1):
+        raise ValueError("require n >= 1 and m - n >= 1")
+    # every (ratio, offset) pair's [m - n, m, m + n] in one bisection, as
+    # conversion_mismatch solves one of them
+    triples = np.concatenate([m_sig - n, np.broadcast_to(m_sig, n.shape), m_sig + n], axis=1)
+    f_low, f_mid, f_high = np.split(rows.solve(n_cells, triples), 3, axis=1)
+    delta_f = 2.0 * f_mid - (f_high + f_low)
+    return [
+        EnhancementPoint(ratio=ratio, offset=offset, n=step, signal_f=f, delta_f=delta)
+        for ratio, steps, fs, deltas in zip(ratios, n.tolist(), f_mid.tolist(), delta_f.tolist())
+        for offset, step, f, delta in zip(offsets, steps, fs, deltas)
+    ]

@@ -177,7 +177,9 @@ def least_squares(
     ``data`` is a :class:`Trace` or an ``(x, y)`` pair; complex responses
     are fitted on their real and imaginary parts, each point's real part
     followed by its imaginary part.  ``bounds`` is an optional
-    (lower, upper) pair of per-parameter limits; trial steps are projected
+    (lower, upper) pair of per-parameter limits; a step leaves out every
+    parameter held on its bound (the descent points out of the box there),
+    so the others reach the constrained optimum, trial steps are projected
     onto the box, and a stop held there by a bound is ``bound``, not
     converged.  ``jac(params, x)``, when given, returns the model's
     (n, n_par) derivative; a complex one is split like the residuals, a
@@ -230,10 +232,9 @@ def least_squares(
             )
         return 1.0 / np.sqrt(diag)
 
-    def held_by_bound() -> bool:
-        """Some parameter sits on its bound and the descent points out of the box there."""
-        return bool(np.any((p >= upper) & (descent > 0.0))
-                    or np.any((p <= lower) & (descent < 0.0)))
+    def held() -> np.ndarray:
+        """Parameters that sit on their bound while the descent points out of the box there."""
+        return ((p >= upper) & (descent > 0.0)) | ((p <= lower) & (descent < 0.0))
 
     iterations = 0
     while not termination:
@@ -243,16 +244,22 @@ def least_squares(
         # Marquardt scaling: unit-diagonal coordinates keep the solve stable
         # when parameter magnitudes span many decades
         scale = column_scale(normal)
-        scaled = normal * scale[:, None] * scale[None, :]
-        scaled_descent = descent * scale
+        # the step moves only the free parameters, so they reach the optimum
+        # constrained by the held ones; with none held this is the full step
+        free = np.flatnonzero(~held())
+        scale_free = scale[free]
+        scaled = normal[np.ix_(free, free)] * scale_free[:, None] * scale_free[None, :]
+        scaled_descent = descent[free] * scale_free
+        step = np.zeros(n_par)
         try:
-            step = scale * np.linalg.solve(scaled + lam * np.eye(n_par), scaled_descent)
+            step[free] = scale_free * np.linalg.solve(scaled + lam * np.eye(free.size),
+                                                      scaled_descent)
         except np.linalg.LinAlgError as exc:
             raise ConditioningError("singular normal equations in least-squares step") from exc
         if not np.all(np.isfinite(step)):
             raise ConditioningError("singular normal equations in least-squares step")
         trial = np.clip(p + step, lower, upper)
-        if np.array_equal(trial, p) and held_by_bound():
+        if np.array_equal(trial, p) and held().any():
             termination = "bound"  # the box clips the whole step away
             break
         res_trial = residual(trial)
@@ -285,7 +292,7 @@ def least_squares(
             if lam > 1e14:
                 termination = "damping_cap"  # no direction improves the fit at any damping
 
-    if termination in ("ftol", "xtol", "damping_cap") and held_by_bound():
+    if termination in ("ftol", "xtol", "damping_cap") and held().any():
         termination = "bound"
     m_res = len(res)
     errors = np.full(n_par, float("nan"))
@@ -470,6 +477,18 @@ def _edge_delay(z_edge: np.ndarray, f_edge: np.ndarray) -> float:
     return float(np.sum(phase * f_edge) / np.sum(f_edge * f_edge)) / (2.0 * math.pi)
 
 
+def _middle_frequency(freq: np.ndarray) -> float:
+    """The median of a strictly increasing grid, with the bits of ``np.median``.
+
+    Read from the middle, because ``np.median`` imports ``numpy.ma`` on its
+    first call, which costs a fresh process more than a whole fit.
+    """
+    half = len(freq) // 2
+    if len(freq) % 2:
+        return float(freq[half])
+    return float((freq[half - 1] + freq[half]) / 2.0)
+
+
 def _reflection_guess(trace: Trace) -> Tuple[np.ndarray, float]:
     """Closed-form start (f0, Q_in, Q_ex, amplitude, phase_offset, delay).
 
@@ -480,7 +499,7 @@ def _reflection_guess(trace: Trace) -> Tuple[np.ndarray, float]:
     are repeated on the trace with this delay removed.
     """
     freq, z = trace.frequency, trace.response
-    f_ref = float(np.median(freq))
+    f_ref = _middle_frequency(freq)
     offset = freq - f_ref
     n_edge = max(2, len(freq) // 20)
     edges = np.stack([np.arange(n_edge), np.arange(len(freq) - n_edge, len(freq))])
@@ -532,7 +551,7 @@ def fit_reflection_resonance(
     freq = trace.frequency
     if initial_guess is not None:
         guess = np.asarray(initial_guess, dtype=float)
-        f_ref = float(np.median(freq))
+        f_ref = _middle_frequency(freq)
     else:
         guess, f_ref = _reflection_guess(trace)
     last = {"params": None, "s11": None}

@@ -7,7 +7,6 @@ from metaring import (
     RingSpec,
     SegmentParams,
     UnitCell,
-    capacitance_from_impedance,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -24,7 +23,7 @@ CALIBRATED_LOOP_L_DC = 1.0976425998969034e-06  # H/m, -0.83% shift at 0.2 mT
 
 @pytest.fixture(scope="session")
 def line_capacitance() -> float:
-    return capacitance_from_impedance(KINETIC_L, GEOMETRIC_L, IMPEDANCE)
+    return (KINETIC_L + GEOMETRIC_L) / IMPEDANCE**2
 
 
 @pytest.fixture(scope="session")

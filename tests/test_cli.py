@@ -1,11 +1,15 @@
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import metaring
 from metaring.cli import _CSV_BLOCK_ROWS, _fmt, _write_csv, main, run
 from metaring.config import (
     _MAX_SWEEP_POINTS,
@@ -323,6 +327,21 @@ class TestRun:
             assert (tmp_path / "out" / name).exists()
         manifest_payload = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest_payload["config_hash"] == manifest.config_hash
+
+    def test_sweep_process_never_imports_numpy_ma(self, default_config_path, tmp_path):
+        # np.median imports numpy.ma on its first call, a cost every fresh
+        # process of a sweep with a fit would pay
+        code = (
+            "import sys; from metaring.cli import main;"
+            f"code = main(['sweep', '--config', {str(default_config_path)!r},"
+            f" '--out', {str(tmp_path / 'out')!r}]);"
+            "print(code, 'numpy.ma' in sys.modules)"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(metaring.__file__).parent.parent))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        assert proc.stdout.splitlines()[-1] == "0 False"
+        assert (tmp_path / "out" / "fit_result.json").exists()
 
     def test_no_negative_zero_cells(self, default_config_path, tmp_path):
         manifest = run("sweep", default_config_path, tmp_path / "out")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -252,9 +253,68 @@ class TestAddedNoise:
             NoiseModel(-0.01, 0.07, 0.55, 0.72)
 
 
+def eigvals_branches(detuning, fluxes, kerr_rate, kappa, kappa_ex):
+    """Oracle: positive real Kerr branches as eigenvalues of stacked companion matrices."""
+    two_pi = 2 * math.pi
+    delta, k, kap = two_pi * detuning, two_pi * kerr_rate, two_pi * kappa
+    drive = two_pi * kappa_ex * np.asarray(fluxes, dtype=float)
+    companion = np.zeros((drive.size, 3, 3))
+    companion[:, 0, 0] = 2.0 * delta * k / k**2
+    companion[:, 0, 1] = -((kap / 2.0) ** 2 + delta**2) / k**2
+    companion[:, 0, 2] = drive / k**2
+    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+    roots = np.linalg.eigvals(companion)
+    real = np.abs(roots.imag) <= 1e-8 * np.maximum(1.0, np.abs(roots))
+    return np.sort(np.where(real & (roots.real > 0.0), roots.real, np.nan), axis=1)
+
+
+def kerr_relative_residual(branches, detuning, fluxes, kerr_rate, kappa, kappa_ex):
+    """|n [(k/2)^2 + (d - K n)^2] - k_ex flux| over the sum of its terms' sizes."""
+    two_pi = 2 * math.pi
+    delta, k, kap = two_pi * detuning, two_pi * kerr_rate, two_pi * kappa
+    drive = (two_pi * kappa_ex * np.asarray(fluxes, dtype=float))[:, None]
+    n = branches
+    value = n * ((kap / 2) ** 2 + (delta - k * n) ** 2) - drive
+    size = n * (kap / 2) ** 2 + n * delta**2 + 2 * delta * k * n**2 + k**2 * n**3 + drive
+    return np.abs(value) / size
+
+
 class TestKerrSteadyState:
     KAPPA = 4.85e9 / 3.9e4
     KAPPA_EX = 0.94 * KAPPA
+
+    def test_closed_form_matches_eigvals_oracle(self):
+        point = bifurcation_point(0.1, self.KAPPA, self.KAPPA_EX)
+        detuning = 2 * point.detuning
+        fluxes = np.linspace(0.0, 4.0, 8001) * point.drive_flux
+        args = (detuning, fluxes, 0.1, self.KAPPA, self.KAPPA_EX)
+        got = kerr_steady_state(*args).photon_numbers
+        oracle = eigvals_branches(*args)
+        # the same branch count on every row, hence the same empty cells
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(oracle))
+        assert np.any(~np.isnan(got[:, 2]))  # the axis crosses the bistable window
+        kept = ~np.isnan(oracle)
+        assert np.all(np.abs(got[kept] - oracle[kept]) <= 1e-12 * oracle[kept])
+        res_got = kerr_relative_residual(got, *args)[kept]
+        res_oracle = kerr_relative_residual(oracle, *args)[kept]
+        assert res_got.max() <= res_oracle.max()
+        assert np.median(res_got) <= np.median(res_oracle)
+
+    def test_critical_point_triple_root(self):
+        point = bifurcation_point(0.1, self.KAPPA, self.KAPPA_EX)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = kerr_steady_state(point.detuning, point.drive_flux, 0.1,
+                                      self.KAPPA, self.KAPPA_EX)
+            batched = kerr_steady_state(point.detuning, np.array([point.drive_flux]), 0.1,
+                                        self.KAPPA, self.KAPPA_EX)
+        assert len(state.photon_numbers) >= 1 and not state.bifurcated
+        assert np.all(np.isfinite(state.photon_numbers))
+        # a triple root is found to about cbrt(machine epsilon)
+        for n in state.photon_numbers:
+            assert rel_err(n, point.photon_number) < 1e-4
+        row = batched.photon_numbers[0]
+        assert tuple(row[~np.isnan(row)]) == state.photon_numbers
 
     def test_linear_resonator_single_root(self):
         state = kerr_steady_state(0.0, 1e9, kerr_rate=0.0, kappa=self.KAPPA,

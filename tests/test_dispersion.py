@@ -37,6 +37,23 @@ segment_strategy = st.builds(
 )
 
 
+def halving_count(cell: UnitCell) -> int:
+    return math.ceil(math.log2(0.5 / cell.cell_delay / 1e-3))
+
+
+def reference_solve(cell: UnitCell, n_cells: int, modes) -> list:
+    """One cell's modes bisected on [0, 1/(2 cell_delay)] through cell_trace alone."""
+    target = np.cos(2.0 * math.pi * np.asarray(modes) / n_cells)
+    f_lo = np.zeros(target.shape)
+    f_hi = np.full(target.shape, 0.5 / cell.cell_delay)
+    for _ in range(halving_count(cell)):
+        mid = 0.5 * (f_lo + f_hi)
+        above = cell_trace(cell, mid) > target
+        f_lo = np.where(above, mid, f_lo)
+        f_hi = np.where(above, f_hi, mid)
+    return (0.5 * (f_lo + f_hi)).tolist()
+
+
 class TestSegmentAbcd:
     def test_zero_frequency_identity(self, bloch_cell):
         m = segment_abcd(bloch_cell.segment1, 0.0)
@@ -127,9 +144,12 @@ class TestSolveModeFrequency:
             mode_index_near(bloch_cell, N_CELLS, gap)
 
     def test_mode_index_inverts_solution(self, bloch_cell):
-        for m in (20, 65, 110):
+        modes = [20, 65, 110]
+        for m in modes:
             f = solve_mode_frequency(bloch_cell, N_CELLS, m)
             assert mode_index_near(bloch_cell, N_CELLS, f) == m
+        freqs = solve_mode_frequency(bloch_cell, N_CELLS, np.array(modes))
+        assert mode_index_near(bloch_cell, N_CELLS, freqs).tolist() == modes
 
     @pytest.mark.parametrize("ratio", [1.0, 2.0, 3.0, 4.0])  # 1.0 is the design cell
     def test_array_solve_equals_scalar_solves(self, bloch_cell, ratio):
@@ -249,7 +269,11 @@ class TestIdcEnhancement:
             assert all(b > a for a, b in zip(series, series[1:]))
 
     def test_batched_rows_match_per_pair_solves(self, bloch_cell):
-        ratios, offsets = [1.0, 1.5, 2.0, 2.5, 3.0], [1e9, 2e9, 3e9]
+        ratios, offsets = [1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0], [1e9, 2e9, 3e9]
+        # rows whose brackets take different halving counts share the loop
+        halvings = {ratio: halving_count(bloch_cell.with_capacitance_ratio(ratio))
+                    for ratio in ratios}
+        assert halvings[1.0] != halvings[2.0]
         points = idc_enhancement_sweep(bloch_cell, N_CELLS, 5e9, offsets, ratios)
         assert len(points) == len(ratios) * len(offsets)
         for p in points:
@@ -257,6 +281,8 @@ class TestIdcEnhancement:
             m = mode_index_near(scaled, N_CELLS, 5e9)
             direct = conversion_mismatch(scaled, N_CELLS, m, p.n)
             assert (p.delta_f, p.signal_f) == (direct.delta_f, direct.signal_f)
+            f_low, f_sig, f_high = reference_solve(scaled, N_CELLS, [m - p.n, m, m + p.n])
+            assert (p.delta_f, p.signal_f) == (2.0 * f_sig - (f_high + f_low), f_sig)
 
     def test_rejects_non_positive_offset(self, bloch_cell):
         with pytest.raises(ValueError, match="offsets must be positive"):

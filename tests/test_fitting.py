@@ -19,7 +19,12 @@ from metaring import (
     reflection_s11,
 )
 from metaring.errors import ConditioningError, NoResonanceError
-from metaring.fitting import _reflection_guess, coupling_fraction, reflection_jacobian
+from metaring.fitting import (
+    _middle_frequency,
+    _reflection_guess,
+    coupling_fraction,
+    reflection_jacobian,
+)
 from conftest import rel_err
 
 F0 = 4.85e9
@@ -245,13 +250,14 @@ class TestLeastSquaresEngine:
 
     def test_stop_held_by_bound_is_not_converged(self):
         # the optimum p0 = 2 lies outside the box: the fit stops on p0 = 1
-        # with p1 short of the constrained optimum 4.8
+        # with p1 at the constrained optimum 4.8
         x = np.arange(10.0)
         result = least_squares(lambda p, xx: p[0] * xx + p[1], (x, 2.0 * x + 0.3), [0.5, 0.0],
                                bounds=([-np.inf, -np.inf], [1.0, np.inf]))
         assert result.termination == "bound"
         assert not result.converged
         assert result.parameters["p0"] == 1.0
+        assert abs(result.parameters["p1"] - 4.8) <= 1e-9
 
     def test_step_clipped_away_stops_at_once(self):
         x = np.arange(10.0)
@@ -447,6 +453,15 @@ class TestReflectionFit:
             except NoResonanceError:
                 continue
             assert np.all(np.isfinite(guess)) and math.isfinite(f_ref), j
+
+    @pytest.mark.parametrize("points", [5, 6, 801, 6001, 6002])
+    def test_middle_frequency_has_the_bits_of_np_median(self, points):
+        rng = np.random.default_rng(points)
+        grids = [np.linspace(F0 - 0.75e6, F0 + 0.75e6, points),
+                 4849e6 + 2500.0 * np.arange(points)]
+        grids += [np.sort(rng.uniform(4e9, 6e9, points)) for _ in range(50)]
+        for freq in grids:
+            assert _middle_frequency(freq) == float(np.median(freq))
 
     def test_model_evals_count_the_engine_trials(self, monkeypatch):
         # perfbench's fitting.model_evals wraps the module attribute
