@@ -30,7 +30,6 @@ from .dispersion import (
 )
 from .tuning import (
     NonlinearCoefficients,
-    dc_current,
     fractional_frequency_shift,
     kinetic_inductance,
     loop_energy,

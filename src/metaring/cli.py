@@ -3,9 +3,11 @@
     metaring <command> --config <path> --out <dir>
 
 Commands: modes, dispersion, tune, convert, fringe, saturate, fit, sweep.
-Every command writes RFC-4180 CSV (LF line endings) and/or JSON data files
-plus a ``manifest.json``.  Data files are byte-identical for identical
-(command, config); the wall clock appears only in the manifest.
+``fit`` reads the complex trace ``fit.trace_csv`` (columns f_hz, re, im).
+Every command writes RFC-4180 CSV (LF line endings; each cell a number,
+``true``/``false`` or empty) and/or JSON data files plus a
+``manifest.json``.  Data files are byte-identical for identical (command,
+config); the wall clock appears only in the manifest.
 
 Exit codes: 0 success, 2 configuration invalid, 3 solver error, 4 I/O error.
 """
@@ -49,22 +51,12 @@ class RunManifest:
     timestamp: str
 
 
-def _fmt(value) -> str:
-    """One CSV cell; None and NaN (a missing value) are written empty."""
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    number = float(value)
-    if math.isnan(number):
-        return ""
-    return repr(number + 0.0)  # adding 0.0 writes -0.0 as 0.0
-
-
 def _format_column(values: np.ndarray) -> List[str]:
-    """The cells of one column, formatted as ``_fmt`` would, chosen once by dtype."""
+    """The cells of one float, int or bool column, chosen once by dtype.
+
+    A float is written as its shortest round-trip ``repr`` and NaN (a
+    missing value) as an empty cell; a bool as ``true``/``false``.
+    """
     kind = values.dtype.kind
     if kind == "f":
         cells = list(map(repr, (values + 0.0).tolist()))  # adding 0.0 writes -0.0 as 0.0
@@ -75,15 +67,16 @@ def _format_column(values: np.ndarray) -> List[str]:
         return ["true" if v else "false" for v in values.tolist()]
     if kind in "iu":
         return list(map(str, values.tolist()))
-    return [_fmt(v) for v in values.tolist()]
+    raise TypeError(f"CSV columns hold floats, ints or bools, not {values.dtype}")
 
 
 def _write_csv(path: Path, header: Sequence[str], columns: Sequence) -> None:
     """Write equal-length ``columns`` (arrays or lists) under ``header``.
 
-    Cells are numbers, ``true``/``false`` or empty, so RFC-4180 quoting
-    never applies and rows are joined as plain text.  Every table has at
-    least two columns, so no row is a lone empty field (written ``""``).
+    A column holds floats, ints or bools, so its cells are numbers,
+    ``true``/``false`` or empty: RFC-4180 quoting never applies and rows
+    are joined as plain text.  Every table has at least two columns, so no
+    row is a lone empty field (written ``""``).
     """
     arrays = [np.asarray(column) for column in columns]
     rows = len(arrays[0]) if arrays else 0

@@ -21,8 +21,6 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .tuning import DEFAULT_KERR_RATE_HZ
-
 PLANCK_H = 6.62607015e-34  # J/Hz
 
 ArrayLike = Union[float, np.ndarray]
@@ -82,14 +80,13 @@ def cooperativity(params: ConverterParams) -> float:
 
 @dataclass(frozen=True)
 class ScatteringResult:
-    """On-chip conversion |t|^2, reflection |r|^2 = 1 - |t|^2, and bandwidth.
+    """On-chip conversion |t|^2 and reflection |r|^2 = 1 - |t|^2.
 
     ``t2`` and ``r2`` are floats, or arrays for an array of cooperativities.
     """
 
     t2: ArrayLike
     r2: ArrayLike
-    bandwidth: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not np.all((self.t2 >= 0.0) & (self.t2 <= 1.0)):
@@ -309,9 +306,9 @@ def _cubic_real_roots(a: float, b: float, c: np.ndarray) -> np.ndarray:
 def kerr_steady_state(
     detuning: float,
     drive_photon_flux: ArrayLike,
-    kerr_rate: float = DEFAULT_KERR_RATE_HZ,
-    kappa: float = 1.0,
-    kappa_ex: float = 1.0,
+    kerr_rate: float,
+    kappa: float,
+    kappa_ex: float,
 ) -> KerrSteadyState:
     """Steady states of a driven Kerr mode.
 

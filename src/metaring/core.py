@@ -108,11 +108,6 @@ class RingSpec:
         return self.cell_count * self.cell_length
 
     @property
-    def line_inductance_per_length(self) -> float:
-        """Homogenized series inductance L_k + L_m [H/m]."""
-        return self.kinetic_inductance_per_length + self.geometric_inductance_per_length
-
-    @property
     def line_capacitance_per_length(self) -> float:
         """Homogenized shunt capacitance [F/m] (taken from segment1)."""
         return self.segment1.capacitance_per_length

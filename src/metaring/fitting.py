@@ -8,15 +8,15 @@ each step the iteration stops, with a named reason, on the first of these
 MINPACK-style tests (More 1978):
 
 * ``zero_residual``: the residuals vanish;
-* ``gtol``: the largest gradient component falls below ``gradient_rtol``
-  times its initial value;
+* ``gtol``: the largest gradient component falls below ``_GTOL`` times its
+  initial value;
 * ``ftol``: the step lowered the cost by at most ``_FTOL`` of the cost or,
   for a rejected step, raised it by at most that while the undamped
   Gauss-Newton step predicts a drop of at most that;
 * ``xtol``: the scaled step is at most ``_XTOL`` of the scaled parameters.
 
 These four mean converged.  The iteration also ends, unconverged, after
-``max_iter`` accepted steps (``max_iter``) or when the damping passes its
+``_MAX_ITER`` accepted steps (``max_iter``) or when the damping passes its
 cap without any step lowering the cost (``damping_cap``), which bounds the
 rejected steps in a row.  An ``ftol``, ``xtol`` or ``damping_cap`` stop, or
 a trial step that the box clips away entirely, at which some parameter
@@ -53,12 +53,17 @@ from .errors import ConditioningError, NoResonanceError
 _STEP_REL = 6.0e-6  # ~cbrt(eps): central-difference step fraction
 _FTOL = 1e-10  # relative cost reduction of an accepted step
 _XTOL = 1e-10  # scaled step relative to the scaled parameters
+_GTOL = 1e-10  # largest gradient component relative to its initial value
+_MAX_ITER = 200  # accepted steps
 _CONVERGED = frozenset({"zero_residual", "gtol", "ftol", "xtol"})
 
 
 @dataclass(frozen=True)
 class Trace:
-    """Frequency sweep with a complex (S11) or real (power) response."""
+    """Frequency sweep and its response, every value finite.
+
+    The reflection fit needs a complex (S11) response.
+    """
 
     frequency: np.ndarray
     response: np.ndarray
@@ -72,14 +77,19 @@ class Trace:
             raise ValueError("frequency and response must be 1-D and equally long")
         if len(freq) < 5:
             raise ValueError("a trace needs at least 5 points")
+        if not (np.all(np.isfinite(freq)) and np.all(np.isfinite(resp))):
+            raise ValueError("trace frequencies and responses must be finite")
         if not np.all(np.diff(freq) > 0):
             raise ValueError("frequencies must be strictly increasing")
 
     @classmethod
     def from_csv(cls, path) -> "Trace":
-        """Read columns (f_hz, re, im) or (f_hz, power_db), named by the header in any order."""
+        """Read the columns f_hz, re and im, each named once by the header, in any order."""
         with open(path, newline="") as handle:
             names = handle.readline().rstrip("\r\n").split(",")
+            if sorted(names) != ["f_hz", "im", "re"]:
+                raise ValueError(f"{path}: expected columns f_hz,re,im, each named once, "
+                                 f"got {','.join(names)!r}")
             with warnings.catch_warnings():
                 # a header-only file is reported below, not as a numpy warning
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
@@ -90,15 +100,7 @@ class Trace:
             raise ValueError(f"{path}: the header names {len(names)} columns, "
                              f"the rows hold {table.shape[1]}")
         columns = dict(zip(names, np.ascontiguousarray(table.T)))
-        if {"f_hz", "re", "im"} <= columns.keys():
-            resp = columns["re"] + 1j * columns["im"]
-        elif {"f_hz", "power_db"} <= columns.keys():
-            # libm pow per point, as a scalar parse gives: numpy's vectorized
-            # power differs from it in the last bit of some points
-            resp = np.array([10.0 ** v for v in (columns["power_db"] / 10.0).tolist()])
-        else:
-            raise ValueError(f"{path}: expected columns f_hz,re,im or f_hz,power_db")
-        return cls(frequency=columns["f_hz"], response=resp)
+        return cls(frequency=columns["f_hz"], response=columns["re"] + 1j * columns["im"])
 
 
 @dataclass(frozen=True)
@@ -132,13 +134,6 @@ class FitResult:
         }
 
 
-def _as_xy(data) -> Tuple[np.ndarray, np.ndarray]:
-    if isinstance(data, Trace):
-        return data.frequency, data.response
-    x, y = data
-    return np.asarray(x), np.asarray(y)
-
-
 def _stack(values: np.ndarray) -> np.ndarray:
     """Real view of complex values, each real part followed by its imaginary part.
 
@@ -168,27 +163,25 @@ def least_squares(
     bounds: Optional[Tuple[Sequence[float], Sequence[float]]] = None,
     param_names: Optional[Sequence[str]] = None,
     scales: Optional[Sequence[float]] = None,
-    max_iter: int = 200,
-    gradient_rtol: float = 1e-10,
     jac: Optional[Callable] = None,
 ) -> FitResult:
     """Minimize ||y - model(params, x)||^2 with adaptive damping.
 
-    ``data`` is a :class:`Trace` or an ``(x, y)`` pair; complex responses
-    are fitted on their real and imaginary parts, each point's real part
-    followed by its imaginary part.  ``bounds`` is an optional
-    (lower, upper) pair of per-parameter limits; a step leaves out every
-    parameter held on its bound (the descent points out of the box there),
-    so the others reach the constrained optimum, trial steps are projected
-    onto the box, and a stop held there by a bound is ``bound``, not
-    converged.  ``jac(params, x)``, when given, returns the model's
-    (n, n_par) derivative; a complex one is split like the residuals, a
-    real one must already have one row per real residual.  Without it
-    the Jacobian is central-differenced.  ``max_iter`` bounds the accepted
-    steps.  Raises :class:`ConditioningError` when the damped normal
-    equations are singular (a parameter the model never responds to).
+    ``data`` is an ``(x, y)`` pair of arrays; a complex ``y`` is fitted on
+    its real and imaginary parts, each point's real part followed by its
+    imaginary part.  ``bounds`` is an optional (lower, upper) pair of
+    per-parameter limits; a step leaves out every parameter held on its
+    bound (the descent points out of the box there), so the others reach
+    the constrained optimum, trial steps are projected onto the box, and a
+    stop held there by a bound is ``bound``, not converged.
+    ``jac(params, x)``, when given, returns the model's (n, n_par)
+    derivative; a complex one is split like the residuals, a real one must
+    already have one row per real residual.  Without it the Jacobian is
+    central-differenced.  At most ``_MAX_ITER`` steps are accepted.
+    Raises :class:`ConditioningError` when the damped normal equations are
+    singular (a parameter the model never responds to).
     """
-    x, y = _as_xy(data)
+    x, y = data
     p = np.array(initial, dtype=float)
     n_par = len(p)
     lower = np.full(n_par, -np.inf) if bounds is None else np.asarray(bounds[0], float)
@@ -220,7 +213,7 @@ def least_squares(
     normal = jmat.T @ jmat
     descent = jmat.T @ res  # minus half the cost gradient
     grad_norm0 = float(np.max(np.abs(descent)))
-    grad_tol = gradient_rtol * grad_norm0
+    grad_tol = _GTOL * grad_norm0
     termination = "zero_residual" if cost == 0.0 else "gtol" if grad_norm0 == 0.0 else ""
     lam = 0.0  # pure Gauss-Newton until a step is rejected
 
@@ -238,7 +231,7 @@ def least_squares(
 
     iterations = 0
     while not termination:
-        if iterations >= max_iter:
+        if iterations >= _MAX_ITER:
             termination = "max_iter"
             break
         # Marquardt scaling: unit-diagonal coordinates keep the solve stable
@@ -575,7 +568,7 @@ def fit_reflection_resonance(
     upper = [freq[-1], 1e12, 1e12, np.inf, math.tau, 1.0]
     return least_squares(
         model,
-        trace,
+        (freq, trace.response),
         guess,
         bounds=(lower, upper),
         param_names=_REFLECTION_PARAMS,

@@ -76,10 +76,10 @@ class ModeTable:
         return len(self.entries)
 
     def csv_columns(self) -> Tuple[list, list, list]:
-        """Columns m, f_hz and fsr_to_next_hz; the last spacing is None (empty)."""
+        """Columns m, f_hz and fsr_to_next_hz; the last spacing is NaN (empty)."""
         indices = [m for m, _ in self.entries]
         freqs = [f for _, f in self.entries]
-        return indices, freqs, list(self.fsr_list) + ([None] if self.entries else [])
+        return indices, freqs, list(self.fsr_list) + ([math.nan] if self.entries else [])
 
 
 def free_spectral_range(ring: RingSpec, band: tuple) -> ModeTable:

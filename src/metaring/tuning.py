@@ -1,8 +1,9 @@
 """Magnetic-field tuning and nonlinear coefficients of the asymmetric microloop.
 
-An out-of-plane field B_ext drives a loop supercurrent I_dc = B_ext*d/L_dc.
-Each nanowire's kinetic inductance grows quadratically with its current,
-L(I) = L0*(1 + (I/I*)**2), which pulls every mode frequency down by
+An out-of-plane field B_ext drives a loop supercurrent I_dc = B_ext*d/L_dc
+(``BiasState.from_field``).  Each nanowire's kinetic inductance grows
+quadratically with its current, L(I) = L0*(1 + (I/I*)**2), which pulls
+every mode frequency down by
 
     df/f = -(gamma/2) * (I_dc/I2*)**2.
 
@@ -33,34 +34,27 @@ from .errors import PrecisionError
 
 ArrayLike = Union[float, np.ndarray]
 
-# per-photon self-Kerr rate [Hz]; an angular rate of 2*pi*0.1 rad/s.
-# Estimated from the measured bifurcation power, configured rather than
-# derived from the quartic coefficient.
-DEFAULT_KERR_RATE_HZ = 0.1
+# Richardson extrapolants of the Taylor stencil must agree to this, within
+# this many step halvings
+_TAYLOR_RTOL = 1e-6
+_TAYLOR_HALVINGS = 8
 
 
 @dataclass(frozen=True)
 class NonlinearCoefficients:
-    """Cubic/quartic energy coefficients plus the configured Kerr rate.
+    """Cubic and quartic energy coefficients of the loop.
 
     ``twm`` multiplies I_rf2**3 [J/A^3 = H/A]; ``fwm`` multiplies I_rf2**4
-    [J/A^4 = H/A^2]; ``kerr_rate`` is the per-photon self-Kerr in Hz.
+    [J/A^4 = H/A^2].  The self-Kerr rate is not derived from them: it is
+    configured (``converter.kerr.rate_hz``).
     """
 
     twm: ArrayLike
     fwm: ArrayLike
-    kerr_rate: float
 
     def __post_init__(self) -> None:
         if np.any(np.asarray(self.fwm) <= 0):
             raise ValueError("four-wave-mixing coefficient must be positive")
-
-
-def dc_current(external_field: float, gap: float, loop_dc_inductance: float) -> float:
-    """Loop supercurrent I_dc = B_ext*d/L_dc [A]; sign follows the field."""
-    if gap <= 0 or loop_dc_inductance <= 0:
-        raise ValueError("gap and loop_dc_inductance must be positive")
-    return external_field * gap / loop_dc_inductance
 
 
 def kinetic_inductance(zero_current_inductance: float, current: ArrayLike,
@@ -109,11 +103,7 @@ def loop_energy(i_rf2: ArrayLike, loop: MicroloopSpec, bias: BiasState) -> Array
     return e_wide + e_narrow
 
 
-def twm_fwm_coefficients(
-    loop: MicroloopSpec,
-    bias: BiasState,
-    kerr_rate: float = DEFAULT_KERR_RATE_HZ,
-) -> NonlinearCoefficients:
+def twm_fwm_coefficients(loop: MicroloopSpec, bias: BiasState) -> NonlinearCoefficients:
     """Closed-form three- and four-wave-mixing coefficients.
 
     Both are normalized to the narrow wire: with i* = I2* and the dc current
@@ -136,20 +126,19 @@ def twm_fwm_coefficients(
     ratio2 = ratio * ratio
     twm = 2.0 * i_dc * l_narrow / i_star2 * (ratio2 * ratio - 1.0)
     fwm = l_narrow / (2.0 * i_star2) * (1.0 + ratio2 * ratio2 / gamma)
-    return NonlinearCoefficients(twm=twm, fwm=fwm, kerr_rate=kerr_rate)
+    return NonlinearCoefficients(twm=twm, fwm=fwm)
 
 
 def taylor_coefficients(
     energy: Callable[[ArrayLike], ArrayLike],
     scale: ArrayLike = 1.0,
-    rel_tol: float = 1e-6,
-    max_halvings: int = 8,
 ) -> Tuple[ArrayLike, ArrayLike]:
     """Cubic and quartic Taylor coefficients of ``energy`` about zero.
 
     Uses five-point central-difference stencils for the third and fourth
     derivatives, halving the step from 0.1*``scale`` with Richardson
-    extrapolation until successive extrapolants agree to ``rel_tol``.
+    extrapolation until successive extrapolants agree to ``_TAYLOR_RTOL``,
+    within ``_TAYLOR_HALVINGS`` halvings.
 
     ``scale`` is one step scale, which gives two floats, or an array of them,
     one per point, which gives two arrays of that shape.  ``energy`` then
@@ -176,7 +165,7 @@ def taylor_coefficients(
     extrap_prev = None
     c3 = c4 = np.full(scales.shape, np.nan)
     done = np.zeros(scales.shape, dtype=bool)
-    for _ in range(max_halvings):
+    for _ in range(_TAYLOR_HALVINGS):
         h = 0.5 * h
         cur3, cur4 = stencil(h)
         # central differences carry O(h^2) truncation; 4:1 Richardson weights
@@ -184,9 +173,9 @@ def taylor_coefficients(
         if extrap_prev is not None:
             floor3 = np.abs(extrap[1]) * scales + 1e-300
             floor4 = np.abs(extrap[1]) + 1e-300
-            ok3 = np.abs(extrap[0] - extrap_prev[0]) <= rel_tol * np.maximum(
+            ok3 = np.abs(extrap[0] - extrap_prev[0]) <= _TAYLOR_RTOL * np.maximum(
                 np.abs(extrap[0]), floor3)
-            ok4 = np.abs(extrap[1] - extrap_prev[1]) <= rel_tol * np.maximum(
+            ok4 = np.abs(extrap[1] - extrap_prev[1]) <= _TAYLOR_RTOL * np.maximum(
                 np.abs(extrap[1]), floor4)
             first = ok3 & ok4 & ~done
             c3, c4 = np.where(first, extrap[0], c3), np.where(first, extrap[1], c4)
@@ -198,8 +187,8 @@ def taylor_coefficients(
         extrap_prev = extrap
         prev3, prev4 = cur3, cur4
     raise PrecisionError(
-        f"Taylor-coefficient extrapolation did not converge to {rel_tol} "
-        f"within {max_halvings} step halvings at {int(done.size - done.sum())} "
+        f"Taylor-coefficient extrapolation did not converge to {_TAYLOR_RTOL} "
+        f"within {_TAYLOR_HALVINGS} step halvings at {int(done.size - done.sum())} "
         f"of {done.size} points"
     )
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import metaring
-from metaring.cli import _CSV_BLOCK_ROWS, _fmt, _write_csv, main, run
+from metaring.cli import _CSV_BLOCK_ROWS, _write_csv, main, run
 from metaring.config import (
     _MAX_SWEEP_POINTS,
     _SCHEMA,
@@ -195,6 +196,20 @@ def test_readme_config_reference_lists_schema_leaves():
     assert documented == list(schema_leaf_paths(_SCHEMA))
 
 
+def _fmt(value) -> str:
+    """One CSV cell; None and NaN (a missing value) are written empty."""
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    number = float(value)
+    if math.isnan(number):
+        return ""
+    return repr(number + 0.0)  # adding 0.0 writes -0.0 as 0.0
+
+
 def write_csv_per_cell(path: Path, header, rows) -> None:
     """The per-cell writer that the column writer replaced: the byte oracle."""
     with open(path, "w", newline="") as handle:
@@ -217,8 +232,8 @@ class TestColumnWriter:
         (np.array([np.nan, 0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1e-20]),
          np.array([0, -1, 2, 2**62, -2**63, 7, 8, 9, 10]),
          np.array([True, False, True, True, False, False, True, False, True]),
-         [None, 1.0, -0.0, 3, float("nan"), None, 2.5, True, 1e308]),
-        ([0.5, -0.0, float("nan")], [1, 2, 3], [np.bool_(True), np.bool_(False), None]),
+         [float("nan"), 1.0, -0.0, 3.0, float("nan"), float("nan"), 2.5, -5e-324, 1e308]),
+        ([0.5, -0.0, float("nan")], [1, 2, 3], [np.bool_(True), np.bool_(False), True]),
         (np.array([]), [], np.array([], dtype=bool)),
         _long_table(),
     ], ids=["cell_kinds", "lists", "empty", "longer_than_a_block"])
@@ -227,6 +242,10 @@ class TestColumnWriter:
         _write_csv(tmp_path / "columns.csv", header, columns)
         write_csv_per_cell(tmp_path / "cells.csv", header, zip(*columns))
         assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+
+    def test_other_column_kinds_rejected(self, tmp_path):
+        with pytest.raises(TypeError, match="floats, ints or bools"):
+            _write_csv(tmp_path / "columns.csv", ("a", "b"), ([1.0, 2.0], [None, 2.5]))
 
 
 class TestSweepBytes:
@@ -441,6 +460,15 @@ class TestMainExitCodes:
         code = main(["fit", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 3
         assert "solver error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fit", "sweep"])
+    def test_power_trace_exit_3(self, tmp_path, default_config_path, capsys, command):
+        path = write_config(tmp_path, load_default(default_config_path), default_config_path)
+        rows = "".join(f"{4.85e9 + 1e3 * k!r},{-3.0 + 0.1 * k!r}\n" for k in range(64))
+        (tmp_path / "trace_s11.csv").write_text("f_hz,power_db\n" + rows)
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "expected columns f_hz,re,im" in capsys.readouterr().err
 
     def test_io_error_exit_4(self, tmp_path, capsys):
         code = main(["modes", "--config", str(tmp_path / "absent.json"),

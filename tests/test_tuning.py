@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from metaring import (
     BiasState,
+    MicroloopSpec,
     NonlinearCoefficients,
-    dc_current,
     fractional_frequency_shift,
     kinetic_inductance,
     loop_energy,
@@ -27,21 +27,25 @@ SERIES_C4 = 4.361248649054874e-03    # J/A^4
 
 
 class TestDcCurrent:
-    def test_zero_field(self):
-        assert dc_current(0.0, 1e-6, 1e-6) == 0.0
+    """The loop supercurrent I_dc = B_ext*d/L_dc of ``BiasState.from_field``."""
 
-    def test_linear_in_field(self):
-        assert dc_current(2e-4, 1e-6, 1e-6) == pytest.approx(
-            2 * dc_current(1e-4, 1e-6, 1e-6), rel=1e-15
+    def test_zero_field(self, microloop):
+        assert BiasState.from_field(microloop, 0.0).dc_current == 0.0
+
+    def test_linear_in_field(self, microloop):
+        assert BiasState.from_field(microloop, 2e-4).dc_current == pytest.approx(
+            2 * BiasState.from_field(microloop, 1e-4).dc_current, rel=1e-15
         )
 
-    def test_sign_follows_field(self):
-        assert dc_current(-1e-4, 1e-6, 1e-6) < 0
+    def test_sign_follows_field(self, microloop):
+        assert BiasState.from_field(microloop, -1e-4).dc_current < 0
 
     @pytest.mark.parametrize("gap,l_dc", [(0.0, 1e-6), (1e-6, -1e-6)])
     def test_rejects_non_positive_geometry(self, gap, l_dc):
-        with pytest.raises(ValueError):
-            dc_current(1e-4, gap, l_dc)
+        # the geometry is the loop spec's, so the spec rejects it
+        with pytest.raises(ValueError, match="gap" if gap <= 0 else "loop_dc_inductance"):
+            MicroloopSpec.from_wide_wire(width_ratio=0.5, gap=gap, loop_dc_inductance=l_dc,
+                                         inductance_wide=1e-9, i_star_wide=1e-3)
 
 
 class TestKineticInductance:
@@ -206,13 +210,9 @@ class TestMixingCoefficients:
         assert rel_err(coeffs.twm, SERIES_C3) < 1e-12
         assert rel_err(coeffs.fwm, SERIES_C4) < 1e-12
 
-    def test_default_kerr_rate(self, microloop):
-        coeffs = twm_fwm_coefficients(microloop, BiasState(0.0, 1e-4))
-        assert coeffs.kerr_rate == pytest.approx(0.1)
-
     def test_invalid_fwm_rejected(self):
         with pytest.raises(ValueError):
-            NonlinearCoefficients(twm=0.0, fwm=-1.0, kerr_rate=0.1)
+            NonlinearCoefficients(twm=0.0, fwm=-1.0)
 
 
 class TestNonlinearityReport:
@@ -277,4 +277,4 @@ class TestBatchedExpansion:
 
     def test_non_positive_fwm_anywhere_rejected(self):
         with pytest.raises(ValueError):
-            NonlinearCoefficients(twm=np.zeros(3), fwm=np.array([1.0, 0.0, 2.0]), kerr_rate=0.1)
+            NonlinearCoefficients(twm=np.zeros(3), fwm=np.array([1.0, 0.0, 2.0]))
