@@ -213,10 +213,7 @@ def _run_saturate(config: Config, out: Path) -> List[str]:
     return ["saturation.csv", "kerr_summary.json"]
 
 
-def _run_fit(config: Config, out: Path) -> List[str]:
-    if config.fit_trace is None:
-        raise ConfigError(["fit.trace_csv: required for the fit command"])
-    trace = fitting.Trace.from_csv(config.fit_trace)
+def _run_fit(trace: fitting.Trace, out: Path) -> List[str]:
     result = fitting.fit_reflection_resonance(trace)
     payload = result.to_dict()
     payload["coupling_fraction"] = fitting.coupling_fraction(result)
@@ -240,14 +237,22 @@ def run(command: str, config_path, out_dir) -> RunManifest:
     if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r}; expected one of {COMMANDS}")
     config = load_config(config_path)
+    names = COMMANDS[:-1] if command == "sweep" else (command,)
+    trace = None
+    if "fit" in names:
+        if config.fit_trace is not None:
+            # parsed before any runner writes, so a bad trace leaves no partial run
+            trace = fitting.Trace.from_csv(config.fit_trace)
+        elif command == "fit":
+            raise ConfigError(["fit.trace_csv: required for the fit command"])
+        else:
+            names = names[:-1]  # a sweep without a trace skips its last runner, the fit
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    names = COMMANDS[:-1] if command == "sweep" else (command,)
     outputs: List[str] = []
     for name in names:
-        if command == "sweep" and name == "fit" and config.fit_trace is None:
-            continue
-        outputs.extend(_RUNNERS[name](config, out))
+        runner = _RUNNERS[name]
+        outputs.extend(runner(trace, out) if name == "fit" else runner(config, out))
     trace_sha256 = None
     if config.fit_trace is not None:
         trace_sha256 = hashlib.sha256(config.fit_trace.read_bytes()).hexdigest()

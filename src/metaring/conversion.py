@@ -300,6 +300,12 @@ def _cubic_real_roots(a: float, b: float, c: np.ndarray) -> np.ndarray:
     big = np.cbrt(-(r1 + np.copysign(np.sqrt(r1 * r1 - q3), r1)))
     small = np.divide(q, big, out=np.zeros_like(big), where=big != 0.0)
     roots[one, 0] = _newton_polish(big + small - a / 3.0, a, b, c[one])
+    # where q and r vanish to within their own rounding the root is triple,
+    # -a/3, which both forms above reach only to about cbrt(machine epsilon)
+    tiny = 4.0 * np.finfo(float).eps
+    if abs(q) <= tiny * (a * a + 3.0 * abs(b)) / 9.0:
+        r_noise = tiny * (2.0 * abs(a**3) + 9.0 * abs(a * b) + 27.0 * np.abs(c)) / 54.0
+        roots[np.abs(r) <= r_noise] = (-a / 3.0, np.nan, np.nan)
     return roots
 
 

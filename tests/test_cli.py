@@ -469,6 +469,7 @@ class TestMainExitCodes:
         code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 3
         assert "expected columns f_hz,re,im" in capsys.readouterr().err
+        assert not any((tmp_path / "out").glob("*"))  # the trace is read before any write
 
     def test_io_error_exit_4(self, tmp_path, capsys):
         code = main(["modes", "--config", str(tmp_path / "absent.json"),

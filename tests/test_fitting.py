@@ -21,6 +21,7 @@ from metaring import (
 from metaring.errors import ConditioningError, NoResonanceError
 from metaring.fitting import (
     _middle_frequency,
+    _phasor,
     _reflection_guess,
     coupling_fraction,
     reflection_jacobian,
@@ -452,6 +453,19 @@ class TestReflectionFit:
                 continue
             assert np.all(np.isfinite(guess)) and math.isfinite(f_ref), j
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_narrow_mode_on_a_wide_span(self, seed):
+        # a 9.7 kHz linewidth, about 12 points wide, on a 40 MHz span: the
+        # start must read the whole trace, not a subsample
+        freq = np.linspace(F0 - 20e6, F0 + 20e6, 50001)
+        clean = reflection_s11(freq, F0, 1e6, 1e6, 0.8, 0.3, 1e-9,
+                               reference_frequency=float(np.median(freq)))
+        rng = np.random.default_rng(seed)
+        noise = 0.01 * 0.8 * (rng.standard_normal(freq.size) + 1j * rng.standard_normal(freq.size))
+        result = fit_reflection_resonance(Trace(frequency=freq, response=clean + noise))
+        assert result.converged
+        assert rel_err(result.parameters["q_in"], 1e6) < 0.05
+
     @pytest.mark.parametrize("points", [5, 6, 801, 6001, 6002])
     def test_middle_frequency_has_the_bits_of_np_median(self, points):
         rng = np.random.default_rng(points)
@@ -555,6 +569,54 @@ class TestReflectionJacobian:
         for j in range(6):
             scale = np.max(np.abs(alone[:, j]))
             assert np.max(np.abs(shared[:, j] - alone[:, j])) <= 1e-12 * scale, j
+
+
+DESIGN_GRID = np.linspace(F0 - 0.75e6, F0 + 0.75e6, 6001)
+SHIPPED_GRID = 4849e6 + 2500.0 * np.arange(801)
+
+
+def exp_reflection_s11(freq, f0, q_in, q_ex, amplitude, phase_offset, delay, f_ref):
+    """reflection_s11 written with the complex np.exp: the bit oracle of its phasor."""
+    x = (freq - f0) / f0
+    a = 1.0 / q_ex - 1.0 / q_in
+    b = 1.0 / q_ex + 1.0 / q_in
+    background = amplitude * np.exp(1j * (phase_offset + 2.0 * math.pi * (freq - f_ref) * delay))
+    return background * ((a - 2j * x) / (b + 2j * x))
+
+
+def same_bits(got, want):
+    return got.shape == want.shape and bool(np.all(got.view(np.uint64) == want.view(np.uint64)))
+
+
+class TestBackgroundPhasor:
+    def test_phasor_has_the_bits_of_complex_exp(self):
+        tiny = np.finfo(float).smallest_subnormal
+        rng = np.random.default_rng(11)
+        phase = np.concatenate([
+            [0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, math.pi, -math.pi, 1e6, -1e6],
+            rng.uniform(-10.0, 10.0, 2000),
+            rng.uniform(-1e6, 1e6, 2000),
+        ])
+        assert same_bits(_phasor(phase), np.exp(1j * phase))
+
+    @pytest.mark.parametrize("freq", [DESIGN_GRID, SHIPPED_GRID], ids=["design", "shipped"])
+    @pytest.mark.parametrize("params", [
+        (F0, Q_IN, Q_EX, 0.8, 0.3, 1e-9),            # criterion 13's resonance
+        (F0 + 1234.5, 2e6, 1e4, 1.3, -2.0, -3e-9),   # over-coupled, detuned
+        (F0, Q_EX, Q_EX, 0.8, -0.0, -1e-9),          # phase -0.0 at f_ref, S11 = 0 at f0
+    ])
+    def test_reflection_s11_has_the_bits_of_complex_exp(self, freq, params):
+        f_ref = float(np.median(freq))
+        got = reflection_s11(freq, *params, reference_frequency=f_ref)
+        assert same_bits(got, exp_reflection_s11(freq, *params, f_ref))
+
+    @pytest.mark.parametrize("delay", [0.0, -0.0, 1e-9, -3e-9, 0.7])
+    def test_unwind_phase_is_the_imaginary_part_of_the_product(self, delay):
+        # the guess unwinds the cable delay with _phasor((-2 pi delay) * offset)
+        for freq in (DESIGN_GRID, SHIPPED_GRID):
+            offset = freq - float(np.median(freq))
+            got = _phasor((-2.0 * math.pi * delay) * offset)
+            assert same_bits(got, np.exp(-2j * math.pi * delay * offset))
 
 
 class TestQuadraticFieldShift:
