@@ -2,8 +2,10 @@
 
     metaring <command> --config <path> --out <dir>
 
-Commands: modes, dispersion, tune, convert, fringe, saturate, fit, sweep.
-``fit`` reads the complex trace ``fit.trace_csv`` (columns f_hz, re, im).
+Commands: fit, modes, dispersion, tune, convert, fringe, saturate, sweep.
+``fit`` reads the complex trace ``fit.trace_csv`` (columns f_hz, re, im);
+``sweep`` runs the others in that order, so the one runner that reads a
+file besides the config fails before any other has written.
 Every command writes RFC-4180 CSV (LF line endings; each cell a number,
 ``true``/``false`` or empty) and/or JSON data files plus a
 ``manifest.json``.  Data files are byte-identical for identical (command,
@@ -28,15 +30,9 @@ import numpy as np
 
 from . import conversion, dispersion, fitting, modes, tuning
 from .config import Config, load_config, validate_config
-from .errors import (
-    BandEdgeError,
-    ConditioningError,
-    ConfigError,
-    NoResonanceError,
-    PrecisionError,
-)
+from .errors import BandEdgeError, ConditioningError, ConfigError, PrecisionError
 
-COMMANDS = ("modes", "dispersion", "tune", "convert", "fringe", "saturate", "fit", "sweep")
+COMMANDS = ("fit", "modes", "dispersion", "tune", "convert", "fringe", "saturate", "sweep")
 # rows formatted and written at a time: the cell strings of a whole scaled
 # sweep column set would otherwise all be alive at once
 _CSV_BLOCK_ROWS = 1024
@@ -213,8 +209,8 @@ def _run_saturate(config: Config, out: Path) -> List[str]:
     return ["saturation.csv", "kerr_summary.json"]
 
 
-def _run_fit(trace: fitting.Trace, out: Path) -> List[str]:
-    result = fitting.fit_reflection_resonance(trace)
+def _run_fit(config: Config, out: Path) -> List[str]:
+    result = fitting.fit_reflection_resonance(fitting.Trace.from_csv(config.fit_trace))
     payload = result.to_dict()
     payload["coupling_fraction"] = fitting.coupling_fraction(result)
     _write_json(out / "fit_result.json", payload)
@@ -222,13 +218,13 @@ def _run_fit(trace: fitting.Trace, out: Path) -> List[str]:
 
 
 _RUNNERS = {
+    "fit": _run_fit,
     "modes": _run_modes,
     "dispersion": _run_dispersion,
     "tune": _run_tune,
     "convert": _run_convert,
     "fringe": _run_fringe,
     "saturate": _run_saturate,
-    "fit": _run_fit,
 }
 
 
@@ -238,24 +234,21 @@ def run(command: str, config_path, out_dir) -> RunManifest:
         raise ValueError(f"unknown command {command!r}; expected one of {COMMANDS}")
     config = load_config(config_path)
     names = COMMANDS[:-1] if command == "sweep" else (command,)
-    trace = None
-    if "fit" in names:
-        if config.fit_trace is not None:
-            # parsed before any runner writes, so a bad trace leaves no partial run
-            trace = fitting.Trace.from_csv(config.fit_trace)
-        elif command == "fit":
-            raise ConfigError(["fit.trace_csv: required for the fit command"])
-        else:
-            names = names[:-1]  # a sweep without a trace skips its last runner, the fit
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    outputs: List[str] = []
-    for name in names:
-        runner = _RUNNERS[name]
-        outputs.extend(runner(trace, out) if name == "fit" else runner(config, out))
     trace_sha256 = None
     if config.fit_trace is not None:
+        # hashed before any write, so an unreadable trace leaves no partial run
         trace_sha256 = hashlib.sha256(config.fit_trace.read_bytes()).hexdigest()
+    elif command == "fit":
+        raise ConfigError(["fit.trace_csv: required for the fit command"])
+    elif command == "sweep":
+        names = names[1:]  # a sweep without a trace skips its first runner, the fit
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    # a run that stops part way leaves no manifest describing older files
+    (out / "manifest.json").unlink(missing_ok=True)
+    outputs: List[str] = []
+    for name in names:
+        outputs.extend(_RUNNERS[name](config, out))
     manifest = RunManifest(
         command=command,
         config_hash=config.config_hash,
@@ -288,7 +281,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for violation in exc.violations:
             print(f"config error: {violation}", file=sys.stderr)
         return 2
-    except (BandEdgeError, ConditioningError, NoResonanceError, PrecisionError, ValueError) as exc:
+    except (BandEdgeError, ConditioningError, PrecisionError, ValueError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -1,13 +1,14 @@
-"""JSON configuration: schema, unit normalization, validation, loading.
+"""JSON configuration: schema, validation, loading.
 
-Configs are plain JSON in SI units.  One convenience suffix is accepted and
-converted on load: ``*_mT`` (millitesla, becomes ``*_T``).  Everything else,
-including ``*_hz`` keys, is already SI.  A value given twice, as a repeated
-JSON key or as ``stop_mT`` next to ``stop_T``, is a violation.
+Configs are plain JSON in SI units, ``*_hz`` keys included.  One key has a
+second spelling: ``sweep.field.stop_mT`` in millitesla is read as
+``sweep.field.stop_T``.  A value given twice, as a repeated JSON key or as
+``stop_mT`` next to ``stop_T``, is a violation.
 
-``_SCHEMA`` mirrors the JSON.  ``_walk`` checks each leaf's kind, fills in
-defaults, reports every key the schema does not name and builds each section
-with its constructor, which checks the section's physical bounds.
+``_SCHEMA`` mirrors the JSON.  ``_walk`` rewrites a section's aliases, checks
+each leaf's kind, fills in defaults, reports every key the schema does not
+name and builds each section with its constructor, which checks the
+section's physical bounds.
 
 ``load_config`` raises :class:`ConfigError` carrying one
 ``"json.path: message"`` violation per problem; ``validate_config`` returns
@@ -25,17 +26,13 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .conversion import ConverterParams
-from .core import MicroloopSpec, RingSpec, SegmentParams
+from .core import BiasState, MicroloopSpec, RingSpec, SegmentParams
 from .dispersion import UnitCell
 from .errors import ConfigError
 
 # sweeps allocate their whole axis at once; far above any real sweep, this
 # catches a typo before it exhausts memory
 _MAX_SWEEP_POINTS = 1_000_000
-
-_UNIT_SUFFIXES = {
-    "mT": ("T", lambda v: v * 1e-3),
-}
 
 
 def _is_finite(value) -> bool:
@@ -56,36 +53,6 @@ def _json_object(pairs: List[tuple]) -> _JsonObject:
     obj.repeated = tuple(key for key, count in Counter(k for k, _ in pairs).items()
                          if count > 1)
     return obj
-
-
-def normalize_units(node):
-    """Recursively convert suffixed keys to their SI equivalents.
-
-    Objects come back as ``_JsonObject``s; a converted key that lands on a key
-    already given (``stop_mT`` next to ``stop_T``) is added to ``repeated``.
-    """
-    if isinstance(node, dict):
-        out = _JsonObject()
-        repeated = list(getattr(node, "repeated", ()))
-        for key, value in node.items():
-            base = key
-            converted = value
-            for suffix, (target, fn) in _UNIT_SUFFIXES.items():
-                if key.endswith("_" + suffix):
-                    base = f"{key[: -(len(suffix) + 1)]}_{target}"
-                    if _is_finite(value):
-                        converted = fn(float(value))
-                    elif isinstance(value, list) and all(map(_is_finite, value)):
-                        converted = [fn(float(v)) for v in value]
-                    break
-            if base in out:
-                repeated.append(base)
-            out[base] = normalize_units(converted)
-        out.repeated = tuple(repeated)
-        return out
-    if isinstance(node, list):
-        return [normalize_units(item) for item in node]
-    return node
 
 
 @dataclass(frozen=True)
@@ -204,6 +171,7 @@ class _Section:
     fields: dict
     build: Optional[Callable] = None  # None keeps the field values as a dict
     optional: bool = False            # missing or null builds to None
+    aliases: Tuple[Tuple[str, str, float], ...] = ()  # (alias, key, scale to the key's unit)
 
 
 def _numbers_section(build, *keys: str) -> _Section:
@@ -212,13 +180,6 @@ def _numbers_section(build, *keys: str) -> _Section:
 
 def _converter(kerr, fringe, pairs, **rates):
     return ConverterParams(**rates), kerr, fringe, pairs
-
-
-def _config(device, converter, sweep, fit):
-    converter, kerr, fringe, pairs = converter
-    trace = fit and fit["trace_csv"]
-    return Config(**device, converter=converter, kerr=kerr, fringe=fringe, pairs=pairs,
-                  sweeps=sweep, fit_trace=trace and Path(trace), config_hash="")
 
 
 _SEGMENT = _numbers_section(
@@ -250,7 +211,8 @@ _SCHEMA = _Section({
         "pairs": (_pairs, ()),
     }, _converter),
     "sweep": _Section({
-        "field": _Section({"stop_T": _number, "points": _points}),
+        "field": _Section({"stop_T": _number, "points": _points},
+                          aliases=(("stop_mT", "stop_T", 1e-3),)),
         "pump": _Section({"stop": _number, "points": _points}),
         "detuning": _Section({"span_hz": _number, "points": _points}),
         "phase": _Section({"points": _points}),
@@ -262,7 +224,7 @@ _SCHEMA = _Section({
         "band": _numbers_section(None, "start_hz", "stop_hz"),
     }),
     "fit": _Section({"trace_csv": (_string, None)}, optional=True),
-}, _config)
+})
 
 
 def _walk(node, spec: _Section, path: str, violations: List[str]):
@@ -276,6 +238,13 @@ def _walk(node, spec: _Section, path: str, violations: List[str]):
         violations.append(f"{path}: must be a JSON object")
         return _FAILED
     prefix = f"{path}." if path else ""
+    for alias, key, scale in spec.aliases:
+        if alias in node:
+            if key in node:
+                violations.append(f"{prefix}{key}: given twice")
+            value = node.pop(alias)
+            # in place, so the config hash reads the value under its own key
+            node[key] = value * scale if _is_finite(value) else value
     violations.extend(f"{prefix}{key}: unknown key" for key in node if key not in spec.fields)
     violations.extend(f"{prefix}{key}: given twice" for key in node.repeated)
     values = {}
@@ -306,7 +275,7 @@ def _walk(node, spec: _Section, path: str, violations: List[str]):
 
 
 def load_config(path) -> Config:
-    """Parse, unit-normalize, validate and build a configuration."""
+    """Parse, validate and build a configuration."""
     text = Path(path).read_text()
     try:
         raw = json.loads(text, object_pairs_hook=_json_object)
@@ -314,15 +283,21 @@ def load_config(path) -> Config:
         raise ConfigError([f"$: invalid JSON ({exc})"]) from None
     if not isinstance(raw, dict):
         raise ConfigError(["$: top level must be a JSON object"])
-    raw = normalize_units(raw)
     violations: List[str] = []
-    config = _walk(raw, _SCHEMA, "", violations)
+    sections = _walk(raw, _SCHEMA, "", violations)
     if violations:
         raise ConfigError(sorted(set(violations)))
-    trace = config.fit_trace
-    if trace is not None and not trace.is_absolute():
-        trace = Path(path).parent / trace
-    return replace(config, fit_trace=trace, config_hash=_hash(raw))
+    loop, stop = sections["device"]["microloop"], sections["sweep"]["field"]["stop_T"]
+    if abs(BiasState.from_field(loop, stop).dc_current) >= loop.i_star_narrow:
+        raise ConfigError([
+            "sweep.field.stop_T: must drive a bias current below "
+            f"device.microloop.i_star_narrow, so |stop_T| < "
+            f"{loop.i_star_narrow * loop.loop_dc_inductance / loop.gap!r} T, got {stop!r}"])
+    converter, kerr, fringe, pairs = sections["converter"]
+    trace = sections["fit"] and sections["fit"]["trace_csv"]
+    return Config(**sections["device"], converter=converter, kerr=kerr, fringe=fringe,
+                  pairs=pairs, sweeps=sections["sweep"],
+                  fit_trace=trace and Path(path).parent / trace, config_hash=_hash(raw))
 
 
 def validate_config(path) -> List[str]:

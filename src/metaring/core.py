@@ -177,26 +177,6 @@ class MicroloopSpec:
                 f"(expected {expected_i2!r}, got {self.i_star_narrow!r})"
             )
 
-    @classmethod
-    def from_wide_wire(
-        cls,
-        width_ratio: float,
-        gap: float,
-        loop_dc_inductance: float,
-        inductance_wide: float,
-        i_star_wide: float,
-    ) -> "MicroloopSpec":
-        """Build a consistent spec from the wide-wire values alone."""
-        return cls(
-            width_ratio=width_ratio,
-            gap=gap,
-            loop_dc_inductance=loop_dc_inductance,
-            inductance_wide=inductance_wide,
-            inductance_narrow=inductance_wide / width_ratio,
-            i_star_wide=i_star_wide,
-            i_star_narrow=width_ratio * i_star_wide,
-        )
-
 
 @dataclass(frozen=True)
 class BiasState:

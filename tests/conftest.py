@@ -58,23 +58,27 @@ def uniform_cell() -> UnitCell:
 @pytest.fixture(scope="session")
 def microloop() -> MicroloopSpec:
     """Asymmetric loop calibrated to a -0.83% shift at 0.2 mT."""
-    return MicroloopSpec.from_wide_wire(
+    return MicroloopSpec(
         width_ratio=0.5,
         gap=1e-6,
         loop_dc_inductance=CALIBRATED_LOOP_L_DC,
         inductance_wide=1.425e-9,
+        inductance_narrow=2.85e-9,
         i_star_wide=2e-3,
+        i_star_narrow=1e-3,
     )
 
 
 @pytest.fixture(scope="session")
 def symmetric_loop() -> MicroloopSpec:
-    return MicroloopSpec.from_wide_wire(
+    return MicroloopSpec(
         width_ratio=1.0,
         gap=1e-6,
         loop_dc_inductance=CALIBRATED_LOOP_L_DC,
         inductance_wide=1.425e-9,
+        inductance_narrow=1.425e-9,
         i_star_wide=1e-3,
+        i_star_narrow=1e-3,
     )
 
 

@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 import metaring
+from metaring import cli
 from metaring.cli import _CSV_BLOCK_ROWS, _write_csv, main, run
 from metaring.config import (
     _MAX_SWEEP_POINTS,
     _SCHEMA,
     _Section,
     load_config,
-    normalize_units,
     validate_config,
 )
 from metaring.errors import ConfigError
@@ -41,27 +41,30 @@ def read_csv(path: Path):
         return list(csv.reader(fh))
 
 
-class TestUnitNormalization:
-    def test_millitesla_suffix(self):
-        assert normalize_units({"stop_mT": 0.2}) == {"stop_T": pytest.approx(2e-4)}
+class TestFieldAlias:
+    def test_millitesla_loads_as_tesla(self, default_config_path):
+        assert load_default(default_config_path)["sweep"]["field"] == {
+            "stop_mT": 0.2, "points": 41}
+        stop = load_config(default_config_path).sweeps["field"]["stop_T"]
+        assert stop == 0.2 * 1e-3
 
-    # no schema key takes watts or a decibel ratio: these stay unknown keys
-    def test_dbm_suffix(self):
-        raw = {"power_dBm": -30.0}
-        assert normalize_units(raw) == raw
+    def test_stop_bound_is_i_star_narrow(self, tmp_path, default_config_path):
+        loop = load_config(default_config_path).microloop
+        bound = loop.i_star_narrow * loop.loop_dc_inductance / loop.gap
+        raw = load_default(default_config_path)
+        violations = []
+        for stop in (bound * (1 - 1e-9), bound * (1 + 1e-9)):
+            raw["sweep"]["field"] = {"stop_T": stop, "points": 41}
+            violations.append(validate_config(write_config(tmp_path, raw, default_config_path)))
+        assert violations[0] == []
+        assert len(violations[1]) == 1
+        assert violations[1][0].startswith("sweep.field.stop_T: must drive a bias current")
 
-    def test_db_suffix(self):
-        raw = {"gain_dB": 4000}
-        assert normalize_units(raw) == raw
-
-    def test_nested_and_lists(self):
-        out = normalize_units({"a": {"b_mT": [1.0, 2.0]}, "c_hz": 5.0})
-        assert out["a"]["b_T"] == [pytest.approx(1e-3), pytest.approx(2e-3)]
-        assert out["c_hz"] == 5.0
-
-    def test_canonical_keys_pass_through(self):
-        raw = {"stop_T": 2e-4, "power_W": 1e-6, "points": 3}
-        assert normalize_units(raw) == raw
+    def test_both_spellings_hash_alike(self, tmp_path, default_config_path):
+        raw = load_default(default_config_path)
+        raw["sweep"]["field"] = {"stop_T": 0.2 * 1e-3, "points": 41}
+        tesla = load_config(write_config(tmp_path, raw, default_config_path))
+        assert tesla.config_hash == load_config(default_config_path).config_hash
 
 
 class TestValidate:
@@ -115,10 +118,15 @@ class TestValidate:
         (("sweep", "ratio", "values"), [1.0, 0.5],
          "sweep.ratio.values: every entry must be >= 1, got 0.5"),
         (("sweep", "field", "stop_T"), 5.0, "sweep.field.stop_T: given twice"),
+        (("sweep", "pump", "stop_mT"), 0.5, "sweep.pump.stop_mT: unknown key"),
+        (("sweep", "field", "stop_mT"), True, "sweep.field.stop_T: must be a finite number"),
+        (("sweep", "field", "stop_mT"), 5.0, "sweep.field.stop_T: must drive a bias current"),
+        (("sweep", "field", "stop_mT"), -5.0, "sweep.field.stop_T: must drive a bias current"),
     ], ids=["top_unknown", "section_unknown", "nested_unknown", "n_eff_true", "p0_norm_true",
             "values_true", "pairs_true", "n_eff_nan", "segment2_int", "points_true",
             "cell_count_huge", "trace_csv_int", "fit_string", "offset_zero", "ratio_below_one",
-            "stop_given_twice"])
+            "stop_given_twice", "alias_elsewhere", "stop_mT_true", "stop_past_i_star",
+            "stop_past_minus_i_star"])
     def test_single_violation_names_path(self, tmp_path, default_config_path,
                                          keys, value, expected):
         raw = load_default(default_config_path)
@@ -470,6 +478,47 @@ class TestMainExitCodes:
         assert code == 3
         assert "expected columns f_hz,re,im" in capsys.readouterr().err
         assert not any((tmp_path / "out").glob("*"))  # the trace is read before any write
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_featureless_trace_sweep_writes_nothing(self, tmp_path, default_config_path,
+                                                    capsys, seed):
+        path = write_config(tmp_path, load_default(default_config_path), default_config_path)
+        rng = np.random.default_rng(seed)
+        f_hz = 4849e6 + 2500.0 * np.arange(801)
+        s11 = 0.8 + 0.008 * (rng.standard_normal(801) + 1j * rng.standard_normal(801))
+        rows = "".join(f"{f!r},{z.real!r},{z.imag!r}\n"
+                       for f, z in zip(f_hz.tolist(), s11.tolist()))
+        (tmp_path / "trace_s11.csv").write_text("f_hz,re,im\n" + rows)
+        code = main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "solver error" in capsys.readouterr().err
+        assert not any((tmp_path / "out").glob("*"))  # the fit runs first
+
+    @pytest.mark.parametrize("command", ["modes", "fit", "sweep"])
+    def test_missing_trace_exit_4_writes_nothing(self, tmp_path, default_config_path,
+                                                 capsys, command):
+        raw = load_default(default_config_path)
+        raw["fit"]["trace_csv"] = "absent.csv"
+        path = write_config(tmp_path, raw, default_config_path)
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 4
+        assert "i/o error" in capsys.readouterr().err
+        assert not any((tmp_path / "out").glob("*"))
+
+    def test_failed_rerun_leaves_no_manifest(self, tmp_path, default_config_path,
+                                             monkeypatch, capsys):
+        out = tmp_path / "out"
+        run("sweep", default_config_path, out)
+        assert (out / "manifest.json").exists()
+
+        def fail(config, out):
+            raise ValueError("saturate failed")
+
+        monkeypatch.setitem(cli._RUNNERS, "saturate", fail)
+        code = main(["sweep", "--config", str(default_config_path), "--out", str(out)])
+        assert code == 3
+        assert "saturate failed" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
     def test_io_error_exit_4(self, tmp_path, capsys):
         code = main(["modes", "--config", str(tmp_path / "absent.json"),

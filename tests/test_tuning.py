@@ -44,8 +44,9 @@ class TestDcCurrent:
     def test_rejects_non_positive_geometry(self, gap, l_dc):
         # the geometry is the loop spec's, so the spec rejects it
         with pytest.raises(ValueError, match="gap" if gap <= 0 else "loop_dc_inductance"):
-            MicroloopSpec.from_wide_wire(width_ratio=0.5, gap=gap, loop_dc_inductance=l_dc,
-                                         inductance_wide=1e-9, i_star_wide=1e-3)
+            MicroloopSpec(width_ratio=0.5, gap=gap, loop_dc_inductance=l_dc,
+                          inductance_wide=1e-9, inductance_narrow=2e-9,
+                          i_star_wide=1e-3, i_star_narrow=5e-4)
 
 
 class TestKineticInductance:
