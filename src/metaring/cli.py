@@ -4,8 +4,9 @@
 
 Commands: fit, modes, dispersion, tune, convert, fringe, saturate, sweep.
 ``fit`` reads the complex trace ``fit.trace_csv`` (columns f_hz, re, im);
-``sweep`` runs the others in that order, so the one runner that reads a
-file besides the config fails before any other has written.
+``sweep`` runs the others in that order.  The runners write into a staging
+directory inside the output directory, and their files are moved into place
+only once every runner has succeeded, so a failed run adds no data file.
 Every command writes RFC-4180 CSV (LF line endings; each cell a number,
 ``true``/``false`` or empty) and/or JSON data files plus a
 ``manifest.json``.  Data files are byte-identical for identical (command,
@@ -20,7 +21,10 @@ import argparse
 import hashlib
 import json
 import math
+import os
+import shutil
 import sys
+import tempfile
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -246,9 +250,17 @@ def run(command: str, config_path, out_dir) -> RunManifest:
     out.mkdir(parents=True, exist_ok=True)
     # a run that stops part way leaves no manifest describing older files
     (out / "manifest.json").unlink(missing_ok=True)
-    outputs: List[str] = []
-    for name in names:
-        outputs.extend(_RUNNERS[name](config, out))
+    # os.replace within one file system is atomic, so out never holds a
+    # file of a run that did not finish
+    staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
+    try:
+        outputs: List[str] = []
+        for name in names:
+            outputs.extend(_RUNNERS[name](config, staging))
+        for path in outputs:
+            os.replace(staging / path, out / path)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     manifest = RunManifest(
         command=command,
         config_hash=config.config_hash,

@@ -520,6 +520,29 @@ class TestMainExitCodes:
         assert "saturate failed" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
+    def test_failed_tune_writes_nothing(self, tmp_path, default_config_path, capsys):
+        # inside validate's i_star bound, but past where the Taylor extrapolation converges
+        raw = load_default(default_config_path)
+        raw["sweep"]["field"]["stop_mT"] = 1.09
+        path = write_config(tmp_path, raw, default_config_path)
+        out = tmp_path / "out"
+        code = main(["sweep", "--config", str(path), "--out", str(out)])
+        assert code == 3
+        assert "solver error" in capsys.readouterr().err
+        assert not any(out.glob("*"))
+
+    def test_late_io_error_writes_nothing(self, tmp_path, default_config_path,
+                                          monkeypatch, capsys):
+        def fail(config, out):
+            raise OSError("disk full")
+
+        monkeypatch.setitem(cli._RUNNERS, "saturate", fail)
+        out = tmp_path / "out"
+        code = main(["sweep", "--config", str(default_config_path), "--out", str(out)])
+        assert code == 4
+        assert "disk full" in capsys.readouterr().err
+        assert not any(out.glob("*"))
+
     def test_io_error_exit_4(self, tmp_path, capsys):
         code = main(["modes", "--config", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path / "out")])

@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -275,6 +277,28 @@ class TestLeastSquaresEngine:
         # Jacobian evaluations: no rejected trial is evaluated
         assert len(evals) == 6
 
+    def test_old_jacobian_dies_before_the_next_model_call(self):
+        # least_squares keeps J^T J and J^T r, never J itself, so the next
+        # Jacobian is not built while the old one is still alive
+        x = np.linspace(0.0, 3.0, 40)
+        y = 2.0 * np.exp(-1.3 * x) + 0.01 * np.sin(7.0 * x)
+        jacobians, alive_at_model_call = [], []
+
+        def model(params, x):
+            alive_at_model_call.append(sum(ref() is not None for ref in jacobians))
+            return params[0] * np.exp(-params[1] * x)
+
+        def jac(params, x):
+            e = np.exp(-params[1] * x)
+            jmat = np.column_stack([e, -params[0] * x * e])
+            jacobians.append(weakref.ref(jmat))
+            return jmat
+
+        result = least_squares(model, (x, y), [1.0, 1.0], jac=jac)
+        assert result.converged
+        assert len(jacobians) == 1 + result.iterations >= 2
+        assert alive_at_model_call == [0] * len(alive_at_model_call)
+
     def test_complex_residuals_supported(self):
         x = np.linspace(0, 1, 21)
         y = (1.5 + 0.5j) * x
@@ -505,6 +529,24 @@ class TestReflectionFit:
         assert calls["engine"] >= 1 + result.iterations
         assert calls["s11"] == calls["engine"]
 
+    def test_fit_peak_memory_is_under_two_jacobians(self):
+        trace = criterion_13_trace(3)
+        result = fit_reflection_resonance(trace)  # first-call allocations happen here
+        params = [result.parameters[name] for name in
+                  ("f0", "q_in", "q_ex", "amplitude", "phase_offset", "delay")]
+        jac_bytes = reflection_jacobian(trace.frequency, params,
+                                        _middle_frequency(trace.frequency)).nbytes
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            fit_reflection_resonance(trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 2 * jac_bytes
+
     def test_fit_is_independent_of_blas_threads(self):
         code = (
             "from test_fitting import criterion_13_trace;"
@@ -597,7 +639,7 @@ class TestBackgroundPhasor:
             rng.uniform(-10.0, 10.0, 2000),
             rng.uniform(-1e6, 1e6, 2000),
         ])
-        assert same_bits(_phasor(phase), np.exp(1j * phase))
+        assert same_bits(_phasor(phase.copy()), np.exp(1j * phase))
 
     @pytest.mark.parametrize("freq", [DESIGN_GRID, SHIPPED_GRID], ids=["design", "shipped"])
     @pytest.mark.parametrize("params", [
@@ -617,6 +659,58 @@ class TestBackgroundPhasor:
             offset = freq - float(np.median(freq))
             got = _phasor((-2.0 * math.pi * delay) * offset)
             assert same_bits(got, np.exp(-2j * math.pi * delay * offset))
+
+
+def reference_reflection_jacobian(freq, params, f_ref, s11=None):
+    """reflection_jacobian as first written, with a fresh array per step: the bit oracle."""
+    f0, q_in, q_ex, amplitude, phase_offset, delay = params
+    a = 1.0 / q_ex - 1.0 / q_in
+    b = 1.0 / q_ex + 1.0 / q_in
+    offset = freq - f_ref
+    out = np.empty((6, freq.size), dtype=complex)
+    d = out[0]
+    d.real = b
+    np.multiply(freq - f0, 2.0 / f0, out=d.imag)
+    unit = out[3]
+    if s11 is None or a == 0.0:
+        phase = offset * (2.0 * math.pi * delay)
+        phase += phase_offset
+        e = np.exp(1j * phase)
+        h = e / d
+        np.multiply(h, a + b, out=unit)
+        unit -= e
+    else:
+        np.multiply(s11, 1.0 / amplitude, out=unit)
+        h = unit / ((a + b) - d)
+    v = np.divide(h, d, out=d)
+    np.multiply(unit, 1j * amplitude, out=out[4])
+    offset *= 2.0 * math.pi
+    np.multiply(out[4], offset, out=out[5])
+    np.multiply(v, (a + b) * amplitude / (q_in * q_in), out=out[1])
+    np.multiply(v, (a + b) * amplitude / (q_ex * q_ex), out=out[2])
+    h *= 2.0 * amplitude / (q_ex * q_ex)
+    out[2] -= h
+    v *= freq
+    v *= 2j * (a + b) * amplitude / (f0 * f0)
+    return out.T
+
+
+class TestJacobianBits:
+    @pytest.mark.parametrize("freq", [DESIGN_GRID, SHIPPED_GRID], ids=["design", "shipped"])
+    @pytest.mark.parametrize("params", [
+        (F0, Q_IN, Q_EX, 0.8, 0.3, 1e-9),                  # criterion 13's resonance
+        (F0 + 1234.5, 2e6, 1e4, 1.3, -2.0, -3e-9),         # over-coupled, detuned
+        (F0, Q_EX, Q_EX, 0.8, -0.0, -1e-9),                # critical coupling: a = 0
+        (F0, Q_EX * (1.0 + 1e-12), Q_EX, 0.8, 0.3, 0.0),   # next to it, no delay
+    ], ids=["design", "overcoupled", "critical", "near_critical"])
+    @pytest.mark.parametrize("shared", [False, True], ids=["phasor", "shared_s11"])
+    def test_has_the_bits_of_the_reference(self, freq, params, shared):
+        f_ref = float(np.median(freq))
+        s11 = reflection_s11(freq, *params, reference_frequency=f_ref) if shared else None
+        got = reflection_jacobian(freq, params, f_ref, s11)
+        want = reference_reflection_jacobian(freq, params, f_ref, s11)
+        assert np.all(np.isfinite(got))
+        assert same_bits(np.ascontiguousarray(got), np.ascontiguousarray(want))
 
 
 class TestQuadraticFieldShift:
