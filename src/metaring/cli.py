@@ -15,9 +15,9 @@ config); the wall clock appears only in the manifest.
 Exit codes: 0 success, 2 configuration invalid, 3 solver error, 4 I/O error.
 """
 
-from __future__ import annotations
-
 import argparse
+import atexit
+import gc
 import hashlib
 import json
 import math
@@ -25,10 +25,9 @@ import os
 import shutil
 import sys
 import tempfile
-from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -42,8 +41,7 @@ COMMANDS = ("fit", "modes", "dispersion", "tune", "convert", "fringe", "saturate
 _CSV_BLOCK_ROWS = 1024
 
 
-@dataclass(frozen=True)
-class RunManifest:
+class RunManifest(NamedTuple):
     command: str
     config_hash: str
     trace_sha256: Optional[str]  # the fit.trace_csv bytes; None without a trace
@@ -268,11 +266,19 @@ def run(command: str, config_path, out_dir) -> RunManifest:
         output_paths=sorted(outputs),
         timestamp=datetime.now(timezone.utc).isoformat(),
     )
-    _write_json(out / "manifest.json", asdict(manifest))
+    _write_json(out / "manifest.json", manifest._asdict())
     return manifest
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    # At exit, freeze what is still alive, so the interpreter's shutdown
+    # collections skip the ~22k objects the imports leave (about 9 ms of
+    # walking).  The few cycles left unfreed (the argument parser's, the
+    # JSON encoders') hold no finalizer and end with the process.  The hook
+    # runs only after main() has returned; registering it afresh keeps one
+    # per process.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     parser = argparse.ArgumentParser(
         prog="metaring",
         description="Meta-ring frequency-converter simulation and fitting toolkit",

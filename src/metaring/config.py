@@ -15,18 +15,15 @@ section's physical bounds.
 the same list without raising.
 """
 
-from __future__ import annotations
-
 import hashlib
 import json
 import sys
 from collections import Counter
-from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .conversion import ConverterParams
-from .core import BiasState, MicroloopSpec, RingSpec, SegmentParams
+from .core import BiasState, MicroloopSpec, RingSpec, SegmentParams, checked
 from .dispersion import UnitCell
 from .errors import ConfigError
 
@@ -55,8 +52,8 @@ def _json_object(pairs: List[tuple]) -> _JsonObject:
     return obj
 
 
-@dataclass(frozen=True)
-class KerrScenario:
+@checked
+class KerrScenario(NamedTuple):
     """Mode used for the saturation sweep: linewidth from f/Q."""
 
     rate_hz: float
@@ -64,7 +61,7 @@ class KerrScenario:
     coupling_efficiency: float
     frequency_hz: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if min(self.rate_hz, self.quality_factor, self.frequency_hz) <= 0:
             raise ValueError("kerr rate, quality factor and frequency must be positive")
         if not (0.0 < self.coupling_efficiency <= 1.0):
@@ -79,13 +76,13 @@ class KerrScenario:
         return self.coupling_efficiency * self.kappa
 
 
-@dataclass(frozen=True)
-class FringeScenario:
+@checked
+class FringeScenario(NamedTuple):
     cooperativity: float
     eta_s: float
     eta_i: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.cooperativity < 0:
             raise ValueError("cooperativity must be non-negative")
         for eta in (self.eta_s, self.eta_i):
@@ -93,8 +90,7 @@ class FringeScenario:
                 raise ValueError("fringe eta values must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(NamedTuple):
     """Validated configuration with constructed domain objects."""
 
     ring: RingSpec
@@ -164,8 +160,7 @@ _REQUIRED = object()  # default of a leaf that must be given
 _FAILED = object()    # a leaf or section that has already reported a violation
 
 
-@dataclass(frozen=True)
-class _Section:
+class _Section(NamedTuple):
     """A JSON object; a field is a section, a kind (required) or (kind, default)."""
 
     fields: dict
@@ -192,7 +187,7 @@ _SCHEMA = _Section({
             "kinetic_inductance_per_length": _number,
             "geometric_inductance_per_length": _number,
             "segment1": _SEGMENT,
-            "segment2": replace(_SEGMENT, optional=True),
+            "segment2": _SEGMENT._replace(optional=True),
         }, RingSpec),
         "microloop": _numbers_section(
             MicroloopSpec, "width_ratio", "gap", "loop_dc_inductance", "inductance_wide",
@@ -249,7 +244,7 @@ def _walk(node, spec: _Section, path: str, violations: List[str]):
     violations.extend(f"{prefix}{key}: given twice" for key in node.repeated)
     values = {}
     for key, field in spec.fields.items():
-        if isinstance(field, _Section):
+        if isinstance(field, _Section):  # a tuple too, so tested before (kind, default)
             values[key] = _walk(node.get(key), field, prefix + key, violations)
             continue
         kind, default = field if isinstance(field, tuple) else (field, _REQUIRED)

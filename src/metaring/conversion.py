@@ -13,13 +13,12 @@ Hz; angular rates are formed internally where absolute photon fluxes enter
 (Kerr steady state).
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
+
+from .core import checked
 
 PLANCK_H = 6.62607015e-34  # J/Hz
 
@@ -36,8 +35,8 @@ def dbm_from_watts(watts: float) -> float:
     return 10.0 * math.log10(watts / 1e-3)
 
 
-@dataclass(frozen=True)
-class ConverterParams:
+@checked
+class ConverterParams(NamedTuple):
     """Mode-pair rates of the converter.
 
     ``kappa_s``/``kappa_i`` are total linewidths [Hz]; ``eta_s``/``eta_i``
@@ -55,7 +54,7 @@ class ConverterParams:
     n_eff: Optional[float] = None
     p0_norm: Optional[float] = None
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.kappa_s <= 0 or self.kappa_i <= 0:
             raise ValueError("linewidths must be positive")
         for name, eta in (("eta_s", self.eta_s), ("eta_i", self.eta_i)):
@@ -78,8 +77,8 @@ def cooperativity(params: ConverterParams) -> float:
     return 4.0 * params.g0**2 * params.n_eff / (params.kappa_s * params.kappa_i)
 
 
-@dataclass(frozen=True)
-class ScatteringResult:
+@checked
+class ScatteringResult(NamedTuple):
     """On-chip conversion |t|^2 and reflection |r|^2 = 1 - |t|^2.
 
     ``t2`` and ``r2`` are floats, or arrays for an array of cooperativities.
@@ -88,7 +87,7 @@ class ScatteringResult:
     t2: ArrayLike
     r2: ArrayLike
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not np.all((self.t2 >= 0.0) & (self.t2 <= 1.0)):
             raise ValueError(f"t2 must lie in [0, 1], got {self.t2!r}")
 
@@ -159,7 +158,7 @@ def conversion_bandwidth(params: ConverterParams) -> float:
     """Numeric FWHM of the conversion spectrum [Hz].
 
     Grid-locates the peak (which sits off zero past the splitting threshold)
-    and bisects the outermost half-maximum crossing.
+    and bisects the outermost half-maximum crossing down to adjacent floats.
     """
     c = cooperativity(params)
     scale = (params.kappa_s + params.kappa_i) * (1.0 + math.sqrt(max(c, 1.0)))
@@ -173,6 +172,10 @@ def conversion_bandwidth(params: ConverterParams) -> float:
         raise ValueError("half-maximum crossing not bracketed")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            # lo and hi are adjacent floats and mid rounds onto one of them,
+            # whose side of the half maximum is known: no step moves them
+            break
         if conversion_spectrum(mid, params)[0] >= half:
             lo = mid
         else:
@@ -225,8 +228,8 @@ def fringe_visibility(r_mag: float, t_mag: float) -> float:
     return 2.0 * r_mag * t_mag / denom
 
 
-@dataclass(frozen=True)
-class NoiseModel:
+@checked
+class NoiseModel(NamedTuple):
     """Added thermal quanta, affine in normalized pump power.
 
     Slopes alone cannot reproduce the measured occupancies at unit pump
@@ -239,7 +242,7 @@ class NoiseModel:
     intercept_s: float
     intercept_i: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if min(self.slope_s, self.slope_i, self.intercept_s, self.intercept_i) < 0:
             raise ValueError("noise slopes and intercepts must be non-negative")
 
@@ -256,8 +259,7 @@ def added_noise(p0_norm: ArrayLike, model: NoiseModel) -> Tuple[ArrayLike, Array
     return n_s, n_i
 
 
-@dataclass(frozen=True)
-class KerrSteadyState:
+class KerrSteadyState(NamedTuple):
     """Real positive intracavity photon-number branches, sorted ascending.
 
     For one drive ``photon_numbers`` is a tuple and ``bifurcated`` a bool;
@@ -367,8 +369,7 @@ def kerr_steady_state(
     return KerrSteadyState(photon_numbers=branches, bifurcated=bifurcated)
 
 
-@dataclass(frozen=True)
-class BifurcationPoint:
+class BifurcationPoint(NamedTuple):
     """Critical point where the Kerr response first becomes multivalued."""
 
     detuning: float      # Hz
@@ -407,8 +408,8 @@ def bifurcation_drive_power(
     return point.drive_flux * PLANCK_H * frequency_hz
 
 
-@dataclass(frozen=True)
-class TlsModel:
+@checked
+class TlsModel(NamedTuple):
     """Power-dependent internal quality factor from saturable defect loss.
 
     1/Q_in(n) = 1/q_other + (1/q_tls0)/sqrt(1 + (n/n_c)^alpha)
@@ -422,7 +423,7 @@ class TlsModel:
     alpha: float
     q_other: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if min(self.q_tls0, self.n_c, self.alpha, self.q_other) <= 0:
             raise ValueError("all TLS model parameters must be positive")
 
@@ -455,8 +456,7 @@ def single_photon_efficiency(tls: TlsModel, q_ex: float, n_sat: float) -> float:
     return eta * eta
 
 
-@dataclass(frozen=True)
-class PairEfficiency:
+class PairEfficiency(NamedTuple):
     """Conversion efficiency and coupling bound for one signal/idler pair."""
 
     index: int

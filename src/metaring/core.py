@@ -5,15 +5,22 @@ lengths in m, currents in A, magnetic fields in T.  Frequencies are ordinary
 frequencies in Hz throughout the public API; angular rates are formed
 internally where a formula requires them.
 
-Every record is a frozen dataclass: instances are immutable after
-construction and safe to share across parallel evaluations.
+Every record is immutable after construction and safe to share across
+parallel evaluations.  ``SegmentParams`` and ``RingSpec`` are frozen
+dataclasses (copied with ``dataclasses.replace``) and ``modes.ModeTable`` is
+a slotted class.  Every other record of the package is a
+``typing.NamedTuple``: fields are read by attribute, copied with
+``_replace`` and exported with ``_asdict``, and :func:`checked` gives a
+record its construction checks.  A named tuple class is created several
+times faster than a dataclass, which generates and compiles its methods when
+its module is imported.  The modules that define named tuples leave out
+``from __future__ import annotations``, because a named tuple compiles every
+string annotation when its class is created.
 """
-
-from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -23,6 +30,26 @@ _REL_TOL = 1e-12
 def _positive(name: str, value: float) -> None:
     if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+
+
+def checked(cls):
+    """Class decorator: every instance of the named tuple ``cls`` passes ``cls._check``.
+
+    A ``NamedTuple`` body may not define ``__new__``, so this wraps the one
+    the class has.  Construction, ``_make`` and ``_replace`` (which builds
+    through ``_make``) all run ``_check``, which raises ``ValueError`` on a
+    bad field.
+    """
+    build = cls.__new__
+
+    def __new__(cls, *args, **kwargs):
+        record = build(cls, *args, **kwargs)
+        record._check()
+        return record
+
+    cls.__new__ = staticmethod(__new__)
+    cls._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return cls
 
 
 @dataclass(frozen=True)
@@ -138,8 +165,8 @@ class RingSpec:
         return replace(self, segment1=rescale(self.segment1), segment2=rescale(self.segment2))
 
 
-@dataclass(frozen=True)
-class MicroloopSpec:
+@checked
+class MicroloopSpec(NamedTuple):
     """Asymmetric nanowire pair forming one flux-biased microloop.
 
     Wire 1 is the wide nanowire, wire 2 the narrow one; the width ratio
@@ -155,7 +182,7 @@ class MicroloopSpec:
     i_star_wide: float
     i_star_narrow: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not (0.0 < self.width_ratio <= 1.0):
             raise ValueError(f"width_ratio must satisfy 0 < gamma <= 1, got {self.width_ratio!r}")
         _positive("gap", self.gap)
@@ -178,8 +205,8 @@ class MicroloopSpec:
             )
 
 
-@dataclass(frozen=True)
-class BiasState:
+@checked
+class BiasState(NamedTuple):
     """Magnetic bias: external field and the loop supercurrent it drives.
 
     One bias point holds floats; a field axis holds two arrays of one shape.
@@ -188,7 +215,7 @@ class BiasState:
     external_field: Union[float, np.ndarray]
     dc_current: Union[float, np.ndarray]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not (np.all(np.isfinite(self.external_field))
                 and np.all(np.isfinite(self.dc_current))):
             raise ValueError("bias fields must be finite")
@@ -201,8 +228,7 @@ class BiasState:
         return cls(external_field=external_field, dc_current=current)
 
 
-@dataclass(frozen=True)
-class LineConstants:
+class LineConstants(NamedTuple):
     """Secondary constants of the homogenized line.
 
     characteristic_impedance = sqrt((L_k+L_m)/C)        [ohm]

@@ -28,15 +28,13 @@ capacitance-enhancement sweep) share one halving loop, each row on its own
 bracket.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass, replace
-from typing import List, Sequence, Tuple, Union
+from dataclasses import replace
+from typing import List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import SegmentParams
+from .core import SegmentParams, checked
 from .errors import BandEdgeError
 
 _BISECTION_WIDTH = 1e-3  # Hz; comfortably below the 1 Hz contract
@@ -44,8 +42,7 @@ _BISECTION_WIDTH = 1e-3  # Hz; comfortably below the 1 Hz contract
 ArrayLike = Union[float, np.ndarray]
 
 
-@dataclass(frozen=True)
-class TwoPortMatrix:
+class TwoPortMatrix(NamedTuple):
     """ABCD matrix of a two-port; ``b`` carries ohm, ``c`` carries 1/ohm."""
 
     a: complex
@@ -69,8 +66,7 @@ class TwoPortMatrix:
         )
 
 
-@dataclass(frozen=True)
-class UnitCell:
+class UnitCell(NamedTuple):
     """One period of the loaded line: nanowire rail plus bridge."""
 
     segment1: SegmentParams
@@ -95,8 +91,8 @@ class UnitCell:
         return UnitCell(segment1=self.segment1, segment2=seg2)
 
 
-@dataclass(frozen=True)
-class MismatchReport:
+@checked
+class MismatchReport(NamedTuple):
     """Frequency mismatch 2 f_m - (f_{m+n} + f_{m-n}) for a conversion pair."""
 
     m: int
@@ -104,7 +100,7 @@ class MismatchReport:
     delta_f: float
     signal_f: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.n < 1 or self.m - self.n < 1:
             raise ValueError("require n >= 1 and m - n >= 1")
         if not math.isfinite(self.delta_f):
@@ -269,8 +265,7 @@ def conversion_mismatch(cell: UnitCell, n_cells: int, m: int, n: int) -> Mismatc
     return MismatchReport(m=m, n=n, delta_f=2.0 * f_sig - (f_high + f_low), signal_f=f_sig)
 
 
-@dataclass(frozen=True)
-class EnhancementPoint:
+class EnhancementPoint(NamedTuple):
     """One row of the capacitance-enhancement sweep."""
 
     ratio: float

@@ -39,15 +39,13 @@ Fits built on the engine:
 * ordinary least squares of mode frequency versus mode number.
 """
 
-from __future__ import annotations
-
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .core import checked
 from .errors import ConditioningError, NoResonanceError
 
 _STEP_REL = 6.0e-6  # ~cbrt(eps): central-difference step fraction
@@ -58,21 +56,27 @@ _MAX_ITER = 200  # accepted steps
 _CONVERGED = frozenset({"zero_residual", "gtol", "ftol", "xtol"})
 
 
-@dataclass(frozen=True)
-class Trace:
+class _TraceFields(NamedTuple):
+    """The fields of :class:`Trace`, whose own ``__new__`` makes them arrays."""
+
+    frequency: np.ndarray
+    response: np.ndarray
+
+
+@checked
+class Trace(_TraceFields):
     """Frequency sweep and its response, every value finite.
 
     The reflection fit needs a complex (S11) response.
     """
 
-    frequency: np.ndarray
-    response: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        freq = np.asarray(self.frequency, dtype=float)
-        resp = np.asarray(self.response)
-        object.__setattr__(self, "frequency", freq)
-        object.__setattr__(self, "response", resp)
+    def __new__(cls, frequency, response):
+        return super().__new__(cls, np.asarray(frequency, dtype=float), np.asarray(response))
+
+    def _check(self) -> None:
+        freq, resp = self.frequency, self.response
         if freq.ndim != 1 or resp.ndim != 1 or len(freq) != len(resp):
             raise ValueError("frequency and response must be 1-D and equally long")
         if len(freq) < 5:
@@ -103,8 +107,7 @@ class Trace:
         return cls(frequency=columns["f_hz"], response=columns["re"] + 1j * columns["im"])
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     """Estimated parameters with linearized standard errors.
 
     ``iterations`` counts accepted steps, each followed by one Jacobian
@@ -117,7 +120,7 @@ class FitResult:
     residual_norm: float
     iterations: int
     termination: str
-    residual_history: Tuple[float, ...] = field(default=(), repr=False)
+    residual_history: Tuple[float, ...] = ()
 
     @property
     def converged(self) -> bool:

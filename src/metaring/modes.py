@@ -19,7 +19,6 @@ does not enter the spectrum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -51,18 +50,27 @@ def analytic_mode_frequency(ring: RingSpec, m: int) -> float:
     return f0 * math.sqrt(1.0 - math.cos(2.0 * math.pi * m_eff / n_cells))
 
 
-@dataclass(frozen=True)
 class ModeTable:
-    """Modes in a band with their spacings.
+    """Modes in a band with their spacings; immutable.
 
     ``entries`` are (m, f_m) sorted by m; ``fsr_list[j]`` is
     f_{m_{j+1}} - f_{m_j}; ``fsr_mean`` is NaN when fewer than two modes fall
-    in the band.
+    in the band.  ``len`` is the mode count.  A named tuple's ``_make`` and
+    ``_replace`` rely on its ``len`` being its field count, so the table is a
+    slotted class.
     """
 
-    entries: tuple
-    fsr_list: tuple
-    fsr_mean: float
+    __slots__ = ("entries", "fsr_list", "fsr_mean")
+
+    def __init__(self, entries: tuple, fsr_list: tuple, fsr_mean: float) -> None:
+        for name, value in zip(self.__slots__, (entries, fsr_list, fsr_mean)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @classmethod
     def from_frequencies(cls, indices: Sequence[int], frequencies: Sequence[float]) -> "ModeTable":

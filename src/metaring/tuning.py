@@ -22,14 +22,11 @@ differs from x*x in the last bit for some x.  With products a point gets the
 same bits, and so the same stop halving, alone or in an array.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable, Dict, Tuple, Union
+from typing import Callable, Dict, NamedTuple, Tuple, Union
 
 import numpy as np
 
-from .core import BiasState, MicroloopSpec
+from .core import BiasState, MicroloopSpec, checked
 from .errors import PrecisionError
 
 ArrayLike = Union[float, np.ndarray]
@@ -40,8 +37,8 @@ _TAYLOR_RTOL = 1e-6
 _TAYLOR_HALVINGS = 8
 
 
-@dataclass(frozen=True)
-class NonlinearCoefficients:
+@checked
+class NonlinearCoefficients(NamedTuple):
     """Cubic and quartic energy coefficients of the loop.
 
     ``twm`` multiplies I_rf2**3 [J/A^3 = H/A]; ``fwm`` multiplies I_rf2**4
@@ -52,7 +49,7 @@ class NonlinearCoefficients:
     twm: ArrayLike
     fwm: ArrayLike
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if np.any(np.asarray(self.fwm) <= 0):
             raise ValueError("four-wave-mixing coefficient must be positive")
 

@@ -432,6 +432,47 @@ class TestDeterminism:
         assert manifest["trace_sha256"] is None
 
 
+class TestExitFreeze:
+    def test_registered_once_and_nothing_frozen_in_process(
+            self, monkeypatch, default_config_path, tmp_path, capsys):
+        import atexit
+        import gc
+
+        hooks = []
+
+        def register(func):
+            hooks.append(func)
+            return func
+
+        def unregister(func):
+            hooks[:] = [hook for hook in hooks if hook != func]
+
+        monkeypatch.setattr(atexit, "register", register)
+        monkeypatch.setattr(atexit, "unregister", unregister)
+        frozen = gc.get_freeze_count()
+        for name in ("a", "b"):
+            assert main(["modes", "--config", str(default_config_path),
+                         "--out", str(tmp_path / name)]) == 0
+            assert gc.get_freeze_count() == frozen  # the freeze waits for the exit
+        assert hooks == [gc.freeze]
+
+    def test_sweep_process_freezes_at_exit_and_prints_every_output(
+            self, default_config_path, tmp_path):
+        # the probe is registered first, so it runs after the freeze main() registers
+        code = ("import atexit, gc, sys;"
+                "atexit.register(lambda: print('frozen at exit:', gc.get_freeze_count() > 0));"
+                "from metaring.cli import main; sys.exit(main())")
+        env = dict(os.environ, PYTHONPATH=str(Path(metaring.__file__).parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "sweep", "--config", str(default_config_path),
+             "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert len(manifest["output_paths"]) == 14
+        assert proc.stdout.splitlines() == manifest["output_paths"] + ["frozen at exit: True"]
+
+
 class TestMainExitCodes:
     def test_success(self, default_config_path, tmp_path, capsys):
         code = main(["modes", "--config", str(default_config_path),

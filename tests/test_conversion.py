@@ -157,6 +157,49 @@ class TestConversionSpectrum:
         assert 8e4 < width < 4e5  # finite, between the mode scales
 
 
+def bandwidth_200_halvings(params: ConverterParams) -> float:
+    """conversion_bandwidth with all 200 halvings and no early stop: the bit oracle."""
+    c = cooperativity(params)
+    scale = (params.kappa_s + params.kappa_i) * (1.0 + math.sqrt(max(c, 1.0)))
+    grid = np.linspace(0.0, 10.0 * scale, 4001)
+    t2, _ = conversion_spectrum(grid, params)
+    half = float(np.max(t2)) / 2.0
+    lo, hi = float(grid[int(np.argmax(t2))]), 10.0 * scale
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if conversion_spectrum(mid, params)[0] >= half:
+            lo = mid
+        else:
+            hi = mid
+    return lo + hi
+
+
+class TestBandwidthBisection:
+    @pytest.mark.parametrize("params", [
+        params_at(0.5),
+        params_at(4.0),
+        ConverterParams(kappa_s=8e4, kappa_i=1.6e5, eta_s=0.97, eta_i=0.91, p0_norm=0.8),
+        ConverterParams(kappa_s=8e4, kappa_i=1.6e5, eta_s=0.97, eta_i=0.91, p0_norm=2.5),
+        params_at(1e-9),
+        # the shipped converter section of configs/default.json
+        ConverterParams(kappa_s=91923.88155425117, kappa_i=91923.88155425117,
+                        eta_s=0.99, eta_i=0.98, g0=45961.94077712559, p0_norm=1.0),
+    ], ids=["unsplit", "split", "asymmetric", "asymmetric_split", "near_zero_c", "shipped"])
+    def test_stops_at_the_fixed_point_with_the_same_bits(self, monkeypatch, params):
+        from metaring import conversion
+
+        expected = bandwidth_200_halvings(params)
+        calls = []
+
+        def counted(detuning, p):
+            calls.append(detuning)
+            return conversion_spectrum(detuning, p)
+
+        monkeypatch.setattr(conversion, "conversion_spectrum", counted)
+        assert conversion.conversion_bandwidth(params) == expected
+        assert len(calls) <= 70
+
+
 class TestCalibratedEfficiency:
     def test_unit_inputs(self):
         assert calibrated_efficiency(1.0, 1.0, 1.0, 1.0) == 1.0
