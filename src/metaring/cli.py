@@ -36,8 +36,11 @@ from .config import Config, load_config, validate_config
 from .errors import BandEdgeError, ConditioningError, ConfigError, PrecisionError
 
 COMMANDS = ("fit", "modes", "dispersion", "tune", "convert", "fringe", "saturate", "sweep")
-# rows formatted and written at a time: the cell strings of a whole scaled
-# sweep column set would otherwise all be alive at once
+# rows formatted and written at a time: the cells of a whole scaled sweep
+# column set would otherwise all be alive at once.  Tables of at least one
+# block format their floats with the vectorized kernel (metaring._shortest),
+# shorter ones with one repr per cell: a kernel call costs about 0.2 ms and
+# its module about 5 ms to import from source, more than a short table saves.
 _CSV_BLOCK_ROWS = 1024
 
 
@@ -49,23 +52,43 @@ class RunManifest(NamedTuple):
     timestamp: str
 
 
-def _format_column(values: np.ndarray) -> List[str]:
-    """The cells of one float, int or bool column, chosen once by dtype.
+def _repr_chars(values: np.ndarray) -> np.ndarray:
+    """Each float's ``repr`` as a NUL-padded row of 25 bytes, the last one NUL."""
+    # adding 0.0 writes -0.0 as 0.0
+    cells = np.array(list(map(repr, (values + 0.0).ravel().tolist())), dtype="S25")
+    return cells.view(np.uint8).reshape(values.shape + (25,))
 
-    A float is written as its shortest round-trip ``repr`` and NaN (a
-    missing value) as an empty cell; a bool as ``true``/``false``.
+
+def _csv_lines(block: Sequence[np.ndarray], float_chars) -> bytes:
+    """The CSV lines of equal-length float, int and bool columns.
+
+    Every cell becomes a NUL-padded row of characters whose last byte is
+    free for the separator: floats by ``float_chars`` (NaN, a missing value,
+    is an empty cell), ints as their digits and bools as ``true``/``false``.
+    The rows of all columns are joined side by side and the NULs dropped.
     """
-    kind = values.dtype.kind
-    if kind == "f":
-        cells = list(map(repr, (values + 0.0).tolist()))  # adding 0.0 writes -0.0 as 0.0
-        for i in np.flatnonzero(np.isnan(values)).tolist():
-            cells[i] = ""
-        return cells
-    if kind == "b":
-        return ["true" if v else "false" for v in values.tolist()]
-    if kind in "iu":
-        return list(map(str, values.tolist()))
-    raise TypeError(f"CSV columns hold floats, ints or bools, not {values.dtype}")
+    floats = [column for column in block if column.dtype.kind == "f"]
+    if floats:
+        values = np.column_stack(floats)
+        chars = float_chars(values)
+        chars[np.isnan(values)] = 0
+        float_cells = iter(chars.transpose(1, 0, 2))
+    cells = []
+    for column in block:
+        if column.dtype.kind == "f":
+            cells.append(next(float_cells))
+        elif column.dtype.kind == "b":
+            cells.append(np.where(column, b"true", b"false").astype("S6")
+                         .view(np.uint8).reshape(-1, 6))
+        else:
+            cells.append(column.astype("S21").view(np.uint8).reshape(-1, 21))
+    # an all-float block is already laid out row by row in chars
+    matrix = (chars.reshape(len(values), -1) if len(floats) == len(block)
+              else np.concatenate(cells, axis=1))
+    ends = np.cumsum([cell.shape[1] for cell in cells]) - 1
+    matrix[:, ends[:-1]] = ord(",")
+    matrix[:, ends[-1]] = ord("\n")
+    return matrix.tobytes().translate(None, b"\0")
 
 
 def _write_csv(path: Path, header: Sequence[str], columns: Sequence) -> None:
@@ -74,15 +97,22 @@ def _write_csv(path: Path, header: Sequence[str], columns: Sequence) -> None:
     A column holds floats, ints or bools, so its cells are numbers,
     ``true``/``false`` or empty: RFC-4180 quoting never applies and rows
     are joined as plain text.  Every table has at least two columns, so no
-    row is a lone empty field (written ``""``).
+    row is a lone empty field (written ``""``).  A float is written as its
+    shortest round-trip ``repr``.
     """
     arrays = [np.asarray(column) for column in columns]
+    for array in arrays:
+        if array.dtype.kind not in "fbiu":
+            raise TypeError(f"CSV columns hold floats, ints or bools, not {array.dtype}")
     rows = len(arrays[0]) if arrays else 0
-    with open(path, "w", newline="") as handle:
-        handle.write(",".join(header) + "\n")
+    float_chars = _repr_chars
+    if rows >= _CSV_BLOCK_ROWS:
+        from ._shortest import repr_chars as float_chars
+    with open(path, "wb") as handle:
+        handle.write((",".join(header) + "\n").encode())
         for start in range(0, rows, _CSV_BLOCK_ROWS):
-            block = [_format_column(a[start:start + _CSV_BLOCK_ROWS]) for a in arrays]
-            handle.write("\n".join(map(",".join, zip(*block))) + "\n")
+            handle.write(_csv_lines([a[start:start + _CSV_BLOCK_ROWS] for a in arrays],
+                                    float_chars))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -156,7 +186,7 @@ def _run_convert(config: Config, out: Path) -> List[str]:
     _write_csv(out / "pairs.csv", ("pair_index", "eta_product", "t2"),
                ([p.index for p in pairs], [p.bound for p in pairs],
                 [p.efficiency for p in pairs]))
-    bandwidth = conversion.conversion_bandwidth(params) if c > 0 else None
+    bandwidth = conversion.conversion_bandwidth(params)
     _write_json(out / "convert_summary.json", {
         "cooperativity": c,
         "bandwidth_hz": bandwidth,

@@ -147,6 +147,13 @@ def _numbers_each(bound: str, test: Callable) -> Callable:
     return check
 
 
+def _non_negative(value) -> float:
+    number = _number(value)
+    if number < 0:
+        raise ValueError(f"must be >= 0, got {number!r}")
+    return number
+
+
 def _points(value) -> int:
     points = _integer(value)
     if points < 0:
@@ -208,7 +215,7 @@ _SCHEMA = _Section({
     "sweep": _Section({
         "field": _Section({"stop_T": _number, "points": _points},
                           aliases=(("stop_mT", "stop_T", 1e-3),)),
-        "pump": _Section({"stop": _number, "points": _points}),
+        "pump": _Section({"stop": _non_negative, "points": _points}),
         "detuning": _Section({"span_hz": _number, "points": _points}),
         "phase": _Section({"points": _points}),
         "ratio": _Section({
@@ -216,7 +223,7 @@ _SCHEMA = _Section({
             "offsets_hz": (_numbers_each("> 0", lambda v: v > 0), ()),
             "values": (_numbers_each(">= 1", lambda v: v >= 1), ()),
         }),
-        "band": _numbers_section(None, "start_hz", "stop_hz"),
+        "band": _Section({"start_hz": _non_negative, "stop_hz": _number}),
     }),
     "fit": _Section({"trace_csv": (_string, None)}, optional=True),
 })

@@ -154,17 +154,21 @@ def matched_bandwidth(kappa: float, c: float) -> float:
     return 2.0 * math.sqrt(x)
 
 
-def conversion_bandwidth(params: ConverterParams) -> float:
+def conversion_bandwidth(params: ConverterParams) -> Optional[float]:
     """Numeric FWHM of the conversion spectrum [Hz].
 
     Grid-locates the peak (which sits off zero past the splitting threshold)
     and bisects the outermost half-maximum crossing down to adjacent floats.
+    None when nothing converts (C, eta_s or eta_i is 0): a spectrum that is
+    zero everywhere has no width.
     """
     c = cooperativity(params)
     scale = (params.kappa_s + params.kappa_i) * (1.0 + math.sqrt(max(c, 1.0)))
     grid = np.linspace(0.0, 10.0 * scale, 4001)
     t2, _ = conversion_spectrum(grid, params)
     peak = float(np.max(t2))
+    if peak == 0.0:
+        return None
     half = peak / 2.0
     lo = float(grid[int(np.argmax(t2))])
     hi = 10.0 * scale

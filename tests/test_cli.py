@@ -122,11 +122,13 @@ class TestValidate:
         (("sweep", "field", "stop_mT"), True, "sweep.field.stop_T: must be a finite number"),
         (("sweep", "field", "stop_mT"), 5.0, "sweep.field.stop_T: must drive a bias current"),
         (("sweep", "field", "stop_mT"), -5.0, "sweep.field.stop_T: must drive a bias current"),
+        (("sweep", "pump", "stop"), -1.0, "sweep.pump.stop: must be >= 0, got -1.0"),
+        (("sweep", "band", "start_hz"), -1.0, "sweep.band.start_hz: must be >= 0, got -1.0"),
     ], ids=["top_unknown", "section_unknown", "nested_unknown", "n_eff_true", "p0_norm_true",
             "values_true", "pairs_true", "n_eff_nan", "segment2_int", "points_true",
             "cell_count_huge", "trace_csv_int", "fit_string", "offset_zero", "ratio_below_one",
             "stop_given_twice", "alias_elsewhere", "stop_mT_true", "stop_past_i_star",
-            "stop_past_minus_i_star"])
+            "stop_past_minus_i_star", "pump_stop_negative", "band_start_negative"])
     def test_single_violation_names_path(self, tmp_path, default_config_path,
                                          keys, value, expected):
         raw = load_default(default_config_path)
@@ -256,6 +258,40 @@ class TestColumnWriter:
             _write_csv(tmp_path / "columns.csv", ("a", "b"), ([1.0, 2.0], [None, 2.5]))
 
 
+class TestKernelSplit:
+    """Tables of at least one block format floats with the vectorized kernel."""
+
+    @pytest.mark.parametrize("rows, uses_kernel", [(_CSV_BLOCK_ROWS - 1, False),
+                                                   (_CSV_BLOCK_ROWS, True)])
+    def test_kernel_from_one_block(self, tmp_path, monkeypatch, rows, uses_kernel):
+        import metaring._shortest as shortest
+
+        calls = []
+        real = shortest.repr_chars
+        monkeypatch.setattr(shortest, "repr_chars", lambda values: calls.append(1) or real(values))
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal(rows) * 10.0 ** rng.integers(-30, 30, rows)
+        values[::97], values[::89], values[::83] = np.nan, 0.0, -0.0
+        columns = (values, -values / 3, np.arange(rows), values > 0)
+        _write_csv(tmp_path / "columns.csv", ("a", "b", "c", "d"), columns)
+        write_csv_per_cell(tmp_path / "cells.csv", ("a", "b", "c", "d"), zip(*columns))
+        assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+        assert bool(calls) == uses_kernel
+
+    def test_shipped_sweep_never_imports_kernel(self, tmp_path, default_config_path):
+        probe = ("import atexit, sys; "
+                 "atexit.register(lambda: print('kernel imported:', "
+                 "'metaring._shortest' in sys.modules, file=sys.stderr)); "
+                 "from metaring.cli import main; sys.exit(main())")
+        env = dict(os.environ, PYTHONPATH=str(Path(metaring.__file__).parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, "sweep", "--config", str(default_config_path),
+             "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "kernel imported: False"
+
+
 class TestSweepBytes:
     @pytest.mark.parametrize("points", [None, 2500], ids=["shipped", "across_block_edges"])
     def test_sweep_csvs_match_per_cell_writer(self, tmp_path, default_config_path,
@@ -297,6 +333,15 @@ class TestRun:
         pump = np.array([float(r[0]) for r in rows])
         t2 = np.array([float(r[1]) for r in rows])
         assert pump[int(np.argmax(t2))] == pytest.approx(1.0, abs=0.06)
+
+    @pytest.mark.parametrize("field", ["eta_s", "eta_i", "p0_norm"])
+    def test_no_conversion_has_null_bandwidth(self, tmp_path, default_config_path, field):
+        raw = load_default(default_config_path)
+        raw["converter"][field] = 0.0
+        path = write_config(tmp_path, raw, default_config_path)
+        assert main(["convert", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        summary = json.loads((tmp_path / "out" / "convert_summary.json").read_text())
+        assert summary["bandwidth_hz"] is None
 
     def test_empty_sweep_writes_header_only(self, tmp_path, default_config_path):
         raw = load_default(default_config_path)

@@ -1,0 +1,68 @@
+"""The vectorized float formatter against ``repr`` as the oracle."""
+
+import sys
+
+import numpy as np
+import pytest
+
+from metaring._shortest import repr_chars
+
+CHUNK = 1 << 14
+
+
+def kernel_lines(values: np.ndarray) -> bytes:
+    chars = repr_chars(values)
+    chars[..., -1] = ord("\n")  # the last byte of every cell is free
+    return chars.tobytes().translate(None, b"\0")
+
+
+def repr_lines(values: np.ndarray) -> bytes:
+    with np.errstate(invalid="ignore"):  # a signalling NaN is a random bit pattern too
+        plain = (values + 0.0).tolist()
+    return ("\n".join(map(repr, plain)) + "\n").encode()
+
+
+def assert_same_as_repr(values: np.ndarray) -> None:
+    for start in range(0, len(values), CHUNK):
+        chunk = values[start:start + CHUNK]
+        if kernel_lines(chunk) != repr_lines(chunk):
+            wrong = [(v, kernel_lines(np.array([v])), repr_lines(np.array([v])))
+                     for v in chunk.tolist() if kernel_lines(np.array([v])) != repr_lines(np.array([v]))]
+            pytest.fail(f"kernel differs from repr: {wrong[:5]}")
+
+
+def test_random_bit_patterns():
+    rng = np.random.default_rng(17)
+    bits = rng.integers(0, 2 ** 64, size=1_000_000, dtype=np.uint64, endpoint=False)
+    assert_same_as_repr(bits.view(np.float64))
+
+
+def test_every_power_of_two():
+    assert_same_as_repr(np.ldexp(1.0, np.arange(-1074, 1024)))
+
+
+def test_every_power_of_ten():
+    assert_same_as_repr(np.array([float(f"1e{k}") for k in range(-323, 309)]))
+
+
+def test_edges():
+    ulp_around = [x for v in (1e-5, 1e16) for x in (np.nextafter(v, 0.0), v, np.nextafter(v, 2 * v))]
+    integers = [np.arange(c - 64, c + 65, dtype=np.int64).astype(np.float64)
+                for c in (2 ** 53, 10 ** 16)]
+    # rounding-interval endpoints that fall on an integer of the scaled value
+    endpoints = [2144181128783148.8, 7.052940996798502e+16]
+    values = np.concatenate([[5e-324, -5e-324, sys.float_info.max, -sys.float_info.max,
+                              sys.float_info.min], ulp_around, *integers, endpoints])
+    assert_same_as_repr(np.concatenate([values, -values]))
+
+
+def test_zeros_infinities_and_nan():
+    values = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan])
+    assert kernel_lines(values) == b"0.0\n0.0\ninf\n-inf\nnan\nnan\n"
+
+
+def test_shape_is_kept():
+    values = np.arange(6.0).reshape(2, 3) / 7
+    chars = repr_chars(values)
+    assert chars.shape == (2, 3, chars.shape[-1])
+    assert chars[1, 2].tobytes().replace(b"\0", b"") == repr(5 / 7).encode()
