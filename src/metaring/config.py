@@ -8,7 +8,9 @@ second spelling: ``sweep.field.stop_mT`` in millitesla is read as
 ``_SCHEMA`` mirrors the JSON.  ``_walk`` rewrites a section's aliases, checks
 each leaf's kind, fills in defaults, reports every key the schema does not
 name and builds each section with its constructor, which checks the
-section's physical bounds.
+section's physical bounds.  A bound that faults one field names it first
+(``"rate_hz: must ..."``) and is reported under that field's path.
+``load_config`` then checks the bounds that join sections.
 
 ``load_config`` raises :class:`ConfigError` carrying one
 ``"json.path: message"`` violation per problem; ``validate_config`` returns
@@ -17,6 +19,7 @@ the same list without raising.
 
 import hashlib
 import json
+import math
 import sys
 from collections import Counter
 from pathlib import Path
@@ -24,12 +27,18 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .conversion import ConverterParams
 from .core import BiasState, MicroloopSpec, RingSpec, SegmentParams, checked
-from .dispersion import UnitCell
-from .errors import ConfigError
+from .dispersion import UnitCell, enhancement_steps
+from .errors import BandEdgeError, ConfigError
 
 # sweeps allocate their whole axis at once; far above any real sweep, this
 # catches a typo before it exhausts memory
 _MAX_SWEEP_POINTS = 1_000_000
+# a superconducting resonator's modes lie below its pair-breaking frequency,
+# a few THz at most
+_MAX_MODE_FREQUENCY_HZ = 1e13
+# the saturate runner solves its steady-state cubic in photons; the cubic's
+# discriminant grows as the sixth power of the critical photon number
+_MAX_CRITICAL_PHOTONS = 1e40
 
 
 def _is_finite(value) -> bool:
@@ -66,6 +75,15 @@ class KerrScenario(NamedTuple):
             raise ValueError("kerr rate, quality factor and frequency must be positive")
         if not (0.0 < self.coupling_efficiency <= 1.0):
             raise ValueError("coupling_efficiency must lie in (0, 1]")
+        if self.frequency_hz > _MAX_MODE_FREQUENCY_HZ:
+            raise ValueError(f"frequency_hz: must be <= {_MAX_MODE_FREQUENCY_HZ:g}, "
+                             f"got {self.frequency_hz!r}")
+        # the mean-field Kerr model needs at least one photon at the bifurcation
+        photons = self.kappa / (math.sqrt(3.0) * self.rate_hz)
+        if not 1.0 <= photons <= _MAX_CRITICAL_PHOTONS:
+            raise ValueError(
+                "rate_hz: must put the critical photon number kappa/(sqrt(3) rate_hz) "
+                f"in [1, {_MAX_CRITICAL_PHOTONS:g}], got {photons!r}")
 
     @property
     def kappa(self) -> float:
@@ -181,6 +199,9 @@ def _numbers_section(build, *keys: str) -> _Section:
 
 
 def _converter(kerr, fringe, pairs, **rates):
+    if rates["p0_norm"] is None and rates["n_eff"] is None:
+        raise ValueError("p0_norm: must be a finite number when n_eff is null, "
+                         "since one of them sets the cooperativity")
     return ConverterParams(**rates), kerr, fringe, pairs
 
 
@@ -272,7 +293,8 @@ def _walk(node, spec: _Section, path: str, violations: List[str]):
     try:
         return spec.build(**values)
     except ValueError as exc:
-        violations.append(f"{path}: {exc}")
+        field = str(exc).split(":", 1)[0].split(".", 1)[0]
+        violations.append(f"{prefix}{exc}" if field in spec.fields else f"{path}: {exc}")
         return _FAILED
 
 
@@ -289,17 +311,44 @@ def load_config(path) -> Config:
     sections = _walk(raw, _SCHEMA, "", violations)
     if violations:
         raise ConfigError(sorted(set(violations)))
-    loop, stop = sections["device"]["microloop"], sections["sweep"]["field"]["stop_T"]
+    device, sweep = sections["device"], sections["sweep"]
+    loop, stop = device["microloop"], sweep["field"]["stop_T"]
     if abs(BiasState.from_field(loop, stop).dc_current) >= loop.i_star_narrow:
-        raise ConfigError([
+        violations.append(
             "sweep.field.stop_T: must drive a bias current below "
             f"device.microloop.i_star_narrow, so |stop_T| < "
-            f"{loop.i_star_narrow * loop.loop_dc_inductance / loop.gap!r} T, got {stop!r}"])
+            f"{loop.i_star_narrow * loop.loop_dc_inductance / loop.gap!r} T, got {stop!r}")
+    band = sweep["band"]
+    if not band["stop_hz"] > band["start_hz"]:
+        violations.append(f"sweep.band.stop_hz: must be above sweep.band.start_hz "
+                          f"({band['start_hz']!r}), got {band['stop_hz']!r}")
+    violations.extend(_ratio_violations(device, sweep["ratio"]))
+    if violations:
+        raise ConfigError(violations)
     converter, kerr, fringe, pairs = sections["converter"]
     trace = sections["fit"] and sections["fit"]["trace_csv"]
     return Config(**sections["device"], converter=converter, kerr=kerr, fringe=fringe,
                   pairs=pairs, sweeps=sections["sweep"],
                   fit_trace=trace and Path(path).parent / trace, config_hash=_hash(raw))
+
+
+def _ratio_violations(device: dict, ratio: dict) -> List[str]:
+    """Violations of the ratio sweep, found by the dispersion runner's own index step."""
+    signal, offsets, ratios = ratio["signal_hz"], ratio["offsets_hz"], ratio["values"]
+    if not (offsets and ratios):
+        return []  # the runner skips an empty sweep
+    try:
+        m, n = enhancement_steps(device["cell"], device["ring"].cell_count,
+                                 signal, offsets, ratios)
+    except (ValueError, BandEdgeError) as exc:
+        return [f"sweep.ratio.signal_hz: {exc}"]
+    bad = (n < 1) | (m - n < 1)
+    if not bad.any():
+        return []
+    i, j = divmod(int(bad.argmax()), len(offsets))
+    return [f"sweep.ratio.signal_hz: must lie above the lowest usable mode: at ratio "
+            f"{ratios[i]!r} and offset {offsets[j]!r} Hz the signal mode m = {int(m[i, 0])} "
+            f"has idler step n = {int(n[i, j])}, and the sweep needs n >= 1 and m - n >= 1"]
 
 
 def validate_config(path) -> List[str]:

@@ -122,6 +122,11 @@ class RingSpec:
         _positive("kinetic_inductance_per_length", self.kinetic_inductance_per_length)
         if self.total_length <= 0:
             raise ValueError("total ring length must be positive")
+        constants = self.line_constants()
+        if not constants.cell_inductance * constants.cell_capacitance > 0.0:
+            # the lumped model's cell frequency is 1/(2 pi sqrt(L_0 C_0))
+            raise ValueError("segment1.length: too short for the lumped cell model: "
+                             "the cell's L_0 C_0 underflows to 0")
 
     @property
     def cell_length(self) -> float:

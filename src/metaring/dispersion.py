@@ -275,6 +275,28 @@ class EnhancementPoint(NamedTuple):
     delta_f: float
 
 
+def enhancement_steps(
+    cell: UnitCell,
+    n_cells: int,
+    signal_f: float,
+    offsets: Sequence[float],
+    ratios: Sequence[float],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Signal index m and idler step n of every (ratio, offset) pair.
+
+    For each ratio the bridge capacitance is scaled (inductance unchanged)
+    and m is the mode nearest ``signal_f``; for each idler offset n is
+    chosen so f_{m+n} is nearest f_m + offset.  m is a (ratios, 1) column, n
+    a (ratios, offsets) array.  Raises ``ValueError`` for a negative
+    frequency and ``BandEdgeError`` for one in a stop band; the caller checks
+    n >= 1 and m - n >= 1.
+    """
+    rows = _CellRows([cell.with_capacitance_ratio(ratio) for ratio in ratios])
+    m_sig = rows.mode_index(n_cells, np.full((len(ratios), 1), float(signal_f)))
+    f_sig = rows.solve(n_cells, m_sig)
+    return m_sig, rows.mode_index(n_cells, f_sig + np.asarray(offsets, dtype=float)) - m_sig
+
+
 def idc_enhancement_sweep(
     cell: UnitCell,
     n_cells: int,
@@ -282,22 +304,15 @@ def idc_enhancement_sweep(
     offsets: Sequence[float],
     ratios: Sequence[float],
 ) -> List[EnhancementPoint]:
-    """Mismatch vs bridge-capacitance enhancement.
-
-    For each ratio the bridge capacitance is scaled (inductance unchanged),
-    the signal mode is re-anchored to the mode nearest ``signal_f``, and for
-    each idler offset the partner index n is chosen so f_{m+n} is nearest
-    f_m + offset.  Rows are ordered ratio-major, then by offset.
+    """Mismatch vs bridge-capacitance enhancement at the indices of
+    :func:`enhancement_steps`.  Rows are ordered ratio-major, then by offset.
     """
-    offset_hz = np.asarray(offsets, dtype=float)
-    if np.any(offset_hz <= 0):
+    if np.any(np.asarray(offsets, dtype=float) <= 0):
         raise ValueError("idler offsets must be positive")
-    rows = _CellRows([cell.with_capacitance_ratio(ratio) for ratio in ratios])
-    m_sig = rows.mode_index(n_cells, np.full((len(ratios), 1), float(signal_f)))
-    f_sig = rows.solve(n_cells, m_sig)
-    n = rows.mode_index(n_cells, f_sig + offset_hz) - m_sig
+    m_sig, n = enhancement_steps(cell, n_cells, signal_f, offsets, ratios)
     if np.any(n < 1) or np.any(m_sig - n < 1):
         raise ValueError("require n >= 1 and m - n >= 1")
+    rows = _CellRows([cell.with_capacitance_ratio(ratio) for ratio in ratios])
     # every (ratio, offset) pair's [m - n, m, m + n] in one bisection, as
     # conversion_mismatch solves one of them
     triples = np.concatenate([m_sig - n, np.broadcast_to(m_sig, n.shape), m_sig + n], axis=1)

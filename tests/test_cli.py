@@ -124,11 +124,14 @@ class TestValidate:
         (("sweep", "field", "stop_mT"), -5.0, "sweep.field.stop_T: must drive a bias current"),
         (("sweep", "pump", "stop"), -1.0, "sweep.pump.stop: must be >= 0, got -1.0"),
         (("sweep", "band", "start_hz"), -1.0, "sweep.band.start_hz: must be >= 0, got -1.0"),
+        (("sweep", "band", "stop_hz"), 2e9,
+         "sweep.band.stop_hz: must be above sweep.band.start_hz (4000000000.0), got 2000000000.0"),
     ], ids=["top_unknown", "section_unknown", "nested_unknown", "n_eff_true", "p0_norm_true",
             "values_true", "pairs_true", "n_eff_nan", "segment2_int", "points_true",
             "cell_count_huge", "trace_csv_int", "fit_string", "offset_zero", "ratio_below_one",
             "stop_given_twice", "alias_elsewhere", "stop_mT_true", "stop_past_i_star",
-            "stop_past_minus_i_star", "pump_stop_negative", "band_start_negative"])
+            "stop_past_minus_i_star", "pump_stop_negative", "band_start_negative",
+            "band_stop_below_start"])
     def test_single_violation_names_path(self, tmp_path, default_config_path,
                                          keys, value, expected):
         raw = load_default(default_config_path)
@@ -637,6 +640,36 @@ class TestMainExitCodes:
 
     def test_validate_command(self, default_config_path, tmp_path):
         assert main(["validate", "--config", str(default_config_path)]) == 0
+
+    @pytest.mark.parametrize("edits, leaf", [
+        ({("sweep", "band", "stop_hz"): 2e9}, "sweep.band.stop_hz"),
+        ({("device", "ring", "segment1", "length"): 1e-300}, "device.ring.segment1.length"),
+        ({("converter", "kerr", "rate_hz"): 1e-300}, "converter.kerr.rate_hz"),
+        ({("converter", "kerr", "rate_hz"): 1e300}, "converter.kerr.rate_hz"),
+        ({("converter", "kerr", "rate_hz"): 1e-30}, "converter.kerr.rate_hz"),
+        ({("converter", "kerr", "frequency_hz"): 1e300}, "converter.kerr.frequency_hz"),
+        ({("converter", "p0_norm"): None, ("converter", "n_eff"): None}, "converter.p0_norm"),
+        ({("sweep", "ratio", "signal_hz"): 1e6}, "sweep.ratio.signal_hz"),
+        ({("sweep", "ratio", "signal_hz"): -1e9}, "sweep.ratio.signal_hz"),
+    ], ids=["band_stop_below_start", "ring_segment_1e-300", "kerr_rate_1e-300",
+            "kerr_rate_1e300", "kerr_rate_1e-30", "kerr_frequency_1e300", "no_drive",
+            "signal_1e6", "signal_negative"])
+    def test_validated_config_runs(self, tmp_path, default_config_path, capsys, edits, leaf):
+        raw = load_default(default_config_path)
+        for keys, value in edits.items():
+            node = raw
+            for key in keys[:-1]:
+                node = node[key]
+            node[keys[-1]] = value
+        path = str(write_config(tmp_path, raw, default_config_path))
+        code = main(["validate", "--config", path])
+        if code == 0:
+            code = main(["sweep", "--config", path, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code in (0, 2), err
+        assert "Traceback" not in err
+        if code == 2:
+            assert err.startswith(f"{leaf}: "), err
 
     @pytest.mark.parametrize("fit, violation", [
         ({"trace_csv": 5}, "fit.trace_csv: must be a non-empty string, got 5"),

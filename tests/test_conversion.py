@@ -157,47 +157,68 @@ class TestConversionSpectrum:
         assert 8e4 < width < 4e5  # finite, between the mode scales
 
 
-def bandwidth_200_halvings(params: ConverterParams) -> float:
-    """conversion_bandwidth with all 200 halvings and no early stop: the bit oracle."""
-    c = cooperativity(params)
-    scale = (params.kappa_s + params.kappa_i) * (1.0 + math.sqrt(max(c, 1.0)))
-    grid = np.linspace(0.0, 10.0 * scale, 4001)
-    t2, _ = conversion_spectrum(grid, params)
-    half = float(np.max(t2)) / 2.0
-    lo, hi = float(grid[int(np.argmax(t2))]), 10.0 * scale
+def oracle_bandwidth(params: ConverterParams) -> float:
+    """FWHM from ``conversion_spectrum`` alone, to the last bits.
+
+    t2 is unimodal in d >= 0 (its inverse is a quadratic in d^2).  The peak
+    is bracketed by doubling, located by golden-section search and the outer
+    half-maximum crossing bisected until its bracket holds adjacent floats.
+    """
+    def t2(detuning: float) -> float:
+        return conversion_spectrum(detuning, params)[0]
+
+    top = params.kappa_s + params.kappa_i
+    while t2(top) >= t2(top / 2.0):  # the peak lies below top once t2 falls there
+        top *= 2.0
+    lo, hi = 0.0, top
+    inner = (math.sqrt(5.0) - 1.0) / 2.0
     for _ in range(200):
+        left, right = hi - inner * (hi - lo), lo + inner * (hi - lo)
+        if t2(left) >= t2(right):
+            hi = right
+        else:
+            lo = left
+    peak_at = max((lo, hi), key=t2)
+    half = t2(peak_at) / 2.0
+    lo, hi = peak_at, top
+    while t2(hi) >= half:
+        hi *= 2.0
+    while lo < 0.5 * (lo + hi) < hi:
         mid = 0.5 * (lo + hi)
-        if conversion_spectrum(mid, params)[0] >= half:
+        if t2(mid) >= half:
             lo = mid
         else:
             hi = mid
-    return lo + hi
+    return lo + hi  # 2 * crossing
 
 
-class TestBandwidthBisection:
+def asymmetric_at(c: float) -> ConverterParams:
+    return ConverterParams(kappa_s=8e4, kappa_i=1.6e5, eta_s=0.97, eta_i=0.91, p0_norm=c)
+
+
+class TestBandwidthOracle:
     @pytest.mark.parametrize("params", [
         params_at(0.5),
-        params_at(4.0),
-        ConverterParams(kappa_s=8e4, kappa_i=1.6e5, eta_s=0.97, eta_i=0.91, p0_norm=0.8),
-        ConverterParams(kappa_s=8e4, kappa_i=1.6e5, eta_s=0.97, eta_i=0.91, p0_norm=2.5),
         params_at(1e-9),
         # the shipped converter section of configs/default.json
         ConverterParams(kappa_s=91923.88155425117, kappa_i=91923.88155425117,
                         eta_s=0.99, eta_i=0.98, g0=45961.94077712559, p0_norm=1.0),
-    ], ids=["unsplit", "split", "asymmetric", "asymmetric_split", "near_zero_c", "shipped"])
-    def test_stops_at_the_fixed_point_with_the_same_bits(self, monkeypatch, params):
-        from metaring import conversion
-
-        expected = bandwidth_200_halvings(params)
-        calls = []
-
-        def counted(detuning, p):
-            calls.append(detuning)
-            return conversion_spectrum(detuning, p)
-
-        monkeypatch.setattr(conversion, "conversion_spectrum", counted)
-        assert conversion.conversion_bandwidth(params) == expected
-        assert len(calls) <= 70
+        params_at(1.01),
+        params_at(1.2),
+        params_at(2.5),
+        params_at(4.0),
+        params_at(100.0),
+        asymmetric_at(0.8),
+        asymmetric_at(1.8),
+        asymmetric_at(2.5),
+        asymmetric_at(100.0),
+        # a linewidth ratio of 1e4, where the textbook root is off by 2e-10
+        ConverterParams(kappa_s=1e9, kappa_i=1e5, eta_s=0.97, eta_i=0.91, p0_norm=1.0),
+    ], ids=["unsplit", "near_zero_c", "shipped", "split_1.01", "split_1.2", "split_2.5",
+            "split_4", "split_100", "asymmetric", "asymmetric_split_1.8",
+            "asymmetric_split_2.5", "asymmetric_split_100", "ratio_1e4"])
+    def test_closed_form_matches_numeric_fwhm(self, params):
+        assert rel_err(conversion_bandwidth(params), oracle_bandwidth(params)) < 1e-12
 
 
 class TestCalibratedEfficiency:
