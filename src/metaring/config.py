@@ -25,9 +25,9 @@ from collections import Counter
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from .conversion import ConverterParams
+from .conversion import ConverterParams, bifurcation_drive_power
 from .core import BiasState, MicroloopSpec, RingSpec, SegmentParams, checked
-from .dispersion import UnitCell, enhancement_steps
+from .dispersion import UnitCell, enhancement_steps, mode_index_near
 from .errors import BandEdgeError, ConfigError
 
 # sweeps allocate their whole axis at once; far above any real sweep, this
@@ -84,6 +84,14 @@ class KerrScenario(NamedTuple):
             raise ValueError(
                 "rate_hz: must put the critical photon number kappa/(sqrt(3) rate_hz) "
                 f"in [1, {_MAX_CRITICAL_PHOTONS:g}], got {photons!r}")
+        try:  # the saturate runner writes this power, and in dBm
+            power = bifurcation_drive_power(self.frequency_hz, self.rate_hz, self.kappa,
+                                            self.kappa_ex)
+        except (ArithmeticError, ValueError):  # kappa**3 overflows, or kappa_ex underflows
+            power = math.nan
+        if not 0.0 < power < math.inf:
+            raise ValueError("coupling_efficiency: must keep the critical drive power "
+                             "2 pi h f kappa^3/(3 sqrt(3) rate_hz kappa_ex) positive and finite")
 
     @property
     def kappa(self) -> float:
@@ -322,6 +330,11 @@ def load_config(path) -> Config:
     if not band["stop_hz"] > band["start_hz"]:
         violations.append(f"sweep.band.stop_hz: must be above sweep.band.start_hz "
                           f"({band['start_hz']!r}), got {band['stop_hz']!r}")
+    for key in ("start_hz", "stop_hz"):  # the index step of dispersion.fsr_curve
+        try:
+            mode_index_near(device["cell"], device["ring"].cell_count, band[key])
+        except BandEdgeError as exc:
+            violations.append(f"sweep.band.{key}: {exc}")
     violations.extend(_ratio_violations(device, sweep["ratio"]))
     if violations:
         raise ConfigError(violations)

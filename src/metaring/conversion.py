@@ -66,6 +66,14 @@ class ConverterParams(NamedTuple):
             raise ValueError("n_eff must be non-negative")
         if self.p0_norm is not None and self.p0_norm < 0:
             raise ValueError("p0_norm must be non-negative")
+        try:
+            finite = (self.p0_norm is not None or self.n_eff is None
+                      or math.isfinite(cooperativity(self)))
+        except (OverflowError, ZeroDivisionError):  # g0**2 overflows, kappa_s kappa_i is 0
+            finite = False
+        if not finite:
+            raise ValueError("g0: must make the cooperativity 4 g0^2 n_eff/(kappa_s kappa_i) "
+                             "finite")
 
 
 def cooperativity(params: ConverterParams) -> float:
@@ -468,13 +476,6 @@ def pair_sweep(mode_pairs: Sequence[Tuple[float, float]], c: float) -> List[Pair
 
     The bound eta_s*eta_i is reached exactly at c = 1.
     """
-    results = []
-    for index, (eta_s, eta_i) in enumerate(mode_pairs):
-        result = scattering(c, eta_s, eta_i)
-        results.append(
-            PairEfficiency(
-                index=index, eta_s=eta_s, eta_i=eta_i,
-                efficiency=result.t2, bound=eta_s * eta_i,
-            )
-        )
-    return results
+    return [PairEfficiency(index=index, eta_s=eta_s, eta_i=eta_i,
+                           efficiency=scattering(c, eta_s, eta_i).t2, bound=eta_s * eta_i)
+            for index, (eta_s, eta_i) in enumerate(mode_pairs)]

@@ -6,20 +6,18 @@ frequencies in Hz throughout the public API; angular rates are formed
 internally where a formula requires them.
 
 Every record is immutable after construction and safe to share across
-parallel evaluations.  ``SegmentParams`` and ``RingSpec`` are frozen
-dataclasses (copied with ``dataclasses.replace``) and ``modes.ModeTable`` is
-a slotted class.  Every other record of the package is a
-``typing.NamedTuple``: fields are read by attribute, copied with
-``_replace`` and exported with ``_asdict``, and :func:`checked` gives a
-record its construction checks.  A named tuple class is created several
-times faster than a dataclass, which generates and compiles its methods when
-its module is imported.  The modules that define named tuples leave out
-``from __future__ import annotations``, because a named tuple compiles every
-string annotation when its class is created.
+parallel evaluations.  Every record of the package but ``modes.ModeTable``
+(a slotted class whose ``len`` is its mode count) is a ``typing.NamedTuple``:
+fields are read by attribute, copied with ``_replace`` and exported with
+``_asdict``, and :func:`checked` gives a record its construction checks.  A
+named tuple class is created several times faster than a dataclass, which
+generates and compiles its methods when its module is imported.  The modules
+that define named tuples leave out ``from __future__ import annotations``,
+because a named tuple compiles every string annotation when its class is
+created.
 """
 
 import math
-from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -52,8 +50,8 @@ def checked(cls):
     return cls
 
 
-@dataclass(frozen=True)
-class SegmentParams:
+@checked
+class SegmentParams(NamedTuple):
     """Distributed constants of one transmission-line segment.
 
     Parameters
@@ -70,7 +68,7 @@ class SegmentParams:
     capacitance_per_length: float
     length: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         _positive("inductance_per_length", self.inductance_per_length)
         _positive("capacitance_per_length", self.capacitance_per_length)
         _positive("length", self.length)
@@ -95,8 +93,8 @@ class SegmentParams:
         return 2.0 * math.pi * frequency / self.phase_velocity
 
 
-@dataclass(frozen=True)
-class RingSpec:
+@checked
+class RingSpec(NamedTuple):
     """Geometry and electrical description of the meta-ring.
 
     The ring is a closed chain of ``cell_count`` identical cells.  Each cell
@@ -115,14 +113,10 @@ class RingSpec:
     geometric_inductance_per_length: float
     kinetic_inductance_per_length: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not isinstance(self.cell_count, int) or self.cell_count < 3:
             raise ValueError(f"cell_count must be an integer >= 3, got {self.cell_count!r}")
-        _positive("geometric_inductance_per_length", self.geometric_inductance_per_length)
-        _positive("kinetic_inductance_per_length", self.kinetic_inductance_per_length)
-        if self.total_length <= 0:
-            raise ValueError("total ring length must be positive")
-        constants = self.line_constants()
+        constants = self.line_constants()  # checks the line inductances and the cell length
         if not constants.cell_inductance * constants.cell_capacitance > 0.0:
             # the lumped model's cell frequency is 1/(2 pi sqrt(L_0 C_0))
             raise ValueError("segment1.length: too short for the lumped cell model: "
@@ -163,11 +157,10 @@ class RingSpec:
         _positive("scale", scale)
 
         def rescale(seg: Optional[SegmentParams]) -> Optional[SegmentParams]:
-            if seg is None:
-                return None
-            return replace(seg, capacitance_per_length=seg.capacitance_per_length / scale**2)
+            return None if seg is None else seg._replace(
+                capacitance_per_length=seg.capacitance_per_length / scale**2)
 
-        return replace(self, segment1=rescale(self.segment1), segment2=rescale(self.segment2))
+        return self._replace(segment1=rescale(self.segment1), segment2=rescale(self.segment2))
 
 
 @checked

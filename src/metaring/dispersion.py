@@ -29,7 +29,6 @@ bracket.
 """
 
 import math
-from dataclasses import replace
 from typing import List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
@@ -84,11 +83,8 @@ class UnitCell(NamedTuple):
         """Scale the bridge capacitance by ``ratio`` (>= 1), inductance fixed."""
         if ratio < 1.0:
             raise ValueError(f"capacitance enhancement ratio must be >= 1, got {ratio!r}")
-        seg2 = replace(
-            self.segment2,
-            capacitance_per_length=self.segment2.capacitance_per_length * ratio,
-        )
-        return UnitCell(segment1=self.segment1, segment2=seg2)
+        return self._replace(segment2=self.segment2._replace(
+            capacitance_per_length=self.segment2.capacitance_per_length * ratio))
 
 
 @checked

@@ -16,8 +16,6 @@ constant vector is annihilated by the second difference), so its potential
 does not enter the spectrum.
 """
 
-from __future__ import annotations
-
 import math
 from typing import Sequence, Tuple
 
@@ -107,10 +105,8 @@ def free_spectral_range(ring: RingSpec, band: tuple) -> ModeTable:
         # inverse of f_m = f0*sqrt(1-cos(2*pi*m/N)) on the rising branch
         return n_cells / (2.0 * math.pi) * math.acos(1.0 - min((f / f0) ** 2, 2.0))
 
-    if hi <= lo or hi <= 0:
-        return ModeTable.from_frequencies((), ())
     lo = max(lo, 0.0)
-    if lo >= f_top:
+    if hi <= lo or lo >= f_top:
         return ModeTable.from_frequencies((), ())
     m_lo = max(1, math.ceil(index_at(lo) - 1e-9))
     m_hi = min(n_cells // 2, math.floor(index_at(min(hi, f_top)) + 1e-9))

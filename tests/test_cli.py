@@ -651,9 +651,15 @@ class TestMainExitCodes:
         ({("converter", "p0_norm"): None, ("converter", "n_eff"): None}, "converter.p0_norm"),
         ({("sweep", "ratio", "signal_hz"): 1e6}, "sweep.ratio.signal_hz"),
         ({("sweep", "ratio", "signal_hz"): -1e9}, "sweep.ratio.signal_hz"),
+        ({("converter", "g0"): 1e300, ("converter", "n_eff"): 3,
+          ("converter", "p0_norm"): None}, "converter.g0"),
+        ({("converter", "kerr", "coupling_efficiency"): 1e-300},
+         "converter.kerr.coupling_efficiency"),
+        ({("sweep", "band", "stop_hz"): 1e300}, "sweep.band.stop_hz"),
     ], ids=["band_stop_below_start", "ring_segment_1e-300", "kerr_rate_1e-300",
             "kerr_rate_1e300", "kerr_rate_1e-30", "kerr_frequency_1e300", "no_drive",
-            "signal_1e6", "signal_negative"])
+            "signal_1e6", "signal_negative", "g0_1e300", "kerr_coupling_1e-300",
+            "band_stop_1e300"])
     def test_validated_config_runs(self, tmp_path, default_config_path, capsys, edits, leaf):
         raw = load_default(default_config_path)
         for keys, value in edits.items():
@@ -662,14 +668,25 @@ class TestMainExitCodes:
                 node = node[key]
             node[keys[-1]] = value
         path = str(write_config(tmp_path, raw, default_config_path))
+        out = tmp_path / "out"
         code = main(["validate", "--config", path])
-        if code == 0:
-            code = main(["sweep", "--config", path, "--out", str(tmp_path / "out")])
+        violations = capsys.readouterr().err
+        sweep_code = main(["sweep", "--config", path, "--out", str(out)])
         err = capsys.readouterr().err
-        assert code in (0, 2), err
-        assert "Traceback" not in err
+        assert "Traceback" not in violations + err
         if code == 2:
-            assert err.startswith(f"{leaf}: "), err
+            # the sweep refuses the config with validate's own violations
+            assert violations.startswith(f"{leaf}: "), violations
+            assert (sweep_code, err) == (2, "".join(
+                f"config error: {line}\n" for line in violations.splitlines()))
+        else:
+            assert (code, violations, sweep_code) == (0, "", 0), err
+
+        def reject(constant):
+            raise AssertionError(f"{constant} is not JSON")
+
+        for json_path in out.glob("*.json"):
+            json.loads(json_path.read_text(), parse_constant=reject)
 
     @pytest.mark.parametrize("fit, violation", [
         ({"trace_csv": 5}, "fit.trace_csv: must be a non-empty string, got 5"),

@@ -1,12 +1,13 @@
-"""The record types: immutable, named tuples but for two frozen dataclasses
-and the mode table, and every construction check intact, on construction
-and on ``_replace``."""
+"""The record types: immutable, named tuples but for the mode table, and
+every construction check intact, on construction and on ``_replace``."""
 
-import dataclasses
 import inspect
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ RECORDS = (
     conversion.PairEfficiency, fitting.Trace, fitting.FitResult, config.KerrScenario,
     config.FringeScenario, config.Config, config._Section, cli.RunManifest,
 )
-DATACLASSES = (core.SegmentParams, core.RingSpec)
 # what else the modules define: the fields of Trace, whose own __new__ turns
 # them into arrays, and two private helpers
 HELPERS = {fitting._TraceFields, dispersion._CellRows, config._JsonObject}
@@ -76,7 +76,13 @@ def samples(default_config_path):
 
 
 # valid fields of each validated named tuple
+_SEGMENT = dict(inductance_per_length=57e-6, capacitance_per_length=437e-12, length=25e-6)
 GOOD = {
+    core.SegmentParams: _SEGMENT,
+    core.RingSpec: dict(cell_count=3200, segment1=core.SegmentParams(**_SEGMENT),
+                        segment2=core.SegmentParams(3e-6, 880e-12, 5e-6),
+                        geometric_inductance_per_length=0.25e-6,
+                        kinetic_inductance_per_length=57e-6),
     core.MicroloopSpec: dict(width_ratio=0.5, gap=1e-6, loop_dc_inductance=1e-6,
                              inductance_wide=1e-9, inductance_narrow=2e-9,
                              i_star_wide=1e-3, i_star_narrow=0.5e-3),
@@ -94,8 +100,26 @@ GOOD = {
     config.FringeScenario: dict(cooperativity=0.2, eta_s=1.0, eta_i=1.0),
 }
 
-# record -> [(bad fields, the message the frozen dataclass raised)]
+# record -> [(bad fields, the message that construction and _replace raise)]
 BAD = {
+    core.SegmentParams: [
+        (dict(inductance_per_length=0.0),
+         "inductance_per_length must be a finite positive number, got 0.0"),
+        (dict(capacitance_per_length=-1e-10),
+         "capacitance_per_length must be a finite positive number, got -1e-10"),
+        (dict(length=math.inf), "length must be a finite positive number, got inf"),
+    ],
+    core.RingSpec: [
+        (dict(cell_count=2), "cell_count must be an integer >= 3, got 2"),
+        (dict(cell_count=3200.0), "cell_count must be an integer >= 3, got 3200.0"),
+        (dict(geometric_inductance_per_length=-1.0),
+         "geometric_inductance_per_length must be a finite positive number, got -1.0"),
+        (dict(kinetic_inductance_per_length=math.nan),
+         "kinetic_inductance_per_length must be a finite positive number, got nan"),
+        (dict(segment1=core.SegmentParams(1e-6, 1e-10, 1e-300), segment2=None),
+         "segment1.length: too short for the lumped cell model: "
+         "the cell's L_0 C_0 underflows to 0"),
+    ],
     core.MicroloopSpec: [
         (dict(width_ratio=1.5), "width_ratio must satisfy 0 < gamma <= 1, got 1.5"),
         (dict(gap=-1.0), "gap must be a finite positive number, got -1.0"),
@@ -119,6 +143,10 @@ BAD = {
         (dict(g0=-1.0), "g0 must be non-negative"),
         (dict(n_eff=-1.0), "n_eff must be non-negative"),
         (dict(p0_norm=-1.0), "p0_norm must be non-negative"),
+        (dict(g0=1e300, n_eff=3.0),
+         "g0: must make the cooperativity 4 g0^2 n_eff/(kappa_s kappa_i) finite"),
+        (dict(kappa_s=1e-200, kappa_i=1e-200, g0=1.0, n_eff=3.0),
+         "g0: must make the cooperativity 4 g0^2 n_eff/(kappa_s kappa_i) finite"),
     ],
     conversion.ScatteringResult: [(dict(t2=1.5), "t2 must lie in [0, 1], got 1.5")],
     conversion.NoiseModel: [
@@ -137,6 +165,8 @@ BAD = {
     config.KerrScenario: [
         (dict(quality_factor=-1.0), "kerr rate, quality factor and frequency must be positive"),
         (dict(coupling_efficiency=1.5), "coupling_efficiency must lie in (0, 1]"),
+        (dict(coupling_efficiency=1e-300), "coupling_efficiency: must keep the critical "
+         "drive power 2 pi h f kappa^3/(3 sqrt(3) rate_hz kappa_ex) positive and finite"),
     ],
     config.FringeScenario: [
         (dict(cooperativity=-1.0), "cooperativity must be non-negative"),
@@ -149,10 +179,8 @@ BAD = {
 def test_record_contract(samples, record):
     sample = samples[record]
     assert type(sample) is record
-    assert dataclasses.is_dataclass(record) == (record in DATACLASSES)
-    if record in DATACLASSES:
-        names = [field.name for field in dataclasses.fields(record)]
-    elif record is modes.ModeTable:
+    assert issubclass(record, tuple) == (record is not modes.ModeTable)
+    if record is modes.ModeTable:
         names = record.__slots__
         assert 0 < len(sample) == len(sample.entries)  # len is the mode count
     else:
@@ -171,6 +199,14 @@ def test_record_contract(samples, record):
             with pytest.raises(ValueError) as info:
                 build()
             assert str(info.value) == message
+
+
+def test_cli_import_leaves_out_dataclasses():
+    code = "import sys, metaring.cli; print(sorted({'dataclasses', 'copy'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout == "[]\n"
 
 
 def test_trace_stores_float_arrays():
