@@ -212,26 +212,17 @@ def _run_fringe(config: Config, out: Path) -> List[str]:
 
 def _run_saturate(config: Config, out: Path) -> List[str]:
     scenario = config.kerr
-    kappa, kappa_ex = scenario.kappa, scenario.kappa_ex
-    critical = conversion.bifurcation_point(scenario.rate_hz, kappa, kappa_ex)
-    power_w = conversion.bifurcation_drive_power(
-        scenario.frequency_hz, scenario.rate_hz, kappa, kappa_ex
-    )
-    # sweep drive through the bistable window at twice the critical detuning
-    detuning = 2.0 * critical.detuning
     pump = config.sweeps["pump"]
     drive_ratios = np.linspace(0.0, pump["stop"], pump["points"])
-    state = conversion.kerr_steady_state(
-        detuning, drive_ratios * critical.drive_flux, scenario.rate_hz, kappa, kappa_ex,
-    )
+    critical, power_w, drive_w, state = scenario.saturation(drive_ratios)
     _write_csv(
         out / "saturation.csv",
         ("drive_over_critical", "drive_w", "n_low", "n_mid", "n_high", "bifurcated"),
-        (drive_ratios, drive_ratios * power_w, *state.photon_numbers.T, state.bifurcated),
+        (drive_ratios, drive_w, *state.photon_numbers.T, state.bifurcated),
     )
     _write_json(out / "kerr_summary.json", {
-        "kappa_hz": kappa,
-        "kappa_ex_hz": kappa_ex,
+        "kappa_hz": scenario.kappa,
+        "kappa_ex_hz": scenario.kappa_ex,
         "critical_detuning_hz": critical.detuning,
         "critical_photon_number": critical.photon_number,
         "critical_drive_flux_per_s": critical.drive_flux,

@@ -10,7 +10,9 @@ each leaf's kind, fills in defaults, reports every key the schema does not
 name and builds each section with its constructor, which checks the
 section's physical bounds.  A bound that faults one field names it first
 (``"rate_hz: must ..."``) and is reported under that field's path.
-``load_config`` then checks the bounds that join sections.
+``load_config`` then checks the bounds that join sections.  Where a runner's
+closed form would overflow, the bound is that form itself, evaluated at the
+top of the runner's axis (``_overflows``).
 
 ``load_config`` raises :class:`ConfigError` carrying one
 ``"json.path: message"`` violation per problem; ``validate_config`` returns
@@ -25,13 +27,19 @@ from collections import Counter
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from .conversion import ConverterParams, bifurcation_drive_power
+import numpy as np
+
+from . import conversion
+from .conversion import (ConverterParams, bifurcation_drive_power, bifurcation_point,
+                         conversion_spectrum, cooperativity, scattering)
 from .core import BiasState, MicroloopSpec, RingSpec, SegmentParams, checked
 from .dispersion import UnitCell, enhancement_steps, mode_index_near
 from .errors import BandEdgeError, ConfigError
+from .modes import _first_branch
 
-# sweeps allocate their whole axis at once; far above any real sweep, this
-# catches a typo before it exhausts memory
+# sweeps allocate their whole axis at once, and the modes and dispersion
+# runners one entry per mode index in the band; far above any real sweep,
+# this catches a typo before it exhausts memory
 _MAX_SWEEP_POINTS = 1_000_000
 # a superconducting resonator's modes lie below its pair-breaking frequency,
 # a few THz at most
@@ -39,6 +47,16 @@ _MAX_MODE_FREQUENCY_HZ = 1e13
 # the saturate runner solves its steady-state cubic in photons; the cubic's
 # discriminant grows as the sixth power of the critical photon number
 _MAX_CRITICAL_PHOTONS = 1e40
+
+
+def _overflows(form: Callable, *args) -> bool:
+    """Whether the closed form ``form(*args)`` overflows or gives an invalid value."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            form(*args)
+    except FloatingPointError:
+        return True
+    return False
 
 
 def _is_finite(value) -> bool:
@@ -93,6 +111,22 @@ class KerrScenario(NamedTuple):
             raise ValueError("coupling_efficiency: must keep the critical drive power "
                              "2 pi h f kappa^3/(3 sqrt(3) rate_hz kappa_ex) positive and finite")
 
+    def saturation(self, drive_ratios: np.ndarray):
+        """The saturate runner's sweep at ``drive_ratios`` times the critical drive.
+
+        Returns the critical point, the critical drive power [W], the drive
+        powers [W] and the steady states.  The sweep runs at twice the
+        critical detuning, so the drive crosses the bistable window.
+        """
+        critical = bifurcation_point(self.rate_hz, self.kappa, self.kappa_ex)
+        power_w = bifurcation_drive_power(self.frequency_hz, self.rate_hz, self.kappa,
+                                          self.kappa_ex)
+        # looked up on its module, as the runner did, so perfbench's tracer sees it
+        state = conversion.kerr_steady_state(
+            2.0 * critical.detuning, drive_ratios * critical.drive_flux,
+            self.rate_hz, self.kappa, self.kappa_ex)
+        return critical, power_w, drive_ratios * power_w, state
+
     @property
     def kappa(self) -> float:
         return self.frequency_hz / self.quality_factor
@@ -114,6 +148,8 @@ class FringeScenario(NamedTuple):
         for eta in (self.eta_s, self.eta_i):
             if not (0.0 <= eta <= 1.0):
                 raise ValueError("fringe eta values must lie in [0, 1]")
+        if _overflows(scattering, self.cooperativity, self.eta_s, self.eta_i):
+            raise ValueError(_law_bound("cooperativity", self.cooperativity))
 
 
 class Config(NamedTuple):
@@ -206,11 +242,25 @@ def _numbers_section(build, *keys: str) -> _Section:
     return _Section(dict.fromkeys(keys, _number), build)
 
 
+def _law_bound(field: str, c: float) -> str:
+    return (f"{field}: must keep (1 + C)^2 of the conversion law 4C/(1 + C)^2 finite, "
+            f"got C = {c!r}")
+
+
 def _converter(kerr, fringe, pairs, **rates):
     if rates["p0_norm"] is None and rates["n_eff"] is None:
         raise ValueError("p0_norm: must be a finite number when n_eff is null, "
                          "since one of them sets the cooperativity")
-    return ConverterParams(**rates), kerr, fringe, pairs
+    params = ConverterParams(**rates)
+    c = cooperativity(params)
+    if _overflows(scattering, c, params.eta_s, params.eta_i):  # as the pairs table does
+        field = "g0" if params.p0_norm is None else "p0_norm"
+        raise ValueError(_law_bound(field, c))
+    if _overflows(conversion_spectrum, 0.0, params):
+        raise ValueError("linewidths and cooperativity must keep the conversion spectrum "
+                         "finite at zero detuning, where its denominator is "
+                         "(kappa_s kappa_i (1 + C)/4)^2")
+    return params, kerr, fringe, pairs
 
 
 _SEGMENT = _numbers_section(
@@ -330,19 +380,46 @@ def load_config(path) -> Config:
     if not band["stop_hz"] > band["start_hz"]:
         violations.append(f"sweep.band.stop_hz: must be above sweep.band.start_hz "
                           f"({band['start_hz']!r}), got {band['stop_hz']!r}")
+    # the index ranges that the modes runner and dispersion.fsr_curve allocate;
+    # the first comes from the closed form, so a huge ring is refused before
+    # the unit-cell index step below overflows its integers
+    ring_modes = _first_branch(device["ring"], (band["start_hz"], band["stop_hz"]))[1]
+    if ring_modes.stop - ring_modes.start > _MAX_SWEEP_POINTS:
+        raise ConfigError(violations + [
+            _work_bound("ring modes", ring_modes.stop - ring_modes.start)])
+    edges = []
     for key in ("start_hz", "stop_hz"):  # the index step of dispersion.fsr_curve
         try:
-            mode_index_near(device["cell"], device["ring"].cell_count, band[key])
+            edges.append(mode_index_near(device["cell"], device["ring"].cell_count, band[key]))
         except BandEdgeError as exc:
             violations.append(f"sweep.band.{key}: {exc}")
+    cell_modes = edges[1] + 2 - max(1, edges[0] - 1) if len(edges) == 2 else 0
+    if cell_modes > _MAX_SWEEP_POINTS:
+        violations.append(_work_bound("unit-cell modes", cell_modes))
     violations.extend(_ratio_violations(device, sweep["ratio"]))
+    converter, kerr, fringe, pairs = sections["converter"]
+    pump_stop = sweep["pump"]["stop"]
+    top = np.array([pump_stop])
+    if (_overflows(scattering, top, converter.eta_s, converter.eta_i)
+            or _overflows(kerr.saturation, top)):
+        violations.append(
+            "sweep.pump.stop: must keep the conversion law and the Kerr steady state finite "
+            f"at the top of the pump axis, got {pump_stop!r}")
+    span = sweep["detuning"]["span_hz"]
+    if _overflows(conversion_spectrum, np.array([span / 2.0]), converter):
+        violations.append("sweep.detuning.span_hz: must keep the conversion spectrum finite "
+                          f"at the edges of the detuning axis, got {span!r}")
     if violations:
         raise ConfigError(violations)
-    converter, kerr, fringe, pairs = sections["converter"]
     trace = sections["fit"] and sections["fit"]["trace_csv"]
     return Config(**sections["device"], converter=converter, kerr=kerr, fringe=fringe,
                   pairs=pairs, sweeps=sections["sweep"],
                   fit_trace=trace and Path(path).parent / trace, config_hash=_hash(raw))
+
+
+def _work_bound(what: str, count: int) -> str:
+    return (f"device.ring.cell_count: must put at most {_MAX_SWEEP_POINTS} {what} "
+            f"in sweep.band, got {count:.6g}")
 
 
 def _ratio_violations(device: dict, ratio: dict) -> List[str]:
@@ -351,8 +428,8 @@ def _ratio_violations(device: dict, ratio: dict) -> List[str]:
     if not (offsets and ratios):
         return []  # the runner skips an empty sweep
     try:
-        m, n = enhancement_steps(device["cell"], device["ring"].cell_count,
-                                 signal, offsets, ratios)
+        m, n, _ = enhancement_steps(device["cell"], device["ring"].cell_count,
+                                    signal, offsets, ratios)
     except (ValueError, BandEdgeError) as exc:
         return [f"sweep.ratio.signal_hz: {exc}"]
     bad = (n < 1) | (m - n < 1)

@@ -6,10 +6,11 @@ frequencies in Hz throughout the public API; angular rates are formed
 internally where a formula requires them.
 
 Every record is immutable after construction and safe to share across
-parallel evaluations.  Every record of the package but ``modes.ModeTable``
-(a slotted class whose ``len`` is its mode count) is a ``typing.NamedTuple``:
-fields are read by attribute, copied with ``_replace`` and exported with
-``_asdict``, and :func:`checked` gives a record its construction checks.  A
+parallel evaluations.  Every record of the package is a tuple.
+``modes.ModeTable`` is the tuple of its (m, f_m) pairs, so its ``len`` is its
+mode count; every other record is a ``typing.NamedTuple``: fields are read
+by attribute, copied with ``_replace`` and exported with ``_asdict``, and
+:func:`checked` gives a record its construction checks.  A
 named tuple class is created several times faster than a dataclass, which
 generates and compiles its methods when its module is imported.  The modules
 that define named tuples leave out ``from __future__ import annotations``,
@@ -116,6 +117,8 @@ class RingSpec(NamedTuple):
     def _check(self) -> None:
         if not isinstance(self.cell_count, int) or self.cell_count < 3:
             raise ValueError(f"cell_count must be an integer >= 3, got {self.cell_count!r}")
+        if self.cell_count >= 2**63:  # mode indices are numpy int64s
+            raise ValueError(f"cell_count: must be below 2**63, got {self.cell_count!r}")
         constants = self.line_constants()  # checks the line inductances and the cell length
         if not constants.cell_inductance * constants.cell_capacitance > 0.0:
             # the lumped model's cell frequency is 1/(2 pi sqrt(L_0 C_0))

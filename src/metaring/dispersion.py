@@ -277,20 +277,21 @@ def enhancement_steps(
     signal_f: float,
     offsets: Sequence[float],
     ratios: Sequence[float],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Signal index m and idler step n of every (ratio, offset) pair.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Signal index m, idler step n and signal root f_m of every (ratio, offset) pair.
 
     For each ratio the bridge capacitance is scaled (inductance unchanged)
     and m is the mode nearest ``signal_f``; for each idler offset n is
-    chosen so f_{m+n} is nearest f_m + offset.  m is a (ratios, 1) column, n
-    a (ratios, offsets) array.  Raises ``ValueError`` for a negative
+    chosen so f_{m+n} is nearest f_m + offset.  m and f_m are (ratios, 1)
+    columns, n a (ratios, offsets) array.  Raises ``ValueError`` for a negative
     frequency and ``BandEdgeError`` for one in a stop band; the caller checks
     n >= 1 and m - n >= 1.
     """
     rows = _CellRows([cell.with_capacitance_ratio(ratio) for ratio in ratios])
     m_sig = rows.mode_index(n_cells, np.full((len(ratios), 1), float(signal_f)))
     f_sig = rows.solve(n_cells, m_sig)
-    return m_sig, rows.mode_index(n_cells, f_sig + np.asarray(offsets, dtype=float)) - m_sig
+    n = rows.mode_index(n_cells, f_sig + np.asarray(offsets, dtype=float)) - m_sig
+    return m_sig, n, f_sig
 
 
 def idc_enhancement_sweep(
@@ -305,17 +306,18 @@ def idc_enhancement_sweep(
     """
     if np.any(np.asarray(offsets, dtype=float) <= 0):
         raise ValueError("idler offsets must be positive")
-    m_sig, n = enhancement_steps(cell, n_cells, signal_f, offsets, ratios)
+    m_sig, n, f_sig = enhancement_steps(cell, n_cells, signal_f, offsets, ratios)
     if np.any(n < 1) or np.any(m_sig - n < 1):
         raise ValueError("require n >= 1 and m - n >= 1")
     rows = _CellRows([cell.with_capacitance_ratio(ratio) for ratio in ratios])
-    # every (ratio, offset) pair's [m - n, m, m + n] in one bisection, as
-    # conversion_mismatch solves one of them
-    triples = np.concatenate([m_sig - n, np.broadcast_to(m_sig, n.shape), m_sig + n], axis=1)
-    f_low, f_mid, f_high = np.split(rows.solve(n_cells, triples), 3, axis=1)
-    delta_f = 2.0 * f_mid - (f_high + f_low)
+    # every pair's m - n and m + n in one bisection; each row stops at its
+    # own halving count, so the roots have the bits of conversion_mismatch's
+    pairs = np.concatenate([m_sig - n, m_sig + n], axis=1)
+    f_low, f_high = np.split(rows.solve(n_cells, pairs), 2, axis=1)
+    delta_f = 2.0 * f_sig - (f_high + f_low)
     return [
         EnhancementPoint(ratio=ratio, offset=offset, n=step, signal_f=f, delta_f=delta)
-        for ratio, steps, fs, deltas in zip(ratios, n.tolist(), f_mid.tolist(), delta_f.tolist())
-        for offset, step, f, delta in zip(offsets, steps, fs, deltas)
+        for ratio, steps, f, deltas in zip(ratios, n.tolist(), f_sig[:, 0].tolist(),
+                                           delta_f.tolist())
+        for offset, step, delta in zip(offsets, steps, deltas)
     ]

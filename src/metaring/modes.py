@@ -48,51 +48,42 @@ def analytic_mode_frequency(ring: RingSpec, m: int) -> float:
     return f0 * math.sqrt(1.0 - math.cos(2.0 * math.pi * m_eff / n_cells))
 
 
-class ModeTable:
-    """Modes in a band with their spacings; immutable.
+class ModeTable(tuple):
+    """Modes in a band: the tuple of their (m, f_m) pairs, sorted by m.
 
-    ``entries`` are (m, f_m) sorted by m; ``fsr_list[j]`` is
-    f_{m_{j+1}} - f_{m_j}; ``fsr_mean`` is NaN when fewer than two modes fall
-    in the band.  ``len`` is the mode count.  A named tuple's ``_make`` and
-    ``_replace`` rely on its ``len`` being its field count, so the table is a
-    slotted class.
+    ``len`` is the mode count.  ``fsr_list[j]`` is f_{m_{j+1}} - f_{m_j};
+    ``fsr_mean`` is NaN when fewer than two modes fall in the band.
     """
 
-    __slots__ = ("entries", "fsr_list", "fsr_mean")
-
-    def __init__(self, entries: tuple, fsr_list: tuple, fsr_mean: float) -> None:
-        for name, value in zip(self.__slots__, (entries, fsr_list, fsr_mean)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
+    __slots__ = ()
 
     @classmethod
     def from_frequencies(cls, indices: Sequence[int], frequencies: Sequence[float]) -> "ModeTable":
-        entries = tuple(sorted(zip((int(m) for m in indices), frequencies)))
-        freqs = [f for _, f in entries]
-        fsr = tuple(b - a for a, b in zip(freqs, freqs[1:]))
-        mean = sum(fsr) / len(fsr) if fsr else float("nan")
-        return cls(entries=entries, fsr_list=fsr, fsr_mean=mean)
+        return cls(sorted(zip((int(m) for m in indices), frequencies)))
 
-    def __len__(self) -> int:
-        return len(self.entries)
+    @property
+    def entries(self) -> tuple:
+        return tuple(self)
+
+    @property
+    def fsr_list(self) -> tuple:
+        freqs = [f for _, f in self]
+        return tuple(b - a for a, b in zip(freqs, freqs[1:]))
+
+    @property
+    def fsr_mean(self) -> float:
+        fsr = self.fsr_list
+        return sum(fsr) / len(fsr) if fsr else float("nan")
 
     def csv_columns(self) -> Tuple[list, list, list]:
         """Columns m, f_hz and fsr_to_next_hz; the last spacing is NaN (empty)."""
-        indices = [m for m, _ in self.entries]
-        freqs = [f for _, f in self.entries]
-        return indices, freqs, list(self.fsr_list) + ([math.nan] if self.entries else [])
+        indices = [m for m, _ in self]
+        freqs = [f for _, f in self]
+        return indices, freqs, list(self.fsr_list) + ([math.nan] if self else [])
 
 
-def free_spectral_range(ring: RingSpec, band: tuple) -> ModeTable:
-    """All modes of the first branch (0 < m <= N/2) inside ``band`` [Hz].
-
-    An empty band or a band containing no mode yields an empty table.
-    """
+def _first_branch(ring: RingSpec, band: tuple) -> Tuple[float, range]:
+    """f_0 and the first-branch indices (0 < m <= N/2) ``band`` can hold, unallocated."""
     lo, hi = band
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("band edges must be finite")
@@ -107,14 +98,23 @@ def free_spectral_range(ring: RingSpec, band: tuple) -> ModeTable:
 
     lo = max(lo, 0.0)
     if hi <= lo or lo >= f_top:
-        return ModeTable.from_frequencies((), ())
+        return f0, range(0)
     m_lo = max(1, math.ceil(index_at(lo) - 1e-9))
     m_hi = min(n_cells // 2, math.floor(index_at(min(hi, f_top)) + 1e-9))
+    return f0, range(m_lo, m_hi + 1)
+
+
+def free_spectral_range(ring: RingSpec, band: tuple) -> ModeTable:
+    """All modes of the first branch (0 < m <= N/2) inside ``band`` [Hz].
+
+    An empty band or a band containing no mode yields an empty table.
+    """
+    f0, candidates = _first_branch(ring, band)
     # the closed form of analytic_mode_frequency over the whole index range;
     # m <= N/2, so no index needs folding
-    indices = np.arange(m_lo, m_hi + 1)
-    freqs = f0 * np.sqrt(1.0 - np.cos(2.0 * math.pi * indices / n_cells))
-    inside = (lo <= freqs) & (freqs <= hi)
+    indices = np.arange(candidates.start, candidates.stop)
+    freqs = f0 * np.sqrt(1.0 - np.cos(2.0 * math.pi * indices / ring.cell_count))
+    inside = (band[0] <= freqs) & (freqs <= band[1])
     return ModeTable.from_frequencies(indices[inside].tolist(), freqs[inside].tolist())
 
 

@@ -148,9 +148,10 @@ def taylor_coefficients(
     if np.any(scales <= 0):
         raise ValueError("scale must be positive")
 
+    f_0 = energy(0.0 * scales)  # the same at every step
+
     def stencil(h):
         f_m2, f_m1 = energy(-2.0 * h), energy(-h)
-        f_0 = energy(0.0 * h)
         f_p1, f_p2 = energy(h), energy(2.0 * h)
         h3 = h * h * h
         d3 = (-f_m2 + 2.0 * f_m1 - 2.0 * f_p1 + f_p2) / (2.0 * h3)

@@ -656,10 +656,23 @@ class TestMainExitCodes:
         ({("converter", "kerr", "coupling_efficiency"): 1e-300},
          "converter.kerr.coupling_efficiency"),
         ({("sweep", "band", "stop_hz"): 1e300}, "sweep.band.stop_hz"),
+        ({("converter", "p0_norm"): 1e160}, "converter.p0_norm"),
+        ({("converter", "fringe", "cooperativity"): 1e160}, "converter.fringe.cooperativity"),
+        ({("converter", "g0"): 1e150, ("converter", "n_eff"): 3,
+          ("converter", "p0_norm"): None}, "converter.g0"),
+        ({("sweep", "pump", "stop"): 1e160}, "sweep.pump.stop"),
+        ({("sweep", "pump", "stop"): 1e300}, "sweep.pump.stop"),
+        ({("converter", "kappa_s"): 1e-300}, "converter"),
+        ({("converter", "kappa_i"): 1e160}, "converter"),
+        ({("sweep", "detuning", "span_hz"): 1e160}, "sweep.detuning.span_hz"),
+        ({("device", "ring", "cell_count"): 10**20,
+          ("sweep", "band", "stop_hz"): 4.0000000000001e9}, "device.ring.cell_count"),
     ], ids=["band_stop_below_start", "ring_segment_1e-300", "kerr_rate_1e-300",
             "kerr_rate_1e300", "kerr_rate_1e-30", "kerr_frequency_1e300", "no_drive",
             "signal_1e6", "signal_negative", "g0_1e300", "kerr_coupling_1e-300",
-            "band_stop_1e300"])
+            "band_stop_1e300", "p0_1e160", "fringe_cooperativity_1e160", "g0_1e150",
+            "pump_stop_1e160", "pump_stop_1e300", "kappa_s_1e-300", "kappa_i_1e160",
+            "detuning_span_1e160", "cell_count_1e20_narrow_band"])
     def test_validated_config_runs(self, tmp_path, default_config_path, capsys, edits, leaf):
         raw = load_default(default_config_path)
         for keys, value in edits.items():
@@ -687,6 +700,30 @@ class TestMainExitCodes:
 
         for json_path in out.glob("*.json"):
             json.loads(json_path.read_text(), parse_constant=reject)
+
+    @pytest.mark.parametrize("cell_count, violation", [
+        (10**10, "ring modes in sweep.band, got 2.38182e+08"),
+        (10**12, "ring modes in sweep.band, got 2.38182e+10"),
+    ])
+    def test_huge_ring_refused_before_allocation(self, tmp_path, default_config_path,
+                                                 cell_count, violation):
+        # 1 GiB of address space: the modes runner alone would ask for
+        # 1.77 GiB at 10**10 cells and 177 GiB at 10**12
+        raw = load_default(default_config_path)
+        raw["device"]["ring"]["cell_count"] = cell_count
+        path = write_config(tmp_path, raw, default_config_path)
+        code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30));"
+                "from metaring.cli import main; sys.exit(main())")
+        env = dict(os.environ, PYTHONPATH=str(Path(metaring.__file__).parent.parent),
+                   OPENBLAS_NUM_THREADS="1")
+        expected = f"device.ring.cell_count: must put at most 1000000 {violation}\n"
+        for command, prefix in (("validate", ""), ("sweep", "config error: ")):
+            proc = subprocess.run(
+                [sys.executable, "-c", code, command, "--config", str(path),
+                 "--out", str(tmp_path / "out")],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert (proc.returncode, proc.stderr) == (2, prefix + expected)
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("fit, violation", [
         ({"trace_csv": 5}, "fit.trace_csv: must be a non-empty string, got 5"),

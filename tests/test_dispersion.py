@@ -18,7 +18,7 @@ from metaring import (
     segment_abcd,
     solve_mode_frequency,
 )
-from metaring.dispersion import cell_matrix
+from metaring.dispersion import _CellRows, cell_matrix
 from metaring.errors import BandEdgeError
 from conftest import rel_err
 
@@ -283,6 +283,21 @@ class TestIdcEnhancement:
             assert (p.delta_f, p.signal_f) == (direct.delta_f, direct.signal_f)
             f_low, f_sig, f_high = reference_solve(scaled, N_CELLS, [m - p.n, m, m + p.n])
             assert (p.delta_f, p.signal_f) == (2.0 * f_sig - (f_high + f_low), f_sig)
+
+    def test_signal_modes_bisected_once(self, bloch_cell, monkeypatch):
+        # the shipped grid: the signal mode of each of 5 ratios, then m - n
+        # and m + n of each of 15 (ratio, offset) pairs
+        solved = []
+        solve = _CellRows.solve
+
+        def counting_solve(self, n_cells, modes):
+            solved.append(modes.size)
+            return solve(self, n_cells, modes)
+
+        monkeypatch.setattr(_CellRows, "solve", counting_solve)
+        idc_enhancement_sweep(bloch_cell, N_CELLS, 5e9, [1e9, 2e9, 3e9],
+                              [1.0, 1.5, 2.0, 2.5, 3.0])
+        assert solved == [5, 30]
 
     def test_rejects_non_positive_offset(self, bloch_cell):
         with pytest.raises(ValueError, match="offsets must be positive"):

@@ -149,6 +149,8 @@ class TestFreeSpectralRange:
         assert [m for m, _ in table.entries] == [3, 5, 7]
         assert table.fsr_list == (2e9, 2e9)
         assert table.fsr_mean == pytest.approx(2e9)
+        # the table is the tuple of its pairs, so the order given does not matter
+        assert table == ModeTable.from_frequencies([3, 5, 7], [3e9, 5e9, 7e9])
 
 
 class TestEigenmodeOracle:

@@ -1,5 +1,6 @@
-"""The record types: immutable, named tuples but for the mode table, and
-every construction check intact, on construction and on ``_replace``."""
+"""The record types: immutable tuples, named tuples but for the mode table
+(the tuple of its (m, f_m) pairs), and every construction check intact, on
+construction and on ``_replace``."""
 
 import inspect
 import json
@@ -112,6 +113,7 @@ BAD = {
     core.RingSpec: [
         (dict(cell_count=2), "cell_count must be an integer >= 3, got 2"),
         (dict(cell_count=3200.0), "cell_count must be an integer >= 3, got 3200.0"),
+        (dict(cell_count=2**63), "cell_count: must be below 2**63, got 9223372036854775808"),
         (dict(geometric_inductance_per_length=-1.0),
          "geometric_inductance_per_length must be a finite positive number, got -1.0"),
         (dict(kinetic_inductance_per_length=math.nan),
@@ -171,6 +173,8 @@ BAD = {
     config.FringeScenario: [
         (dict(cooperativity=-1.0), "cooperativity must be non-negative"),
         (dict(eta_i=1.5), "fringe eta values must lie in [0, 1]"),
+        (dict(cooperativity=1e160), "cooperativity: must keep (1 + C)^2 of the conversion "
+         "law 4C/(1 + C)^2 finite, got C = 1e+160"),
     ],
 }
 
@@ -179,9 +183,9 @@ BAD = {
 def test_record_contract(samples, record):
     sample = samples[record]
     assert type(sample) is record
-    assert issubclass(record, tuple) == (record is not modes.ModeTable)
+    assert issubclass(record, tuple)
     if record is modes.ModeTable:
-        names = record.__slots__
+        names = ("entries", "fsr_list", "fsr_mean")
         assert 0 < len(sample) == len(sample.entries)  # len is the mode count
     else:
         names = record._fields

@@ -175,6 +175,19 @@ class TestTaylorCoefficients:
         )
         assert abs(c3) <= 1e-9 * abs(c4) * symmetric_loop.i_star_narrow
 
+    @pytest.mark.parametrize("scale", [1.0, np.array([0.5, 1.0, 2.0])])
+    def test_energy_at_zero_offset_evaluated_once(self, scale):
+        at_zero = []
+
+        def quartic(x):
+            at_zero.append(np.all(x == 0.0))
+            return 2.0 + 1.7 * x * x * x + 0.9 * x * x * x * x
+
+        c3, c4 = taylor_coefficients(quartic, scale=scale)
+        assert sum(at_zero) == 1
+        assert len(at_zero) == 1 + 4 * 3  # first stencil and two halvings
+        assert np.all(np.abs(c3 - 1.7) < 1e-8) and np.all(np.abs(c4 - 0.9) < 1e-8)
+
     def test_non_smooth_function_raises(self):
         wobble = lambda x: x**3 + 1e-3 * math.sin(1e7 * x)
         with pytest.raises(PrecisionError):
