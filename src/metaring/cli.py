@@ -134,18 +134,11 @@ def _run_modes(config: Config, out: Path) -> List[str]:
 
 
 def _run_dispersion(config: Config, out: Path) -> List[str]:
-    n_cells = config.ring.cell_count
     band = (config.sweeps["band"]["start_hz"], config.sweeps["band"]["stop_hz"])
-    curve = dispersion.fsr_curve(config.cell, n_cells, band)
+    curve = dispersion.fsr_curve(config.cell, config.ring.cell_count, band)
     _write_csv(out / "fsr_curve.csv", ("f_hz", "fsr_hz"),
                ([f for f, _ in curve], [fsr for _, fsr in curve]))
-    ratio = config.sweeps["ratio"]
-    points = dispersion.idc_enhancement_sweep(
-        config.cell, n_cells,
-        signal_f=ratio["signal_hz"],
-        offsets=ratio["offsets_hz"],
-        ratios=ratio["values"],
-    ) if ratio["values"] and ratio["offsets_hz"] else []
+    points = config.enhancement  # the ratio sweep that load_config ran and checked
     _write_csv(
         out / "mismatch.csv",
         ("ratio", "offset_hz", "delta_f_hz"),

@@ -12,7 +12,8 @@ section's physical bounds.  A bound that faults one field names it first
 (``"rate_hz: must ..."``) and is reported under that field's path.
 ``load_config`` then checks the bounds that join sections.  Where a runner's
 closed form would overflow, the bound is that form itself, evaluated at the
-top of the runner's axis (``_overflows``).
+top of the runner's axis (``_overflows``).  The ratio sweep is run here, once,
+and its rows are kept on ``Config.enhancement`` for the dispersion runner.
 
 ``load_config`` raises :class:`ConfigError` carrying one
 ``"json.path: message"`` violation per problem; ``validate_config`` returns
@@ -29,11 +30,11 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from . import conversion
+from . import conversion, dispersion
 from .conversion import (ConverterParams, bifurcation_drive_power, bifurcation_point,
                          conversion_spectrum, cooperativity, scattering)
 from .core import BiasState, MicroloopSpec, RingSpec, SegmentParams, checked
-from .dispersion import UnitCell, enhancement_steps, mode_index_near
+from .dispersion import EnhancementPoint, UnitCell, mode_index_near
 from .errors import BandEdgeError, ConfigError
 from .modes import _first_branch
 
@@ -165,6 +166,7 @@ class Config(NamedTuple):
     sweeps: Dict[str, dict]
     fit_trace: Optional[Path]
     config_hash: str
+    enhancement: Tuple[EnhancementPoint, ...]  # the ratio sweep, run once by the validator
 
 
 def _hash(raw: dict) -> str:
@@ -263,6 +265,14 @@ def _converter(kerr, fringe, pairs, **rates):
     return params, kerr, fringe, pairs
 
 
+def _ratio_grid(**ratio) -> dict:
+    pairs = len(ratio["values"]) * len(ratio["offsets_hz"])
+    if pairs > _MAX_SWEEP_POINTS:  # the ratio sweep solves every pair's modes at once
+        raise ValueError(f"values: must give at most {_MAX_SWEEP_POINTS} (ratio, offset) "
+                         f"pairs with offsets_hz, got {pairs}")
+    return ratio
+
+
 _SEGMENT = _numbers_section(
     SegmentParams, "inductance_per_length", "capacitance_per_length", "length")
 
@@ -301,8 +311,8 @@ _SCHEMA = _Section({
             "signal_hz": _number,
             "offsets_hz": (_numbers_each("> 0", lambda v: v > 0), ()),
             "values": (_numbers_each(">= 1", lambda v: v >= 1), ()),
-        }),
-        "band": _Section({"start_hz": _non_negative, "stop_hz": _number}),
+        }, _ratio_grid),
+        "band": _Section({"start_hz": _non_negative, "stop_hz": _non_negative}),
     }),
     "fit": _Section({"trace_csv": (_string, None)}, optional=True),
 })
@@ -396,7 +406,14 @@ def load_config(path) -> Config:
     cell_modes = edges[1] + 2 - max(1, edges[0] - 1) if len(edges) == 2 else 0
     if cell_modes > _MAX_SWEEP_POINTS:
         violations.append(_work_bound("unit-cell modes", cell_modes))
-    violations.extend(_ratio_violations(device, sweep["ratio"]))
+    ratio, enhancement = sweep["ratio"], ()
+    if ratio["offsets_hz"] and ratio["values"]:
+        try:  # looked up on its module, so perfbench's tracer sees it
+            enhancement = tuple(dispersion.idc_enhancement_sweep(
+                device["cell"], device["ring"].cell_count, ratio["signal_hz"],
+                ratio["offsets_hz"], ratio["values"]))
+        except (ValueError, BandEdgeError) as exc:
+            violations.append(f"sweep.ratio.signal_hz: {exc}")
     converter, kerr, fringe, pairs = sections["converter"]
     pump_stop = sweep["pump"]["stop"]
     top = np.array([pump_stop])
@@ -414,31 +431,13 @@ def load_config(path) -> Config:
     trace = sections["fit"] and sections["fit"]["trace_csv"]
     return Config(**sections["device"], converter=converter, kerr=kerr, fringe=fringe,
                   pairs=pairs, sweeps=sections["sweep"],
-                  fit_trace=trace and Path(path).parent / trace, config_hash=_hash(raw))
+                  fit_trace=trace and Path(path).parent / trace, config_hash=_hash(raw),
+                  enhancement=enhancement)
 
 
 def _work_bound(what: str, count: int) -> str:
     return (f"device.ring.cell_count: must put at most {_MAX_SWEEP_POINTS} {what} "
             f"in sweep.band, got {count:.6g}")
-
-
-def _ratio_violations(device: dict, ratio: dict) -> List[str]:
-    """Violations of the ratio sweep, found by the dispersion runner's own index step."""
-    signal, offsets, ratios = ratio["signal_hz"], ratio["offsets_hz"], ratio["values"]
-    if not (offsets and ratios):
-        return []  # the runner skips an empty sweep
-    try:
-        m, n, _ = enhancement_steps(device["cell"], device["ring"].cell_count,
-                                    signal, offsets, ratios)
-    except (ValueError, BandEdgeError) as exc:
-        return [f"sweep.ratio.signal_hz: {exc}"]
-    bad = (n < 1) | (m - n < 1)
-    if not bad.any():
-        return []
-    i, j = divmod(int(bad.argmax()), len(offsets))
-    return [f"sweep.ratio.signal_hz: must lie above the lowest usable mode: at ratio "
-            f"{ratios[i]!r} and offset {offsets[j]!r} Hz the signal mode m = {int(m[i, 0])} "
-            f"has idler step n = {int(n[i, j])}, and the sweep needs n >= 1 and m - n >= 1"]
 
 
 def validate_config(path) -> List[str]:

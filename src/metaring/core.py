@@ -73,6 +73,12 @@ class SegmentParams(NamedTuple):
         _positive("inductance_per_length", self.inductance_per_length)
         _positive("capacitance_per_length", self.capacitance_per_length)
         _positive("length", self.length)
+        l, c = self.inductance_per_length, self.capacitance_per_length
+        # so the phase velocity 1/sqrt(L C) and the impedance sqrt(L/C) are finite, > 0
+        if not (0.0 < l * c < math.inf and 0.0 < l / c < math.inf):
+            raise ValueError("inductance_per_length and capacitance_per_length must keep "
+                             "L C and L/C positive and finite, got "
+                             f"L C = {l * c!r} and L/C = {l / c!r}")
 
     @property
     def impedance(self) -> float:

@@ -65,11 +65,19 @@ class TwoPortMatrix(NamedTuple):
         )
 
 
+@checked
 class UnitCell(NamedTuple):
     """One period of the loaded line: nanowire rail plus bridge."""
 
     segment1: SegmentParams
     segment2: SegmentParams
+
+    def _check(self) -> None:
+        # the bisection bracket [0, 1/(2 cell_delay)], counted in _BISECTION_WIDTH steps
+        delay = self.cell_delay
+        if not (0.0 < delay < math.inf and 0.5 / delay / _BISECTION_WIDTH < math.inf):
+            raise ValueError("segment lengths and line constants must keep the cell delay and "
+                             f"1/(2 cell delay) positive and finite, got cell delay = {delay!r}")
 
     @property
     def cell_length(self) -> float:
@@ -176,7 +184,12 @@ class _CellRows:
         """Nearest first-band mode index of each row's cell at (rows, k) frequencies."""
         if np.any(frequency < 0):
             raise ValueError("frequency must be non-negative")
-        value = self.trace(frequency)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed phase
+            value = self.trace(frequency)
+        unknown = np.isnan(value)
+        if np.any(unknown):
+            raise BandEdgeError(f"{float(frequency[unknown][0])} Hz gives a half trace "
+                                "cos(k l_0) that is not a number")
         outside = np.abs(value) > 1.0
         if np.any(outside):
             raise BandEdgeError(
@@ -271,29 +284,6 @@ class EnhancementPoint(NamedTuple):
     delta_f: float
 
 
-def enhancement_steps(
-    cell: UnitCell,
-    n_cells: int,
-    signal_f: float,
-    offsets: Sequence[float],
-    ratios: Sequence[float],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Signal index m, idler step n and signal root f_m of every (ratio, offset) pair.
-
-    For each ratio the bridge capacitance is scaled (inductance unchanged)
-    and m is the mode nearest ``signal_f``; for each idler offset n is
-    chosen so f_{m+n} is nearest f_m + offset.  m and f_m are (ratios, 1)
-    columns, n a (ratios, offsets) array.  Raises ``ValueError`` for a negative
-    frequency and ``BandEdgeError`` for one in a stop band; the caller checks
-    n >= 1 and m - n >= 1.
-    """
-    rows = _CellRows([cell.with_capacitance_ratio(ratio) for ratio in ratios])
-    m_sig = rows.mode_index(n_cells, np.full((len(ratios), 1), float(signal_f)))
-    f_sig = rows.solve(n_cells, m_sig)
-    n = rows.mode_index(n_cells, f_sig + np.asarray(offsets, dtype=float)) - m_sig
-    return m_sig, n, f_sig
-
-
 def idc_enhancement_sweep(
     cell: UnitCell,
     n_cells: int,
@@ -301,17 +291,32 @@ def idc_enhancement_sweep(
     offsets: Sequence[float],
     ratios: Sequence[float],
 ) -> List[EnhancementPoint]:
-    """Mismatch vs bridge-capacitance enhancement at the indices of
-    :func:`enhancement_steps`.  Rows are ordered ratio-major, then by offset.
+    """Mismatch vs bridge-capacitance enhancement.  Rows are ordered ratio-major,
+    then by offset.
+
+    For each ratio the bridge capacitance is scaled (inductance unchanged)
+    and m is the mode nearest ``signal_f``; for each idler offset n is
+    chosen so f_{m+n} is nearest f_m + offset.  One row per ratio serves two
+    bisections: the signal roots f_m, then every pair's f_{m-n} and f_{m+n},
+    each row stopping at its own halving count, so the roots have the bits
+    of :func:`conversion_mismatch`'s.  Raises ``ValueError`` for a
+    non-positive offset, a negative frequency or a step without n >= 1 and
+    m - n >= 1, and ``BandEdgeError`` for a frequency in a stop band.
     """
-    if np.any(np.asarray(offsets, dtype=float) <= 0):
+    offsets_hz = np.asarray(offsets, dtype=float)
+    if np.any(offsets_hz <= 0):
         raise ValueError("idler offsets must be positive")
-    m_sig, n, f_sig = enhancement_steps(cell, n_cells, signal_f, offsets, ratios)
-    if np.any(n < 1) or np.any(m_sig - n < 1):
-        raise ValueError("require n >= 1 and m - n >= 1")
     rows = _CellRows([cell.with_capacitance_ratio(ratio) for ratio in ratios])
-    # every pair's m - n and m + n in one bisection; each row stops at its
-    # own halving count, so the roots have the bits of conversion_mismatch's
+    m_sig = rows.mode_index(n_cells, np.full((len(ratios), 1), float(signal_f)))
+    f_sig = rows.solve(n_cells, m_sig)
+    n = rows.mode_index(n_cells, f_sig + offsets_hz) - m_sig
+    bad = (n < 1) | (m_sig - n < 1)
+    if bad.any():
+        i, j = divmod(int(bad.argmax()), len(offsets))
+        raise ValueError(
+            f"must lie above the lowest usable mode: at ratio {ratios[i]!r} and offset "
+            f"{offsets[j]!r} Hz the signal mode m = {int(m_sig[i, 0])} has idler step "
+            f"n = {int(n[i, j])}, and the sweep needs n >= 1 and m - n >= 1")
     pairs = np.concatenate([m_sig - n, m_sig + n], axis=1)
     f_low, f_high = np.split(rows.solve(n_cells, pairs), 2, axis=1)
     delta_f = 2.0 * f_sig - (f_high + f_low)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import metaring
-from metaring import cli
+from metaring import cli, dispersion
 from metaring.cli import _CSV_BLOCK_ROWS, _write_csv, main, run
 from metaring.config import (
     _MAX_SWEEP_POINTS,
@@ -126,12 +126,18 @@ class TestValidate:
         (("sweep", "band", "start_hz"), -1.0, "sweep.band.start_hz: must be >= 0, got -1.0"),
         (("sweep", "band", "stop_hz"), 2e9,
          "sweep.band.stop_hz: must be above sweep.band.start_hz (4000000000.0), got 2000000000.0"),
+        (("sweep", "ratio", "signal_hz"), 1e6,
+         "sweep.ratio.signal_hz: must lie above the lowest usable mode: at ratio 1.0 and offset "
+         "1000000000.0 Hz the signal mode m = 1 has idler step n = 13, and the sweep needs "
+         "n >= 1 and m - n >= 1"),
+        (("sweep", "ratio", "signal_hz"), -1e9,
+         "sweep.ratio.signal_hz: frequency must be non-negative"),
     ], ids=["top_unknown", "section_unknown", "nested_unknown", "n_eff_true", "p0_norm_true",
             "values_true", "pairs_true", "n_eff_nan", "segment2_int", "points_true",
             "cell_count_huge", "trace_csv_int", "fit_string", "offset_zero", "ratio_below_one",
             "stop_given_twice", "alias_elsewhere", "stop_mT_true", "stop_past_i_star",
             "stop_past_minus_i_star", "pump_stop_negative", "band_start_negative",
-            "band_stop_below_start"])
+            "band_stop_below_start", "signal_1e6", "signal_negative"])
     def test_single_violation_names_path(self, tmp_path, default_config_path,
                                          keys, value, expected):
         raw = load_default(default_config_path)
@@ -182,6 +188,31 @@ class TestValidate:
         path = write_config(tmp_path, raw, default_config_path)
         assert validate_config(path) == ["sweep.pump.points: must be >= 0"]
 
+    def test_non_finite_trace_is_a_band_edge(self, tmp_path, default_config_path):
+        raw = load_default(default_config_path)
+        raw["device"]["cell"]["segment2"]["inductance_per_length"] = 1e100
+        raw["sweep"]["band"]["stop_hz"] = 1e300
+        path = write_config(tmp_path, raw, default_config_path)
+        assert validate_config(path) == [
+            "sweep.band.start_hz: 4000000000.0 Hz lies outside the propagating band",
+            "sweep.band.stop_hz: 1e+300 Hz gives a half trace cos(k l_0) that is not a number",
+            "sweep.ratio.signal_hz: 5000000000.0 Hz lies outside the propagating band",
+        ]
+
+    def test_ratio_grid_bound(self, tmp_path, default_config_path, capsys):
+        # checked with the section, before load_config runs the ratio sweep
+        raw = load_default(default_config_path)
+        raw["sweep"]["ratio"]["values"] = [1.0 + i / 1000 for i in range(1001)]
+        raw["sweep"]["ratio"]["offsets_hz"] = [1e9] * 1000
+        path = str(write_config(tmp_path, raw, default_config_path))
+        violation = ("sweep.ratio.values: must give at most 1000000 (ratio, offset) pairs "
+                     "with offsets_hz, got 1001000\n")
+        assert main(["validate", "--config", path]) == 2
+        assert capsys.readouterr().err == violation
+        assert main(["sweep", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: {violation}"
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_json_reported(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -206,7 +237,10 @@ def test_readme_config_reference_lists_schema_leaves():
     reference = readme.split("### Config reference", 1)[1].split("\n## ", 1)[0]
     documented = [line.split("`")[1] for line in reference.splitlines()
                   if line.startswith("| `")]
-    assert documented == list(schema_leaf_paths(_SCHEMA))
+    leaves = list(schema_leaf_paths(_SCHEMA))
+    assert sorted(set(leaves) - set(documented)) == []  # a json path without a row
+    assert sorted(set(documented) - set(leaves)) == []  # a row naming no json path
+    assert documented == leaves  # one row each, in schema order
 
 
 def _fmt(value) -> str:
@@ -402,6 +436,25 @@ class TestRun:
             assert (tmp_path / "out" / name).exists()
         manifest_payload = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest_payload["config_hash"] == manifest.config_hash
+
+    def test_sweep_runs_the_ratio_sweep_once(self, default_config_path, tmp_path,
+                                             monkeypatch):
+        # load_config runs it and the dispersion runner writes the rows it kept
+        sweeps, builds = [], []
+        sweep, build = dispersion.idc_enhancement_sweep, dispersion._CellRows.__init__
+
+        def counting_sweep(*args, **kwargs):
+            sweeps.append(args)
+            return sweep(*args, **kwargs)
+
+        def counting_build(self, cells):
+            builds.append(len(cells))
+            build(self, cells)
+
+        monkeypatch.setattr(dispersion, "idc_enhancement_sweep", counting_sweep)
+        monkeypatch.setattr(dispersion._CellRows, "__init__", counting_build)
+        run("sweep", default_config_path, tmp_path / "out")
+        assert len(sweeps) == 1 and builds.count(5) == 1  # 5 ratios in the shipped grid
 
     def test_sweep_process_never_imports_numpy_ma(self, default_config_path, tmp_path):
         # np.median imports numpy.ma on its first call, a cost every fresh
@@ -667,12 +720,31 @@ class TestMainExitCodes:
         ({("sweep", "detuning", "span_hz"): 1e160}, "sweep.detuning.span_hz"),
         ({("device", "ring", "cell_count"): 10**20,
           ("sweep", "band", "stop_hz"): 4.0000000000001e9}, "device.ring.cell_count"),
+        ({("device", "cell", "segment2", "inductance_per_length"): 1e-200,
+          ("device", "cell", "segment2", "capacitance_per_length"): 1e-200},
+         "device.cell.segment2"),
+        ({("device", "cell", "segment2", "inductance_per_length"): 1e200,
+          ("device", "cell", "segment2", "capacitance_per_length"): 1e200},
+         "device.cell.segment2"),
+        ({("device", "cell", "segment1", "inductance_per_length"): 1e-300,
+          ("device", "cell", "segment1", "capacitance_per_length"): 1e-100},
+         "device.cell.segment1"),
+        ({("device", "cell", "segment2", "inductance_per_length"): 1e-300,
+          ("device", "cell", "segment2", "capacitance_per_length"): 1e100},
+         "device.cell.segment2"),
+        ({("device", "cell", "segment2", "inductance_per_length"): 1e100,
+          ("sweep", "band", "stop_hz"): 1e300}, "sweep.band.start_hz"),
+        ({("device", "cell", "segment1", "length"): 1e300,
+          ("device", "cell", "segment1", "capacitance_per_length"): 1e160}, "device.cell"),
+        ({("sweep", "band", "stop_hz"): -1}, "sweep.band.stop_hz"),
     ], ids=["band_stop_below_start", "ring_segment_1e-300", "kerr_rate_1e-300",
             "kerr_rate_1e300", "kerr_rate_1e-30", "kerr_frequency_1e300", "no_drive",
             "signal_1e6", "signal_negative", "g0_1e300", "kerr_coupling_1e-300",
             "band_stop_1e300", "p0_1e160", "fringe_cooperativity_1e160", "g0_1e150",
             "pump_stop_1e160", "pump_stop_1e300", "kappa_s_1e-300", "kappa_i_1e160",
-            "detuning_span_1e160", "cell_count_1e20_narrow_band"])
+            "detuning_span_1e160", "cell_count_1e20_narrow_band", "cell_lc_1e-200",
+            "cell_lc_1e200", "rail_lc_1e-400", "cell_l_over_c_1e-400",
+            "bridge_l_1e100_band_stop_1e300", "cell_delay_inf", "band_stop_negative"])
     def test_validated_config_runs(self, tmp_path, default_config_path, capsys, edits, leaf):
         raw = load_default(default_config_path)
         for keys, value in edits.items():

@@ -143,6 +143,14 @@ class TestSolveModeFrequency:
         with pytest.raises(BandEdgeError):
             mode_index_near(bloch_cell, N_CELLS, gap)
 
+    def test_band_edge_error_for_non_finite_trace(self, bloch_cell):
+        # the bridge phase 2 pi f l / v overflows, so the half trace is NaN;
+        # with warnings as errors, an overflow warning would fail this test
+        heavy = bloch_cell._replace(segment2=bloch_cell.segment2._replace(
+            inductance_per_length=1e100))
+        with pytest.raises(BandEdgeError, match="1e[+]300 Hz gives a half trace cos"):
+            mode_index_near(heavy, N_CELLS, np.array([1e300, 1.0]))
+
     def test_mode_index_inverts_solution(self, bloch_cell):
         modes = [20, 65, 110]
         for m in modes:
@@ -302,6 +310,12 @@ class TestIdcEnhancement:
     def test_rejects_non_positive_offset(self, bloch_cell):
         with pytest.raises(ValueError, match="offsets must be positive"):
             idc_enhancement_sweep(bloch_cell, N_CELLS, 5e9, [1e9, 0.0], [1.0])
+
+    def test_rejects_signal_below_lowest_usable_mode(self, bloch_cell):
+        with pytest.raises(ValueError, match=(
+                "^must lie above the lowest usable mode: at ratio 1.0 and offset "
+                "1000000000.0 Hz the signal mode m = 1 has idler step n = ")):
+            idc_enhancement_sweep(bloch_cell, N_CELLS, 1e6, [1e9], [1.0])
 
     def test_rejects_sub_unity_ratio(self, bloch_cell):
         with pytest.raises(ValueError):

@@ -84,6 +84,8 @@ GOOD = {
                         segment2=core.SegmentParams(3e-6, 880e-12, 5e-6),
                         geometric_inductance_per_length=0.25e-6,
                         kinetic_inductance_per_length=57e-6),
+    dispersion.UnitCell: dict(segment1=core.SegmentParams(**_SEGMENT),
+                              segment2=core.SegmentParams(3e-6, 880e-12, 5e-6)),
     core.MicroloopSpec: dict(width_ratio=0.5, gap=1e-6, loop_dc_inductance=1e-6,
                              inductance_wide=1e-9, inductance_narrow=2e-9,
                              i_star_wide=1e-3, i_star_narrow=0.5e-3),
@@ -109,6 +111,17 @@ BAD = {
         (dict(capacitance_per_length=-1e-10),
          "capacitance_per_length must be a finite positive number, got -1e-10"),
         (dict(length=math.inf), "length must be a finite positive number, got inf"),
+        (dict(inductance_per_length=1e-200, capacitance_per_length=1e-200),
+         "inductance_per_length and capacitance_per_length must keep L C and L/C positive "
+         "and finite, got L C = 0.0 and L/C = 1.0"),
+        (dict(inductance_per_length=1e-300, capacitance_per_length=1e100),
+         "inductance_per_length and capacitance_per_length must keep L C and L/C positive "
+         "and finite, got L C = 1e-200 and L/C = 0.0"),
+    ],
+    dispersion.UnitCell: [
+        (dict(segment1=core.SegmentParams(57e-6, 1e160, 1e300)),
+         "segment lengths and line constants must keep the cell delay and 1/(2 cell delay) "
+         "positive and finite, got cell delay = inf"),
     ],
     core.RingSpec: [
         (dict(cell_count=2), "cell_count must be an integer >= 3, got 2"),
