@@ -25,7 +25,7 @@ class ConditioningError(RuntimeError):
 
 
 class PrecisionError(RuntimeError):
-    """Numeric derivative extraction did not converge to the requested accuracy."""
+    """A function fitted as an exact quartic is not a quartic on the fit nodes."""
 
 
 class NoResonanceError(ValueError):

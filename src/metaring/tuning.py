@@ -11,15 +11,16 @@ Expanding the inductive energy of the two-wire loop in the rf current of the
 narrow wire produces cubic (three-wave-mixing) and quartic (four-wave-mixing)
 terms.  The rf currents in the two wires are tied by the current division
 linearized at the dc operating point, I_rf2*L_k2(I_dc) = I_rf1*L_k1(I_dc).
-``taylor_coefficients`` extracts the same coefficients numerically from the
-energy callable and is the in-package check on the closed forms.
+The energy is therefore an exact quartic in that rf current, and
+``taylor_coefficients`` reads its coefficients from one quartic fit.  It is
+the in-package check on the closed forms.
 
 Every function of a bias takes one bias point or a whole field axis: the dc
 current may be a float or an array, and the results follow its shape.  The
-energy, the closed forms and the Taylor stencil write powers as products: numpy
+energy, the closed forms and the quartic fit write powers as products: numpy
 squares an array as x*x, while a float's x**2 calls libm's pow, which
 differs from x*x in the last bit for some x.  With products a point gets the
-same bits, and so the same stop halving, alone or in an array.
+same bits alone or in an array.
 """
 
 from typing import Callable, Dict, NamedTuple, Tuple, Union
@@ -31,10 +32,16 @@ from .errors import PrecisionError
 
 ArrayLike = Union[float, np.ndarray]
 
-# Richardson extrapolants of the Taylor stencil must agree to this, within
-# this many step halvings
-_TAYLOR_RTOL = 1e-6
-_TAYLOR_HALVINGS = 8
+# Chebyshev nodes of degree 5 on [-1, 1]; each ± pair negates exactly, so an
+# even energy fits with a cubic coefficient at rounding level
+_NODES = (0.0, np.cos(0.3 * np.pi), -np.cos(0.3 * np.pi), np.cos(0.1 * np.pi),
+          -np.cos(0.1 * np.pi))
+# the check node, and how far its energy may miss the fitted quartic, relative
+# to the spread of the node energies
+_CHECK_NODE = 0.37
+_QUARTIC_RTOL = 1e-9
+# the fit nodes keep both wires below this fraction of their i*
+_NODE_SPAN = 0.95
 
 
 @checked
@@ -130,65 +137,50 @@ def taylor_coefficients(
     energy: Callable[[ArrayLike], ArrayLike],
     scale: ArrayLike = 1.0,
 ) -> Tuple[ArrayLike, ArrayLike]:
-    """Cubic and quartic Taylor coefficients of ``energy`` about zero.
+    """Cubic and quartic Taylor coefficients of a quartic ``energy`` about zero.
 
-    Uses five-point central-difference stencils for the third and fourth
-    derivatives, halving the step from 0.1*``scale`` with Richardson
-    extrapolation until successive extrapolants agree to ``_TAYLOR_RTOL``,
-    within ``_TAYLOR_HALVINGS`` halvings.
+    Fits the quartic through the five Chebyshev nodes 0, ±cos(3 pi/10)*scale
+    and ±cos(pi/10)*scale with Newton divided differences: c4 = f[x0..x4] and
+    c3 = f[x0..x3] - c4*(x0+x1+x2+x3).  A quartic has no truncation error to
+    remove, so the nodes span the whole ``scale``, where the quartic term
+    stands farthest above the rounding of the energy.
 
-    ``scale`` is one step scale, which gives two floats, or an array of them,
+    ``scale`` is one node scale, which gives two floats, or an array of them,
     one per point, which gives two arrays of that shape.  ``energy`` then
     takes an array of offsets, one per point, and returns the energies of
-    every point at once.  Each point keeps its first extrapolant that meets
-    the tolerance, exactly as if it were expanded alone.  Raises
-    ``PrecisionError`` when the extrapolation of any point never stabilizes.
+    every point at once; it is called six times.  Raises ``PrecisionError``
+    when, at any point, the energy at the check node 0.37*``scale`` misses
+    the fitted quartic by more than ``_QUARTIC_RTOL`` of the spread of the
+    node energies.
     """
     scales = np.asarray(scale, dtype=float)
     if np.any(scales <= 0):
         raise ValueError("scale must be positive")
 
-    f_0 = energy(0.0 * scales)  # the same at every step
+    x = [node * scales for node in _NODES]
+    energies = [energy(x_k) for x_k in x]
+    column, newton = energies, [energies[0]]  # newton[k] = f[x0..xk]
+    for k in range(1, len(x)):
+        column = [(column[j + 1] - column[j]) / (x[j + k] - x[j])
+                  for j in range(len(column) - 1)]
+        newton.append(column[0])
+    c4 = newton[4]
+    c3 = newton[3] - c4 * (x[0] + x[1] + x[2] + x[3])
 
-    def stencil(h):
-        f_m2, f_m1 = energy(-2.0 * h), energy(-h)
-        f_p1, f_p2 = energy(h), energy(2.0 * h)
-        h3 = h * h * h
-        d3 = (-f_m2 + 2.0 * f_m1 - 2.0 * f_p1 + f_p2) / (2.0 * h3)
-        d4 = (f_m2 - 4.0 * f_m1 + 6.0 * f_0 - 4.0 * f_p1 + f_p2) / (h3 * h)
-        return d3 / 6.0, d4 / 24.0
-
-    h = 0.1 * scales
-    prev3, prev4 = stencil(h)
-    extrap_prev = None
-    c3 = c4 = np.full(scales.shape, np.nan)
-    done = np.zeros(scales.shape, dtype=bool)
-    for _ in range(_TAYLOR_HALVINGS):
-        h = 0.5 * h
-        cur3, cur4 = stencil(h)
-        # central differences carry O(h^2) truncation; 4:1 Richardson weights
-        extrap = ((4.0 * cur3 - prev3) / 3.0, (4.0 * cur4 - prev4) / 3.0)
-        if extrap_prev is not None:
-            floor3 = np.abs(extrap[1]) * scales + 1e-300
-            floor4 = np.abs(extrap[1]) + 1e-300
-            ok3 = np.abs(extrap[0] - extrap_prev[0]) <= _TAYLOR_RTOL * np.maximum(
-                np.abs(extrap[0]), floor3)
-            ok4 = np.abs(extrap[1] - extrap_prev[1]) <= _TAYLOR_RTOL * np.maximum(
-                np.abs(extrap[1]), floor4)
-            first = ok3 & ok4 & ~done
-            c3, c4 = np.where(first, extrap[0], c3), np.where(first, extrap[1], c4)
-            done |= first
-            if done.all():
-                if scales.ndim == 0:
-                    return float(c3), float(c4)
-                return c3, c4
-        extrap_prev = extrap
-        prev3, prev4 = cur3, cur4
-    raise PrecisionError(
-        f"Taylor-coefficient extrapolation did not converge to {_TAYLOR_RTOL} "
-        f"within {_TAYLOR_HALVINGS} step halvings at {int(done.size - done.sum())} "
-        f"of {done.size} points"
-    )
+    check = _CHECK_NODE * scales
+    fitted = newton[4]
+    for k in (3, 2, 1, 0):
+        fitted = newton[k] + (check - x[k]) * fitted
+    missed = np.abs(energy(check) - fitted) > _QUARTIC_RTOL * np.ptp(energies, axis=0)
+    if np.any(missed):
+        raise PrecisionError(
+            f"energy is not a quartic on the fit nodes: the check node misses the "
+            f"fit by more than {_QUARTIC_RTOL} of the node energies' spread at "
+            f"{np.count_nonzero(missed)} of {np.size(missed)} points"
+        )
+    if scales.ndim == 0:
+        return float(c3), float(c4)
+    return c3, c4
 
 
 def nonlinearity_report(loop: MicroloopSpec, bias: BiasState) -> Dict[str, ArrayLike]:
@@ -198,17 +190,24 @@ def nonlinearity_report(loop: MicroloopSpec, bias: BiasState) -> Dict[str, Array
     ``twm``/``fwm`` the closed forms.  The numeric expansion confirms the
     closed forms are themselves the energy coefficients (no extra inductance
     factor), so the reported relative discrepancies sit at numerical noise.
+    Raises ``ValueError`` when the dc current of any point reaches the
+    characteristic current of either wire.
     """
     coeffs = twm_fwm_coefficients(loop, bias)
-    # generous step: the quartic term sits far below the dc energy offset,
-    # so small steps drown in cancellation noise (amplified as 1/h^4)
-    step_scale = 0.2 * np.minimum(
-        loop.i_star_narrow - np.abs(bias.dc_current),
-        loop.i_star_narrow,
-    )
-    c3, c4 = taylor_coefficients(
-        lambda i: loop_energy(i, loop, bias), scale=step_scale
-    )
+    i_dc = bias.dc_current
+    if np.any(np.abs(i_dc) >= min(loop.i_star_narrow, loop.i_star_wide)):
+        raise ValueError("current exceeds the superconducting regime of a nanowire")
+    # fit on the i_rf2 that keep both wire currents, I_dc - i_rf2 and
+    # I_dc + ratio*i_rf2, below _NODE_SPAN of their i*; near i* that interval
+    # leaves zero, and the fit is re-expanded about zero below
+    ratio = rf_current_ratio(loop, bias)
+    narrow, wide = _NODE_SPAN * loop.i_star_narrow, _NODE_SPAN * loop.i_star_wide
+    low = np.maximum(i_dc - narrow, (-wide - i_dc) / ratio)
+    high = np.minimum(i_dc + narrow, (wide - i_dc) / ratio)
+    mid, half = 0.5 * (low + high), 0.5 * (high - low)
+    a3, a4 = taylor_coefficients(lambda y: loop_energy(y + mid, loop, bias), scale=half)
+    # a4*(i - mid)**4 contributes -4*mid*a4 to the cubic coefficient about zero
+    c3, c4 = a3 - 4.0 * mid * a4, a4
     denom3 = np.maximum(np.maximum(np.abs(coeffs.twm), np.abs(c4) * loop.i_star_narrow), 1e-300)
     return {
         "twm": coeffs.twm,

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import metaring
-from metaring import cli, dispersion
+from metaring import cli, dispersion, tuning
 from metaring.cli import _CSV_BLOCK_ROWS, _write_csv, main, run
 from metaring.config import (
     _MAX_SWEEP_POINTS,
@@ -662,15 +662,18 @@ class TestMainExitCodes:
         assert "saturate failed" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
-    def test_failed_tune_writes_nothing(self, tmp_path, default_config_path, capsys):
-        # inside validate's i_star bound, but past where the Taylor extrapolation converges
-        raw = load_default(default_config_path)
-        raw["sweep"]["field"]["stop_mT"] = 1.09
-        path = write_config(tmp_path, raw, default_config_path)
+    def test_failed_tune_writes_nothing(self, tmp_path, default_config_path,
+                                        monkeypatch, capsys):
+        # an energy that is no quartic fails the fit's check node in tune,
+        # after the fit, modes and dispersion runners have written their files
+        energy = tuning.loop_energy
+        monkeypatch.setattr(tuning, "loop_energy",
+                            lambda i_rf2, loop, bias: energy(i_rf2, loop, bias)
+                            * (1.0 + 1e-3 * np.sin(1e4 * i_rf2)))
         out = tmp_path / "out"
-        code = main(["sweep", "--config", str(path), "--out", str(out)])
+        code = main(["sweep", "--config", str(default_config_path), "--out", str(out)])
         assert code == 3
-        assert "solver error" in capsys.readouterr().err
+        assert "solver error: energy is not a quartic" in capsys.readouterr().err
         assert not any(out.glob("*"))
 
     def test_late_io_error_writes_nothing(self, tmp_path, default_config_path,
@@ -737,6 +740,10 @@ class TestMainExitCodes:
         ({("device", "cell", "segment1", "length"): 1e300,
           ("device", "cell", "segment1", "capacitance_per_length"): 1e160}, "device.cell"),
         ({("sweep", "band", "stop_hz"): -1}, "sweep.band.stop_hz"),
+        ({("sweep", "field", "stop_mT"): 1.09}, "sweep.field.stop_T"),
+        ({("sweep", "field", "stop_mT"): -1.0}, "sweep.field.stop_T"),
+        ({("sweep", "field", "stop_mT"): 1.0975}, "sweep.field.stop_T"),
+        ({("sweep", "field", "stop_mT"): -1.0975}, "sweep.field.stop_T"),
     ], ids=["band_stop_below_start", "ring_segment_1e-300", "kerr_rate_1e-300",
             "kerr_rate_1e300", "kerr_rate_1e-30", "kerr_frequency_1e300", "no_drive",
             "signal_1e6", "signal_negative", "g0_1e300", "kerr_coupling_1e-300",
@@ -744,7 +751,9 @@ class TestMainExitCodes:
             "pump_stop_1e160", "pump_stop_1e300", "kappa_s_1e-300", "kappa_i_1e160",
             "detuning_span_1e160", "cell_count_1e20_narrow_band", "cell_lc_1e-200",
             "cell_lc_1e200", "rail_lc_1e-400", "cell_l_over_c_1e-400",
-            "bridge_l_1e100_band_stop_1e300", "cell_delay_inf", "band_stop_negative"])
+            "bridge_l_1e100_band_stop_1e300", "cell_delay_inf", "band_stop_negative",
+            "field_stop_1.09mT", "field_stop_-1mT", "field_stop_1.0975mT",
+            "field_stop_-1.0975mT"])
     def test_validated_config_runs(self, tmp_path, default_config_path, capsys, edits, leaf):
         raw = load_default(default_config_path)
         for keys, value in edits.items():

@@ -26,6 +26,11 @@ SERIES_C3 = 1.2888964490596262e-08   # J/A^3
 SERIES_C4 = 4.361248649054874e-03    # J/A^4
 
 
+def field_bound(loop):
+    """The field at which the dc current reaches the narrow wire's i* [T]."""
+    return loop.i_star_narrow * loop.loop_dc_inductance / loop.gap
+
+
 class TestDcCurrent:
     """The loop supercurrent I_dc = B_ext*d/L_dc of ``BiasState.from_field``."""
 
@@ -180,12 +185,13 @@ class TestTaylorCoefficients:
         at_zero = []
 
         def quartic(x):
+            assert np.shape(x) == np.shape(scale)  # one batch over every point
             at_zero.append(np.all(x == 0.0))
             return 2.0 + 1.7 * x * x * x + 0.9 * x * x * x * x
 
         c3, c4 = taylor_coefficients(quartic, scale=scale)
         assert sum(at_zero) == 1
-        assert len(at_zero) == 1 + 4 * 3  # first stencil and two halvings
+        assert len(at_zero) == 5 + 1  # the fit nodes and the check node
         assert np.all(np.abs(c3 - 1.7) < 1e-8) and np.all(np.abs(c4 - 0.9) < 1e-8)
 
     def test_non_smooth_function_raises(self):
@@ -247,20 +253,37 @@ class TestNonlinearityReport:
             assert report["c3_vs_twm_rel"] < 1e-6
             assert report["c4_vs_fwm_rel"] < 1e-6
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(fraction=st.floats(min_value=-1.0, max_value=1.0,
+                              exclude_min=True, exclude_max=True))
+    def test_property_matches_closed_forms_over_whole_range(self, microloop, fraction):
+        # validate accepts every field whose dc current stays below i*
+        field = fraction * field_bound(microloop)
+        report = nonlinearity_report(microloop, BiasState.from_field(microloop, field))
+        assert report["c3_vs_twm_rel"] <= 1e-10
+        assert report["c4_vs_fwm_rel"] <= 1e-10
+
 
 class TestBatchedExpansion:
-    @pytest.mark.parametrize("points", [41, 6001])
-    def test_batch_matches_per_point_calls(self, default_config_path, points):
-        # the shipped field axis, and the same span at the scaled sweep's density
+    @pytest.mark.parametrize("points, whole_range", [
+        (41, False), (6001, False), (4001, True),
+    ], ids=["41", "6001", "4001_whole_range"])
+    def test_batch_matches_per_point_calls(self, default_config_path, points, whole_range):
+        # the shipped field axis, the same span at the scaled sweep's density,
+        # and every field inside validate's bound on either side of zero
         config = load_config(default_config_path)
         loop = config.microloop
-        fields = np.linspace(0.0, config.sweeps["field"]["stop_T"], points)
+        if whole_range:
+            bound = field_bound(loop)
+            fields = np.linspace(-bound, bound, points + 2)[1:-1]
+        else:
+            fields = np.linspace(0.0, config.sweeps["field"]["stop_T"], points)
         batch = nonlinearity_report(loop, BiasState.from_field(loop, fields))
         for j, b_ext in enumerate(fields.tolist()):
             single = nonlinearity_report(loop, BiasState.from_field(loop, b_ext))
             for key in ("c3", "c4"):
                 assert isinstance(single[key], float)
-                assert abs(batch[key][j] - single[key]) <= 1e-12 * abs(single[key]), (key, j)
+                assert batch[key][j] == single[key], (key, j)
 
     def test_closed_forms_bit_identical_alone_and_batched(self, default_config_path):
         # a float's x**3 calls libm pow, an array's goes through numpy's own
