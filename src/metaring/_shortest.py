@@ -47,6 +47,8 @@ _PLACES = (10 ** 12, 10 ** 8, 10 ** 4, 1)
 # a NUL (the 17th fraction digit's slot), then "e-324" to "e+308"
 _E0 = 324
 _EXPONENT = np.array([b"\0e%+03d" % e for e in range(-_E0, 309)], "S8").view(np.uint64)
+# the cells the kernel does not scale: zero, inf, -inf and NaN
+_SPELLINGS = np.array([b"0.0", b"inf", b"-inf", b"nan"], f"S{WIDTH}").view(np.uint8).reshape(4, -1)
 
 
 def _power(s: int):
@@ -177,12 +179,11 @@ def repr_chars(values: np.ndarray) -> np.ndarray:
         out.view(np.uint64)[exponential, 5] = _EXPONENT.take(e10[exponential] + _E0)
     out[:, 40] = (fraction != 0) * (fraction + 48)
 
-    if not kernel.all():
-        for rows, text in ((np.isnan(x), b"nan"), (x == np.inf, b"inf"),
-                           (x == -np.inf, b"-inf"), (x == 0.0, b"0.0")):
-            out[rows] = 0
-            out[rows, :len(text)] = np.frombuffer(text, np.uint8)
-        unsure |= ~kernel & np.isfinite(x) & (x != 0.0)
+    special = np.flatnonzero(~kernel)
+    if len(special):
+        xs = x[special]
+        out[special] = _SPELLINGS.take(np.isinf(xs) * (1 + (xs < 0)) + 3 * np.isnan(xs), axis=0)
+        unsure[special] = np.isfinite(xs) & (xs != 0.0)  # out of range: repr
     fallback = np.flatnonzero(unsure)
     if len(fallback):
         cells = np.array([repr(v) for v in x[fallback].tolist()], dtype="S24")

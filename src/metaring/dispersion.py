@@ -25,7 +25,8 @@ top: a second band, once open, would have to rise to +1 before closing.
 Every target in [-1, 1) therefore has exactly one crossing on the bracket,
 the smallest root, and bisection finds it.  Several cells (the rows of a
 capacitance-enhancement sweep) share one halving loop, each row on its own
-bracket.
+bracket.  The two segments' constants are stacked on a leading axis, so one
+cos and one sin call serve t_1 and t_2 of every row at once.
 """
 
 import math
@@ -140,22 +141,24 @@ class _CellRows:
         rails = [cell.segment1 for cell in cells]
         bridges = [cell.segment2 for cell in cells]
         f_top = [0.5 / cell.cell_delay for cell in cells]
-        self.v1 = column([s.phase_velocity for s in rails])  # rail phase velocity [m/s]
-        self.l1 = column([s.length for s in rails])
-        self.v2 = column([s.phase_velocity for s in bridges])  # bridge phase velocity [m/s]
-        self.l2 = column([s.length for s in bridges])
+        # rail (0) and bridge (1) stacked on a leading axis: phase velocity [m/s], length
+        self.v = np.array([[s.phase_velocity for s in rails],
+                           [s.phase_velocity for s in bridges]]).reshape(2, -1, 1)
+        self.l = np.array([[s.length for s in rails],
+                           [s.length for s in bridges]]).reshape(2, -1, 1)
         self.mismatch = column([0.5 * (s1.impedance / s2.impedance + s2.impedance / s1.impedance)
                                 for s1, s2 in zip(rails, bridges)])
         self.f_top = column(f_top)  # bisection bracket top 1/(2 cell_delay) [Hz]
         # halvings that narrow each bracket below _BISECTION_WIDTH
-        self.halvings = column(
-            [math.ceil(math.log2(f / _BISECTION_WIDTH)) for f in f_top], int)
+        counts = [math.ceil(math.log2(f / _BISECTION_WIDTH)) for f in f_top]
+        self.halvings = column(counts, int)
+        self.shared_halvings = min(counts, default=0)  # every row still halving
 
     def trace(self, f: np.ndarray) -> np.ndarray:
         """cos(k l_0) of each row's cell at that row's frequencies."""
-        t1 = 2.0 * math.pi * f / self.v1 * self.l1
-        t2 = 2.0 * math.pi * f / self.v2 * self.l2
-        return np.cos(t1) * np.cos(t2) - self.mismatch * np.sin(t1) * np.sin(t2)
+        t = 2.0 * math.pi * f / self.v * self.l
+        c, s = np.cos(t), np.sin(t)
+        return c[0] * c[1] - self.mismatch * s[0] * s[1]
 
     def solve(self, n_cells: int, modes: np.ndarray) -> np.ndarray:
         """Roots of the half trace at cos(2*pi*m/N) for (rows, k) mode indices.
@@ -175,9 +178,13 @@ class _CellRows:
         for i in range(self.halvings.max(initial=0)):
             mid = 0.5 * (f_lo + f_hi)
             above = self.trace(mid) > target
-            live = i < self.halvings
-            f_lo = np.where(above & live, mid, f_lo)
-            f_hi = np.where(above | ~live, f_hi, mid)
+            if i < self.shared_halvings:
+                f_lo = np.where(above, mid, f_lo)
+                f_hi = np.where(above, f_hi, mid)
+            else:
+                live = i < self.halvings
+                f_lo = np.where(above & live, mid, f_lo)
+                f_hi = np.where(above | ~live, f_hi, mid)
         return 0.5 * (f_lo + f_hi)
 
     def mode_index(self, n_cells: int, frequency: np.ndarray) -> np.ndarray:
@@ -259,9 +266,10 @@ def fsr_curve(
     lo, hi = band
     if hi <= lo:
         return []
-    m_lo, m_hi = mode_index_near(cell, n_cells, np.array([lo, hi])).tolist()
+    rows = _CellRows([cell])
+    m_lo, m_hi = rows.mode_index(n_cells, np.array([[lo, hi]]))[0].tolist()
     modes = np.arange(max(1, m_lo - 1), m_hi + 2)
-    freqs = solve_mode_frequency(cell, n_cells, modes).tolist()
+    freqs = rows.solve(n_cells, modes.reshape(1, -1))[0].tolist()
     return [(f, f_next - f) for f, f_next in zip(freqs, freqs[1:]) if lo <= f <= hi]
 
 

@@ -296,11 +296,11 @@ class TestColumnWriter:
 
 
 class TestKernelSplit:
-    """Tables of at least one block format floats with the vectorized kernel."""
+    """Tables of at least half a block format floats with the vectorized kernel."""
 
-    @pytest.mark.parametrize("rows, uses_kernel", [(_CSV_BLOCK_ROWS - 1, False),
-                                                   (_CSV_BLOCK_ROWS, True)])
-    def test_kernel_from_one_block(self, tmp_path, monkeypatch, rows, uses_kernel):
+    @pytest.mark.parametrize("rows, uses_kernel", [(_CSV_BLOCK_ROWS // 2 - 1, False),
+                                                   (_CSV_BLOCK_ROWS // 2, True)])
+    def test_kernel_from_half_a_block(self, tmp_path, monkeypatch, rows, uses_kernel):
         import metaring._shortest as shortest
 
         calls = []
@@ -309,6 +309,8 @@ class TestKernelSplit:
         rng = np.random.default_rng(3)
         values = rng.standard_normal(rows) * 10.0 ** rng.integers(-30, 30, rows)
         values[::97], values[::89], values[::83] = np.nan, 0.0, -0.0
+        # the cells the kernel does not scale: infinities, a subnormal, |x| > 1e290
+        values[::79], values[::73], values[::71], values[::67] = np.inf, -np.inf, 5e-324, 1e300
         columns = (values, -values / 3, np.arange(rows), values > 0)
         _write_csv(tmp_path / "columns.csv", ("a", "b", "c", "d"), columns)
         write_csv_per_cell(tmp_path / "cells.csv", ("a", "b", "c", "d"), zip(*columns))

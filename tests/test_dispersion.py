@@ -170,6 +170,27 @@ class TestSolveModeFrequency:
             scalar = solve_mode_frequency(cell, N_CELLS, int(m_k))
             assert isinstance(scalar, float) and scalar == f_k
 
+    def test_rows_with_different_halvings_match_lone_cells(self, bloch_cell):
+        # bracket tops more than 2x apart: the rows share the first halvings,
+        # then the shorter ones stop while the longest goes on
+        cells = [bloch_cell.with_capacitance_ratio(ratio) for ratio in (1.0, 1000.0, 3.0)]
+        tops = [0.5 / cell.cell_delay for cell in cells]
+        assert max(tops) > 2.0 * min(tops)
+        rows = _CellRows(cells)
+        counts = [halving_count(cell) for cell in cells]
+        assert rows.halvings.ravel().tolist() == counts
+        assert rows.shared_halvings == min(counts) < max(counts)
+        # three modes inside the band of each row, then two at or next to its edge
+        modes = np.array([[1, 7, 400, 1599, 1600], [1200, 1, 9, 1600, 1599], [50, 3, 1, 1600, 2]])
+        roots = rows.solve(N_CELLS, modes)
+        index = rows.mode_index(N_CELLS, roots[:, :3])
+        for cell, m, f, m_near in zip(cells, modes, roots, index):
+            alone = solve_mode_frequency(cell, N_CELLS, m)
+            assert f.tobytes() == alone.tobytes()
+            assert f.tolist() == reference_solve(cell, N_CELLS, m)
+            assert m_near.tolist() == mode_index_near(cell, N_CELLS, f[:3]).tolist()
+        assert index.tolist() == modes[:, :3].tolist()
+
     @pytest.mark.parametrize("ratio", [1.0, 2.0, 3.0, 4.0])  # 1.0 is the design cell
     def test_trace_brackets_a_single_crossing(self, bloch_cell, ratio):
         # the bisection bracket [0, 1/(2 cell_delay)] holds one crossing per
@@ -213,6 +234,18 @@ class TestFsrCurve:
     def test_points_inside_band(self, bloch_cell):
         points = fsr_curve(bloch_cell, N_CELLS, (4e9, 9e9))
         assert all(4e9 <= p[0] <= 9e9 for p in points)
+
+    def test_cell_rows_built_once(self, bloch_cell, monkeypatch):
+        builds = []
+        init = _CellRows.__init__
+
+        def counting_init(self, cells):
+            builds.append(len(cells))
+            init(self, cells)
+
+        monkeypatch.setattr(_CellRows, "__init__", counting_init)
+        assert fsr_curve(bloch_cell, N_CELLS, (4e9, 9e9))
+        assert builds == [1]
 
     def test_empty_band(self, bloch_cell):
         assert fsr_curve(bloch_cell, N_CELLS, (5e9, 4e9)) == []

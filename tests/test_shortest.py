@@ -61,6 +61,17 @@ def test_zeros_infinities_and_nan():
     assert kernel_lines(values) == b"0.0\n0.0\ninf\n-inf\nnan\nnan\n"
 
 
+def test_special_cells_scattered_among_normal_ones():
+    # zeros, infinities, NaN, subnormals and |x| beyond the kernel's range
+    # in one block, each among normal values, where the kernel hands over
+    rng = np.random.default_rng(23)
+    values = rng.standard_normal(1024) * 10.0 ** rng.integers(-30, 30, 1024)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+               sys.float_info.min / 3, -2.5e-310, 1e291, -3e295, sys.float_info.max, 1e-291]
+    values[rng.choice(len(values), len(special), replace=False)] = special
+    assert_same_as_repr(values)
+
+
 def test_shape_is_kept():
     values = np.arange(6.0).reshape(2, 3) / 7
     chars = repr_chars(values)

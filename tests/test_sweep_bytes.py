@@ -3,7 +3,7 @@
 ``tests/data/sweep_sha256.json`` holds the hashes for two configs: the
 shipped ``configs/default.json``, and a copy with ten times the cells and
 2001 points on every sweep axis, so both CSV float paths are covered (one
-``repr`` per cell below 1024 rows, the vectorized formatter from there on).
+``repr`` per cell below 512 rows, the vectorized formatter from there on).
 Beside them it records the Python and numpy versions, the machine and
 numpy's enabled CPU features.  Elsewhere libm and numpy's SIMD loops may
 round differently, so the test skips and names the difference.
