@@ -37,12 +37,14 @@ from .errors import BandEdgeError, ConditioningError, ConfigError, PrecisionErro
 
 COMMANDS = ("fit", "modes", "dispersion", "tune", "convert", "fringe", "saturate", "sweep")
 # rows formatted and written at a time: the cells of a whole scaled sweep
-# column set would otherwise all be alive at once.  Tables of at least half a
-# block format their floats with the vectorized kernel (metaring._shortest),
-# shorter ones with one repr per cell.  The kernel overtakes repr at about
-# 100-250 rows, but its module takes about 4 ms to import from source, so the
-# shipped sweep (at most 401 rows a table) stays on repr.
+# column set would otherwise all be alive at once
 _CSV_BLOCK_ROWS = 1024
+# Tables of at least this many rows format their floats with the vectorized
+# kernel (metaring._shortest), shorter ones with one repr per cell.  The
+# kernel overtakes repr at about 150-250 rows, but its module takes about
+# 4 ms to import from source, so the shipped sweep (at most 401 rows a table)
+# stays on repr.
+_KERNEL_MIN_ROWS = 512
 
 
 class RunManifest(NamedTuple):
@@ -107,7 +109,7 @@ def _write_csv(path: Path, header: Sequence[str], columns: Sequence) -> None:
             raise TypeError(f"CSV columns hold floats, ints or bools, not {array.dtype}")
     rows = len(arrays[0]) if arrays else 0
     float_chars = _repr_chars
-    if rows >= _CSV_BLOCK_ROWS // 2:
+    if rows >= _KERNEL_MIN_ROWS:
         from ._shortest import repr_chars as float_chars
     with open(path, "wb") as handle:
         handle.write((",".join(header) + "\n").encode())

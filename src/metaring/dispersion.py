@@ -150,9 +150,8 @@ class _CellRows:
                                 for s1, s2 in zip(rails, bridges)])
         self.f_top = column(f_top)  # bisection bracket top 1/(2 cell_delay) [Hz]
         # halvings that narrow each bracket below _BISECTION_WIDTH
-        counts = [math.ceil(math.log2(f / _BISECTION_WIDTH)) for f in f_top]
-        self.halvings = column(counts, int)
-        self.shared_halvings = min(counts, default=0)  # every row still halving
+        self.halvings = column(
+            [math.ceil(math.log2(f / _BISECTION_WIDTH)) for f in f_top], int)
 
     def trace(self, f: np.ndarray) -> np.ndarray:
         """cos(k l_0) of each row's cell at that row's frequencies."""
@@ -178,13 +177,9 @@ class _CellRows:
         for i in range(self.halvings.max(initial=0)):
             mid = 0.5 * (f_lo + f_hi)
             above = self.trace(mid) > target
-            if i < self.shared_halvings:
-                f_lo = np.where(above, mid, f_lo)
-                f_hi = np.where(above, f_hi, mid)
-            else:
-                live = i < self.halvings
-                f_lo = np.where(above & live, mid, f_lo)
-                f_hi = np.where(above | ~live, f_hi, mid)
+            live = i < self.halvings
+            f_lo = np.where(above & live, mid, f_lo)
+            f_hi = np.where(above | ~live, f_hi, mid)
         return 0.5 * (f_lo + f_hi)
 
     def mode_index(self, n_cells: int, frequency: np.ndarray) -> np.ndarray:

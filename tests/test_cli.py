@@ -12,7 +12,7 @@ import pytest
 
 import metaring
 from metaring import cli, dispersion, tuning
-from metaring.cli import _CSV_BLOCK_ROWS, _write_csv, main, run
+from metaring.cli import _CSV_BLOCK_ROWS, _KERNEL_MIN_ROWS, _write_csv, main, run
 from metaring.config import (
     _MAX_SWEEP_POINTS,
     _SCHEMA,
@@ -296,11 +296,11 @@ class TestColumnWriter:
 
 
 class TestKernelSplit:
-    """Tables of at least half a block format floats with the vectorized kernel."""
+    """Tables of at least _KERNEL_MIN_ROWS rows format floats with the vectorized kernel."""
 
-    @pytest.mark.parametrize("rows, uses_kernel", [(_CSV_BLOCK_ROWS // 2 - 1, False),
-                                                   (_CSV_BLOCK_ROWS // 2, True)])
-    def test_kernel_from_half_a_block(self, tmp_path, monkeypatch, rows, uses_kernel):
+    @pytest.mark.parametrize("rows, uses_kernel", [(_KERNEL_MIN_ROWS - 1, False),
+                                                   (_KERNEL_MIN_ROWS, True)])
+    def test_kernel_from_min_rows(self, tmp_path, monkeypatch, rows, uses_kernel):
         import metaring._shortest as shortest
 
         calls = []

@@ -179,7 +179,7 @@ class TestSolveModeFrequency:
         rows = _CellRows(cells)
         counts = [halving_count(cell) for cell in cells]
         assert rows.halvings.ravel().tolist() == counts
-        assert rows.shared_halvings == min(counts) < max(counts)
+        assert min(counts) < max(counts)
         # three modes inside the band of each row, then two at or next to its edge
         modes = np.array([[1, 7, 400, 1599, 1600], [1200, 1, 9, 1600, 1599], [50, 3, 1, 1600, 2]])
         roots = rows.solve(N_CELLS, modes)
