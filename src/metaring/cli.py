@@ -166,26 +166,19 @@ def _run_tune(config: Config, out: Path) -> List[str]:
 
 
 def _run_convert(config: Config, out: Path) -> List[str]:
-    params = config.converter
-    pump = config.sweeps["pump"]
-    powers = np.linspace(0.0, pump["stop"], pump["points"])
-    split = conversion.scattering(powers, params.eta_s, params.eta_i)
-    _write_csv(out / "pump.csv", ("p0_norm", "t2", "r2"), (powers, split.t2, split.r2))
-
-    det = config.sweeps["detuning"]
-    deltas = np.linspace(-det["span_hz"] / 2.0, det["span_hz"] / 2.0, det["points"])
-    t2, r2 = conversion.conversion_spectrum(deltas, params)
-    _write_csv(out / "spectrum.csv", ("delta_hz", "t2", "r2"), (deltas, t2, r2))
-
-    c = conversion.cooperativity(params)
+    # both axes and their values, evaluated once by load_config
+    _write_csv(out / "pump.csv", ("p0_norm", "t2", "r2"),
+               (config.pump_axis, *config.conversion_law))
+    _write_csv(out / "spectrum.csv", ("delta_hz", "t2", "r2"),
+               (config.detuning_axis, *config.spectrum))
+    c = conversion.cooperativity(config.converter)
     pairs = conversion.pair_sweep(config.pairs, c)
     _write_csv(out / "pairs.csv", ("pair_index", "eta_product", "t2"),
                ([p.index for p in pairs], [p.bound for p in pairs],
                 [p.efficiency for p in pairs]))
-    bandwidth = conversion.conversion_bandwidth(params)
     _write_json(out / "convert_summary.json", {
         "cooperativity": c,
-        "bandwidth_hz": bandwidth,
+        "bandwidth_hz": conversion.conversion_bandwidth(config.converter),
     })
     return ["pump.csv", "spectrum.csv", "pairs.csv", "convert_summary.json"]
 
@@ -207,18 +200,15 @@ def _run_fringe(config: Config, out: Path) -> List[str]:
 
 
 def _run_saturate(config: Config, out: Path) -> List[str]:
-    scenario = config.kerr
-    pump = config.sweeps["pump"]
-    drive_ratios = np.linspace(0.0, pump["stop"], pump["points"])
-    critical, power_w, drive_w, state = scenario.saturation(drive_ratios)
+    critical, power_w, drive_w, state = config.saturation  # evaluated by load_config
     _write_csv(
         out / "saturation.csv",
         ("drive_over_critical", "drive_w", "n_low", "n_mid", "n_high", "bifurcated"),
-        (drive_ratios, drive_w, *state.photon_numbers.T, state.bifurcated),
+        (config.pump_axis, drive_w, *state.photon_numbers.T, state.bifurcated),
     )
     _write_json(out / "kerr_summary.json", {
-        "kappa_hz": scenario.kappa,
-        "kappa_ex_hz": scenario.kappa_ex,
+        "kappa_hz": config.kerr.kappa,
+        "kappa_ex_hz": config.kerr.kappa_ex,
         "critical_detuning_hz": critical.detuning,
         "critical_photon_number": critical.photon_number,
         "critical_drive_flux_per_s": critical.drive_flux,

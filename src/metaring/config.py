@@ -11,9 +11,9 @@ name and builds each section with its constructor, which checks the
 section's physical bounds.  A bound that faults one field names it first
 (``"rate_hz: must ..."``) and is reported under that field's path.
 ``load_config`` then checks the bounds that join sections.  Where a runner's
-closed form would overflow, the bound is that form itself, evaluated at the
-top of the runner's axis (``_overflows``).  The ratio sweep is run here, once,
-and its rows are kept on ``Config.enhancement`` for the dispersion runner.
+closed form would overflow, the bound is that form itself, evaluated once on
+the runner's own axis (``_evaluate``).  ``Config`` keeps these axes and values,
+and the rows of the ratio sweep, also run here once; the runners write them.
 
 ``load_config`` raises :class:`ConfigError` carrying one
 ``"json.path: message"`` violation per problem; ``validate_config`` returns
@@ -31,8 +31,8 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import conversion, dispersion
-from .conversion import (ConverterParams, bifurcation_drive_power, bifurcation_point,
-                         conversion_spectrum, cooperativity, scattering)
+from .conversion import (ConverterParams, ScatteringResult, bifurcation_drive_power,
+                         bifurcation_point, conversion_spectrum, cooperativity, scattering)
 from .core import BiasState, MicroloopSpec, RingSpec, SegmentParams, checked
 from .dispersion import EnhancementPoint, UnitCell, mode_index_near
 from .errors import BandEdgeError, ConfigError
@@ -50,14 +50,13 @@ _MAX_MODE_FREQUENCY_HZ = 1e13
 _MAX_CRITICAL_PHOTONS = 1e40
 
 
-def _overflows(form: Callable, *args) -> bool:
-    """Whether the closed form ``form(*args)`` overflows or gives an invalid value."""
+def _evaluate(form: Callable, *args):
+    """``form(*args)``, or None where the closed form overflows or gives an invalid value."""
     try:
         with np.errstate(over="raise", invalid="raise"):
-            form(*args)
+            return form(*args)
     except FloatingPointError:
-        return True
-    return False
+        return None
 
 
 def _is_finite(value) -> bool:
@@ -122,7 +121,7 @@ class KerrScenario(NamedTuple):
         critical = bifurcation_point(self.rate_hz, self.kappa, self.kappa_ex)
         power_w = bifurcation_drive_power(self.frequency_hz, self.rate_hz, self.kappa,
                                           self.kappa_ex)
-        # looked up on its module, as the runner did, so perfbench's tracer sees it
+        # looked up on its module, so perfbench's tracer sees it
         state = conversion.kerr_steady_state(
             2.0 * critical.detuning, drive_ratios * critical.drive_flux,
             self.rate_hz, self.kappa, self.kappa_ex)
@@ -149,7 +148,7 @@ class FringeScenario(NamedTuple):
         for eta in (self.eta_s, self.eta_i):
             if not (0.0 <= eta <= 1.0):
                 raise ValueError("fringe eta values must lie in [0, 1]")
-        if _overflows(scattering, self.cooperativity, self.eta_s, self.eta_i):
+        if _evaluate(scattering, self.cooperativity, self.eta_s, self.eta_i) is None:
             raise ValueError(_law_bound("cooperativity", self.cooperativity))
 
 
@@ -167,6 +166,11 @@ class Config(NamedTuple):
     fit_trace: Optional[Path]
     config_hash: str
     enhancement: Tuple[EnhancementPoint, ...]  # the ratio sweep, run once by the validator
+    pump_axis: np.ndarray  # the convert and saturate runners' axis, built by the validator
+    conversion_law: ScatteringResult  # scattering over pump_axis, evaluated by the validator
+    saturation: tuple  # KerrScenario.saturation over pump_axis, likewise
+    detuning_axis: np.ndarray  # the convert runner's spectrum axis, likewise
+    spectrum: Tuple[np.ndarray, np.ndarray]  # conversion_spectrum over detuning_axis, likewise
 
 
 def _hash(raw: dict) -> str:
@@ -255,10 +259,10 @@ def _converter(kerr, fringe, pairs, **rates):
                          "since one of them sets the cooperativity")
     params = ConverterParams(**rates)
     c = cooperativity(params)
-    if _overflows(scattering, c, params.eta_s, params.eta_i):  # as the pairs table does
+    if _evaluate(scattering, c, params.eta_s, params.eta_i) is None:  # as the pairs table does
         field = "g0" if params.p0_norm is None else "p0_norm"
         raise ValueError(_law_bound(field, c))
-    if _overflows(conversion_spectrum, 0.0, params):
+    if _evaluate(conversion_spectrum, 0.0, params) is None:
         raise ValueError("linewidths and cooperativity must keep the conversion spectrum "
                          "finite at zero detuning, where its denominator is "
                          "(kappa_s kappa_i (1 + C)/4)^2")
@@ -368,11 +372,12 @@ def _walk(node, spec: _Section, path: str, violations: List[str]):
 
 def load_config(path) -> Config:
     """Parse, validate and build a configuration."""
-    text = Path(path).read_text()
-    try:
-        raw = json.loads(text, object_pairs_hook=_json_object)
+    try:  # an unreadable file raises OSError, an I/O error
+        raw = json.loads(Path(path).read_bytes().decode("utf-8"), object_pairs_hook=_json_object)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"$: invalid JSON ({exc})"]) from None
+    except (RecursionError, ValueError) as exc:  # not UTF-8, too deep, too many digits
+        raise ConfigError([f"$: cannot be parsed ({exc})"]) from None
     if not isinstance(raw, dict):
         raise ConfigError(["$: top level must be a JSON object"])
     violations: List[str] = []
@@ -415,15 +420,18 @@ def load_config(path) -> Config:
         except (ValueError, BandEdgeError) as exc:
             violations.append(f"sweep.ratio.signal_hz: {exc}")
     converter, kerr, fringe, pairs = sections["converter"]
-    pump_stop = sweep["pump"]["stop"]
-    top = np.array([pump_stop])
-    if (_overflows(scattering, top, converter.eta_s, converter.eta_i)
-            or _overflows(kerr.saturation, top)):
+    pump, span = sweep["pump"], sweep["detuning"]["span_hz"]  # the runners' own axes
+    pump_axis = np.linspace(0.0, pump["stop"], pump["points"])
+    detuning_axis = np.linspace(-span / 2.0, span / 2.0, sweep["detuning"]["points"])
+    # looked up on their module, so perfbench's tracer sees them
+    law = _evaluate(conversion.scattering, pump_axis, converter.eta_s, converter.eta_i)
+    saturation = _evaluate(kerr.saturation, pump_axis)
+    if law is None or saturation is None:
         violations.append(
             "sweep.pump.stop: must keep the conversion law and the Kerr steady state finite "
-            f"at the top of the pump axis, got {pump_stop!r}")
-    span = sweep["detuning"]["span_hz"]
-    if _overflows(conversion_spectrum, np.array([span / 2.0]), converter):
+            f"at the top of the pump axis, got {pump['stop']!r}")
+    spectrum = _evaluate(conversion.conversion_spectrum, detuning_axis, converter)
+    if spectrum is None:
         violations.append("sweep.detuning.span_hz: must keep the conversion spectrum finite "
                           f"at the edges of the detuning axis, got {span!r}")
     if violations:
@@ -432,7 +440,8 @@ def load_config(path) -> Config:
     return Config(**sections["device"], converter=converter, kerr=kerr, fringe=fringe,
                   pairs=pairs, sweeps=sections["sweep"],
                   fit_trace=trace and Path(path).parent / trace, config_hash=_hash(raw),
-                  enhancement=enhancement)
+                  enhancement=enhancement, pump_axis=pump_axis, conversion_law=law,
+                  saturation=saturation, detuning_axis=detuning_axis, spectrum=spectrum)
 
 
 def _work_bound(what: str, count: int) -> str:

@@ -1,17 +1,25 @@
 import csv
+import io
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
+import warnings
+from collections import Counter
+from contextlib import redirect_stderr
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import metaring
-from metaring import cli, dispersion, tuning
+from conftest import CONFIG_DIR
+from metaring import cli, conversion, dispersion, tuning
 from metaring.cli import _CSV_BLOCK_ROWS, _KERNEL_MIN_ROWS, _write_csv, main, run
 from metaring.config import (
     _MAX_SWEEP_POINTS,
@@ -219,9 +227,101 @@ class TestValidate:
         violations = validate_config(path)
         assert violations and "invalid JSON" in violations[0]
 
+    @pytest.mark.parametrize("text, reason", [
+        (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0"),
+        (b"[" * 100_000, "maximum recursion depth exceeded"),
+        (b'{"sweep": ' + b"1" * (sys.get_int_max_str_digits() + 1) + b"}",
+         f"Exceeds the limit ({sys.get_int_max_str_digits()} digits)"),
+    ], ids=["not_utf8", "nested_100000_deep", "integer_past_digit_limit"])
+    def test_unparseable_file_exit_2(self, tmp_path, capsys, text, reason):
+        path = tmp_path / "config.json"
+        path.write_bytes(text)
+        for command, prefix in (("validate", ""), ("sweep", "config error: ")):
+            code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+            lines = capsys.readouterr().err.splitlines()
+            assert (code, len(lines)) == (2, 1), lines
+            assert lines[0].startswith(f"{prefix}$: cannot be parsed ({reason}"), lines
+        assert not (tmp_path / "out").exists()
+
     def test_unreadable_file_is_io_error(self, tmp_path):
         with pytest.raises(OSError):
             validate_config(tmp_path / "missing.json")
+
+
+def numeric_leaves(node, keys=()):
+    """The key path of every number in a JSON document, list entries included."""
+    if isinstance(node, (dict, list)):
+        for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from numeric_leaves(value, keys + (key,))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield keys
+
+
+DEFAULT_CONFIG = CONFIG_DIR / "default.json"
+LEAVES = sorted(numeric_leaves(json.loads(DEFAULT_CONFIG.read_text())), key=str)
+
+
+def leaf_value(keys):
+    """Values drawn for one leaf: the sizes small, the field stop inside its bound."""
+    if keys[-1] in ("cell_count", "points"):
+        return st.integers(0, 3) | st.integers(0, 400)
+    if keys[-1] == "stop_mT":
+        return st.floats(-1.0976, 1.0976, exclude_min=True, exclude_max=True)
+    return st.sampled_from([0, -1, 0.5, 2, 3]) | st.builds(
+        lambda sign, decades: sign * 10.0 ** decades,
+        st.sampled_from([1.0, -1.0]), st.floats(-300.0, 300.0))
+
+
+JOINT_EDITS = st.lists(st.sampled_from(LEAVES), min_size=1, max_size=3, unique=True).flatmap(
+    lambda leaves: st.tuples(*(st.tuples(st.just(keys), leaf_value(keys)) for keys in leaves)))
+
+
+def run_main(argv):
+    """``main``'s exit code and stderr lines, with every warning raised."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    return code, err.getvalue().splitlines()
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(edits=JOINT_EDITS)
+@example(edits=((("sweep", "pump", "stop"), 1e300), (("sweep", "pump", "points"), 1)))
+@example(edits=((("sweep", "pump", "stop"), 1e300), (("sweep", "pump", "points"), 2)))
+@example(edits=((("sweep", "detuning", "span_hz"), 1e160), (("sweep", "detuning", "points"), 0)))
+@example(edits=((("sweep", "detuning", "span_hz"), -1e300),
+                (("sweep", "detuning", "points"), 1)))
+def test_joint_inputs_validate_and_sweep_agree(edits):
+    # 1-3 numeric leaves of the shipped config moved together: validate names
+    # each violation under a schema path, and a config it accepts sweeps cleanly
+    raw = json.loads(DEFAULT_CONFIG.read_text())
+    for keys, value in edits:
+        node = raw
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+    # a violation is reported under a schema section or leaf, or under $
+    roots = {"$"} | {".".join(leaf.split(".")[:depth]) for leaf in schema_leaf_paths(_SCHEMA)
+                     for depth in range(1, leaf.count(".") + 2)}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(write_config(Path(tmp), raw, DEFAULT_CONFIG))
+        out = Path(tmp) / "out"
+        code, violations = run_main(["validate", "--config", path])
+        sweep_code, err = run_main(["sweep", "--config", path, "--out", str(out)])
+        assert code in (0, 2), violations
+        assert all(line.split(": ", 1)[0] in roots for line in violations), violations
+        if code == 2:
+            assert violations
+            assert (sweep_code, err) == (2, [f"config error: {line}" for line in violations])
+            return
+        assert (violations, sweep_code, err) == ([], 0, [])
+
+        def reject(constant):
+            raise AssertionError(f"{constant} is not JSON")
+
+        for json_path in out.glob("*.json"):
+            json.loads(json_path.read_text(), parse_constant=reject)
 
 
 def schema_leaf_paths(section, prefix=""):
@@ -457,6 +557,24 @@ class TestRun:
         monkeypatch.setattr(dispersion._CellRows, "__init__", counting_build)
         run("sweep", default_config_path, tmp_path / "out")
         assert len(sweeps) == 1 and builds.count(5) == 1  # 5 ratios in the shipped grid
+
+    def test_sweep_evaluates_each_axis_once(self, default_config_path, tmp_path, monkeypatch):
+        # load_config evaluates the pump and detuning axes; the runners write them
+        calls = Counter()
+        for name, axis_arg in (("kerr_steady_state", 1), ("scattering", 0),
+                               ("conversion_spectrum", 0)):
+            def counting(*args, _form=getattr(conversion, name), _name=name, _axis=axis_arg):
+                calls[_name, np.size(args[_axis])] += 1
+                return _form(*args)
+
+            monkeypatch.setattr(conversion, name, counting)
+        run("sweep", default_config_path, tmp_path / "out")
+        sweep = load_default(default_config_path)["sweep"]
+        pump, detuning = sweep["pump"]["points"], sweep["detuning"]["points"]
+        assert sum(n for (name, _), n in calls.items() if name == "kerr_steady_state") == 1
+        assert calls["kerr_steady_state", pump] == 1
+        assert calls["scattering", pump] == 1
+        assert calls["conversion_spectrum", detuning] == 1
 
     def test_sweep_process_never_imports_numpy_ma(self, default_config_path, tmp_path):
         # np.median imports numpy.ma on its first call, a cost every fresh
@@ -746,6 +864,13 @@ class TestMainExitCodes:
         ({("sweep", "field", "stop_mT"): -1.0}, "sweep.field.stop_T"),
         ({("sweep", "field", "stop_mT"): 1.0975}, "sweep.field.stop_T"),
         ({("sweep", "field", "stop_mT"): -1.0975}, "sweep.field.stop_T"),
+        ({("sweep", "pump", "stop"): 1e300, ("sweep", "pump", "points"): 0}, "sweep.pump.stop"),
+        ({("sweep", "pump", "stop"): 1e300, ("sweep", "pump", "points"): 1}, "sweep.pump.stop"),
+        ({("sweep", "pump", "stop"): 1e300, ("sweep", "pump", "points"): 2}, "sweep.pump.stop"),
+        ({("sweep", "detuning", "span_hz"): 1e160, ("sweep", "detuning", "points"): 0},
+         "sweep.detuning.span_hz"),
+        ({("sweep", "detuning", "span_hz"): 1e160, ("sweep", "detuning", "points"): 1},
+         "sweep.detuning.span_hz"),
     ], ids=["band_stop_below_start", "ring_segment_1e-300", "kerr_rate_1e-300",
             "kerr_rate_1e300", "kerr_rate_1e-30", "kerr_frequency_1e300", "no_drive",
             "signal_1e6", "signal_negative", "g0_1e300", "kerr_coupling_1e-300",
@@ -755,7 +880,9 @@ class TestMainExitCodes:
             "cell_lc_1e200", "rail_lc_1e-400", "cell_l_over_c_1e-400",
             "bridge_l_1e100_band_stop_1e300", "cell_delay_inf", "band_stop_negative",
             "field_stop_1.09mT", "field_stop_-1mT", "field_stop_1.0975mT",
-            "field_stop_-1.0975mT"])
+            "field_stop_-1.0975mT", "pump_stop_1e300_0_points", "pump_stop_1e300_1_point",
+            "pump_stop_1e300_2_points", "detuning_span_1e160_0_points",
+            "detuning_span_1e160_1_point"])
     def test_validated_config_runs(self, tmp_path, default_config_path, capsys, edits, leaf):
         raw = load_default(default_config_path)
         for keys, value in edits.items():
