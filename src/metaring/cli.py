@@ -4,10 +4,13 @@
 
 Commands: fit, modes, dispersion, tune, convert, fringe, saturate, sweep.
 ``fit`` reads the complex trace ``fit.trace_csv`` (columns f_hz, re, im);
-``sweep`` runs the others in that order.  The runners write into a staging
-directory inside the output directory, and their files are moved into place
-only once every runner has succeeded, so a failed run adds no data file.
-Every command writes RFC-4180 CSV (LF line endings; each cell a number,
+``sweep`` runs the others.  A runner builds its tables from the config and
+checks the bounds of its own work; it writes nothing.  Every command first
+plans (runs every runner but the fit), so ``validate`` and every command
+refuse a config alike.  Then the fit runs, one loop writes the tables into a
+staging directory inside the output directory, and the files are moved into
+place only once all are written, so a failed run adds no data file.  Every
+command writes RFC-4180 CSV (LF line endings; each cell a number,
 ``true``/``false`` or empty) and/or JSON data files plus a
 ``manifest.json``.  Data files are byte-identical for identical (command,
 config); the wall clock appears only in the manifest.
@@ -27,12 +30,12 @@ import sys
 import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import List, NamedTuple, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import conversion, dispersion, fitting, modes, tuning
-from .config import Config, load_config, validate_config
+from .config import _MAX_SWEEP_POINTS, Config, _evaluate, load_config
 from .errors import BandEdgeError, ConditioningError, ConfigError, PrecisionError
 
 COMMANDS = ("fit", "modes", "dispersion", "tune", "convert", "fringe", "saturate", "sweep")
@@ -124,153 +127,243 @@ def _write_json(path: Path, payload: dict) -> None:
         handle.write("\n")
 
 
-def _run_modes(config: Config, out: Path) -> List[str]:
+def _work_bound(what: str, count: int) -> str:
+    return (f"device.ring.cell_count: must put at most {_MAX_SWEEP_POINTS} {what} "
+            f"in sweep.band, got {count:.6g}")
+
+
+def _pump(config: Config) -> tuple:
+    """The pump axis of the convert and saturate runners, and the violation bounding it."""
+    pump = config.sweeps["pump"]
+    return (np.linspace(0.0, pump["stop"], pump["points"]),
+            "sweep.pump.stop: must keep the conversion law and the Kerr steady state finite "
+            f"at the top of the pump axis, got {pump['stop']!r}")
+
+
+def _run_tune(config: Config) -> list:
+    loop, sweep = config.microloop, config.sweeps["field"]
+    stop = sweep["stop_T"]
+    if abs(tuning.BiasState.from_field(loop, stop).dc_current) >= loop.i_star_narrow:
+        raise ConfigError([
+            "sweep.field.stop_T: must drive a bias current below "
+            f"device.microloop.i_star_narrow, so |stop_T| < "
+            f"{loop.i_star_narrow * loop.loop_dc_inductance / loop.gap!r} T, got {stop!r}"])
+    fields = np.linspace(0.0, stop, sweep["points"])
+    bias = tuning.BiasState.from_field(loop, fields)
+    shift = tuning.fractional_frequency_shift(loop, bias)
+    report = tuning.nonlinearity_report(loop, bias)
+    return [("tuning.csv", (("b_ext_tesla", "i_dc_amp", "df_over_f", "T", "F", "c3", "c4"),
+                            (fields, bias.dc_current, shift, report["twm"], report["fwm"],
+                             report["c3"], report["c4"])))]
+
+
+def _run_modes(config: Config) -> list:
     band = (config.sweeps["band"]["start_hz"], config.sweeps["band"]["stop_hz"])
+    # the index range free_spectral_range allocates, from the closed form
+    indices = modes._first_branch(config.ring, band)[1]
+    if indices.stop - indices.start > _MAX_SWEEP_POINTS:
+        raise ConfigError([_work_bound("ring modes", indices.stop - indices.start)])
     table = modes.free_spectral_range(config.ring, band)
-    _write_csv(out / "modes.csv", ("m", "f_hz", "fsr_to_next_hz"), table.csv_columns())
-    _write_json(out / "modes_summary.json", {
-        "band_hz": list(band),
-        "mode_count": len(table),
-        "fsr_mean_hz": None if math.isnan(table.fsr_mean) else table.fsr_mean,
-    })
-    return ["modes.csv", "modes_summary.json"]
+    fsr_mean = None if math.isnan(table.fsr_mean) else table.fsr_mean
+    return [
+        ("modes.csv", (("m", "f_hz", "fsr_to_next_hz"), table.csv_columns())),
+        ("modes_summary.json", {"band_hz": list(band), "mode_count": len(table),
+                                "fsr_mean_hz": fsr_mean}),
+    ]
 
 
-def _run_dispersion(config: Config, out: Path) -> List[str]:
-    band = (config.sweeps["band"]["start_hz"], config.sweeps["band"]["stop_hz"])
-    curve = dispersion.fsr_curve(config.cell, config.ring.cell_count, band)
-    _write_csv(out / "fsr_curve.csv", ("f_hz", "fsr_hz"),
-               ([f for f, _ in curve], [fsr for _, fsr in curve]))
-    points = config.enhancement  # the ratio sweep that load_config ran and checked
-    _write_csv(
-        out / "mismatch.csv",
-        ("ratio", "offset_hz", "delta_f_hz"),
-        ([p.ratio for p in points], [p.offset for p in points], [p.delta_f for p in points]),
-    )
-    return ["fsr_curve.csv", "mismatch.csv"]
+def _run_dispersion(config: Config) -> list:
+    band, ratio = config.sweeps["band"], config.sweeps["ratio"]
+    cell, cells = config.cell, config.ring.cell_count
+    violations = []
+    if not band["stop_hz"] > band["start_hz"]:
+        violations.append(f"sweep.band.stop_hz: must be above sweep.band.start_hz "
+                          f"({band['start_hz']!r}), got {band['stop_hz']!r}")
+    edges = []
+    for key in ("start_hz", "stop_hz"):  # the index step of dispersion.fsr_curve
+        try:
+            edges.append(dispersion.mode_index_near(cell, cells, band[key]))
+        except BandEdgeError as exc:
+            violations.append(f"sweep.band.{key}: {exc}")
+    cell_modes = edges[1] + 2 - max(1, edges[0] - 1) if len(edges) == 2 else 0
+    if cell_modes > _MAX_SWEEP_POINTS:
+        violations.append(_work_bound("unit-cell modes", cell_modes))
+    points = []
+    if ratio["offsets_hz"] and ratio["values"]:
+        try:  # looked up on its module, so perfbench's tracer sees it
+            points = dispersion.idc_enhancement_sweep(
+                cell, cells, ratio["signal_hz"], ratio["offsets_hz"], ratio["values"])
+        except (ValueError, BandEdgeError) as exc:
+            violations.append(f"sweep.ratio.signal_hz: {exc}")
+    if violations:
+        raise ConfigError(violations)
+    curve = dispersion.fsr_curve(cell, cells, (band["start_hz"], band["stop_hz"]))
+    return [
+        ("fsr_curve.csv", (("f_hz", "fsr_hz"),
+                           ([f for f, _ in curve], [fsr for _, fsr in curve]))),
+        ("mismatch.csv", (("ratio", "offset_hz", "delta_f_hz"),
+                          ([p.ratio for p in points], [p.offset for p in points],
+                           [p.delta_f for p in points]))),
+    ]
 
 
-def _run_tune(config: Config, out: Path) -> List[str]:
-    sweep = config.sweeps["field"]
-    fields = np.linspace(0.0, sweep["stop_T"], sweep["points"])
-    bias = tuning.BiasState.from_field(config.microloop, fields)
-    shift = tuning.fractional_frequency_shift(config.microloop, bias)
-    report = tuning.nonlinearity_report(config.microloop, bias)
-    _write_csv(
-        out / "tuning.csv",
-        ("b_ext_tesla", "i_dc_amp", "df_over_f", "T", "F", "c3", "c4"),
-        (fields, bias.dc_current, shift,
-         report["twm"], report["fwm"], report["c3"], report["c4"]),
-    )
-    return ["tuning.csv"]
+def _run_saturate(config: Config) -> list:
+    kerr, (ratios, bound) = config.kerr, _pump(config)
+    critical = conversion.bifurcation_point(kerr.rate_hz, kerr.kappa, kerr.kappa_ex)
+    power_w = conversion.bifurcation_drive_power(kerr.frequency_hz, kerr.rate_hz, kerr.kappa,
+                                                 kerr.kappa_ex)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            drive_w = ratios * power_w
+            # at twice the critical detuning, so the drive crosses the bistable
+            # window; looked up on its module, so perfbench's tracer sees it
+            state = conversion.kerr_steady_state(
+                2.0 * critical.detuning, ratios * critical.drive_flux, kerr.rate_hz,
+                kerr.kappa, kerr.kappa_ex)
+    except FloatingPointError:
+        raise ConfigError([bound]) from None
+    return [
+        ("saturation.csv", (
+            ("drive_over_critical", "drive_w", "n_low", "n_mid", "n_high", "bifurcated"),
+            (ratios, drive_w, *state.photon_numbers.T, state.bifurcated))),
+        ("kerr_summary.json", {
+            "kappa_hz": kerr.kappa, "kappa_ex_hz": kerr.kappa_ex,
+            "critical_detuning_hz": critical.detuning,
+            "critical_photon_number": critical.photon_number,
+            "critical_drive_flux_per_s": critical.drive_flux, "critical_drive_power_w": power_w,
+            "critical_drive_power_dbm": conversion.dbm_from_watts(power_w)}),
+    ]
 
 
-def _run_convert(config: Config, out: Path) -> List[str]:
-    # both axes and their values, evaluated once by load_config
-    _write_csv(out / "pump.csv", ("p0_norm", "t2", "r2"),
-               (config.pump_axis, *config.conversion_law))
-    _write_csv(out / "spectrum.csv", ("delta_hz", "t2", "r2"),
-               (config.detuning_axis, *config.spectrum))
-    c = conversion.cooperativity(config.converter)
+def _run_convert(config: Config) -> list:
+    converter, detuning = config.converter, config.sweeps["detuning"]
+    (pump, bound), span = _pump(config), detuning["span_hz"]
+    deltas = np.linspace(-span / 2.0, span / 2.0, detuning["points"])
+    # looked up on their module, so perfbench's tracer sees them
+    law = _evaluate(conversion.scattering, pump, converter.eta_s, converter.eta_i)
+    spectrum = _evaluate(conversion.conversion_spectrum, deltas, converter)
+    violations = [bound] if law is None else []
+    if spectrum is None:
+        violations.append("sweep.detuning.span_hz: must keep the conversion spectrum finite "
+                          f"at the edges of the detuning axis, got {span!r}")
+    if violations:
+        raise ConfigError(violations)
+    c = conversion.cooperativity(converter)
     pairs = conversion.pair_sweep(config.pairs, c)
-    _write_csv(out / "pairs.csv", ("pair_index", "eta_product", "t2"),
-               ([p.index for p in pairs], [p.bound for p in pairs],
-                [p.efficiency for p in pairs]))
-    _write_json(out / "convert_summary.json", {
-        "cooperativity": c,
-        "bandwidth_hz": conversion.conversion_bandwidth(config.converter),
-    })
-    return ["pump.csv", "spectrum.csv", "pairs.csv", "convert_summary.json"]
+    return [
+        ("pump.csv", (("p0_norm", "t2", "r2"), (pump, *law))),
+        ("spectrum.csv", (("delta_hz", "t2", "r2"), (deltas, *spectrum))),
+        ("pairs.csv", (("pair_index", "eta_product", "t2"),
+                       ([p.index for p in pairs], [p.bound for p in pairs],
+                        [p.efficiency for p in pairs]))),
+        ("convert_summary.json", {
+            "cooperativity": c, "bandwidth_hz": conversion.conversion_bandwidth(converter)}),
+    ]
 
 
-def _run_fringe(config: Config, out: Path) -> List[str]:
+def _run_fringe(config: Config) -> list:
     scenario = config.fringe
     split = conversion.scattering(scenario.cooperativity, scenario.eta_s, scenario.eta_i)
     r_mag, t_mag = math.sqrt(split.r2), math.sqrt(split.t2)
-    points = config.sweeps["phase"]["points"]
-    phases = np.linspace(0.0, 2.0 * math.pi, points)
+    phases = np.linspace(0.0, 2.0 * math.pi, config.sweeps["phase"]["points"])
     power = conversion.interference_fringe(phases, r_mag, t_mag)
-    _write_csv(out / "fringe.csv", ("phi_rad", "p_ratio"), (phases, power))
-    _write_json(out / "fringe_summary.json", {
-        "r_mag": r_mag,
-        "t_mag": t_mag,
-        "visibility": conversion.fringe_visibility(r_mag, t_mag),
-    })
-    return ["fringe.csv", "fringe_summary.json"]
+    return [
+        ("fringe.csv", (("phi_rad", "p_ratio"), (phases, power))),
+        ("fringe_summary.json", {"r_mag": r_mag, "t_mag": t_mag,
+                                 "visibility": conversion.fringe_visibility(r_mag, t_mag)}),
+    ]
 
 
-def _run_saturate(config: Config, out: Path) -> List[str]:
-    critical, power_w, drive_w, state = config.saturation  # evaluated by load_config
-    _write_csv(
-        out / "saturation.csv",
-        ("drive_over_critical", "drive_w", "n_low", "n_mid", "n_high", "bifurcated"),
-        (config.pump_axis, drive_w, *state.photon_numbers.T, state.bifurcated),
-    )
-    _write_json(out / "kerr_summary.json", {
-        "kappa_hz": config.kerr.kappa,
-        "kappa_ex_hz": config.kerr.kappa_ex,
-        "critical_detuning_hz": critical.detuning,
-        "critical_photon_number": critical.photon_number,
-        "critical_drive_flux_per_s": critical.drive_flux,
-        "critical_drive_power_w": power_w,
-        "critical_drive_power_dbm": conversion.dbm_from_watts(power_w),
-    })
-    return ["saturation.csv", "kerr_summary.json"]
-
-
-def _run_fit(config: Config, out: Path) -> List[str]:
+def _run_fit(config: Config) -> list:
     result = fitting.fit_reflection_resonance(fitting.Trace.from_csv(config.fit_trace))
     payload = result.to_dict()
     payload["coupling_fraction"] = fitting.coupling_fraction(result)
-    _write_json(out / "fit_result.json", payload)
-    return ["fit_result.json"]
+    return [("fit_result.json", payload)]
 
 
+# Each runner maps a Config to its outputs: (file name, (header, columns)) for
+# a CSV file, (file name, payload) for a JSON file.  plan runs them in this
+# order, which is the order their violations are reported in.
 _RUNNERS = {
-    "fit": _run_fit,
+    "tune": _run_tune,
     "modes": _run_modes,
     "dispersion": _run_dispersion,
-    "tune": _run_tune,
+    "saturate": _run_saturate,
     "convert": _run_convert,
     "fringe": _run_fringe,
-    "saturate": _run_saturate,
+    "fit": _run_fit,
 }
 
 
+def plan(config: Config) -> Dict[str, list]:
+    """Every runner's outputs but the fit's, by runner name.
+
+    Raises :class:`ConfigError` with every runner's violations, each line
+    once (convert and saturate bound the same pump stop).  A ring-mode bound
+    ends the plan: past it the dispersion runner's index step overflows.
+    """
+    outputs: Dict[str, list] = {}
+    violations: List[str] = []
+    for name, runner in _RUNNERS.items():
+        if name == "fit":  # the trace is data, not config
+            continue
+        try:
+            outputs[name] = runner(config)
+        except ConfigError as exc:
+            violations += [line for line in exc.violations if line not in violations]
+            if name == "modes":
+                break
+    if violations:
+        raise ConfigError(violations)
+    return outputs
+
+
+def validate_config(path) -> List[str]:
+    """Violations as ``"json.path: message"`` strings, the plan's included; empty when valid."""
+    try:
+        plan(load_config(path))
+    except ConfigError as exc:
+        return exc.violations
+    return []
+
+
 def run(command: str, config_path, out_dir) -> RunManifest:
-    """Execute one command, write its outputs plus a manifest."""
+    """Execute one command: plan, fit, then write its outputs plus a manifest."""
     if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r}; expected one of {COMMANDS}")
     config = load_config(config_path)
-    names = COMMANDS[:-1] if command == "sweep" else (command,)
+    out = Path(out_dir)
+    if out.is_dir():  # a run that stops part way leaves no manifest describing older files
+        (out / "manifest.json").unlink(missing_ok=True)
+    outputs = plan(config)
     trace_sha256 = None
     if config.fit_trace is not None:
         # hashed before any write, so an unreadable trace leaves no partial run
         trace_sha256 = hashlib.sha256(config.fit_trace.read_bytes()).hexdigest()
+        if command in ("fit", "sweep"):
+            outputs["fit"] = _RUNNERS["fit"](config)
     elif command == "fit":
         raise ConfigError(["fit.trace_csv: required for the fit command"])
-    elif command == "sweep":
-        names = names[1:]  # a sweep without a trace skips its first runner, the fit
-    out = Path(out_dir)
+    files = [file for name, each in outputs.items() if command in (name, "sweep") for file in each]
     out.mkdir(parents=True, exist_ok=True)
-    # a run that stops part way leaves no manifest describing older files
-    (out / "manifest.json").unlink(missing_ok=True)
     # os.replace within one file system is atomic, so out never holds a
     # file of a run that did not finish
     staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
     try:
-        outputs: List[str] = []
-        for name in names:
-            outputs.extend(_RUNNERS[name](config, staging))
-        for path in outputs:
-            os.replace(staging / path, out / path)
+        for name, content in files:
+            if name.endswith(".csv"):
+                _write_csv(staging / name, *content)
+            else:
+                _write_json(staging / name, content)
+        for name, _ in files:
+            os.replace(staging / name, out / name)
     finally:
         shutil.rmtree(staging, ignore_errors=True)
     manifest = RunManifest(
         command=command,
         config_hash=config.config_hash,
         trace_sha256=trace_sha256,
-        output_paths=sorted(outputs),
+        output_paths=sorted(name for name, _ in files),
         timestamp=datetime.now(timezone.utc).isoformat(),
     )
     _write_json(out / "manifest.json", manifest._asdict())

@@ -9,15 +9,13 @@ second spelling: ``sweep.field.stop_mT`` in millitesla is read as
 each leaf's kind, fills in defaults, reports every key the schema does not
 name and builds each section with its constructor, which checks the
 section's physical bounds.  A bound that faults one field names it first
-(``"rate_hz: must ..."``) and is reported under that field's path.
-``load_config`` then checks the bounds that join sections.  Where a runner's
-closed form would overflow, the bound is that form itself, evaluated once on
-the runner's own axis (``_evaluate``).  ``Config`` keeps these axes and values,
-and the rows of the ratio sweep, also run here once; the runners write them.
+(``"rate_hz: must ..."``) and is reported under that field's path.  Where a
+closed form would overflow, the bound is that form itself (``_evaluate``).
+The bounds that join sections belong to the runners whose work they bound,
+and ``cli.plan`` checks them.
 
 ``load_config`` raises :class:`ConfigError` carrying one
-``"json.path: message"`` violation per problem; ``validate_config`` returns
-the same list without raising.
+``"json.path: message"`` violation per problem.
 """
 
 import hashlib
@@ -30,13 +28,11 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from . import conversion, dispersion
-from .conversion import (ConverterParams, ScatteringResult, bifurcation_drive_power,
-                         bifurcation_point, conversion_spectrum, cooperativity, scattering)
-from .core import BiasState, MicroloopSpec, RingSpec, SegmentParams, checked
-from .dispersion import EnhancementPoint, UnitCell, mode_index_near
-from .errors import BandEdgeError, ConfigError
-from .modes import _first_branch
+from .conversion import (ConverterParams, bifurcation_drive_power, conversion_spectrum,
+                         cooperativity, scattering)
+from .core import MicroloopSpec, RingSpec, SegmentParams, checked
+from .dispersion import UnitCell
+from .errors import ConfigError
 
 # sweeps allocate their whole axis at once, and the modes and dispersion
 # runners one entry per mode index in the band; far above any real sweep,
@@ -111,22 +107,6 @@ class KerrScenario(NamedTuple):
             raise ValueError("coupling_efficiency: must keep the critical drive power "
                              "2 pi h f kappa^3/(3 sqrt(3) rate_hz kappa_ex) positive and finite")
 
-    def saturation(self, drive_ratios: np.ndarray):
-        """The saturate runner's sweep at ``drive_ratios`` times the critical drive.
-
-        Returns the critical point, the critical drive power [W], the drive
-        powers [W] and the steady states.  The sweep runs at twice the
-        critical detuning, so the drive crosses the bistable window.
-        """
-        critical = bifurcation_point(self.rate_hz, self.kappa, self.kappa_ex)
-        power_w = bifurcation_drive_power(self.frequency_hz, self.rate_hz, self.kappa,
-                                          self.kappa_ex)
-        # looked up on its module, so perfbench's tracer sees it
-        state = conversion.kerr_steady_state(
-            2.0 * critical.detuning, drive_ratios * critical.drive_flux,
-            self.rate_hz, self.kappa, self.kappa_ex)
-        return critical, power_w, drive_ratios * power_w, state
-
     @property
     def kappa(self) -> float:
         return self.frequency_hz / self.quality_factor
@@ -165,12 +145,6 @@ class Config(NamedTuple):
     sweeps: Dict[str, dict]
     fit_trace: Optional[Path]
     config_hash: str
-    enhancement: Tuple[EnhancementPoint, ...]  # the ratio sweep, run once by the validator
-    pump_axis: np.ndarray  # the convert and saturate runners' axis, built by the validator
-    conversion_law: ScatteringResult  # scattering over pump_axis, evaluated by the validator
-    saturation: tuple  # KerrScenario.saturation over pump_axis, likewise
-    detuning_axis: np.ndarray  # the convert runner's spectrum axis, likewise
-    spectrum: Tuple[np.ndarray, np.ndarray]  # conversion_spectrum over detuning_axis, likewise
 
 
 def _hash(raw: dict) -> str:
@@ -266,7 +240,7 @@ def _converter(kerr, fringe, pairs, **rates):
         raise ValueError("linewidths and cooperativity must keep the conversion spectrum "
                          "finite at zero detuning, where its denominator is "
                          "(kappa_s kappa_i (1 + C)/4)^2")
-    return params, kerr, fringe, pairs
+    return dict(converter=params, kerr=kerr, fringe=fringe, pairs=pairs)
 
 
 def _ratio_grid(**ratio) -> dict:
@@ -371,7 +345,7 @@ def _walk(node, spec: _Section, path: str, violations: List[str]):
 
 
 def load_config(path) -> Config:
-    """Parse, validate and build a configuration."""
+    """Parse a configuration and build each section, checked against ``_SCHEMA``."""
     try:  # an unreadable file raises OSError, an I/O error
         raw = json.loads(Path(path).read_bytes().decode("utf-8"), object_pairs_hook=_json_object)
     except json.JSONDecodeError as exc:
@@ -384,75 +358,6 @@ def load_config(path) -> Config:
     sections = _walk(raw, _SCHEMA, "", violations)
     if violations:
         raise ConfigError(sorted(set(violations)))
-    device, sweep = sections["device"], sections["sweep"]
-    loop, stop = device["microloop"], sweep["field"]["stop_T"]
-    if abs(BiasState.from_field(loop, stop).dc_current) >= loop.i_star_narrow:
-        violations.append(
-            "sweep.field.stop_T: must drive a bias current below "
-            f"device.microloop.i_star_narrow, so |stop_T| < "
-            f"{loop.i_star_narrow * loop.loop_dc_inductance / loop.gap!r} T, got {stop!r}")
-    band = sweep["band"]
-    if not band["stop_hz"] > band["start_hz"]:
-        violations.append(f"sweep.band.stop_hz: must be above sweep.band.start_hz "
-                          f"({band['start_hz']!r}), got {band['stop_hz']!r}")
-    # the index ranges that the modes runner and dispersion.fsr_curve allocate;
-    # the first comes from the closed form, so a huge ring is refused before
-    # the unit-cell index step below overflows its integers
-    ring_modes = _first_branch(device["ring"], (band["start_hz"], band["stop_hz"]))[1]
-    if ring_modes.stop - ring_modes.start > _MAX_SWEEP_POINTS:
-        raise ConfigError(violations + [
-            _work_bound("ring modes", ring_modes.stop - ring_modes.start)])
-    edges = []
-    for key in ("start_hz", "stop_hz"):  # the index step of dispersion.fsr_curve
-        try:
-            edges.append(mode_index_near(device["cell"], device["ring"].cell_count, band[key]))
-        except BandEdgeError as exc:
-            violations.append(f"sweep.band.{key}: {exc}")
-    cell_modes = edges[1] + 2 - max(1, edges[0] - 1) if len(edges) == 2 else 0
-    if cell_modes > _MAX_SWEEP_POINTS:
-        violations.append(_work_bound("unit-cell modes", cell_modes))
-    ratio, enhancement = sweep["ratio"], ()
-    if ratio["offsets_hz"] and ratio["values"]:
-        try:  # looked up on its module, so perfbench's tracer sees it
-            enhancement = tuple(dispersion.idc_enhancement_sweep(
-                device["cell"], device["ring"].cell_count, ratio["signal_hz"],
-                ratio["offsets_hz"], ratio["values"]))
-        except (ValueError, BandEdgeError) as exc:
-            violations.append(f"sweep.ratio.signal_hz: {exc}")
-    converter, kerr, fringe, pairs = sections["converter"]
-    pump, span = sweep["pump"], sweep["detuning"]["span_hz"]  # the runners' own axes
-    pump_axis = np.linspace(0.0, pump["stop"], pump["points"])
-    detuning_axis = np.linspace(-span / 2.0, span / 2.0, sweep["detuning"]["points"])
-    # looked up on their module, so perfbench's tracer sees them
-    law = _evaluate(conversion.scattering, pump_axis, converter.eta_s, converter.eta_i)
-    saturation = _evaluate(kerr.saturation, pump_axis)
-    if law is None or saturation is None:
-        violations.append(
-            "sweep.pump.stop: must keep the conversion law and the Kerr steady state finite "
-            f"at the top of the pump axis, got {pump['stop']!r}")
-    spectrum = _evaluate(conversion.conversion_spectrum, detuning_axis, converter)
-    if spectrum is None:
-        violations.append("sweep.detuning.span_hz: must keep the conversion spectrum finite "
-                          f"at the edges of the detuning axis, got {span!r}")
-    if violations:
-        raise ConfigError(violations)
     trace = sections["fit"] and sections["fit"]["trace_csv"]
-    return Config(**sections["device"], converter=converter, kerr=kerr, fringe=fringe,
-                  pairs=pairs, sweeps=sections["sweep"],
-                  fit_trace=trace and Path(path).parent / trace, config_hash=_hash(raw),
-                  enhancement=enhancement, pump_axis=pump_axis, conversion_law=law,
-                  saturation=saturation, detuning_axis=detuning_axis, spectrum=spectrum)
-
-
-def _work_bound(what: str, count: int) -> str:
-    return (f"device.ring.cell_count: must put at most {_MAX_SWEEP_POINTS} {what} "
-            f"in sweep.band, got {count:.6g}")
-
-
-def validate_config(path) -> List[str]:
-    """Violations as ``"json.path: message"`` strings; empty when valid."""
-    try:
-        load_config(path)
-    except ConfigError as exc:
-        return exc.violations
-    return []
+    return Config(**sections["device"], **sections["converter"], sweeps=sections["sweep"],
+                  fit_trace=trace and Path(path).parent / trace, config_hash=_hash(raw))

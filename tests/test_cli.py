@@ -20,14 +20,15 @@ from hypothesis import strategies as st
 import metaring
 from conftest import CONFIG_DIR
 from metaring import cli, conversion, dispersion, tuning
-from metaring.cli import _CSV_BLOCK_ROWS, _KERNEL_MIN_ROWS, _write_csv, main, run
-from metaring.config import (
-    _MAX_SWEEP_POINTS,
-    _SCHEMA,
-    _Section,
-    load_config,
+from metaring.cli import (
+    _CSV_BLOCK_ROWS,
+    _KERNEL_MIN_ROWS,
+    _write_csv,
+    main,
+    run,
     validate_config,
 )
+from metaring.config import _MAX_SWEEP_POINTS, _SCHEMA, _Section, load_config
 from metaring.errors import ConfigError
 
 
@@ -208,7 +209,7 @@ class TestValidate:
         ]
 
     def test_ratio_grid_bound(self, tmp_path, default_config_path, capsys):
-        # checked with the section, before load_config runs the ratio sweep
+        # checked with the section, before the plan runs the ratio sweep
         raw = load_default(default_config_path)
         raw["sweep"]["ratio"]["values"] = [1.0 + i / 1000 for i in range(1001)]
         raw["sweep"]["ratio"]["offsets_hz"] = [1e9] * 1000
@@ -541,7 +542,7 @@ class TestRun:
 
     def test_sweep_runs_the_ratio_sweep_once(self, default_config_path, tmp_path,
                                              monkeypatch):
-        # load_config runs it and the dispersion runner writes the rows it kept
+        # the plan runs the dispersion runner once, and the writer loop writes its rows
         sweeps, builds = [], []
         sweep, build = dispersion.idc_enhancement_sweep, dispersion._CellRows.__init__
 
@@ -559,7 +560,7 @@ class TestRun:
         assert len(sweeps) == 1 and builds.count(5) == 1  # 5 ratios in the shipped grid
 
     def test_sweep_evaluates_each_axis_once(self, default_config_path, tmp_path, monkeypatch):
-        # load_config evaluates the pump and detuning axes; the runners write them
+        # the plan evaluates each axis once, in the runner that writes it
         calls = Counter()
         for name, axis_arg in (("kerr_steady_state", 1), ("scattering", 0),
                                ("conversion_spectrum", 0)):
@@ -754,7 +755,7 @@ class TestMainExitCodes:
         code = main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 3
         assert "solver error" in capsys.readouterr().err
-        assert not any((tmp_path / "out").glob("*"))  # the fit runs first
+        assert not any((tmp_path / "out").glob("*"))  # the fit runs before any write
 
     @pytest.mark.parametrize("command", ["modes", "fit", "sweep"])
     def test_missing_trace_exit_4_writes_nothing(self, tmp_path, default_config_path,
@@ -773,7 +774,7 @@ class TestMainExitCodes:
         run("sweep", default_config_path, out)
         assert (out / "manifest.json").exists()
 
-        def fail(config, out):
+        def fail(config):
             raise ValueError("saturate failed")
 
         monkeypatch.setitem(cli._RUNNERS, "saturate", fail)
@@ -785,7 +786,7 @@ class TestMainExitCodes:
     def test_failed_tune_writes_nothing(self, tmp_path, default_config_path,
                                         monkeypatch, capsys):
         # an energy that is no quartic fails the fit's check node in tune,
-        # after the fit, modes and dispersion runners have written their files
+        # the first runner the plan runs, before anything is written
         energy = tuning.loop_energy
         monkeypatch.setattr(tuning, "loop_energy",
                             lambda i_rf2, loop, bias: energy(i_rf2, loop, bias)
@@ -798,15 +799,21 @@ class TestMainExitCodes:
 
     def test_late_io_error_writes_nothing(self, tmp_path, default_config_path,
                                           monkeypatch, capsys):
-        def fail(config, out):
-            raise OSError("disk full")
+        # the writer loop fails part way, after other tables are written
+        write_csv, written = cli._write_csv, []
 
-        monkeypatch.setitem(cli._RUNNERS, "saturate", fail)
+        def fail_on_saturation(path, header, columns):
+            if path.name == "saturation.csv":
+                raise OSError("disk full")
+            write_csv(path, header, columns)
+            written.append(path.name)
+
+        monkeypatch.setattr(cli, "_write_csv", fail_on_saturation)
         out = tmp_path / "out"
         code = main(["sweep", "--config", str(default_config_path), "--out", str(out)])
         assert code == 4
         assert "disk full" in capsys.readouterr().err
-        assert not any(out.glob("*"))
+        assert written and not any(out.glob("*"))
 
     def test_io_error_exit_4(self, tmp_path, capsys):
         code = main(["modes", "--config", str(tmp_path / "absent.json"),
@@ -911,6 +918,74 @@ class TestMainExitCodes:
         for json_path in out.glob("*.json"):
             json.loads(json_path.read_text(), parse_constant=reject)
 
+    @pytest.mark.parametrize("edits, expected", [
+        ({("sweep", "field", "stop_mT"): 5.0, ("sweep", "pump", "stop"): 1e300}, [
+            "sweep.field.stop_T: must drive a bias current below device.microloop.i_star_narrow, "
+            "so |stop_T| < 0.0010976425998969034 T, got 0.005",
+            "sweep.pump.stop: must keep the conversion law and the Kerr steady state finite at "
+            "the top of the pump axis, got 1e+300"]),
+        ({("sweep", "band", "stop_hz"): 1.2e11, ("sweep", "ratio", "signal_hz"): 1e6}, [
+            "sweep.band.stop_hz: 120000000000.0 Hz lies outside the propagating band",
+            "sweep.ratio.signal_hz: must lie above the lowest usable mode: at ratio 1.0 and "
+            "offset 1000000000.0 Hz the signal mode m = 1 has idler step n = 13, and the sweep "
+            "needs n >= 1 and m - n >= 1"]),
+        ({("sweep", "pump", "stop"): 1e300, ("sweep", "detuning", "span_hz"): 1e160}, [
+            "sweep.pump.stop: must keep the conversion law and the Kerr steady state finite at "
+            "the top of the pump axis, got 1e+300",
+            "sweep.detuning.span_hz: must keep the conversion spectrum finite at the edges of "
+            "the detuning axis, got 1e+160"]),
+    ], ids=["field_stop_and_pump_stop", "band_stop_in_stop_band_and_signal",
+            "pump_stop_and_detuning_span"])
+    def test_faults_in_several_checks_keep_their_order(self, tmp_path, default_config_path,
+                                                       capsys, edits, expected):
+        # every check reports, in plan order, and the pump stop that both the
+        # convert and the saturate runner bound is reported once
+        raw = load_default(default_config_path)
+        for keys, value in edits.items():
+            node = raw
+            for key in keys[:-1]:
+                node = node[key]
+            node[keys[-1]] = value
+        path = str(write_config(tmp_path, raw, default_config_path))
+        assert main(["validate", "--config", path]) == 2
+        assert capsys.readouterr().err.splitlines() == expected
+        assert main(["sweep", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: {v}" for v in expected]
+
+    @pytest.mark.parametrize("command", ["sweep", "fit"])
+    @pytest.mark.parametrize("trace", ["missing", "flat"])
+    def test_plan_violation_precedes_trace_errors(self, tmp_path, default_config_path, capsys,
+                                                  trace, command):
+        # a refused plan exits 2 before the trace is hashed (a missing file,
+        # exit 4) or fitted (no resonance, exit 3), and makes no --out
+        raw = load_default(default_config_path)
+        raw["fit"]["trace_csv"] = "trace.csv"
+        if trace == "flat":
+            rows = "".join(f"{4.85e9 + 1e3 * k!r},0.8,0.0\n" for k in range(101))
+            (tmp_path / "trace.csv").write_text("f_hz,re,im\n" + rows)
+        path = str(write_config(tmp_path, raw, default_config_path))
+        assert main([command, "--config", path, "--out", str(tmp_path / "valid")]) == (
+            4 if trace == "missing" else 3)
+        capsys.readouterr()
+        raw["sweep"]["pump"]["stop"] = 1e300
+        path, out = str(write_config(tmp_path, raw, default_config_path)), tmp_path / "out"
+        assert main(["validate", "--config", path]) == 2
+        violations = capsys.readouterr().err.splitlines()
+        assert violations and violations[0].startswith("sweep.pump.stop: ")
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: {line}" for line in violations]
+        assert not out.exists()
+
+    def test_refused_plan_exit_2_with_out_a_file(self, tmp_path, default_config_path, capsys):
+        # the plan's violations come before any I/O error on --out
+        raw = load_default(default_config_path)
+        raw["sweep"]["pump"]["stop"] = 1e300
+        path = str(write_config(tmp_path, raw, default_config_path))
+        (tmp_path / "out").write_text("")
+        assert main(["sweep", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error: sweep.pump.stop: ")
+
     @pytest.mark.parametrize("cell_count, violation", [
         (10**10, "ring modes in sweep.band, got 2.38182e+08"),
         (10**12, "ring modes in sweep.band, got 2.38182e+10"),
@@ -966,6 +1041,22 @@ class TestConfigObjects:
         assert config.kerr.quality_factor == 3.9e4
         assert len(config.pairs) == 8
         assert config.fit_trace is not None and config.fit_trace.exists()
+
+    def test_config_holds_its_inputs_only(self):
+        assert cli.Config._fields == (
+            "ring", "microloop", "cell", "converter", "kerr", "fringe", "pairs", "sweeps",
+            "fit_trace", "config_hash")
+
+    def test_validate_plans_every_runner_but_the_fit(self, default_config_path, tmp_path,
+                                                     monkeypatch):
+        calls = Counter()
+        for name, runner in list(cli._RUNNERS.items()):
+            monkeypatch.setitem(cli._RUNNERS, name, lambda config, _name=name, _runner=runner:
+                                calls.update([_name]) or _runner(config))
+        out = tmp_path / "out"
+        assert main(["validate", "--config", str(default_config_path), "--out", str(out)]) == 0
+        assert calls == Counter(name for name in cli._RUNNERS if name != "fit")
+        assert not out.exists()
 
     def test_hash_ignores_whitespace(self, default_config_path, tmp_path):
         raw = load_default(default_config_path)

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from metaring import cli, config, conversion, core, dispersion, fitting, modes, tuning
-from metaring.config import load_config, validate_config
+from metaring.cli import validate_config
+from metaring.config import load_config
 
 MODULES = (core, modes, dispersion, tuning, conversion, fitting, config, cli)
 
