@@ -1,12 +1,16 @@
-"""``repr`` of a whole float64 array in one numpy pass.
+"""``repr`` of a whole float64 array in one numpy pass, for CSV cells.
 
-``repr_chars(values)`` gives each value x a row of ``WIDTH`` bytes; with its
-NUL bytes removed the row is ``repr(x + 0.0)`` (so -0.0 reads 0.0), the
-shortest decimal string that reads back as the same double (the nearest
-such string when there are several).  The digits follow the idea of Grisu
-(Loitsch 2010) and Ryu (Adams 2018): scale |x| by a power of ten to Y in
-[1e16, 1e17), find the largest power of ten 10**d with a multiple inside
-the rounding interval of Y, and take the multiple nearest Y.
+``repr_chars(values, work)`` gives each value x a row of at most ``WIDTH``
+bytes; with its NUL bytes removed the row is ``repr(x + 0.0)`` (so -0.0
+reads 0.0), the shortest decimal string that reads back as the same double
+(the nearest such string when there are several).  ``work`` is a
+``Workspace``: every intermediate of a call is written into it, so a caller
+that formats block after block keeps one fixed set of arrays.
+
+The digits follow the idea of Grisu (Loitsch 2010) and Ryu (Adams 2018):
+scale |x| by a power of ten to Y in [1e16, 1e17), find the largest power of
+ten 10**d with a multiple inside the rounding interval of Y, and take the
+multiple nearest Y.
 
 Y is a double-double (about 104 bits), so its fraction is known to about
 1e-14.  A cell is handed to ``repr`` itself when the kernel cannot be sure,
@@ -28,9 +32,10 @@ _POW10 = 10 ** np.arange(18, dtype=np.int64)
 _S0 = 276
 _POWERS = np.full((3, _S0 + 309), np.nan)
 # bytes of a cell, as 32-bit words: 3 NULs and the sign (or "0", or "-0",
-# for |x| < 1); 16 whole digits, right-aligned; "." and up to 3 zeros; 16
-# fraction digits, left-aligned; then the 17th fraction digit, "e", sign and
-# 2 or 3 exponent digits, and at least two NULs
+# for |x| < 1); up to 16 whole digits, right-aligned; "." and up to 3
+# zeros; 16 fraction digits, left-aligned; then the 17th fraction digit,
+# "e", sign and 2 or 3 exponent digits, and at least two NULs.  A call
+# leaves out the whole words and exponent bytes that none of its cells uses.
 WIDTH = 48
 _SIGN = np.frombuffer(b"\0\0\0\0\0\0\0-\0\0\0000\0\0-0", np.uint32)
 _POINT = np.frombuffer(b".\0\0\0.0\0\0.00\0.000\0\0\0\0", np.uint32)  # ".", ".0", ".00", ".000", none
@@ -44,6 +49,7 @@ _TRAILING = np.maximum.accumulate((_QUADS > 48)[:, ::-1], axis=1)[:, ::-1]
 _WORDS = np.concatenate([_QUADS, _QUADS * _LEADING, _QUADS * _TRAILING]).view(np.uint32).ravel()
 del _LEADING, _TRAILING
 _PLACES = (10 ** 12, 10 ** 8, 10 ** 4, 1)
+_FRACTION_PLACES = 10 * np.array(_PLACES)[:, None]
 # a NUL (the 17th fraction digit's slot), then "e-324" to "e+308"
 _E0 = 324
 _EXPONENT = np.array([b"\0e%+03d" % e for e in range(-_E0, 309)], "S8").view(np.uint64)
@@ -67,136 +73,324 @@ def _power(s: int):
     return head, hi - head, lo
 
 
-def _scaled(ax: np.ndarray, e10: np.ndarray):
-    """Y = ax * 10**(16 - e10) as int64 N plus fraction r, and 10**(16 - e10)."""
-    index = _S0 + 16 - e10
-    head, tail, lo = _POWERS.take(index, axis=1)
-    if np.isnan(head).any():
-        for i in set(index[np.isnan(head)].tolist()):
+_ROWS = 14  # 8-byte intermediates a cell
+
+
+class Workspace:
+    """The formatter's arrays for blocks of up to ``cells`` values, made once.
+
+    ``repr_chars`` writes every intermediate into them through ``out=``, so
+    a block allocates only for the cells that leave the common path (zero,
+    the infinities, NaN, the cells handed to ``repr`` and log10's rare
+    misses), and a caller that keeps one workspace for many blocks keeps
+    one set of pages.  ``x`` is where a caller may stage a block's values,
+    and ``matrix`` holds ``cells * WIDTH`` bytes for the caller's own use
+    (the CSV writer joins float, int and bool cells in it).
+
+    The arrays are views of one allocation of 232 bytes a cell, freed as one
+    chunk.  glibc's malloc raises its mmap and trim thresholds past a chunk
+    that large once it is freed, so a process that makes a workspace again
+    gets the same pages back without faulting them in.  It pays in time as
+    well: on the scaled sweep, the same blocks formatted with freshly
+    allocated intermediates ran about 7 % slower (BENCH_27.json).
+    """
+
+    def __init__(self, cells: int):
+        memory = np.empty((_ROWS + 15, cells))
+        self.x = memory[0]
+        # the intermediates, read as float64 or int64, and 8 flags a cell; a
+        # block of n cells takes rows of n from their start, so that
+        # neighbouring rows are one contiguous array
+        self.slots = memory[1:_ROWS + 1].ravel()
+        self.flags = memory[_ROWS + 1].view(np.bool_)
+        self.e2 = memory[_ROWS + 2].view(np.int32)[:cells]
+        self.word = memory[_ROWS + 2].view(np.uint32)[cells:]
+        self.chars = memory[_ROWS + 3:_ROWS + 9].view(np.uint8).ravel()
+        self.matrix = memory[_ROWS + 9:].view(np.uint8).ravel()
+
+
+def _scaled(ax: np.ndarray, e10: np.ndarray, s: np.ndarray):
+    """Y = ax * 10**(16 - e10) as int64 N plus fraction r, and 10**(16 - e10).
+
+    The 12 rows of ``s`` (one contiguous float64 array, each row as long as
+    ``ax``) hold every intermediate; N, r and 10**(16 - e10) come back as
+    its rows 2, 8 and 4.
+    """
+    si = s.view(np.int64)
+    index, powers = si[0], s[1:4]  # 10**(16 - e10) as head, tail, lo
+    np.subtract(_S0 + 16, e10, out=index)
+    _POWERS.take(index, axis=1, out=powers, mode="clip")
+    if np.isnan(powers[0].min(initial=np.inf)):
+        for i in set(index[np.isnan(powers[0])].tolist()):
             _POWERS[:, i] = _power(i - _S0)
-        head, tail, lo = _POWERS.take(index, axis=1)
-    hi = head + tail
+        _POWERS.take(index, axis=1, out=powers, mode="clip")
+    head, tail, lo = powers
+    hi, ah, al, p, rest = s[4], s[5], s[6], s[7], s[8]
+    np.add(head, tail, out=hi)
     # Dekker: ax * hi = p + err exactly
-    t = _SPLIT * ax
-    ah = t - (t - ax)
-    al = ax - ah
-    p = ax * hi
-    rest = (((ah * head - p) + ah * tail + al * head) + al * tail) + ax * lo
-    whole = np.floor(rest)
+    np.multiply(_SPLIT, ax, out=ah)
+    np.subtract(ah, ax, out=al)
+    np.subtract(ah, al, out=ah)
+    np.subtract(ax, ah, out=al)
+    np.multiply(ax, hi, out=p)
+    # rest = (((ah*head - p) + ah*tail + al*head) + al*tail) + ax*lo, in that
+    # order; rows 8 to 11 take ah*head, ah*tail, al*head and al*tail at once
+    np.multiply(s[5:7, None], s[None, 1:3], out=s[8:12].reshape(2, 2, -1))
+    rest -= p
+    for term in s[9:12]:
+        rest += term
+    np.multiply(ax, lo, out=s[9])
+    rest += s[9]
+    whole, n, part = s[1], si[2], si[3]
+    np.floor(rest, out=whole)
     # p >= 1e16 > 2**53 is an integer whenever e10 is right
-    return p.astype(np.int64) + whole.astype(np.int64), rest - whole, hi
+    np.copyto(n, p, casting="unsafe")
+    np.copyto(part, whole, casting="unsafe")
+    n += part
+    rest -= whole
+    return n, rest, hi
 
 
-def _decimal(ax: np.ndarray):
+def _decimal(ax: np.ndarray, s: np.ndarray, flags: np.ndarray, e2: np.ndarray):
     """Shortest digits of each ax in [1e-290, 1e290]: (V, e10, unsure).
 
     V in [1e16, 1e17) holds the digits, left-aligned with trailing zeros, and
     ax is about V * 10**(e10 - 16).  ``unsure`` marks the cells left to repr.
+    Rows 1 to 13 of ``s`` (row 0 is left to the caller), ``flags`` 1 to 3
+    and the int32 ``e2`` hold the intermediates, and the results are views
+    of them.
     """
-    e10 = np.floor(np.log10(ax)).astype(np.int64)
-    n, r, hi = _scaled(ax, e10)
-    wrong = np.flatnonzero((n < _POW10[16]) | (n >= _POW10[17]))  # log10 missed by one
-    if len(wrong):
+    si = s.view(np.int64)
+    e10 = si[1]
+    np.log10(ax, out=s[2])
+    np.floor(s[2], out=s[2])
+    np.copyto(e10, s[2], casting="unsafe")
+    n, r, hi = _scaled(ax, e10, s[2:])  # rows 4, 10 and 6
+    low, high = flags[1], flags[2]
+    np.less(n, _POW10[16], out=low)
+    np.greater_equal(n, _POW10[17], out=high)
+    low |= high
+    if low.any():  # log10 missed by one
+        wrong = np.flatnonzero(low)
         e10[wrong] += np.where(n[wrong] < _POW10[16], -1, 1)
-        n[wrong], r[wrong], hi[wrong] = _scaled(ax[wrong], e10[wrong])
+        n[wrong], r[wrong], hi[wrong] = _scaled(ax[wrong], e10[wrong], np.empty((12, len(wrong))))
 
     # the rounding interval (Y - h_low, Y + h_high): half an ulp each way,
     # and half of that below a power of two; n_high is the largest integer
     # inside and n_low the largest below
-    mantissa, e2 = np.frexp(ax)
-    h_high = np.ldexp(hi, e2 - 54)
-    top = r + h_high
-    bottom = r - np.where(mantissa == 0.5, 0.5 * h_high, h_high)
-    top_floor, bottom_floor = np.floor(top), np.floor(bottom)
-    unsure = ((np.abs(top - top_floor - 0.5) > 0.5 - TOL)
-              | (np.abs(bottom - bottom_floor - 0.5) > 0.5 - TOL))
-    n_high = n + top_floor.astype(np.int64)
-    n_low = n + bottom_floor.astype(np.int64)
-    # the interval's arrays are done with (peak memory, see repr_chars)
-    del hi, mantissa, e2, h_high, top, bottom, top_floor, bottom_floor
+    mantissa, h_high = s[2], s[3]
+    np.frexp(ax, out=(mantissa, e2))
+    e2 -= 54
+    np.ldexp(hi, e2, out=h_high)
+    ends, floors = s[7:9], s[11:13]
+    top, bottom = ends
+    np.add(r, h_high, out=top)
+    np.multiply(h_high, 0.5, out=bottom)
+    np.not_equal(mantissa, 0.5, out=flags[1])
+    np.copyto(bottom, h_high, where=flags[1])
+    np.subtract(r, bottom, out=bottom)
+    np.floor(ends, out=floors)
+    distance = s[2:4]
+    np.subtract(ends, floors, out=distance)
+    distance -= 0.5
+    np.abs(distance, out=distance)
+    np.greater(distance, 0.5 - TOL, out=flags[1:3])
+    unsure = flags[3]
+    np.logical_or(flags[1], flags[2], out=unsure)
+    n_ends = si[7:9]
+    np.copyto(n_ends, floors, casting="unsafe")
+    n_ends += n
+    n_high, n_low = n_ends
 
     # Y's digits end at the largest d with a multiple of 10**d in (n_low, n_high].
     # d = 0: round(Y), always inside, for half an ulp is over 0.55.  d = 1:
     # the multiple of 10 nearest Y, moved inside if it is not.  d >= 2: the
     # interval is under 23 wide, so its one multiple of 100 is the only
     # multiple of 10**d too.
-    tens = n // 10
-    one = n_high // 10 > n_low // 10
-    excess = np.where(one, (n - 10 * tens) + r - 5.0, r - 0.5)  # > 0: round up; 0: a tie
-    unsure |= np.abs(excess) < TOL
-    value = np.where(one, 10 * (tens + (excess > 0)), n + (excess > 0))
-    value -= 10 * (value > n_high)
-    value += 10 * (value <= n_low)
-    hundreds = n_high // 100
-    deep = np.flatnonzero(hundreds > n_low // 100)
-    value[deep] = 100 * hundreds[deep]
+    tens, digit, value, quotients = si[2], si[3], si[13], si[11:13]
+    one, up = flags[1], flags[2]
+    np.floor_divide(n, 10, out=tens)
+    np.floor_divide(n_ends, 10, out=quotients)
+    np.greater(quotients[0], quotients[1], out=one)
+    np.multiply(tens, 10, out=digit)
+    np.subtract(n, digit, out=digit)
+    # excess = (n - 10*tens) + r - 5.0 where one, else r - 0.5; > 0: round up; 0: a tie
+    excess, other = s[9], s[6]
+    np.copyto(other, digit)
+    other += r
+    other -= 5.0
+    np.subtract(r, 0.5, out=excess)
+    np.copyto(excess, other, where=one)
+    np.abs(excess, out=other)
+    np.less(other, TOL, out=up)
+    unsure |= up
+    np.greater(excess, 0, out=up)
+    np.add(n, up, out=value)
+    np.add(tens, up, out=tens)
+    tens *= 10
+    np.copyto(value, tens, where=one)
+    np.greater(value, n_high, out=up)
+    np.subtract(value, 10, out=value, where=up)
+    np.less_equal(value, n_low, out=up)
+    np.add(value, 10, out=value, where=up)
+    deep = flags[2]
+    np.floor_divide(n_ends, 100, out=quotients)
+    np.greater(quotients[0], quotients[1], out=deep)
+    np.multiply(quotients[0], 100, out=value, where=deep)
     # 10**17 is the carry into the next decade
-    carry = deep[value[deep] == _POW10[17]]
-    value[carry] = _POW10[16]
-    e10[carry] += 1
+    carry = flags[1]
+    np.equal(value, _POW10[17], out=carry)
+    carry &= deep
+    np.copyto(value, _POW10[16], where=carry)
+    np.add(e10, 1, out=e10, where=carry)
     return value, e10, unsure
 
 
-def repr_chars(values: np.ndarray) -> np.ndarray:
-    """Shape ``values.shape + (WIDTH,)``: cell i is ``chars[i]``, and with its
+def _put(words: np.ndarray, column: int, table: np.ndarray, index: np.ndarray, word: np.ndarray):
+    """words[..., column] = table[index], by way of the contiguous ``word``."""
+    table.take(index.reshape(word.shape), out=word, mode="clip")
+    words[..., column] = word
+
+
+def repr_chars(values: np.ndarray, work: Workspace) -> np.ndarray:
+    """Shape ``values.shape + (width,)``: cell i is ``chars[i]``, and with its
     NUL bytes removed it is ``repr(values[i] + 0.0)``.  The last two bytes
     of every cell are NUL.
+
+    ``width`` is at most ``WIDTH``: the rows leave out the whole-digit words
+    that no cell of ``values`` uses, and the exponent's bytes when no cell
+    has one.  In memory the first axis of ``values`` comes last, so the
+    cells of a (columns, rows) block lie row by row, ready to be joined
+    into lines.  ``work`` holds at least ``values.size`` cells, and the
+    result is a view of ``work.chars``, valid until its next use.
     """
     x = np.asarray(values, dtype=np.float64).ravel()
-    ax = np.abs(x)
-    kernel = (ax >= _LOW) & (ax <= _HIGH)
-    ax[~kernel] = 1.0
-    value, e10, unsure = _decimal(ax)
-    del ax
+    shape, count = np.shape(values), len(x)
+    s = work.slots[:_ROWS * count].reshape(_ROWS, count)
+    flags = work.flags[:8 * count].reshape(8, count)
+    si = s.view(np.int64)
+    ax, outside, temp = s[0], flags[0], flags[4]
+    np.abs(x, out=ax)
+    np.greater_equal(ax, _LOW, out=outside)
+    np.less_equal(ax, _HIGH, out=temp)
+    outside &= temp
+    np.logical_not(outside, out=outside)  # zero, inf, NaN and |x| out of range
+    np.copyto(ax, 1.0, where=outside)
+    value, e10, unsure = _decimal(ax, s, flags, work.e2[:count])
 
     # d.ddde+XX outside [1e-4, 1e16); the whole part is value's first e10 + 1
     # digits, none below 1 (the sign word holds the "0") and one in d.ddde+XX
-    positional = (e10 >= -4) & (e10 < 16)
-    below_one = positional & (e10 < 0)
-    lead = np.where(positional, np.maximum(e10 + 1, 0), 1)
-    cut = _POW10[17 - lead]
-    whole = value // cut
-    fraction = (value - whole * cut) * _POW10[lead]  # 17 digits, left-aligned
-    del value, lead, cut
+    positional, below_one = flags[1], flags[2]
+    np.greater_equal(e10, -4, out=positional)
+    np.less(e10, 16, out=temp)
+    positional &= temp
+    np.less(e10, 0, out=below_one)
+    below_one &= positional
+    lead, a, cut, whole, fraction, b = si[0], si[2], si[3], si[4], si[5], si[6]
+    lead.fill(1)
+    np.add(e10, 1, out=lead, where=positional)
+    np.maximum(lead, 0, out=lead)
+    np.subtract(17, lead, out=a)
+    _POW10.take(a, out=cut, mode="clip")
+    np.floor_divide(value, cut, out=whole)
+    np.multiply(whole, cut, out=fraction)
+    np.subtract(value, fraction, out=fraction)
+    _POW10.take(lead, out=b, mode="clip")
+    fraction *= b  # 17 digits, left-aligned
 
-    # Peak memory: arrays are dropped once used and the output is made only
-    # now, so a 1024-row block of 7 columns peaks near 0.9 MB, not 1.5 MB.
-    # glibc hands a large freed heap top back to the system, and each block
-    # faults those pages in again.
-    out = np.zeros((len(x), WIDTH), dtype=np.uint8)
-    words = out.view(np.uint32)
-    words[:, 0] = _SIGN.take((x < 0) + 2 * below_one)
-    # whole groups: above the largest whole number all NUL, and with their
-    # leading zeros as NULs when no digit comes before them
-    top = whole.max(initial=0)
-    rest = whole.copy()
-    for column, place in zip(range(1, 5), _PLACES):
-        if top >= place:
-            group = rest // place
-            rest -= group * place
-            words[:, column] = _WORDS.take(group + 10000 * (whole < 10000 * place))
+    # The row: the sign word, a word per whole group that some cell uses,
+    # the point word, four fraction words, then the 17th fraction digit
+    # and, when some cell has one, the exponent, in 8 bytes or 4.  Every
+    # byte of it is written below, so the workspace holds no stale byte.
+    places = [place for place in _PLACES if whole.max(initial=0) >= place]
+    exponential = not positional.all()
+    tail = 4 * (len(places) + 6)
+    width = tail + (8 if exponential else 4)
+    memory = work.chars[:count * width].reshape(shape[1:] + shape[:1] + (width,))
+    axis = len(shape) - 1  # where values' first axis lies in memory
+    chars = memory.transpose(axis, *range(axis), axis + 1) if axis > 0 else memory
+    words = chars.view(np.uint32)
+    word = work.word[:count].reshape(shape)
+    np.multiply(below_one, 2, out=a)
+    np.less(x, 0, out=temp)
+    a += temp
+    _put(words, 0, _SIGN, a, word)
+    # whole groups, with their leading zeros as NULs when no digit comes
+    # before them, as in every cell's first group
+    rest, group = whole, si[8]
+    for column, place in enumerate(places, 1):
+        if place > 1:
+            np.floor_divide(rest, place, out=group)
+            np.multiply(group, place, out=b)
+            rest = np.subtract(rest, b, out=si[7])
+        else:
+            group = rest  # the last group; whole is not read again
+        if column == 1:
+            group += 10000
+        else:
+            np.less(whole, 10000 * place, out=temp)
+            np.add(group, 10000, out=group, where=temp)
+        _put(words, column, _WORDS, group, word)
     # "." and the zeros after it below 1; ".0" for a whole number; no point
     # in a one-digit d.ddde+XX
-    words[:, 5] = _POINT.take(np.where(
-        below_one, -1 - e10, (fraction == 0) * np.where(positional, 1, 4)))
-    # fraction groups, with their trailing zeros as NULs when no digit comes after them
-    for column, place in zip(range(6, 10), _PLACES):
-        group = fraction // (10 * place)
-        fraction -= group * (10 * place)
-        words[:, column] = _WORDS.take(group + 20000 * (fraction == 0))
-    exponential = np.flatnonzero(~positional)
-    if len(exponential):
-        out.view(np.uint64)[exponential, 5] = _EXPONENT.take(e10[exponential] + _E0)
-    out[:, 40] = (fraction != 0) * (fraction + 48)
+    column, group = len(places) + 1, si[8]
+    group.fill(4)
+    np.copyto(group, 1, where=positional)
+    np.equal(fraction, 0, out=temp)
+    group *= temp
+    np.subtract(-1, e10, out=b)
+    np.copyto(group, b, where=below_one)
+    _put(words, column, _POINT, group, word)
+    # the four fraction groups at once: group k is fraction // 10**(13 - 4k)
+    # less 10**4 times the one before, with its trailing zeros as NULs when
+    # no digit comes after it, that is when fraction // 10**(13 - 4k) *
+    # 10**(13 - 4k) is fraction itself
+    groups, scaled, trailing = si[6:10], si[10:14], flags[4:8]
+    np.floor_divide(fraction, _FRACTION_PLACES, out=groups)
+    np.multiply(groups, _FRACTION_PLACES, out=scaled)
+    np.equal(scaled, fraction, out=trailing)
+    np.subtract(fraction, scaled[3], out=fraction)  # the 17th digit
+    np.multiply(groups[:3], 10000, out=scaled[1:])
+    groups[1:] -= scaled[1:]
+    np.multiply(trailing, 20000, out=scaled)
+    groups += scaled
+    quads = s[2:4].view(np.uint32).reshape((4,) + shape)
+    _WORDS.take(groups.reshape(quads.shape), out=quads, mode="clip")
+    words[..., column + 1:column + 5] = quads.transpose(*range(1, quads.ndim), 0)
+    code = si[10]
+    if exponential:  # "e", its sign and 2 or 3 digits, after a NUL byte
+        exponent = s[0].view(np.uint64)
+        np.add(e10, _E0, out=code)
+        _EXPONENT.take(code, out=exponent, mode="clip")
+        np.copyto(exponent, 0, where=positional)
+        words[..., -2:] = exponent.view(np.uint32).reshape(shape + (2,))
+    else:
+        words[..., -1] = 0
+    np.add(fraction, 48, out=code)
+    np.not_equal(fraction, 0, out=temp)
+    code *= temp
+    chars[..., tail] = code.reshape(shape)
 
-    special = np.flatnonzero(~kernel)
-    if len(special):
+    lines = memory.reshape(count, width)
+    if outside.any():
+        special = np.flatnonzero(outside)
         xs = x[special]
-        out[special] = _SPELLINGS.take(np.isinf(xs) * (1 + (xs < 0)) + 3 * np.isnan(xs), axis=0)
+        lines[_memory_rows(special, shape)] = _SPELLINGS[:, :width].take(
+            np.isinf(xs) * (1 + (xs < 0)) + 3 * np.isnan(xs), axis=0)
         unsure[special] = np.isfinite(xs) & (xs != 0.0)  # out of range: repr
-    fallback = np.flatnonzero(unsure)
-    if len(fallback):
+    if unsure.any():
+        fallback = np.flatnonzero(unsure)
         cells = np.array([repr(v) for v in x[fallback].tolist()], dtype="S24")
-        out[fallback] = 0
-        out[fallback, :24] = cells.view(np.uint8).reshape(-1, 24)
-    return out.reshape(np.shape(values) + (WIDTH,))
+        fallback = _memory_rows(fallback, shape)
+        lines[fallback] = 0
+        lines[fallback, :24] = cells.view(np.uint8).reshape(-1, 24)
+    return chars
+
+
+def _memory_rows(cells: np.ndarray, shape: tuple) -> np.ndarray:
+    """Where repr_chars keeps the given cells of ``values.ravel()``: the
+    first axis of ``values`` comes last in memory."""
+    if len(shape) < 2:
+        return cells
+    inner = int(np.prod(shape[1:]))
+    return cells % inner * shape[0] + cells // inner

@@ -21,8 +21,9 @@ import metaring
 from conftest import CONFIG_DIR
 from metaring import cli, conversion, dispersion, tuning
 from metaring.cli import (
-    _CSV_BLOCK_ROWS,
+    _CSV_BLOCK_CELLS,
     _KERNEL_MIN_ROWS,
+    _block_rows,
     _write_csv,
     main,
     run,
@@ -367,8 +368,15 @@ def write_csv_per_cell(path: Path, header, rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
+def block_edges(columns) -> int:
+    """How many block edges the column writer crosses in a table of these columns."""
+    arrays = [np.asarray(column) for column in columns]
+    return (len(arrays[0]) - 1) // _block_rows(arrays)
+
+
 def _long_table():
-    rows = 2 * _CSV_BLOCK_ROWS + 3
+    # a block of a table with a float column holds at most _CSV_BLOCK_CELLS rows
+    rows = 2 * _CSV_BLOCK_CELLS + 3
     floats = np.linspace(-1e20, 1e20, rows)
     floats[::7] = -0.0
     floats[::11] = np.nan
@@ -387,13 +395,71 @@ class TestColumnWriter:
     ], ids=["cell_kinds", "lists", "empty", "longer_than_a_block"])
     def test_same_bytes_as_per_cell_writer(self, tmp_path, columns):
         header = [f"c{j}" for j in range(len(columns))]
-        _write_csv(tmp_path / "columns.csv", header, columns)
+        if len(columns[0]) >= _KERNEL_MIN_ROWS:
+            assert block_edges(columns) >= 2
+        _write_csv(tmp_path / "columns.csv", header, columns, cli._workspace)
         write_csv_per_cell(tmp_path / "cells.csv", header, zip(*columns))
         assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
 
+    def test_narrow_table_after_wide_one_in_one_workspace(self, tmp_path):
+        # The wide table fills the workspace with 48-byte float cells (16 whole
+        # digits, exponents); the narrower mixed table after it, through the
+        # same workspace, must show none of their bytes, least of all in the
+        # cells at its block edges.
+        rng = np.random.default_rng(5)
+        wide_rows = 3 * _CSV_BLOCK_CELLS // 7 + 11
+        wide = [rng.standard_normal(wide_rows) * 10.0 ** rng.integers(-20, 16, wide_rows)
+                for _ in range(7)]
+        step = _block_rows([np.empty(0), np.empty(0, int), np.empty(0, bool), np.empty(0)])
+        rows = 2 * step + 5
+        narrow = (rng.random(rows), np.arange(rows) * 7 - rows, np.arange(rows) % 5 == 0,
+                  rng.random(rows) * 3.0)
+        # the cells that leave the kernel's path: NaN, -0.0, the infinities,
+        # a subnormal, |x| beyond 1e290 and a rounding-interval edge that the
+        # kernel hands to repr
+        special = [np.nan, -0.0, np.inf, -np.inf, 5e-324, 1e300, 2144181128783148.8]
+        for shift, row in enumerate([step - 1, step, step + 1, 2 * step - 1, 2 * step, rows - 1]):
+            narrow[0][row] = special[shift % len(special)]
+            narrow[3][row] = special[(shift + 3) % len(special)]
+        assert block_edges(wide) >= 2 and block_edges(narrow) >= 2
+        work = cli._workspace()
+        for name, columns in (("wide", wide), ("narrow", narrow)):
+            header = [f"c{j}" for j in range(len(columns))]
+            _write_csv(tmp_path / f"{name}.csv", header, columns, lambda: work)
+            write_csv_per_cell(tmp_path / f"{name}-cells.csv", header, zip(*columns))
+            assert ((tmp_path / f"{name}.csv").read_bytes()
+                    == (tmp_path / f"{name}-cells.csv").read_bytes()), name
+
+    def test_working_set_does_not_grow_with_the_table(self, tmp_path):
+        # numpy reports its buffers to tracemalloc: the writer holds its
+        # workspace and one block's joined lines (two bytes objects of at
+        # most _CSV_BLOCK_CELLS * WIDTH bytes), whatever the table's length,
+        # so nothing per row or kept per block may show in the peak
+        import tracemalloc
+
+        from metaring._shortest import WIDTH
+
+        tracemalloc.start()
+        cli._workspace()
+        workspace = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        peaks = []
+        for rows in (8001, 80001):
+            rng = np.random.default_rng(rows)
+            columns = [rng.standard_normal(rows) * 10.0 ** rng.integers(-9, 9, rows)
+                       for _ in range(7)]
+            tracemalloc.start()
+            _write_csv(tmp_path / "table.csv", [f"c{j}" for j in range(7)], columns,
+                       cli._workspace)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 64 * 1024
+        assert peaks[1] <= workspace + 2 * _CSV_BLOCK_CELLS * WIDTH + 64 * 1024
+
     def test_other_column_kinds_rejected(self, tmp_path):
         with pytest.raises(TypeError, match="floats, ints or bools"):
-            _write_csv(tmp_path / "columns.csv", ("a", "b"), ([1.0, 2.0], [None, 2.5]))
+            _write_csv(tmp_path / "columns.csv", ("a", "b"), ([1.0, 2.0], [None, 2.5]),
+                       cli._workspace)
 
 
 class TestKernelSplit:
@@ -406,14 +472,15 @@ class TestKernelSplit:
 
         calls = []
         real = shortest.repr_chars
-        monkeypatch.setattr(shortest, "repr_chars", lambda values: calls.append(1) or real(values))
+        monkeypatch.setattr(shortest, "repr_chars",
+                            lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
         rng = np.random.default_rng(3)
         values = rng.standard_normal(rows) * 10.0 ** rng.integers(-30, 30, rows)
         values[::97], values[::89], values[::83] = np.nan, 0.0, -0.0
         # the cells the kernel does not scale: infinities, a subnormal, |x| > 1e290
         values[::79], values[::73], values[::71], values[::67] = np.inf, -np.inf, 5e-324, 1e300
         columns = (values, -values / 3, np.arange(rows), values > 0)
-        _write_csv(tmp_path / "columns.csv", ("a", "b", "c", "d"), columns)
+        _write_csv(tmp_path / "columns.csv", ("a", "b", "c", "d"), columns, cli._workspace)
         write_csv_per_cell(tmp_path / "cells.csv", ("a", "b", "c", "d"), zip(*columns))
         assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
         assert bool(calls) == uses_kernel
@@ -433,20 +500,25 @@ class TestKernelSplit:
 
 
 class TestSweepBytes:
-    @pytest.mark.parametrize("points", [None, 2500], ids=["shipped", "across_block_edges"])
+    @pytest.mark.parametrize("points", [None, _CSV_BLOCK_CELLS + 3],
+                             ids=["shipped", "across_block_edges"])
     def test_sweep_csvs_match_per_cell_writer(self, tmp_path, default_config_path,
                                               monkeypatch, points):
         config = default_config_path
         if points is not None:
-            assert points > 2 * _CSV_BLOCK_ROWS
             raw = load_default(default_config_path)
-            for axis in ("pump", "detuning", "phase"):
+            for axis in ("field", "pump", "detuning", "phase"):
                 raw["sweep"][axis]["points"] = points
             config = write_config(tmp_path, raw, default_config_path)
+            # every table on the kernel crosses at least two block edges
+            tables = [content[1] for outputs in cli.plan(load_config(config)).values()
+                      for name, content in outputs if name.endswith(".csv")]
+            long = [columns for columns in tables if len(columns[0]) >= _KERNEL_MIN_ROWS]
+            assert len(long) == 5 and all(block_edges(columns) >= 2 for columns in long)
         manifest = run("sweep", config, tmp_path / "columns")
         monkeypatch.setattr(
             "metaring.cli._write_csv",
-            lambda path, header, columns: write_csv_per_cell(path, header, zip(*columns)),
+            lambda path, header, columns, _: write_csv_per_cell(path, header, zip(*columns)),
         )
         run("sweep", config, tmp_path / "cells")
         names = [name for name in manifest.output_paths if name.endswith(".csv")]
@@ -802,10 +874,10 @@ class TestMainExitCodes:
         # the writer loop fails part way, after other tables are written
         write_csv, written = cli._write_csv, []
 
-        def fail_on_saturation(path, header, columns):
+        def fail_on_saturation(path, header, columns, workspace):
             if path.name == "saturation.csv":
                 raise OSError("disk full")
-            write_csv(path, header, columns)
+            write_csv(path, header, columns, workspace)
             written.append(path.name)
 
         monkeypatch.setattr(cli, "_write_csv", fail_on_saturation)

@@ -5,13 +5,13 @@ import sys
 import numpy as np
 import pytest
 
-from metaring._shortest import repr_chars
+from metaring._shortest import Workspace, repr_chars
 
 CHUNK = 1 << 14
 
 
 def kernel_lines(values: np.ndarray) -> bytes:
-    chars = repr_chars(values)
+    chars = repr_chars(values, Workspace(values.size))
     chars[..., -1] = ord("\n")  # the last byte of every cell is free
     return chars.tobytes().translate(None, b"\0")
 
@@ -74,6 +74,33 @@ def test_special_cells_scattered_among_normal_ones():
 
 def test_shape_is_kept():
     values = np.arange(6.0).reshape(2, 3) / 7
-    chars = repr_chars(values)
+    chars = repr_chars(values, Workspace(values.size))
     assert chars.shape == (2, 3, chars.shape[-1])
     assert chars[1, 2].tobytes().replace(b"\0", b"") == repr(5 / 7).encode()
+
+
+def cells_of(chars: np.ndarray) -> list:
+    """Each cell of repr_chars' result in values' C order, its NULs removed."""
+    return [bytes(cell).replace(b"\0", b"") for cell in chars.reshape(-1, chars.shape[-1])]
+
+
+def test_one_workspace_for_blocks_of_every_width():
+    # a block needing 16 whole digits and exponents, then narrower ones,
+    # through one workspace: no byte of an earlier block may show
+    rng = np.random.default_rng(31)
+    work = Workspace(4096)
+    blocks = [rng.standard_normal((7, 500)) * 10.0 ** rng.integers(-20, 16, (7, 500)),
+              rng.random((3, 1000)), np.linspace(-3.0, 3.0, 4001)[None], rng.random(7) * 1e5]
+    for values in blocks:
+        chars = repr_chars(values, work)
+        assert chars.shape == values.shape + (chars.shape[-1],)
+        assert cells_of(chars) == [repr(v).encode() for v in values.ravel().tolist()]
+
+
+def test_special_cells_of_a_three_dimensional_block():
+    # the first axis is laid out last in memory; every cell kept in place
+    values = np.arange(60.0).reshape(3, 4, 5) / 7
+    values.flat[[0, 7, 13, 21, 34, 42, 55, 59]] = [np.nan, -0.0, np.inf, -np.inf, 5e-324, 1e300,
+                                                   2144181128783148.8, 0.0]
+    chars = repr_chars(values, Workspace(64))
+    assert cells_of(chars) == [repr(v + 0.0).encode() for v in values.ravel().tolist()]
