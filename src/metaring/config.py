@@ -30,7 +30,7 @@ import numpy as np
 
 from .conversion import (ConverterParams, bifurcation_drive_power, conversion_spectrum,
                          cooperativity, scattering)
-from .core import MicroloopSpec, RingSpec, SegmentParams, checked
+from .core import MicroloopSpec, RingSpec, SegmentParams, _positive, checked
 from .dispersion import UnitCell
 from .errors import ConfigError
 
@@ -232,6 +232,12 @@ def _converter(kerr, fringe, pairs, **rates):
         raise ValueError("p0_norm: must be a finite number when n_eff is null, "
                          "since one of them sets the cooperativity")
     params = ConverterParams(**rates)
+    if params.p0_norm is not None:  # it is the cooperativity, so g0 and n_eff would go unread
+        for field, unset in (("g0", 0.0), ("n_eff", None)):
+            if rates[field] != unset:
+                raise ValueError(f"{field}: must be left out or {json.dumps(unset)} while p0_norm "
+                                 "gives the cooperativity; give \"p0_norm\": null to derive "
+                                 "it from g0 and n_eff")
     c = cooperativity(params)
     if _evaluate(scattering, c, params.eta_s, params.eta_i) is None:  # as the pairs table does
         field = "g0" if params.p0_norm is None else "p0_norm"
@@ -251,6 +257,23 @@ def _ratio_grid(**ratio) -> dict:
     return ratio
 
 
+@checked
+class _LumpedCell(NamedTuple):
+    """A ring cell as the lumped model reads it: one line's capacitance and the cell length."""
+
+    capacitance_per_length: float
+    length: float
+
+    def _check(self) -> None:
+        _positive("capacitance_per_length", self.capacitance_per_length)
+        _positive("length", self.length)
+
+
+def _ring(**ring) -> RingSpec:
+    """The lumped ring: L_k + L_m per length over cells of one segment."""
+    return RingSpec(segment2=None, **ring)
+
+
 _SEGMENT = _numbers_section(
     SegmentParams, "inductance_per_length", "capacitance_per_length", "length")
 
@@ -260,9 +283,8 @@ _SCHEMA = _Section({
             "cell_count": _integer,
             "kinetic_inductance_per_length": _number,
             "geometric_inductance_per_length": _number,
-            "segment1": _SEGMENT,
-            "segment2": _SEGMENT._replace(optional=True),
-        }, RingSpec),
+            "segment1": _numbers_section(_LumpedCell, "capacitance_per_length", "length"),
+        }, _ring),
         "microloop": _numbers_section(
             MicroloopSpec, "width_ratio", "gap", "loop_dc_inductance", "inductance_wide",
             "inductance_narrow", "i_star_wide", "i_star_narrow"),

@@ -109,9 +109,14 @@ class RingSpec(NamedTuple):
     bridge segment (``segment2``); a ``None`` bridge describes the
     single-segment lumped cell model.
 
-    ``kinetic_inductance_per_length`` and ``geometric_inductance_per_length``
-    are the homogenized line constants used by the lumped mode solver; the
-    matching capacitance per length is read from ``segment1``.
+    The lumped mode solver treats the chain as one line and reads
+    ``cell_count``, ``kinetic_inductance_per_length`` +
+    ``geometric_inductance_per_length``, ``segment1.capacitance_per_length``
+    and the cell length (``segment1.length``, plus ``segment2.length`` when
+    given).  ``segment1.inductance_per_length`` and ``segment2``'s inductance
+    and capacitance are kept only for direct construction: a ring built from
+    a config has no ``segment2``, and its ``segment1`` holds only the
+    capacitance per length and the whole cell length.
     """
 
     cell_count: int

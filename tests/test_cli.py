@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -118,7 +119,7 @@ class TestValidate:
         (("sweep", "ratio", "values"), [1.0, True], "sweep.ratio.values: must be a list"),
         (("converter", "pairs"), [[0.99, 0.97], True], "converter.pairs: must be a list"),
         (("converter", "n_eff"), float("nan"), "converter.n_eff: must be a finite number"),
-        (("device", "ring", "segment2"), 5, "device.ring.segment2: must be a JSON object"),
+        (("device", "ring", "segment2"), 5, "device.ring.segment2: unknown key"),
         (("sweep", "phase", "points"), True, "sweep.phase.points: must be an integer"),
         (("device", "ring", "cell_count"), 10 ** 400, "device.ring.cell_count: must be an integer"),
         (("fit", "trace_csv"), 5, "fit.trace_csv: must be a non-empty string"),
@@ -142,12 +143,17 @@ class TestValidate:
          "n >= 1 and m - n >= 1"),
         (("sweep", "ratio", "signal_hz"), -1e9,
          "sweep.ratio.signal_hz: frequency must be non-negative"),
+        (("converter", "n_eff"), 3, "converter.n_eff: must be left out or null while p0_norm "
+         'gives the cooperativity; give "p0_norm": null'),
+        (("converter", "g0"), 45961.94077712559, "converter.g0: must be left out or 0.0 while "
+         'p0_norm gives the cooperativity; give "p0_norm": null'),
     ], ids=["top_unknown", "section_unknown", "nested_unknown", "n_eff_true", "p0_norm_true",
             "values_true", "pairs_true", "n_eff_nan", "segment2_int", "points_true",
             "cell_count_huge", "trace_csv_int", "fit_string", "offset_zero", "ratio_below_one",
             "stop_given_twice", "alias_elsewhere", "stop_mT_true", "stop_past_i_star",
             "stop_past_minus_i_star", "pump_stop_negative", "band_start_negative",
-            "band_stop_below_start", "signal_1e6", "signal_negative"])
+            "band_stop_below_start", "signal_1e6", "signal_negative", "n_eff_with_p0_norm",
+            "g0_with_p0_norm"])
     def test_single_violation_names_path(self, tmp_path, default_config_path,
                                          keys, value, expected):
         raw = load_default(default_config_path)
@@ -175,11 +181,10 @@ class TestValidate:
 
     def test_defaults_fill_optional_leaves(self, tmp_path, default_config_path):
         raw = load_default(default_config_path)
-        for key in ("g0", "n_eff", "p0_norm", "pairs"):
+        for key in ("n_eff", "p0_norm", "pairs"):
             del raw["converter"][key]
         del raw["converter"]["fringe"]["eta_s"]
         del raw["sweep"]["ratio"]["values"]
-        raw["device"]["ring"]["segment2"] = None
         config = load_config(write_config(tmp_path, raw, default_config_path))
         assert (config.converter.g0, config.converter.n_eff, config.converter.p0_norm) == (
             0.0, None, 1.0)
@@ -324,6 +329,44 @@ def test_joint_inputs_validate_and_sweep_agree(edits):
 
         for json_path in out.glob("*.json"):
             json.loads(json_path.read_text(), parse_constant=reject)
+
+
+def plan_outcome(path):
+    """The plan's tables by file name, each pickled, or the violations that refuse it."""
+    try:
+        outputs = cli.plan(load_config(path))
+    except ConfigError as exc:
+        return exc.violations
+    return {name: pickle.dumps(content) for each in outputs.values() for name, content in each}
+
+
+def test_every_config_leaf_is_read(tmp_path):
+    # Each numeric leaf of the shipped config is moved on its own: an integer
+    # by 1, a float up by 1 %, or down by 1 % where 1 bounds it from above
+    # (eta_*).  The move must change a table of the plan, or be refused under
+    # the leaf's path or a section holding it; no leaf is exempt.
+    raw = json.loads(DEFAULT_CONFIG.read_text())
+    shipped = plan_outcome(write_config(tmp_path, raw, DEFAULT_CONFIG))
+    assert isinstance(shipped, dict)
+    unread = []
+    for keys in LEAVES:
+        moved = json.loads(DEFAULT_CONFIG.read_text())
+        node = moved
+        for key in keys[:-1]:
+            node = node[key]
+        value = node[keys[-1]]
+        if isinstance(value, int):
+            node[keys[-1]] = value + 1
+        else:
+            node[keys[-1]] = value * (0.99 if str(keys[-1]).startswith("eta_") else 1.01)
+        leaf = ".".join(map(str, keys))
+        outcome = plan_outcome(write_config(tmp_path, moved, DEFAULT_CONFIG))
+        if isinstance(outcome, list):
+            if not any(f"{leaf}.".startswith(line.split(": ", 1)[0] + ".") for line in outcome):
+                unread.append(f"{leaf}: refused elsewhere: {outcome}")
+        elif outcome == shipped:
+            unread.append(f"{leaf}: changes no table")
+    assert unread == []
 
 
 def schema_leaf_paths(section, prefix=""):

@@ -26,7 +26,7 @@ RECORDS = (
     conversion.ConverterParams, conversion.ScatteringResult, conversion.NoiseModel,
     conversion.KerrSteadyState, conversion.BifurcationPoint, conversion.TlsModel,
     conversion.PairEfficiency, fitting.Trace, fitting.FitResult, config.KerrScenario,
-    config.FringeScenario, config.Config, config._Section, cli.RunManifest,
+    config.FringeScenario, config._LumpedCell, config.Config, config._Section, cli.RunManifest,
 )
 # what else the modules define: the fields of Trace, whose own __new__ turns
 # them into arrays, and two private helpers
@@ -71,6 +71,7 @@ def samples(default_config_path):
         fitting.FitResult: fitting.fit_reflection_resonance(trace),
         config.KerrScenario: cfg.kerr,
         config.FringeScenario: cfg.fringe,
+        config._LumpedCell: cfg.ring.segment1,
         config.Config: cfg,
         config._Section: config._SCHEMA,
         cli.RunManifest: cli.RunManifest("modes", cfg.config_hash, None, [], ""),
@@ -102,6 +103,7 @@ GOOD = {
     config.KerrScenario: dict(rate_hz=0.1, quality_factor=39e3, coupling_efficiency=0.94,
                               frequency_hz=4.85e9),
     config.FringeScenario: dict(cooperativity=0.2, eta_s=1.0, eta_i=1.0),
+    config._LumpedCell: dict(capacitance_per_length=437e-12, length=25e-6),
 }
 
 # record -> [(bad fields, the message that construction and _replace raise)]
@@ -183,6 +185,11 @@ BAD = {
         (dict(coupling_efficiency=1.5), "coupling_efficiency must lie in (0, 1]"),
         (dict(coupling_efficiency=1e-300), "coupling_efficiency: must keep the critical "
          "drive power 2 pi h f kappa^3/(3 sqrt(3) rate_hz kappa_ex) positive and finite"),
+    ],
+    config._LumpedCell: [
+        (dict(capacitance_per_length=-1e-10),
+         "capacitance_per_length must be a finite positive number, got -1e-10"),
+        (dict(length=math.inf), "length must be a finite positive number, got inf"),
     ],
     config.FringeScenario: [
         (dict(cooperativity=-1.0), "cooperativity must be non-negative"),
