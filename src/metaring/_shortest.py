@@ -1,9 +1,10 @@
-"""``repr`` of a whole float64 array in one numpy pass, for CSV cells.
+"""``repr`` of a whole float64 block in one numpy pass, laid out as CSV lines.
 
-``repr_chars(values, work)`` gives each value x a row of at most ``WIDTH``
-bytes; with its NUL bytes removed the row is ``repr(x + 0.0)`` (so -0.0
-reads 0.0), the shortest decimal string that reads back as the same double
-(the nearest such string when there are several).  ``work`` is a
+``repr_chars(values, work)`` gives each value x of a (columns, rows) block a
+cell of at most ``WIDTH`` bytes in its row's line, its comma last; with its
+NUL bytes removed the cell is ``repr(x + 0.0)`` (so -0.0 reads 0.0), the
+shortest decimal string that reads back as the same double (the nearest
+such string when there are several), or empty for NaN.  ``work`` is a
 ``Workspace``: every intermediate of a call is written into it, so a caller
 that formats block after block keeps one fixed set of arrays.
 
@@ -16,7 +17,7 @@ Y is a double-double (about 104 bits), so its fraction is known to about
 1e-14.  A cell is handed to ``repr`` itself when the kernel cannot be sure,
 so the kernel never decides an exact case: a rounding tie or an interval
 endpoint within ``TOL`` of a decimal grid point, and |x| outside
-[1e-290, 1e290].  Zero, the infinities and NaN get ``repr``'s spellings.
+[1e-290, 1e290].  Zero and the infinities get ``repr``'s spellings.
 """
 
 import numpy as np
@@ -34,8 +35,8 @@ _POWERS = np.full((3, _S0 + 309), np.nan)
 # bytes of a cell, as 32-bit words: 3 NULs and the sign (or "0", or "-0",
 # for |x| < 1); up to 16 whole digits, right-aligned; "." and up to 3
 # zeros; 16 fraction digits, left-aligned; then the 17th fraction digit,
-# "e", sign and 2 or 3 exponent digits, and at least two NULs.  A call
-# leaves out the whole words and exponent bytes that none of its cells uses.
+# "e", sign and 2 or 3 exponent digits, at least two NULs, then the comma.
+# A call leaves out the whole words and exponent bytes no cell uses.
 WIDTH = 48
 _SIGN = np.frombuffer(b"\0\0\0\0\0\0\0-\0\0\0000\0\0-0", np.uint32)
 _POINT = np.frombuffer(b".\0\0\0.0\0\0.00\0.000\0\0\0\0", np.uint32)  # ".", ".0", ".00", ".000", none
@@ -50,11 +51,14 @@ _WORDS = np.concatenate([_QUADS, _QUADS * _LEADING, _QUADS * _TRAILING]).view(np
 del _LEADING, _TRAILING
 _PLACES = (10 ** 12, 10 ** 8, 10 ** 4, 1)
 _FRACTION_PLACES = 10 * np.array(_PLACES)[:, None]
-# a NUL (the 17th fraction digit's slot), then "e-324" to "e+308"
+# a NUL (the 17th fraction digit's slot), then "e-324" to "e+308", and the
+# comma; a cell without an exponent ends with _COMMA's last 4 or all 8 bytes
 _E0 = 324
-_EXPONENT = np.array([b"\0e%+03d" % e for e in range(-_E0, 309)], "S8").view(np.uint64)
-# the cells the kernel does not scale: zero, inf, -inf and NaN
-_SPELLINGS = np.array([b"0.0", b"inf", b"-inf", b"nan"], f"S{WIDTH}").view(np.uint8).reshape(4, -1)
+_EXPONENT = np.array([(b"\0e%+03d" % e).ljust(7, b"\0") + b"," for e in range(-_E0, 309)],
+                     "S8").view(np.uint64)
+_COMMA = np.frombuffer(b"\0\0\0\0\0\0\0,", np.uint64)
+# the cells the kernel does not scale: zero, inf, -inf and NaN (empty)
+_SPELLINGS = np.array([b"0.0", b"inf", b"-inf", b""], f"S{WIDTH}").view(np.uint8).reshape(4, -1)
 
 
 def _power(s: int):
@@ -84,10 +88,10 @@ class Workspace:
     the infinities, NaN, the cells handed to ``repr`` and log10's rare
     misses), and a caller that keeps one workspace for many blocks keeps
     one set of pages.  ``x`` is where a caller may stage a block's values,
-    and ``matrix`` holds ``cells * WIDTH`` bytes for the caller's own use
-    (the CSV writer joins float, int and bool cells in it).
+    and ``chars``, where the lines are laid out, holds ``cells * WIDTH``
+    bytes, the caller's ``before`` and ``after`` spans included.
 
-    The arrays are views of one allocation of 232 bytes a cell, freed as one
+    The arrays are views of one allocation of 184 bytes a cell, freed as one
     chunk.  glibc's malloc raises its mmap and trim thresholds past a chunk
     that large once it is freed, so a process that makes a workspace again
     gets the same pages back without faulting them in.  It pays in time as
@@ -96,7 +100,7 @@ class Workspace:
     """
 
     def __init__(self, cells: int):
-        memory = np.empty((_ROWS + 15, cells))
+        memory = np.empty((_ROWS + 9, cells))
         self.x = memory[0]
         # the intermediates, read as float64 or int64, and 8 flags a cell; a
         # block of n cells takes rows of n from their start, so that
@@ -105,8 +109,7 @@ class Workspace:
         self.flags = memory[_ROWS + 1].view(np.bool_)
         self.e2 = memory[_ROWS + 2].view(np.int32)[:cells]
         self.word = memory[_ROWS + 2].view(np.uint32)[cells:]
-        self.chars = memory[_ROWS + 3:_ROWS + 9].view(np.uint8).ravel()
-        self.matrix = memory[_ROWS + 9:].view(np.uint8).ravel()
+        self.chars = memory[_ROWS + 3:].view(np.uint8).ravel()
 
 
 def _scaled(ax: np.ndarray, e10: np.ndarray, s: np.ndarray):
@@ -252,17 +255,17 @@ def _put(words: np.ndarray, column: int, table: np.ndarray, index: np.ndarray, w
     words[..., column] = word
 
 
-def repr_chars(values: np.ndarray, work: Workspace) -> np.ndarray:
-    """Shape ``values.shape + (width,)``: cell i is ``chars[i]``, and with its
-    NUL bytes removed it is ``repr(values[i] + 0.0)``.  The last two bytes
-    of every cell are NUL.
+def repr_chars(values: np.ndarray, work: Workspace, before: int = 0, after: int = 0) -> np.ndarray:
+    """The lines of the (columns, rows) block ``values``: shape (rows, before
+    + columns * width + after), a view of ``work.chars`` valid until its next
+    use.  Cell (j, i) is bytes ``before + j * width`` to ``before + (j + 1)
+    * width`` of line i, its last byte a comma; ``before`` and ``after``
+    bytes of each line are left to the caller as they were.
 
-    ``width`` is at most ``WIDTH``: the rows leave out the whole-digit words
-    that no cell of ``values`` uses, and the exponent's bytes when no cell
-    has one.  In memory the first axis of ``values`` comes last, so the
-    cells of a (columns, rows) block lie row by row, ready to be joined
-    into lines.  ``work`` holds at least ``values.size`` cells, and the
-    result is a view of ``work.chars``, valid until its next use.
+    ``width`` is at most ``WIDTH``: the cells leave out the whole-digit
+    words that no cell of ``values`` uses, and the exponent's bytes when no
+    cell has one.  ``work`` holds at least ``values.size`` cells, and the
+    lines in ``work.chars``.
     """
     x = np.asarray(values, dtype=np.float64).ravel()
     shape, count = np.shape(values), len(x)
@@ -298,17 +301,18 @@ def repr_chars(values: np.ndarray, work: Workspace) -> np.ndarray:
     _POW10.take(lead, out=b, mode="clip")
     fraction *= b  # 17 digits, left-aligned
 
-    # The row: the sign word, a word per whole group that some cell uses,
-    # the point word, four fraction words, then the 17th fraction digit
-    # and, when some cell has one, the exponent, in 8 bytes or 4.  Every
-    # byte of it is written below, so the workspace holds no stale byte.
+    # The cell: the sign word, a word per whole group that some cell uses,
+    # the point word, four fraction words, then the 17th fraction digit,
+    # the exponent if some cell has one, and the comma, in 8 bytes or 4.
+    # Every byte of it is written below, so the workspace holds no stale byte.
     places = [place for place in _PLACES if whole.max(initial=0) >= place]
     exponential = not positional.all()
     tail = 4 * (len(places) + 6)
     width = tail + (8 if exponential else 4)
-    memory = work.chars[:count * width].reshape(shape[1:] + shape[:1] + (width,))
-    axis = len(shape) - 1  # where values' first axis lies in memory
-    chars = memory.transpose(axis, *range(axis), axis + 1) if axis > 0 else memory
+    columns, rows = shape
+    line = before + columns * width + after
+    lines = work.chars[:rows * line].reshape(rows, line)
+    chars = lines[:, before:line - after].reshape(rows, columns, width).transpose(1, 0, 2)
     words = chars.view(np.uint32)
     word = work.word[:count].reshape(shape)
     np.multiply(below_one, 2, out=a)
@@ -356,41 +360,31 @@ def repr_chars(values: np.ndarray, work: Workspace) -> np.ndarray:
     groups += scaled
     quads = s[2:4].view(np.uint32).reshape((4,) + shape)
     _WORDS.take(groups.reshape(quads.shape), out=quads, mode="clip")
-    words[..., column + 1:column + 5] = quads.transpose(*range(1, quads.ndim), 0)
+    words[..., column + 1:column + 5] = quads.transpose(1, 2, 0)
     code = si[10]
     if exponential:  # "e", its sign and 2 or 3 digits, after a NUL byte
         exponent = s[0].view(np.uint64)
         np.add(e10, _E0, out=code)
         _EXPONENT.take(code, out=exponent, mode="clip")
-        np.copyto(exponent, 0, where=positional)
+        np.copyto(exponent, _COMMA, where=positional)
         words[..., -2:] = exponent.view(np.uint32).reshape(shape + (2,))
     else:
-        words[..., -1] = 0
+        words[..., -1] = _COMMA.view(np.uint32)[1]
     np.add(fraction, 48, out=code)
     np.not_equal(fraction, 0, out=temp)
     code *= temp
     chars[..., tail] = code.reshape(shape)
 
-    lines = memory.reshape(count, width)
+    # the cells off the common path keep their comma and get every byte before it
     if outside.any():
         special = np.flatnonzero(outside)
         xs = x[special]
-        lines[_memory_rows(special, shape)] = _SPELLINGS[:, :width].take(
+        chars[(*np.divmod(special, rows), slice(width - 1))] = _SPELLINGS[:, :width - 1].take(
             np.isinf(xs) * (1 + (xs < 0)) + 3 * np.isnan(xs), axis=0)
         unsure[special] = np.isfinite(xs) & (xs != 0.0)  # out of range: repr
     if unsure.any():
         fallback = np.flatnonzero(unsure)
-        cells = np.array([repr(v) for v in x[fallback].tolist()], dtype="S24")
-        fallback = _memory_rows(fallback, shape)
-        lines[fallback] = 0
-        lines[fallback, :24] = cells.view(np.uint8).reshape(-1, 24)
-    return chars
-
-
-def _memory_rows(cells: np.ndarray, shape: tuple) -> np.ndarray:
-    """Where repr_chars keeps the given cells of ``values.ravel()``: the
-    first axis of ``values`` comes last in memory."""
-    if len(shape) < 2:
-        return cells
-    inner = int(np.prod(shape[1:]))
-    return cells % inner * shape[0] + cells // inner
+        cells = np.array([repr(v) for v in x[fallback].tolist()], f"S{width - 1}")
+        chars[(*np.divmod(fallback, rows), slice(width - 1))] = cells.view(np.uint8).reshape(
+            -1, width - 1)
+    return lines

@@ -42,15 +42,16 @@ from .errors import BandEdgeError, ConditioningError, ConfigError, PrecisionErro
 COMMANDS = ("fit", "modes", "dispersion", "tune", "convert", "fringe", "saturate", "sweep")
 # Cells are formatted and written a block at a time.  A block of a table
 # holds as many rows as fit in this many float cells' worth of row bytes
-# (at most 48 bytes a float, the kernel's WIDTH; 21 an int; 6 a bool), so
-# a table of k float columns takes _CSV_BLOCK_CELLS // k rows a block and
-# its ints and bools ride along.  The float kernel's workspace is sized for
-# one block (232 bytes a cell), so its memory stays put from block to
+# (at most 48 bytes a float, the kernel's WIDTH; 24 an int; 8 a bool, each
+# cell word-aligned with its comma last), so a table of k float columns
+# takes _CSV_BLOCK_CELLS // k rows a block and its ints and bools ride
+# along.  The float kernel's workspace is sized for one block (184 bytes a
+# cell, the block's lines included), so its memory stays put from block to
 # block.  The kernel pays about 150 numpy calls a block whatever its size:
 # on the scaled sweep's tables, formatting and joining took 18 % less time
 # at 8192 cells than at 4096, and 7 % less than at 6144.
 _CSV_BLOCK_CELLS = 8192
-_CELL_BYTES = {"f": 48, "i": 21, "u": 21, "b": 6}
+_CELL_BYTES = {"f": 48, "i": 24, "u": 24, "b": 8}
 # Tables of at least this many rows format their floats with the vectorized
 # kernel (metaring._shortest), shorter ones with one repr per cell.  The
 # kernel overtakes repr at about 150-250 rows, but its module takes about
@@ -67,67 +68,53 @@ class RunManifest(NamedTuple):
     timestamp: str
 
 
-def _repr_chars(values: np.ndarray) -> np.ndarray:
-    """Each float's ``repr`` as a NUL-padded row of 25 bytes, the last one NUL."""
-    # adding 0.0 writes -0.0 as 0.0
-    cells = np.array(list(map(repr, (values + 0.0).ravel().tolist())), dtype="S25")
-    return cells.view(np.uint8).reshape(values.shape + (25,))
-
-
 def _block_rows(arrays: Sequence[np.ndarray]) -> int:
     """Rows a block of these columns takes (see _CSV_BLOCK_CELLS)."""
     width = sum(_CELL_BYTES[array.dtype.kind] for array in arrays)
-    return max(1, _CSV_BLOCK_CELLS * _CELL_BYTES["f"] // max(width, 1))
+    return max(1, _CSV_BLOCK_CELLS * _CELL_BYTES["f"] // width)
 
 
 def _csv_lines(block: Sequence[np.ndarray], work) -> bytes:
-    """The CSV lines of equal-length float, int and bool columns.
+    """The CSV lines of equal-length columns whose floats are adjacent.
 
-    Every cell becomes a NUL-padded row of characters whose last byte is
-    free for the separator: floats by the vectorized kernel through
-    ``work`` (a ``metaring._shortest.Workspace``), or by one ``repr`` per
-    cell when ``work`` is None, with NaN (a missing value) as an empty
-    cell; ints as their digits and bools as ``true``/``false``.  The rows
-    of all columns are laid side by side and the NULs dropped.
+    The float cells are laid out in lines, each NUL-padded with its comma
+    last and NaN (a missing value) empty: by the vectorized kernel through
+    ``work`` (a ``metaring._shortest.Workspace``), or by one ``repr`` in 24
+    bytes a cell when ``work`` is None.  The int and bool cells before and
+    after them go into the same lines, as their digits or ``true``/``false``
+    and a comma, then each line's last comma becomes its newline and the
+    NULs are dropped.
     """
-    rows = len(block[0])
-    floats = [column for column in block if column.dtype.kind == "f"]
-    if floats:
-        # column after column, so the kernel's masks run along a column
-        if work is None:
-            values = np.stack(floats)
-            chars = _repr_chars(values)
-        else:
-            from ._shortest import repr_chars
-
-            values = work.x[:rows * len(floats)].reshape(len(floats), rows)
-            for row, column in zip(values, floats):
-                row[...] = column
-            chars = repr_chars(values, work)
-        chars[np.isnan(values)] = 0
-    widths = [chars.shape[-1] if column.dtype.kind == "f" else _CELL_BYTES[column.dtype.kind]
-              for column in block]
-    ends = np.cumsum(widths)
-    if len(floats) == len(block):  # the kernel's cells already lie row by row in memory
-        matrix = chars.transpose(1, 0, 2).reshape(rows, -1)
+    kinds = "".join(column.dtype.kind for column in block)
+    first, count, rows = kinds.index("f"), kinds.count("f"), len(block[0])
+    widths = [_CELL_BYTES[kind] for kind in kinds]
+    before, after = sum(widths[:first]), sum(widths[first + count:])
+    floats = block[first:first + count]
+    if work is None:
+        # row by row; adding 0.0 writes -0.0 as 0.0, and only NaN is not itself
+        values = (np.stack(floats, axis=1) + 0.0).ravel().tolist()
+        text = np.array([repr(v) if v == v else "" for v in values], "S24")
+        lines = np.empty((rows, before + 25 * count + after), np.uint8)
+        cells = lines[:, before:before + 25 * count].reshape(rows, count, 25)
+        cells[..., :24] = text.view(np.uint8).reshape(rows, count, 24)
+        cells[..., 24] = ord(",")
     else:
-        size = rows * int(ends[-1])
-        memory = np.empty(size, np.uint8) if work is None else work.matrix[:size]
-        matrix = memory.reshape(rows, -1)
-        float_cells = iter(chars if floats else ())
-        for column, start, end in zip(block, ends - widths, ends):
-            cells = matrix[:, start:end]
-            if column.dtype.kind == "f":
-                cells[...] = next(float_cells)
-            elif column.dtype.kind == "b":
-                cells = cells.view("S6")[:, 0]
-                cells[...] = b"false"
-                np.copyto(cells, b"true", where=column)
-            else:
-                cells.view("S21")[:, 0] = column
-    matrix[:, ends[:-1] - 1] = ord(",")
-    matrix[:, -1] = ord("\n")
-    return matrix.tobytes().translate(None, b"\0")
+        from ._shortest import repr_chars
+
+        # column after column, so the kernel's masks run along a column
+        values = work.x[:rows * count].reshape(count, rows)
+        for row, column in zip(values, floats):
+            row[...] = column
+        lines = repr_chars(values, work, before, after)
+    ends = np.cumsum(widths)
+    ends[first:] += lines.shape[1] - ends[-1]  # the float cells' own width
+    for column, end, width in zip(block, ends.tolist(), widths):
+        if column.dtype.kind != "f":
+            cells = lines[:, end - width:end - 1].view(f"S{width - 1}")[:, 0]
+            cells[...] = np.where(column, b"true", b"false") if column.dtype.kind == "b" else column
+            lines[:, end - 1] = ord(",")
+    lines[:, -1] = ord("\n")
+    return lines.tobytes().translate(None, b"\0")
 
 
 def _write_csv(path: Path, header: Sequence[str], columns: Sequence,
@@ -137,16 +124,18 @@ def _write_csv(path: Path, header: Sequence[str], columns: Sequence,
     A column holds floats, ints or bools, so its cells are numbers,
     ``true``/``false`` or empty: RFC-4180 quoting never applies and rows
     are joined as plain text.  Every table has at least two columns, so no
-    row is a lone empty field (written ``""``).  A float is written as its
+    row is a lone empty field (written ``""``).  The float columns are
+    adjacent, any int and bool columns before or after them; other columns
+    or another order raise ``TypeError``.  A float is written as its
     shortest round-trip ``repr``.  A table of at least _KERNEL_MIN_ROWS rows
     formats its floats through ``workspace()``, the float kernel's arrays
     for one block (see _workspace).
     """
     arrays = [np.asarray(column) for column in columns]
-    for array in arrays:
-        if array.dtype.kind not in "fbiu":
-            raise TypeError(f"CSV columns hold floats, ints or bools, not {array.dtype}")
-    rows = len(arrays[0]) if arrays else 0
+    if set("".join(array.dtype.kind for array in arrays).strip("biu")) != {"f"}:
+        raise TypeError("CSV columns hold floats, ints or bools, and the float columns must be "
+                        f"adjacent, got {', '.join(str(array.dtype) for array in arrays)}")
+    rows = len(arrays[0])
     work = workspace() if rows >= _KERNEL_MIN_ROWS else None
     step = _block_rows(arrays)
     with open(path, "wb") as handle:

@@ -31,6 +31,14 @@ def _positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be a finite positive number, got {value!r}")
 
 
+def _check_line(inductance: str, l: float, c: float) -> None:
+    """Raise ``ValueError`` unless the line of L and C per length has a finite,
+    positive phase velocity 1/sqrt(L C) and impedance sqrt(L/C)."""
+    if not (0.0 < l * c < math.inf and 0.0 < l / c < math.inf):
+        raise ValueError(f"{inductance} and capacitance_per_length must keep L C and L/C "
+                         f"positive and finite, got L C = {l * c!r} and L/C = {l / c!r}")
+
+
 def checked(cls):
     """Class decorator: every instance of the named tuple ``cls`` passes ``cls._check``.
 
@@ -73,12 +81,8 @@ class SegmentParams(NamedTuple):
         _positive("inductance_per_length", self.inductance_per_length)
         _positive("capacitance_per_length", self.capacitance_per_length)
         _positive("length", self.length)
-        l, c = self.inductance_per_length, self.capacitance_per_length
-        # so the phase velocity 1/sqrt(L C) and the impedance sqrt(L/C) are finite, > 0
-        if not (0.0 < l * c < math.inf and 0.0 < l / c < math.inf):
-            raise ValueError("inductance_per_length and capacitance_per_length must keep "
-                             "L C and L/C positive and finite, got "
-                             f"L C = {l * c!r} and L/C = {l / c!r}")
+        _check_line("inductance_per_length", self.inductance_per_length,
+                    self.capacitance_per_length)
 
     @property
     def impedance(self) -> float:
@@ -263,13 +267,16 @@ def derive_line_constants(
 ) -> LineConstants:
     """Derive impedance, phase velocity and per-cell L_0, C_0.
 
-    All inputs must be strictly positive; raises ``ValueError`` otherwise.
+    All inputs must be strictly positive, and L_k + L_m with C must keep
+    L C and L/C positive and finite; raises ``ValueError`` otherwise.
     """
     _positive("kinetic_inductance_per_length", kinetic_inductance_per_length)
     _positive("geometric_inductance_per_length", geometric_inductance_per_length)
     _positive("capacitance_per_length", capacitance_per_length)
     _positive("cell_length", cell_length)
     total_l = kinetic_inductance_per_length + geometric_inductance_per_length
+    _check_line("kinetic_inductance_per_length + geometric_inductance_per_length", total_l,
+                capacitance_per_length)
     return LineConstants(
         characteristic_impedance=math.sqrt(total_l / capacitance_per_length),
         phase_velocity=1.0 / math.sqrt(total_l * capacitance_per_length),

@@ -147,13 +147,19 @@ class TestValidate:
          'gives the cooperativity; give "p0_norm": null'),
         (("converter", "g0"), 45961.94077712559, "converter.g0: must be left out or 0.0 while "
          'p0_norm gives the cooperativity; give "p0_norm": null'),
+        (("device", "ring", "geometric_inductance_per_length"), 1e300,
+         "device.ring: kinetic_inductance_per_length + geometric_inductance_per_length and "
+         "capacitance_per_length must keep L C and L/C positive and finite, got L C = "),
+        (("device", "ring", "kinetic_inductance_per_length"), 1e300,
+         "device.ring: kinetic_inductance_per_length + geometric_inductance_per_length and "
+         "capacitance_per_length must keep L C and L/C positive and finite, got L C = "),
     ], ids=["top_unknown", "section_unknown", "nested_unknown", "n_eff_true", "p0_norm_true",
             "values_true", "pairs_true", "n_eff_nan", "segment2_int", "points_true",
             "cell_count_huge", "trace_csv_int", "fit_string", "offset_zero", "ratio_below_one",
             "stop_given_twice", "alias_elsewhere", "stop_mT_true", "stop_past_i_star",
             "stop_past_minus_i_star", "pump_stop_negative", "band_start_negative",
             "band_stop_below_start", "signal_1e6", "signal_negative", "n_eff_with_p0_norm",
-            "g0_with_p0_norm"])
+            "g0_with_p0_norm", "geometric_inductance_huge", "kinetic_inductance_huge"])
     def test_single_violation_names_path(self, tmp_path, default_config_path,
                                          keys, value, expected):
         raw = load_default(default_config_path)
@@ -428,10 +434,10 @@ def _long_table():
 
 class TestColumnWriter:
     @pytest.mark.parametrize("columns", [
-        (np.array([np.nan, 0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1e-20]),
-         np.array([0, -1, 2, 2**62, -2**63, 7, 8, 9, 10]),
-         np.array([True, False, True, True, False, False, True, False, True]),
-         [float("nan"), 1.0, -0.0, 3.0, float("nan"), float("nan"), 2.5, -5e-324, 1e308]),
+        (np.array([0, -1, 2, 2**62, -2**63, 7, 8, 9, 10]),
+         np.array([np.nan, 0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1e-20]),
+         [float("nan"), 1.0, -0.0, 3.0, float("nan"), float("nan"), 2.5, -5e-324, 1e308],
+         np.array([True, False, True, True, False, False, True, False, True])),
         ([0.5, -0.0, float("nan")], [1, 2, 3], [np.bool_(True), np.bool_(False), True]),
         (np.array([]), [], np.array([], dtype=bool)),
         _long_table(),
@@ -444,26 +450,16 @@ class TestColumnWriter:
         write_csv_per_cell(tmp_path / "cells.csv", header, zip(*columns))
         assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
 
-    def test_narrow_table_after_wide_one_in_one_workspace(self, tmp_path):
+    @staticmethod
+    def assert_after_wide_table_in_one_workspace(tmp_path, narrow):
         # The wide table fills the workspace with 48-byte float cells (16 whole
-        # digits, exponents); the narrower mixed table after it, through the
-        # same workspace, must show none of their bytes, least of all in the
-        # cells at its block edges.
+        # digits, exponents); the narrower table after it, through the same
+        # workspace, must show none of their bytes, least of all in the cells
+        # at its block edges.
         rng = np.random.default_rng(5)
         wide_rows = 3 * _CSV_BLOCK_CELLS // 7 + 11
         wide = [rng.standard_normal(wide_rows) * 10.0 ** rng.integers(-20, 16, wide_rows)
                 for _ in range(7)]
-        step = _block_rows([np.empty(0), np.empty(0, int), np.empty(0, bool), np.empty(0)])
-        rows = 2 * step + 5
-        narrow = (rng.random(rows), np.arange(rows) * 7 - rows, np.arange(rows) % 5 == 0,
-                  rng.random(rows) * 3.0)
-        # the cells that leave the kernel's path: NaN, -0.0, the infinities,
-        # a subnormal, |x| beyond 1e290 and a rounding-interval edge that the
-        # kernel hands to repr
-        special = [np.nan, -0.0, np.inf, -np.inf, 5e-324, 1e300, 2144181128783148.8]
-        for shift, row in enumerate([step - 1, step, step + 1, 2 * step - 1, 2 * step, rows - 1]):
-            narrow[0][row] = special[shift % len(special)]
-            narrow[3][row] = special[(shift + 3) % len(special)]
         assert block_edges(wide) >= 2 and block_edges(narrow) >= 2
         work = cli._workspace()
         for name, columns in (("wide", wide), ("narrow", narrow)):
@@ -472,6 +468,52 @@ class TestColumnWriter:
             write_csv_per_cell(tmp_path / f"{name}-cells.csv", header, zip(*columns))
             assert ((tmp_path / f"{name}.csv").read_bytes()
                     == (tmp_path / f"{name}-cells.csv").read_bytes()), name
+
+    # the cells that leave the kernel's path: NaN, -0.0, the infinities, a
+    # subnormal, |x| beyond 1e290 and a rounding-interval edge that the kernel
+    # hands to repr
+    SPECIAL = [np.nan, -0.0, np.inf, -np.inf, 5e-324, 1e300, 2144181128783148.8]
+
+    def test_narrow_table_after_wide_one_in_one_workspace(self, tmp_path):
+        rng = np.random.default_rng(5)
+        step = _block_rows([np.empty(0, int), np.empty(0), np.empty(0), np.empty(0, bool)])
+        rows = 2 * step + 5
+        narrow = (np.arange(rows) * 7 - rows, rng.random(rows), rng.random(rows) * 3.0,
+                  np.arange(rows) % 5 == 0)
+        special = self.SPECIAL
+        for shift, row in enumerate([step - 1, step, step + 1, 2 * step - 1, 2 * step, rows - 1]):
+            narrow[1][row] = special[shift % len(special)]
+            narrow[2][row] = special[(shift + 3) % len(special)]
+        self.assert_after_wide_table_in_one_workspace(tmp_path, narrow)
+
+    def test_modes_shape_after_wide_one_in_one_workspace(self, tmp_path):
+        # an int column before the floats, as in modes.csv and pairs.csv
+        rng = np.random.default_rng(7)
+        step = _block_rows([np.empty(0, int), np.empty(0), np.empty(0)])
+        rows = 2 * step + 9
+        f_hz = np.cumsum(rng.random(rows)) * 1e8
+        table = (np.arange(rows) + 2 ** 40, f_hz, np.append(np.diff(f_hz), np.nan))
+        for shift, row in enumerate([0, step - 1, step, 2 * step - 1, 2 * step, rows - 2]):
+            table[1][row] = self.SPECIAL[shift % len(self.SPECIAL)]
+        self.assert_after_wide_table_in_one_workspace(tmp_path, table)
+
+    def test_saturation_shape_after_wide_one_in_one_workspace(self, tmp_path):
+        # floats, over a third of them NaN (the Kerr branches outside the
+        # bistable window), before a bool, as in saturation.csv
+        rng = np.random.default_rng(11)
+        step = _block_rows([np.empty(0)] * 5 + [np.empty(0, bool)])
+        rows = 2 * step + 7
+        ratios = np.linspace(0.0, 3.0, rows)
+        bistable = (ratios > 0.8) & (ratios < 1.2)
+        low = rng.random(rows) * 1e6
+        mid = np.where(bistable, low * 2.0, np.nan)
+        high = np.where(bistable | (ratios >= 1.2), low * 3.0, np.nan)
+        low[ratios >= 1.2] = np.nan
+        table = (ratios, ratios * 1.7e-13, low, mid, high, bistable)
+        for shift, row in enumerate([step - 1, step, step + 1, 2 * step - 1, 2 * step, rows - 1]):
+            table[shift % 5][row] = self.SPECIAL[shift % len(self.SPECIAL)]
+        assert np.isnan(np.stack(table[:5])).mean() >= 1 / 3
+        self.assert_after_wide_table_in_one_workspace(tmp_path, table)
 
     def test_working_set_does_not_grow_with_the_table(self, tmp_path):
         # numpy reports its buffers to tracemalloc: the writer holds its
@@ -503,6 +545,16 @@ class TestColumnWriter:
         with pytest.raises(TypeError, match="floats, ints or bools"):
             _write_csv(tmp_path / "columns.csv", ("a", "b"), ([1.0, 2.0], [None, 2.5]),
                        cli._workspace)
+
+    @pytest.mark.parametrize("columns", [
+        ([1.0, 2.0], [1, 2], [3.0, 4.0]),
+        ([True, False], [1.0, 2.0], [1, 2], [3.0, 4.0]),
+        ([1, 2], [True, False]),
+    ], ids=["int_between", "bool_first_int_between", "no_float"])
+    def test_float_columns_must_be_adjacent(self, tmp_path, columns):
+        with pytest.raises(TypeError, match="float columns must be adjacent"):
+            _write_csv(tmp_path / "columns.csv", [f"c{j}" for j in range(len(columns))],
+                       columns, cli._workspace)
 
 
 class TestKernelSplit:

@@ -10,24 +10,34 @@ from metaring._shortest import Workspace, repr_chars
 CHUNK = 1 << 14
 
 
-def kernel_lines(values: np.ndarray) -> bytes:
-    chars = repr_chars(values, Workspace(values.size))
-    chars[..., -1] = ord("\n")  # the last byte of every cell is free
-    return chars.tobytes().translate(None, b"\0")
+def kernel_cells(values: np.ndarray, work: Workspace = None) -> list:
+    """The cells of the (columns, rows) block ``values`` as repr_chars lays
+    them out, each row split at its commas and its NULs removed, in values'
+    C order."""
+    columns, rows = values.shape
+    lines = repr_chars(values, Workspace(values.size) if work is None else work)
+    assert lines.shape[0] == rows and lines.shape[1] % columns == 0
+    # every cell ends with its comma, and holds no other
+    assert (lines.reshape(rows, columns, -1)[..., -1] == ord(",")).all()
+    split = [bytes(line).translate(None, b"\0").split(b",") for line in lines]
+    assert all(len(row) == columns + 1 and row[-1] == b"" for row in split)
+    return [cell for column in list(zip(*split))[:columns] for cell in column]
 
 
-def repr_lines(values: np.ndarray) -> bytes:
+def repr_cells(values: np.ndarray) -> list:
+    """``repr(x + 0.0)`` of each cell in values' C order, empty for NaN."""
     with np.errstate(invalid="ignore"):  # a signalling NaN is a random bit pattern too
-        plain = (values + 0.0).tolist()
-    return ("\n".join(map(repr, plain)) + "\n").encode()
+        plain = (values + 0.0).ravel().tolist()
+    return [b"" if v != v else repr(v).encode() for v in plain]
 
 
 def assert_same_as_repr(values: np.ndarray) -> None:
+    """A 1-D array, in (1, n) blocks of at most CHUNK cells."""
     for start in range(0, len(values), CHUNK):
-        chunk = values[start:start + CHUNK]
-        if kernel_lines(chunk) != repr_lines(chunk):
-            wrong = [(v, kernel_lines(np.array([v])), repr_lines(np.array([v])))
-                     for v in chunk.tolist() if kernel_lines(np.array([v])) != repr_lines(np.array([v]))]
+        chunk = values[None, start:start + CHUNK]
+        got, expected = kernel_cells(chunk), repr_cells(chunk)
+        if got != expected:
+            wrong = [(v, g, e) for v, g, e in zip(chunk[0].tolist(), got, expected) if g != e]
             pytest.fail(f"kernel differs from repr: {wrong[:5]}")
 
 
@@ -57,8 +67,8 @@ def test_edges():
 
 
 def test_zeros_infinities_and_nan():
-    values = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan])
-    assert kernel_lines(values) == b"0.0\n0.0\ninf\n-inf\nnan\nnan\n"
+    values = np.array([[0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]])
+    assert kernel_cells(values) == [b"0.0", b"0.0", b"inf", b"-inf", b"", b""]
 
 
 def test_special_cells_scattered_among_normal_ones():
@@ -72,16 +82,16 @@ def test_special_cells_scattered_among_normal_ones():
     assert_same_as_repr(values)
 
 
-def test_shape_is_kept():
-    values = np.arange(6.0).reshape(2, 3) / 7
-    chars = repr_chars(values, Workspace(values.size))
-    assert chars.shape == (2, 3, chars.shape[-1])
-    assert chars[1, 2].tobytes().replace(b"\0", b"") == repr(5 / 7).encode()
-
-
-def cells_of(chars: np.ndarray) -> list:
-    """Each cell of repr_chars' result in values' C order, its NULs removed."""
-    return [bytes(cell).replace(b"\0", b"") for cell in chars.reshape(-1, chars.shape[-1])]
+def test_lines_leave_before_and_after_spans():
+    # the caller's spans keep their bytes; the cells lie between them
+    values = np.array([[0.5, np.nan, -3e20], [1e-7, 2.0, np.inf]])
+    work = Workspace(16)
+    work.chars[:] = 7
+    lines = repr_chars(values, work, before=8, after=24)
+    assert lines.shape[0] == 3 and (lines[:, :8] == 7).all() and (lines[:, -24:] == 7).all()
+    cells = lines[:, 8:-24].reshape(3, 2, -1).transpose(1, 0, 2)
+    assert [bytes(cell).translate(None, b"\0") for cell in cells.reshape(6, -1)] == [
+        b"0.5,", b",", b"-3e+20,", b"1e-07,", b"2.0,", b"inf,"]
 
 
 def test_one_workspace_for_blocks_of_every_width():
@@ -90,17 +100,14 @@ def test_one_workspace_for_blocks_of_every_width():
     rng = np.random.default_rng(31)
     work = Workspace(4096)
     blocks = [rng.standard_normal((7, 500)) * 10.0 ** rng.integers(-20, 16, (7, 500)),
-              rng.random((3, 1000)), np.linspace(-3.0, 3.0, 4001)[None], rng.random(7) * 1e5]
+              rng.random((3, 1000)), np.linspace(-3.0, 3.0, 4001)[None], rng.random((1, 7)) * 1e5]
     for values in blocks:
-        chars = repr_chars(values, work)
-        assert chars.shape == values.shape + (chars.shape[-1],)
-        assert cells_of(chars) == [repr(v).encode() for v in values.ravel().tolist()]
+        assert kernel_cells(values, work) == repr_cells(values)
 
 
-def test_special_cells_of_a_three_dimensional_block():
-    # the first axis is laid out last in memory; every cell kept in place
-    values = np.arange(60.0).reshape(3, 4, 5) / 7
+def test_special_cells_of_a_two_dimensional_block():
+    # every cell that leaves the kernel's path kept in its column and row
+    values = np.arange(60.0).reshape(3, 20) / 7
     values.flat[[0, 7, 13, 21, 34, 42, 55, 59]] = [np.nan, -0.0, np.inf, -np.inf, 5e-324, 1e300,
                                                    2144181128783148.8, 0.0]
-    chars = repr_chars(values, Workspace(64))
-    assert cells_of(chars) == [repr(v + 0.0).encode() for v in values.ravel().tolist()]
+    assert kernel_cells(values, Workspace(64)) == repr_cells(values)
