@@ -41,11 +41,9 @@ from .conversion import (
     BifurcationPoint,
     ConverterParams,
     KerrSteadyState,
-    NoiseModel,
     PairEfficiency,
     ScatteringResult,
     TlsModel,
-    added_noise,
     bifurcation_drive_power,
     bifurcation_point,
     calibrated_efficiency,
@@ -64,7 +62,6 @@ from .fitting import (
     FitResult,
     Trace,
     fit_linear_modes,
-    fit_quadratic_field_shift,
     fit_reflection_resonance,
     least_squares,
     reflection_s11,

@@ -10,17 +10,16 @@ plans (runs every runner but the fit), so ``validate`` and every command
 refuse a config alike.  Then the fit runs, one loop writes the tables into a
 staging directory inside the output directory, and the files are moved into
 place only once all are written, so a failed run adds no data file.  Every
-command writes RFC-4180 CSV (LF line endings; each cell a number,
-``true``/``false`` or empty) and/or JSON data files plus a
-``manifest.json``.  Data files are byte-identical for identical (command,
-config); the wall clock appears only in the manifest.
+command writes CSV (through ``metaring._csv``, one workspace a run) and/or
+JSON data files plus a ``manifest.json``.  Data files are byte-identical
+for identical (command, config); the wall clock appears only in the
+manifest.
 
 Exit codes: 0 success, 2 configuration invalid, 3 solver error, 4 I/O error.
 """
 
 import argparse
 import atexit
-import functools
 import gc
 import hashlib
 import json
@@ -31,33 +30,15 @@ import sys
 import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from . import conversion, dispersion, fitting, modes, tuning
+from . import _csv, conversion, dispersion, fitting, modes, tuning
 from .config import _MAX_SWEEP_POINTS, Config, _evaluate, load_config
 from .errors import BandEdgeError, ConditioningError, ConfigError, PrecisionError
 
 COMMANDS = ("fit", "modes", "dispersion", "tune", "convert", "fringe", "saturate", "sweep")
-# Cells are formatted and written a block at a time.  A block of a table
-# holds as many rows as fit in this many float cells' worth of row bytes
-# (at most 48 bytes a float, the kernel's WIDTH; 24 an int; 8 a bool, each
-# cell word-aligned with its comma last), so a table of k float columns
-# takes _CSV_BLOCK_CELLS // k rows a block and its ints and bools ride
-# along.  The float kernel's workspace is sized for one block (184 bytes a
-# cell, the block's lines included), so its memory stays put from block to
-# block.  The kernel pays about 150 numpy calls a block whatever its size:
-# on the scaled sweep's tables, formatting and joining took 18 % less time
-# at 8192 cells than at 4096, and 7 % less than at 6144.
-_CSV_BLOCK_CELLS = 8192
-_CELL_BYTES = {"f": 48, "i": 24, "u": 24, "b": 8}
-# Tables of at least this many rows format their floats with the vectorized
-# kernel (metaring._shortest), shorter ones with one repr per cell.  The
-# kernel overtakes repr at about 150-250 rows, but its module takes about
-# 4 ms to import from source, so the shipped sweep (at most 401 rows a table)
-# stays on repr.
-_KERNEL_MIN_ROWS = 512
 
 
 class RunManifest(NamedTuple):
@@ -66,89 +47,6 @@ class RunManifest(NamedTuple):
     trace_sha256: Optional[str]  # the fit.trace_csv bytes; None without a trace
     output_paths: List[str]
     timestamp: str
-
-
-def _block_rows(arrays: Sequence[np.ndarray]) -> int:
-    """Rows a block of these columns takes (see _CSV_BLOCK_CELLS)."""
-    width = sum(_CELL_BYTES[array.dtype.kind] for array in arrays)
-    return max(1, _CSV_BLOCK_CELLS * _CELL_BYTES["f"] // width)
-
-
-def _csv_lines(block: Sequence[np.ndarray], work) -> bytes:
-    """The CSV lines of equal-length columns whose floats are adjacent.
-
-    The float cells are laid out in lines, each NUL-padded with its comma
-    last and NaN (a missing value) empty: by the vectorized kernel through
-    ``work`` (a ``metaring._shortest.Workspace``), or by one ``repr`` in 24
-    bytes a cell when ``work`` is None.  The int and bool cells before and
-    after them go into the same lines, as their digits or ``true``/``false``
-    and a comma, then each line's last comma becomes its newline and the
-    NULs are dropped.
-    """
-    kinds = "".join(column.dtype.kind for column in block)
-    first, count, rows = kinds.index("f"), kinds.count("f"), len(block[0])
-    widths = [_CELL_BYTES[kind] for kind in kinds]
-    before, after = sum(widths[:first]), sum(widths[first + count:])
-    floats = block[first:first + count]
-    if work is None:
-        # row by row; adding 0.0 writes -0.0 as 0.0, and only NaN is not itself
-        values = (np.stack(floats, axis=1) + 0.0).ravel().tolist()
-        text = np.array([repr(v) if v == v else "" for v in values], "S24")
-        lines = np.empty((rows, before + 25 * count + after), np.uint8)
-        cells = lines[:, before:before + 25 * count].reshape(rows, count, 25)
-        cells[..., :24] = text.view(np.uint8).reshape(rows, count, 24)
-        cells[..., 24] = ord(",")
-    else:
-        from ._shortest import repr_chars
-
-        # column after column, so the kernel's masks run along a column
-        values = work.x[:rows * count].reshape(count, rows)
-        for row, column in zip(values, floats):
-            row[...] = column
-        lines = repr_chars(values, work, before, after)
-    ends = np.cumsum(widths)
-    ends[first:] += lines.shape[1] - ends[-1]  # the float cells' own width
-    for column, end, width in zip(block, ends.tolist(), widths):
-        if column.dtype.kind != "f":
-            cells = lines[:, end - width:end - 1].view(f"S{width - 1}")[:, 0]
-            cells[...] = np.where(column, b"true", b"false") if column.dtype.kind == "b" else column
-            lines[:, end - 1] = ord(",")
-    lines[:, -1] = ord("\n")
-    return lines.tobytes().translate(None, b"\0")
-
-
-def _write_csv(path: Path, header: Sequence[str], columns: Sequence,
-               workspace: Callable) -> None:
-    """Write equal-length ``columns`` (arrays or lists) under ``header``.
-
-    A column holds floats, ints or bools, so its cells are numbers,
-    ``true``/``false`` or empty: RFC-4180 quoting never applies and rows
-    are joined as plain text.  Every table has at least two columns, so no
-    row is a lone empty field (written ``""``).  The float columns are
-    adjacent, any int and bool columns before or after them; other columns
-    or another order raise ``TypeError``.  A float is written as its
-    shortest round-trip ``repr``.  A table of at least _KERNEL_MIN_ROWS rows
-    formats its floats through ``workspace()``, the float kernel's arrays
-    for one block (see _workspace).
-    """
-    arrays = [np.asarray(column) for column in columns]
-    if set("".join(array.dtype.kind for array in arrays).strip("biu")) != {"f"}:
-        raise TypeError("CSV columns hold floats, ints or bools, and the float columns must be "
-                        f"adjacent, got {', '.join(str(array.dtype) for array in arrays)}")
-    rows = len(arrays[0])
-    work = workspace() if rows >= _KERNEL_MIN_ROWS else None
-    step = _block_rows(arrays)
-    with open(path, "wb") as handle:
-        handle.write((",".join(header) + "\n").encode())
-        for start in range(0, rows, step):
-            handle.write(_csv_lines([a[start:start + step] for a in arrays], work))
-
-
-def _workspace():
-    """The float kernel's arrays for one block of _CSV_BLOCK_CELLS cells."""
-    from ._shortest import Workspace
-
-    return Workspace(_CSV_BLOCK_CELLS)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -379,13 +277,11 @@ def run(command: str, config_path, out_dir) -> RunManifest:
     # os.replace within one file system is atomic, so out never holds a
     # file of a run that did not finish
     staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
-    # made when the first long table needs it, one workspace formats every
-    # long table of the run and dies with it
-    workspace = functools.cache(_workspace)
+    work = _csv.Workspace()  # formats every table of the run, and dies with it
     try:
         for name, content in files:
             if name.endswith(".csv"):
-                _write_csv(staging / name, *content, workspace)
+                _csv.write_csv(staging / name, *content, work)
             else:
                 _write_json(staging / name, content)
         for name, _ in files:

@@ -233,37 +233,6 @@ def fringe_visibility(r_mag: float, t_mag: float) -> float:
     return 2.0 * r_mag * t_mag / denom
 
 
-@checked
-class NoiseModel(NamedTuple):
-    """Added thermal quanta, affine in normalized pump power.
-
-    Slopes alone cannot reproduce the measured occupancies at unit pump
-    power, so intercepts absorb the difference; all four coefficients must
-    be non-negative, which keeps predictions non-negative for any pump.
-    """
-
-    slope_s: float
-    slope_i: float
-    intercept_s: float
-    intercept_i: float
-
-    def _check(self) -> None:
-        if min(self.slope_s, self.slope_i, self.intercept_s, self.intercept_i) < 0:
-            raise ValueError("noise slopes and intercepts must be non-negative")
-
-
-def added_noise(p0_norm: ArrayLike, model: NoiseModel) -> Tuple[ArrayLike, ArrayLike]:
-    """Added quanta (signal, idler) at normalized pump power ``p0_norm``."""
-    p = np.asarray(p0_norm, dtype=float)
-    if np.any(p < 0):
-        raise ValueError("p0_norm must be non-negative")
-    n_s = model.intercept_s + model.slope_s * p
-    n_i = model.intercept_i + model.slope_i * p
-    if np.ndim(p0_norm) == 0:
-        return float(n_s), float(n_i)
-    return n_s, n_i
-
-
 class KerrSteadyState(NamedTuple):
     """Real positive intracavity photon-number branches, sorted ascending.
 

@@ -637,28 +637,6 @@ def coupling_fraction(result: FitResult) -> float:
     return q_in / (q_in + q_ex)
 
 
-def fit_quadratic_field_shift(
-    fields: Sequence[float],
-    fractional_shifts: Sequence[float],
-) -> FitResult:
-    """Fit df/f = -quad_coeff * B^2 to a field sweep."""
-    b = np.asarray(fields, dtype=float)
-    y = np.asarray(fractional_shifts, dtype=float)
-    if len(b) < 3 or len(b) != len(y):
-        raise ValueError("need at least 3 matched (field, shift) points")
-
-    def model(params, x):
-        return -params[0] * x**2
-
-    b_scale = float(np.max(np.abs(b)))
-    if b_scale == 0.0:
-        raise ConditioningError("all fields are zero; quadratic coefficient is unidentifiable")
-    initial = [max(abs(float(np.max(np.abs(y)))) / b_scale**2, 1e-12)]
-    return least_squares(
-        model, (b, y), initial, param_names=("quad_coeff",), scales=[initial[0]]
-    )
-
-
 def fit_linear_modes(
     mode_numbers: Sequence[int],
     frequencies: Sequence[float],

@@ -20,16 +20,9 @@ from hypothesis import strategies as st
 
 import metaring
 from conftest import CONFIG_DIR
-from metaring import cli, conversion, dispersion, tuning
-from metaring.cli import (
-    _CSV_BLOCK_CELLS,
-    _KERNEL_MIN_ROWS,
-    _block_rows,
-    _write_csv,
-    main,
-    run,
-    validate_config,
-)
+from metaring import _csv, cli, conversion, dispersion, tuning
+from metaring._csv import _CSV_BLOCK_CELLS, WIDTH, Workspace, _block_rows, write_csv
+from metaring.cli import main, run, validate_config
 from metaring.config import _MAX_SWEEP_POINTS, _SCHEMA, _Section, load_config
 from metaring.errors import ConfigError
 
@@ -433,6 +426,11 @@ def _long_table():
 
 
 class TestColumnWriter:
+    # the cells that leave the kernel's path: NaN, -0.0, the infinities, a
+    # subnormal, |x| beyond 1e290 and a rounding-interval edge that the kernel
+    # hands to repr
+    SPECIAL = [np.nan, -0.0, np.inf, -np.inf, 5e-324, 1e300, 2144181128783148.8]
+
     @pytest.mark.parametrize("columns", [
         (np.array([0, -1, 2, 2**62, -2**63, 7, 8, 9, 10]),
          np.array([np.nan, 0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1e-20]),
@@ -440,13 +438,17 @@ class TestColumnWriter:
          np.array([True, False, True, True, False, False, True, False, True])),
         ([0.5, -0.0, float("nan")], [1, 2, 3], [np.bool_(True), np.bool_(False), True]),
         (np.array([]), [], np.array([], dtype=bool)),
+        # every special cell in one row, then down a column of seven rows
+        (np.array([-7]), *([value] for value in SPECIAL), np.array([True])),
+        (np.arange(7) - 3, np.array(SPECIAL), -np.array(SPECIAL[::-1]), np.arange(7) % 3 == 0),
         _long_table(),
-    ], ids=["cell_kinds", "lists", "empty", "longer_than_a_block"])
+    ], ids=["cell_kinds", "lists", "empty", "special_in_one_row", "special_in_seven_rows",
+            "longer_than_a_block"])
     def test_same_bytes_as_per_cell_writer(self, tmp_path, columns):
         header = [f"c{j}" for j in range(len(columns))]
-        if len(columns[0]) >= _KERNEL_MIN_ROWS:
+        if len(columns[0]) > _CSV_BLOCK_CELLS:
             assert block_edges(columns) >= 2
-        _write_csv(tmp_path / "columns.csv", header, columns, cli._workspace)
+        write_csv(tmp_path / "columns.csv", header, columns, Workspace())
         write_csv_per_cell(tmp_path / "cells.csv", header, zip(*columns))
         assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
 
@@ -461,18 +463,13 @@ class TestColumnWriter:
         wide = [rng.standard_normal(wide_rows) * 10.0 ** rng.integers(-20, 16, wide_rows)
                 for _ in range(7)]
         assert block_edges(wide) >= 2 and block_edges(narrow) >= 2
-        work = cli._workspace()
+        work = Workspace()
         for name, columns in (("wide", wide), ("narrow", narrow)):
             header = [f"c{j}" for j in range(len(columns))]
-            _write_csv(tmp_path / f"{name}.csv", header, columns, lambda: work)
+            write_csv(tmp_path / f"{name}.csv", header, columns, work)
             write_csv_per_cell(tmp_path / f"{name}-cells.csv", header, zip(*columns))
             assert ((tmp_path / f"{name}.csv").read_bytes()
                     == (tmp_path / f"{name}-cells.csv").read_bytes()), name
-
-    # the cells that leave the kernel's path: NaN, -0.0, the infinities, a
-    # subnormal, |x| beyond 1e290 and a rounding-interval edge that the kernel
-    # hands to repr
-    SPECIAL = [np.nan, -0.0, np.inf, -np.inf, 5e-324, 1e300, 2144181128783148.8]
 
     def test_narrow_table_after_wide_one_in_one_workspace(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -522,10 +519,8 @@ class TestColumnWriter:
         # so nothing per row or kept per block may show in the peak
         import tracemalloc
 
-        from metaring._shortest import WIDTH
-
         tracemalloc.start()
-        cli._workspace()
+        Workspace()
         workspace = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         peaks = []
@@ -534,8 +529,7 @@ class TestColumnWriter:
             columns = [rng.standard_normal(rows) * 10.0 ** rng.integers(-9, 9, rows)
                        for _ in range(7)]
             tracemalloc.start()
-            _write_csv(tmp_path / "table.csv", [f"c{j}" for j in range(7)], columns,
-                       cli._workspace)
+            write_csv(tmp_path / "table.csv", [f"c{j}" for j in range(7)], columns, Workspace())
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) <= 64 * 1024
@@ -543,8 +537,8 @@ class TestColumnWriter:
 
     def test_other_column_kinds_rejected(self, tmp_path):
         with pytest.raises(TypeError, match="floats, ints or bools"):
-            _write_csv(tmp_path / "columns.csv", ("a", "b"), ([1.0, 2.0], [None, 2.5]),
-                       cli._workspace)
+            write_csv(tmp_path / "columns.csv", ("a", "b"), ([1.0, 2.0], [None, 2.5]),
+                      Workspace())
 
     @pytest.mark.parametrize("columns", [
         ([1.0, 2.0], [1, 2], [3.0, 4.0]),
@@ -553,45 +547,8 @@ class TestColumnWriter:
     ], ids=["int_between", "bool_first_int_between", "no_float"])
     def test_float_columns_must_be_adjacent(self, tmp_path, columns):
         with pytest.raises(TypeError, match="float columns must be adjacent"):
-            _write_csv(tmp_path / "columns.csv", [f"c{j}" for j in range(len(columns))],
-                       columns, cli._workspace)
-
-
-class TestKernelSplit:
-    """Tables of at least _KERNEL_MIN_ROWS rows format floats with the vectorized kernel."""
-
-    @pytest.mark.parametrize("rows, uses_kernel", [(_KERNEL_MIN_ROWS - 1, False),
-                                                   (_KERNEL_MIN_ROWS, True)])
-    def test_kernel_from_min_rows(self, tmp_path, monkeypatch, rows, uses_kernel):
-        import metaring._shortest as shortest
-
-        calls = []
-        real = shortest.repr_chars
-        monkeypatch.setattr(shortest, "repr_chars",
-                            lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
-        rng = np.random.default_rng(3)
-        values = rng.standard_normal(rows) * 10.0 ** rng.integers(-30, 30, rows)
-        values[::97], values[::89], values[::83] = np.nan, 0.0, -0.0
-        # the cells the kernel does not scale: infinities, a subnormal, |x| > 1e290
-        values[::79], values[::73], values[::71], values[::67] = np.inf, -np.inf, 5e-324, 1e300
-        columns = (values, -values / 3, np.arange(rows), values > 0)
-        _write_csv(tmp_path / "columns.csv", ("a", "b", "c", "d"), columns, cli._workspace)
-        write_csv_per_cell(tmp_path / "cells.csv", ("a", "b", "c", "d"), zip(*columns))
-        assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
-        assert bool(calls) == uses_kernel
-
-    def test_shipped_sweep_never_imports_kernel(self, tmp_path, default_config_path):
-        probe = ("import atexit, sys; "
-                 "atexit.register(lambda: print('kernel imported:', "
-                 "'metaring._shortest' in sys.modules, file=sys.stderr)); "
-                 "from metaring.cli import main; sys.exit(main())")
-        env = dict(os.environ, PYTHONPATH=str(Path(metaring.__file__).parent.parent))
-        proc = subprocess.run(
-            [sys.executable, "-c", probe, "sweep", "--config", str(default_config_path),
-             "--out", str(tmp_path / "out")],
-            env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stderr.splitlines()[-1] == "kernel imported: False"
+            write_csv(tmp_path / "columns.csv", [f"c{j}" for j in range(len(columns))],
+                      columns, Workspace())
 
 
 class TestSweepBytes:
@@ -605,14 +562,16 @@ class TestSweepBytes:
             for axis in ("field", "pump", "detuning", "phase"):
                 raw["sweep"][axis]["points"] = points
             config = write_config(tmp_path, raw, default_config_path)
-            # every table on the kernel crosses at least two block edges
-            tables = [content[1] for outputs in cli.plan(load_config(config)).values()
-                      for name, content in outputs if name.endswith(".csv")]
-            long = [columns for columns in tables if len(columns[0]) >= _KERNEL_MIN_ROWS]
-            assert len(long) == 5 and all(block_edges(columns) >= 2 for columns in long)
+            # the five tables on the sweep axes each cross at least two block edges
+            tables = {name: content[1] for outputs in cli.plan(load_config(config)).values()
+                      for name, content in outputs if name.endswith(".csv")}
+            long = {name: columns for name, columns in tables.items() if len(columns[0]) == points}
+            assert sorted(long) == ["fringe.csv", "pump.csv", "saturation.csv", "spectrum.csv",
+                                    "tuning.csv"]
+            assert all(block_edges(columns) >= 2 for columns in long.values())
         manifest = run("sweep", config, tmp_path / "columns")
         monkeypatch.setattr(
-            "metaring.cli._write_csv",
+            "metaring._csv.write_csv",
             lambda path, header, columns, _: write_csv_per_cell(path, header, zip(*columns)),
         )
         run("sweep", config, tmp_path / "cells")
@@ -967,15 +926,15 @@ class TestMainExitCodes:
     def test_late_io_error_writes_nothing(self, tmp_path, default_config_path,
                                           monkeypatch, capsys):
         # the writer loop fails part way, after other tables are written
-        write_csv, written = cli._write_csv, []
+        real_write_csv, written = _csv.write_csv, []
 
-        def fail_on_saturation(path, header, columns, workspace):
+        def fail_on_saturation(path, header, columns, work):
             if path.name == "saturation.csv":
                 raise OSError("disk full")
-            write_csv(path, header, columns, workspace)
+            real_write_csv(path, header, columns, work)
             written.append(path.name)
 
-        monkeypatch.setattr(cli, "_write_csv", fail_on_saturation)
+        monkeypatch.setattr(_csv, "write_csv", fail_on_saturation)
         out = tmp_path / "out"
         code = main(["sweep", "--config", str(default_config_path), "--out", str(out)])
         assert code == 4

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 
 from metaring import (
     ConverterParams,
-    NoiseModel,
     TlsModel,
-    added_noise,
     bifurcation_drive_power,
     bifurcation_point,
     calibrated_efficiency,
@@ -32,7 +30,6 @@ BALANCED_C = 3.0 - 2.0 * math.sqrt(2.0)
 KAPPA_130K = 130e3 / math.sqrt(2.0)
 
 TLS = TlsModel(q_tls0=9891.0, n_c=23.35, alpha=1.0, q_other=1e6)
-NOISE = NoiseModel(slope_s=0.04, slope_i=0.07, intercept_s=0.55, intercept_i=0.72)
 
 
 def params_at(c: float, eta_s=0.99, eta_i=0.98, kappa=KAPPA_130K) -> ConverterParams:
@@ -286,35 +283,6 @@ class TestInterferenceFringe:
     def test_rejects_overunity_amplitudes(self):
         with pytest.raises(ValueError):
             interference_fringe(0.0, 0.9, 0.9)
-
-
-class TestAddedNoise:
-    def test_zero_pump_returns_intercepts(self):
-        assert added_noise(0.0, NOISE) == (0.55, 0.72)
-
-    def test_unit_pump_measured_occupancies(self):
-        n_s, n_i = added_noise(1.0, NOISE)
-        assert abs(n_s - 0.59) < 1e-12
-        assert abs(n_i - 0.79) < 1e-12
-
-    def test_doubling_slope_doubles_excess(self):
-        stiff = NoiseModel(0.08, 0.14, 0.55, 0.72)
-        for p in (0.5, 1.0, 3.0):
-            base_s, base_i = added_noise(p, NOISE)
-            stiff_s, stiff_i = added_noise(p, stiff)
-            assert rel_err(stiff_s - 0.55, 2 * (base_s - 0.55)) < 1e-12
-            assert rel_err(stiff_i - 0.72, 2 * (base_i - 0.72)) < 1e-12
-
-    def test_non_negative_over_pump_range(self):
-        p = np.linspace(0, 10, 101)
-        n_s, n_i = added_noise(p, NOISE)
-        assert np.all(n_s >= 0) and np.all(n_i >= 0)
-
-    def test_rejects_negative_pump_or_coefficients(self):
-        with pytest.raises(ValueError):
-            added_noise(-0.1, NOISE)
-        with pytest.raises(ValueError):
-            NoiseModel(-0.01, 0.07, 0.55, 0.72)
 
 
 def eigvals_branches(detuning, fluxes, kerr_rate, kappa, kappa_ex):

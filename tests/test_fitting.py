@@ -15,7 +15,6 @@ from metaring import (
     FitResult,
     Trace,
     fit_linear_modes,
-    fit_quadratic_field_shift,
     fit_reflection_resonance,
     least_squares,
     reflection_s11,
@@ -711,47 +710,6 @@ class TestJacobianBits:
         want = reference_reflection_jacobian(freq, params, f_ref, s11)
         assert np.all(np.isfinite(got))
         assert same_bits(np.ascontiguousarray(got), np.ascontiguousarray(want))
-
-
-class TestQuadraticFieldShift:
-    def test_exact_recovery(self, microloop):
-        from metaring import BiasState, fractional_frequency_shift
-
-        fields = np.linspace(0, 2e-4, 21)
-        shifts = [
-            fractional_frequency_shift(microloop, BiasState.from_field(microloop, float(b)))
-            for b in fields
-        ]
-        result = fit_quadratic_field_shift(fields, shifts)
-        gamma = microloop.width_ratio
-        expected = (gamma / 2.0) * (microloop.gap
-                                    / (microloop.loop_dc_inductance
-                                       * microloop.i_star_narrow)) ** 2
-        assert rel_err(result.parameters["quad_coeff"], expected) < 1e-10
-        assert result.residual_norm < 1e-12
-
-    def test_calibrated_maximum_shift(self):
-        quad = 0.0083 / (2e-4) ** 2
-        fields = np.linspace(0, 2e-4, 11)
-        result = fit_quadratic_field_shift(fields, -quad * fields**2)
-        assert rel_err(result.parameters["quad_coeff"] * (2e-4) ** 2, 0.0083) < 1e-10
-
-    def test_odd_contamination_flags_misfit(self):
-        fields = np.linspace(0, 2e-4, 21)
-        clean = -207500.0 * fields**2
-        contaminated = clean + 1e-3 * fields / fields.max()
-        good = fit_quadratic_field_shift(fields, clean)
-        bad = fit_quadratic_field_shift(fields, contaminated)
-        assert good.residual_norm < 1e-12
-        assert bad.residual_norm > 1e-4
-
-    def test_degenerate_design_raises(self):
-        with pytest.raises(ConditioningError):
-            fit_quadratic_field_shift(np.zeros(5), np.zeros(5))
-
-    def test_requires_three_points(self):
-        with pytest.raises(ValueError):
-            fit_quadratic_field_shift([1e-4, 2e-4], [-1e-5, -4e-5])
 
 
 class TestLinearModes:

@@ -1,0 +1,42 @@
+"""perfbench's tracer still finds every function it wraps.
+
+``perfbench/tracer.py`` replaces ``cli.load_config``, the runners in
+``cli._RUNNERS`` and public functions of the model modules by name, so a
+rename there shows up here rather than only in a traced benchmark run.  The
+wrappers stay installed for the whole process, so the sweep runs in a child.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import metaring.cli
+
+ROOT = Path(__file__).resolve().parent.parent
+
+CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import tracer
+import metaring.cli
+
+recorder = tracer.Tracer()
+recorder.install()
+metaring.cli.run("sweep", sys.argv[2], sys.argv[3])
+print(json.dumps(recorder.totals()))
+"""
+
+
+def test_tracer_installs_and_sees_every_layer(tmp_path, default_config_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(metaring.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, str(ROOT / "perfbench"), str(default_config_path),
+         str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    totals = json.loads(proc.stdout.splitlines()[-1])
+    runners = [f"cli.{name}_s" for name in metaring.cli._RUNNERS]
+    assert all(totals[metric] > 0 for metric in ["config.load_s", *runners]), totals
+    assert totals["fitting.model_evals"] >= 1

@@ -23,10 +23,10 @@ RECORDS = (
     core.SegmentParams, core.RingSpec, core.MicroloopSpec, core.BiasState,
     core.LineConstants, modes.ModeTable, dispersion.TwoPortMatrix, dispersion.UnitCell,
     dispersion.MismatchReport, dispersion.EnhancementPoint, tuning.NonlinearCoefficients,
-    conversion.ConverterParams, conversion.ScatteringResult, conversion.NoiseModel,
-    conversion.KerrSteadyState, conversion.BifurcationPoint, conversion.TlsModel,
-    conversion.PairEfficiency, fitting.Trace, fitting.FitResult, config.KerrScenario,
-    config.FringeScenario, config._LumpedCell, config.Config, config._Section, cli.RunManifest,
+    conversion.ConverterParams, conversion.ScatteringResult, conversion.KerrSteadyState,
+    conversion.BifurcationPoint, conversion.TlsModel, conversion.PairEfficiency,
+    fitting.Trace, fitting.FitResult, config.KerrScenario, config.FringeScenario,
+    config._LumpedCell, config.Config, config._Section, cli.RunManifest,
 )
 # what else the modules define: the fields of Trace, whose own __new__ turns
 # them into arrays, and two private helpers
@@ -62,7 +62,6 @@ def samples(default_config_path):
         tuning.NonlinearCoefficients: tuning.twm_fwm_coefficients(loop, bias),
         conversion.ConverterParams: cfg.converter,
         conversion.ScatteringResult: conversion.scattering(1.0, 0.9, 0.9),
-        conversion.NoiseModel: conversion.NoiseModel(0.04, 0.07, 0.55, 0.72),
         conversion.KerrSteadyState: conversion.kerr_steady_state(0.0, 1e10, 0.1, 1e5, 9e4),
         conversion.BifurcationPoint: conversion.bifurcation_point(0.1, 1e5, 9e4),
         conversion.TlsModel: conversion.TlsModel(9891.0, 23.35, 1.0, 1e6),
@@ -96,8 +95,6 @@ GOOD = {
     tuning.NonlinearCoefficients: dict(twm=0.0, fwm=1.0),
     conversion.ConverterParams: dict(kappa_s=1e5, kappa_i=1e5, eta_s=0.9, eta_i=0.9),
     conversion.ScatteringResult: dict(t2=0.5, r2=0.5),
-    conversion.NoiseModel: dict(slope_s=0.04, slope_i=0.07, intercept_s=0.55,
-                                intercept_i=0.72),
     conversion.TlsModel: dict(q_tls0=9891.0, n_c=23.35, alpha=1.0, q_other=1e6),
     fitting.Trace: dict(frequency=np.arange(6.0), response=np.ones(6, dtype=complex)),
     config.KerrScenario: dict(rate_hz=0.1, quality_factor=39e3, coupling_efficiency=0.94,
@@ -167,9 +164,6 @@ BAD = {
          "g0: must make the cooperativity 4 g0^2 n_eff/(kappa_s kappa_i) finite"),
     ],
     conversion.ScatteringResult: [(dict(t2=1.5), "t2 must lie in [0, 1], got 1.5")],
-    conversion.NoiseModel: [
-        (dict(intercept_i=-0.1), "noise slopes and intercepts must be non-negative"),
-    ],
     conversion.TlsModel: [(dict(alpha=0.0), "all TLS model parameters must be positive")],
     fitting.Trace: [
         (dict(response=np.ones(5)), "frequency and response must be 1-D and equally long"),

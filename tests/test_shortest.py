@@ -1,11 +1,11 @@
-"""The vectorized float formatter against ``repr`` as the oracle."""
+"""The shortest-digits float kernel of ``metaring._csv`` against ``repr`` as the oracle."""
 
 import sys
 
 import numpy as np
 import pytest
 
-from metaring._shortest import Workspace, repr_chars
+from metaring._csv import Workspace, repr_chars
 
 CHUNK = 1 << 14
 

@@ -2,8 +2,8 @@
 
 ``tests/data/sweep_sha256.json`` holds the hashes for two configs: the
 shipped ``configs/default.json``, and a copy with ten times the cells and
-2001 points on every sweep axis, so both CSV float paths are covered (one
-``repr`` per cell below 512 rows, the vectorized formatter from there on).
+2001 points on every sweep axis, so the CSV writer is covered on tables of
+8 to 2001 rows, from a part of one block to two blocks.
 Beside them it records the Python and numpy versions, the machine and
 numpy's enabled CPU features.  Elsewhere libm and numpy's SIMD loops may
 round differently, so the test skips and names the difference.
