@@ -35,7 +35,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import _csv, conversion, dispersion, fitting, modes, tuning
-from .config import _MAX_SWEEP_POINTS, Config, _evaluate, load_config
+from .config import Config, _evaluate, load_config
 from .errors import BandEdgeError, ConditioningError, ConfigError, PrecisionError
 
 COMMANDS = ("fit", "modes", "dispersion", "tune", "convert", "fringe", "saturate", "sweep")
@@ -53,11 +53,6 @@ def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-def _work_bound(what: str, count: int) -> str:
-    return (f"device.ring.cell_count: must put at most {_MAX_SWEEP_POINTS} {what} "
-            f"in sweep.band, got {count:.6g}")
 
 
 def _pump(config: Config) -> tuple:
@@ -87,10 +82,6 @@ def _run_tune(config: Config) -> list:
 
 def _run_modes(config: Config) -> list:
     band = (config.sweeps["band"]["start_hz"], config.sweeps["band"]["stop_hz"])
-    # the index range free_spectral_range allocates, from the closed form
-    indices = modes._first_branch(config.ring, band)[1]
-    if indices.stop - indices.start > _MAX_SWEEP_POINTS:
-        raise ConfigError([_work_bound("ring modes", indices.stop - indices.start)])
     table = modes.free_spectral_range(config.ring, band)
     fsr_mean = None if math.isnan(table.fsr_mean) else table.fsr_mean
     return [
@@ -107,15 +98,11 @@ def _run_dispersion(config: Config) -> list:
     if not band["stop_hz"] > band["start_hz"]:
         violations.append(f"sweep.band.stop_hz: must be above sweep.band.start_hz "
                           f"({band['start_hz']!r}), got {band['stop_hz']!r}")
-    edges = []
     for key in ("start_hz", "stop_hz"):  # the index step of dispersion.fsr_curve
         try:
-            edges.append(dispersion.mode_index_near(cell, cells, band[key]))
+            dispersion.mode_index_near(cell, cells, band[key])
         except BandEdgeError as exc:
             violations.append(f"sweep.band.{key}: {exc}")
-    cell_modes = edges[1] + 2 - max(1, edges[0] - 1) if len(edges) == 2 else 0
-    if cell_modes > _MAX_SWEEP_POINTS:
-        violations.append(_work_bound("unit-cell modes", cell_modes))
     points = []
     if ratio["offsets_hz"] and ratio["values"]:
         try:  # looked up on its module, so perfbench's tracer sees it
@@ -227,8 +214,7 @@ def plan(config: Config) -> Dict[str, list]:
     """Every runner's outputs but the fit's, by runner name.
 
     Raises :class:`ConfigError` with every runner's violations, each line
-    once (convert and saturate bound the same pump stop).  A ring-mode bound
-    ends the plan: past it the dispersion runner's index step overflows.
+    once (convert and saturate bound the same pump stop).
     """
     outputs: Dict[str, list] = {}
     violations: List[str] = []
@@ -239,8 +225,6 @@ def plan(config: Config) -> Dict[str, list]:
             outputs[name] = runner(config)
         except ConfigError as exc:
             violations += [line for line in exc.violations if line not in violations]
-            if name == "modes":
-                break
     if violations:
         raise ConfigError(violations)
     return outputs

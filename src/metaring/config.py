@@ -11,8 +11,9 @@ name and builds each section with its constructor, which checks the
 section's physical bounds.  A bound that faults one field names it first
 (``"rate_hz: must ..."``) and is reported under that field's path.  Where a
 closed form would overflow, the bound is that form itself (``_evaluate``).
-The bounds that join sections belong to the runners whose work they bound,
-and ``cli.plan`` checks them.
+Every bound on how much a run allocates is checked here.  The bounds that
+join sections belong to the runners whose work they bound, and ``cli.plan``
+checks them.
 
 ``load_config`` raises :class:`ConfigError` carrying one
 ``"json.path: message"`` violation per problem.
@@ -34,10 +35,14 @@ from .core import MicroloopSpec, RingSpec, SegmentParams, _positive, checked
 from .dispersion import UnitCell
 from .errors import ConfigError
 
-# sweeps allocate their whole axis at once, and the modes and dispersion
-# runners one entry per mode index in the band; far above any real sweep,
-# this catches a typo before it exhausts memory
+# sweeps allocate their whole axis at once; far above any real sweep, this
+# catches a typo before it exhausts memory
 _MAX_SWEEP_POINTS = 1_000_000
+# the modes and dispersion runners allocate one entry per first-branch index
+# in the band, and every such index m has m <= N/2: with N at most this, a
+# band holds at most N/2 = 999 999 ring modes, and fsr_curve's window
+# max(1, m_lo - 1) .. m_hi + 1 at most N/2 + 1 = _MAX_SWEEP_POINTS indices
+_MAX_CELL_COUNT = 2 * _MAX_SWEEP_POINTS - 2
 # a superconducting resonator's modes lie below its pair-breaking frequency,
 # a few THz at most
 _MAX_MODE_FREQUENCY_HZ = 1e13
@@ -205,6 +210,13 @@ def _points(value) -> int:
     return points
 
 
+def _cell_count(value) -> int:
+    count = _integer(value)
+    if count > _MAX_CELL_COUNT:
+        raise ValueError(f"must be <= {_MAX_CELL_COUNT}, got {count}")
+    return count
+
+
 _REQUIRED = object()  # default of a leaf that must be given
 _FAILED = object()    # a leaf or section that has already reported a violation
 
@@ -280,7 +292,7 @@ _SEGMENT = _numbers_section(
 _SCHEMA = _Section({
     "device": _Section({
         "ring": _Section({
-            "cell_count": _integer,
+            "cell_count": _cell_count,
             "kinetic_inductance_per_length": _number,
             "geometric_inductance_per_length": _number,
             "segment1": _numbers_section(_LumpedCell, "capacitance_per_length", "length"),

@@ -35,7 +35,6 @@ Fits built on the engine:
   the resonator's own phase tail gives the cable delay.  The steps use the
   closed-form Jacobian of :func:`reflection_s11`, which reads the
   background from the model value the engine has just computed;
-* quadratic magnetic-field frequency shift;
 * ordinary least squares of mode frequency versus mode number.
 """
 
@@ -187,17 +186,26 @@ def least_squares(
     already have one row per real residual.  Without it the Jacobian is
     central-differenced.  At most ``_MAX_ITER`` steps are accepted.
     Raises :class:`ConditioningError` when the damped normal equations are
-    singular (a parameter the model never responds to).
+    singular (a parameter the model never responds to), and ``ValueError``
+    when ``initial`` is not finite or an option lacks exactly one entry per
+    parameter.
     """
     x, y = data
     p = np.array(initial, dtype=float)
     n_par = len(p)
+    if not np.isfinite(p).all():
+        raise ValueError(f"initial: every parameter must be finite, got {p.tolist()}")
     lower = np.full(n_par, -np.inf) if bounds is None else np.asarray(bounds[0], float)
     upper = np.full(n_par, np.inf) if bounds is None else np.asarray(bounds[1], float)
-    if (p < lower).any() or (p > upper).any():
-        raise ValueError("initial parameters must lie within bounds")
     names = list(param_names) if param_names else [f"p{j}" for j in range(n_par)]
     step_scale = np.maximum(np.abs(p), 1.0) if scales is None else np.asarray(scales, float)
+    for option, shape in (("bounds", lower.shape), ("bounds", upper.shape),
+                          ("param_names", (len(names),)), ("scales", step_scale.shape)):
+        if shape != (n_par,):
+            raise ValueError(f"{option}: must give one entry per parameter ({n_par}), "
+                             f"got shape {shape}")
+    if (p < lower).any() or (p > upper).any():
+        raise ValueError("initial parameters must lie within bounds")
 
     def residual(params: np.ndarray) -> np.ndarray:
         return _stack(y - model(params, x))

@@ -82,8 +82,11 @@ class ModeTable(tuple):
         return indices, freqs, list(self.fsr_list) + ([math.nan] if self else [])
 
 
-def _first_branch(ring: RingSpec, band: tuple) -> Tuple[float, range]:
-    """f_0 and the first-branch indices (0 < m <= N/2) ``band`` can hold, unallocated."""
+def free_spectral_range(ring: RingSpec, band: tuple) -> ModeTable:
+    """All modes of the first branch (0 < m <= N/2) inside ``band`` [Hz].
+
+    An empty band or a band containing no mode yields an empty table.
+    """
     lo, hi = band
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("band edges must be finite")
@@ -98,22 +101,13 @@ def _first_branch(ring: RingSpec, band: tuple) -> Tuple[float, range]:
 
     lo = max(lo, 0.0)
     if hi <= lo or lo >= f_top:
-        return f0, range(0)
+        return ModeTable()
     m_lo = max(1, math.ceil(index_at(lo) - 1e-9))
     m_hi = min(n_cells // 2, math.floor(index_at(min(hi, f_top)) + 1e-9))
-    return f0, range(m_lo, m_hi + 1)
-
-
-def free_spectral_range(ring: RingSpec, band: tuple) -> ModeTable:
-    """All modes of the first branch (0 < m <= N/2) inside ``band`` [Hz].
-
-    An empty band or a band containing no mode yields an empty table.
-    """
-    f0, candidates = _first_branch(ring, band)
     # the closed form of analytic_mode_frequency over the whole index range;
     # m <= N/2, so no index needs folding
-    indices = np.arange(candidates.start, candidates.stop)
-    freqs = f0 * np.sqrt(1.0 - np.cos(2.0 * math.pi * indices / ring.cell_count))
+    indices = np.arange(m_lo, m_hi + 1)
+    freqs = f0 * np.sqrt(1.0 - np.cos(2.0 * math.pi * indices / n_cells))
     inside = (band[0] <= freqs) & (freqs <= band[1])
     return ModeTable.from_frequencies(indices[inside].tolist(), freqs[inside].tolist())
 

@@ -250,6 +250,18 @@ class TestFsrCurve:
     def test_empty_band(self, bloch_cell):
         assert fsr_curve(bloch_cell, N_CELLS, (5e9, 4e9)) == []
 
+    def test_window_at_the_cell_count_cap_fits_the_sweep_cap(self, bloch_cell):
+        # the top of the first band, at phase pi, has index N/2, so for the
+        # largest ring a config may give fsr_curve's index window
+        # max(1, m_lo - 1) .. m_hi + 1 holds at most _MAX_SWEEP_POINTS indices
+        from metaring.config import _MAX_CELL_COUNT, _MAX_SWEEP_POINTS
+
+        n = _MAX_CELL_COUNT
+        top = solve_mode_frequency(bloch_cell, n, n // 2)
+        m_lo, m_hi = (mode_index_near(bloch_cell, n, f) for f in (0.0, top))
+        assert (m_lo, m_hi) == (1, n // 2)
+        assert m_hi + 2 - max(1, m_lo - 1) == _MAX_SWEEP_POINTS
+
 
 class TestConversionMismatch:
     def test_design_cell_near_5ghz(self, bloch_cell):

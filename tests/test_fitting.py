@@ -248,6 +248,21 @@ class TestLeastSquaresEngine:
         with pytest.raises(ValueError):
             least_squares(lambda p, xx: p[0] * xx, (x, y), [3.0], bounds=([0.0], [2.0]))
 
+    @pytest.mark.parametrize("options, initial, argument", [
+        ({"bounds": ([0.0], [2.0])}, [1.0, 0.0], "bounds"),
+        ({"param_names": ("a",)}, [1.0, 0.0], "param_names"),
+        ({"scales": [1.0]}, [1.0, 0.0], "scales"),
+        ({}, [math.nan, 0.0], "initial"),
+    ], ids=["one_bound", "one_name", "one_scale", "nan_start"])
+    def test_options_need_one_finite_entry_per_parameter(self, options, initial, argument):
+        # unchecked, one bound clamped both parameters, one name dropped p1,
+        # one scale broadcast (or indexed out of range without a jac) and a
+        # NaN start read as a singular fit
+        x = np.arange(10.0)
+        with pytest.raises(ValueError, match=f"^{argument}: "):
+            least_squares(lambda p, xx: p[0] * xx + p[1], (x, 3.5 * x + 1.25), initial,
+                          **options)
+
     def test_stop_held_by_bound_is_not_converged(self):
         # the optimum p0 = 2 lies outside the box: the fit stops on p0 = 1
         # with p1 at the constrained optimum 4.8

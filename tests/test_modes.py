@@ -134,6 +134,16 @@ class TestFreeSpectralRange:
                     expected.append((m, f_m))
             assert free_spectral_range(ring, band).entries == tuple(expected)
 
+    def test_widest_band_at_the_cell_count_cap_fits_the_sweep_cap(self, design_ring):
+        # every first-branch index has m <= N/2, so the largest ring a config
+        # may give holds at most _MAX_SWEEP_POINTS modes in any band
+        from metaring.config import _MAX_CELL_COUNT, _MAX_SWEEP_POINTS
+
+        ring = design_ring._replace(cell_count=_MAX_CELL_COUNT)
+        table = free_spectral_range(ring, (0.0, 1e300))
+        assert len(table) == _MAX_CELL_COUNT // 2 <= _MAX_SWEEP_POINTS
+        assert table[-1][0] == _MAX_CELL_COUNT // 2
+
     def test_csv_columns_shape(self, design_ring):
         table = free_spectral_range(design_ring, (4e9, 4.5e9))
         columns = table.csv_columns()

@@ -1,11 +1,14 @@
-"""perfbench's tracer still finds every function it wraps.
+"""perfbench's hooks and output checks still hold on the package.
 
 ``perfbench/tracer.py`` replaces ``cli.load_config``, the runners in
 ``cli._RUNNERS`` and public functions of the model modules by name, so a
 rename there shows up here rather than only in a traced benchmark run.  The
 wrappers stay installed for the whole process, so the sweep runs in a child.
+The scaled sweep's output checks run here too, so an output they refuse
+fails the suite before it fails the benchmark.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -40,3 +43,25 @@ def test_tracer_installs_and_sees_every_layer(tmp_path, default_config_path):
     runners = [f"cli.{name}_s" for name in metaring.cli._RUNNERS]
     assert all(totals[metric] > 0 for metric in ["config.load_s", *runners]), totals
     assert totals["fitting.model_evals"] >= 1
+
+
+def perfbench_module(name: str):
+    """``perfbench/<name>.py``, loaded by path and left out of ``sys.modules``."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_scaled_sweep_passes_the_benchmark_checks(tmp_path):
+    checks, inputs = perfbench_module("checks"), perfbench_module("inputs")
+    cfg = inputs.scaled_config(ROOT / "configs" / "default.json",
+                               ROOT / "configs" / "trace_s11.csv", seed=1)
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(cfg))
+    first, second = tmp_path / "a", tmp_path / "b"
+    for out in (first, second):
+        metaring.cli.run("sweep", path, out)
+    assert checks.check_sweep(first, cfg) == []
+    assert checks.compare_digests(checks.digests(first), checks.digests(second), "rerun") == []
