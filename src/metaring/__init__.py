@@ -17,6 +17,7 @@ from .modes import (
 )
 from .dispersion import (
     EnhancementPoint,
+    FsrCurve,
     MismatchReport,
     TwoPortMatrix,
     UnitCell,

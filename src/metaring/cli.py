@@ -83,11 +83,13 @@ def _run_tune(config: Config) -> list:
 def _run_modes(config: Config) -> list:
     band = (config.sweeps["band"]["start_hz"], config.sweeps["band"]["stop_hz"])
     table = modes.free_spectral_range(config.ring, band)
-    fsr_mean = None if math.isnan(table.fsr_mean) else table.fsr_mean
+    fsr_mean = table.fsr_mean
+    # the last mode has no next one: its spacing is NaN, an empty cell
+    fsr = np.diff(table.f, append=math.nan)
     return [
-        ("modes.csv", (("m", "f_hz", "fsr_to_next_hz"), table.csv_columns())),
-        ("modes_summary.json", {"band_hz": list(band), "mode_count": len(table),
-                                "fsr_mean_hz": fsr_mean}),
+        ("modes.csv", (("m", "f_hz", "fsr_to_next_hz"), (table.m, table.f, fsr))),
+        ("modes_summary.json", {"band_hz": list(band), "mode_count": len(table.m),
+                                "fsr_mean_hz": None if math.isnan(fsr_mean) else fsr_mean}),
     ]
 
 
@@ -103,22 +105,20 @@ def _run_dispersion(config: Config) -> list:
             dispersion.mode_index_near(cell, cells, band[key])
         except BandEdgeError as exc:
             violations.append(f"sweep.band.{key}: {exc}")
-    points = []
+    mismatch = ((), (), ())
     if ratio["offsets_hz"] and ratio["values"]:
         try:  # looked up on its module, so perfbench's tracer sees it
-            points = dispersion.idc_enhancement_sweep(
+            sweep = dispersion.idc_enhancement_sweep(
                 cell, cells, ratio["signal_hz"], ratio["offsets_hz"], ratio["values"])
+            mismatch = (sweep.ratio, sweep.offset, sweep.delta_f)
         except (ValueError, BandEdgeError) as exc:
             violations.append(f"sweep.ratio.signal_hz: {exc}")
     if violations:
         raise ConfigError(violations)
     curve = dispersion.fsr_curve(cell, cells, (band["start_hz"], band["stop_hz"]))
     return [
-        ("fsr_curve.csv", (("f_hz", "fsr_hz"),
-                           ([f for f, _ in curve], [fsr for _, fsr in curve]))),
-        ("mismatch.csv", (("ratio", "offset_hz", "delta_f_hz"),
-                          ([p.ratio for p in points], [p.offset for p in points],
-                           [p.delta_f for p in points]))),
+        ("fsr_curve.csv", (("f_hz", "fsr_hz"), curve)),
+        ("mismatch.csv", (("ratio", "offset_hz", "delta_f_hz"), mismatch)),
     ]
 
 
@@ -169,8 +169,7 @@ def _run_convert(config: Config) -> list:
         ("pump.csv", (("p0_norm", "t2", "r2"), (pump, *law))),
         ("spectrum.csv", (("delta_hz", "t2", "r2"), (deltas, *spectrum))),
         ("pairs.csv", (("pair_index", "eta_product", "t2"),
-                       ([p.index for p in pairs], [p.bound for p in pairs],
-                        [p.efficiency for p in pairs]))),
+                       (pairs.index, pairs.bound, pairs.efficiency))),
         ("convert_summary.json", {
             "cooperativity": c, "bandwidth_hz": conversion.conversion_bandwidth(converter)}),
     ]

@@ -14,7 +14,7 @@ Hz; angular rates are formed internally where absolute photon fluxes enter
 """
 
 import math
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -100,19 +100,21 @@ class ScatteringResult(NamedTuple):
             raise ValueError(f"t2 must lie in [0, 1], got {self.t2!r}")
 
 
-def scattering(c: ArrayLike, eta_s: float, eta_i: float) -> ScatteringResult:
+def scattering(c: ArrayLike, eta_s: ArrayLike, eta_i: ArrayLike) -> ScatteringResult:
     """Beam-splitter conversion at zero detuning.
 
     t2 peaks at C = 1 where it equals eta_s*eta_i; C = 0 is a perfect
-    mirror.  The law is self-dual: t2(C) = t2(1/C).  A scalar ``c`` gives
-    float fields, an array ``c`` array fields.
+    mirror.  The law is self-dual: t2(C) = t2(1/C).  Scalar arguments give
+    float fields, an array among them array fields.
     """
     coop = np.asarray(c, dtype=float)
     if np.any(coop < 0):
         raise ValueError("cooperativity must be non-negative")
-    # 4C/(1+C)^2 <= 1 identically; minimum() guards the one-ulp rounding excess
-    t2 = np.minimum(eta_s * eta_i * 4.0 * coop / (1.0 + coop) ** 2, 1.0)
-    if np.ndim(c) == 0:
+    # (1+C)^2 as a product, so one C gets the same bits alone or in an array
+    # (a float's ** 2 calls libm's pow).  4C/(1+C)^2 <= 1 identically;
+    # minimum() guards the one-ulp rounding excess
+    t2 = np.minimum(eta_s * eta_i * 4.0 * coop / ((1.0 + coop) * (1.0 + coop)), 1.0)
+    if np.ndim(t2) == 0:
         t2 = float(t2)
     return ScatteringResult(t2=t2, r2=1.0 - t2)
 
@@ -431,20 +433,20 @@ def single_photon_efficiency(tls: TlsModel, q_ex: float, n_sat: float) -> float:
 
 
 class PairEfficiency(NamedTuple):
-    """Conversion efficiency and coupling bound for one signal/idler pair."""
+    """Conversion efficiency and coupling bound of signal/idler pairs, one column each."""
 
-    index: int
-    eta_s: float
-    eta_i: float
-    efficiency: float
-    bound: float
+    index: np.ndarray
+    eta_s: np.ndarray
+    eta_i: np.ndarray
+    efficiency: np.ndarray
+    bound: np.ndarray
 
 
-def pair_sweep(mode_pairs: Sequence[Tuple[float, float]], c: float) -> List[PairEfficiency]:
+def pair_sweep(mode_pairs: Sequence[Tuple[float, float]], c: float) -> PairEfficiency:
     """Efficiency per (eta_s, eta_i) pair at cooperativity ``c``.
 
     The bound eta_s*eta_i is reached exactly at c = 1.
     """
-    return [PairEfficiency(index=index, eta_s=eta_s, eta_i=eta_i,
-                           efficiency=scattering(c, eta_s, eta_i).t2, bound=eta_s * eta_i)
-            for index, (eta_s, eta_i) in enumerate(mode_pairs)]
+    eta_s, eta_i = np.array(mode_pairs, dtype=float).reshape(-1, 2).T
+    return PairEfficiency(index=np.arange(len(eta_s)), eta_s=eta_s, eta_i=eta_i,
+                          efficiency=scattering(c, eta_s, eta_i).t2, bound=eta_s * eta_i)

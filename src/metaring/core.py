@@ -6,12 +6,11 @@ frequencies in Hz throughout the public API; angular rates are formed
 internally where a formula requires them.
 
 Every record is immutable after construction and safe to share across
-parallel evaluations.  Every record of the package is a tuple.
-``modes.ModeTable`` is the tuple of its (m, f_m) pairs, so its ``len`` is its
-mode count; every other record is a ``typing.NamedTuple``: fields are read
-by attribute, copied with ``_replace`` and exported with ``_asdict``, and
-:func:`checked` gives a record its construction checks.  A
-named tuple class is created several times faster than a dataclass, which
+parallel evaluations.  Every record of the package is a
+``typing.NamedTuple``, and a table is a record of equal-length numpy
+columns: fields are read by attribute, copied with ``_replace`` and exported
+with ``_asdict``, and :func:`checked` gives a record its construction checks.
+A named tuple class is created several times faster than a dataclass, which
 generates and compiles its methods when its module is imported.  The modules
 that define named tuples leave out ``from __future__ import annotations``,
 because a named tuple compiles every string annotation when its class is

@@ -30,7 +30,7 @@ cos and one sin call serve t_1 and t_2 of every row at once.
 """
 
 import math
-from typing import List, NamedTuple, Sequence, Tuple, Union
+from typing import NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -252,20 +252,25 @@ def mode_index_near(cell: UnitCell, n_cells: int,
     return index
 
 
-def fsr_curve(
-    cell: UnitCell,
-    n_cells: int,
-    band: Tuple[float, float],
-) -> List[Tuple[float, float]]:
+class FsrCurve(NamedTuple):
+    """f_m and f_{m+1} - f_m [Hz] columns of the modes in a band."""
+
+    f: np.ndarray
+    fsr: np.ndarray
+
+
+def fsr_curve(cell: UnitCell, n_cells: int, band: Tuple[float, float]) -> FsrCurve:
     """(f_m, f_{m+1} - f_m) for every mode in ``band`` [Hz]."""
     lo, hi = band
     if hi <= lo:
-        return []
+        return FsrCurve(np.empty(0), np.empty(0))
     rows = _CellRows([cell])
     m_lo, m_hi = rows.mode_index(n_cells, np.array([[lo, hi]]))[0].tolist()
     modes = np.arange(max(1, m_lo - 1), m_hi + 2)
-    freqs = rows.solve(n_cells, modes.reshape(1, -1))[0].tolist()
-    return [(f, f_next - f) for f, f_next in zip(freqs, freqs[1:]) if lo <= f <= hi]
+    freqs = rows.solve(n_cells, modes.reshape(1, -1))[0]
+    f, fsr = freqs[:-1], np.diff(freqs)
+    inside = (lo <= f) & (f <= hi)
+    return FsrCurve(f[inside], fsr[inside])
 
 
 def conversion_mismatch(cell: UnitCell, n_cells: int, m: int, n: int) -> MismatchReport:
@@ -278,13 +283,14 @@ def conversion_mismatch(cell: UnitCell, n_cells: int, m: int, n: int) -> Mismatc
 
 
 class EnhancementPoint(NamedTuple):
-    """One row of the capacitance-enhancement sweep."""
+    """The capacitance-enhancement sweep: one column per field, one row per
+    (ratio, offset) pair, ratio-major."""
 
-    ratio: float
-    offset: float
-    n: int
-    signal_f: float
-    delta_f: float
+    ratio: np.ndarray
+    offset: np.ndarray
+    n: np.ndarray
+    signal_f: np.ndarray
+    delta_f: np.ndarray
 
 
 def idc_enhancement_sweep(
@@ -293,7 +299,7 @@ def idc_enhancement_sweep(
     signal_f: float,
     offsets: Sequence[float],
     ratios: Sequence[float],
-) -> List[EnhancementPoint]:
+) -> EnhancementPoint:
     """Mismatch vs bridge-capacitance enhancement.  Rows are ordered ratio-major,
     then by offset.
 
@@ -323,9 +329,8 @@ def idc_enhancement_sweep(
     pairs = np.concatenate([m_sig - n, m_sig + n], axis=1)
     f_low, f_high = np.split(rows.solve(n_cells, pairs), 2, axis=1)
     delta_f = 2.0 * f_sig - (f_high + f_low)
-    return [
-        EnhancementPoint(ratio=ratio, offset=offset, n=step, signal_f=f, delta_f=delta)
-        for ratio, steps, f, deltas in zip(ratios, n.tolist(), f_sig[:, 0].tolist(),
-                                           delta_f.tolist())
-        for offset, step, delta in zip(offsets, steps, deltas)
-    ]
+    per_ratio = len(offsets)
+    return EnhancementPoint(
+        ratio=np.repeat(np.asarray(ratios, dtype=float), per_ratio),
+        offset=np.tile(offsets_hz, len(ratios)), n=n.ravel(),
+        signal_f=np.repeat(f_sig[:, 0], per_ratio), delta_f=delta_f.ravel())

@@ -17,7 +17,7 @@ does not enter the spectrum.
 """
 
 import math
-from typing import Sequence, Tuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,38 +48,21 @@ def analytic_mode_frequency(ring: RingSpec, m: int) -> float:
     return f0 * math.sqrt(1.0 - math.cos(2.0 * math.pi * m_eff / n_cells))
 
 
-class ModeTable(tuple):
-    """Modes in a band: the tuple of their (m, f_m) pairs, sorted by m.
+class ModeTable(NamedTuple):
+    """Modes in a band, sorted by index: ``m`` (int) and ``f`` [Hz] columns.
 
-    ``len`` is the mode count.  ``fsr_list[j]`` is f_{m_{j+1}} - f_{m_j};
-    ``fsr_mean`` is NaN when fewer than two modes fall in the band.
+    ``fsr_mean`` is the mean of f_{m_{j+1}} - f_{m_j}, summed left to right;
+    it is NaN when fewer than two modes fall in the band.
     """
 
-    __slots__ = ()
-
-    @classmethod
-    def from_frequencies(cls, indices: Sequence[int], frequencies: Sequence[float]) -> "ModeTable":
-        return cls(sorted(zip((int(m) for m in indices), frequencies)))
-
-    @property
-    def entries(self) -> tuple:
-        return tuple(self)
-
-    @property
-    def fsr_list(self) -> tuple:
-        freqs = [f for _, f in self]
-        return tuple(b - a for a, b in zip(freqs, freqs[1:]))
+    m: np.ndarray
+    f: np.ndarray
 
     @property
     def fsr_mean(self) -> float:
-        fsr = self.fsr_list
-        return sum(fsr) / len(fsr) if fsr else float("nan")
-
-    def csv_columns(self) -> Tuple[list, list, list]:
-        """Columns m, f_hz and fsr_to_next_hz; the last spacing is NaN (empty)."""
-        indices = [m for m, _ in self]
-        freqs = [f for _, f in self]
-        return indices, freqs, list(self.fsr_list) + ([math.nan] if self else [])
+        fsr = np.diff(self.f)
+        # cumsum adds in order, as Python's sum does; np.sum adds pairwise
+        return float(np.cumsum(fsr)[-1]) / len(fsr) if len(fsr) else math.nan
 
 
 def free_spectral_range(ring: RingSpec, band: tuple) -> ModeTable:
@@ -101,7 +84,7 @@ def free_spectral_range(ring: RingSpec, band: tuple) -> ModeTable:
 
     lo = max(lo, 0.0)
     if hi <= lo or lo >= f_top:
-        return ModeTable()
+        return ModeTable(np.arange(0), np.empty(0))
     m_lo = max(1, math.ceil(index_at(lo) - 1e-9))
     m_hi = min(n_cells // 2, math.floor(index_at(min(hi, f_top)) + 1e-9))
     # the closed form of analytic_mode_frequency over the whole index range;
@@ -109,7 +92,7 @@ def free_spectral_range(ring: RingSpec, band: tuple) -> ModeTable:
     indices = np.arange(m_lo, m_hi + 1)
     freqs = f0 * np.sqrt(1.0 - np.cos(2.0 * math.pi * indices / n_cells))
     inside = (band[0] <= freqs) & (freqs <= band[1])
-    return ModeTable.from_frequencies(indices[inside].tolist(), freqs[inside].tolist())
+    return ModeTable(indices[inside], freqs[inside])
 
 
 def _cyclic_second_difference(n_cells: int) -> np.ndarray:

@@ -59,9 +59,7 @@ def test_criterion_01_fsr_prediction(design_ring):
 
     rescaled = design_ring.with_phase_velocity_scale(76.0 / 79.0)
     measured = free_spectral_range(rescaled, (4e9, 10e9))
-    fit = fit_linear_modes(
-        [m for m, _ in measured.entries], [f for _, f in measured.entries]
-    )
+    fit = fit_linear_modes(measured.m, measured.f)
     slope = fit.parameters["fsr"]
     assert rel_err(slope, 76e6) <= 0.005
     report(1, f"design FSR {table.fsr_mean/1e6:.2f} MHz (79 +/- 1); "
@@ -137,10 +135,11 @@ def test_criterion_04_mismatch_targets(bloch_cell):
     points = idc_enhancement_sweep(bloch_cell, n_cells, 5e9, [1e9, 2e9, 3e9], ratios)
     targets = {1e9: 562e3, 2e9: 2.383e6, 3e9: 5.263e6}
     for offset, target in targets.items():
-        series = [p.delta_f for p in points if p.offset == offset]
+        series = points.delta_f[points.offset == offset].tolist()
         assert abs(series[-1] - target) <= 0.3 * target
         assert all(b > a for a, b in zip(series, series[1:]))  # strictly monotone
-    at3 = {p.offset: p.delta_f for p in points if p.ratio == 3.0}
+    at3 = dict(zip(points.offset[points.ratio == 3.0].tolist(),
+                   points.delta_f[points.ratio == 3.0].tolist()))
     report(4, f"mismatch {d5/1e3:.1f}/{d30/1e3:.1f} kHz (targets 16/586 +/-30%); "
               f"ratio-3 {at3[1e9]/1e3:.0f} kHz/{at3[2e9]/1e6:.3f} MHz/{at3[3e9]/1e6:.3f} MHz")
 

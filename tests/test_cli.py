@@ -1,7 +1,6 @@
 import csv
 import io
 import json
-import math
 import os
 import pickle
 import shutil
@@ -21,10 +20,11 @@ from hypothesis import strategies as st
 import metaring
 from conftest import CONFIG_DIR
 from metaring import _csv, cli, conversion, dispersion, tuning
-from metaring._csv import _CSV_BLOCK_CELLS, WIDTH, Workspace, _block_rows, write_csv
+from metaring._csv import _CSV_BLOCK_CELLS
 from metaring.cli import main, run, validate_config
 from metaring.config import _MAX_SWEEP_POINTS, _SCHEMA, _Section, load_config
 from metaring.errors import ConfigError
+from test_csv import block_edges, write_csv_per_cell
 
 
 def load_default(default_config_path) -> dict:
@@ -387,170 +387,6 @@ def test_readme_config_reference_lists_schema_leaves():
     assert documented == leaves  # one row each, in schema order
 
 
-def _fmt(value) -> str:
-    """One CSV cell; None and NaN (a missing value) are written empty."""
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    number = float(value)
-    if math.isnan(number):
-        return ""
-    return repr(number + 0.0)  # adding 0.0 writes -0.0 as 0.0
-
-
-def write_csv_per_cell(path: Path, header, rows) -> None:
-    """The per-cell writer that the column writer replaced: the byte oracle."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
-def block_edges(columns) -> int:
-    """How many block edges the column writer crosses in a table of these columns."""
-    arrays = [np.asarray(column) for column in columns]
-    return (len(arrays[0]) - 1) // _block_rows(arrays)
-
-
-def _long_table():
-    # a block of a table with a float column holds at most _CSV_BLOCK_CELLS rows
-    rows = 2 * _CSV_BLOCK_CELLS + 3
-    floats = np.linspace(-1e20, 1e20, rows)
-    floats[::7] = -0.0
-    floats[::11] = np.nan
-    return floats, np.arange(rows) - rows // 2, np.arange(rows) % 3 == 0
-
-
-class TestColumnWriter:
-    # the cells that leave the kernel's path: NaN, -0.0, the infinities, a
-    # subnormal, |x| beyond 1e290 and a rounding-interval edge that the kernel
-    # hands to repr
-    SPECIAL = [np.nan, -0.0, np.inf, -np.inf, 5e-324, 1e300, 2144181128783148.8]
-
-    @pytest.mark.parametrize("columns", [
-        (np.array([0, -1, 2, 2**62, -2**63, 7, 8, 9, 10]),
-         np.array([np.nan, 0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1e-20]),
-         [float("nan"), 1.0, -0.0, 3.0, float("nan"), float("nan"), 2.5, -5e-324, 1e308],
-         np.array([True, False, True, True, False, False, True, False, True])),
-        ([0.5, -0.0, float("nan")], [1, 2, 3], [np.bool_(True), np.bool_(False), True]),
-        (np.array([]), [], np.array([], dtype=bool)),
-        # every special cell in one row, then down a column of seven rows
-        (np.array([-7]), *([value] for value in SPECIAL), np.array([True])),
-        (np.arange(7) - 3, np.array(SPECIAL), -np.array(SPECIAL[::-1]), np.arange(7) % 3 == 0),
-        _long_table(),
-    ], ids=["cell_kinds", "lists", "empty", "special_in_one_row", "special_in_seven_rows",
-            "longer_than_a_block"])
-    def test_same_bytes_as_per_cell_writer(self, tmp_path, columns):
-        header = [f"c{j}" for j in range(len(columns))]
-        if len(columns[0]) > _CSV_BLOCK_CELLS:
-            assert block_edges(columns) >= 2
-        write_csv(tmp_path / "columns.csv", header, columns, Workspace())
-        write_csv_per_cell(tmp_path / "cells.csv", header, zip(*columns))
-        assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
-
-    @staticmethod
-    def assert_after_wide_table_in_one_workspace(tmp_path, narrow):
-        # The wide table fills the workspace with 48-byte float cells (16 whole
-        # digits, exponents); the narrower table after it, through the same
-        # workspace, must show none of their bytes, least of all in the cells
-        # at its block edges.
-        rng = np.random.default_rng(5)
-        wide_rows = 3 * _CSV_BLOCK_CELLS // 7 + 11
-        wide = [rng.standard_normal(wide_rows) * 10.0 ** rng.integers(-20, 16, wide_rows)
-                for _ in range(7)]
-        assert block_edges(wide) >= 2 and block_edges(narrow) >= 2
-        work = Workspace()
-        for name, columns in (("wide", wide), ("narrow", narrow)):
-            header = [f"c{j}" for j in range(len(columns))]
-            write_csv(tmp_path / f"{name}.csv", header, columns, work)
-            write_csv_per_cell(tmp_path / f"{name}-cells.csv", header, zip(*columns))
-            assert ((tmp_path / f"{name}.csv").read_bytes()
-                    == (tmp_path / f"{name}-cells.csv").read_bytes()), name
-
-    def test_narrow_table_after_wide_one_in_one_workspace(self, tmp_path):
-        rng = np.random.default_rng(5)
-        step = _block_rows([np.empty(0, int), np.empty(0), np.empty(0), np.empty(0, bool)])
-        rows = 2 * step + 5
-        narrow = (np.arange(rows) * 7 - rows, rng.random(rows), rng.random(rows) * 3.0,
-                  np.arange(rows) % 5 == 0)
-        special = self.SPECIAL
-        for shift, row in enumerate([step - 1, step, step + 1, 2 * step - 1, 2 * step, rows - 1]):
-            narrow[1][row] = special[shift % len(special)]
-            narrow[2][row] = special[(shift + 3) % len(special)]
-        self.assert_after_wide_table_in_one_workspace(tmp_path, narrow)
-
-    def test_modes_shape_after_wide_one_in_one_workspace(self, tmp_path):
-        # an int column before the floats, as in modes.csv and pairs.csv
-        rng = np.random.default_rng(7)
-        step = _block_rows([np.empty(0, int), np.empty(0), np.empty(0)])
-        rows = 2 * step + 9
-        f_hz = np.cumsum(rng.random(rows)) * 1e8
-        table = (np.arange(rows) + 2 ** 40, f_hz, np.append(np.diff(f_hz), np.nan))
-        for shift, row in enumerate([0, step - 1, step, 2 * step - 1, 2 * step, rows - 2]):
-            table[1][row] = self.SPECIAL[shift % len(self.SPECIAL)]
-        self.assert_after_wide_table_in_one_workspace(tmp_path, table)
-
-    def test_saturation_shape_after_wide_one_in_one_workspace(self, tmp_path):
-        # floats, over a third of them NaN (the Kerr branches outside the
-        # bistable window), before a bool, as in saturation.csv
-        rng = np.random.default_rng(11)
-        step = _block_rows([np.empty(0)] * 5 + [np.empty(0, bool)])
-        rows = 2 * step + 7
-        ratios = np.linspace(0.0, 3.0, rows)
-        bistable = (ratios > 0.8) & (ratios < 1.2)
-        low = rng.random(rows) * 1e6
-        mid = np.where(bistable, low * 2.0, np.nan)
-        high = np.where(bistable | (ratios >= 1.2), low * 3.0, np.nan)
-        low[ratios >= 1.2] = np.nan
-        table = (ratios, ratios * 1.7e-13, low, mid, high, bistable)
-        for shift, row in enumerate([step - 1, step, step + 1, 2 * step - 1, 2 * step, rows - 1]):
-            table[shift % 5][row] = self.SPECIAL[shift % len(self.SPECIAL)]
-        assert np.isnan(np.stack(table[:5])).mean() >= 1 / 3
-        self.assert_after_wide_table_in_one_workspace(tmp_path, table)
-
-    def test_working_set_does_not_grow_with_the_table(self, tmp_path):
-        # numpy reports its buffers to tracemalloc: the writer holds its
-        # workspace and one block's joined lines (two bytes objects of at
-        # most _CSV_BLOCK_CELLS * WIDTH bytes), whatever the table's length,
-        # so nothing per row or kept per block may show in the peak
-        import tracemalloc
-
-        tracemalloc.start()
-        Workspace()
-        workspace = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        peaks = []
-        for rows in (8001, 80001):
-            rng = np.random.default_rng(rows)
-            columns = [rng.standard_normal(rows) * 10.0 ** rng.integers(-9, 9, rows)
-                       for _ in range(7)]
-            tracemalloc.start()
-            write_csv(tmp_path / "table.csv", [f"c{j}" for j in range(7)], columns, Workspace())
-            peaks.append(tracemalloc.get_traced_memory()[1])
-            tracemalloc.stop()
-        assert abs(peaks[1] - peaks[0]) <= 64 * 1024
-        assert peaks[1] <= workspace + 2 * _CSV_BLOCK_CELLS * WIDTH + 64 * 1024
-
-    def test_other_column_kinds_rejected(self, tmp_path):
-        with pytest.raises(TypeError, match="floats, ints or bools"):
-            write_csv(tmp_path / "columns.csv", ("a", "b"), ([1.0, 2.0], [None, 2.5]),
-                      Workspace())
-
-    @pytest.mark.parametrize("columns", [
-        ([1.0, 2.0], [1, 2], [3.0, 4.0]),
-        ([True, False], [1.0, 2.0], [1, 2], [3.0, 4.0]),
-        ([1, 2], [True, False]),
-    ], ids=["int_between", "bool_first_int_between", "no_float"])
-    def test_float_columns_must_be_adjacent(self, tmp_path, columns):
-        with pytest.raises(TypeError, match="float columns must be adjacent"):
-            write_csv(tmp_path / "columns.csv", [f"c{j}" for j in range(len(columns))],
-                      columns, Workspace())
-
-
 class TestSweepBytes:
     @pytest.mark.parametrize("points", [None, _CSV_BLOCK_CELLS + 3],
                              ids=["shipped", "across_block_edges"])
@@ -616,6 +452,21 @@ class TestRun:
         run("convert", path, tmp_path / "out")
         rows = read_csv(tmp_path / "out" / "pump.csv")
         assert rows == [["p0_norm", "t2", "r2"]]
+
+    def test_empty_tables_write_header_only(self, tmp_path, default_config_path):
+        # a band below the first mode, no idler offsets and no pairs
+        raw = load_default(default_config_path)
+        raw["sweep"]["band"] = {"start_hz": 1e3, "stop_hz": 2e3}
+        raw["sweep"]["ratio"]["offsets_hz"] = []
+        raw["converter"]["pairs"] = []
+        run("sweep", write_config(tmp_path, raw, default_config_path), tmp_path / "out")
+        for name, header in (("modes.csv", "m,f_hz,fsr_to_next_hz"),
+                             ("fsr_curve.csv", "f_hz,fsr_hz"),
+                             ("mismatch.csv", "ratio,offset_hz,delta_f_hz"),
+                             ("pairs.csv", "pair_index,eta_product,t2")):
+            assert (tmp_path / "out" / name).read_text() == header + "\n", name
+        summary = json.loads((tmp_path / "out" / "modes_summary.json").read_text())
+        assert (summary["mode_count"], summary["fsr_mean_hz"]) == (0, None)
 
     def test_fit_command_recovers_trace(self, default_config_path, tmp_path):
         run("fit", default_config_path, tmp_path / "out")

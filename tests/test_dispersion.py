@@ -205,35 +205,31 @@ class TestSolveModeFrequency:
     def test_consistent_with_fsr_curve_near_5ghz(self, bloch_cell):
         m = mode_index_near(bloch_cell, N_CELLS, 5e9)
         f_m = solve_mode_frequency(bloch_cell, N_CELLS, m)
-        points = fsr_curve(bloch_cell, N_CELLS, (f_m - 1e6, f_m + 1e8))
-        assert any(abs(p[0] - f_m) < 1e-2 for p in points)
-        nearest = min(points, key=lambda p: abs(p[0] - f_m))
+        curve = fsr_curve(bloch_cell, N_CELLS, (f_m - 1e6, f_m + 1e8))
+        nearest = np.argmin(np.abs(curve.f - f_m))
+        assert abs(curve.f[nearest] - f_m) < 1e-2
         f_next = solve_mode_frequency(bloch_cell, N_CELLS, m + 1)
-        assert abs(nearest[1] - (f_next - f_m)) < 1e-2
+        assert abs(curve.fsr[nearest] - (f_next - f_m)) < 1e-2
 
 
 class TestFsrCurve:
     def test_design_cell_fsr_decreases(self, bloch_cell):
-        points = fsr_curve(bloch_cell, N_CELLS, (4e9, 9e9))
-        assert len(points) > 50
-        fsr = [p[1] for p in points]
-        assert all(b < a for a, b in zip(fsr, fsr[1:]))
+        curve = fsr_curve(bloch_cell, N_CELLS, (4e9, 9e9))
+        assert len(curve.f) == len(curve.fsr) > 50
+        assert np.all(np.diff(curve.fsr) < 0)
 
     def test_uniform_cell_fsr_constant(self, uniform_cell):
-        points = fsr_curve(uniform_cell, N_CELLS, (4e9, 6e9))
-        fsr = [p[1] for p in points]
-        assert (max(fsr) - min(fsr)) / min(fsr) < 1e-6
+        fsr = fsr_curve(uniform_cell, N_CELLS, (4e9, 6e9)).fsr
+        assert (fsr.max() - fsr.min()) / fsr.min() < 1e-6
 
     def test_halving_cell_count_doubles_fsr(self, bloch_cell):
         full = fsr_curve(bloch_cell, N_CELLS, (5e9, 5.5e9))
         half = fsr_curve(bloch_cell, N_CELLS // 2, (5e9, 5.5e9))
-        mean_full = sum(p[1] for p in full) / len(full)
-        mean_half = sum(p[1] for p in half) / len(half)
-        assert rel_err(mean_half, 2 * mean_full) < 0.01
+        assert rel_err(half.fsr.mean(), 2 * full.fsr.mean()) < 0.01
 
     def test_points_inside_band(self, bloch_cell):
-        points = fsr_curve(bloch_cell, N_CELLS, (4e9, 9e9))
-        assert all(4e9 <= p[0] <= 9e9 for p in points)
+        curve = fsr_curve(bloch_cell, N_CELLS, (4e9, 9e9))
+        assert np.all((4e9 <= curve.f) & (curve.f <= 9e9))
 
     def test_cell_rows_built_once(self, bloch_cell, monkeypatch):
         builds = []
@@ -244,11 +240,12 @@ class TestFsrCurve:
             init(self, cells)
 
         monkeypatch.setattr(_CellRows, "__init__", counting_init)
-        assert fsr_curve(bloch_cell, N_CELLS, (4e9, 9e9))
+        assert len(fsr_curve(bloch_cell, N_CELLS, (4e9, 9e9)).f)
         assert builds == [1]
 
     def test_empty_band(self, bloch_cell):
-        assert fsr_curve(bloch_cell, N_CELLS, (5e9, 4e9)) == []
+        curve = fsr_curve(bloch_cell, N_CELLS, (5e9, 4e9))
+        assert curve.f.shape == curve.fsr.shape == (0,)
 
     def test_window_at_the_cell_count_cap_fits_the_sweep_cap(self, bloch_cell):
         # the top of the first band, at phase pi, has index N/2, so for the
@@ -294,18 +291,17 @@ class TestConversionMismatch:
 
 class TestIdcEnhancement:
     def test_identity_ratio_reproduces_mismatch(self, bloch_cell):
-        points = idc_enhancement_sweep(bloch_cell, N_CELLS, 5e9, [1e9], [1.0])
-        assert len(points) == 1
-        p = points[0]
+        sweep = idc_enhancement_sweep(bloch_cell, N_CELLS, 5e9, [1e9], [1.0])
+        assert all(column.shape == (1,) for column in sweep)
         m = mode_index_near(bloch_cell, N_CELLS, 5e9)
-        direct = conversion_mismatch(bloch_cell, N_CELLS, m, p.n)
-        assert abs(p.delta_f - direct.delta_f) < 1e-3
+        direct = conversion_mismatch(bloch_cell, N_CELLS, m, int(sweep.n[0]))
+        assert abs(sweep.delta_f[0] - direct.delta_f) < 1e-3
 
     def test_ratio_three_design_targets(self, bloch_cell):
-        points = idc_enhancement_sweep(
+        sweep = idc_enhancement_sweep(
             bloch_cell, N_CELLS, 5e9, [1e9, 2e9, 3e9], [3.0]
         )
-        by_offset = {p.offset: p.delta_f for p in points}
+        by_offset = dict(zip(sweep.offset.tolist(), sweep.delta_f.tolist()))
         quoted = {1e9: 562e3, 2e9: 2.383e6, 3e9: 5.263e6}
         for offset, value in quoted.items():
             assert abs(by_offset[offset] - value) <= 0.3 * value
@@ -313,13 +309,13 @@ class TestIdcEnhancement:
 
     def test_monotone_in_ratio(self, bloch_cell):
         ratios = [1.0, 1.5, 2.0, 2.5, 3.0]
-        points = idc_enhancement_sweep(
+        sweep = idc_enhancement_sweep(
             bloch_cell, N_CELLS, 5e9, [1e9, 2e9, 3e9], ratios
         )
         for offset in (1e9, 2e9, 3e9):
-            series = [p.delta_f for p in points if p.offset == offset]
+            series = sweep.delta_f[sweep.offset == offset]
             assert len(series) == len(ratios)
-            assert all(b > a for a, b in zip(series, series[1:]))
+            assert np.all(np.diff(series) > 0)
 
     def test_batched_rows_match_per_pair_solves(self, bloch_cell):
         ratios, offsets = [1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0], [1e9, 2e9, 3e9]
@@ -327,15 +323,16 @@ class TestIdcEnhancement:
         halvings = {ratio: halving_count(bloch_cell.with_capacitance_ratio(ratio))
                     for ratio in ratios}
         assert halvings[1.0] != halvings[2.0]
-        points = idc_enhancement_sweep(bloch_cell, N_CELLS, 5e9, offsets, ratios)
-        assert len(points) == len(ratios) * len(offsets)
-        for p in points:
-            scaled = bloch_cell.with_capacitance_ratio(p.ratio)
+        sweep = idc_enhancement_sweep(bloch_cell, N_CELLS, 5e9, offsets, ratios)
+        assert all(len(column) == len(ratios) * len(offsets) for column in sweep)
+        for ratio, n, signal_f, delta_f in zip(sweep.ratio.tolist(), sweep.n.tolist(),
+                                               sweep.signal_f.tolist(), sweep.delta_f.tolist()):
+            scaled = bloch_cell.with_capacitance_ratio(ratio)
             m = mode_index_near(scaled, N_CELLS, 5e9)
-            direct = conversion_mismatch(scaled, N_CELLS, m, p.n)
-            assert (p.delta_f, p.signal_f) == (direct.delta_f, direct.signal_f)
-            f_low, f_sig, f_high = reference_solve(scaled, N_CELLS, [m - p.n, m, m + p.n])
-            assert (p.delta_f, p.signal_f) == (2.0 * f_sig - (f_high + f_low), f_sig)
+            direct = conversion_mismatch(scaled, N_CELLS, m, n)
+            assert (delta_f, signal_f) == (direct.delta_f, direct.signal_f)
+            f_low, f_sig, f_high = reference_solve(scaled, N_CELLS, [m - n, m, m + n])
+            assert (delta_f, signal_f) == (2.0 * f_sig - (f_high + f_low), f_sig)
 
     def test_signal_modes_bisected_once(self, bloch_cell, monkeypatch):
         # the shipped grid: the signal mode of each of 5 ratios, then m - n
@@ -367,7 +364,7 @@ class TestIdcEnhancement:
             idc_enhancement_sweep(bloch_cell, N_CELLS, 5e9, [1e9], [0.5])
 
     def test_row_ordering_ratio_major(self, bloch_cell):
-        points = idc_enhancement_sweep(bloch_cell, N_CELLS, 5e9, [1e9, 2e9], [1.0, 2.0])
-        assert [(p.ratio, p.offset) for p in points] == [
+        sweep = idc_enhancement_sweep(bloch_cell, N_CELLS, 5e9, [1e9, 2e9], [1.0, 2.0])
+        assert list(zip(sweep.ratio.tolist(), sweep.offset.tolist())) == [
             (1.0, 1e9), (1.0, 2e9), (2.0, 1e9), (2.0, 2e9)
         ]

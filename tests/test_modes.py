@@ -1,4 +1,7 @@
+import functools
 import math
+import operator
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +26,18 @@ DESIGN_FUNDAMENTAL = 79039288.614
 def small_ring(n_cells: int) -> RingSpec:
     seg = SegmentParams(57e-6, 437e-12, 25e-6)
     return RingSpec(n_cells, seg, None, GEOMETRIC_L, KINETIC_L)
+
+
+def run_modes(ring: RingSpec, band: tuple):
+    """The modes runner of ``metaring`` on ``ring`` and ``band``: modes.csv's
+    columns, each as long as the summary's mode count, and the summary."""
+    from metaring.cli import _run_modes
+
+    config = SimpleNamespace(ring=ring, sweeps={"band": {"start_hz": band[0], "stop_hz": band[1]}})
+    (_, (header, columns)), (_, summary) = _run_modes(config)
+    assert header == ("m", "f_hz", "fsr_to_next_hz")
+    assert all(len(column) == summary["mode_count"] for column in columns)
+    return columns, summary
 
 
 class TestNaturalCellFrequency:
@@ -77,20 +92,17 @@ class TestFreeSpectralRange:
     def test_design_band_mean(self, design_ring):
         table = free_spectral_range(design_ring, (4e9, 10e9))
         assert abs(table.fsr_mean - 79e6) < 1e6
-        assert len(table) == 76
+        assert len(table.m) == len(table.f) == 76
 
     def test_entries_sorted_and_consistent(self, design_ring):
         table = free_spectral_range(design_ring, (4e9, 10e9))
-        ms = [m for m, _ in table.entries]
-        fs = [f for _, f in table.entries]
-        assert ms == sorted(ms)
-        assert all(b > a for a, b in zip(fs, fs[1:]))
-        for j, fsr in enumerate(table.fsr_list):
-            assert fsr == pytest.approx(fs[j + 1] - fs[j], rel=1e-15)
+        assert np.all(np.diff(table.m) == 1) and np.all(np.diff(table.f) > 0)
+        fsr = np.diff(table.f).tolist()
+        assert table.fsr_mean == functools.reduce(operator.add, fsr) / len(fsr)  # left to right
 
     def test_linear_regime_fsr_uniformity(self, design_ring):
         table = free_spectral_range(design_ring, (4e9, 10e9))
-        fsr = np.array(table.fsr_list)
+        fsr = np.diff(table.f)
         assert fsr.var() / fsr.mean() ** 2 < 1e-4
 
     def test_small_m_fsr_equals_linear_ladder(self, design_ring):
@@ -111,15 +123,16 @@ class TestFreeSpectralRange:
             ) < 1e-12
 
     def test_empty_band(self, design_ring):
-        assert len(free_spectral_range(design_ring, (1e3, 2e3))) == 0
-        assert len(free_spectral_range(design_ring, (5e9, 4e9))) == 0
-        assert math.isnan(free_spectral_range(design_ring, (1e3, 2e3)).fsr_mean)
+        for band in ((1e3, 2e3), (5e9, 4e9)):
+            table = free_spectral_range(design_ring, band)
+            assert (table.m.dtype, table.f.dtype) == (np.int64, np.float64)
+            assert len(table.m) == len(table.f) == 0 and math.isnan(table.fsr_mean)
 
     def test_band_above_branch_top_is_empty(self, design_ring):
         lc = design_ring.line_constants()
         f0 = natural_cell_frequency(lc.cell_inductance, lc.cell_capacitance)
         top = f0 * math.sqrt(2)
-        assert len(free_spectral_range(design_ring, (top * 1.01, top * 1.5))) == 0
+        assert len(free_spectral_range(design_ring, (top * 1.01, top * 1.5)).m) == 0
 
     @pytest.mark.parametrize("cell_count", [3200, 32000])  # shipped and scaled rings
     def test_matches_scalar_closed_form(self, default_config_path, cell_count):
@@ -132,7 +145,8 @@ class TestFreeSpectralRange:
                 f_m = analytic_mode_frequency(ring, m)
                 if band[0] <= f_m <= band[1]:
                     expected.append((m, f_m))
-            assert free_spectral_range(ring, band).entries == tuple(expected)
+            table = free_spectral_range(ring, band)
+            assert list(zip(table.m.tolist(), table.f.tolist())) == expected
 
     def test_widest_band_at_the_cell_count_cap_fits_the_sweep_cap(self, design_ring):
         # every first-branch index has m <= N/2, so the largest ring a config
@@ -141,26 +155,35 @@ class TestFreeSpectralRange:
 
         ring = design_ring._replace(cell_count=_MAX_CELL_COUNT)
         table = free_spectral_range(ring, (0.0, 1e300))
-        assert len(table) == _MAX_CELL_COUNT // 2 <= _MAX_SWEEP_POINTS
-        assert table[-1][0] == _MAX_CELL_COUNT // 2
+        assert len(table.m) == _MAX_CELL_COUNT // 2 <= _MAX_SWEEP_POINTS
+        assert table.m[-1] == _MAX_CELL_COUNT // 2
+
+    def test_run_modes_at_the_cell_count_cap_stays_small(self, design_ring):
+        # the widest table a config may ask for, built as columns: at one
+        # Python (m, f) pair per mode its traced peak was 177 MB
+        import tracemalloc
+
+        from metaring.config import _MAX_CELL_COUNT
+
+        tracemalloc.start()
+        try:
+            (m, f, fsr), summary = run_modes(design_ring._replace(cell_count=_MAX_CELL_COUNT),
+                                             (0.0, 1e300))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024 * 1024
+        assert (type(m), m.dtype, type(f), f.dtype) == (np.ndarray, np.int64, np.ndarray,
+                                                          np.float64)
+        assert summary["mode_count"] == len(m) == _MAX_CELL_COUNT // 2
 
     def test_csv_columns_shape(self, design_ring):
-        table = free_spectral_range(design_ring, (4e9, 4.5e9))
-        columns = table.csv_columns()
-        assert len(columns) == 3
-        assert all(len(column) == len(table) for column in columns)
-        assert math.isnan(columns[2][-1])
-        assert free_spectral_range(design_ring, (5e9, 4e9)).csv_columns() == ([], [], [])
-
-    def test_table_sorts_unordered_input(self):
-        from metaring import ModeTable
-
-        table = ModeTable.from_frequencies([7, 3, 5], [7e9, 3e9, 5e9])
-        assert [m for m, _ in table.entries] == [3, 5, 7]
-        assert table.fsr_list == (2e9, 2e9)
-        assert table.fsr_mean == pytest.approx(2e9)
-        # the table is the tuple of its pairs, so the order given does not matter
-        assert table == ModeTable.from_frequencies([3, 5, 7], [3e9, 5e9, 7e9])
+        # the last mode's spacing is NaN (an empty cell)
+        (m, f, fsr), _ = run_modes(design_ring, (4e9, 4.5e9))
+        assert len(m) > 1 and math.isnan(fsr[-1])
+        assert np.array_equal(fsr[:-1], np.diff(f))
+        columns, _ = run_modes(design_ring, (5e9, 4e9))
+        assert [len(column) for column in columns] == [0, 0, 0]
 
 
 class TestEigenmodeOracle:
