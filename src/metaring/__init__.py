@@ -3,6 +3,7 @@
 from .core import (
     BiasState,
     LineConstants,
+    LumpedCell,
     MicroloopSpec,
     RingSpec,
     SegmentParams,

@@ -31,17 +31,16 @@ import numpy as np
 
 from .conversion import (ConverterParams, bifurcation_drive_power, conversion_spectrum,
                          cooperativity, scattering)
-from .core import MicroloopSpec, RingSpec, SegmentParams, _positive, checked
+from .core import LumpedCell, MicroloopSpec, RingSpec, SegmentParams, checked
 from .dispersion import UnitCell
 from .errors import ConfigError
 
 # sweeps allocate their whole axis at once; far above any real sweep, this
 # catches a typo before it exhausts memory
 _MAX_SWEEP_POINTS = 1_000_000
-# the modes and dispersion runners allocate one entry per first-branch index
-# in the band, and every such index m has m <= N/2: with N at most this, a
-# band holds at most N/2 = 999 999 ring modes, and fsr_curve's window
-# max(1, m_lo - 1) .. m_hi + 1 at most N/2 + 1 = _MAX_SWEEP_POINTS indices
+# the modes runner evaluates every first-branch index 1 <= m <= N/2, and
+# fsr_curve's window stops at N/2 too: with N at most this, each allocates
+# at most N/2 = 999 999 entries, fewer than a sweep's _MAX_SWEEP_POINTS
 _MAX_CELL_COUNT = 2 * _MAX_SWEEP_POINTS - 2
 # a superconducting resonator's modes lie below its pair-breaking frequency,
 # a few THz at most
@@ -269,23 +268,6 @@ def _ratio_grid(**ratio) -> dict:
     return ratio
 
 
-@checked
-class _LumpedCell(NamedTuple):
-    """A ring cell as the lumped model reads it: one line's capacitance and the cell length."""
-
-    capacitance_per_length: float
-    length: float
-
-    def _check(self) -> None:
-        _positive("capacitance_per_length", self.capacitance_per_length)
-        _positive("length", self.length)
-
-
-def _ring(**ring) -> RingSpec:
-    """The lumped ring: L_k + L_m per length over cells of one segment."""
-    return RingSpec(segment2=None, **ring)
-
-
 _SEGMENT = _numbers_section(
     SegmentParams, "inductance_per_length", "capacitance_per_length", "length")
 
@@ -295,8 +277,8 @@ _SCHEMA = _Section({
             "cell_count": _cell_count,
             "kinetic_inductance_per_length": _number,
             "geometric_inductance_per_length": _number,
-            "segment1": _numbers_section(_LumpedCell, "capacitance_per_length", "length"),
-        }, _ring),
+            "segment1": _numbers_section(LumpedCell, "capacitance_per_length", "length"),
+        }, RingSpec),
         "microloop": _numbers_section(
             MicroloopSpec, "width_ratio", "gap", "loop_dc_inductance", "inductance_wide",
             "inductance_narrow", "i_star_wide", "i_star_narrow"),

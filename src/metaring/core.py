@@ -18,7 +18,7 @@ created.
 """
 
 import math
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -104,27 +104,31 @@ class SegmentParams(NamedTuple):
 
 
 @checked
+class LumpedCell(NamedTuple):
+    """A ring cell as the lumped model reads it: the line's capacitance per
+    length [F/m] and the cell length [m] (a two-segment cell gives both
+    lengths' sum)."""
+
+    capacitance_per_length: float
+    length: float
+
+    def _check(self) -> None:
+        _positive("capacitance_per_length", self.capacitance_per_length)
+        _positive("length", self.length)
+
+
+@checked
 class RingSpec(NamedTuple):
-    """Geometry and electrical description of the meta-ring.
+    """The meta-ring as the lumped LC chain model reads it.
 
-    The ring is a closed chain of ``cell_count`` identical cells.  Each cell
-    consists of a nanowire-rail segment (``segment1``) and, optionally, a
-    bridge segment (``segment2``); a ``None`` bridge describes the
-    single-segment lumped cell model.
-
-    The lumped mode solver treats the chain as one line and reads
-    ``cell_count``, ``kinetic_inductance_per_length`` +
-    ``geometric_inductance_per_length``, ``segment1.capacitance_per_length``
-    and the cell length (``segment1.length``, plus ``segment2.length`` when
-    given).  ``segment1.inductance_per_length`` and ``segment2``'s inductance
-    and capacitance are kept only for direct construction: a ring built from
-    a config has no ``segment2``, and its ``segment1`` holds only the
-    capacitance per length and the whole cell length.
+    The ring is a closed chain of ``cell_count`` identical cells of length
+    ``segment1.length`` on one line: series inductance
+    ``kinetic_inductance_per_length`` + ``geometric_inductance_per_length``
+    and shunt capacitance ``segment1.capacitance_per_length`` per length.
     """
 
     cell_count: int
-    segment1: SegmentParams
-    segment2: Optional[SegmentParams]
+    segment1: LumpedCell
     geometric_inductance_per_length: float
     kinetic_inductance_per_length: float
 
@@ -139,45 +143,25 @@ class RingSpec(NamedTuple):
             raise ValueError("segment1.length: too short for the lumped cell model: "
                              "the cell's L_0 C_0 underflows to 0")
 
-    @property
-    def cell_length(self) -> float:
-        """Length of one cell [m]."""
-        bridge = self.segment2.length if self.segment2 is not None else 0.0
-        return self.segment1.length + bridge
-
-    @property
-    def total_length(self) -> float:
-        """Ring circumference cell_count * cell_length [m]."""
-        return self.cell_count * self.cell_length
-
-    @property
-    def line_capacitance_per_length(self) -> float:
-        """Homogenized shunt capacitance [F/m] (taken from segment1)."""
-        return self.segment1.capacitance_per_length
-
     def line_constants(self) -> "LineConstants":
         """Derived per-cell line constants for the lumped chain model."""
         return derive_line_constants(
             self.kinetic_inductance_per_length,
             self.geometric_inductance_per_length,
-            self.line_capacitance_per_length,
-            self.cell_length,
+            self.segment1.capacitance_per_length,
+            self.segment1.length,
         )
 
     def with_phase_velocity_scale(self, scale: float) -> "RingSpec":
         """Return a copy whose phase velocity is multiplied by ``scale``.
 
-        Implemented by dividing every segment capacitance by ``scale**2``,
-        which rescales all mode frequencies by ``scale`` while leaving the
+        Implemented by dividing the line capacitance by ``scale**2``, which
+        rescales all mode frequencies by ``scale`` while leaving the
         inductances untouched.
         """
         _positive("scale", scale)
-
-        def rescale(seg: Optional[SegmentParams]) -> Optional[SegmentParams]:
-            return None if seg is None else seg._replace(
-                capacitance_per_length=seg.capacitance_per_length / scale**2)
-
-        return self._replace(segment1=rescale(self.segment1), segment2=rescale(self.segment2))
+        return self._replace(segment1=self.segment1._replace(
+            capacitance_per_length=self.segment1.capacitance_per_length / scale**2))
 
 
 @checked

@@ -197,7 +197,8 @@ class _CellRows:
             raise BandEdgeError(
                 f"{float(frequency[outside][0])} Hz lies outside the propagating band")
         phase = np.arccos(value)
-        return np.maximum(1, np.rint(n_cells * phase / (2.0 * math.pi)).astype(int))
+        # past N/2 the indices mirror the branch
+        return np.clip(np.rint(n_cells * phase / (2.0 * math.pi)).astype(int), 1, n_cells // 2)
 
 
 def cell_trace(cell: UnitCell, frequency: ArrayLike) -> ArrayLike:
@@ -260,15 +261,18 @@ class FsrCurve(NamedTuple):
 
 
 def fsr_curve(cell: UnitCell, n_cells: int, band: Tuple[float, float]) -> FsrCurve:
-    """(f_m, f_{m+1} - f_m) for every mode in ``band`` [Hz]."""
+    """(f_m, f_{m+1} - f_m) for every first-band mode in ``band`` [Hz].
+
+    The top mode m = N/2 has no next one: its spacing is NaN.
+    """
     lo, hi = band
     if hi <= lo:
         return FsrCurve(np.empty(0), np.empty(0))
     rows = _CellRows([cell])
     m_lo, m_hi = rows.mode_index(n_cells, np.array([[lo, hi]]))[0].tolist()
-    modes = np.arange(max(1, m_lo - 1), m_hi + 2)
-    freqs = rows.solve(n_cells, modes.reshape(1, -1))[0]
-    f, fsr = freqs[:-1], np.diff(freqs)
+    modes = np.arange(max(1, m_lo - 1), min(m_hi + 1, n_cells // 2) + 1)
+    f = rows.solve(n_cells, modes.reshape(1, -1))[0]
+    fsr = np.diff(f, append=math.nan)
     inside = (lo <= f) & (f <= hi)
     return FsrCurve(f[inside], fsr[inside])
 

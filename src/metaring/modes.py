@@ -7,7 +7,10 @@ solutions quantize the wave number to k_m = 2*pi*m/(N*l_0), giving
     f_m = f_0 * sqrt(1 - cos(2*pi*m/N)),   f_0 = 1/(2*pi*sqrt(L_0*C_0)).
 
 For m << N this reduces to the uniform-line ladder f_m = v_ph*m/l.  The modes
-come in degenerate counter-propagating pairs (m, N-m).
+come in degenerate counter-propagating pairs (m, N-m), so the first branch
+1 <= m <= N/2 holds every distinct frequency but the static m = 0;
+``free_spectral_range`` evaluates the closed form over that whole branch and
+keeps the modes in a band.
 
 ``eigenmode_frequencies`` solves the same problem as a dense N x N
 eigenproblem and serves as the exact finite-N cross-check for the closed
@@ -68,7 +71,8 @@ class ModeTable(NamedTuple):
 def free_spectral_range(ring: RingSpec, band: tuple) -> ModeTable:
     """All modes of the first branch (0 < m <= N/2) inside ``band`` [Hz].
 
-    An empty band or a band containing no mode yields an empty table.
+    Both band edges are inclusive.  A band with ``hi < lo`` or one
+    containing no mode yields an empty table.
     """
     lo, hi = band
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -76,22 +80,10 @@ def free_spectral_range(ring: RingSpec, band: tuple) -> ModeTable:
     constants = ring.line_constants()
     f0 = natural_cell_frequency(constants.cell_inductance, constants.cell_capacitance)
     n_cells = ring.cell_count
-    f_top = f0 * math.sqrt(2.0)
-
-    def index_at(f: float) -> float:
-        # inverse of f_m = f0*sqrt(1-cos(2*pi*m/N)) on the rising branch
-        return n_cells / (2.0 * math.pi) * math.acos(1.0 - min((f / f0) ** 2, 2.0))
-
-    lo = max(lo, 0.0)
-    if hi <= lo or lo >= f_top:
-        return ModeTable(np.arange(0), np.empty(0))
-    m_lo = max(1, math.ceil(index_at(lo) - 1e-9))
-    m_hi = min(n_cells // 2, math.floor(index_at(min(hi, f_top)) + 1e-9))
-    # the closed form of analytic_mode_frequency over the whole index range;
     # m <= N/2, so no index needs folding
-    indices = np.arange(m_lo, m_hi + 1)
+    indices = np.arange(1, n_cells // 2 + 1)
     freqs = f0 * np.sqrt(1.0 - np.cos(2.0 * math.pi * indices / n_cells))
-    inside = (band[0] <= freqs) & (freqs <= band[1])
+    inside = (lo <= freqs) & (freqs <= hi)
     return ModeTable(indices[inside], freqs[inside])
 
 

@@ -184,14 +184,14 @@ def taylor_coefficients(
 
 
 def nonlinearity_report(loop: MicroloopSpec, bias: BiasState) -> Dict[str, ArrayLike]:
-    """Closed forms next to the numeric expansion, with their mismatch.
+    """Closed forms next to the numeric expansion.
 
     ``c3``/``c4`` are the numeric cubic/quartic energy coefficients;
     ``twm``/``fwm`` the closed forms.  The numeric expansion confirms the
     closed forms are themselves the energy coefficients (no extra inductance
-    factor), so the reported relative discrepancies sit at numerical noise.
-    Raises ``ValueError`` when the dc current of any point reaches the
-    characteristic current of either wire.
+    factor): the two agree to numerical noise.  Raises ``ValueError`` when
+    the dc current of any point reaches the characteristic current of either
+    wire.
     """
     coeffs = twm_fwm_coefficients(loop, bias)
     i_dc = bias.dc_current
@@ -208,12 +208,9 @@ def nonlinearity_report(loop: MicroloopSpec, bias: BiasState) -> Dict[str, Array
     a3, a4 = taylor_coefficients(lambda y: loop_energy(y + mid, loop, bias), scale=half)
     # a4*(i - mid)**4 contributes -4*mid*a4 to the cubic coefficient about zero
     c3, c4 = a3 - 4.0 * mid * a4, a4
-    denom3 = np.maximum(np.maximum(np.abs(coeffs.twm), np.abs(c4) * loop.i_star_narrow), 1e-300)
     return {
         "twm": coeffs.twm,
         "fwm": coeffs.fwm,
         "c3": c3,
         "c4": c4,
-        "c3_vs_twm_rel": np.abs(c3 - coeffs.twm) / denom3,
-        "c4_vs_fwm_rel": np.abs(c4 - coeffs.fwm) / np.maximum(np.abs(coeffs.fwm), 1e-300),
     }

@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from metaring import (
+    LumpedCell,
     MicroloopSpec,
     RingSpec,
     SegmentParams,
@@ -29,11 +30,9 @@ def line_capacitance() -> float:
 @pytest.fixture(scope="session")
 def design_ring(line_capacitance) -> RingSpec:
     """Lumped single-segment ring at the designed operating point."""
-    rail = SegmentParams(KINETIC_L, line_capacitance, CELL_LENGTH)
     return RingSpec(
         cell_count=CELL_COUNT,
-        segment1=rail,
-        segment2=None,
+        segment1=LumpedCell(line_capacitance, CELL_LENGTH),
         geometric_inductance_per_length=GEOMETRIC_L,
         kinetic_inductance_per_length=KINETIC_L,
     )

@@ -12,6 +12,7 @@ import pytest
 
 from metaring import (
     BiasState,
+    LumpedCell,
     RingSpec,
     SegmentParams,
     Trace,
@@ -67,10 +68,10 @@ def test_criterion_01_fsr_prediction(design_ring):
 
 
 def test_criterion_02_eigen_oracle_equivalence():
-    seg = SegmentParams(57e-6, 437e-12, 25e-6)
+    cell = LumpedCell(437e-12, 25e-6)
     worst = 0.0
     for n_cells in (4, 64, 256):
-        ring = RingSpec(n_cells, seg, None, 0.25e-6, 57e-6)
+        ring = RingSpec(n_cells, cell, 0.25e-6, 57e-6)
         eig = eigenmode_frequencies(ring, island_potential=0.0)
         shifted = eigenmode_frequencies(ring, island_potential=1.0)
         assert np.max(np.abs(eig - shifted)) <= 1e-12 * np.max(eig)
@@ -108,8 +109,7 @@ def test_criterion_03_dispersion_closed_form(uniform_cell):
     n_cells = 100_000
     ring = RingSpec(
         cell_count=n_cells,
-        segment1=SegmentParams(57e-6, 437e-12, 30e-6),
-        segment2=None,
+        segment1=LumpedCell(437e-12, 30e-6),
         geometric_inductance_per_length=28.5e-6,
         kinetic_inductance_per_length=28.5e-6,
     )

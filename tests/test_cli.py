@@ -188,7 +188,8 @@ class TestValidate:
         assert (config.converter.g0, config.converter.n_eff, config.converter.p0_norm) == (
             0.0, None, 1.0)
         assert config.pairs == () and config.sweeps["ratio"]["values"] == ()
-        assert config.fringe.eta_s == 1.0 and config.ring.segment2 is None
+        assert config.fringe.eta_s == 1.0
+        assert config.ring.segment1 == metaring.LumpedCell(4.3687616373126585e-10, 2.5e-05)
 
     def test_missing_leaf_reported(self, tmp_path, default_config_path):
         raw = load_default(default_config_path)
@@ -428,6 +429,22 @@ class TestRun:
         assert rows[0] == ["m", "f_hz", "fsr_to_next_hz"]
         assert len(rows) == summary["mode_count"] + 1
         assert rows[-1][2] == ""
+
+    @pytest.mark.parametrize("cell_count", [3200, 7, 3])
+    def test_band_top_fsr_curve_ends_with_an_empty_cell(self, tmp_path, default_config_path,
+                                                        cell_count):
+        # up to the cell's band edge: the last row is the top mode m = N/2,
+        # which has no next mode, as in modes.csv
+        raw = load_default(default_config_path)
+        raw["device"]["ring"]["cell_count"] = cell_count
+        raw["sweep"]["band"]["stop_hz"] = 100770889126.93825
+        raw["sweep"]["ratio"]["values"] = []
+        path = write_config(tmp_path, raw, default_config_path)
+        assert validate_config(path) == []
+        run("dispersion", path, tmp_path / "out")
+        rows = read_csv(tmp_path / "out" / "fsr_curve.csv")[1:]
+        assert np.all(np.diff([float(row[0]) for row in rows]) > 0)
+        assert rows[-1][1] == "" and all(float(row[1]) > 0 for row in rows[:-1])
 
     def test_convert_peaks_at_unit_pump(self, default_config_path, tmp_path):
         run("convert", default_config_path, tmp_path / "out")

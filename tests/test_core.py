@@ -4,6 +4,7 @@ import pytest
 
 from metaring import (
     BiasState,
+    LumpedCell,
     MicroloopSpec,
     RingSpec,
     SegmentParams,
@@ -54,25 +55,11 @@ class TestDeriveLineConstants:
 
 
 class TestTotalLength:
-    def test_design_length_80mm(self, design_ring):
-        assert design_ring.total_length == pytest.approx(0.080, rel=1e-12)
-
-    def test_two_segment_cell_96mm(self, line_capacitance):
-        ring = RingSpec(
-            cell_count=3200,
-            segment1=SegmentParams(57e-6, line_capacitance, 25e-6),
-            segment2=SegmentParams(3e-6, 880e-12, 5e-6),
-            geometric_inductance_per_length=GEOMETRIC_L,
-            kinetic_inductance_per_length=KINETIC_L,
-        )
-        assert ring.total_length == pytest.approx(0.096, rel=1e-12)
-
     def test_minimum_cell_count(self, line_capacitance):
-        seg = SegmentParams(57e-6, line_capacitance, 25e-6)
-        ring = RingSpec(3, seg, None, GEOMETRIC_L, KINETIC_L)
-        assert ring.total_length == pytest.approx(3 * 25e-6, rel=1e-12)
+        cell = LumpedCell(line_capacitance, 25e-6)
+        assert RingSpec(3, cell, GEOMETRIC_L, KINETIC_L).cell_count == 3
         with pytest.raises(ValueError):
-            RingSpec(1, seg, None, GEOMETRIC_L, KINETIC_L)
+            RingSpec(1, cell, GEOMETRIC_L, KINETIC_L)
 
 
 class TestSegmentParams:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metaring import (
+    LumpedCell,
     RingSpec,
     SegmentParams,
     UnitCell,
@@ -116,8 +117,7 @@ class TestSolveModeFrequency:
         n_cells = 100000
         ring = RingSpec(
             cell_count=n_cells,
-            segment1=SegmentParams(57e-6, 437e-12, 30e-6),
-            segment2=None,
+            segment1=LumpedCell(437e-12, 30e-6),
             geometric_inductance_per_length=28.5e-6,
             kinetic_inductance_per_length=28.5e-6,
         )
@@ -250,14 +250,26 @@ class TestFsrCurve:
     def test_window_at_the_cell_count_cap_fits_the_sweep_cap(self, bloch_cell):
         # the top of the first band, at phase pi, has index N/2, so for the
         # largest ring a config may give fsr_curve's index window
-        # max(1, m_lo - 1) .. m_hi + 1 holds at most _MAX_SWEEP_POINTS indices
+        # max(1, m_lo - 1) .. min(m_hi + 1, N/2) holds fewer than
+        # _MAX_SWEEP_POINTS indices
         from metaring.config import _MAX_CELL_COUNT, _MAX_SWEEP_POINTS
 
         n = _MAX_CELL_COUNT
         top = solve_mode_frequency(bloch_cell, n, n // 2)
         m_lo, m_hi = (mode_index_near(bloch_cell, n, f) for f in (0.0, top))
         assert (m_lo, m_hi) == (1, n // 2)
-        assert m_hi + 2 - max(1, m_lo - 1) == _MAX_SWEEP_POINTS
+        assert min(m_hi + 1, n // 2) + 1 - max(1, m_lo - 1) < _MAX_SWEEP_POINTS
+
+    @pytest.mark.parametrize("n_cells", [N_CELLS, 7, 3])
+    def test_band_top_ends_at_the_top_mode(self, bloch_cell, n_cells):
+        # past N/2 the indices mirror the branch: the top mode m = N/2 has no
+        # next mode, and for N = 3 the mirror m = 3 = 0 (mod N) has no root
+        edge = 100770889126.93825  # the band edge of the design cell
+        assert mode_index_near(bloch_cell, n_cells, edge) == n_cells // 2
+        curve = fsr_curve(bloch_cell, n_cells, (4e9, edge))
+        assert curve.f[-1] == solve_mode_frequency(bloch_cell, n_cells, n_cells // 2)
+        assert np.all(np.diff(curve.f) > 0)
+        assert np.isnan(curve.fsr[-1]) and np.all(curve.fsr[:-1] > 0)
 
 
 class TestConversionMismatch:

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metaring import (
+    LumpedCell,
     RingSpec,
-    SegmentParams,
     analytic_mode_frequency,
     eigenmode_frequencies,
     free_spectral_range,
@@ -24,8 +24,7 @@ DESIGN_FUNDAMENTAL = 79039288.614
 
 
 def small_ring(n_cells: int) -> RingSpec:
-    seg = SegmentParams(57e-6, 437e-12, 25e-6)
-    return RingSpec(n_cells, seg, None, GEOMETRIC_L, KINETIC_L)
+    return RingSpec(n_cells, LumpedCell(437e-12, 25e-6), GEOMETRIC_L, KINETIC_L)
 
 
 def run_modes(ring: RingSpec, band: tuple):
@@ -83,7 +82,7 @@ class TestAnalyticModeFrequency:
 
     def test_small_m_approaches_linear_ladder(self, design_ring):
         lc = design_ring.line_constants()
-        linear = lc.phase_velocity / design_ring.total_length
+        linear = lc.phase_velocity / (design_ring.cell_count * design_ring.segment1.length)
         f1 = analytic_mode_frequency(design_ring, 1)
         assert rel_err(f1, linear) < 1e-6
 
@@ -107,7 +106,7 @@ class TestFreeSpectralRange:
 
     def test_small_m_fsr_equals_linear_ladder(self, design_ring):
         lc = design_ring.line_constants()
-        ladder = lc.phase_velocity / design_ring.total_length
+        ladder = lc.phase_velocity / (design_ring.cell_count * design_ring.segment1.length)
         f_low = analytic_mode_frequency(design_ring, 2)
         f_high = analytic_mode_frequency(design_ring, 50)
         table = free_spectral_range(design_ring, (f_low * 0.99, f_high * 1.01))
@@ -121,6 +120,31 @@ class TestFreeSpectralRange:
                 analytic_mode_frequency(scaled, m),
                 scale * analytic_mode_frequency(design_ring, m),
             ) < 1e-12
+
+    def test_equals_a_mask_over_the_whole_first_branch(self, line_capacitance):
+        # bands that end at a mode or at the top of the branch, where an index
+        # window found by inverting the closed form dropped modes
+        from metaring.config import _MAX_CELL_COUNT
+
+        rng = np.random.default_rng(34)
+        counts = [3, 7, 32000, _MAX_CELL_COUNT,
+                  *(2 * rng.integers(2, 50_000, 6) + 1).tolist(),
+                  *(2 * rng.integers(2, 50_000, 3)).tolist()]
+        for n_cells in counts:
+            ring = RingSpec(n_cells, LumpedCell(line_capacitance, 25e-6), GEOMETRIC_L, KINETIC_L)
+            lc = ring.line_constants()
+            f0 = natural_cell_frequency(lc.cell_inductance, lc.cell_capacitance)
+            m = np.arange(1, n_cells // 2 + 1)
+            f = f0 * np.sqrt(1.0 - np.cos(2.0 * math.pi * m / n_cells))
+            a, b = np.sort(rng.integers(0, len(m), 2))
+            top = analytic_mode_frequency(ring, n_cells // 2)
+            for band in ((f[a], f[b]), (f[a], f[-1]), (f[-1], f[-1]), (f[b], f0 * math.sqrt(2.0)),
+                         (analytic_mode_frequency(ring, int(m[a])), top), (top, top),
+                         (15807860.156909235, 80508770824.965)):
+                table = free_spectral_range(ring, band)
+                inside = (band[0] <= f) & (f <= band[1])
+                assert np.array_equal(table.m, m[inside]), (n_cells, band)
+                assert np.array_equal(table.f, f[inside]), (n_cells, band)
 
     def test_empty_band(self, design_ring):
         for band in ((1e3, 2e3), (5e9, 4e9)):
@@ -228,8 +252,7 @@ class TestEigenmodeOracle:
             assert abs(a - b) <= 1e-12 * b
 
     def test_dense_solve_limit(self, line_capacitance):
-        seg = SegmentParams(57e-6, line_capacitance, 25e-6)
-        ring = RingSpec(20001, seg, None, GEOMETRIC_L, KINETIC_L)
+        ring = RingSpec(20001, LumpedCell(line_capacitance, 25e-6), GEOMETRIC_L, KINETIC_L)
         with pytest.raises(ValueError, match="dense solve"):
             eigenmode_frequencies(ring)
 
@@ -240,8 +263,7 @@ class TestEigenmodeOracle:
         cap=st.floats(min_value=1e-11, max_value=1e-9),
     )
     def test_property_oracle_equals_analytic(self, n_cells, kinetic, cap):
-        seg = SegmentParams(kinetic, cap, 25e-6)
-        ring = RingSpec(n_cells, seg, None, kinetic / 100, kinetic)
+        ring = RingSpec(n_cells, LumpedCell(cap, 25e-6), kinetic / 100, kinetic)
         eig = eigenmode_frequencies(ring)
         analytic = np.sort([analytic_mode_frequency(ring, m) for m in range(n_cells)])
         scale = analytic[-1]

@@ -19,14 +19,14 @@ from metaring.config import load_config
 MODULES = (core, modes, dispersion, tuning, conversion, fitting, config, cli)
 
 RECORDS = (
-    core.SegmentParams, core.RingSpec, core.MicroloopSpec, core.BiasState,
+    core.SegmentParams, core.LumpedCell, core.RingSpec, core.MicroloopSpec, core.BiasState,
     core.LineConstants, modes.ModeTable, dispersion.TwoPortMatrix, dispersion.UnitCell,
     dispersion.FsrCurve, dispersion.MismatchReport, dispersion.EnhancementPoint,
     tuning.NonlinearCoefficients,
     conversion.ConverterParams, conversion.ScatteringResult, conversion.KerrSteadyState,
     conversion.BifurcationPoint, conversion.TlsModel, conversion.PairEfficiency,
     fitting.Trace, fitting.FitResult, config.KerrScenario, config.FringeScenario,
-    config._LumpedCell, config.Config, config._Section, cli.RunManifest,
+    config.Config, config._Section, cli.RunManifest,
 )
 # what else the modules define: the fields of Trace, whose own __new__ turns
 # them into arrays, and two private helpers
@@ -49,6 +49,7 @@ def samples(default_config_path):
     m = dispersion.mode_index_near(cell, n_cells, 5e9)
     return {
         core.SegmentParams: cell.segment1,
+        core.LumpedCell: cfg.ring.segment1,
         core.RingSpec: cfg.ring,
         core.MicroloopSpec: loop,
         core.BiasState: bias,
@@ -71,7 +72,6 @@ def samples(default_config_path):
         fitting.FitResult: fitting.fit_reflection_resonance(trace),
         config.KerrScenario: cfg.kerr,
         config.FringeScenario: cfg.fringe,
-        config._LumpedCell: cfg.ring.segment1,
         config.Config: cfg,
         config._Section: config._SCHEMA,
         cli.RunManifest: cli.RunManifest("modes", cfg.config_hash, None, [], ""),
@@ -82,8 +82,8 @@ def samples(default_config_path):
 _SEGMENT = dict(inductance_per_length=57e-6, capacitance_per_length=437e-12, length=25e-6)
 GOOD = {
     core.SegmentParams: _SEGMENT,
-    core.RingSpec: dict(cell_count=3200, segment1=core.SegmentParams(**_SEGMENT),
-                        segment2=core.SegmentParams(3e-6, 880e-12, 5e-6),
+    core.LumpedCell: dict(capacitance_per_length=437e-12, length=25e-6),
+    core.RingSpec: dict(cell_count=3200, segment1=core.LumpedCell(437e-12, 30e-6),
                         geometric_inductance_per_length=0.25e-6,
                         kinetic_inductance_per_length=57e-6),
     dispersion.UnitCell: dict(segment1=core.SegmentParams(**_SEGMENT),
@@ -101,7 +101,6 @@ GOOD = {
     config.KerrScenario: dict(rate_hz=0.1, quality_factor=39e3, coupling_efficiency=0.94,
                               frequency_hz=4.85e9),
     config.FringeScenario: dict(cooperativity=0.2, eta_s=1.0, eta_i=1.0),
-    config._LumpedCell: dict(capacitance_per_length=437e-12, length=25e-6),
 }
 
 # record -> [(bad fields, the message that construction and _replace raise)]
@@ -132,7 +131,7 @@ BAD = {
          "geometric_inductance_per_length must be a finite positive number, got -1.0"),
         (dict(kinetic_inductance_per_length=math.nan),
          "kinetic_inductance_per_length must be a finite positive number, got nan"),
-        (dict(segment1=core.SegmentParams(1e-6, 1e-10, 1e-300), segment2=None),
+        (dict(segment1=core.LumpedCell(1e-10, 1e-300)),
          "segment1.length: too short for the lumped cell model: "
          "the cell's L_0 C_0 underflows to 0"),
     ],
@@ -181,7 +180,7 @@ BAD = {
         (dict(coupling_efficiency=1e-300), "coupling_efficiency: must keep the critical "
          "drive power 2 pi h f kappa^3/(3 sqrt(3) rate_hz kappa_ex) positive and finite"),
     ],
-    config._LumpedCell: [
+    core.LumpedCell: [
         (dict(capacitance_per_length=-1e-10),
          "capacitance_per_length must be a finite positive number, got -1e-10"),
         (dict(length=math.inf), "length must be a finite positive number, got inf"),
