@@ -170,6 +170,13 @@ def _scaled(ax: np.ndarray, e10: np.ndarray, s: np.ndarray):
     return n, rest, hi
 
 
+def _blend(x: np.ndarray, y: np.ndarray, mask: np.ndarray) -> None:
+    """x = y where ``mask`` has every bit set, x where it is 0; y is clobbered."""
+    np.bitwise_xor(y, x, out=y)
+    np.bitwise_and(y, mask, out=y)
+    np.bitwise_xor(x, y, out=x)
+
+
 def _decimal(ax: np.ndarray, s: np.ndarray, flags: np.ndarray, e2: np.ndarray):
     """Shortest digits of each ax in [1e-290, 1e290]: (V, e10, unsure).
 
@@ -227,10 +234,14 @@ def _decimal(ax: np.ndarray, s: np.ndarray, flags: np.ndarray, e2: np.ndarray):
     # interval is under 23 wide, so its one multiple of 100 is the only
     # multiple of 10**d too.
     tens, digit, value, quotients = si[2], si[3], si[13], si[11:13]
-    one, up = flags[1], flags[2]
+    # one: all bits set where (n_low, n_high] holds a multiple of 10, so the
+    # choices below are bit blends x ^ ((x ^ y) & one) on the int64 views,
+    # about three times as fast as copies under a half-random where= mask
+    one, up = si[5], flags[2]
     np.floor_divide(n, 10, out=tens)
     np.floor_divide(n_ends, 10, out=quotients)
-    np.greater(quotients[0], quotients[1], out=one)
+    np.subtract(quotients[1], quotients[0], out=one)
+    np.right_shift(one, 63, out=one)
     np.multiply(tens, 10, out=digit)
     np.subtract(n, digit, out=digit)
     # excess = (n - 10*tens) + r - 5.0 where one, else r - 0.5; > 0: round up; 0: a tie
@@ -239,7 +250,7 @@ def _decimal(ax: np.ndarray, s: np.ndarray, flags: np.ndarray, e2: np.ndarray):
     other += r
     other -= 5.0
     np.subtract(r, 0.5, out=excess)
-    np.copyto(excess, other, where=one)
+    _blend(si[9], si[6], one)  # excess and other
     np.abs(excess, out=other)
     np.less(other, TOL, out=up)
     unsure |= up
@@ -247,7 +258,7 @@ def _decimal(ax: np.ndarray, s: np.ndarray, flags: np.ndarray, e2: np.ndarray):
     np.add(n, up, out=value)
     np.add(tens, up, out=tens)
     tens *= 10
-    np.copyto(value, tens, where=one)
+    _blend(value, tens, one)
     np.greater(value, n_high, out=up)
     np.subtract(value, 10, out=value, where=up)
     np.less_equal(value, n_low, out=up)

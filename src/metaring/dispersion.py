@@ -13,20 +13,26 @@ and the periodic chain supports Bloch waves at frequencies where
 
 Closing the chain into an N-cell ring quantizes cos(k l_0) = cos(2*pi*m/N);
 mode frequencies are the roots of that condition in the first propagating
-band.  All requested modes are bisected at once on one shared bracket,
-[0, 1/(2 tau)] with tau the cell delay.  Write t_j = k_j l_j and chi for
-the mismatch factor (Z_1/Z_2 + Z_2/Z_1)/2 >= 1.  At the top of the bracket
-t_1 + t_2 = pi, so the half-trace is -cos^2 t_1 - chi sin^2 t_1 <= -1 and
-the first band closes inside the bracket.  On the bracket the half-trace is
-at most cos(t_1 + t_2) < 1, and by Foster's reactance theorem it is
-strictly monotone wherever it lies in (-1, 1).  So it falls from 1 to -1
-across the first band and stays at or below -1 from the band edge to the
-top: a second band, once open, would have to rise to +1 before closing.
-Every target in [-1, 1) therefore has exactly one crossing on the bracket,
-the smallest root, and bisection finds it.  Several cells (the rows of a
-capacitance-enhancement sweep) share one halving loop, each row on its own
-bracket.  The two segments' constants are stacked on a leading axis, so one
-cos and one sin call serve t_1 and t_2 of every row at once.
+band.  Every root lies on one bracket, [0, 1/(2 tau)] with tau the cell
+delay.  Write t_j = k_j l_j and chi for the mismatch factor
+(Z_1/Z_2 + Z_2/Z_1)/2 >= 1.  At the top of the bracket t_1 + t_2 = pi, so
+the half-trace is -cos^2 t_1 - chi sin^2 t_1 <= -1 and the first band
+closes inside the bracket.  On the bracket the half-trace is at most
+cos(t_1 + t_2) < 1, and by Foster's reactance theorem it is strictly
+monotone wherever it lies in (-1, 1).  So it falls from 1 to -1 across the
+first band and stays at or below -1 from the band edge to the top: a second
+band, once open, would have to rise to +1 before closing.  Every target in
+[-1, 1) therefore has exactly one crossing on the bracket, the smallest
+root.  Below it the half-trace lies above the target and falls; every other
+point of the bracket lies above the root.  That keeps a safeguarded Newton
+iteration (Numerical Recipes' rtsafe) on the root: each step narrows the
+root's own bracket, uses the closed-form derivative of the half trace, and
+falls back to the bracket's midpoint when it would leave the bracket or
+where the trace does not fall.  All requested modes,
+and several cells (the rows of a capacitance-enhancement sweep), share one
+loop, each root stopping on its own test.  The two segments' constants are
+stacked on a leading axis, so one cos and one sin call serve t_1 and t_2 of
+every row at once.
 """
 
 import math
@@ -35,9 +41,9 @@ from typing import NamedTuple, Sequence, Tuple, Union
 import numpy as np
 
 from .core import SegmentParams, checked
-from .errors import BandEdgeError
+from .errors import BandEdgeError, PrecisionError
 
-_BISECTION_WIDTH = 1e-3  # Hz; comfortably below the 1 Hz contract
+_BRACKET_WIDTH = 1e-3  # Hz; the halvings that narrow a bracket below it cap the Newton steps
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -74,9 +80,9 @@ class UnitCell(NamedTuple):
     segment2: SegmentParams
 
     def _check(self) -> None:
-        # the bisection bracket [0, 1/(2 cell_delay)], counted in _BISECTION_WIDTH steps
+        # the root bracket [0, 1/(2 cell_delay)], counted in _BRACKET_WIDTH steps
         delay = self.cell_delay
-        if not (0.0 < delay < math.inf and 0.5 / delay / _BISECTION_WIDTH < math.inf):
+        if not (0.0 < delay < math.inf and 0.5 / delay / _BRACKET_WIDTH < math.inf):
             raise ValueError("segment lengths and line constants must keep the cell delay and "
                              f"1/(2 cell delay) positive and finite, got cell delay = {delay!r}")
 
@@ -129,8 +135,9 @@ def segment_abcd(segment: SegmentParams, frequency: float) -> TwoPortMatrix:
 class _CellRows:
     """Constants of the half trace of one or more cells, one row per cell.
 
-    Every constant is a (rows, 1) column, so it broadcasts against (rows, k)
-    frequencies or targets and each row is evaluated with the arithmetic of
+    Every constant is a (rows, 1) column, or two of them stacked for the
+    rail and the bridge, so it broadcasts against (rows, k) frequencies or
+    targets and each row is evaluated with the arithmetic of
     :func:`cell_trace` on its own cell, giving the same bits.
     """
 
@@ -148,22 +155,36 @@ class _CellRows:
                            [s.length for s in bridges]]).reshape(2, -1, 1)
         self.mismatch = column([0.5 * (s1.impedance / s2.impedance + s2.impedance / s1.impedance)
                                 for s1, s2 in zip(rails, bridges)])
-        self.f_top = column(f_top)  # bisection bracket top 1/(2 cell_delay) [Hz]
-        # halvings that narrow each bracket below _BISECTION_WIDTH
-        self.halvings = column(
-            [math.ceil(math.log2(f / _BISECTION_WIDTH)) for f in f_top], int)
+        self.f_top = column(f_top)  # bracket top 1/(2 cell_delay) [Hz]
+        with np.errstate(over="ignore"):  # such a cell's half trace is not a number
+            self.omega = 2.0 * math.pi * self.l / self.v  # t_j = omega_j f
+
+    @property
+    def step_cap(self) -> int:
+        """Newton steps allowed: the halvings that would narrow the widest
+        bracket below _BRACKET_WIDTH, plus a margin."""
+        top = float(self.f_top.max(initial=_BRACKET_WIDTH))
+        return max(math.ceil(math.log2(top / _BRACKET_WIDTH)), 0) + 4
+
+    def _phases(self, f: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        t = 2.0 * math.pi * f / self.v * self.l
+        return np.cos(t), np.sin(t)
 
     def trace(self, f: np.ndarray) -> np.ndarray:
         """cos(k l_0) of each row's cell at that row's frequencies."""
-        t = 2.0 * math.pi * f / self.v * self.l
-        c, s = np.cos(t), np.sin(t)
+        c, s = self._phases(f)
         return c[0] * c[1] - self.mismatch * s[0] * s[1]
 
     def solve(self, n_cells: int, modes: np.ndarray) -> np.ndarray:
         """Roots of the half trace at cos(2*pi*m/N) for (rows, k) mode indices.
 
-        One halving loop serves every row; a row stops at its own halving
-        count, so each mode gets the bits of a solve of its cell alone.
+        Newton steps kept inside each root's bracket [0, 1/(2 cell_delay)],
+        from the uniform-line root acos(cos(2*pi*m/N))/(omega_1 + omega_2).
+        A root stops on its own test: |half trace - target| at the rounding
+        floor, or a step or bracket below max(1e-4 Hz, 4 ulp).  Every
+        operation is elementwise, so each mode gets the bits of a solve of
+        its cell alone.  Raises ``PrecisionError`` naming the modes that
+        have not stopped after ``step_cap`` steps.
         """
         if n_cells < 3:
             raise ValueError("n_cells must be >= 3")
@@ -174,13 +195,43 @@ class _CellRows:
         target = np.cos(2.0 * math.pi * modes / n_cells)
         f_lo = np.zeros(target.shape)
         f_hi = np.broadcast_to(self.f_top, target.shape)
-        for i in range(self.halvings.max(initial=0)):
-            mid = 0.5 * (f_lo + f_hi)
-            above = self.trace(mid) > target
-            live = i < self.halvings
-            f_lo = np.where(above & live, mid, f_lo)
-            f_hi = np.where(above | ~live, f_hi, mid)
-        return 0.5 * (f_lo + f_hi)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            f = np.minimum(np.arccos(target) / (self.omega[0] + self.omega[1]), f_hi)
+            for _ in range(self.step_cap):
+                c, s = self._phases(f)
+                chi_s = self.mismatch * s
+                cc, chi_ss = c[0] * c[1], chi_s[0] * s[1]
+                g = cc - chi_ss - target
+                # -dg/df = sum_j omega_j (sin t_j cos t_i + chi cos t_j sin t_i), i != j;
+                # chi multiplies a sine of the other segment, as in the half
+                # trace, so a huge chi with a tiny phase stays finite; a flat
+                # trace (zero slope) gives no Newton step and bisects
+                slope = self.omega * (s * c[::-1] + c * chi_s[::-1])
+                slope = slope[0] + slope[1]
+                step = g / slope
+                # below the root the half trace falls (Foster), so a point
+                # where it does not lies above the root, whatever the sign
+                # of g: past the band edge the trace may climb back to -1,
+                # and rounding may lift it over -1 near the bracket top
+                falling = slope > 0.0
+                above = (g > 0.0) & falling
+                f_lo = np.where(above, f, f_lo)
+                f_hi = np.where(above, f_hi, f)
+                # where it falls, |g| at the rounding floor of the trace's
+                # two terms or a step below max(1e-4 Hz, 4 ulp) stops the
+                # root; anywhere, a bracket that narrow
+                tol = np.maximum(f * 2.0**-50, 1e-4)
+                done = (falling
+                        & ((np.abs(g) <= (np.abs(cc) + np.abs(chi_ss)) * 2.0**-50)
+                           | (np.abs(step) <= tol))) | (f_hi - f_lo <= tol)
+                f_new = f + step
+                inside = falling & (f_lo < f_new) & (f_new < f_hi)
+                if done.all():  # one last Newton step, where it stays in the bracket
+                    return np.where(inside, f_new, f)
+                f = np.where(done, f, np.where(inside, f_new, 0.5 * (f_lo + f_hi)))
+        raise PrecisionError(
+            f"Bloch root solve: modes m = {modes[~done].tolist()} of N = {n_cells} did not "
+            f"converge in {self.step_cap} Newton steps")
 
     def mode_index(self, n_cells: int, frequency: np.ndarray) -> np.ndarray:
         """Nearest first-band mode index of each row's cell at (rows, k) frequencies."""
@@ -225,11 +276,13 @@ def solve_mode_frequency(
     """Smallest positive root of cell_trace(f) = cos(2*pi*m/N) [Hz].
 
     ``m`` is one mode index (returns a float) or an integer array of them
-    (returns an array of the same shape).  Every target is bisected on the
-    shared bracket [0, 1/(2 cell_delay)] (see the module docstring) with a
-    fixed number of halvings that leaves it narrower than 1e-3 Hz, so a
-    mode gets the same bits whether solved alone or in an array.  Raises
-    ``ValueError`` for m < 1 and for the trivial m = 0 (mod N) target.
+    (returns an array of the same shape).  Every root is found by Newton
+    steps kept inside the bracket [0, 1/(2 cell_delay)] (see the module
+    docstring) and stops on its own test, a step or bracket below
+    max(1e-4 Hz, 4 ulp) or a residual at rounding level, so a mode gets the
+    same bits whether solved alone or in an array.  Raises ``ValueError``
+    for m < 1 and for the trivial m = 0 (mod N) target, and
+    ``PrecisionError`` for a root that does not stop within the step cap.
     """
     modes = np.asarray(m)
     roots = _CellRows([cell]).solve(n_cells, modes.reshape(1, -1)).reshape(modes.shape)
@@ -310,11 +363,12 @@ def idc_enhancement_sweep(
     For each ratio the bridge capacitance is scaled (inductance unchanged)
     and m is the mode nearest ``signal_f``; for each idler offset n is
     chosen so f_{m+n} is nearest f_m + offset.  One row per ratio serves two
-    bisections: the signal roots f_m, then every pair's f_{m-n} and f_{m+n},
-    each row stopping at its own halving count, so the roots have the bits
-    of :func:`conversion_mismatch`'s.  Raises ``ValueError`` for a
+    root solves: the signal roots f_m, then every pair's f_{m-n} and f_{m+n},
+    each root stopping on its own test, so the roots have the bits of
+    :func:`conversion_mismatch`'s.  Raises ``ValueError`` for a
     non-positive offset, a negative frequency or a step without n >= 1 and
-    m - n >= 1, and ``BandEdgeError`` for a frequency in a stop band.
+    m - n >= 1, ``BandEdgeError`` for a frequency in a stop band and
+    ``PrecisionError`` for a root that does not stop within the step cap.
     """
     offsets_hz = np.asarray(offsets, dtype=float)
     if np.any(offsets_hz <= 0):

@@ -25,7 +25,9 @@ class ConditioningError(RuntimeError):
 
 
 class PrecisionError(RuntimeError):
-    """A function fitted as an exact quartic is not a quartic on the fit nodes."""
+    """A result missed its stated precision: a function fitted as an exact
+    quartic is not a quartic on the fit nodes, or a root did not converge
+    within its step cap."""
 
 
 class NoResonanceError(ValueError):

@@ -726,6 +726,18 @@ class TestMainExitCodes:
         assert code == 3
         assert "solver error" in capsys.readouterr().err
 
+    def test_unconverged_root_exit_3_writes_nothing(self, tmp_path, default_config_path,
+                                                    capsys, monkeypatch):
+        monkeypatch.setattr(dispersion._CellRows, "step_cap", 1)
+        code = main(["sweep", "--config", str(default_config_path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        # the signal modes of the five ratios, the first solve of the plan
+        assert capsys.readouterr().err == (
+            "solver error: Bloch root solve: modes m = [65, 71, 77, 82, 87] of N = 3200 "
+            "did not converge in 1 Newton steps\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["fit", "sweep"])
     def test_power_trace_exit_3(self, tmp_path, default_config_path, capsys, command):
         path = write_config(tmp_path, load_default(default_config_path), default_config_path)

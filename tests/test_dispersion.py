@@ -20,7 +20,7 @@ from metaring import (
     solve_mode_frequency,
 )
 from metaring.dispersion import _CellRows, cell_matrix
-from metaring.errors import BandEdgeError
+from metaring.errors import BandEdgeError, PrecisionError
 from conftest import rel_err
 
 N_CELLS = 3200
@@ -43,7 +43,8 @@ def halving_count(cell: UnitCell) -> int:
 
 
 def reference_solve(cell: UnitCell, n_cells: int, modes) -> list:
-    """One cell's modes bisected on [0, 1/(2 cell_delay)] through cell_trace alone."""
+    """One cell's modes bisected on [0, 1/(2 cell_delay)] through cell_trace
+    alone, to a bracket narrower than 1e-3 Hz."""
     target = np.cos(2.0 * math.pi * np.asarray(modes) / n_cells)
     f_lo = np.zeros(target.shape)
     f_hi = np.full(target.shape, 0.5 / cell.cell_delay)
@@ -53,6 +54,30 @@ def reference_solve(cell: UnitCell, n_cells: int, modes) -> list:
         f_lo = np.where(above, mid, f_lo)
         f_hi = np.where(above, f_hi, mid)
     return (0.5 * (f_lo + f_hi)).tolist()
+
+
+def root_tolerance(cell: UnitCell, f) -> np.ndarray:
+    """The bisection's 1e-3 Hz bracket and 4 ulp of a root f, where the
+    Newton steps stop at or above 1e-3 Hz, plus the rounding floor of the
+    half trace at f over its slope there.  The floor is 8 * 2**-52 times the
+    size of the trace's two terms, |cos t_1 cos t_2| + chi |sin t_1 sin t_2|,
+    which is at most 8 * 2**-52 * (1 + chi) and far below it for a huge chi."""
+    s1, s2 = cell.segment1, cell.segment2
+    chi = 0.5 * (s1.impedance / s2.impedance + s2.impedance / s1.impedance)
+    w1, w2 = (2.0 * math.pi * s.length / s.phase_velocity for s in (s1, s2))
+    t1, t2 = w1 * np.asarray(f), w2 * np.asarray(f)
+    chi_s1, chi_s2 = chi * np.sin(t1), chi * np.sin(t2)  # finite for a huge chi
+    slope = (w1 * (np.sin(t1) * np.cos(t2) + np.cos(t1) * chi_s2)
+             + w2 * (np.cos(t1) * np.sin(t2) + chi_s1 * np.cos(t2)))
+    terms = np.abs(np.cos(t1) * np.cos(t2)) + np.abs(chi_s1 * np.sin(t2))
+    with np.errstate(divide="ignore"):  # a double root: any f is as good
+        return 1e-3 + 4.0 * np.spacing(np.asarray(f)) + 8.0 * 2.0**-52 * terms / np.abs(slope)
+
+
+def assert_near_reference(cell: UnitCell, n_cells: int, modes, roots) -> None:
+    reference = np.array(reference_solve(cell, n_cells, modes))
+    miss = np.abs(np.asarray(roots) - reference) / root_tolerance(cell, reference)
+    assert np.all(miss <= 1.0), (np.asarray(modes).tolist(), miss.tolist())
 
 
 class TestSegmentAbcd:
@@ -170,16 +195,13 @@ class TestSolveModeFrequency:
             scalar = solve_mode_frequency(cell, N_CELLS, int(m_k))
             assert isinstance(scalar, float) and scalar == f_k
 
-    def test_rows_with_different_halvings_match_lone_cells(self, bloch_cell):
-        # bracket tops more than 2x apart: the rows share the first halvings,
-        # then the shorter ones stop while the longest goes on
+    def test_rows_with_different_bracket_tops_match_lone_cells(self, bloch_cell):
+        # bracket tops more than 2x apart share one loop, each root stopping
+        # on its own test
         cells = [bloch_cell.with_capacitance_ratio(ratio) for ratio in (1.0, 1000.0, 3.0)]
         tops = [0.5 / cell.cell_delay for cell in cells]
         assert max(tops) > 2.0 * min(tops)
         rows = _CellRows(cells)
-        counts = [halving_count(cell) for cell in cells]
-        assert rows.halvings.ravel().tolist() == counts
-        assert min(counts) < max(counts)
         # three modes inside the band of each row, then two at or next to its edge
         modes = np.array([[1, 7, 400, 1599, 1600], [1200, 1, 9, 1600, 1599], [50, 3, 1, 1600, 2]])
         roots = rows.solve(N_CELLS, modes)
@@ -187,13 +209,57 @@ class TestSolveModeFrequency:
         for cell, m, f, m_near in zip(cells, modes, roots, index):
             alone = solve_mode_frequency(cell, N_CELLS, m)
             assert f.tobytes() == alone.tobytes()
-            assert f.tolist() == reference_solve(cell, N_CELLS, m)
+            assert_near_reference(cell, N_CELLS, m, f)
             assert m_near.tolist() == mode_index_near(cell, N_CELLS, f[:3]).tolist()
         assert index.tolist() == modes[:, :3].tolist()
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seg1=segment_strategy, seg2=segment_strategy,
+           n_cells=st.sampled_from([3, 4, 7, N_CELLS, 31999]))
+    def test_property_roots_near_bisection(self, seg1, seg2, n_cells):
+        cell = UnitCell(seg1, seg2)
+        top = n_cells // 2
+        modes = sorted({m for m in (1, 2, top - 1, top) if 1 <= m <= top})
+        roots = solve_mode_frequency(cell, n_cells, np.array(modes))
+        assert_near_reference(cell, n_cells, modes, roots)
+
+    @pytest.mark.parametrize("n_cells", [N_CELLS, 31999])
+    @pytest.mark.parametrize("rail, bridge", [
+        (SegmentParams(57e-6, 1e-300, 31.25e-6), SegmentParams(3e-6, 880e-12, 5e-6)),
+        (SegmentParams(2.2250738585072014e-308, 289e-12, 25e-6),
+         SegmentParams(3e-6, 880e-12, 5e-6)),
+        # rounding lifts the half trace over -1 near the bracket top
+        (SegmentParams(2.0390740295710925e-4, 8.834855638160121e-207, 9.655023229199001e-05),
+         SegmentParams(1.2682532345920214e-06, 2.8894449678155917e-09, 6.371179165266869e-07)),
+    ])
+    def test_huge_mismatch_roots_near_bisection(self, rail, bridge, n_cells):
+        # chi above 1e100 with a rail phase below 1e-100: the bridge term of
+        # the half trace is finite, and the trace, after diving far below
+        # -1, climbs back to touch it at the bracket top, a point that is
+        # no first-band root
+        cell = UnitCell(rail, bridge)
+        modes = [1, 2, 64, 750, n_cells // 2 - 1, n_cells // 2]
+        roots = solve_mode_frequency(cell, n_cells, np.array(modes))
+        assert_near_reference(cell, n_cells, modes, roots)
+        assert roots[-1] < 0.5 * (0.5 / cell.cell_delay)
+
+    @pytest.mark.parametrize("n_cells", [N_CELLS, 4])
+    def test_uniform_band_top_is_a_double_root(self, uniform_cell, n_cells):
+        # the half trace cos(2 pi tau f) touches -1 at f_top with zero slope
+        f_top = 0.5 / uniform_cell.cell_delay
+        f = solve_mode_frequency(uniform_cell, n_cells, n_cells // 2)
+        assert f == pytest.approx(f_top, rel=1e-7)
+        assert abs(cell_trace(uniform_cell, f) + 1.0) <= 8.0 * 2.0**-52
+
+    def test_step_cap_raises_naming_the_mode(self, bloch_cell, monkeypatch):
+        monkeypatch.setattr(_CellRows, "step_cap", 1)
+        with pytest.raises(PrecisionError, match=r"modes m = \[400\] of N = 3200 did not "
+                                                 r"converge in 1 Newton steps"):
+            solve_mode_frequency(bloch_cell, N_CELLS, 400)
+
     @pytest.mark.parametrize("ratio", [1.0, 2.0, 3.0, 4.0])  # 1.0 is the design cell
     def test_trace_brackets_a_single_crossing(self, bloch_cell, ratio):
-        # the bisection bracket [0, 1/(2 cell_delay)] holds one crossing per
+        # the root bracket [0, 1/(2 cell_delay)] holds one crossing per
         # target: falling through the first band, at or below -1 above it
         cell = bloch_cell.with_capacitance_ratio(ratio)
         edge = solve_mode_frequency(cell, N_CELLS, N_CELLS // 2)
@@ -331,10 +397,9 @@ class TestIdcEnhancement:
 
     def test_batched_rows_match_per_pair_solves(self, bloch_cell):
         ratios, offsets = [1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0], [1e9, 2e9, 3e9]
-        # rows whose brackets take different halving counts share the loop
-        halvings = {ratio: halving_count(bloch_cell.with_capacitance_ratio(ratio))
-                    for ratio in ratios}
-        assert halvings[1.0] != halvings[2.0]
+        # rows on brackets of different tops share the loop
+        tops = {0.5 / bloch_cell.with_capacitance_ratio(ratio).cell_delay for ratio in ratios}
+        assert len(tops) == len(ratios)
         sweep = idc_enhancement_sweep(bloch_cell, N_CELLS, 5e9, offsets, ratios)
         assert all(len(column) == len(ratios) * len(offsets) for column in sweep)
         for ratio, n, signal_f, delta_f in zip(sweep.ratio.tolist(), sweep.n.tolist(),
@@ -343,8 +408,10 @@ class TestIdcEnhancement:
             m = mode_index_near(scaled, N_CELLS, 5e9)
             direct = conversion_mismatch(scaled, N_CELLS, m, n)
             assert (delta_f, signal_f) == (direct.delta_f, direct.signal_f)
-            f_low, f_sig, f_high = reference_solve(scaled, N_CELLS, [m - n, m, m + n])
+            roots = solve_mode_frequency(scaled, N_CELLS, np.array([m - n, m, m + n]))
+            f_low, f_sig, f_high = roots.tolist()
             assert (delta_f, signal_f) == (2.0 * f_sig - (f_high + f_low), f_sig)
+            assert_near_reference(scaled, N_CELLS, [m - n, m, m + n], roots)
 
     def test_signal_modes_bisected_once(self, bloch_cell, monkeypatch):
         # the shipped grid: the signal mode of each of 5 ratios, then m - n

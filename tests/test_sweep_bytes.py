@@ -9,8 +9,9 @@ numpy's enabled CPU features.  Elsewhere libm and numpy's SIMD loops may
 round differently, so the test skips and names the difference.
 
 A change that moves bits on purpose rewrites the file with
-``PYTHONPATH=src python tests/test_sweep_bytes.py`` and says why in
-CHANGES.md.
+``PYTHONPATH=src python tests/test_sweep_bytes.py``, which prints every
+``config/file`` key whose hash changed, was added or was removed, and the
+change says why in CHANGES.md.
 """
 
 import hashlib
@@ -82,9 +83,25 @@ def test_sweep_data_files_match_recorded_hashes(tmp_path):
     assert sweep_hashes(tmp_path) == record["sha256"]
 
 
+def moved_keys(old: dict, new: dict) -> list:
+    """One line per key of ``old`` or ``new`` whose hash moved."""
+    lines = []
+    for key in sorted(old.keys() | new.keys()):
+        if key not in new:
+            lines.append(f"removed {key}")
+        elif key not in old:
+            lines.append(f"added {key}")
+        elif old[key] != new[key]:
+            lines.append(f"changed {key}")
+    return lines
+
+
 if __name__ == "__main__":
+    old = json.loads(RECORD.read_text())["sha256"] if RECORD.exists() else {}
     with tempfile.TemporaryDirectory() as work:
         record = {"environment": environment(), "sha256": sweep_hashes(Path(work))}
     RECORD.parent.mkdir(exist_ok=True)
     RECORD.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    for line in moved_keys(old, record["sha256"]):
+        print(line, file=sys.stderr)
     print(f"wrote {len(record['sha256'])} hashes to {RECORD}", file=sys.stderr)
