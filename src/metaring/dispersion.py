@@ -170,10 +170,15 @@ class _CellRows:
         t = 2.0 * math.pi * f / self.v * self.l
         return np.cos(t), np.sin(t)
 
+    def _half_trace(self, c: np.ndarray, s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """cos(k l_0) at the phases' cosines ``c`` and sines ``s``, and its
+        rounding floor 2**-50 (|cos t_1 cos t_2| + chi |sin t_1 sin t_2|)."""
+        cc, chi_ss = c[0] * c[1], self.mismatch * s[0] * s[1]
+        return cc - chi_ss, (np.abs(cc) + np.abs(chi_ss)) * 2.0**-50
+
     def trace(self, f: np.ndarray) -> np.ndarray:
         """cos(k l_0) of each row's cell at that row's frequencies."""
-        c, s = self._phases(f)
-        return c[0] * c[1] - self.mismatch * s[0] * s[1]
+        return self._half_trace(*self._phases(f))[0]
 
     def solve(self, n_cells: int, modes: np.ndarray) -> np.ndarray:
         """Roots of the half trace at cos(2*pi*m/N) for (rows, k) mode indices.
@@ -199,14 +204,13 @@ class _CellRows:
             f = np.minimum(np.arccos(target) / (self.omega[0] + self.omega[1]), f_hi)
             for _ in range(self.step_cap):
                 c, s = self._phases(f)
-                chi_s = self.mismatch * s
-                cc, chi_ss = c[0] * c[1], chi_s[0] * s[1]
-                g = cc - chi_ss - target
+                value, floor = self._half_trace(c, s)
+                g = value - target
                 # -dg/df = sum_j omega_j (sin t_j cos t_i + chi cos t_j sin t_i), i != j;
                 # chi multiplies a sine of the other segment, as in the half
                 # trace, so a huge chi with a tiny phase stays finite; a flat
                 # trace (zero slope) gives no Newton step and bisects
-                slope = self.omega * (s * c[::-1] + c * chi_s[::-1])
+                slope = self.omega * (s * c[::-1] + c * (self.mismatch * s)[::-1])
                 slope = slope[0] + slope[1]
                 step = g / slope
                 # below the root the half trace falls (Foster), so a point
@@ -217,13 +221,12 @@ class _CellRows:
                 above = (g > 0.0) & falling
                 f_lo = np.where(above, f, f_lo)
                 f_hi = np.where(above, f_hi, f)
-                # where it falls, |g| at the rounding floor of the trace's
-                # two terms or a step below max(1e-4 Hz, 4 ulp) stops the
-                # root; anywhere, a bracket that narrow
+                # where it falls, |g| at the rounding floor of the trace or a
+                # step below max(1e-4 Hz, 4 ulp) stops the root; anywhere, a
+                # bracket that narrow
                 tol = np.maximum(f * 2.0**-50, 1e-4)
-                done = (falling
-                        & ((np.abs(g) <= (np.abs(cc) + np.abs(chi_ss)) * 2.0**-50)
-                           | (np.abs(step) <= tol))) | (f_hi - f_lo <= tol)
+                done = (falling & ((np.abs(g) <= floor) | (np.abs(step) <= tol))
+                        | (f_hi - f_lo <= tol))
                 f_new = f + step
                 inside = falling & (f_lo < f_new) & (f_new < f_hi)
                 if done.all():  # one last Newton step, where it stays in the bracket
@@ -238,16 +241,18 @@ class _CellRows:
         if np.any(frequency < 0):
             raise ValueError("frequency must be non-negative")
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowed phase
-            value = self.trace(frequency)
+            value, floor = self._half_trace(*self._phases(frequency))
         unknown = np.isnan(value)
         if np.any(unknown):
             raise BandEdgeError(f"{float(frequency[unknown][0])} Hz gives a half trace "
                                 "cos(k l_0) that is not a number")
-        outside = np.abs(value) > 1.0
+        # the band test of solve, whose root at a band edge may round past
+        # +-1 by up to the floor; an infinite trace has an infinite floor
+        outside = (np.abs(value) - 1.0 > floor) | np.isinf(value)
         if np.any(outside):
             raise BandEdgeError(
                 f"{float(frequency[outside][0])} Hz lies outside the propagating band")
-        phase = np.arccos(value)
+        phase = np.arccos(np.clip(value, -1.0, 1.0))
         # past N/2 the indices mirror the branch
         return np.clip(np.rint(n_cells * phase / (2.0 * math.pi)).astype(int), 1, n_cells // 2)
 
@@ -297,7 +302,10 @@ def mode_index_near(cell: UnitCell, n_cells: int,
 
     Inverts the dispersion relation directly: m = N*acos(cos k l_0)/(2 pi).
     One frequency gives an int, an array of them an int array of its shape.
-    Raises ``BandEdgeError`` when a frequency lies in a stop band.
+    Raises ``BandEdgeError`` when a frequency lies in a stop band, where the
+    half trace passes +-1 by more than the rounding floor at which
+    :func:`solve_mode_frequency` accepts a root, so every root it returns
+    has an index.
     """
     f = np.asarray(frequency, dtype=float)
     index = _CellRows([cell]).mode_index(n_cells, f.reshape(1, -1)).reshape(f.shape)

@@ -2,10 +2,9 @@
 
 The engine is a Levenberg-Marquardt iteration: the damping term
 lambda*diag(J^T J) grows on rejected steps and shrinks on accepted ones, so
-the accepted-step residual norm never increases.  The Jacobian comes from a
-caller-supplied ``jac`` or, by default, from central differences.  After
-each step the iteration stops, with a named reason, on the first of these
-MINPACK-style tests (More 1978):
+the accepted-step residual norm never increases.  The Jacobian always comes
+from the caller's ``jac``.  After each step the iteration stops, with a
+named reason, on the first of these MINPACK-style tests (More 1978):
 
 * ``zero_residual``: the residuals vanish;
 * ``gtol``: the largest gradient component falls below ``_GTOL`` times its
@@ -15,27 +14,26 @@ MINPACK-style tests (More 1978):
   Gauss-Newton step predicts a drop of at most that;
 * ``xtol``: the scaled step is at most ``_XTOL`` of the scaled parameters.
 
-These four mean converged.  The iteration also ends, unconverged, after
-``_MAX_ITER`` accepted steps (``max_iter``) or when the damping passes its
-cap without any step lowering the cost (``damping_cap``), which bounds the
-rejected steps in a row.  An ``ftol``, ``xtol`` or ``damping_cap`` stop, or
-a trial step that the box clips away entirely, at which some parameter
-sits on its bound while the descent direction points out of the box there
-is reported as ``bound``, also unconverged: the box, not the fit, stopped
-the iteration.
+These four mean converged, as does ``exact``, the stop of a closed-form
+fit.  The iteration also ends, unconverged, after ``_MAX_ITER`` accepted
+steps (``max_iter``) or when the damping passes its cap without any step
+lowering the cost (``damping_cap``), which bounds the rejected steps in a
+row.  An ``ftol``, ``xtol`` or ``damping_cap`` stop, or a trial step that
+the box clips away entirely, at which some parameter sits on its bound
+while the descent direction points out of the box there is reported as
+``bound``, also unconverged: the box, not the fit, stopped the iteration.
 
-Fits built on the engine:
-
-* one-port reflection resonance (f0, Q_in, Q_ex, background amplitude,
-  phase offset, cable delay) on complex traces.  The start is closed form:
-  an algebraic circle fit (Chernov & Lesort 2005, J. Math. Imaging Vis. 23,
-  239) gives the background and the coupling fraction, a weighted linear
-  fit of the phase around the circle (Probst et al. 2015, Rev. Sci.
-  Instrum. 86, 024706) gives f0 and Q_tot, and the edge phase slope less
-  the resonator's own phase tail gives the cable delay.  The steps use the
-  closed-form Jacobian of :func:`reflection_s11`, which reads the
-  background from the model value the engine has just computed;
-* ordinary least squares of mode frequency versus mode number.
+The one-port reflection fit (f0, Q_in, Q_ex, background amplitude, phase
+offset, cable delay) of complex traces runs on the engine.  Its start is
+closed form: an algebraic circle fit (Chernov & Lesort 2005, J. Math.
+Imaging Vis. 23, 239) gives the background and the coupling fraction, a
+weighted linear fit of the phase around the circle (Probst et al. 2015,
+Rev. Sci. Instrum. 86, 024706) gives f0 and Q_tot, and the edge phase slope
+less the resonator's own phase tail gives the cable delay.  The steps use
+the closed-form Jacobian of :func:`reflection_s11`, which reads the
+background from the model value the engine has just computed.  The
+ordinary least squares of mode frequency versus mode number is closed form
+and needs no engine.
 """
 
 import math
@@ -47,12 +45,11 @@ import numpy as np
 from .core import checked
 from .errors import ConditioningError, NoResonanceError
 
-_STEP_REL = 6.0e-6  # ~cbrt(eps): central-difference step fraction
 _FTOL = 1e-10  # relative cost reduction of an accepted step
 _XTOL = 1e-10  # scaled step relative to the scaled parameters
 _GTOL = 1e-10  # largest gradient component relative to its initial value
 _MAX_ITER = 200  # accepted steps
-_CONVERGED = frozenset({"zero_residual", "gtol", "ftol", "xtol"})
+_CONVERGED = frozenset({"zero_residual", "gtol", "ftol", "xtol", "exact"})
 
 
 class _TraceFields(NamedTuple):
@@ -110,8 +107,9 @@ class FitResult(NamedTuple):
     """Estimated parameters with linearized standard errors.
 
     ``iterations`` counts accepted steps, each followed by one Jacobian
-    evaluation (MINPACK's ``iter``); ``termination`` names the stop rule
-    that ended the iteration (see the module docstring).
+    evaluation (MINPACK's ``iter``), 0 for a closed-form fit;
+    ``termination`` names the stop rule that ended the iteration, or
+    ``exact`` for a closed-form fit (see the module docstring).
     """
 
     parameters: Dict[str, float]
@@ -170,7 +168,8 @@ def least_squares(
     bounds: Optional[Tuple[Sequence[float], Sequence[float]]] = None,
     param_names: Optional[Sequence[str]] = None,
     scales: Optional[Sequence[float]] = None,
-    jac: Optional[Callable] = None,
+    *,
+    jac: Callable,
 ) -> FitResult:
     """Minimize ||y - model(params, x)||^2 with adaptive damping.
 
@@ -180,11 +179,12 @@ def least_squares(
     per-parameter limits; a step leaves out every parameter held on its
     bound (the descent points out of the box there), so the others reach
     the constrained optimum, trial steps are projected onto the box, and a
-    stop held there by a bound is ``bound``, not converged.
-    ``jac(params, x)``, when given, returns the model's (n, n_par)
+    stop held there by a bound is ``bound``, not converged.  ``scales``
+    (default max(|initial|, 1)) are the parameter sizes of the ``xtol`` test.
+    The required ``jac(params, x)`` returns the model's (n, n_par)
     derivative; a complex one is split like the residuals, a real one must
-    already have one row per real residual.  Without it the Jacobian is
-    central-differenced.  At most ``_MAX_ITER`` steps are accepted.
+    already have one row per real residual.  At most ``_MAX_ITER`` steps
+    are accepted.
     Raises :class:`ConditioningError` when the damped normal equations are
     singular (a parameter the model never responds to), and ``ValueError``
     when ``initial`` is not finite or an option lacks exactly one entry per
@@ -210,25 +210,13 @@ def least_squares(
     def residual(params: np.ndarray) -> np.ndarray:
         return _stack(y - model(params, x))
 
-    def jacobian(params: np.ndarray) -> np.ndarray:
-        """Derivative of the stacked model (minus that of the residuals)."""
-        if jac is not None:
-            return _stack(jac(params, x))
-        cols = []
-        for j in range(n_par):
-            h = _STEP_REL * max(abs(params[j]), step_scale[j])
-            up = params.copy(); up[j] += h
-            down = params.copy(); down[j] -= h
-            cols.append((residual(down) - residual(up)) / (2.0 * h))
-        return np.column_stack(cols)
-
     def gram(params: np.ndarray, res: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """(J^T J, J^T res) at ``params``.
 
         The Jacobian dies on return, so the next one is never built while
         an old one is still alive.
         """
-        jmat = jacobian(params)
+        jmat = _stack(jac(params, x))  # the stacked model's derivative
         return jmat.T @ jmat, jmat.T @ res
 
     res = residual(p)
@@ -649,21 +637,25 @@ def fit_linear_modes(
     mode_numbers: Sequence[int],
     frequencies: Sequence[float],
 ) -> FitResult:
-    """Ordinary least squares of f_m = fsr*m + offset."""
+    """Ordinary least squares of f_m = fsr*m + offset, in closed form on
+    centred m; sigma^2 = RSS/(n - 2) gives the standard errors (NaN for two
+    points).  The result has 0 iterations and termination ``exact``."""
     m = np.asarray(mode_numbers, dtype=float)
     y = np.asarray(frequencies, dtype=float)
     if len(m) < 2 or len(m) != len(y):
         raise ValueError("need at least 2 matched (m, frequency) points")
+    if not (np.isfinite(m).all() and np.isfinite(y).all()):
+        raise ValueError("mode numbers and frequencies must be finite")
     if len(np.unique(m)) < 2:
         raise ValueError("need at least 2 distinct mode numbers")
-
-    def model(params, x):
-        return params[0] * x + params[1]
-
-    span = float(np.ptp(y)) or 1.0
-    initial = [span / max(float(np.ptp(m)), 1.0), float(np.min(y))]
-    return least_squares(
-        model, (m, y), initial,
-        param_names=("fsr", "offset"),
-        scales=[abs(initial[0]) or 1.0, max(abs(initial[1]), 1.0)],
-    )
+    n, m_mean, y_mean = len(m), m.mean(), y.mean()
+    dm = m - m_mean
+    sxx = _sum_squares(dm)
+    fsr = float((dm * (y - y_mean)).sum() / sxx)
+    offset = float(y_mean - fsr * m_mean)
+    rss = _sum_squares(y - (fsr * m + offset))
+    sigma2 = rss / (n - 2) if n > 2 else math.nan
+    errors = (math.sqrt(sigma2 / sxx), math.sqrt(sigma2 * (1.0 / n + m_mean * m_mean / sxx)))
+    return FitResult(parameters={"fsr": fsr, "offset": offset},
+                     standard_errors=dict(zip(("fsr", "offset"), errors)),
+                     residual_norm=math.sqrt(rss), iterations=0, termination="exact")

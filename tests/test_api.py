@@ -5,10 +5,12 @@ referenced (as a name, an attribute, an import or inside an annotation) by
 another ``src/metaring`` module, by the acceptance suite or by a file of
 ``perfbench/``.  So does every public method or property of a class the
 package defines; its own module counts too, outside the method's own
-definition.  API that only its unit tests reach is deleted instead.
+definition.  API that only its unit tests reach is deleted instead.  Every
+module-level constant (an all-caps name) is read by some package module.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -74,3 +76,25 @@ def test_every_public_method_and_property_has_a_caller():
                         and method.name not in referenced_names(trees[path], method)):
                     uncalled.append(f"{cls.name}.{method.name}")
     assert uncalled == []
+
+
+def test_every_module_constant_is_read():
+    trees = {path: parsed(path) for path in MODULES}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = []
+    for path, tree in trees.items():
+        for statement in tree.body:
+            targets = (statement.targets if isinstance(statement, ast.Assign)
+                       else [statement.target] if isinstance(statement, ast.AnnAssign) else [])
+            for target in targets:
+                for node in ast.walk(target):
+                    if (isinstance(node, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", node.id)
+                            and node.id not in read):
+                        unread.append(f"{path.name}:{node.id}")
+    assert unread == []

@@ -446,6 +446,22 @@ class TestRun:
         assert np.all(np.diff([float(row[0]) for row in rows]) > 0)
         assert rows[-1][1] == "" and all(float(row[1]) > 0 for row in rows[:-1])
 
+    def test_band_stop_at_a_top_root_past_minus_one(self, tmp_path, default_config_path):
+        # with the bridge capacitance x1.5 the top root's half trace rounds
+        # to -1 - 2.2e-16, within the floor at which the solver accepted it
+        raw = load_default(default_config_path)
+        raw["device"]["cell"]["segment2"]["capacitance_per_length"] *= 1.5
+        path = write_config(tmp_path, raw, default_config_path)
+        cell, cells = load_config(path).cell, raw["device"]["ring"]["cell_count"]
+        top = dispersion.solve_mode_frequency(cell, cells, cells // 2)
+        assert dispersion.cell_trace(cell, top) < -1.0
+        raw["sweep"]["band"]["stop_hz"] = top
+        path = write_config(tmp_path, raw, default_config_path)
+        assert validate_config(path) == []
+        run("dispersion", path, tmp_path / "out")
+        rows = read_csv(tmp_path / "out" / "fsr_curve.csv")
+        assert rows[-1] == [repr(top), ""]
+
     def test_convert_peaks_at_unit_pump(self, default_config_path, tmp_path):
         run("convert", default_config_path, tmp_path / "out")
         rows = read_csv(tmp_path / "out" / "pump.csv")[1:]

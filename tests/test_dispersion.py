@@ -223,6 +223,17 @@ class TestSolveModeFrequency:
         roots = solve_mode_frequency(cell, n_cells, np.array(modes))
         assert_near_reference(cell, n_cells, modes, roots)
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seg1=segment_strategy, seg2=segment_strategy,
+           n_cells=st.sampled_from([3, 4, 7, N_CELLS, 31999]))
+    def test_property_roots_round_trip_through_their_index(self, seg1, seg2, n_cells):
+        # a root at the band edge may round past -1 by up to the floor at
+        # which the solver accepts it; its index must still be the top mode
+        cell = UnitCell(seg1, seg2)
+        top = n_cells // 2
+        for m in sorted({m for m in (1, 2, top - 1, top) if 1 <= m <= top}):
+            assert mode_index_near(cell, n_cells, solve_mode_frequency(cell, n_cells, m)) == m
+
     @pytest.mark.parametrize("n_cells", [N_CELLS, 31999])
     @pytest.mark.parametrize("rail, bridge", [
         (SegmentParams(57e-6, 1e-300, 31.25e-6), SegmentParams(3e-6, 880e-12, 5e-6)),

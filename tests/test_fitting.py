@@ -153,39 +153,113 @@ class TestTrace:
         assert loaded.response.tobytes() == resp.tobytes()
 
 
+def line(p, x):
+    return p[0] * x + p[1]
+
+
+def line_jac(p, x):
+    return np.column_stack([x, np.ones_like(x)])
+
+
+def ray(p, x):
+    return p[0] * x
+
+
+def ray_jac(p, x):
+    return x[:, None]
+
+
+def valley(p, _):
+    return np.array([10.0 * (p[1] - p[0] ** 2), 1.0 - p[0]])
+
+
+def valley_jac(p, _):
+    return np.array([[-20.0 * p[0], 10.0], [-1.0, 0.0]])
+
+
+def lorentzian(p, x):
+    return p[0] / (1.0 + ((x - p[1]) / p[2]) ** 2)
+
+
+def lorentzian_jac(p, x):
+    u = (x - p[1]) / p[2]
+    d = 1.0 / (1.0 + u * u)
+    return np.column_stack([d, 2.0 * p[0] * u * d * d / p[2], 2.0 * p[0] * u * u * d * d / p[2]])
+
+
+def gaussian(p, x):
+    return p[0] * np.exp(-0.5 * ((x - p[1]) / p[2]) ** 2)
+
+
+def gaussian_jac(p, x):
+    u = (x - p[1]) / p[2]
+    e = np.exp(-0.5 * u * u)
+    return np.column_stack([e, p[0] * e * u / p[2], p[0] * e * u * u / p[2]])
+
+
+def tanh_model(p, x):
+    return np.tanh(p[0] * x)
+
+
+def tanh_jac(p, x):
+    return (x * (1.0 - np.tanh(p[0] * x) ** 2))[:, None]
+
+
+def complex_line(p, x):
+    return (p[0] + 1j * p[1]) * x
+
+
+def complex_line_jac(p, x):
+    return np.column_stack([x, 1j * x])
+
+
+def complex_exp(p, x):
+    return np.exp((p[0] + 1j * p[1]) * x)
+
+
+def complex_exp_jac(p, x):
+    d = x * complex_exp(p, x)
+    return np.column_stack([d, 1j * d])
+
+
+# each engine test's model and Jacobian, with a point to check the Jacobian at
+JACOBIAN_CASES = {
+    "line": (line, line_jac, [1.3, -0.7], np.arange(10.0)),
+    "ray": (ray, ray_jac, [1.3], np.arange(1.0, 11.0)),
+    "valley": (valley, valley_jac, [-1.2, 1.0], np.zeros(2)),
+    "lorentzian": (lorentzian, lorentzian_jac, [2.0, 0.5, 1.2], np.linspace(-5, 5, 201)),
+    "gaussian": (gaussian, gaussian_jac, [0.5, 0.3, 2.0], np.linspace(-3, 3, 101)),
+    "tanh": (tanh_model, tanh_jac, [3.0], np.linspace(-2, 2, 51)),
+    "complex_line": (complex_line, complex_line_jac, [1.5, 0.5], np.linspace(0, 1, 21)),
+    "complex_exp": (complex_exp, complex_exp_jac, [-1.5, 4.0], np.linspace(0, 1, 21)),
+}
+
+
 class TestLeastSquaresEngine:
     def test_linear_model_exact_in_two_iterations(self):
         x = np.arange(10.0)
         y = 3.5 * x + 1.25
-        result = least_squares(lambda p, xx: p[0] * xx + p[1], (x, y), [1.0, 0.0],
-                               param_names=("a", "b"))
+        result = least_squares(line, (x, y), [1.0, 0.0], param_names=("a", "b"), jac=line_jac)
         assert result.converged
         assert len(result.residual_history) - 1 <= 2
         assert rel_err(result.parameters["a"], 3.5) < 1e-9
         assert rel_err(result.parameters["b"], 1.25) < 1e-9
 
     def test_bent_valley_converges_to_known_minimum(self):
-        def valley(p, _):
-            return np.array([10.0 * (p[1] - p[0] ** 2), 1.0 - p[0]])
-
-        result = least_squares(valley, (np.zeros(2), np.zeros(2)), [-1.2, 1.0])
+        result = least_squares(valley, (np.zeros(2), np.zeros(2)), [-1.2, 1.0], jac=valley_jac)
         assert result.converged
         assert abs(result.parameters["p0"] - 1.0) < 1e-8
         assert abs(result.parameters["p1"] - 1.0) < 1e-8
 
     def test_monte_carlo_recovery_within_three_standard_errors(self):
         x = np.linspace(-5, 5, 201)
-
-        def lorentzian(p, xx):
-            return p[0] / (1.0 + ((xx - p[1]) / p[2]) ** 2)
-
         true = {"amp": 2.0, "x0": 0.5, "w": 1.2}
         hits = 0
         for seed in range(100):
             rng = np.random.default_rng(seed)
             y = lorentzian([2.0, 0.5, 1.2], x) + 0.02 * rng.standard_normal(x.size)
             result = least_squares(lorentzian, (x, y), [1.0, 0.0, 2.0],
-                                   param_names=("amp", "x0", "w"))
+                                   param_names=("amp", "x0", "w"), jac=lorentzian_jac)
             hits += all(
                 abs(result.parameters[k] - v) <= 3 * result.standard_errors[k]
                 for k, v in true.items()
@@ -196,11 +270,7 @@ class TestLeastSquaresEngine:
         rng = np.random.default_rng(5)
         x = np.linspace(-3, 3, 101)
         y = np.exp(-0.5 * (x - 0.3) ** 2) + 0.05 * rng.standard_normal(x.size)
-
-        def gaussian(p, xx):
-            return p[0] * np.exp(-0.5 * ((xx - p[1]) / p[2]) ** 2)
-
-        result = least_squares(gaussian, (x, y), [0.5, 0.0, 2.0])
+        result = least_squares(gaussian, (x, y), [0.5, 0.0, 2.0], jac=gaussian_jac)
         history = np.array(result.residual_history)
         assert np.all(np.diff(history) <= 0)
 
@@ -208,14 +278,15 @@ class TestLeastSquaresEngine:
         x = np.arange(10.0)
         y = 2.0 * x
         with pytest.raises(ConditioningError):
-            least_squares(lambda p, xx: p[0] * xx + 0.0 * p[1], (x, y), [1.0, 1.0])
+            least_squares(lambda p, xx: p[0] * xx + 0.0 * p[1], (x, y), [1.0, 1.0],
+                          jac=lambda p, xx: np.column_stack([xx, 0.0 * xx]))
 
     def test_non_convergence_flag(self, monkeypatch):
         monkeypatch.setattr("metaring.fitting._MAX_ITER", 1)
         rng = np.random.default_rng(9)
         x = np.linspace(-2, 2, 51)
         y = np.tanh(3 * x) + 0.05 * rng.standard_normal(x.size)
-        result = least_squares(lambda p, xx: np.tanh(p[0] * xx), (x, y), [50.0])
+        result = least_squares(tanh_model, (x, y), [50.0], jac=tanh_jac)
         assert not result.converged
         assert result.termination == "max_iter"
         assert result.iterations == 1
@@ -225,28 +296,31 @@ class TestLeastSquaresEngine:
         x = np.arange(10.0)
         y = 2.0 * x + 1.0 + rng.standard_normal(x.size)
         slope, offset = np.polyfit(x, y, 1)
-        result = least_squares(lambda p, xx: p[0] * xx + p[1], (x, y), [slope, offset])
+        result = least_squares(line, (x, y), [slope, offset], jac=line_jac)
         assert result.termination == "ftol"
         assert result.converged
 
     def test_wrong_sign_jacobian_hits_damping_cap(self):
         x = np.arange(1.0, 11.0)
         y = 3.0 * x
-        result = least_squares(lambda p, xx: p[0] * xx, (x, y), [1.0],
-                               jac=lambda p, xx: -xx[:, None])
+        result = least_squares(ray, (x, y), [1.0], jac=lambda p, xx: -xx[:, None])
         assert result.termination == "damping_cap"
         assert not result.converged
         assert result.iterations == 0
         assert result.parameters["p0"] == 1.0
 
+    def test_jacobian_is_required(self):
+        x = np.arange(10.0)
+        with pytest.raises(TypeError, match="jac"):
+            least_squares(ray, (x, 3.5 * x), [1.0])
+
     def test_bounds_respected(self):
         x = np.arange(10.0)
         y = 3.5 * x
-        result = least_squares(lambda p, xx: p[0] * xx, (x, y), [1.0],
-                               bounds=([0.0], [2.0]))
+        result = least_squares(ray, (x, y), [1.0], bounds=([0.0], [2.0]), jac=ray_jac)
         assert result.parameters["p0"] <= 2.0 + 1e-15
         with pytest.raises(ValueError):
-            least_squares(lambda p, xx: p[0] * xx, (x, y), [3.0], bounds=([0.0], [2.0]))
+            least_squares(ray, (x, y), [3.0], bounds=([0.0], [2.0]), jac=ray_jac)
 
     @pytest.mark.parametrize("options, initial, argument", [
         ({"bounds": ([0.0], [2.0])}, [1.0, 0.0], "bounds"),
@@ -256,19 +330,18 @@ class TestLeastSquaresEngine:
     ], ids=["one_bound", "one_name", "one_scale", "nan_start"])
     def test_options_need_one_finite_entry_per_parameter(self, options, initial, argument):
         # unchecked, one bound clamped both parameters, one name dropped p1,
-        # one scale broadcast (or indexed out of range without a jac) and a
-        # NaN start read as a singular fit
+        # one scale broadcast in the step-size stop test and a NaN start
+        # read as a singular fit
         x = np.arange(10.0)
         with pytest.raises(ValueError, match=f"^{argument}: "):
-            least_squares(lambda p, xx: p[0] * xx + p[1], (x, 3.5 * x + 1.25), initial,
-                          **options)
+            least_squares(line, (x, 3.5 * x + 1.25), initial, jac=line_jac, **options)
 
     def test_stop_held_by_bound_is_not_converged(self):
         # the optimum p0 = 2 lies outside the box: the fit stops on p0 = 1
         # with p1 at the constrained optimum 4.8
         x = np.arange(10.0)
-        result = least_squares(lambda p, xx: p[0] * xx + p[1], (x, 2.0 * x + 0.3), [0.5, 0.0],
-                               bounds=([-np.inf, -np.inf], [1.0, np.inf]))
+        result = least_squares(line, (x, 2.0 * x + 0.3), [0.5, 0.0],
+                               bounds=([-np.inf, -np.inf], [1.0, np.inf]), jac=line_jac)
         assert result.termination == "bound"
         assert not result.converged
         assert result.parameters["p0"] == 1.0
@@ -282,14 +355,14 @@ class TestLeastSquaresEngine:
             evals.append(float(p[0]))
             return p[0] * xx
 
-        result = least_squares(model, (x, 2.0 * x + 0.3), [0.5], bounds=([-np.inf], [1.0]))
+        result = least_squares(model, (x, 2.0 * x + 0.3), [0.5], bounds=([-np.inf], [1.0]),
+                               jac=ray_jac)
         assert result.termination == "bound"
         assert not result.converged
         assert result.parameters["p0"] == 1.0
         assert result.iterations == 1
-        # the start and the accepted step, each with its two differenced
-        # Jacobian evaluations: no rejected trial is evaluated
-        assert len(evals) == 6
+        # the start and the accepted step: no rejected trial is evaluated
+        assert evals == [0.5, 1.0]
 
     def test_old_jacobian_dies_before_the_next_model_call(self):
         # least_squares keeps J^T J and J^T r, never J itself, so the next
@@ -316,31 +389,29 @@ class TestLeastSquaresEngine:
     def test_complex_residuals_supported(self):
         x = np.linspace(0, 1, 21)
         y = (1.5 + 0.5j) * x
-
-        def model(p, xx):
-            return (p[0] + 1j * p[1]) * xx
-
-        result = least_squares(model, (x, y), [1.0, 0.0])
+        result = least_squares(complex_line, (x, y), [1.0, 0.0], jac=complex_line_jac)
         assert rel_err(result.parameters["p0"], 1.5) < 1e-9
         assert rel_err(result.parameters["p1"], 0.5) < 1e-9
 
-    def test_complex_analytic_jacobian_matches_differenced(self):
+    def test_complex_exponential_converges(self):
         x = np.linspace(0, 1, 21)
-        y = np.exp((-1.5 + 4.0j) * x)
+        result = least_squares(complex_exp, (x, complex_exp([-1.5, 4.0], x)), [-1.0, 3.5],
+                               jac=complex_exp_jac)
+        assert result.converged
+        assert rel_err(result.parameters["p0"], -1.5) < 1e-9
+        assert rel_err(result.parameters["p1"], 4.0) < 1e-9
 
-        def model(p, xx):
-            return np.exp((p[0] + 1j * p[1]) * xx)
-
-        def jac(p, xx):
-            d = xx * model(p, xx)
-            return np.column_stack([d, 1j * d])
-
-        analytic = least_squares(model, (x, y), [-1.0, 3.5], jac=jac)
-        differenced = least_squares(model, (x, y), [-1.0, 3.5])
-        assert analytic.converged and differenced.converged
-        for key in ("p0", "p1"):
-            assert rel_err(analytic.parameters[key], differenced.parameters[key]) < 1e-9
-        assert rel_err(analytic.parameters["p1"], 4.0) < 1e-9
+    @pytest.mark.parametrize("name", sorted(JACOBIAN_CASES))
+    def test_jacobian_matches_differences(self, name):
+        model, jac, params, x = JACOBIAN_CASES[name]
+        analytic = np.asarray(jac(np.array(params), x))
+        for j in range(len(params)):
+            h = 1e-6 * max(abs(params[j]), 1.0)
+            up = np.array(params, dtype=float); up[j] += h
+            down = np.array(params, dtype=float); down[j] -= h
+            numeric = (model(up, x) - model(down, x)) / (2.0 * h)
+            scale = max(np.max(np.abs(numeric)), 1.0)
+            assert np.max(np.abs(analytic[:, j] - numeric)) <= 1e-8 * scale, j
 
 
 class TestReflectionFit:
@@ -734,9 +805,30 @@ class TestLinearModes:
         assert rel_err(result.parameters["fsr"], 76e6) < 1e-12
         assert rel_err(result.parameters["offset"], 12.5e6) < 1e-9
 
+    def test_criterion_1_range_is_exact(self):
+        m = np.arange(52, 132)
+        result = fit_linear_modes(m, 76e6 * m + 1.234567e8)
+        assert result.parameters == {"fsr": 76e6, "offset": 1.234567e8}
+        assert (result.termination, result.iterations) == ("exact", 0)
+        assert result.converged and result.residual_norm == 0.0
+
+    def test_noisy_progression_matches_lstsq(self):
+        rng = np.random.default_rng(36)
+        m = np.arange(40, 120)
+        f = 79e6 * m + 2e8 + 1e5 * rng.standard_normal(m.size)
+        result = fit_linear_modes(m, f)
+        design = np.column_stack([m, np.ones(m.size)])
+        solution, rss = np.linalg.lstsq(design, f, rcond=None)[:2]
+        covariance = rss[0] / (m.size - 2) * np.linalg.inv(design.T @ design)
+        for j, key in enumerate(("fsr", "offset")):
+            assert rel_err(result.parameters[key], solution[j]) < 1e-12
+            assert rel_err(result.standard_errors[key], math.sqrt(covariance[j, j])) < 1e-9
+        assert rel_err(result.residual_norm, math.sqrt(rss[0])) < 1e-9
+
     def test_two_points_exact_interpolation(self):
         result = fit_linear_modes([3, 7], [1e9, 2e9])
         assert rel_err(result.parameters["fsr"], 0.25e9) < 1e-12
+        assert all(math.isnan(e) for e in result.standard_errors.values())
 
     def test_dispersion_solver_cross_check(self, bloch_cell):
         from metaring import mode_index_near, solve_mode_frequency
@@ -755,3 +847,5 @@ class TestLinearModes:
             fit_linear_modes([5, 5], [1e9, 1.1e9])
         with pytest.raises(ValueError):
             fit_linear_modes([5], [1e9])
+        with pytest.raises(ValueError, match="finite"):
+            fit_linear_modes([5, 6, 7], [1e9, math.nan, 1.2e9])
