@@ -28,8 +28,8 @@ point of the bracket lies above the root.  That keeps a safeguarded Newton
 iteration (Numerical Recipes' rtsafe) on the root: each step narrows the
 root's own bracket, uses the closed-form derivative of the half trace, and
 falls back to the bracket's midpoint when it would leave the bracket or
-where the trace does not fall.  All requested modes,
-and several cells (the rows of a capacitance-enhancement sweep), share one
+where the trace does not fall.  All requested modes, and the rows of a
+capacitance-enhancement sweep (one bridge capacitance each), share one
 loop, each root stopping on its own test.  The two segments' constants are
 stacked on a leading axis, so one cos and one sin call serve t_1 and t_2 of
 every row at once.
@@ -94,13 +94,6 @@ class UnitCell(NamedTuple):
     def cell_delay(self) -> float:
         return self.segment1.delay + self.segment2.delay
 
-    def with_capacitance_ratio(self, ratio: float) -> "UnitCell":
-        """Scale the bridge capacitance by ``ratio`` (>= 1), inductance fixed."""
-        if ratio < 1.0:
-            raise ValueError(f"capacitance enhancement ratio must be >= 1, got {ratio!r}")
-        return self._replace(segment2=self.segment2._replace(
-            capacitance_per_length=self.segment2.capacitance_per_length * ratio))
-
 
 @checked
 class MismatchReport(NamedTuple):
@@ -133,31 +126,37 @@ def segment_abcd(segment: SegmentParams, frequency: float) -> TwoPortMatrix:
 
 
 class _CellRows:
-    """Constants of the half trace of one or more cells, one row per cell.
+    """Half-trace constants of a cell, its bridge capacitance scaled by each ratio.
 
     Every constant is a (rows, 1) column, or two of them stacked for the
     rail and the bridge, so it broadcasts against (rows, k) frequencies or
-    targets and each row is evaluated with the arithmetic of
-    :func:`cell_trace` on its own cell, giving the same bits.
+    targets.  A row takes the operations of its scaled cell's properties in
+    their order, so it gets the bits of :func:`cell_trace` on that cell.
     """
 
-    def __init__(self, cells: Sequence[UnitCell]) -> None:
-        def column(values, dtype=float) -> np.ndarray:
-            return np.array(values, dtype=dtype).reshape(-1, 1)
-
-        rails = [cell.segment1 for cell in cells]
-        bridges = [cell.segment2 for cell in cells]
-        f_top = [0.5 / cell.cell_delay for cell in cells]
-        # rail (0) and bridge (1) stacked on a leading axis: phase velocity [m/s], length
-        self.v = np.array([[s.phase_velocity for s in rails],
-                           [s.phase_velocity for s in bridges]]).reshape(2, -1, 1)
-        self.l = np.array([[s.length for s in rails],
-                           [s.length for s in bridges]]).reshape(2, -1, 1)
-        self.mismatch = column([0.5 * (s1.impedance / s2.impedance + s2.impedance / s1.impedance)
-                                for s1, s2 in zip(rails, bridges)])
-        self.f_top = column(f_top)  # bracket top 1/(2 cell_delay) [Hz]
-        with np.errstate(over="ignore"):  # such a cell's half trace is not a number
+    def __init__(self, cell: UnitCell, ratios: Sequence[float] = (1.0,)) -> None:
+        rail, bridge = cell
+        r = np.asarray(ratios, dtype=float).reshape(-1, 1)
+        with np.errstate(all="ignore"):  # refused rows are never read; overflow means a NaN trace
+            c = bridge.capacitance_per_length * r
+            lc, l_over_c = bridge.inductance_per_length * c, bridge.inductance_per_length / c
+            v, z = 1.0 / np.sqrt(lc), np.sqrt(l_over_c)
+            delay = rail.delay + bridge.length / v
+            self.f_top = 0.5 / delay  # bracket top 1/(2 cell_delay) [Hz]
+            # rail (0) and bridge (1) stacked on a leading axis: phase velocity [m/s], length
+            self.v = np.stack([np.full(v.shape, rail.phase_velocity), v])
+            self.l = np.array([rail.length, bridge.length]).reshape(2, 1, 1)
+            self.mismatch = 0.5 * (rail.impedance / z + z / rail.impedance)
             self.omega = 2.0 * math.pi * self.l / self.v  # t_j = omega_j f
+            # the checks of the scaled records: each of these in (0, inf)
+            checked = np.stack([c, lc, l_over_c, delay, self.f_top / _BRACKET_WIDTH])
+            kept = (1.0 <= r) & np.all((0.0 < checked) & (checked < math.inf), axis=0)
+        if not kept.all():  # the first refused ratio, with its records' own message
+            ratio = ratios[int(kept.argmin())]
+            if ratio < 1.0:
+                raise ValueError(f"capacitance enhancement ratio must be >= 1, got {ratio!r}")
+            cell._replace(segment2=bridge._replace(
+                capacitance_per_length=bridge.capacitance_per_length * ratio))
 
     @property
     def step_cap(self) -> int:
@@ -262,7 +261,7 @@ def cell_trace(cell: UnitCell, frequency: ArrayLike) -> ArrayLike:
     f = np.asarray(frequency, dtype=float)
     if np.any(f < 0):
         raise ValueError("frequency must be non-negative")
-    value = _CellRows([cell]).trace(f.reshape(1, -1)).reshape(f.shape)
+    value = _CellRows(cell).trace(f.reshape(1, -1)).reshape(f.shape)
     if np.ndim(frequency) == 0:
         return float(value)
     return value
@@ -290,7 +289,7 @@ def solve_mode_frequency(
     ``PrecisionError`` for a root that does not stop within the step cap.
     """
     modes = np.asarray(m)
-    roots = _CellRows([cell]).solve(n_cells, modes.reshape(1, -1)).reshape(modes.shape)
+    roots = _CellRows(cell).solve(n_cells, modes.reshape(1, -1)).reshape(modes.shape)
     if modes.ndim == 0:
         return float(roots)
     return roots
@@ -308,7 +307,7 @@ def mode_index_near(cell: UnitCell, n_cells: int,
     has an index.
     """
     f = np.asarray(frequency, dtype=float)
-    index = _CellRows([cell]).mode_index(n_cells, f.reshape(1, -1)).reshape(f.shape)
+    index = _CellRows(cell).mode_index(n_cells, f.reshape(1, -1)).reshape(f.shape)
     if f.ndim == 0:
         return int(index)
     return index
@@ -329,7 +328,7 @@ def fsr_curve(cell: UnitCell, n_cells: int, band: Tuple[float, float]) -> FsrCur
     lo, hi = band
     if hi <= lo:
         return FsrCurve(np.empty(0), np.empty(0))
-    rows = _CellRows([cell])
+    rows = _CellRows(cell)
     m_lo, m_hi = rows.mode_index(n_cells, np.array([[lo, hi]]))[0].tolist()
     modes = np.arange(max(1, m_lo - 1), min(m_hi + 1, n_cells // 2) + 1)
     f = rows.solve(n_cells, modes.reshape(1, -1))[0]
@@ -370,10 +369,11 @@ def idc_enhancement_sweep(
 
     For each ratio the bridge capacitance is scaled (inductance unchanged)
     and m is the mode nearest ``signal_f``; for each idler offset n is
-    chosen so f_{m+n} is nearest f_m + offset.  One row per ratio serves two
-    root solves: the signal roots f_m, then every pair's f_{m-n} and f_{m+n},
-    each root stopping on its own test, so the roots have the bits of
-    :func:`conversion_mismatch`'s.  Raises ``ValueError`` for a
+    chosen so f_{m+n} is nearest f_m + offset.  One row per ratio, built in
+    one array pass, serves two root solves: the signal roots f_m, then every
+    pair's f_{m-n} and f_{m+n}, each root stopping on its own test, so the
+    roots have the bits of :func:`conversion_mismatch`'s.  Raises ``ValueError``
+    for the first ratio below 1 or out of its scaled records' checks, a
     non-positive offset, a negative frequency or a step without n >= 1 and
     m - n >= 1, ``BandEdgeError`` for a frequency in a stop band and
     ``PrecisionError`` for a root that does not stop within the step cap.
@@ -381,7 +381,7 @@ def idc_enhancement_sweep(
     offsets_hz = np.asarray(offsets, dtype=float)
     if np.any(offsets_hz <= 0):
         raise ValueError("idler offsets must be positive")
-    rows = _CellRows([cell.with_capacitance_ratio(ratio) for ratio in ratios])
+    rows = _CellRows(cell, ratios)
     m_sig = rows.mode_index(n_cells, np.full((len(ratios), 1), float(signal_f)))
     f_sig = rows.solve(n_cells, m_sig)
     n = rows.mode_index(n_cells, f_sig + offsets_hz) - m_sig

@@ -214,6 +214,32 @@ class TestValidate:
             "sweep.ratio.signal_hz: 5000000000.0 Hz lies outside the propagating band",
         ]
 
+    @pytest.mark.parametrize("bridge, values, violations", [
+        ({"capacitance_per_length": 1e10}, [1.0, 1e300], [
+            "sweep.band.start_hz: 4000000000.0 Hz lies outside the propagating band",
+            "sweep.band.stop_hz: 10000000000.0 Hz lies outside the propagating band",
+            "sweep.ratio.signal_hz: capacitance_per_length must be a finite positive number, "
+            "got inf"]),
+        ({"capacitance_per_length": 1e10, "inductance_per_length": 1e-300}, [1.0, 1e20], [
+            "sweep.band.start_hz: 4000000000.0 Hz lies outside the propagating band",
+            "sweep.band.stop_hz: 10000000000.0 Hz lies outside the propagating band",
+            "sweep.ratio.signal_hz: inductance_per_length and capacitance_per_length must keep "
+            "L C and L/C positive and finite, got L C = 1e-270 and L/C = 0.0"]),
+        ({"length": 1e300, "capacitance_per_length": 1e-10}, [1.0, 1e200], [
+            "sweep.ratio.signal_hz: segment lengths and line constants must keep the cell "
+            "delay and 1/(2 cell delay) positive and finite, got cell delay = inf"]),
+    ], ids=["bridge_capacitance_overflows", "bridge_lc_underflows", "cell_delay_overflows"])
+    def test_scaled_bridge_refusals(self, tmp_path, default_config_path, capsys,
+                                    bridge, values, violations):
+        # a ratio that scales a valid bridge out of range: the scaled
+        # record's own check, reported under the sweep's signal
+        raw = load_default(default_config_path)
+        raw["device"]["cell"]["segment2"].update(bridge)
+        raw["sweep"]["ratio"]["values"] = values
+        assert main(["validate", "--config", str(write_config(tmp_path, raw,
+                                                              default_config_path))]) == 2
+        assert capsys.readouterr().err.splitlines() == violations
+
     def test_ratio_grid_bound(self, tmp_path, default_config_path, capsys):
         # checked with the section, before the plan runs the ratio sweep
         raw = load_default(default_config_path)
@@ -560,9 +586,9 @@ class TestRun:
             sweeps.append(args)
             return sweep(*args, **kwargs)
 
-        def counting_build(self, cells):
-            builds.append(len(cells))
-            build(self, cells)
+        def counting_build(self, cell, ratios=(1.0,)):
+            builds.append(len(ratios))
+            build(self, cell, ratios)
 
         monkeypatch.setattr(dispersion, "idc_enhancement_sweep", counting_sweep)
         monkeypatch.setattr(dispersion._CellRows, "__init__", counting_build)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -72,6 +73,12 @@ def root_tolerance(cell: UnitCell, f) -> np.ndarray:
     terms = np.abs(np.cos(t1) * np.cos(t2)) + np.abs(chi_s1 * np.sin(t2))
     with np.errstate(divide="ignore"):  # a double root: any f is as good
         return 1e-3 + 4.0 * np.spacing(np.asarray(f)) + 8.0 * 2.0**-52 * terms / np.abs(slope)
+
+
+def scaled(cell: UnitCell, ratio: float) -> UnitCell:
+    """The checked cell whose bridge capacitance is scaled by ``ratio``."""
+    return cell._replace(segment2=cell.segment2._replace(
+        capacitance_per_length=cell.segment2.capacitance_per_length * ratio))
 
 
 def assert_near_reference(cell: UnitCell, n_cells: int, modes, roots) -> None:
@@ -186,7 +193,7 @@ class TestSolveModeFrequency:
 
     @pytest.mark.parametrize("ratio", [1.0, 2.0, 3.0, 4.0])  # 1.0 is the design cell
     def test_array_solve_equals_scalar_solves(self, bloch_cell, ratio):
-        cell = bloch_cell.with_capacitance_ratio(ratio)
+        cell = scaled(bloch_cell, ratio)
         # every 97th index, the band edge target m = N/2 and indices above it
         m = np.append(np.arange(1, N_CELLS, 97), N_CELLS // 2)
         batched = solve_mode_frequency(cell, N_CELLS, m)
@@ -198,10 +205,11 @@ class TestSolveModeFrequency:
     def test_rows_with_different_bracket_tops_match_lone_cells(self, bloch_cell):
         # bracket tops more than 2x apart share one loop, each root stopping
         # on its own test
-        cells = [bloch_cell.with_capacitance_ratio(ratio) for ratio in (1.0, 1000.0, 3.0)]
+        ratios = [1.0, 1000.0, 3.0]
+        cells = [scaled(bloch_cell, ratio) for ratio in ratios]
         tops = [0.5 / cell.cell_delay for cell in cells]
         assert max(tops) > 2.0 * min(tops)
-        rows = _CellRows(cells)
+        rows = _CellRows(bloch_cell, ratios)
         # three modes inside the band of each row, then two at or next to its edge
         modes = np.array([[1, 7, 400, 1599, 1600], [1200, 1, 9, 1600, 1599], [50, 3, 1, 1600, 2]])
         roots = rows.solve(N_CELLS, modes)
@@ -272,7 +280,7 @@ class TestSolveModeFrequency:
     def test_trace_brackets_a_single_crossing(self, bloch_cell, ratio):
         # the root bracket [0, 1/(2 cell_delay)] holds one crossing per
         # target: falling through the first band, at or below -1 above it
-        cell = bloch_cell.with_capacitance_ratio(ratio)
+        cell = scaled(bloch_cell, ratio)
         edge = solve_mode_frequency(cell, N_CELLS, N_CELLS // 2)
         band = cell_trace(cell, np.linspace(0.0, edge, 20001))
         assert np.all(np.diff(band) < 0.0)
@@ -312,9 +320,9 @@ class TestFsrCurve:
         builds = []
         init = _CellRows.__init__
 
-        def counting_init(self, cells):
-            builds.append(len(cells))
-            init(self, cells)
+        def counting_init(self, cell, ratios=(1.0,)):
+            builds.append(len(ratios))
+            init(self, cell, ratios)
 
         monkeypatch.setattr(_CellRows, "__init__", counting_init)
         assert len(fsr_curve(bloch_cell, N_CELLS, (4e9, 9e9)).f)
@@ -409,20 +417,20 @@ class TestIdcEnhancement:
     def test_batched_rows_match_per_pair_solves(self, bloch_cell):
         ratios, offsets = [1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0], [1e9, 2e9, 3e9]
         # rows on brackets of different tops share the loop
-        tops = {0.5 / bloch_cell.with_capacitance_ratio(ratio).cell_delay for ratio in ratios}
+        tops = {0.5 / scaled(bloch_cell, ratio).cell_delay for ratio in ratios}
         assert len(tops) == len(ratios)
         sweep = idc_enhancement_sweep(bloch_cell, N_CELLS, 5e9, offsets, ratios)
         assert all(len(column) == len(ratios) * len(offsets) for column in sweep)
         for ratio, n, signal_f, delta_f in zip(sweep.ratio.tolist(), sweep.n.tolist(),
                                                sweep.signal_f.tolist(), sweep.delta_f.tolist()):
-            scaled = bloch_cell.with_capacitance_ratio(ratio)
-            m = mode_index_near(scaled, N_CELLS, 5e9)
-            direct = conversion_mismatch(scaled, N_CELLS, m, n)
+            cell = scaled(bloch_cell, ratio)
+            m = mode_index_near(cell, N_CELLS, 5e9)
+            direct = conversion_mismatch(cell, N_CELLS, m, n)
             assert (delta_f, signal_f) == (direct.delta_f, direct.signal_f)
-            roots = solve_mode_frequency(scaled, N_CELLS, np.array([m - n, m, m + n]))
+            roots = solve_mode_frequency(cell, N_CELLS, np.array([m - n, m, m + n]))
             f_low, f_sig, f_high = roots.tolist()
             assert (delta_f, signal_f) == (2.0 * f_sig - (f_high + f_low), f_sig)
-            assert_near_reference(scaled, N_CELLS, [m - n, m, m + n], roots)
+            assert_near_reference(cell, N_CELLS, [m - n, m, m + n], roots)
 
     def test_signal_modes_bisected_once(self, bloch_cell, monkeypatch):
         # the shipped grid: the signal mode of each of 5 ratios, then m - n
@@ -449,12 +457,103 @@ class TestIdcEnhancement:
                 "1000000000.0 Hz the signal mode m = 1 has idler step n = ")):
             idc_enhancement_sweep(bloch_cell, N_CELLS, 1e6, [1e9], [1.0])
 
+    @pytest.mark.parametrize("ratios, message", [
+        ([2.0, 0.99, math.nan], "capacitance enhancement ratio must be >= 1, got 0.99"),
+        # the first failing ratio wins, even before a sub-unity one
+        ([1.0, math.nan], "capacitance_per_length must be a finite positive number, got nan"),
+        ([math.nan, 0.5], "capacitance_per_length must be a finite positive number, got nan"),
+        ([1.0, math.inf], "capacitance_per_length must be a finite positive number, got inf"),
+    ], ids=["sub_unity_after_valid", "nan_after_valid", "nan_before_sub_unity", "inf"])
+    def test_rejects_bad_ratio(self, bloch_cell, ratios, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            idc_enhancement_sweep(bloch_cell, N_CELLS, 5e9, [1e9], ratios)
+
     def test_rejects_sub_unity_ratio(self, bloch_cell):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^capacitance enhancement ratio must be >= 1, "
+                                             "got 0.5$"):
             idc_enhancement_sweep(bloch_cell, N_CELLS, 5e9, [1e9], [0.5])
+
+    def test_ratios_build_no_records(self, bloch_cell, monkeypatch):
+        # the ratios scale the bridge in one array pass, not one checked
+        # SegmentParams per ratio
+        checks = []
+        check = SegmentParams._check
+
+        def counting_check(self):
+            checks.append(self)
+            check(self)
+
+        monkeypatch.setattr(SegmentParams, "_check", counting_check)
+        ratios = np.linspace(1.0, 4.0, 1000).tolist()
+        sweep = idc_enhancement_sweep(bloch_cell, N_CELLS, 5e9, [1e9], ratios)
+        assert sweep.ratio.tolist() == ratios and checks == []
 
     def test_row_ordering_ratio_major(self, bloch_cell):
         sweep = idc_enhancement_sweep(bloch_cell, N_CELLS, 5e9, [1e9, 2e9], [1.0, 2.0])
         assert list(zip(sweep.ratio.tolist(), sweep.offset.tolist())) == [
             (1.0, 1e9), (1.0, 2e9), (2.0, 1e9), (2.0, 2e9)
         ]
+
+
+def refusal(cell: UnitCell, ratio: float):
+    """The message with which the ratio rows refuse ``ratio``, or None."""
+    if ratio < 1.0:
+        return f"capacitance enhancement ratio must be >= 1, got {ratio!r}"
+    try:
+        scaled(cell, ratio)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+DESIGN_RAIL = SegmentParams(57e-6, 289e-12, 25e-6)
+
+
+class TestRatioRows:
+    @pytest.mark.parametrize("rail, bridge", [
+        (DESIGN_RAIL, SegmentParams(3e-6, 880e-12, 5e-6)),
+        # the extreme cells of test_huge_mismatch_roots_near_bisection
+        (SegmentParams(57e-6, 1e-300, 31.25e-6), SegmentParams(3e-6, 880e-12, 5e-6)),
+        (SegmentParams(2.2250738585072014e-308, 289e-12, 25e-6),
+         SegmentParams(3e-6, 880e-12, 5e-6)),
+        (SegmentParams(2.0390740295710925e-4, 8.834855638160121e-207, 9.655023229199001e-05),
+         SegmentParams(1.2682532345920214e-06, 2.8894449678155917e-09, 6.371179165266869e-07)),
+        # bridges that a large ratio scales past each check of its records
+        (DESIGN_RAIL, SegmentParams(3e-6, 1e10, 5e-6)),
+        (DESIGN_RAIL, SegmentParams(1e-300, 1e10, 5e-6)),
+        (DESIGN_RAIL, SegmentParams(3e-6, 1e-10, 1e300)),
+    ], ids=["design", "rail_capacitance_1e-300", "rail_inductance_min_normal",
+            "trace_over_minus_one", "bridge_capacitance_1e10", "bridge_lc_1e-290",
+            "bridge_length_1e300"])
+    def test_rows_agree_with_scaled_records(self, rail, bridge):
+        # a ratio's row is refused exactly when its scaled record is, with
+        # the same message, and otherwise has the bits of its record's
+        # properties
+        cell = UnitCell(rail, bridge)
+        rng = np.random.default_rng(37)
+        ratios = np.concatenate([
+            rng.uniform(1.0, 6.0, 40), 10.0 ** rng.uniform(0.0, 300.0, 150),
+            rng.uniform(0.0, 1.0, 5), [1.0, math.nan, math.inf, 1e308]]).tolist()
+        messages = [refusal(cell, ratio) for ratio in ratios]
+        for ratio, message in zip(ratios, messages):
+            if message is not None:
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    _CellRows(cell, [ratio])
+                continue
+            rows, record = _CellRows(cell, [ratio]), scaled(cell, ratio)
+            s1, s2 = record
+            v = np.array([s1.phase_velocity, s2.phase_velocity]).reshape(2, 1, 1)
+            with np.errstate(over="ignore"):
+                omega = 2.0 * math.pi * np.array([s1.length, s2.length]).reshape(2, 1, 1) / v
+            assert rows.v.tobytes() == v.tobytes()
+            assert rows.omega.tobytes() == omega.tobytes()
+            assert rows.mismatch.tobytes() == np.float64(
+                0.5 * (s1.impedance / s2.impedance + s2.impedance / s1.impedance)).tobytes()
+            assert rows.f_top.tobytes() == np.float64(0.5 / record.cell_delay).tobytes()
+        # in one column, the first refused ratio in list order is reported
+        first = next((message for message in messages if message is not None), None)
+        if first is None:
+            assert _CellRows(cell, ratios).f_top.shape == (len(ratios), 1)
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(first)}$"):
+                _CellRows(cell, ratios)
