@@ -2,19 +2,16 @@
 
 from .core import (
     BiasState,
-    LineConstants,
     LumpedCell,
     MicroloopSpec,
     RingSpec,
     SegmentParams,
-    derive_line_constants,
 )
 from .modes import (
     ModeTable,
     analytic_mode_frequency,
     eigenmode_frequencies,
     free_spectral_range,
-    natural_cell_frequency,
 )
 from .dispersion import (
     EnhancementPoint,

@@ -5,6 +5,10 @@ lengths in m, currents in A, magnetic fields in T.  Frequencies are ordinary
 frequencies in Hz throughout the public API; angular rates are formed
 internally where a formula requires them.
 
+A ``SegmentParams`` derives its line's impedance, phase velocity and delay;
+the lumped ``RingSpec`` derives one number, its cell frequency
+f_0 = 1/(2 pi sqrt(L_0 C_0)), which the mode solvers of ``modes`` read.
+
 Every record is immutable after construction and safe to share across
 parallel evaluations.  Every record of the package is a
 ``typing.NamedTuple``, and a table is a record of equal-length numpy
@@ -137,20 +141,26 @@ class RingSpec(NamedTuple):
             raise ValueError(f"cell_count must be an integer >= 3, got {self.cell_count!r}")
         if self.cell_count >= 2**63:  # mode indices are numpy int64s
             raise ValueError(f"cell_count: must be below 2**63, got {self.cell_count!r}")
-        constants = self.line_constants()  # checks the line inductances and the cell length
-        if not constants.cell_inductance * constants.cell_capacitance > 0.0:
-            # the lumped model's cell frequency is 1/(2 pi sqrt(L_0 C_0))
+        _positive("kinetic_inductance_per_length", self.kinetic_inductance_per_length)
+        _positive("geometric_inductance_per_length", self.geometric_inductance_per_length)
+        _check_line("kinetic_inductance_per_length + geometric_inductance_per_length",
+                    self.kinetic_inductance_per_length + self.geometric_inductance_per_length,
+                    self.segment1.capacitance_per_length)
+        if not self._cell_lc > 0.0:  # cell_frequency divides by sqrt(L_0 C_0)
             raise ValueError("segment1.length: too short for the lumped cell model: "
                              "the cell's L_0 C_0 underflows to 0")
 
-    def line_constants(self) -> "LineConstants":
-        """Derived per-cell line constants for the lumped chain model."""
-        return derive_line_constants(
-            self.kinetic_inductance_per_length,
-            self.geometric_inductance_per_length,
-            self.segment1.capacitance_per_length,
-            self.segment1.length,
-        )
+    @property
+    def _cell_lc(self) -> float:
+        """L_0 C_0 of one cell: L_0 = (L_k + L_m) l_0 and C_0 = C l_0/2."""
+        cell = self.segment1
+        total_l = self.kinetic_inductance_per_length + self.geometric_inductance_per_length
+        return (total_l * cell.length) * (cell.capacitance_per_length * cell.length / 2.0)
+
+    @property
+    def cell_frequency(self) -> float:
+        """Natural frequency of one cell, f_0 = 1/(2 pi sqrt(L_0 C_0)) [Hz]."""
+        return 1.0 / (2.0 * math.pi * math.sqrt(self._cell_lc))
 
     def with_phase_velocity_scale(self, scale: float) -> "RingSpec":
         """Return a copy whose phase velocity is multiplied by ``scale``.
@@ -225,44 +235,3 @@ class BiasState(NamedTuple):
         """Construct the bias consistent with I_dc = B_ext*d/L_dc."""
         current = external_field * loop.gap / loop.loop_dc_inductance
         return cls(external_field=external_field, dc_current=current)
-
-
-class LineConstants(NamedTuple):
-    """Secondary constants of the homogenized line.
-
-    characteristic_impedance = sqrt((L_k+L_m)/C)        [ohm]
-    phase_velocity           = 1/sqrt((L_k+L_m)*C)      [m/s]
-    cell_inductance  L_0     = (L_k+L_m)*l_0            [H]
-    cell_capacitance C_0     = C*l_0/2                  [F]
-    """
-
-    characteristic_impedance: float
-    phase_velocity: float
-    cell_inductance: float
-    cell_capacitance: float
-
-
-def derive_line_constants(
-    kinetic_inductance_per_length: float,
-    geometric_inductance_per_length: float,
-    capacitance_per_length: float,
-    cell_length: float,
-) -> LineConstants:
-    """Derive impedance, phase velocity and per-cell L_0, C_0.
-
-    All inputs must be strictly positive, and L_k + L_m with C must keep
-    L C and L/C positive and finite; raises ``ValueError`` otherwise.
-    """
-    _positive("kinetic_inductance_per_length", kinetic_inductance_per_length)
-    _positive("geometric_inductance_per_length", geometric_inductance_per_length)
-    _positive("capacitance_per_length", capacitance_per_length)
-    _positive("cell_length", cell_length)
-    total_l = kinetic_inductance_per_length + geometric_inductance_per_length
-    _check_line("kinetic_inductance_per_length + geometric_inductance_per_length", total_l,
-                capacitance_per_length)
-    return LineConstants(
-        characteristic_impedance=math.sqrt(total_l / capacitance_per_length),
-        phase_velocity=1.0 / math.sqrt(total_l * capacitance_per_length),
-        cell_inductance=total_l * cell_length,
-        cell_capacitance=capacitance_per_length * cell_length / 2.0,
-    )

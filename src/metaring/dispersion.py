@@ -87,10 +87,6 @@ class UnitCell(NamedTuple):
                              f"1/(2 cell delay) positive and finite, got cell delay = {delay!r}")
 
     @property
-    def cell_length(self) -> float:
-        return self.segment1.length + self.segment2.length
-
-    @property
     def cell_delay(self) -> float:
         return self.segment1.delay + self.segment2.delay
 

@@ -4,8 +4,10 @@ The ring is modeled as N identical LC cells closed on themselves.  Voltage
 amplitudes obey a cyclic second-difference relation whose traveling-wave
 solutions quantize the wave number to k_m = 2*pi*m/(N*l_0), giving
 
-    f_m = f_0 * sqrt(1 - cos(2*pi*m/N)),   f_0 = 1/(2*pi*sqrt(L_0*C_0)).
+    f_m = f_0 * sqrt(1 - cos(2*pi*m/N)),   f_0 = 1/(2*pi*sqrt(L_0*C_0)),
 
+where L_0 = (L_k + L_m)*l_0 and C_0 = C*l_0/2 are one cell's inductance and
+capacitance; every solver here reads f_0 as ``RingSpec.cell_frequency``.
 For m << N this reduces to the uniform-line ladder f_m = v_ph*m/l.  The modes
 come in degenerate counter-propagating pairs (m, N-m), so the first branch
 1 <= m <= N/2 holds every distinct frequency but the static m = 0;
@@ -29,13 +31,6 @@ from .core import RingSpec
 _DENSE_SOLVE_LIMIT = 10_000
 
 
-def natural_cell_frequency(cell_inductance: float, cell_capacitance: float) -> float:
-    """Natural frequency of one cell, 1/(2*pi*sqrt(L_0*C_0)) [Hz]."""
-    if cell_inductance <= 0 or cell_capacitance <= 0:
-        raise ValueError("cell inductance and capacitance must be positive")
-    return 1.0 / (2.0 * math.pi * math.sqrt(cell_inductance * cell_capacitance))
-
-
 def analytic_mode_frequency(ring: RingSpec, m: int) -> float:
     """Closed-form frequency of mode ``m`` [Hz].
 
@@ -45,10 +40,8 @@ def analytic_mode_frequency(ring: RingSpec, m: int) -> float:
     n_cells = ring.cell_count
     if not isinstance(m, (int, np.integer)) or not (0 <= m < n_cells):
         raise ValueError(f"mode index must satisfy 0 <= m < {n_cells}, got {m!r}")
-    constants = ring.line_constants()
-    f0 = natural_cell_frequency(constants.cell_inductance, constants.cell_capacitance)
     m_eff = min(int(m), n_cells - int(m))
-    return f0 * math.sqrt(1.0 - math.cos(2.0 * math.pi * m_eff / n_cells))
+    return ring.cell_frequency * math.sqrt(1.0 - math.cos(2.0 * math.pi * m_eff / n_cells))
 
 
 class ModeTable(NamedTuple):
@@ -77,12 +70,10 @@ def free_spectral_range(ring: RingSpec, band: tuple) -> ModeTable:
     lo, hi = band
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("band edges must be finite")
-    constants = ring.line_constants()
-    f0 = natural_cell_frequency(constants.cell_inductance, constants.cell_capacitance)
     n_cells = ring.cell_count
     # m <= N/2, so no index needs folding
     indices = np.arange(1, n_cells // 2 + 1)
-    freqs = f0 * np.sqrt(1.0 - np.cos(2.0 * math.pi * indices / n_cells))
+    freqs = ring.cell_frequency * np.sqrt(1.0 - np.cos(2.0 * math.pi * indices / n_cells))
     inside = (lo <= freqs) & (freqs <= hi)
     return ModeTable(indices[inside], freqs[inside])
 
@@ -109,13 +100,11 @@ def eigenmode_frequencies(ring: RingSpec, island_potential: float = 0.0) -> np.n
     n_cells = ring.cell_count
     if n_cells > _DENSE_SOLVE_LIMIT:
         raise ValueError(f"dense solve limited to N <= {_DENSE_SOLVE_LIMIT}, got {n_cells}")
-    constants = ring.line_constants()
-    omega0 = 1.0 / math.sqrt(constants.cell_inductance * constants.cell_capacitance)
 
     eigenvalues = np.linalg.eigvalsh(_cyclic_second_difference(n_cells))
     # the smallest true eigenvalue is (2*pi/N)^2 >= 4e-7 for N <= 1e4, far
     # above solver noise; anything below that floor is the exact-zero mode
     eigenvalues[eigenvalues < 1e-10] = 0.0
-    # 2*(omega/omega0)**2 = eigenvalue of the second difference
-    frequencies = omega0 * np.sqrt(eigenvalues / 2.0) / (2.0 * math.pi)
+    # 2*(f/f0)**2 = eigenvalue of the second difference
+    frequencies = ring.cell_frequency * np.sqrt(eigenvalues / 2.0)
     return np.sort(frequencies)

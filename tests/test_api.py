@@ -4,9 +4,11 @@ A name that ``metaring/__init__.py`` imports counts as called when it is
 referenced (as a name, an attribute, an import or inside an annotation) by
 another ``src/metaring`` module, by the acceptance suite or by a file of
 ``perfbench/``.  So does every public method or property of a class the
-package defines; its own module counts too, outside the method's own
-definition.  API that only its unit tests reach is deleted instead.  Every
-module-level constant (an all-caps name) is read by some package module.
+package defines, where one of those files reads it as an attribute
+(``x.name``); a parameter or local of the same name does not count.  Its own
+module counts too, outside the method's own definition.  API that only its
+unit tests reach is deleted instead.  Every module-level constant (an
+all-caps name) is read by some package module.
 """
 
 import ast
@@ -23,14 +25,12 @@ def exported_names() -> set:
             if isinstance(node, ast.ImportFrom) for alias in node.names}
 
 
-def referenced_names(tree: ast.AST, skip: ast.AST = None) -> set:
-    """Names that ``tree`` references, leaving out the subtree ``skip``."""
+def referenced_names(tree: ast.AST) -> set:
+    """Names that ``tree`` references."""
     names = set()
     nodes = [tree]
     while nodes:
         node = nodes.pop()
-        if node is skip:
-            continue
         nodes.extend(ast.iter_child_nodes(node))
         if isinstance(node, ast.Name):
             names.add(node.id)
@@ -44,6 +44,19 @@ def referenced_names(tree: ast.AST, skip: ast.AST = None) -> set:
                                getattr(node, "returns", None)):
                 if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
                     nodes.append(ast.parse(annotation.value, mode="eval"))
+    return names
+
+
+def attribute_reads(tree: ast.AST, skip: ast.AST = None) -> set:
+    """Names that ``tree`` reads as attributes, leaving out the subtree ``skip``."""
+    names = set()
+    nodes = [tree]
+    while nodes:
+        node = nodes.pop()
+        if node is not skip:
+            nodes.extend(ast.iter_child_nodes(node))
+            if isinstance(node, ast.Attribute):
+                names.add(node.attr)
     return names
 
 
@@ -63,7 +76,7 @@ def test_every_export_has_a_caller():
 
 def test_every_public_method_and_property_has_a_caller():
     trees = {path: parsed(path) for path in MODULES + OUTSIDE}
-    names = {path: referenced_names(tree) for path, tree in trees.items()}
+    names = {path: attribute_reads(tree) for path, tree in trees.items()}
     uncalled = []
     for path in MODULES:
         elsewhere = set().union(*(found for other, found in names.items() if other != path))
@@ -73,7 +86,7 @@ def test_every_public_method_and_property_has_a_caller():
             for method in cls.body:
                 if (isinstance(method, ast.FunctionDef) and not method.name.startswith("_")
                         and method.name not in elsewhere
-                        and method.name not in referenced_names(trees[path], method)):
+                        and method.name not in attribute_reads(trees[path], method)):
                     uncalled.append(f"{cls.name}.{method.name}")
     assert uncalled == []
 

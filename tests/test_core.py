@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from metaring import (
@@ -8,48 +9,68 @@ from metaring import (
     MicroloopSpec,
     RingSpec,
     SegmentParams,
-    derive_line_constants,
 )
-from conftest import GEOMETRIC_L, IMPEDANCE, KINETIC_L, rel_err
+from conftest import CELL_LENGTH, GEOMETRIC_L, IMPEDANCE, KINETIC_L, rel_err
+
+
+def lumped_cell_frequency(kinetic, geometric, capacitance, length):
+    """f_0 of the lumped model, 1/(2 pi sqrt(L_0 C_0)) with L_0 = (L_k + L_m) l_0
+    and C_0 = C l_0/2, computed with these operations in this order."""
+    cell_inductance = (kinetic + geometric) * length
+    cell_capacitance = capacitance * length / 2.0
+    return 1.0 / (2.0 * math.pi * math.sqrt(cell_inductance * cell_capacitance))
 
 
 class TestDeriveLineConstants:
-    def test_design_point(self, line_capacitance):
-        # C backed out of the quoted impedance must reproduce it exactly and
-        # land within 2% of the quoted 6.3e6 m/s phase velocity
-        lc = derive_line_constants(KINETIC_L, GEOMETRIC_L, line_capacitance, 25e-6)
-        assert rel_err(lc.characteristic_impedance, IMPEDANCE) < 1e-12
-        assert rel_err(lc.phase_velocity, 6.3e6) < 0.02
+    """The one number the lumped ring derives from its line: the cell
+    frequency f_0 of ``RingSpec.cell_frequency``."""
+
+    def test_design_point(self, design_ring, line_capacitance):
+        # C backed out of the quoted impedance must reproduce it exactly; the
+        # long-wave phase velocity sqrt(2) pi f_0 l_0 lands within 2% of the
+        # quoted 6.3e6 m/s
+        assert rel_err(math.sqrt((KINETIC_L + GEOMETRIC_L) / line_capacitance), IMPEDANCE) < 1e-12
+        velocity = math.sqrt(2.0) * math.pi * design_ring.cell_frequency * CELL_LENGTH
+        assert rel_err(velocity, 6.3e6) < 0.02
 
     def test_identity_units(self):
-        lc = derive_line_constants(0.5, 0.5, 1.0, 1.0)
-        assert lc.characteristic_impedance == pytest.approx(1.0, rel=1e-15)
-        assert lc.phase_velocity == pytest.approx(1.0, rel=1e-15)
+        # a unit line (L = 1 H/m, C = 1 F/m) and a 1 m cell: L_0 = 1 H, C_0 = 0.5 F
+        ring = RingSpec(3, LumpedCell(1.0, 1.0), 0.5, 0.5)
+        assert ring.cell_frequency == pytest.approx(math.sqrt(2) / (2 * math.pi), rel=1e-15)
 
     def test_capacitance_scaling(self):
-        base = derive_line_constants(1e-6, 1e-6, 1e-10, 1e-5)
-        doubled = derive_line_constants(1e-6, 1e-6, 2e-10, 1e-5)
-        assert rel_err(doubled.characteristic_impedance,
-                       base.characteristic_impedance / math.sqrt(2)) < 1e-12
-        assert rel_err(doubled.phase_velocity, base.phase_velocity / math.sqrt(2)) < 1e-12
+        base = RingSpec(3, LumpedCell(1e-10, 1e-5), 1e-6, 1e-6)
+        doubled = RingSpec(3, LumpedCell(2e-10, 1e-5), 1e-6, 1e-6)
+        assert rel_err(doubled.cell_frequency, base.cell_frequency / math.sqrt(2)) < 1e-12
 
-    def test_per_cell_constants(self, line_capacitance):
-        lc = derive_line_constants(KINETIC_L, GEOMETRIC_L, line_capacitance, 25e-6)
-        assert rel_err(lc.cell_inductance, (KINETIC_L + GEOMETRIC_L) * 25e-6) < 1e-15
-        assert rel_err(lc.cell_capacitance, line_capacitance * 25e-6 / 2) < 1e-15
+    def test_per_cell_constants(self, design_ring, line_capacitance):
+        assert design_ring.cell_frequency == lumped_cell_frequency(
+            KINETIC_L, GEOMETRIC_L, line_capacitance, CELL_LENGTH)
+
+    def test_bits_on_rings_across_many_decades(self):
+        rng = np.random.default_rng(38)
+        kinetic = 10.0 ** rng.uniform(-100, 100, 500)
+        geometric = kinetic * 10.0 ** rng.uniform(-6, 3, 500)
+        capacitance = 10.0 ** rng.uniform(-100, 100, 500)
+        length = 10.0 ** rng.uniform(-50, 50, 500)
+        for l_k, l_m, c, l_0 in zip(kinetic.tolist(), geometric.tolist(),
+                                     capacitance.tolist(), length.tolist()):
+            ring = RingSpec(3, LumpedCell(c, l_0), l_m, l_k)
+            assert ring.cell_frequency == lumped_cell_frequency(l_k, l_m, c, l_0)
 
     @pytest.mark.parametrize("bad", [(-1e-6, 1e-6, 1e-10, 1e-5),
                                      (1e-6, 0.0, 1e-10, 1e-5),
                                      (1e-6, 1e-6, -1e-10, 1e-5),
                                      (1e-6, 1e-6, 1e-10, 0.0)])
     def test_rejects_non_positive(self, bad):
-        with pytest.raises(ValueError):
-            derive_line_constants(*bad)
+        kinetic, geometric, capacitance, length = bad
+        with pytest.raises(ValueError, match="must be a finite positive number"):
+            RingSpec(3, LumpedCell(capacitance, length), geometric, kinetic)
 
-    def test_round_trip(self, line_capacitance):
-        lc = derive_line_constants(KINETIC_L, GEOMETRIC_L, line_capacitance, 25e-6)
-        total_l = lc.characteristic_impedance / lc.phase_velocity
-        cap = 1.0 / (lc.characteristic_impedance * lc.phase_velocity)
+    def test_round_trip(self, design_ring, line_capacitance):
+        omega_sq = (2.0 * math.pi * design_ring.cell_frequency) ** 2
+        total_l = 2.0 / (omega_sq * line_capacitance * CELL_LENGTH**2)
+        cap = 2.0 / (omega_sq * (KINETIC_L + GEOMETRIC_L) * CELL_LENGTH**2)
         assert rel_err(total_l, KINETIC_L + GEOMETRIC_L) < 1e-12
         assert rel_err(cap, line_capacitance) < 1e-12
 
@@ -142,6 +163,5 @@ class TestPhaseVelocityRescale:
         ratio = (scaled.segment1.capacitance_per_length
                  / design_ring.segment1.capacitance_per_length)
         assert rel_err(ratio, (79.0 / 76.0) ** 2) < 1e-12
-        lc0 = design_ring.line_constants()
-        lc1 = scaled.line_constants()
-        assert rel_err(lc1.phase_velocity, lc0.phase_velocity * 76.0 / 79.0) < 1e-12
+        assert rel_err(scaled.cell_frequency,
+                       design_ring.cell_frequency * 76.0 / 79.0) < 1e-12

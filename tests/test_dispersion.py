@@ -113,7 +113,7 @@ class TestCellTrace:
     def test_uniform_cell_reduces_to_plain_cosine(self, uniform_cell):
         for f in (1e9, 5e9, 20e9):
             k = uniform_cell.segment1.wave_number(f)
-            expected = math.cos(k * uniform_cell.cell_length)
+            expected = math.cos(k * (uniform_cell.segment1.length + uniform_cell.segment2.length))
             assert abs(cell_trace(uniform_cell, f) - expected) < 1e-12
 
     def test_design_cell_propagating_at_5ghz(self, bloch_cell):
@@ -139,7 +139,7 @@ class TestCellTrace:
 class TestSolveModeFrequency:
     def test_uniform_cell_matches_linear_ladder(self, uniform_cell):
         v = uniform_cell.segment1.phase_velocity
-        length = N_CELLS * uniform_cell.cell_length
+        length = N_CELLS * (uniform_cell.segment1.length + uniform_cell.segment2.length)
         for m in (1, 7, 50):
             f = solve_mode_frequency(uniform_cell, N_CELLS, m)
             assert rel_err(f, v * m / length) < 1e-6

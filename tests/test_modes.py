@@ -14,7 +14,6 @@ from metaring import (
     analytic_mode_frequency,
     eigenmode_frequencies,
     free_spectral_range,
-    natural_cell_frequency,
 )
 from conftest import GEOMETRIC_L, KINETIC_L, rel_err
 
@@ -40,23 +39,27 @@ def run_modes(ring: RingSpec, band: tuple):
 
 
 class TestNaturalCellFrequency:
+    """f_0 = 1/(2*pi*sqrt(L_0*C_0)) of one cell, read as ``RingSpec.cell_frequency``."""
+
     def test_unit_values(self):
-        assert natural_cell_frequency(1.0, 1.0) == pytest.approx(1 / (2 * math.pi), rel=1e-15)
+        # L_0 = 1 H and C_0 = 1 F
+        ring = RingSpec(3, LumpedCell(2.0, 1.0), 0.5, 0.5)
+        assert ring.cell_frequency == pytest.approx(1 / (2 * math.pi), rel=1e-15)
 
     def test_design_cell(self, design_ring):
-        lc = design_ring.line_constants()
-        f0 = natural_cell_frequency(lc.cell_inductance, lc.cell_capacitance)
-        assert rel_err(f0, DESIGN_CELL_FREQUENCY) < 1e-9
+        assert rel_err(design_ring.cell_frequency, DESIGN_CELL_FREQUENCY) < 1e-9
 
     def test_quadrupling_inductance_halves(self):
-        assert natural_cell_frequency(4e-9, 1e-15) == pytest.approx(
-            natural_cell_frequency(1e-9, 1e-15) / 2, rel=1e-14
-        )
+        ring = RingSpec(3, LumpedCell(2e-10, 1e-5), 0.5e-4, 0.5e-4)
+        quadrupled = ring._replace(geometric_inductance_per_length=2e-4,
+                                   kinetic_inductance_per_length=2e-4)
+        assert quadrupled.cell_frequency == pytest.approx(ring.cell_frequency / 2, rel=1e-14)
 
     @pytest.mark.parametrize("l0,c0", [(0.0, 1e-15), (1e-9, -1e-15)])
     def test_rejects_non_positive(self, l0, c0):
-        with pytest.raises(ValueError):
-            natural_cell_frequency(l0, c0)
+        # a 1 um cell whose L_0 or C_0 is not positive
+        with pytest.raises(ValueError, match="must be a finite positive number"):
+            RingSpec(3, LumpedCell(2.0 * c0 / 1e-6, 1e-6), l0 / 2e-6, l0 / 2e-6)
 
 
 class TestAnalyticModeFrequency:
@@ -80,9 +83,9 @@ class TestAnalyticModeFrequency:
         with pytest.raises(ValueError):
             analytic_mode_frequency(design_ring, m)
 
-    def test_small_m_approaches_linear_ladder(self, design_ring):
-        lc = design_ring.line_constants()
-        linear = lc.phase_velocity / (design_ring.cell_count * design_ring.segment1.length)
+    def test_small_m_approaches_linear_ladder(self, design_ring, line_capacitance):
+        velocity = 1.0 / math.sqrt((KINETIC_L + GEOMETRIC_L) * line_capacitance)
+        linear = velocity / (design_ring.cell_count * design_ring.segment1.length)
         f1 = analytic_mode_frequency(design_ring, 1)
         assert rel_err(f1, linear) < 1e-6
 
@@ -104,9 +107,9 @@ class TestFreeSpectralRange:
         fsr = np.diff(table.f)
         assert fsr.var() / fsr.mean() ** 2 < 1e-4
 
-    def test_small_m_fsr_equals_linear_ladder(self, design_ring):
-        lc = design_ring.line_constants()
-        ladder = lc.phase_velocity / (design_ring.cell_count * design_ring.segment1.length)
+    def test_small_m_fsr_equals_linear_ladder(self, design_ring, line_capacitance):
+        velocity = 1.0 / math.sqrt((KINETIC_L + GEOMETRIC_L) * line_capacitance)
+        ladder = velocity / (design_ring.cell_count * design_ring.segment1.length)
         f_low = analytic_mode_frequency(design_ring, 2)
         f_high = analytic_mode_frequency(design_ring, 50)
         table = free_spectral_range(design_ring, (f_low * 0.99, f_high * 1.01))
@@ -132,8 +135,7 @@ class TestFreeSpectralRange:
                   *(2 * rng.integers(2, 50_000, 3)).tolist()]
         for n_cells in counts:
             ring = RingSpec(n_cells, LumpedCell(line_capacitance, 25e-6), GEOMETRIC_L, KINETIC_L)
-            lc = ring.line_constants()
-            f0 = natural_cell_frequency(lc.cell_inductance, lc.cell_capacitance)
+            f0 = ring.cell_frequency
             m = np.arange(1, n_cells // 2 + 1)
             f = f0 * np.sqrt(1.0 - np.cos(2.0 * math.pi * m / n_cells))
             a, b = np.sort(rng.integers(0, len(m), 2))
@@ -153,8 +155,7 @@ class TestFreeSpectralRange:
             assert len(table.m) == len(table.f) == 0 and math.isnan(table.fsr_mean)
 
     def test_band_above_branch_top_is_empty(self, design_ring):
-        lc = design_ring.line_constants()
-        f0 = natural_cell_frequency(lc.cell_inductance, lc.cell_capacitance)
+        f0 = design_ring.cell_frequency
         top = f0 * math.sqrt(2)
         assert len(free_spectral_range(design_ring, (top * 1.01, top * 1.5)).m) == 0
 
@@ -237,8 +238,7 @@ class TestEigenmodeOracle:
 
     def test_four_cell_closed_form(self):
         ring = small_ring(4)
-        lc = ring.line_constants()
-        f0 = natural_cell_frequency(lc.cell_inductance, lc.cell_capacitance)
+        f0 = ring.cell_frequency
         expected = np.sort([0.0, f0, f0, f0 * math.sqrt(2)])
         eig = eigenmode_frequencies(ring)
         assert np.allclose(eig, expected, rtol=1e-9, atol=1e-9 * f0)

@@ -20,7 +20,7 @@ MODULES = (core, modes, dispersion, tuning, conversion, fitting, config, cli)
 
 RECORDS = (
     core.SegmentParams, core.LumpedCell, core.RingSpec, core.MicroloopSpec, core.BiasState,
-    core.LineConstants, modes.ModeTable, dispersion.TwoPortMatrix, dispersion.UnitCell,
+    modes.ModeTable, dispersion.TwoPortMatrix, dispersion.UnitCell,
     dispersion.FsrCurve, dispersion.MismatchReport, dispersion.EnhancementPoint,
     tuning.NonlinearCoefficients,
     conversion.ConverterParams, conversion.ScatteringResult, conversion.KerrSteadyState,
@@ -53,7 +53,6 @@ def samples(default_config_path):
         core.RingSpec: cfg.ring,
         core.MicroloopSpec: loop,
         core.BiasState: bias,
-        core.LineConstants: cfg.ring.line_constants(),
         modes.ModeTable: modes.free_spectral_range(cfg.ring, (4e9, 5e9)),
         dispersion.TwoPortMatrix: dispersion.segment_abcd(cell.segment1, 5e9),
         dispersion.UnitCell: cell,
