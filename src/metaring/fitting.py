@@ -22,6 +22,8 @@ row.  An ``ftol``, ``xtol`` or ``damping_cap`` stop, or a trial step that
 the box clips away entirely, at which some parameter sits on its bound
 while the descent direction points out of the box there is reported as
 ``bound``, also unconverged: the box, not the fit, stopped the iteration.
+The standard errors invert the Marquardt-scaled normal matrix by LU, the
+engine's only factorization, and are NaN when that matrix is singular.
 
 The one-port reflection fit (f0, Q_in, Q_ex, background amplitude, phase
 offset, cable delay) of complex traces runs on the engine.  Its start is
@@ -184,7 +186,8 @@ def least_squares(
     The required ``jac(params, x)`` returns the model's (n, n_par)
     derivative; a complex one is split like the residuals, a real one must
     already have one row per real residual.  At most ``_MAX_ITER`` steps
-    are accepted.
+    are accepted.  The standard errors take the inverse of the scaled normal
+    matrix D J^T J D, D = diag(J^T J)^(-1/2), by LU; NaN when it is singular.
     Raises :class:`ConditioningError` when the damped normal equations are
     singular (a parameter the model never responds to), and ``ValueError``
     when ``initial`` is not finite or an option lacks exactly one entry per
@@ -240,6 +243,13 @@ def least_squares(
         """Parameters that sit on their bound while the descent points out of the box there."""
         return ((p >= upper) & (descent > 0.0)) | ((p <= lower) & (descent < 0.0))
 
+    def predicted_drop() -> float:
+        """Cost drop of the undamped Gauss-Newton step, inf when its matrix is singular."""
+        try:
+            return float(scaled_descent @ np.linalg.solve(scaled, scaled_descent))
+        except np.linalg.LinAlgError:
+            return math.inf
+
     iterations = 0
     while not termination:
         if iterations >= _MAX_ITER:
@@ -249,21 +259,24 @@ def least_squares(
         # when parameter magnitudes span many decades
         scale = column_scale(normal)
         # the step moves only the free parameters, so they reach the optimum
-        # constrained by the held ones; with none held this is the full step
-        free = (~held()).nonzero()[0]
+        # constrained by the held ones; with none held, slices take the full step
+        hold = held()
+        free = (~hold).nonzero()[0] if hold.any() else slice(None)
         scale_free = scale[free]
-        scaled = normal[free[:, None], free] * scale_free[:, None] * scale_free[None, :]
+        scaled = normal[free][:, free] * scale_free[:, None] * scale_free[None, :]
         scaled_descent = descent[free] * scale_free
+        damped = scaled.copy() if lam > 0.0 else scaled  # predicted_drop reads scaled
+        if lam > 0.0:
+            damped.ravel()[::len(damped) + 1] += lam
         step = np.zeros(n_par)
         try:
-            step[free] = scale_free * np.linalg.solve(scaled + lam * np.eye(free.size),
-                                                      scaled_descent)
+            step[free] = scale_free * np.linalg.solve(damped, scaled_descent)
         except np.linalg.LinAlgError as exc:
             raise ConditioningError("singular normal equations in least-squares step") from exc
         if not np.isfinite(step).all():
             raise ConditioningError("singular normal equations in least-squares step")
         trial = np.minimum(np.maximum(p + step, lower), upper)
-        if (trial == p).all() and held().any():
+        if (trial == p).all() and hold.any():
             termination = "bound"  # the box clips the whole step away
             break
         res_trial = residual(trial)
@@ -284,8 +297,7 @@ def least_squares(
                 termination = "ftol"
             elif moved <= _XTOL * (_norm(p / step_scale) + _XTOL):
                 termination = "xtol"
-        elif (cost_trial - cost <= _FTOL * cost
-              and scaled_descent @ np.linalg.pinv(scaled) @ scaled_descent <= _FTOL * cost):
+        elif cost_trial - cost <= _FTOL * cost and predicted_drop() <= _FTOL * cost:
             # even the undamped Gauss-Newton step predicts a negligible drop:
             # the fit sits at its optimum to rounding (a refit from a result)
             termination = "ftol"
@@ -304,8 +316,11 @@ def least_squares(
         if np.isfinite(diag).all() and (diag > 0.0).all():
             scale = 1.0 / np.sqrt(diag)
             scaled = normal * scale[:, None] * scale[None, :]
-            covariance = sigma2 * (np.linalg.pinv(scaled) * scale[:, None] * scale[None, :])
-            errors = np.sqrt(np.maximum(covariance.diagonal(), 0.0))
+            try:
+                inverse = np.linalg.inv(scaled)
+            except np.linalg.LinAlgError:
+                inverse = np.full((n_par, n_par), math.nan)  # singular: every error is NaN
+            errors = np.sqrt(np.maximum(sigma2 * (inverse.diagonal() * scale * scale), 0.0))
     return FitResult(
         parameters=dict(zip(names, (float(v) for v in p))),
         standard_errors=dict(zip(names, (float(e) for e in errors))),
@@ -603,12 +618,12 @@ def fit_reflection_resonance(
         s11 = reflection_s11(
             f, f0, q_in, q_ex, amplitude, phase_offset, delay, reference_frequency=f_ref
         )
-        last["params"], last["s11"] = params.copy(), s11
+        last["params"], last["s11"] = params, s11
         return s11
 
     def jac(params, f):
-        # the engine takes each Jacobian where it has just evaluated the model
-        same = last["params"] is not None and (params == last["params"]).all()
+        # the engine takes each Jacobian at the very array it last evaluated the model at
+        same = params is last["params"]
         return reflection_jacobian(f, params, f_ref, last["s11"] if same else None)
 
     span = float(freq[-1] - freq[0])

@@ -300,6 +300,30 @@ class TestLeastSquaresEngine:
         assert result.termination == "ftol"
         assert result.converged
 
+    def test_singular_prediction_is_an_ordinary_rejected_step(self, monkeypatch):
+        # no real fit reaches a singular undamped matrix in the ftol
+        # prediction, so its solve is made to fail: each such step must count
+        # as rejected and raise the damping, here until the cap
+        solve = np.linalg.solve
+        damped_diagonals = []
+
+        def failing_prediction(a, b):
+            if sys._getframe(1).f_code.co_name == "predicted_drop":
+                raise np.linalg.LinAlgError("Singular matrix")
+            damped_diagonals.append(a.diagonal().copy())
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", failing_prediction)
+        rng = np.random.default_rng(0)
+        x = np.arange(10.0)
+        y = 2.0 * x + 1.0 + rng.standard_normal(x.size)
+        result = least_squares(line, (x, y), list(np.polyfit(x, y, 1)), jac=line_jac)
+        assert result.termination == "damping_cap"
+        assert result.iterations == 0
+        lam = np.array([d[0] for d in damped_diagonals]) - damped_diagonals[0][0]
+        assert lam[0] == 0.0 and abs(lam[1] - 1e-4) < 1e-12
+        assert np.allclose(lam[2:] / lam[1:-1], 4.0, rtol=1e-6)
+
     def test_wrong_sign_jacobian_hits_damping_cap(self):
         x = np.arange(1.0, 11.0)
         y = 3.0 * x
@@ -648,6 +672,58 @@ class TestReflectionFit:
                                   capture_output=True, text=True, timeout=120, check=True)
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
+
+
+def oracle_standard_errors(trace, result):
+    """sqrt(diag(sigma^2 D pinv(D J^T J D) D)), D = diag(J^T J)^(-1/2), sigma^2 = RSS/(2n - 6)."""
+    freq = trace.frequency
+    f_ref = _middle_frequency(freq)
+    params = [result.parameters[name] for name in
+              ("f0", "q_in", "q_ex", "amplitude", "phase_offset", "delay")]
+    jac = reflection_jacobian(freq, params, f_ref,
+                              reflection_s11(freq, *params, reference_frequency=f_ref))
+    stacked = np.stack([jac.real, jac.imag], axis=1).reshape(2 * freq.size, 6)
+    normal = stacked.T @ stacked
+    d = 1.0 / np.sqrt(normal.diagonal())
+    sigma2 = result.residual_norm ** 2 / (2 * freq.size - 6)
+    scaled = normal * d[:, None] * d[None, :]
+    covariance = sigma2 * (np.linalg.pinv(scaled) * d[:, None] * d[None, :])
+    return dict(zip(result.parameters, np.sqrt(covariance.diagonal())))
+
+
+class TestStandardErrors:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_match_the_pseudo_inverse_oracle(self, seed):
+        trace = criterion_13_trace(seed)
+        result = fit_reflection_resonance(trace)
+        for name, expected in oracle_standard_errors(trace, result).items():
+            assert rel_err(result.standard_errors[name], expected) <= 1e-12, name
+
+    def test_fit_runs_no_singular_value_decomposition(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("the fit called an SVD")
+
+        monkeypatch.setattr(np.linalg, "pinv", refused)
+        monkeypatch.setattr(np.linalg, "svd", refused)
+        trace = criterion_13_trace(1)
+        first = fit_reflection_resonance(trace)
+        # a refit from the result rejects its first step and predicts the drop:
+        # an ftol stop with no accepted step comes from that prediction alone
+        again = fit_reflection_resonance(trace, initial_guess=list(first.parameters.values()))
+        assert first.converged and (again.termination, again.iterations) == ("ftol", 0)
+        assert all(math.isfinite(e) for e in again.standard_errors.values())
+
+    def test_singular_covariance_gives_nan_errors(self, monkeypatch):
+        trace = criterion_13_trace(2)
+        expected = fit_reflection_resonance(trace)
+
+        def singular(a):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        result = fit_reflection_resonance(trace)
+        assert all(math.isnan(e) for e in result.standard_errors.values())
+        assert result._replace(standard_errors=expected.standard_errors) == expected
 
 
 def _differenced_reflection_jacobian(freq, params, f_ref, steps):
