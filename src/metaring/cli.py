@@ -66,7 +66,8 @@ def _pump(config: Config) -> tuple:
 def _run_tune(config: Config) -> list:
     loop, sweep = config.microloop, config.sweeps["field"]
     stop = sweep["stop_T"]
-    if abs(tuning.BiasState.from_field(loop, stop).dc_current) >= loop.i_star_narrow:
+    # as BiasState.from_field, which would refuse an infinite current as a bias field
+    if abs(stop * loop.gap / loop.loop_dc_inductance) >= loop.i_star_narrow:
         raise ConfigError([
             "sweep.field.stop_T: must drive a bias current below "
             f"device.microloop.i_star_narrow, so |stop_T| < "

@@ -85,7 +85,6 @@ def cooperativity(params: ConverterParams) -> float:
     return 4.0 * params.g0**2 * params.n_eff / (params.kappa_s * params.kappa_i)
 
 
-@checked
 class ScatteringResult(NamedTuple):
     """On-chip conversion |t|^2 and reflection |r|^2 = 1 - |t|^2.
 
@@ -95,21 +94,24 @@ class ScatteringResult(NamedTuple):
     t2: ArrayLike
     r2: ArrayLike
 
-    def _check(self) -> None:
-        if not np.all((self.t2 >= 0.0) & (self.t2 <= 1.0)):
-            raise ValueError(f"t2 must lie in [0, 1], got {self.t2!r}")
-
 
 def scattering(c: ArrayLike, eta_s: ArrayLike, eta_i: ArrayLike) -> ScatteringResult:
     """Beam-splitter conversion at zero detuning.
 
     t2 peaks at C = 1 where it equals eta_s*eta_i; C = 0 is a perfect
     mirror.  The law is self-dual: t2(C) = t2(1/C).  Scalar arguments give
-    float fields, an array among them array fields.
+    float fields, an array among them array fields.  A negative, NaN or
+    infinite ``c``, or an ``eta_s`` or ``eta_i`` outside [0, 1] or NaN, in
+    any entry, raises ``ValueError``.
     """
     coop = np.asarray(c, dtype=float)
     if np.any(coop < 0):
         raise ValueError("cooperativity must be non-negative")
+    if not np.all(np.isfinite(coop)):
+        raise ValueError("cooperativity must be finite")
+    for name, eta in (("eta_s", eta_s), ("eta_i", eta_i)):
+        if not np.all((0.0 <= eta) & (eta <= 1.0)):
+            raise ValueError(f"{name} must lie in [0, 1]")
     # (1+C)^2 as a product, so one C gets the same bits alone or in an array
     # (a float's ** 2 calls libm's pow).  4C/(1+C)^2 <= 1 identically;
     # minimum() guards the one-ulp rounding excess

@@ -13,7 +13,9 @@ Every record is immutable after construction and safe to share across
 parallel evaluations.  Every record of the package is a
 ``typing.NamedTuple``, and a table is a record of equal-length numpy
 columns: fields are read by attribute, copied with ``_replace`` and exported
-with ``_asdict``, and :func:`checked` gives a record its construction checks.
+with ``_asdict``.  :func:`checked` gives a record built from input (a spec,
+a bias, a trace, a scenario) its construction checks.  A result is a plain
+record: the function that returns it checks its own arguments instead.
 A named tuple class is created several times faster than a dataclass, which
 generates and compiles its methods when its module is imported.  The modules
 that define named tuples leave out ``from __future__ import annotations``,
@@ -146,9 +148,13 @@ class RingSpec(NamedTuple):
         _check_line("kinetic_inductance_per_length + geometric_inductance_per_length",
                     self.kinetic_inductance_per_length + self.geometric_inductance_per_length,
                     self.segment1.capacitance_per_length)
-        if not self._cell_lc > 0.0:  # cell_frequency divides by sqrt(L_0 C_0)
+        cell_lc = self._cell_lc  # cell_frequency divides by sqrt(L_0 C_0)
+        if not cell_lc > 0.0:
             raise ValueError("segment1.length: too short for the lumped cell model: "
                              "the cell's L_0 C_0 underflows to 0")
+        if cell_lc == math.inf:
+            raise ValueError("segment1.length: too long for the lumped cell model: "
+                             "the cell's L_0 C_0 overflows to inf")
 
     @property
     def _cell_lc(self) -> float:

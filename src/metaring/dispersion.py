@@ -91,7 +91,6 @@ class UnitCell(NamedTuple):
         return self.segment1.delay + self.segment2.delay
 
 
-@checked
 class MismatchReport(NamedTuple):
     """Frequency mismatch 2 f_m - (f_{m+n} + f_{m-n}) for a conversion pair."""
 
@@ -99,12 +98,6 @@ class MismatchReport(NamedTuple):
     n: int
     delta_f: float
     signal_f: float
-
-    def _check(self) -> None:
-        if self.n < 1 or self.m - self.n < 1:
-            raise ValueError("require n >= 1 and m - n >= 1")
-        if not math.isfinite(self.delta_f):
-            raise ValueError("delta_f must be finite")
 
 
 def segment_abcd(segment: SegmentParams, frequency: float) -> TwoPortMatrix:

@@ -27,7 +27,7 @@ from typing import Callable, Dict, NamedTuple, Tuple, Union
 
 import numpy as np
 
-from .core import BiasState, MicroloopSpec, checked
+from .core import BiasState, MicroloopSpec
 from .errors import PrecisionError
 
 ArrayLike = Union[float, np.ndarray]
@@ -44,7 +44,6 @@ _QUARTIC_RTOL = 1e-9
 _NODE_SPAN = 0.95
 
 
-@checked
 class NonlinearCoefficients(NamedTuple):
     """Cubic and quartic energy coefficients of the loop.
 
@@ -55,10 +54,6 @@ class NonlinearCoefficients(NamedTuple):
 
     twm: ArrayLike
     fwm: ArrayLike
-
-    def _check(self) -> None:
-        if np.any(np.asarray(self.fwm) <= 0):
-            raise ValueError("four-wave-mixing coefficient must be positive")
 
 
 def kinetic_inductance(zero_current_inductance: float, current: ArrayLike,

@@ -214,6 +214,15 @@ class TestValidate:
             "sweep.ratio.signal_hz: 5000000000.0 Hz lies outside the propagating band",
         ]
 
+    def test_ring_lc_overflow_reported(self, tmp_path, default_config_path):
+        # an L_0 C_0 of inf would give a cell frequency of 0 Hz and no modes
+        raw = load_default(default_config_path)
+        raw["device"]["ring"]["segment1"]["length"] = 1e300
+        path = write_config(tmp_path, raw, default_config_path)
+        assert validate_config(path) == [
+            "device.ring.segment1.length: too long for the lumped cell model: "
+            "the cell's L_0 C_0 overflows to inf"]
+
     @pytest.mark.parametrize("bridge, values, violations", [
         ({"capacitance_per_length": 1e10}, [1.0, 1e300], [
             "sweep.band.start_hz: 4000000000.0 Hz lies outside the propagating band",
@@ -325,6 +334,8 @@ def run_main(argv):
 @example(edits=((("sweep", "detuning", "span_hz"), 1e160), (("sweep", "detuning", "points"), 0)))
 @example(edits=((("sweep", "detuning", "span_hz"), -1e300),
                 (("sweep", "detuning", "points"), 1)))
+@example(edits=((("device", "microloop", "gap"), 1e300),
+                (("device", "microloop", "loop_dc_inductance"), 1e-300)))
 def test_joint_inputs_validate_and_sweep_agree(edits):
     # 1-3 numeric leaves of the shipped config moved together: validate names
     # each violation under a schema path, and a config it accepts sweeps cleanly

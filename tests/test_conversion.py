@@ -101,6 +101,26 @@ class TestScattering:
         with pytest.raises(ValueError):
             scattering(np.array([0.5, -0.1]), 1.0, 1.0)
 
+    @pytest.mark.parametrize("c, eta_s, eta_i, message", [
+        (1.0, 2.0, 1.0, "eta_s must lie in [0, 1]"),  # once clamped to t2 = 1.0
+        (1.0, 2.0, 0.4, "eta_s must lie in [0, 1]"),  # once t2 = 0.8
+        (1.0, 0.9, -0.1, "eta_i must lie in [0, 1]"),
+        (1.0, 0.9, math.nan, "eta_i must lie in [0, 1]"),
+        (1.0, np.array([0.5, 1.5]), 0.9, "eta_s must lie in [0, 1]"),
+        (-1.0, 1.0, 1.0, "cooperativity must be non-negative"),
+        (-math.inf, 1.0, 1.0, "cooperativity must be non-negative"),
+        (math.nan, 1.0, 1.0, "cooperativity must be finite"),
+        (math.inf, 1.0, 1.0, "cooperativity must be finite"),
+        (np.array([0.5, 1.0, math.nan]), 1.0, 1.0, "cooperativity must be finite"),
+        (np.array([0.5, math.inf]), 0.99, 0.98, "cooperativity must be finite"),
+    ], ids=["eta_s_2_at_peak", "eta_s_2_eta_i_0.4", "eta_i_negative", "eta_i_nan",
+            "eta_s_array_entry", "c_negative", "c_minus_inf", "c_nan", "c_inf",
+            "c_array_nan_entry", "c_array_inf_entry"])
+    def test_refuses_arguments_outside_the_law(self, c, eta_s, eta_i, message):
+        with pytest.raises(ValueError) as info:
+            scattering(c, eta_s, eta_i)
+        assert str(info.value) == message
+
     def test_array_matches_scalar_calls(self):
         grid = np.linspace(0.0, 5.0, 501)
         batched = scattering(grid, 0.99, 0.98)

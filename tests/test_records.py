@@ -77,7 +77,8 @@ def samples(default_config_path):
     }
 
 
-# valid fields of each validated named tuple
+# valid fields of each validated named tuple: the records built from input;
+# a result is a plain record
 _SEGMENT = dict(inductance_per_length=57e-6, capacitance_per_length=437e-12, length=25e-6)
 GOOD = {
     core.SegmentParams: _SEGMENT,
@@ -91,10 +92,7 @@ GOOD = {
                              inductance_wide=1e-9, inductance_narrow=2e-9,
                              i_star_wide=1e-3, i_star_narrow=0.5e-3),
     core.BiasState: dict(external_field=0.0, dc_current=1e-4),
-    dispersion.MismatchReport: dict(m=10, n=2, delta_f=1e3, signal_f=5e9),
-    tuning.NonlinearCoefficients: dict(twm=0.0, fwm=1.0),
     conversion.ConverterParams: dict(kappa_s=1e5, kappa_i=1e5, eta_s=0.9, eta_i=0.9),
-    conversion.ScatteringResult: dict(t2=0.5, r2=0.5),
     conversion.TlsModel: dict(q_tls0=9891.0, n_c=23.35, alpha=1.0, q_other=1e6),
     fitting.Trace: dict(frequency=np.arange(6.0), response=np.ones(6, dtype=complex)),
     config.KerrScenario: dict(rate_hz=0.1, quality_factor=39e3, coupling_efficiency=0.94,
@@ -133,6 +131,9 @@ BAD = {
         (dict(segment1=core.LumpedCell(1e-10, 1e-300)),
          "segment1.length: too short for the lumped cell model: "
          "the cell's L_0 C_0 underflows to 0"),
+        (dict(segment1=core.LumpedCell(437e-12, 1e300)),
+         "segment1.length: too long for the lumped cell model: "
+         "the cell's L_0 C_0 overflows to inf"),
     ],
     core.MicroloopSpec: [
         (dict(width_ratio=1.5), "width_ratio must satisfy 0 < gamma <= 1, got 1.5"),
@@ -143,14 +144,6 @@ BAD = {
          "(expected 0.0005, got 0.0006)"),
     ],
     core.BiasState: [(dict(dc_current=np.array([0.0, np.inf])), "bias fields must be finite")],
-    dispersion.MismatchReport: [
-        (dict(n=0), "require n >= 1 and m - n >= 1"),
-        (dict(m=2), "require n >= 1 and m - n >= 1"),
-        (dict(delta_f=math.nan), "delta_f must be finite"),
-    ],
-    tuning.NonlinearCoefficients: [
-        (dict(fwm=np.array([1.0, 0.0])), "four-wave-mixing coefficient must be positive"),
-    ],
     conversion.ConverterParams: [
         (dict(kappa_i=0.0), "linewidths must be positive"),
         (dict(eta_i=1.5), "eta_i must lie in [0, 1], got 1.5"),
@@ -162,7 +155,6 @@ BAD = {
         (dict(kappa_s=1e-200, kappa_i=1e-200, g0=1.0, n_eff=3.0),
          "g0: must make the cooperativity 4 g0^2 n_eff/(kappa_s kappa_i) finite"),
     ],
-    conversion.ScatteringResult: [(dict(t2=1.5), "t2 must lie in [0, 1], got 1.5")],
     conversion.TlsModel: [(dict(alpha=0.0), "all TLS model parameters must be positive")],
     fitting.Trace: [
         (dict(response=np.ones(5)), "frequency and response must be 1-D and equally long"),
@@ -191,6 +183,13 @@ BAD = {
          "law 4C/(1 + C)^2 finite, got C = 1e+160"),
     ],
 }
+
+
+def test_only_input_records_run_checks():
+    inputs = {core.SegmentParams, core.LumpedCell, core.RingSpec, core.MicroloopSpec,
+              core.BiasState, dispersion.UnitCell, conversion.ConverterParams,
+              conversion.TlsModel, fitting.Trace, config.KerrScenario, config.FringeScenario}
+    assert {record for record in RECORDS if hasattr(record, "_check")} == inputs == set(GOOD)
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda record: record.__name__)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from metaring import (
     BiasState,
     MicroloopSpec,
-    NonlinearCoefficients,
     fractional_frequency_shift,
     kinetic_inductance,
     loop_energy,
@@ -238,10 +237,6 @@ class TestMixingCoefficients:
         assert rel_err(coeffs.twm, SERIES_C3) < 1e-12
         assert rel_err(coeffs.fwm, SERIES_C4) < 1e-12
 
-    def test_invalid_fwm_rejected(self):
-        with pytest.raises(ValueError):
-            NonlinearCoefficients(twm=0.0, fwm=-1.0)
-
 
 class TestNonlinearityReport:
     def test_oracle_confirms_closed_forms(self, microloop):
@@ -318,7 +313,3 @@ class TestBatchedExpansion:
             loop_energy(np.zeros(3), microloop, bias)
         with pytest.raises(ValueError):
             nonlinearity_report(microloop, bias)
-
-    def test_non_positive_fwm_anywhere_rejected(self):
-        with pytest.raises(ValueError):
-            NonlinearCoefficients(twm=np.zeros(3), fwm=np.array([1.0, 0.0, 2.0]))
