@@ -17,10 +17,13 @@ largest power of ten 10**d with a multiple inside the rounding interval of
 Y, and take the multiple nearest Y.
 
 Y is a double-double (about 104 bits), so its fraction is known to about
-1e-14.  A cell is handed to ``repr`` itself when the kernel cannot be sure,
-so the kernel never decides an exact case: a rounding tie or an interval
-endpoint within ``TOL`` of a decimal grid point, and |x| outside
-[1e-290, 1e290].  Zero and the infinities get ``repr``'s spellings.
+1e-14.  A cell leaves the pass in one of two ways: NaN is emptied in place,
+and every other cell the pass cannot decide exactly is written as
+``repr(x + 0.0)`` itself, so the kernel never decides an exact case.  Those
+are zero, the infinities and |x| outside [1e-290, 1e290]; a rounding tie or
+an interval endpoint within ``TOL`` of a decimal grid point; and, within an
+ulp or so of a power of ten, a cell whose log10 missed its decade or whose
+digits carry into the next one.
 """
 
 from typing import Sequence
@@ -31,12 +34,12 @@ TOL = 1e-9
 _LOW, _HIGH = 1e-290, 1e290
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into two halves
 _POW10 = 10 ** np.arange(18, dtype=np.int64)
-# 10**s for s in [-276, 308] (e10 in [-291, 290] and one corrective step)
-# as head + tail + lo: head + tail is the double nearest 10**s, split for
-# Dekker's product; an entry is built when its exponent first appears, as a
-# sweep uses a few dozen and the whole table takes about 2 ms to build
-_S0 = 276
-_POWERS = np.full((3, _S0 + 309), np.nan)
+# 10**s for s in [-274, 307] (e10 in [-291, 290]) as head + tail + lo:
+# head + tail is the double nearest 10**s, split for Dekker's product; an
+# entry is built when its exponent first appears, as a sweep uses a few
+# dozen and the whole table takes about 2 ms to build
+_S0 = 274
+_POWERS = np.full((3, _S0 + 308), np.nan)
 # bytes of a cell, as 32-bit words: 3 NULs and the sign (or "0", or "-0",
 # for |x| < 1); up to 16 whole digits, right-aligned; "." and up to 3
 # zeros; 16 fraction digits, left-aligned; then the 17th fraction digit,
@@ -62,8 +65,6 @@ _E0 = 324
 _EXPONENT = np.array([(b"\0e%+03d" % e).ljust(7, b"\0") + b"," for e in range(-_E0, 309)],
                      "S8").view(np.uint64)
 _COMMA = np.frombuffer(b"\0\0\0\0\0\0\0,", np.uint64)
-# the cells the kernel does not scale: zero, inf, -inf and NaN (empty)
-_SPELLINGS = np.array([b"0.0", b"inf", b"-inf", b""], f"S{WIDTH}").view(np.uint8).reshape(4, -1)
 
 
 def _power(s: int):
@@ -98,14 +99,14 @@ class Workspace:
     """The formatter's arrays for blocks of up to ``cells`` values, made once.
 
     ``repr_chars`` writes every intermediate into them through ``out=``, so
-    a block allocates only for the cells that leave the common path (zero,
-    the infinities, NaN, the cells handed to ``repr`` and log10's rare
-    misses), and a caller that keeps one workspace for many blocks keeps
-    one set of pages.  ``x`` is where a caller may stage a block's values,
-    and ``chars``, where the lines are laid out, holds ``cells * WIDTH``
-    bytes, the caller's ``before`` and ``after`` spans included.  The
-    default size holds one block of ``write_csv``, so a run makes one
-    workspace (about 1.5 MB) and writes every table through it.
+    a block allocates only for the cells that leave the pass (NaN, emptied
+    in place, and the cells written as ``repr(x + 0.0)``), and a caller
+    that keeps one workspace for many blocks keeps one set of pages.  ``x``
+    is where a caller may stage a block's values, and ``chars``, where the
+    lines are laid out, holds ``cells * WIDTH`` bytes, the caller's
+    ``before`` and ``after`` spans included.  The default size holds one
+    block of ``write_csv``, so a run makes one workspace (about 1.5 MB) and
+    writes every table through it.
 
     The arrays are views of one allocation of 184 bytes a cell, freed as one
     chunk.  glibc's malloc raises its mmap and trim thresholds past a chunk
@@ -181,7 +182,9 @@ def _decimal(ax: np.ndarray, s: np.ndarray, flags: np.ndarray, e2: np.ndarray):
     """Shortest digits of each ax in [1e-290, 1e290]: (V, e10, unsure).
 
     V in [1e16, 1e17) holds the digits, left-aligned with trailing zeros, and
-    ax is about V * 10**(e10 - 16).  ``unsure`` marks the cells left to repr.
+    ax is about V * 10**(e10 - 16).  ``unsure`` marks the cells left to repr,
+    log10's misses and the carries into the next decade among them; their
+    V and e10 are not to be read.
     Rows 1 to 13 of ``s`` (row 0 is left to the caller), ``flags`` 1 to 3
     and the int32 ``e2`` hold the intermediates, and the results are views
     of them.
@@ -192,14 +195,11 @@ def _decimal(ax: np.ndarray, s: np.ndarray, flags: np.ndarray, e2: np.ndarray):
     np.floor(s[2], out=s[2])
     np.copyto(e10, s[2], casting="unsafe")
     n, r, hi = _scaled(ax, e10, s[2:])  # rows 4, 10 and 6
-    low, high = flags[1], flags[2]
-    np.less(n, _POW10[16], out=low)
+    # log10 missed the decade where Y is outside [1e16, 1e17)
+    unsure, high = flags[3], flags[1]
+    np.less(n, _POW10[16], out=unsure)
     np.greater_equal(n, _POW10[17], out=high)
-    low |= high
-    if low.any():  # log10 missed by one
-        wrong = np.flatnonzero(low)
-        e10[wrong] += np.where(n[wrong] < _POW10[16], -1, 1)
-        n[wrong], r[wrong], hi[wrong] = _scaled(ax[wrong], e10[wrong], np.empty((12, len(wrong))))
+    unsure |= high
 
     # the rounding interval (Y - h_low, Y + h_high): half an ulp each way,
     # and half of that below a power of two; n_high is the largest integer
@@ -221,8 +221,8 @@ def _decimal(ax: np.ndarray, s: np.ndarray, flags: np.ndarray, e2: np.ndarray):
     distance -= 0.5
     np.abs(distance, out=distance)
     np.greater(distance, 0.5 - TOL, out=flags[1:3])
-    unsure = flags[3]
-    np.logical_or(flags[1], flags[2], out=unsure)
+    unsure |= flags[1]
+    unsure |= flags[2]
     n_ends = si[7:9]
     np.copyto(n_ends, floors, casting="unsafe")
     n_ends += n
@@ -267,12 +267,9 @@ def _decimal(ax: np.ndarray, s: np.ndarray, flags: np.ndarray, e2: np.ndarray):
     np.floor_divide(n_ends, 100, out=quotients)
     np.greater(quotients[0], quotients[1], out=deep)
     np.multiply(quotients[0], 100, out=value, where=deep)
-    # 10**17 is the carry into the next decade
-    carry = flags[1]
-    np.equal(value, _POW10[17], out=carry)
-    carry &= deep
-    np.copyto(value, _POW10[16], where=carry)
-    np.add(e10, 1, out=e10, where=carry)
+    # 10**17 carried into the next decade: left to repr
+    np.equal(value, _POW10[17], out=flags[1])
+    unsure |= flags[1]
     return value, e10, unsure
 
 
@@ -402,16 +399,15 @@ def repr_chars(values: np.ndarray, work: Workspace, before: int = 0, after: int 
     code *= temp
     chars[..., tail] = code.reshape(shape)
 
-    # the cells off the common path keep their comma and get every byte before it
-    if outside.any():
-        special = np.flatnonzero(outside)
-        xs = x[special]
-        chars[(*np.divmod(special, rows), slice(width - 1))] = _SPELLINGS[:, :width - 1].take(
-            np.isinf(xs) * (1 + (xs < 0)) + 3 * np.isnan(xs), axis=0)
-        unsure[special] = np.isfinite(xs) & (xs != 0.0)  # out of range: repr
+    # the cells off the pass keep their comma and get every byte before it:
+    # NaN none, every other one repr(x + 0.0)
+    np.isnan(x, out=temp)
+    chars[temp.reshape(shape), :width - 1] = 0
+    outside ^= temp
+    unsure |= outside
     if unsure.any():
         fallback = np.flatnonzero(unsure)
-        cells = np.array([repr(v) for v in x[fallback].tolist()], f"S{width - 1}")
+        cells = np.array([repr(v + 0.0) for v in x[fallback].tolist()], f"S{width - 1}")
         chars[(*np.divmod(fallback, rows), slice(width - 1))] = cells.view(np.uint8).reshape(
             -1, width - 1)
     return lines

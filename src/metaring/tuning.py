@@ -114,11 +114,15 @@ def twm_fwm_coefficients(loop: MicroloopSpec, bias: BiasState) -> NonlinearCoeff
     T vanishes for a symmetric loop (gamma = 1) and at zero bias; F is
     strictly positive.  ``taylor_coefficients`` applied to ``loop_energy``
     reproduces both directly as the cubic/quartic energy coefficients.
+    Raises ``ValueError`` when the dc current of any point reaches the
+    characteristic current of either wire.
     """
     i_star = loop.i_star_narrow
     l_narrow = loop.inductance_narrow
     gamma = loop.width_ratio
     i_dc = bias.dc_current
+    if np.any(np.abs(i_dc) >= min(i_star, loop.i_star_wide)):
+        raise ValueError("current exceeds the superconducting regime of a nanowire")
     i_dc2 = i_dc * i_dc
     i_star2 = i_star * i_star
     ratio = (i_dc2 + i_star2) / (gamma * gamma * i_dc2 + i_star2)
@@ -190,8 +194,6 @@ def nonlinearity_report(loop: MicroloopSpec, bias: BiasState) -> Dict[str, Array
     """
     coeffs = twm_fwm_coefficients(loop, bias)
     i_dc = bias.dc_current
-    if np.any(np.abs(i_dc) >= min(loop.i_star_narrow, loop.i_star_wide)):
-        raise ValueError("current exceeds the superconducting regime of a nanowire")
     # fit on the i_rf2 that keep both wire currents, I_dc - i_rf2 and
     # I_dc + ratio*i_rf2, below _NODE_SPAN of their i*; near i* that interval
     # leaves zero, and the fit is re-expanded about zero below

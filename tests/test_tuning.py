@@ -237,6 +237,22 @@ class TestMixingCoefficients:
         assert rel_err(coeffs.twm, SERIES_C3) < 1e-12
         assert rel_err(coeffs.fwm, SERIES_C4) < 1e-12
 
+    @pytest.mark.parametrize("i_dc", [2e-3, 1e160, np.array([0.0, -1e-3])])
+    def test_refuses_currents_past_the_superconducting_regime(self, default_config_path, i_dc):
+        # the shipped loop's narrow wire, i* = 1 mA, bounds loop_energy; past
+        # it the closed forms mean nothing (twm 1.7e-4 and fwm 0.11 at 2 mA,
+        # NaN at 1e160)
+        loop = load_config(default_config_path).microloop
+        assert min(loop.i_star_narrow, loop.i_star_wide) == 1e-3
+        with pytest.raises(ValueError, match="superconducting regime of a nanowire"):
+            twm_fwm_coefficients(loop, BiasState(0.0, i_dc))
+
+    def test_finite_just_below_the_superconducting_bound(self, default_config_path):
+        loop = load_config(default_config_path).microloop
+        below = np.nextafter(min(loop.i_star_narrow, loop.i_star_wide), 0.0)
+        coeffs = twm_fwm_coefficients(loop, BiasState(0.0, np.array([-below, below])))
+        assert np.isfinite(coeffs.twm).all() and np.isfinite(coeffs.fwm).all()
+
 
 class TestNonlinearityReport:
     def test_oracle_confirms_closed_forms(self, microloop):
