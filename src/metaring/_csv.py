@@ -14,7 +14,9 @@ numpy pass, each cell at most ``WIDTH`` bytes of its row's line with its
 comma last.  The digits follow the idea of Grisu (Loitsch 2010) and Ryu
 (Adams 2018): scale |x| by a power of ten to Y in [1e16, 1e17), find the
 largest power of ten 10**d with a multiple inside the rounding interval of
-Y, and take the multiple nearest Y.
+Y, and take the multiple nearest Y.  A cell's bytes are 32-bit words that
+one gather takes from a table, as few as the block's cells need, NUL-padded
+(see ``WIDTH``).
 
 Y is a double-double (about 104 bits), so its fraction is known to about
 1e-14.  A cell leaves the pass in one of two ways: NaN is emptied in place,
@@ -26,6 +28,7 @@ ulp or so of a power of ten, a cell whose log10 missed its decade or whose
 digits carry into the next one.
 """
 
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -40,31 +43,108 @@ _POW10 = 10 ** np.arange(18, dtype=np.int64)
 # dozen and the whole table takes about 2 ms to build
 _S0 = 274
 _POWERS = np.full((3, _S0 + 308), np.nan)
-# bytes of a cell, as 32-bit words: 3 NULs and the sign (or "0", or "-0",
-# for |x| < 1); up to 16 whole digits, right-aligned; "." and up to 3
-# zeros; 16 fraction digits, left-aligned; then the 17th fraction digit,
-# "e", sign and 2 or 3 exponent digits, at least two NULs, then the comma.
-# A call leaves out the whole words and exponent bytes no cell uses.
-WIDTH = 48
-_SIGN = np.frombuffer(b"\0\0\0\0\0\0\0-\0\0\0000\0\0-0", np.uint32)
-_POINT = np.frombuffer(b".\0\0\0.0\0\0.00\0.000\0\0\0\0", np.uint32)  # ".", ".0", ".00", ".000", none
-# "0000" to "9999" as words, then the same with leading zeros as NULs (for a
-# group with no digit before it), then with trailing zeros as NULs (for a
-# group with no digit after it)
-_QUADS = (np.arange(10000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16)
-          % 10 + 48).astype(np.uint8)
-_LEADING = np.maximum.accumulate(_QUADS > 48, axis=1)
-_TRAILING = np.maximum.accumulate((_QUADS > 48)[:, ::-1], axis=1)[:, ::-1]
-_WORDS = np.concatenate([_QUADS, _QUADS * _LEADING, _QUADS * _TRAILING]).view(np.uint32).ravel()
-del _LEADING, _TRAILING
-_PLACES = (10 ** 12, 10 ** 8, 10 ** 4, 1)
-_FRACTION_PLACES = 10 * np.array(_PLACES)[:, None]
-# a NUL (the 17th fraction digit's slot), then "e-324" to "e+308", and the
-# comma; a cell without an exponent ends with _COMMA's last 4 or all 8 bytes
-_E0 = 324
-_EXPONENT = np.array([(b"\0e%+03d" % e).ljust(7, b"\0") + b"," for e in range(-_E0, 309)],
-                     "S8").view(np.uint64)
-_COMMA = np.frombuffer(b"\0\0\0\0\0\0\0,", np.uint64)
+# A cell is a run of 32-bit words, gathered from _WORDS in one take:
+# - the whole digits and the point, right-aligned in as many words as the
+#   block needs, the last holding three digits and "."; a "-" takes the NUL
+#   before a negative cell's first digit, and a cell below 1 reads "0.";
+# - the zeros after the point of a cell below 1, if some cell has one;
+# - 16 fraction digits, left-aligned, with the trailing zeros as NULs;
+# - the 17th fraction digit and the comma, or, if some cell is d.ddde+XX,
+#   the 17th digit, "e", the exponent's sign and digits, NULs and the comma
+#   in two words.
+# So "-12.5" is "-12." "5\0\0\0" "\0\0\0\0" x 3 "\0\0\0," in a block whose
+# whole parts are below 100 and that has no exponent.
+WIDTH = 48  # the widest: five whole words, the zeros, four fraction and two tail words
+
+
+def _words(*rows: np.ndarray) -> np.ndarray:
+    """Byte rows stacked as columns, each column read as one 32-bit word."""
+    return np.column_stack(rows).astype(np.uint8).view(np.uint32).ravel()
+
+
+def _groups(count: int, variant: str) -> np.ndarray:
+    """The digits of 0 to 10**count - 1, zero-padded, as (count, 10**count)
+    uint8, with some zeros as NULs.
+
+    "whole": none; "lead": the leading zeros, and the number's first digit
+    (a 1 marking a sign) is "-" in "minus"; "units" and "units minus" keep
+    the last digit, so 0 reads "0"; "trailing": the trailing zeros, and
+    "first" keeps the first digit, so 0 reads "0".
+    """
+    digits = np.indices((10,) * count, np.uint8).reshape(count, -1) + np.uint8(48)
+    numbers, places = np.arange(10 ** count), 10 ** np.arange(count - 1, -1, -1)[:, None]
+    if variant == "whole":
+        return digits
+    if variant in ("trailing", "first"):
+        shown = digits > 48
+        for place in range(count - 2, -1, -1):
+            shown[place] |= shown[place + 1]
+        shown[0] |= variant == "first"
+        return digits * shown
+    if variant.startswith("units"):
+        places[-1] = 0
+    shown = numbers >= places
+    if variant.endswith("minus"):
+        return np.where(shown & (numbers < 10 * places), np.uint8(ord("-")), digits * shown)
+    return digits * shown
+
+
+_E0 = 324  # a cell's decade e10 + _E0 picks its row of _BY_E10 and its exponent's words
+_EXPONENTS = np.array([(b"e%+03d" % e).ljust(5, b"\0") for e in range(-_E0, 309)], "S5").view(
+    np.uint8).reshape(-1, 5).T
+_EXPONENTS[:, _E0 - 4:_E0 + 16] = 0  # d.ddde+XX only outside [1e-4, 1e16)
+_TENTHS = np.tile(np.arange(48, 58) * (np.arange(10) > 0), 633)  # a digit, as a NUL when 0
+_LAST = np.concatenate([_groups(3, v) for v in ("whole", "units", "units minus")], axis=1)
+_NULS, _COMMAS = np.zeros(3000), np.full(3000, ord(","))
+_TABLES = {
+    # whole groups: in full, after a group with a digit; with leading NULs
+    # (the first digit a "-" for a negative cell), in the group of the
+    # first digit and before it
+    "whole": _words(*_groups(4, "whole")),
+    "lead": _words(*_groups(4, "lead")),
+    "minus": _words(*_groups(4, "minus")),
+    # the last whole group: three digits and the point, or, for a one-digit
+    # d.ddde+XX with no fraction, one digit and no point
+    "last": _words(*_LAST, np.full(3000, ord("."))),
+    "single": _words(_NULS, *_LAST),
+    "zeros": _words(*np.array([[48] * k + [0] * (4 - k) for k in range(4)]).T),  # below 1: 0 to 3
+    # fraction groups: trailing zeros as NULs when no digit comes after
+    # the group, but the first fraction digit is always there (x.0)
+    "fraction": _words(*_groups(4, "trailing")),
+    "first": _words(*_groups(4, "first")),
+    # the 17th fraction digit and the comma
+    "tail": _words(_TENTHS[:10], _NULS[:10], _NULS[:10], _COMMAS[:10]),
+    # with exponents: the 17th digit and the first three exponent bytes by
+    # 10 * decade + digit, then the last two and the comma by decade
+    "exp_a": _words(_TENTHS, *np.repeat(_EXPONENTS[:3], 10, axis=1)),
+    "exp_b": _words(*_EXPONENTS[3:], _NULS[:633], _COMMAS[:633]),
+}
+_AT = dict(zip(_TABLES, np.cumsum([0] + [len(t) for t in _TABLES.values()]).tolist()))
+_WORDS = np.concatenate(list(_TABLES.values()))
+del _EXPONENTS, _TENTHS, _LAST, _NULS, _COMMAS, _TABLES
+_UPPER = np.array([10 ** 15, 10 ** 11, 10 ** 7, 10 ** 3])  # the whole groups before the last
+_FRACTION_PLACES = 10 * np.array([10 ** 12, 10 ** 8, 10 ** 4, 1])[:, None]
+_FRACTION_AT = np.array([_AT["first"], _AT["fraction"], _AT["fraction"], _AT["fraction"]])[:, None]
+
+
+def _by_e10() -> np.ndarray:
+    """What each decade e10 + _E0 in [0, 632] makes of a cell: (633, 4) int64.
+
+    The columns are 10**(17 - lead) and 10**lead, which split the 17 digits
+    into the lead whole digits and the fraction; 10**max(lead, 1), the
+    place of the mark that makes a negative cell's "-"; and the index of the
+    zeros word.  d.ddde+XX has one whole digit, and a cell below 1 none, a
+    "0" and 0 to 3 zeros after the point.
+    """
+    e10 = np.arange(-_E0, 309)
+    positional = (e10 >= -4) & (e10 < 16)
+    lead = np.where(positional, np.maximum(e10 + 1, 0), 1)
+    zeros = np.where(positional & (e10 < 0), -1 - e10, 0)
+    return np.stack([_POW10[17 - lead], _POW10[lead], _POW10[np.maximum(lead, 1)],
+                     _AT["zeros"] + zeros], axis=1)
+
+
+_BY_E10 = _by_e10()
 
 
 def _power(s: int):
@@ -83,7 +163,7 @@ def _power(s: int):
     return head, hi - head, lo
 
 
-_ROWS = 14  # 8-byte intermediates a cell
+_ROWS = 20  # 8-byte intermediates a cell
 # A block of a table holds as many rows as fit in this many float cells'
 # worth of row bytes (WIDTH a float; 24 an int; 8 a bool, each cell
 # word-aligned with its comma last), so a table of k float columns takes
@@ -105,10 +185,10 @@ class Workspace:
     is where a caller may stage a block's values, and ``chars``, where the
     lines are laid out, holds ``cells * WIDTH`` bytes, the caller's
     ``before`` and ``after`` spans included.  The default size holds one
-    block of ``write_csv``, so a run makes one workspace (about 1.5 MB) and
+    block of ``write_csv``, so a run makes one workspace (about 1.9 MB) and
     writes every table through it.
 
-    The arrays are views of one allocation of 184 bytes a cell, freed as one
+    The arrays are views of one allocation of 232 bytes a cell, freed as one
     chunk.  glibc's malloc raises its mmap and trim thresholds past a chunk
     that large once it is freed, so a process that makes a workspace again
     gets the same pages back without faulting them in.  It pays in time as
@@ -125,7 +205,6 @@ class Workspace:
         self.slots = memory[1:_ROWS + 1].ravel()
         self.flags = memory[_ROWS + 1].view(np.bool_)
         self.e2 = memory[_ROWS + 2].view(np.int32)[:cells]
-        self.word = memory[_ROWS + 2].view(np.uint32)[cells:]
         self.chars = memory[_ROWS + 3:].view(np.uint8).ravel()
 
 
@@ -263,20 +342,15 @@ def _decimal(ax: np.ndarray, s: np.ndarray, flags: np.ndarray, e2: np.ndarray):
     np.subtract(value, 10, out=value, where=up)
     np.less_equal(value, n_low, out=up)
     np.add(value, 10, out=value, where=up)
-    deep = flags[2]
     np.floor_divide(n_ends, 100, out=quotients)
-    np.greater(quotients[0], quotients[1], out=deep)
-    np.multiply(quotients[0], 100, out=value, where=deep)
+    np.subtract(quotients[1], quotients[0], out=one)
+    np.right_shift(one, 63, out=one)  # all bits set where (n_low, n_high] holds a multiple of 100
+    quotients[0] *= 100
+    _blend(value, quotients[0], one)
     # 10**17 carried into the next decade: left to repr
     np.equal(value, _POW10[17], out=flags[1])
     unsure |= flags[1]
     return value, e10, unsure
-
-
-def _put(words: np.ndarray, column: int, table: np.ndarray, index: np.ndarray, word: np.ndarray):
-    """words[..., column] = table[index], by way of the contiguous ``word``."""
-    table.take(index.reshape(word.shape), out=word, mode="clip")
-    words[..., column] = word
 
 
 def repr_chars(values: np.ndarray, work: Workspace, before: int = 0, after: int = 0) -> np.ndarray:
@@ -286,10 +360,10 @@ def repr_chars(values: np.ndarray, work: Workspace, before: int = 0, after: int 
     * width`` of line i, its last byte a comma; ``before`` and ``after``
     bytes of each line are left to the caller as they were.
 
-    ``width`` is at most ``WIDTH``: the cells leave out the whole-digit
-    words that no cell of ``values`` uses, and the exponent's bytes when no
-    cell has one.  ``work`` holds at least ``values.size`` cells, and the
-    lines in ``work.chars``.
+    ``width`` is at most ``WIDTH``: a block has the whole words its cells
+    need, the zeros word only if a cell below 1 has a zero after the point,
+    and the exponent's word only if a cell is d.ddde+XX.  ``work`` holds at
+    least ``values.size`` cells, and the lines in ``work.chars``.
     """
     x = np.asarray(values, dtype=np.float64).ravel()
     shape, count = np.shape(values), len(x)
@@ -302,109 +376,119 @@ def repr_chars(values: np.ndarray, work: Workspace, before: int = 0, after: int 
     np.less_equal(ax, _HIGH, out=temp)
     outside &= temp
     np.logical_not(outside, out=outside)  # zero, inf, NaN and |x| out of range
-    np.copyto(ax, 1.0, where=outside)
+    # repr writes a finite, nonzero |x| out of range in up to 24 bytes, so
+    # its block takes the exponent's word
+    far = False
+    if outside.any():
+        rest = x[outside]
+        far = bool((np.isfinite(rest) & (rest != 0)).any())
+        np.copyto(ax, 1.0, where=outside)
     value, e10, unsure = _decimal(ax, s, flags, work.e2[:count])
 
-    # d.ddde+XX outside [1e-4, 1e16); the whole part is value's first e10 + 1
-    # digits, none below 1 (the sign word holds the "0") and one in d.ddde+XX
-    positional, below_one = flags[1], flags[2]
-    np.greater_equal(e10, -4, out=positional)
-    np.less(e10, 16, out=temp)
-    positional &= temp
-    np.less(e10, 0, out=below_one)
-    below_one &= positional
-    lead, a, cut, whole, fraction, b = si[0], si[2], si[3], si[4], si[5], si[6]
-    lead.fill(1)
-    np.add(e10, 1, out=lead, where=positional)
-    np.maximum(lead, 0, out=lead)
-    np.subtract(17, lead, out=a)
-    _POW10.take(a, out=cut, mode="clip")
-    np.floor_divide(value, cut, out=whole)
-    np.multiply(whole, cut, out=fraction)
-    np.subtract(value, fraction, out=fraction)
-    _POW10.take(lead, out=b, mode="clip")
-    fraction *= b  # 17 digits, left-aligned
+    # the 17 digits split into the whole part and the fraction, and a
+    # negative cell's mark, a 1 just before its first digit, added to the
+    # whole part: its word writes the 1 as "-"
+    decade, sign = si[0], si[1]
+    np.add(e10, _E0, out=decade)
+    split = si[2:6].reshape(count, 4)
+    _BY_E10.take(decade, axis=0, out=split, mode="clip")
+    cut, scale, mark, zeros = split.T
+    whole, fraction = si[6], si[7]
+    np.divmod(value, cut, out=(whole, fraction))
+    fraction *= scale  # 17 digits, left-aligned
+    np.right_shift(x.view(np.int64), 63, out=sign)  # all bits set where x < 0
+    np.bitwise_and(mark, sign, out=si[8])
+    whole += si[8]
 
-    # The cell: the sign word, a word per whole group that some cell uses,
-    # the point word, four fraction words, then the 17th fraction digit,
-    # the exponent if some cell has one, and the comma, in 8 bytes or 4.
-    # Every byte of it is written below, so the workspace holds no stale byte.
-    places = [place for place in _PLACES if whole.max(initial=0) >= place]
-    exponential = not positional.all()
-    tail = 4 * (len(places) + 6)
-    width = tail + (8 if exponential else 4)
-    columns, rows = shape
-    line = before + columns * width + after
-    lines = work.chars[:rows * line].reshape(rows, line)
-    chars = lines[:, before:line - after].reshape(rows, columns, width).transpose(1, 0, 2)
-    words = chars.view(np.uint32)
-    word = work.word[:count].reshape(shape)
-    np.multiply(below_one, 2, out=a)
-    np.less(x, 0, out=temp)
-    a += temp
-    _put(words, 0, _SIGN, a, word)
-    # whole groups, with their leading zeros as NULs when no digit comes
-    # before them, as in every cell's first group
-    rest, group = whole, si[8]
-    for column, place in enumerate(places, 1):
-        if place > 1:
-            np.floor_divide(rest, place, out=group)
-            np.multiply(group, place, out=b)
-            rest = np.subtract(rest, b, out=si[7])
-        else:
-            group = rest  # the last group; whole is not read again
-        if column == 1:
-            group += 10000
-        else:
-            np.less(whole, 10000 * place, out=temp)
-            np.add(group, 10000, out=group, where=temp)
-        _put(words, column, _WORDS, group, word)
-    # "." and the zeros after it below 1; ".0" for a whole number; no point
-    # in a one-digit d.ddde+XX
-    column, group = len(places) + 1, si[8]
-    group.fill(4)
-    np.copyto(group, 1, where=positional)
-    np.equal(fraction, 0, out=temp)
-    group *= temp
-    np.subtract(-1, e10, out=b)
-    np.copyto(group, b, where=below_one)
-    _put(words, column, _POINT, group, word)
+    # The cell's words, as indices into _WORDS: a word per whole group that
+    # some cell uses, the last with the point; the zeros after the point if
+    # some cell has one; four fraction words; then the 17th fraction digit
+    # and the comma, with the exponent between them if some cell has one.
+    top = int(whole.max(initial=0))
+    upper = _UPPER[sum(top < place for place in _UPPER.tolist()):, None]
+    has_zeros = zeros.max(initial=0) > _AT["zeros"]
+    positional = _E0 - 4 <= decade.min(initial=_E0) <= decade.max(initial=_E0) < _E0 + 16
+    exponential = far or not positional
+    k, words = len(upper), len(upper) + has_zeros + (7 if exponential else 6)
+    index = si[8:8 + words]
+    last, fractions, tails = index[k], index[k + 1 + has_zeros:k + 5 + has_zeros], index[-2:]
+    if has_zeros:
+        index[k + 1] = zeros
+    if exponential:
+        # a one-digit d.ddde+XX has no point: its last whole word comes from
+        # "single", its first fraction word is all NULs
+        single = flags[2]
+        np.subtract(decade, _E0 - 4, out=si[2])
+        np.greater_equal(si[2].view(np.uint64), 20, out=single)
+        np.equal(fraction, 0, out=temp)
+        single &= temp
+        np.multiply(decade, 10, out=tails[0])
+        tails[0] += _AT["exp_a"]
+        np.add(decade, _AT["exp_b"], out=tails[1])
+    # the whole groups, in full after a group with a digit, else from
+    # "lead" or, for a negative cell, "minus": step is 1000 or 2000, the
+    # offset of those in "last", and 10 * step their offset for the others
+    step = si[0]
+    np.multiply(sign, -1000, out=step)
+    step += 1000
+    if k:
+        groups, leading = index[:k], si[2:2 + k]
+        np.floor_divide(whole, upper, out=groups)
+        np.multiply(groups[-1], 1000, out=last)
+        np.subtract(whole, last, out=last)
+        np.less(groups, 10000, out=leading)
+        np.multiply(groups[:-1], 10000, out=fractions[:k - 1])
+        groups[1:] -= fractions[:k - 1]
+        np.multiply(step, 10, out=si[1])
+        leading *= si[1]
+        groups += leading
+        np.less(whole, 1000, out=temp)
+        step *= temp
+        last += _AT["last"]
+    else:
+        np.add(whole, _AT["last"], out=last)
+    last += step
+    if exponential:
+        np.multiply(single, _AT["single"] - _AT["last"], out=step)
+        last += step
     # the four fraction groups at once: group k is fraction // 10**(13 - 4k)
     # less 10**4 times the one before, with its trailing zeros as NULs when
     # no digit comes after it, that is when fraction // 10**(13 - 4k) *
     # 10**(13 - 4k) is fraction itself
-    groups, scaled, trailing = si[6:10], si[10:14], flags[4:8]
-    np.floor_divide(fraction, _FRACTION_PLACES, out=groups)
-    np.multiply(groups, _FRACTION_PLACES, out=scaled)
+    scaled, trailing = si[2:6], flags[4:8]
+    np.floor_divide(fraction, _FRACTION_PLACES, out=fractions)
+    np.multiply(fractions, _FRACTION_PLACES, out=scaled)
     np.equal(scaled, fraction, out=trailing)
     np.subtract(fraction, scaled[3], out=fraction)  # the 17th digit
-    np.multiply(groups[:3], 10000, out=scaled[1:])
-    groups[1:] -= scaled[1:]
-    np.multiply(trailing, 20000, out=scaled)
-    groups += scaled
-    quads = s[2:4].view(np.uint32).reshape((4,) + shape)
-    _WORDS.take(groups.reshape(quads.shape), out=quads, mode="clip")
-    words[..., column + 1:column + 5] = quads.transpose(1, 2, 0)
-    code = si[10]
-    if exponential:  # "e", its sign and 2 or 3 digits, after a NUL byte
-        exponent = s[0].view(np.uint64)
-        np.add(e10, _E0, out=code)
-        _EXPONENT.take(code, out=exponent, mode="clip")
-        np.copyto(exponent, _COMMA, where=positional)
-        words[..., -2:] = exponent.view(np.uint32).reshape(shape + (2,))
+    if exponential:
+        tails[0] += fraction
     else:
-        words[..., -1] = _COMMA.view(np.uint32)[1]
-    np.add(fraction, 48, out=code)
-    np.not_equal(fraction, 0, out=temp)
-    code *= temp
-    chars[..., tail] = code.reshape(shape)
+        np.add(fraction, _AT["tail"], out=tails[1])
+    np.multiply(fractions[:3], 10000, out=scaled[1:])
+    fractions[1:] -= scaled[1:]
+    np.multiply(trailing, _FRACTION_AT, out=scaled)
+    fractions += scaled
+    if exponential:
+        np.multiply(single, _AT["first"] - _AT["fraction"], out=scaled[0])
+        fractions[0] -= scaled[0]
+
+    width = 4 * words
+    columns, rows = shape
+    line = before + columns * width + after
+    lines = work.chars[:rows * line].reshape(rows, line)
+    chars = lines[:, before:line - after].reshape(rows, columns, width).transpose(1, 0, 2)
+    quads = s[:6].view(np.uint32).ravel()[:words * count].reshape(words, count)
+    _WORDS.take(index, out=quads, mode="wrap")
+    chars.view(np.uint32)[...] = quads.reshape(words, columns, rows).transpose(1, 2, 0)
 
     # the cells off the pass keep their comma and get every byte before it:
     # NaN none, every other one repr(x + 0.0)
-    np.isnan(x, out=temp)
-    chars[temp.reshape(shape), :width - 1] = 0
-    outside ^= temp
-    unsure |= outside
+    if outside.any():
+        np.isnan(x, out=temp)
+        if temp.any():
+            chars[temp.reshape(shape), :width - 1] = 0
+            outside ^= temp
+        unsure |= outside
     if unsure.any():
         fallback = np.flatnonzero(unsure)
         cells = np.array([repr(v + 0.0) for v in x[fallback].tolist()], f"S{width - 1}")
@@ -419,12 +503,19 @@ def _block_rows(arrays: Sequence[np.ndarray]) -> int:
     return max(1, _CSV_BLOCK_CELLS * WIDTH // width)
 
 
+def _all_nan(column: np.ndarray) -> bool:
+    """Whether every value of the non-empty ``column`` is NaN; its ends first."""
+    return column[0] != column[0] and column[-1] != column[-1] and bool(np.isnan(column).all())
+
+
 def _csv_lines(block: Sequence[np.ndarray], work: Workspace) -> bytes:
     """The CSV lines of equal-length columns whose floats are adjacent.
 
     ``repr_chars`` lays the float cells out in lines through ``work``, each
-    NUL-padded with its comma last and NaN empty.  The int and bool cells
-    before and after them go into the same lines, as their digits or
+    NUL-padded with its comma last and NaN empty.  A float column that is
+    all NaN in the block, at either end of the float columns, skips the
+    kernel: its cells are NULs and a comma.  The int and bool cells before
+    and after the floats go into the same lines, as their digits or
     ``true``/``false`` and a comma, then each line's last comma becomes its
     newline and the NULs are dropped.
     """
@@ -435,14 +526,29 @@ def _csv_lines(block: Sequence[np.ndarray], work: Workspace) -> bytes:
     values = work.x[:rows * count].reshape(count, rows)
     for row, column in zip(values, block[first:first + count]):
         row[...] = column
-    lines = repr_chars(values, work, sum(widths[:first]), sum(widths[first + count:]))
-    ends = np.cumsum(widths)
-    ends[first:] += lines.shape[1] - ends[-1]  # the float cells' own width
-    for column, end, width in zip(block, ends.tolist(), widths):
-        if column.dtype.kind != "f":
-            cells = lines[:, end - width:end - 1].view(f"S{width - 1}")[:, 0]
+    lo, hi = first, first + count
+    while lo < hi and _all_nan(values[lo - first]):
+        lo += 1
+    while lo < hi and _all_nan(values[hi - first - 1]):
+        hi -= 1
+    for j in [*range(first, lo), *range(hi, first + count)]:
+        widths[j] = 4
+    before, after = sum(widths[:lo]), sum(widths[hi:])
+    if lo < hi:
+        lines = repr_chars(values[lo - first:hi - first], work, before, after)
+        widths[lo:hi] = [(lines.shape[1] - before - after) // (hi - lo)] * (hi - lo)
+    else:
+        lines = work.chars[:rows * (before + after)].reshape(rows, before + after)
+    for j, (column, end, width) in enumerate(zip(block, accumulate(widths), widths)):
+        if lo <= j < hi:
+            continue
+        cells = lines[:, end - width:end - 1]
+        if column.dtype.kind == "f":
+            cells[...] = 0
+        else:
+            cells = cells.view(f"S{width - 1}")[:, 0]
             cells[...] = np.where(column, b"true", b"false") if column.dtype.kind == "b" else column
-            lines[:, end - 1] = ord(",")
+        lines[:, end - 1] = ord(",")
     lines[:, -1] = ord("\n")
     return lines.tobytes().translate(None, b"\0")
 
@@ -451,12 +557,15 @@ def write_csv(path, header: Sequence[str], columns: Sequence, work: Workspace) -
     """Write equal-length ``columns`` (arrays or lists) under ``header``.
 
     A column holds floats, ints or bools.  Every table has at least two
-    columns, so no row is a lone empty field (written ``""``).  The float
-    columns are adjacent, any int and bool columns before or after them;
-    other columns or another order raise ``TypeError``.  Every block of
-    rows is formatted through ``work``, whatever the table's length.
+    columns, so no row is a lone empty field (written ``""``); fewer raise
+    ``TypeError``.  The float columns are adjacent, any int and bool columns
+    before or after them; other columns or another order raise
+    ``TypeError``.  Every block of rows is formatted through ``work``,
+    whatever the table's length.
     """
     arrays = [np.asarray(column) for column in columns]
+    if len(arrays) < 2:
+        raise TypeError(f"a CSV table has at least two columns, got {len(arrays)}")
     if set("".join(array.dtype.kind for array in arrays).strip("biu")) != {"f"}:
         raise TypeError("CSV columns hold floats, ints or bools, and the float columns must be "
                         f"adjacent, got {', '.join(str(array.dtype) for array in arrays)}")

@@ -3,8 +3,11 @@ against ``repr``, and the column writer against a per-cell writer, as the
 byte oracles."""
 
 import csv
+import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -160,6 +163,60 @@ def test_special_cells_of_a_two_dimensional_block():
     assert kernel_cells(values, Workspace(64)) == repr_cells(values)
 
 
+# loads the _csv module at argv[1], formats the float64 bytes on stdin as one
+# (4, n) block and prints the sha256 of its cells, then the SIMD targets
+# numpy dispatches to
+DISPATCH_CHILD = """
+import hashlib, importlib.util, sys
+import numpy as np
+spec = importlib.util.spec_from_file_location("kernel", sys.argv[1])
+kernel = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(kernel)
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+values = np.frombuffer(sys.stdin.buffer.read(), np.float64).reshape(4, -1)
+lines = kernel.repr_chars(values, kernel.Workspace(values.size))
+print(hashlib.sha256(lines.tobytes().translate(None, b"\\0")).hexdigest())
+print(" ".join(target for target in __cpu_dispatch__ if __cpu_features__[target]))
+"""
+
+
+def test_same_cells_at_every_dispatch_level():
+    # The kernel's bytes may not depend on the SIMD targets numpy dispatches
+    # to.  One child per level of numpy's dispatch targets above its
+    # baseline that this machine has runs with that level and those above
+    # it disabled, and each must format the block as this process does.
+    # The inputs are made here and sent to every child: random bit patterns,
+    # and decimal literals of 1 to 17 digits parsed by float(), as numpy's
+    # own powers of ten move with the level.
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    dispatch = [target for target in __cpu_dispatch__ if __cpu_features__[target]]
+    rng = np.random.default_rng(43)
+    bits = rng.integers(0, 2 ** 64, 40_000, dtype=np.uint64, endpoint=False).view(np.float64)
+    mantissas = rng.integers(1, 10 ** rng.integers(1, 18, 40_000))
+    literals = [float(f"{'-' * (m % 2)}{m}e{e}") for m, e in
+                zip(mantissas.tolist(), rng.integers(-320, 300, 40_000).tolist())]
+    values = np.concatenate([bits, literals])
+    levels = [tuple(dispatch[i:]) for i in range(len(dispatch))]
+    children = [subprocess.Popen([sys.executable, "-c", DISPATCH_CHILD, _csv.__file__],
+                                 stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                 env=dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(level)))
+                for level in levels]
+    outputs = [child.communicate(values.tobytes(), timeout=120)[0].decode().split("\n")
+               for child in children]
+    assert all(child.returncode == 0 for child in children)
+    for level, (_, enabled, _) in zip(levels, outputs):
+        assert not set(level) & set(enabled.split())
+    lines = repr_chars(values.reshape(4, -1), Workspace(values.size))
+    expected = hashlib.sha256(lines.tobytes().translate(None, b"\0")).hexdigest()
+    assert [digest for digest, *_ in outputs] == [expected] * len(levels)
+
+
 def _fmt(value) -> str:
     """One CSV cell; None and NaN (a missing value) are written empty."""
     if value is None:
@@ -307,6 +364,85 @@ class TestColumnWriter:
             tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) <= 64 * 1024
         assert peaks[1] <= workspace + 2 * _CSV_BLOCK_CELLS * WIDTH + 64 * 1024
+
+    @staticmethod
+    def assert_same_bytes(tmp_path, columns):
+        header = [f"c{j}" for j in range(len(columns))]
+        write_csv(tmp_path / "columns.csv", header, columns, Workspace())
+        write_csv_per_cell(tmp_path / "cells.csv", header, zip(*columns))
+        assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+
+    @staticmethod
+    def at_block_edges(columns, cells) -> list:
+        """``columns`` with the rows of ``cells`` (one value a column) written
+        around every block edge, the middle one first in its block."""
+        step = _block_rows(columns)
+        assert block_edges(columns) >= 2
+        for edge in range(step, len(columns[0]), step):
+            for i, row in enumerate(cells, edge - len(cells) // 2):
+                for column, value in zip(columns, row):
+                    if column.dtype.kind == "f":
+                        column[i] = value
+        return columns
+
+    @pytest.mark.parametrize("digits", range(1, 17))
+    def test_negative_whole_parts_at_block_edges(self, tmp_path, digits):
+        # The block's widest whole part has ``digits`` digits and a "-": at
+        # 3, 7, 11 and 15 digits they fill its first whole word, and the
+        # "-" takes a word of its own.
+        rng = np.random.default_rng(digits)
+        rows = 2 * _block_rows([np.empty(0)] * 3) + 10
+        columns = [-np.floor(rng.random(rows) * 10 ** (digits - 1)) - rng.random(rows)
+                   for _ in range(3)]
+        cells = [(-float(10 ** d - 2), float(10 ** d - 2), -float(10 ** (d - 1)) - 0.25)
+                 for d in range(1, digits + 1)]
+        self.assert_same_bytes(tmp_path, self.at_block_edges(columns, cells))
+
+    @pytest.mark.parametrize("cells", [
+        # whole numbers next to fractional cells
+        [(2.0, 2.5, -2.0), (-2.5, 100.0, 0.125), (1e15, 123456789.0, -0.5),
+         (9007199254740992.0, 0.1, 7.0)],
+        # below 1 with 0 to 3 zeros after the point, 17 digits among them
+        [(0.5, 0.05, 0.005), (0.0005, -0.5, -0.05), (-0.005, -0.0005, 0.0004938079620407419),
+         (0.0019144787025961577, -0.09999999999999999, 0.00012345678901234567)],
+        # one-digit d.ddde+XX next to wider ones and positional cells
+        [(1e-05, -5e+16, 0.001), (2e-300, 12.5, -1.25e+20), (3e+16, -7e-05, 1.5e-05),
+         (-0.5, 9e+299, 1e+16)],
+        # repr's longest cells, out of the kernel's range, among positional ones
+        [(-2.2250738585072014e-308, 0.5, 2.0), (1.7976931348623157e+308, -1e-323, 3.25),
+         (-1.2345678901234567e-300, 1e-291, 0.0)],
+    ], ids=["whole_next_to_fraction", "below_one_zeros", "one_digit_exponent", "far_out_of_range"])
+    def test_cells_at_block_edges(self, tmp_path, cells):
+        # the filler is positional and at least 1, so the cells alone set
+        # whether a block has the zeros and the exponent's words
+        rng = np.random.default_rng(3)
+        rows = 2 * _block_rows([np.empty(0)] * 3) + 10
+        columns = [1.0 + rng.random(rows) * 10.0 ** k for k in (0, 1, 2)]
+        self.assert_same_bytes(tmp_path, self.at_block_edges(columns, cells))
+
+    def test_all_nan_spans_of_a_block(self, tmp_path):
+        # float columns all NaN in a block, at the start, in the middle and
+        # at the end of the float columns, and all of them in the last block
+        rng = np.random.default_rng(9)
+        kinds = [np.empty(0, int)] + [np.empty(0)] * 4 + [np.empty(0, bool)]
+        step = _block_rows(kinds)
+        rows = 4 * step + 2
+        floats = [rng.standard_normal(rows) * 1e3 for _ in range(4)]
+        for block, nan in enumerate([[0], [1, 2], [3], [0, 3], [0, 1, 2, 3]]):
+            for j in nan:
+                floats[j][block * step:(block + 1) * step] = np.nan
+        floats[2][2 * step + 5] = np.nan  # a NaN cell in a column the kernel formats
+        floats[0][[2 * step, 3 * step - 1]] = np.nan  # NaN at both ends of a block, not all through
+        columns = [np.arange(rows) - 7, *floats, np.arange(rows) % 3 == 0]
+        self.assert_same_bytes(tmp_path, columns)
+
+    @pytest.mark.parametrize("columns", [([1.5, float("nan"), 2.0],), ()], ids=["one", "none"])
+    def test_fewer_than_two_columns_rejected(self, tmp_path, columns):
+        # a one-column table would write its NaN row as an empty line, which
+        # CSV readers drop, where RFC 4180 writes ""
+        with pytest.raises(TypeError, match="at least two columns"):
+            write_csv(tmp_path / "columns.csv", [f"c{j}" for j in range(len(columns))], columns,
+                      Workspace())
 
     def test_other_column_kinds_rejected(self, tmp_path):
         with pytest.raises(TypeError, match="floats, ints or bools"):
