@@ -513,42 +513,37 @@ def _csv_lines(block: Sequence[np.ndarray], work: Workspace) -> bytes:
 
     ``repr_chars`` lays the float cells out in lines through ``work``, each
     NUL-padded with its comma last and NaN empty.  A float column that is
-    all NaN in the block, at either end of the float columns, skips the
-    kernel: its cells are NULs and a comma.  The int and bool cells before
-    and after the floats go into the same lines, as their digits or
-    ``true``/``false`` and a comma, then each line's last comma becomes its
-    newline and the NULs are dropped.
+    all NaN in the block, at the end of the float columns, skips the kernel
+    (the first float column never does): its cells are NULs and a comma.
+    The int and bool cells before and after the floats go into the same
+    lines, as their digits or ``true``/``false`` and a comma, then each
+    line's last comma becomes its newline and the NULs are dropped.
     """
     kinds = "".join(column.dtype.kind for column in block)
-    first, count, rows = kinds.index("f"), kinds.count("f"), len(block[0])
+    first, count = kinds.index("f"), kinds.count("f")
     widths = [_CELL_BYTES[kind] for kind in kinds]
     # column after column, so the kernel's masks run along a column
-    values = work.x[:rows * count].reshape(count, rows)
+    values = work.x[:len(block[0]) * count].reshape(count, -1)
     for row, column in zip(values, block[first:first + count]):
         row[...] = column
-    lo, hi = first, first + count
-    while lo < hi and _all_nan(values[lo - first]):
-        lo += 1
-    while lo < hi and _all_nan(values[hi - first - 1]):
-        hi -= 1
-    for j in [*range(first, lo), *range(hi, first + count)]:
-        widths[j] = 4
-    before, after = sum(widths[:lo]), sum(widths[hi:])
-    if lo < hi:
-        lines = repr_chars(values[lo - first:hi - first], work, before, after)
-        widths[lo:hi] = [(lines.shape[1] - before - after) // (hi - lo)] * (hi - lo)
-    else:
-        lines = work.chars[:rows * (before + after)].reshape(rows, before + after)
-    for j, (column, end, width) in enumerate(zip(block, accumulate(widths), widths)):
-        if lo <= j < hi:
+    kept = count
+    while kept > 1 and _all_nan(values[kept - 1]):
+        kept -= 1
+    end = first + kept
+    widths[end:first + count] = [4] * (count - kept)
+    before, after = sum(widths[:first]), sum(widths[end:])
+    lines = repr_chars(values[:kept], work, before, after)
+    widths[first:end] = [(lines.shape[1] - before - after) // kept] * kept
+    for j, (column, stop, width) in enumerate(zip(block, accumulate(widths), widths)):
+        if first <= j < end:
             continue
-        cells = lines[:, end - width:end - 1]
+        cells = lines[:, stop - width:stop - 1]
         if column.dtype.kind == "f":
             cells[...] = 0
         else:
             cells = cells.view(f"S{width - 1}")[:, 0]
             cells[...] = np.where(column, b"true", b"false") if column.dtype.kind == "b" else column
-        lines[:, end - 1] = ord(",")
+        lines[:, stop - 1] = ord(",")
     lines[:, -1] = ord("\n")
     return lines.tobytes().translate(None, b"\0")
 

@@ -30,7 +30,7 @@ def watts_from_dbm(dbm: float) -> float:
 
 
 def dbm_from_watts(watts: float) -> float:
-    if watts <= 0:
+    if not watts > 0:
         raise ValueError("power must be positive to express in dBm")
     return 10.0 * math.log10(watts / 1e-3)
 
@@ -55,16 +55,16 @@ class ConverterParams(NamedTuple):
     p0_norm: Optional[float] = None
 
     def _check(self) -> None:
-        if self.kappa_s <= 0 or self.kappa_i <= 0:
+        if not (self.kappa_s > 0 and self.kappa_i > 0):
             raise ValueError("linewidths must be positive")
         for name, eta in (("eta_s", self.eta_s), ("eta_i", self.eta_i)):
             if not (0.0 <= eta <= 1.0):
                 raise ValueError(f"{name} must lie in [0, 1], got {eta!r}")
-        if self.g0 < 0:
+        if not self.g0 >= 0:
             raise ValueError("g0 must be non-negative")
-        if self.n_eff is not None and self.n_eff < 0:
+        if self.n_eff is not None and not self.n_eff >= 0:
             raise ValueError("n_eff must be non-negative")
-        if self.p0_norm is not None and self.p0_norm < 0:
+        if self.p0_norm is not None and not self.p0_norm >= 0:
             raise ValueError("p0_norm must be non-negative")
         try:
             finite = (self.p0_norm is not None or self.n_eff is None
@@ -155,7 +155,7 @@ def matched_bandwidth(kappa: float, c: float) -> float:
     half-peak crossing becomes x = (2A - B + sqrt(B(4A - B)))/2.  Both
     branches meet at C = 1 where the width is sqrt(2)*kappa.
     """
-    if kappa <= 0 or c < 0:
+    if not (kappa > 0 and c >= 0):
         raise ValueError("kappa must be positive and c non-negative")
     a = kappa**2 * (1.0 + c) / 4.0
     b = kappa**2
@@ -204,7 +204,7 @@ def calibrated_efficiency(
     gain and loss cancel: rescaling any single path multiplies one peak and
     one background identically.
     """
-    if s_ss_background <= 0 or s_ii_background <= 0:
+    if not (s_ss_background > 0 and s_ii_background > 0):
         raise ValueError("background magnitudes must be positive")
     return (s_is_peak * s_si_peak) / (s_ss_background * s_ii_background)
 
@@ -220,7 +220,7 @@ def interference_fringe(
     Maximum (r+t)^2 at phi = -offset, minimum (r-t)^2 half a period later;
     visibility 2 r t/(r^2 + t^2); period exactly 2*pi.
     """
-    if r_mag < 0 or t_mag < 0 or r_mag**2 + t_mag**2 > 1.0 + 1e-12:
+    if not (r_mag >= 0 and t_mag >= 0 and r_mag**2 + t_mag**2 <= 1.0 + 1e-12):
         raise ValueError("require r, t >= 0 with r^2 + t^2 <= 1")
     phi = np.asarray(pump_phase, dtype=float)
     power = r_mag**2 + t_mag**2 + 2.0 * r_mag * t_mag * np.cos(phi + phase_offset)
@@ -240,13 +240,12 @@ def fringe_visibility(r_mag: float, t_mag: float) -> float:
 class KerrSteadyState(NamedTuple):
     """Real positive intracavity photon-number branches, sorted ascending.
 
-    For one drive ``photon_numbers`` is a tuple and ``bifurcated`` a bool;
-    for an array of n drives they are an (n, 3) array padded with NaN and a
-    bool array of length n.
+    For n drives (n = 1 for one scalar drive) ``photon_numbers`` is an
+    (n, 3) array padded with NaN and ``bifurcated`` a bool array of length n.
     """
 
-    photon_numbers: Union[Tuple[float, ...], np.ndarray]
-    bifurcated: Union[bool, np.ndarray]
+    photon_numbers: np.ndarray
+    bifurcated: np.ndarray
 
 
 def _newton_polish(x: np.ndarray, a: float, b: float, c: np.ndarray) -> np.ndarray:
@@ -302,8 +301,10 @@ def kerr_steady_state(
     soft-spring convention: the resonance pulls down under load, so positive
     ``detuning`` means driving below the unloaded resonance and is where the
     response becomes multivalued.  All rate arguments are in Hz; the flux is
-    an absolute rate in photons/s, one value or an array.  ``bifurcated``
-    flags three distinct positive branches.
+    an absolute rate in photons/s, one value or a 1-D array of n, and the
+    branches come back as (n, 3) rows (n = 1 for one value; see
+    ``KerrSteadyState``).  ``bifurcated`` flags three distinct positive
+    branches.
 
     Every cubic is solved at once in closed form (Numerical Recipes, 3rd
     ed., section 5.6): the trigonometric form where the discriminant gives
@@ -313,10 +314,10 @@ def kerr_steady_state(
     companion-matrix eigenvalues (the matrix ``np.roots`` builds) as the
     oracle for the branch count and the residual.
     """
-    if kappa <= 0 or kappa_ex < 0 or kerr_rate < 0:
+    if not (kappa > 0 and kappa_ex >= 0 and kerr_rate >= 0):
         raise ValueError("kappa must be positive; kappa_ex and kerr_rate non-negative")
     flux = np.asarray(drive_photon_flux, dtype=float)
-    if np.any(flux < 0):
+    if not np.all(flux >= 0):
         raise ValueError("drive flux must be non-negative")
     two_pi = 2.0 * math.pi
     delta = two_pi * detuning
@@ -337,13 +338,6 @@ def kerr_steady_state(
         )
         branches = np.sort(np.where(roots > 0.0, roots, np.nan), axis=1)
     bifurcated = (branches[:, 0] < branches[:, 1]) & (branches[:, 1] < branches[:, 2])
-
-    if flux.ndim == 0:
-        row = branches[0]
-        return KerrSteadyState(
-            photon_numbers=tuple(float(n) for n in row[~np.isnan(row)]),
-            bifurcated=bool(bifurcated[0]),
-        )
     return KerrSteadyState(photon_numbers=branches, bifurcated=bifurcated)
 
 
@@ -366,7 +360,7 @@ def bifurcation_point(
     d_c = sqrt(3) k/2, n_c = k/(sqrt(3) K),
     flux_c = (2 pi) k^3/(3 sqrt(3) K k_ex)  with k, K, k_ex in Hz.
     """
-    if kerr_rate <= 0 or kappa <= 0 or kappa_ex <= 0:
+    if not (kerr_rate > 0 and kappa > 0 and kappa_ex > 0):
         raise ValueError("rates must be positive")
     return BifurcationPoint(
         detuning=math.sqrt(3.0) * kappa / 2.0,
@@ -402,14 +396,14 @@ class TlsModel(NamedTuple):
     q_other: float
 
     def _check(self) -> None:
-        if min(self.q_tls0, self.n_c, self.alpha, self.q_other) <= 0:
+        if not all(v > 0 for v in (self.q_tls0, self.n_c, self.alpha, self.q_other)):
             raise ValueError("all TLS model parameters must be positive")
 
 
 def tls_quality_factor(n_photon: ArrayLike, model: TlsModel) -> ArrayLike:
     """Internal quality factor at probe photon number ``n_photon``."""
     n = np.asarray(n_photon, dtype=float)
-    if np.any(n < 0):
+    if not np.all(n >= 0):
         raise ValueError("photon number must be non-negative")
     loss = 1.0 / model.q_other + (1.0 / model.q_tls0) / np.sqrt(
         1.0 + (n / model.n_c) ** model.alpha
@@ -427,7 +421,7 @@ def single_photon_efficiency(tls: TlsModel, q_ex: float, n_sat: float) -> float:
     Q_in(n_sat); the per-mode coupling eta = Q_in/(Q_in + Q_ex) bounds the
     C = 1 efficiency at eta_s*eta_i (identical modes assumed).
     """
-    if q_ex <= 0:
+    if not q_ex > 0:
         raise ValueError("q_ex must be positive")
     q_in = tls_quality_factor(n_sat, tls)
     eta = q_in / (q_in + q_ex)

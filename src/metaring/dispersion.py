@@ -102,7 +102,7 @@ class MismatchReport(NamedTuple):
 
 def segment_abcd(segment: SegmentParams, frequency: float) -> TwoPortMatrix:
     """ABCD matrix of one lossless segment at ``frequency`` [Hz]."""
-    if frequency < 0:
+    if not frequency >= 0:
         raise ValueError("frequency must be non-negative")
     theta = segment.wave_number(frequency) * segment.length
     z = segment.impedance
@@ -248,7 +248,7 @@ class _CellRows:
 def cell_trace(cell: UnitCell, frequency: ArrayLike) -> ArrayLike:
     """cos(k l_0) of the unit cell: half the trace of M_2 M_1."""
     f = np.asarray(frequency, dtype=float)
-    if np.any(f < 0):
+    if not np.all(f >= 0):
         raise ValueError("frequency must be non-negative")
     value = _CellRows(cell).trace(f.reshape(1, -1)).reshape(f.shape)
     if np.ndim(frequency) == 0:
@@ -368,7 +368,7 @@ def idc_enhancement_sweep(
     ``PrecisionError`` for a root that does not stop within the step cap.
     """
     offsets_hz = np.asarray(offsets, dtype=float)
-    if np.any(offsets_hz <= 0):
+    if not np.all(offsets_hz > 0):
         raise ValueError("idler offsets must be positive")
     rows = _CellRows(cell, ratios)
     m_sig = rows.mode_index(n_cells, np.full((len(ratios), 1), float(signal_f)))

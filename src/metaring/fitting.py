@@ -38,8 +38,8 @@ ordinary least squares of mode frequency versus mode number is closed form
 and needs no engine.
 """
 
+import io
 import math
-import warnings
 from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -86,18 +86,20 @@ class Trace(_TraceFields):
 
     @classmethod
     def from_csv(cls, path) -> "Trace":
-        """Read the columns f_hz, re and im, each named once by the header, in any order."""
+        """Read the columns f_hz, re and im, each named once by the header, in any order.
+
+        A body of line ends alone is refused as empty before numpy parses it.
+        """
         with open(path, newline="") as handle:
             names = handle.readline().rstrip("\r\n").split(",")
             if sorted(names) != ["f_hz", "im", "re"]:
                 raise ValueError(f"{path}: expected columns f_hz,re,im, each named once, "
                                  f"got {','.join(names)!r}")
-            with warnings.catch_warnings():
-                # a header-only file is reported below, not as a numpy warning
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                table = np.loadtxt(handle, delimiter=",", ndmin=2, comments=None)
-        if table.size == 0:
+            body = handle.read()
+        if not body.strip("\r\n"):
             raise ValueError(f"{path}: empty trace file")
+        # newline="" splits the lines where the file's own iterator does
+        table = np.loadtxt(io.StringIO(body, newline=""), delimiter=",", ndmin=2, comments=None)
         if table.shape[1] != len(names):
             raise ValueError(f"{path}: the header names {len(names)} columns, "
                              f"the rows hold {table.shape[1]}")

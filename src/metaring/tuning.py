@@ -59,7 +59,7 @@ class NonlinearCoefficients(NamedTuple):
 def kinetic_inductance(zero_current_inductance: float, current: ArrayLike,
                        i_star: float) -> ArrayLike:
     """Current-dependent kinetic inductance L0*(1 + (I/I*)**2) [H]."""
-    if i_star <= 0:
+    if not i_star > 0:
         raise ValueError("i_star must be positive")
     ratio = current / i_star
     return zero_current_inductance * (1.0 + ratio * ratio)
@@ -88,8 +88,8 @@ def loop_energy(i_rf2: ArrayLike, loop: MicroloopSpec, bias: BiasState) -> Array
     """
     i_wide = bias.dc_current + i_rf2 * rf_current_ratio(loop, bias)
     i_narrow = bias.dc_current - i_rf2
-    if np.any(np.abs(i_wide) >= loop.i_star_wide) or np.any(
-            np.abs(i_narrow) >= loop.i_star_narrow):
+    if not (np.all(np.abs(i_wide) < loop.i_star_wide)
+            and np.all(np.abs(i_narrow) < loop.i_star_narrow)):
         raise ValueError("current exceeds the superconducting regime of a nanowire")
     e_wide = (
         0.5 * kinetic_inductance(loop.inductance_wide, i_wide, loop.i_star_wide)
@@ -153,7 +153,7 @@ def taylor_coefficients(
     node energies.
     """
     scales = np.asarray(scale, dtype=float)
-    if np.any(scales <= 0):
+    if not np.all(scales > 0):
         raise ValueError("scale must be positive")
 
     x = [node * scales for node in _NODES]

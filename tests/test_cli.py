@@ -285,6 +285,14 @@ class TestValidate:
             assert lines[0].startswith(f"{prefix}$: cannot be parsed ({reason}"), lines
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("text", ["[]", "1", '"config"', "null"])
+    def test_top_level_must_be_an_object(self, tmp_path, capsys, text):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert validate_config(path) == ["$: top level must be a JSON object"]
+        assert main(["validate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "$: top level must be a JSON object\n"
+
     def test_unreadable_file_is_io_error(self, tmp_path):
         with pytest.raises(OSError):
             validate_config(tmp_path / "missing.json")
@@ -1084,6 +1092,15 @@ class TestMainExitCodes:
         assert capsys.readouterr().err == f"{violation}\n"
         assert main(["fit", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"config error: {violation}\n"
+
+    def test_fit_without_a_trace_exit_2_writes_nothing(self, tmp_path, default_config_path,
+                                                        capsys):
+        raw = load_default(default_config_path)
+        del raw["fit"]
+        path = write_config(tmp_path, raw, default_config_path)
+        assert main(["fit", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "config error: fit.trace_csv: required for the fit command\n"
+        assert not (tmp_path / "out").exists()
 
     def test_oversized_sweep_exit_2(self, tmp_path, default_config_path, capsys):
         raw = load_default(default_config_path)

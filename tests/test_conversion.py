@@ -296,6 +296,7 @@ class TestInterferenceFringe:
         phases = np.linspace(0, 2 * math.pi, 32)
         power = interference_fringe(phases, 0.8, 0.0)
         assert np.allclose(power, 0.64, atol=1e-15)
+        assert fringe_visibility(0.8, 0.0) == fringe_visibility(0.0, 0.0) == 0.0
 
     def test_period_exactly_two_pi(self):
         amp = math.sqrt(0.5)
@@ -342,6 +343,13 @@ def kerr_relative_residual(branches, detuning, fluxes, kerr_rate, kappa, kappa_e
     return np.abs(value) / size
 
 
+def kerr_branches(state):
+    """The branches of a one-drive ``KerrSteadyState``, its NaN padding dropped."""
+    assert state.photon_numbers.shape == (1, 3) and state.bifurcated.shape == (1,)
+    row = state.photon_numbers[0]
+    return row[~np.isnan(row)]
+
+
 class TestKerrSteadyState:
     KAPPA = 4.85e9 / 3.9e4
     KAPPA_EX = 0.94 * KAPPA
@@ -371,32 +379,33 @@ class TestKerrSteadyState:
                                       self.KAPPA, self.KAPPA_EX)
             batched = kerr_steady_state(point.detuning, np.array([point.drive_flux]), 0.1,
                                         self.KAPPA, self.KAPPA_EX)
-        assert len(state.photon_numbers) >= 1 and not state.bifurcated
-        assert np.all(np.isfinite(state.photon_numbers))
+        branches = kerr_branches(state)
+        assert len(branches) >= 1 and not state.bifurcated[0]
+        assert np.all(np.isfinite(branches))
         # the triple root is -a/3 of the monic cubic, not a cbrt(eps)-wide spread
-        for n in state.photon_numbers:
+        for n in branches:
             assert rel_err(n, point.photon_number) < 1e-12
-        row = batched.photon_numbers[0]
-        assert tuple(row[~np.isnan(row)]) == state.photon_numbers
+        np.testing.assert_array_equal(batched.photon_numbers, state.photon_numbers)
+        np.testing.assert_array_equal(batched.bifurcated, state.bifurcated)
 
     def test_linear_resonator_single_root(self):
         state = kerr_steady_state(0.0, 1e9, kerr_rate=0.0, kappa=self.KAPPA,
                                   kappa_ex=self.KAPPA_EX)
-        assert len(state.photon_numbers) == 1 and not state.bifurcated
+        assert len(kerr_branches(state)) == 1 and not state.bifurcated[0]
         two_pi = 2 * math.pi
         expected = two_pi * self.KAPPA_EX * 1e9 / (two_pi * self.KAPPA / 2) ** 2
-        assert rel_err(state.photon_numbers[0], expected) < 1e-12
+        assert rel_err(kerr_branches(state)[0], expected) < 1e-12
 
     def test_roots_satisfy_cubic(self):
         point = bifurcation_point(0.1, self.KAPPA, self.KAPPA_EX)
         state = kerr_steady_state(2 * point.detuning, 3.0 * point.drive_flux,
                                   0.1, self.KAPPA, self.KAPPA_EX)
-        assert state.bifurcated and len(state.photon_numbers) == 3
+        assert state.bifurcated[0] and len(kerr_branches(state)) == 3
         two_pi = 2 * math.pi
         k, kap, kex = two_pi * 0.1, two_pi * self.KAPPA, two_pi * self.KAPPA_EX
         delta = two_pi * 2 * point.detuning
         drive = kex * 3.0 * point.drive_flux
-        for n in state.photon_numbers:
+        for n in kerr_branches(state):
             residual = n * ((kap / 2) ** 2 + (delta - k * n) ** 2) - drive
             assert abs(residual) < 1e-9 * drive
 
@@ -406,8 +415,8 @@ class TestKerrSteadyState:
             for flux_scale in (0.5, 1.0, 3.0, 6.0, 20.0):
                 state = kerr_steady_state(detuning, flux_scale * point.drive_flux,
                                           0.1, self.KAPPA, self.KAPPA_EX)
-                assert len(state.photon_numbers) in (1, 2, 3)
-                assert state.bifurcated == (len(state.photon_numbers) == 3)
+                assert len(kerr_branches(state)) in (1, 2, 3)
+                assert state.bifurcated[0] == (len(kerr_branches(state)) == 3)
 
     def test_below_critical_detuning_never_bifurcates(self):
         point = bifurcation_point(0.1, self.KAPPA, self.KAPPA_EX)
@@ -415,7 +424,7 @@ class TestKerrSteadyState:
             state = kerr_steady_state(0.9 * point.detuning,
                                       flux_scale * point.drive_flux,
                                       0.1, self.KAPPA, self.KAPPA_EX)
-            assert not state.bifurcated
+            assert not state.bifurcated[0]
 
     def test_rejects_bad_rates(self):
         with pytest.raises(ValueError):

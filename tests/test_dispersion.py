@@ -167,6 +167,8 @@ class TestSolveModeFrequency:
             solve_mode_frequency(bloch_cell, N_CELLS, 0)
         with pytest.raises(ValueError):
             solve_mode_frequency(bloch_cell, N_CELLS, N_CELLS)
+        with pytest.raises(ValueError, match="n_cells must be >= 3"):
+            solve_mode_frequency(bloch_cell, 2, 1)
 
     def test_band_edge_error_in_stop_band(self, bloch_cell):
         # locate a stop-band frequency, then ask for the nearest mode there

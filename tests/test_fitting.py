@@ -116,6 +116,27 @@ class TestTrace:
         with pytest.raises(ValueError):
             Trace.from_csv(path)
 
+    def test_rows_wider_than_the_header_rejected(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("f_hz,re,im\n" + "".join(f"{1e9 + k!r},0.5,0.25,1.0\n" for k in range(6)))
+        with pytest.raises(ValueError, match="the header names 3 columns, the rows hold 4"):
+            Trace.from_csv(path)
+
+    @pytest.mark.parametrize("body", ["\n", "\r\n\n"], ids=["newline", "blank_lines"])
+    def test_blank_body_is_empty(self, tmp_path, body):
+        path = tmp_path / "trace.csv"
+        path.write_bytes(b"f_hz,re,im\n" + body.encode())
+        with pytest.raises(ValueError, match="empty trace file"):
+            Trace.from_csv(path)
+
+    def test_form_feed_is_not_a_line_end(self, tmp_path):
+        # the body is split at the file's own line ends, so this is one bad row
+        path = tmp_path / "trace.csv"
+        rows = "".join(f"{1e9 + k!r},0.5,0.25\n" for k in range(1, 6))
+        path.write_text("f_hz,re,im\n" + rows + "1000000006.0,0.5,0.25\x0c1000000007.0,0.5,0.25\n")
+        with pytest.raises(ValueError, match="at row 6"):
+            Trace.from_csv(path)
+
     def test_unknown_columns_rejected(self, tmp_path):
         path = tmp_path / "trace.csv"
         for header in ("f_hz,s11", "f_hz,power_db", "f_hz,re,im,re", "f_hz,re,im,power_db"):
@@ -281,6 +302,32 @@ class TestLeastSquaresEngine:
             least_squares(lambda p, xx: p[0] * xx + 0.0 * p[1], (x, y), [1.0, 1.0],
                           jac=lambda p, xx: np.column_stack([xx, 0.0 * xx]))
 
+    def test_parameters_seen_only_as_a_sum_raise_conditioning_error(self):
+        # each column is alive, but the two are one: the step's solve is singular
+        x = np.arange(10.0)
+        with pytest.raises(ConditioningError, match="least-squares step"):
+            least_squares(lambda p, xx: (p[0] + p[1]) * xx, (x, 2.0 * x), [1.0, 0.5],
+                          jac=lambda p, xx: np.column_stack([xx, xx]))
+
+    def test_step_that_is_not_finite_raises_conditioning_error(self):
+        # a NaN residual passes every stop test and makes a NaN step
+        x = np.arange(10.0)
+        y = 2.0 * x
+        y[3] = np.nan
+        with pytest.raises(ConditioningError, match="least-squares step"):
+            least_squares(ray, (x, y), [1.0], jac=ray_jac)
+
+    def test_xtol_measures_the_step_against_the_scales(self):
+        # a parameter said to be of size 1e20 has moved by less than 1e-10
+        # of that after a first step of about 0.7, so xtol stops it there
+        x = np.linspace(-2, 2, 51)
+        result = least_squares(tanh_model, (x, np.tanh(3 * x)), [1.0], jac=tanh_jac,
+                               scales=[1e20])
+        assert (result.termination, result.iterations, result.converged) == ("xtol", 1, True)
+        assert 1.0 < result.parameters["p0"] < 2.0
+        assert least_squares(tanh_model, (x, np.tanh(3 * x)), [1.0],
+                             jac=tanh_jac).termination == "gtol"
+
     def test_non_convergence_flag(self, monkeypatch):
         monkeypatch.setattr("metaring.fitting._MAX_ITER", 1)
         rng = np.random.default_rng(9)
@@ -370,6 +417,16 @@ class TestLeastSquaresEngine:
         assert not result.converged
         assert result.parameters["p0"] == 1.0
         assert abs(result.parameters["p1"] - 4.8) <= 1e-9
+
+    def test_ftol_stop_on_a_bound_is_reported_as_bound(self):
+        # p0 starts on its bound and p1 next to its constrained optimum 4.8:
+        # one accepted step drops the cost by less than ftol, while the
+        # descent still points out of the box at p0
+        x = np.arange(10.0)
+        result = least_squares(line, (x, 2.0 * x + 0.3), [1.0, 4.8000000001],
+                               bounds=([-np.inf, -np.inf], [1.0, np.inf]), jac=line_jac)
+        assert (result.termination, result.iterations, result.converged) == ("bound", 1, False)
+        assert result.parameters["p0"] == 1.0
 
     def test_step_clipped_away_stops_at_once(self):
         x = np.arange(10.0)
@@ -495,6 +552,20 @@ class TestReflectionFit:
         flat = flat + 1e-4 * (rng.standard_normal(101) + 1j * rng.standard_normal(101))
         with pytest.raises(NoResonanceError):
             fit_reflection_resonance(Trace(frequency=freq, response=flat))
+
+    def test_non_finite_start_raises(self, monkeypatch):
+        # no finite trace is known to reach this guard; a second circle fit
+        # that returns a NaN resonance offset stands in for one
+        fit, calls = metaring.fitting._circle_phase_fit, []
+
+        def second_offset_nan(z, offset):
+            center, radius, f0_offset, slope = fit(z, offset)
+            calls.append(f0_offset)
+            return center, radius, math.nan if len(calls) == 2 else f0_offset, slope
+
+        monkeypatch.setattr(metaring.fitting, "_circle_phase_fit", second_offset_nan)
+        with pytest.raises(NoResonanceError, match="no finite resonance parameters"):
+            fit_reflection_resonance(make_trace())
 
     def test_real_trace_rejected(self):
         freq = np.linspace(F0 - 1e6, F0 + 1e6, 101)

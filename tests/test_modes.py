@@ -154,6 +154,11 @@ class TestFreeSpectralRange:
             assert (table.m.dtype, table.f.dtype) == (np.int64, np.float64)
             assert len(table.m) == len(table.f) == 0 and math.isnan(table.fsr_mean)
 
+    @pytest.mark.parametrize("band", [(0.0, math.inf), (-math.inf, 5e9), (math.nan, 5e9)])
+    def test_rejects_non_finite_band_edges(self, design_ring, band):
+        with pytest.raises(ValueError, match="band edges must be finite"):
+            free_spectral_range(design_ring, band)
+
     def test_band_above_branch_top_is_empty(self, design_ring):
         f0 = design_ring.cell_frequency
         top = f0 * math.sqrt(2)
@@ -228,6 +233,11 @@ class TestEigenmodeOracle:
         base = eigenmode_frequencies(ring, island_potential=0.0)
         shifted = eigenmode_frequencies(ring, island_potential=1.0)
         assert np.max(np.abs(base - shifted)) <= 1e-12 * np.max(base)
+
+    @pytest.mark.parametrize("potential", [math.nan, math.inf])
+    def test_rejects_non_finite_island_potential(self, potential):
+        with pytest.raises(ValueError, match="island_potential must be finite"):
+            eigenmode_frequencies(small_ring(8), island_potential=potential)
 
     def test_matches_analytic_for_all_m(self):
         ring = small_ring(256)

@@ -170,6 +170,10 @@ BAD = {
         (dict(coupling_efficiency=1.5), "coupling_efficiency must lie in (0, 1]"),
         (dict(coupling_efficiency=1e-300), "coupling_efficiency: must keep the critical "
          "drive power 2 pi h f kappa^3/(3 sqrt(3) rate_hz kappa_ex) positive and finite"),
+        # kappa = 0.1 Hz and kappa_ex underflows to 0: the drive power is refused, not NaN
+        (dict(rate_hz=0.01, quality_factor=1e4, frequency_hz=1e3, coupling_efficiency=5e-324),
+         "coupling_efficiency: must keep the critical drive power 2 pi h f kappa^3/"
+         "(3 sqrt(3) rate_hz kappa_ex) positive and finite"),
     ],
     core.LumpedCell: [
         (dict(capacitance_per_length=-1e-10),

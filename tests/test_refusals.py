@@ -1,0 +1,80 @@
+"""A NaN argument is refused with the message its finite bad value gets.
+
+Each refusal is written so that NaN fails its test (``not x > 0`` rather
+than ``x <= 0``), so no NaN slips past a check into a NaN result.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from metaring import conversion, dispersion, tuning
+from metaring.core import BiasState, MicroloopSpec, SegmentParams
+
+SEGMENT = SegmentParams(57e-6, 289e-12, 25e-6)
+CELL = dispersion.UnitCell(segment1=SEGMENT, segment2=SegmentParams(3e-6, 880e-12, 5e-6))
+LOOP = MicroloopSpec(width_ratio=0.5, gap=1e-6, loop_dc_inductance=1.1e-6,
+                     inductance_wide=1.425e-9, inductance_narrow=2.85e-9,
+                     i_star_wide=2e-3, i_star_narrow=1e-3)
+TLS = conversion.TlsModel(9891.0, 23.35, 1.0, 1e6)
+RATES = (0.1, 1e5, 9e4)  # kerr_rate, kappa, kappa_ex [Hz]
+
+
+def converter(**fields):
+    return conversion.ConverterParams(**{**dict(kappa_s=1e5, kappa_i=1e5, eta_s=0.9, eta_i=0.9,
+                                                p0_norm=1.0), **fields})
+
+
+def replaced(values, index, x):
+    return (*values[:index], x, *values[index + 1:])
+
+
+# id -> (call of one value, a finite value the call refuses)
+CASES = {
+    "converter_kappa_s": (lambda x: converter(kappa_s=x), 0.0),
+    "converter_kappa_i": (lambda x: converter(kappa_i=x), 0.0),
+    "converter_g0": (lambda x: converter(g0=x), -1.0),
+    "converter_n_eff": (lambda x: converter(n_eff=x), -1.0),
+    "converter_p0_norm": (lambda x: converter(p0_norm=x), -1.0),
+    **{f"tls_{name}": (lambda x, j=j: conversion.TlsModel(*replaced(TLS, j, x)), 0.0)
+       for j, name in enumerate(conversion.TlsModel._fields)},
+    "kerr_flux": (lambda x: conversion.kerr_steady_state(0.0, x, *RATES), -1.0),
+    "kerr_flux_entry": (lambda x: conversion.kerr_steady_state(0.0, np.array([1e10, x]), *RATES),
+                        -1.0),
+    **{f"kerr_{name}": (lambda x, j=j: conversion.kerr_steady_state(
+        0.0, 1e10, *replaced(RATES, j, x)), bad)
+       for j, (name, bad) in enumerate([("kerr_rate", -1.0), ("kappa", 0.0),
+                                         ("kappa_ex", -1.0)])},
+    **{f"bifurcation_{name}": (lambda x, j=j: conversion.bifurcation_point(
+        *replaced(RATES, j, x)), 0.0) for j, name in enumerate(["kerr_rate", "kappa",
+                                                                  "kappa_ex"])},
+    "bifurcation_power": (lambda x: conversion.bifurcation_drive_power(4.85e9, x, 1e5, 9e4), 0.0),
+    "bandwidth_kappa": (lambda x: conversion.matched_bandwidth(x, 1.0), 0.0),
+    "bandwidth_c": (lambda x: conversion.matched_bandwidth(1e5, x), -1.0),
+    "dbm": (conversion.dbm_from_watts, 0.0),
+    "calibrated_ss": (lambda x: conversion.calibrated_efficiency(1.0, 1.0, x, 1.0), 0.0),
+    "calibrated_ii": (lambda x: conversion.calibrated_efficiency(1.0, 1.0, 1.0, x), 0.0),
+    "fringe_r": (lambda x: conversion.interference_fringe(0.0, x, 0.5), -0.1),
+    "fringe_t": (lambda x: conversion.interference_fringe(0.0, 0.5, x), -0.1),
+    "tls_photons": (lambda x: conversion.tls_quality_factor(x, TLS), -1.0),
+    "tls_photon_entry": (lambda x: conversion.tls_quality_factor(np.array([1.0, x]), TLS), -1.0),
+    "single_photon_q_ex": (lambda x: conversion.single_photon_efficiency(TLS, x, 1.0), 0.0),
+    "single_photon_n_sat": (lambda x: conversion.single_photon_efficiency(TLS, 1e5, x), -1.0),
+    "kinetic_inductance": (lambda x: tuning.kinetic_inductance(1e-9, 0.0, x), 0.0),
+    "taylor_scale": (lambda x: tuning.taylor_coefficients(lambda e: e**4, scale=x), 0.0),
+    "loop_energy": (lambda x: tuning.loop_energy(x, LOOP, BiasState(0.0, 1e-4)), 1.0),
+    "segment_abcd": (lambda x: dispersion.segment_abcd(SEGMENT, x), -1.0),
+    "cell_trace": (lambda x: dispersion.cell_trace(CELL, x), -1.0),
+    "enhancement_offset": (lambda x: dispersion.idc_enhancement_sweep(
+        CELL, 3200, 5e9, [x], [1.0]), 0.0),
+}
+
+
+@pytest.mark.parametrize("call, bad", CASES.values(), ids=CASES)
+def test_nan_gets_the_refusal_of_a_bad_value(call, bad):
+    with pytest.raises(ValueError) as refused:
+        call(bad)
+    with pytest.raises(ValueError) as got:
+        call(math.nan)
+    assert str(got.value) == str(refused.value)
