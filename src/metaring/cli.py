@@ -128,16 +128,14 @@ def _run_saturate(config: Config) -> list:
     critical = conversion.bifurcation_point(kerr.rate_hz, kerr.kappa, kerr.kappa_ex)
     power_w = conversion.bifurcation_drive_power(kerr.frequency_hz, kerr.rate_hz, kerr.kappa,
                                                  kerr.kappa_ex)
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            drive_w = ratios * power_w
-            # at twice the critical detuning, so the drive crosses the bistable
-            # window; looked up on its module, so perfbench's tracer sees it
-            state = conversion.kerr_steady_state(
-                2.0 * critical.detuning, ratios * critical.drive_flux, kerr.rate_hz,
-                kerr.kappa, kerr.kappa_ex)
-    except FloatingPointError:
-        raise ConfigError([bound]) from None
+    # at twice the critical detuning, so the drive crosses the bistable window;
+    # kerr_steady_state is looked up on its module, so perfbench's tracer sees it
+    solved = _evaluate(lambda: (ratios * power_w, conversion.kerr_steady_state(
+        2.0 * critical.detuning, ratios * critical.drive_flux, kerr.rate_hz, kerr.kappa,
+        kerr.kappa_ex)))
+    if solved is None:
+        raise ConfigError([bound])
+    drive_w, state = solved
     return [
         ("saturation.csv", (
             ("drive_over_critical", "drive_w", "n_low", "n_mid", "n_high", "bifurcated"),

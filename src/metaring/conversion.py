@@ -204,26 +204,24 @@ def calibrated_efficiency(
     gain and loss cancel: rescaling any single path multiplies one peak and
     one background identically.
     """
+    if not (s_is_peak >= 0 and s_si_peak >= 0):
+        raise ValueError("peak magnitudes must be non-negative")
     if not (s_ss_background > 0 and s_ii_background > 0):
         raise ValueError("background magnitudes must be positive")
     return (s_is_peak * s_si_peak) / (s_ss_background * s_ii_background)
 
 
-def interference_fringe(
-    pump_phase: ArrayLike,
-    r_mag: float,
-    t_mag: float,
-    phase_offset: float = 0.0,
-) -> ArrayLike:
-    """Reflected idler power |r + t e^{i(phi + offset)}|^2, unit input.
+def interference_fringe(pump_phase: ArrayLike, r_mag: float, t_mag: float) -> ArrayLike:
+    """Reflected idler power |r + t e^{i phi}|^2, unit input.
 
-    Maximum (r+t)^2 at phi = -offset, minimum (r-t)^2 half a period later;
-    visibility 2 r t/(r^2 + t^2); period exactly 2*pi.
+    Maximum (r+t)^2 at phi = 0, minimum (r-t)^2 half a period later;
+    visibility 2 r t/(r^2 + t^2); period exactly 2*pi.  A global phase
+    offset is a shift of ``pump_phase``.
     """
     if not (r_mag >= 0 and t_mag >= 0 and r_mag**2 + t_mag**2 <= 1.0 + 1e-12):
         raise ValueError("require r, t >= 0 with r^2 + t^2 <= 1")
     phi = np.asarray(pump_phase, dtype=float)
-    power = r_mag**2 + t_mag**2 + 2.0 * r_mag * t_mag * np.cos(phi + phase_offset)
+    power = r_mag**2 + t_mag**2 + 2.0 * r_mag * t_mag * np.cos(phi)
     if np.ndim(pump_phase) == 0:
         return float(power)
     return power
@@ -316,6 +314,8 @@ def kerr_steady_state(
     """
     if not (kappa > 0 and kappa_ex >= 0 and kerr_rate >= 0):
         raise ValueError("kappa must be positive; kappa_ex and kerr_rate non-negative")
+    if not math.isfinite(detuning):
+        raise ValueError("detuning must be finite")
     flux = np.asarray(drive_photon_flux, dtype=float)
     if not np.all(flux >= 0):
         raise ValueError("drive flux must be non-negative")
@@ -330,12 +330,16 @@ def kerr_steady_state(
         branches = np.full((drive.size, 3), np.nan)
         branches[:, 0] = drive / ((kap / 2.0) ** 2 + delta**2)
     else:
-        # monic form of k_ang^2 n^3 - 2 delta k_ang n^2 + ((kap/2)^2 + delta^2) n - drive
-        roots = _cubic_real_roots(
-            -2.0 * delta * k_ang / k_ang**2,
-            ((kap / 2.0) ** 2 + delta**2) / k_ang**2,
-            -(drive / k_ang**2),
-        )
+        # monic form of k_ang^2 n^3 - 2 delta k_ang n^2 + ((kap/2)^2 + delta^2) n - drive,
+        # refused without an overflow warning where the linear coefficient (which
+        # bounds the quadratic one) leaves the float range; the constant can still
+        # overflow, and warn or raise as the caller's np.errstate says, first
+        scale = k_ang**2
+        linear = ((kap / 2.0) ** 2 + delta**2) / scale if scale > 0.0 else math.inf
+        constant = -(drive / scale) if linear < math.inf else np.array(math.inf)
+        if not np.all(np.isfinite(constant)):
+            raise ValueError("kerr_rate must keep the Kerr cubic's coefficients finite")
+        roots = _cubic_real_roots(-2.0 * delta * k_ang / scale, linear, constant)
         branches = np.sort(np.where(roots > 0.0, roots, np.nan), axis=1)
     bifurcated = (branches[:, 0] < branches[:, 1]) & (branches[:, 1] < branches[:, 2])
     return KerrSteadyState(photon_numbers=branches, bifurcated=bifurcated)
@@ -376,6 +380,8 @@ def bifurcation_drive_power(
     kappa_ex: float,
 ) -> float:
     """Input power at the bifurcation threshold [W]."""
+    if not frequency_hz > 0:
+        raise ValueError("frequency_hz must be positive")
     point = bifurcation_point(kerr_rate, kappa, kappa_ex)
     return point.drive_flux * PLANCK_H * frequency_hz
 
@@ -432,17 +438,15 @@ class PairEfficiency(NamedTuple):
     """Conversion efficiency and coupling bound of signal/idler pairs, one column each."""
 
     index: np.ndarray
-    eta_s: np.ndarray
-    eta_i: np.ndarray
     efficiency: np.ndarray
     bound: np.ndarray
 
 
 def pair_sweep(mode_pairs: Sequence[Tuple[float, float]], c: float) -> PairEfficiency:
-    """Efficiency per (eta_s, eta_i) pair at cooperativity ``c``.
-
-    The bound eta_s*eta_i is reached exactly at c = 1.
+    """Efficiency per (eta_s, eta_i) pair at cooperativity ``c``, with each
+    pair's position in ``mode_pairs`` and its bound eta_s*eta_i, which the
+    efficiency reaches exactly at c = 1.
     """
     eta_s, eta_i = np.array(mode_pairs, dtype=float).reshape(-1, 2).T
-    return PairEfficiency(index=np.arange(len(eta_s)), eta_s=eta_s, eta_i=eta_i,
-                          efficiency=scattering(c, eta_s, eta_i).t2, bound=eta_s * eta_i)
+    return PairEfficiency(index=np.arange(len(eta_s)), efficiency=scattering(c, eta_s, eta_i).t2,
+                          bound=eta_s * eta_i)

@@ -94,8 +94,6 @@ class UnitCell(NamedTuple):
 class MismatchReport(NamedTuple):
     """Frequency mismatch 2 f_m - (f_{m+n} + f_{m-n}) for a conversion pair."""
 
-    m: int
-    n: int
     delta_f: float
     signal_f: float
 
@@ -327,12 +325,13 @@ def fsr_curve(cell: UnitCell, n_cells: int, band: Tuple[float, float]) -> FsrCur
 
 
 def conversion_mismatch(cell: UnitCell, n_cells: int, m: int, n: int) -> MismatchReport:
-    """Mismatch 2 f_m - (f_{m+n} + f_{m-n}) when pumping m <-> m+n."""
+    """Mismatch 2 f_m - (f_{m+n} + f_{m-n}) when pumping m <-> m+n, and the
+    signal frequency f_m [Hz]."""
     if n < 1 or m - n < 1:
         raise ValueError("require n >= 1 and m - n >= 1")
     modes = np.array([m - n, m, m + n])
     f_low, f_sig, f_high = solve_mode_frequency(cell, n_cells, modes).tolist()
-    return MismatchReport(m=m, n=n, delta_f=2.0 * f_sig - (f_high + f_low), signal_f=f_sig)
+    return MismatchReport(delta_f=2.0 * f_sig - (f_high + f_low), signal_f=f_sig)
 
 
 class EnhancementPoint(NamedTuple):

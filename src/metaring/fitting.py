@@ -192,8 +192,8 @@ def least_squares(
     matrix D J^T J D, D = diag(J^T J)^(-1/2), by LU; NaN when it is singular.
     Raises :class:`ConditioningError` when the damped normal equations are
     singular (a parameter the model never responds to), and ``ValueError``
-    when ``initial`` is not finite or an option lacks exactly one entry per
-    parameter.
+    when ``initial``, or a residual of the data and the model at ``initial``,
+    is not finite, or an option lacks exactly one entry per parameter.
     """
     x, y = data
     p = np.array(initial, dtype=float)
@@ -225,6 +225,9 @@ def least_squares(
         return jmat.T @ jmat, jmat.T @ res
 
     res = residual(p)
+    if not np.isfinite(res).all():
+        raise ValueError("data or model at initial: every residual y - model(initial, x) "
+                         "must be finite")
     cost = _sum_squares(res)
     history = [math.sqrt(cost)]
     normal, descent = gram(p, res)  # descent: minus half the cost gradient

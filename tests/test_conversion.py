@@ -308,7 +308,7 @@ class TestInterferenceFringe:
     def test_visibility_invariant_under_global_phase(self):
         phases = np.linspace(0, 2 * math.pi, 4097)
         for offset in (0.0, 0.7, 2.1):
-            power = interference_fringe(phases, 0.6, 0.5, phase_offset=offset)
+            power = interference_fringe(phases + offset, 0.6, 0.5)
             vis = (power.max() - power.min()) / (power.max() + power.min())
             assert abs(vis - fringe_visibility(0.6, 0.5)) < 1e-6
 
@@ -430,6 +430,19 @@ class TestKerrSteadyState:
         with pytest.raises(ValueError):
             kerr_steady_state(0.0, 1.0, kerr_rate=0.1, kappa=0.0, kappa_ex=1.0)
 
+    @pytest.mark.parametrize("kerr_rate", [1e-150, 1e-170, 1e-320])
+    def test_rejects_a_kerr_rate_whose_cubic_leaves_the_float_range(self, kerr_rate):
+        # (2 pi K)^2 underflows toward 0, so the monic cubic's linear coefficient
+        # overflows (1e-150) or its division fails (1e-170); neither warns
+        with pytest.raises(ValueError, match="kerr_rate must keep the Kerr cubic's"):
+            kerr_steady_state(0.0, 1e10, kerr_rate, 1e5, 9e4)
+
+    @pytest.mark.parametrize("kerr_rate, flux", [(1e-148, 1e10), (0.1, math.inf)])
+    def test_rejects_a_drive_whose_constant_term_is_not_finite(self, kerr_rate, flux):
+        # the linear coefficient is finite, the constant drive/(2 pi K)^2 is not
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="kerr_rate must keep"):
+            kerr_steady_state(0.0, flux, kerr_rate, 1e5, 9e4)
+
     def test_batched_matches_per_point_roots(self):
         point = bifurcation_point(0.1, self.KAPPA, self.KAPPA_EX)
         detuning = 2 * point.detuning
@@ -546,7 +559,7 @@ class TestPairSweep:
         assert results.index.tolist() == list(range(len(pairs)))
         assert 0.89 <= float(np.mean(results.efficiency)) <= 0.93
         assert results.efficiency.min() > 0.8
-        assert np.array_equal(results.bound, results.eta_s * results.eta_i)
+        assert results.bound.tolist() == [eta_s * eta_i for eta_s, eta_i in pairs]
         assert np.all(results.efficiency <= results.bound + 1e-15)
 
     def test_bound_reached_exactly_at_unity(self):

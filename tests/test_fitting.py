@@ -309,13 +309,25 @@ class TestLeastSquaresEngine:
             least_squares(lambda p, xx: (p[0] + p[1]) * xx, (x, 2.0 * x), [1.0, 0.5],
                           jac=lambda p, xx: np.column_stack([xx, xx]))
 
-    def test_step_that_is_not_finite_raises_conditioning_error(self):
-        # a NaN residual passes every stop test and makes a NaN step
+    def test_step_that_is_not_finite_raises_conditioning_error(self, monkeypatch):
+        # no finite residual and Jacobian are known to make a non-finite
+        # step; a solve that returns one stands in
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full_like(b, np.nan))
+        x = np.arange(10.0)
+        with pytest.raises(ConditioningError, match="least-squares step"):
+            least_squares(ray, (x, 2.0 * x), [1.0], jac=ray_jac)
+
+    @pytest.mark.parametrize("bad, model", [
+        (np.nan, ray), (np.inf, ray), (-np.inf, ray),
+        (0.0, lambda p, xx: p[0] * np.where(xx == 3.0, np.nan, xx)),
+    ], ids=["nan_data", "inf_data", "minus_inf_data", "nan_model"])
+    def test_start_that_is_not_finite_is_refused(self, bad, model):
+        # a NaN residual would pass every stop test and make a NaN step
         x = np.arange(10.0)
         y = 2.0 * x
-        y[3] = np.nan
-        with pytest.raises(ConditioningError, match="least-squares step"):
-            least_squares(ray, (x, y), [1.0], jac=ray_jac)
+        y[3] += bad
+        with pytest.raises(ValueError, match="data or model at initial: every residual"):
+            least_squares(model, (x, y), [1.0], jac=ray_jac)
 
     def test_xtol_measures_the_step_against_the_scales(self):
         # a parameter said to be of size 1e20 has moved by less than 1e-10

@@ -1,7 +1,8 @@
 """A NaN argument is refused with the message its finite bad value gets.
 
 Each refusal is written so that NaN fails its test (``not x > 0`` rather
-than ``x <= 0``), so no NaN slips past a check into a NaN result.
+than ``x <= 0``), so no NaN slips past a check into a NaN result.  Where
+every finite value is good (a detuning), an infinite one is the bad value.
 """
 
 import math
@@ -30,7 +31,7 @@ def replaced(values, index, x):
     return (*values[:index], x, *values[index + 1:])
 
 
-# id -> (call of one value, a finite value the call refuses)
+# id -> (call of one value, a value the call refuses, finite where one is)
 CASES = {
     "converter_kappa_s": (lambda x: converter(kappa_s=x), 0.0),
     "converter_kappa_i": (lambda x: converter(kappa_i=x), 0.0),
@@ -42,6 +43,9 @@ CASES = {
     "kerr_flux": (lambda x: conversion.kerr_steady_state(0.0, x, *RATES), -1.0),
     "kerr_flux_entry": (lambda x: conversion.kerr_steady_state(0.0, np.array([1e10, x]), *RATES),
                         -1.0),
+    "kerr_detuning": (lambda x: conversion.kerr_steady_state(x, 1e10, *RATES), math.inf),
+    "kerr_detuning_negative": (lambda x: conversion.kerr_steady_state(x, 1e10, *RATES),
+                               -math.inf),
     **{f"kerr_{name}": (lambda x, j=j: conversion.kerr_steady_state(
         0.0, 1e10, *replaced(RATES, j, x)), bad)
        for j, (name, bad) in enumerate([("kerr_rate", -1.0), ("kappa", 0.0),
@@ -50,9 +54,12 @@ CASES = {
         *replaced(RATES, j, x)), 0.0) for j, name in enumerate(["kerr_rate", "kappa",
                                                                   "kappa_ex"])},
     "bifurcation_power": (lambda x: conversion.bifurcation_drive_power(4.85e9, x, 1e5, 9e4), 0.0),
+    "bifurcation_frequency": (lambda x: conversion.bifurcation_drive_power(x, *RATES), 0.0),
     "bandwidth_kappa": (lambda x: conversion.matched_bandwidth(x, 1.0), 0.0),
     "bandwidth_c": (lambda x: conversion.matched_bandwidth(1e5, x), -1.0),
     "dbm": (conversion.dbm_from_watts, 0.0),
+    "calibrated_is": (lambda x: conversion.calibrated_efficiency(x, 1.0, 1.0, 1.0), -1.0),
+    "calibrated_si": (lambda x: conversion.calibrated_efficiency(1.0, x, 1.0, 1.0), -1.0),
     "calibrated_ss": (lambda x: conversion.calibrated_efficiency(1.0, 1.0, x, 1.0), 0.0),
     "calibrated_ii": (lambda x: conversion.calibrated_efficiency(1.0, 1.0, 1.0, x), 0.0),
     "fringe_r": (lambda x: conversion.interference_fringe(0.0, x, 0.5), -0.1),

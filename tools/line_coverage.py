@@ -12,6 +12,18 @@ ran, as ``module.py:line  source``, and a count per module.
 Child processes are not traced: a statement that only a subprocess test runs
 (the CLI's ``__main__`` guard, say) is listed as never run.  The trace slows
 the run several times over.
+
+To find code that only unit tests reach, run the tests that stand in for the
+package's callers (the acceptance contract, perfbench's hooks and the byte
+gate of the shipped sweep):
+
+    python tools/line_coverage.py tests/test_acceptance.py \\
+        tests/test_perfbench_hooks.py tests/test_sweep_bytes.py -q
+
+Each statement listed then runs only under unit tests.  Most are refusals of
+bad input, which stay; the rest, and any result field or option that no
+module, acceptance test or ``perfbench/`` file reads or sets (statement
+coverage does not see fields), are candidates for deletion.
 """
 
 import ast
