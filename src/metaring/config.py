@@ -45,8 +45,9 @@ _MAX_CELL_COUNT = 2 * _MAX_SWEEP_POINTS - 2
 # a superconducting resonator's modes lie below its pair-breaking frequency,
 # a few THz at most
 _MAX_MODE_FREQUENCY_HZ = 1e13
-# the saturate runner solves its steady-state cubic in photons; the cubic's
-# discriminant grows as the sixth power of the critical photon number
+# the Kerr cubic no longer needs this bound to stay in the float range; it
+# stays because removing it moves validate's answers, which waits until those
+# answers are committed data (ROADMAP item 11)
 _MAX_CRITICAL_PHOTONS = 1e40
 
 

@@ -10,7 +10,9 @@ beam-splitter law
 with eta the external fraction of each mode's linewidth.  Linewidths
 (``kappa_s``, ``kappa_i``) and all other rates are ordinary frequencies in
 Hz; angular rates are formed internally where absolute photon fluxes enter
-(Kerr steady state).
+(Kerr steady state).  The Kerr cubic is solved for w = n_lin/n, the linear
+response over the photon number, so a weak or zero Kerr rate is a root
+near w = 1 and needs no form of its own.
 """
 
 import math
@@ -26,6 +28,8 @@ ArrayLike = Union[float, np.ndarray]
 
 
 def watts_from_dbm(dbm: float) -> float:
+    if not dbm <= 3082.5:  # 10^(dbm/10) leaves the float range at about 3082.55
+        raise ValueError("dbm must be at most 3082.5")
     return 1e-3 * 10.0 ** (dbm / 10.0)
 
 
@@ -211,6 +215,11 @@ def calibrated_efficiency(
     return (s_is_peak * s_si_peak) / (s_ss_background * s_ii_background)
 
 
+def _check_amplitudes(r_mag: float, t_mag: float) -> None:
+    if not (r_mag >= 0 and t_mag >= 0 and r_mag * r_mag + t_mag * t_mag <= 1.0 + 1e-12):
+        raise ValueError("require r, t >= 0 with r^2 + t^2 <= 1")
+
+
 def interference_fringe(pump_phase: ArrayLike, r_mag: float, t_mag: float) -> ArrayLike:
     """Reflected idler power |r + t e^{i phi}|^2, unit input.
 
@@ -218,8 +227,7 @@ def interference_fringe(pump_phase: ArrayLike, r_mag: float, t_mag: float) -> Ar
     visibility 2 r t/(r^2 + t^2); period exactly 2*pi.  A global phase
     offset is a shift of ``pump_phase``.
     """
-    if not (r_mag >= 0 and t_mag >= 0 and r_mag**2 + t_mag**2 <= 1.0 + 1e-12):
-        raise ValueError("require r, t >= 0 with r^2 + t^2 <= 1")
+    _check_amplitudes(r_mag, t_mag)
     phi = np.asarray(pump_phase, dtype=float)
     power = r_mag**2 + t_mag**2 + 2.0 * r_mag * t_mag * np.cos(phi)
     if np.ndim(pump_phase) == 0:
@@ -229,6 +237,7 @@ def interference_fringe(pump_phase: ArrayLike, r_mag: float, t_mag: float) -> Ar
 
 def fringe_visibility(r_mag: float, t_mag: float) -> float:
     """2 r t/(r^2 + t^2); zero when either amplitude vanishes."""
+    _check_amplitudes(r_mag, t_mag)
     denom = r_mag**2 + t_mag**2
     if denom == 0:
         return 0.0
@@ -246,43 +255,44 @@ class KerrSteadyState(NamedTuple):
     bifurcated: np.ndarray
 
 
-def _newton_polish(x: np.ndarray, a: float, b: float, c: np.ndarray) -> np.ndarray:
-    """One Newton step on x^3 + a x^2 + b x + c, kept only where it lowers |residual|."""
-    value = ((x + a) * x + b) * x + c
+def _newton_polish(w: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """One Newton step on w^3 - w^2 + b w + c, kept only where it lowers |residual|."""
+    value = ((w - 1.0) * w + b) * w + c
     with np.errstate(divide="ignore", invalid="ignore"):
         # at a double root the derivative vanishes; such a step is never kept
-        step = x - value / ((3.0 * x + 2.0 * a) * x + b)
-        better = np.abs(((step + a) * step + b) * step + c) < np.abs(value)
-    return np.where(better, step, x)
+        step = w - value / ((3.0 * w - 2.0) * w + b)
+        better = np.abs(((step - 1.0) * step + b) * step + c) < np.abs(value)
+    return np.where(better, step, w)
 
 
-def _cubic_real_roots(a: float, b: float, c: np.ndarray) -> np.ndarray:
-    """Real roots of x^3 + a x^2 + b x + c for every entry of ``c``.
-
-    Returns an (n, 3) array; the two slots of a complex pair hold NaN.
+def _cubic_real_roots(beta: float, gamma: float, s: np.ndarray) -> np.ndarray:
+    """Real roots of w^3 - w^2 + 2 beta s w - s^2 for each s >= 0, where
+    beta^2 + gamma^2 = 1 and gamma > 0, as (3, n) columns; the two slots of
+    a complex pair hold NaN.
     """
-    q = (a * a - 3.0 * b) / 9.0
-    r = (2.0 * a**3 - 9.0 * a * b + 27.0 * c) / 54.0
-    q3 = q**3
-    three = r * r < q3  # then q > 0
-    roots = np.full((c.size, 3), np.nan)
-    if np.any(three):
-        theta = np.arccos(np.clip(r[three] / math.sqrt(q3), -1.0, 1.0))
-        turns = np.array([0.0, 2.0 * math.pi, -2.0 * math.pi])
-        trig = -2.0 * math.sqrt(q) * np.cos((theta[:, None] + turns) / 3.0) - a / 3.0
-        roots[three] = _newton_polish(trig, a, b, c[three, None])
-    one = ~three
-    r1 = r[one]
-    # -sign(r) (|r| + sqrt(r^2 - q^3))^(1/3), summed without cancellation
-    big = np.cbrt(-(r1 + np.copysign(np.sqrt(r1 * r1 - q3), r1)))
-    small = np.divide(q, big, out=np.zeros_like(big), where=big != 0.0)
-    roots[one, 0] = _newton_polish(big + small - a / 3.0, a, b, c[one])
+    b = 2.0 * beta * s
+    c = -(s * s)
+    q = 1.0 / 9.0 - b / 3.0
+    r = b / 6.0 + c / 2.0 - 1.0 / 27.0
+    # (r^2 - q^3)/s^2, which neither cancels at small s nor overflows at large
+    # s; where it is negative q > 0, but for rounding at the triple root
+    h = (s / 4.0 - beta * (1.0 + 8.0 * gamma * gamma) / 27.0) * s + gamma * gamma / 27.0
+    three = (h < 0.0) & (q > 0.0)
+    roots = np.full((3, s.size), np.nan)
+    # Cardano: -sign(r) (|r| + sqrt(r^2 - q^3))^(1/3), summed without cancellation
+    big = np.cbrt(-(r + np.copysign(s * np.sqrt(np.maximum(h, 0.0)), r)))
+    roots[0] = big + np.divide(q, big, out=np.zeros_like(big), where=big != 0.0) + 1.0 / 3.0
+    root_q = np.sqrt(q[three])
+    theta = np.arccos(np.clip(r[three] / (q[three] * root_q), -1.0, 1.0))
+    turns = np.array([[0.0], [2.0 * math.pi], [-2.0 * math.pi]])
+    roots[:, three] = -2.0 * root_q * np.cos((theta + turns) / 3.0) + 1.0 / 3.0
+    roots = _newton_polish(roots, b, c)
     # where q and r vanish to within their own rounding the root is triple,
-    # -a/3, which both forms above reach only to about cbrt(machine epsilon)
+    # 1/3, which both forms above reach only to about cbrt(machine epsilon)
     tiny = 4.0 * np.finfo(float).eps
-    if abs(q) <= tiny * (a * a + 3.0 * abs(b)) / 9.0:
-        r_noise = tiny * (2.0 * abs(a**3) + 9.0 * abs(a * b) + 27.0 * np.abs(c)) / 54.0
-        roots[np.abs(r) <= r_noise] = (-a / 3.0, np.nan, np.nan)
+    snap = ((np.abs(q) <= tiny * (1.0 / 9.0 + np.abs(b) / 3.0))
+            & (np.abs(r) <= tiny * (1.0 / 27.0 + np.abs(b) / 6.0 - c / 2.0)))
+    roots[:, snap] = [[1.0 / 3.0], [np.nan], [np.nan]]
     return roots
 
 
@@ -299,48 +309,43 @@ def kerr_steady_state(
     soft-spring convention: the resonance pulls down under load, so positive
     ``detuning`` means driving below the unloaded resonance and is where the
     response becomes multivalued.  All rate arguments are in Hz; the flux is
-    an absolute rate in photons/s, one value or a 1-D array of n, and the
-    branches come back as (n, 3) rows (n = 1 for one value; see
+    a finite absolute rate in photons/s, one value or a 1-D array of n, and
+    the branches come back as (n, 3) rows (n = 1 for one value; see
     ``KerrSteadyState``).  ``bifurcated`` flags three distinct positive
     branches.
 
-    Every cubic is solved at once in closed form (Numerical Recipes, 3rd
+    The cubic is solved for w = n_lin/n, the linear response n_lin =
+    k_ex*flux/B over the photon number, with B = (k/2)^2 + d^2:
+    w^3 - w^2 + 2 (d/sqrt(B)) s w - s^2 = 0 with s = K n_lin/sqrt(B).  No
+    coefficient divides by K: K = 0 is s = 0, whose one real root is w = 1.
+    All cubics are solved at once in closed form (Numerical Recipes, 3rd
     ed., section 5.6): the trigonometric form where the discriminant gives
-    three real roots, Cardano's formula with ``np.cbrt`` where it gives one.
-    Each root is then polished by a Newton step on the undepressed cubic,
-    kept only where it lowers the residual.  The tests hold the
-    companion-matrix eigenvalues (the matrix ``np.roots`` builds) as the
-    oracle for the branch count and the residual.
+    three real roots, Cardano's formula with ``np.cbrt`` where it gives one,
+    then one Newton step, kept only where it lowers the residual.  The tests
+    hold the companion-matrix eigenvalues (the matrix ``np.roots`` builds)
+    as the oracle for the branch count and the residual.
     """
     if not (kappa > 0 and kappa_ex >= 0 and kerr_rate >= 0):
         raise ValueError("kappa must be positive; kappa_ex and kerr_rate non-negative")
     if not math.isfinite(detuning):
         raise ValueError("detuning must be finite")
-    flux = np.asarray(drive_photon_flux, dtype=float)
-    if not np.all(flux >= 0):
-        raise ValueError("drive flux must be non-negative")
+    flux = np.atleast_1d(np.asarray(drive_photon_flux, dtype=float))
+    if not np.all((flux >= 0) & (flux < math.inf)):
+        raise ValueError("drive flux must be non-negative and finite")
     two_pi = 2.0 * math.pi
-    delta = two_pi * detuning
-    k_ang = two_pi * kerr_rate
-    kap = two_pi * kappa
-    kap_ex = two_pi * kappa_ex
-    drive = kap_ex * np.atleast_1d(flux)
-
-    if k_ang == 0.0:
-        branches = np.full((drive.size, 3), np.nan)
-        branches[:, 0] = drive / ((kap / 2.0) ** 2 + delta**2)
-    else:
-        # monic form of k_ang^2 n^3 - 2 delta k_ang n^2 + ((kap/2)^2 + delta^2) n - drive,
-        # refused without an overflow warning where the linear coefficient (which
-        # bounds the quadratic one) leaves the float range; the constant can still
-        # overflow, and warn or raise as the caller's np.errstate says, first
-        scale = k_ang**2
-        linear = ((kap / 2.0) ** 2 + delta**2) / scale if scale > 0.0 else math.inf
-        constant = -(drive / scale) if linear < math.inf else np.array(math.inf)
-        if not np.all(np.isfinite(constant)):
-            raise ValueError("kerr_rate must keep the Kerr cubic's coefficients finite")
-        roots = _cubic_real_roots(-2.0 * delta * k_ang / scale, linear, constant)
-        branches = np.sort(np.where(roots > 0.0, roots, np.nan), axis=1)
+    delta, half_kap = two_pi * detuning, math.pi * kappa
+    root_b = math.hypot(half_kap, delta)
+    n_lin = two_pi * kappa_ex * flux / root_b / root_b
+    s = two_pi * kerr_rate * n_lin / root_b
+    if not np.all(np.isfinite(s * s)):
+        raise ValueError("kerr_rate times the drive flux must keep the Kerr cubic's "
+                         "coefficients finite")
+    w = _cubic_real_roots(delta / root_b, half_kap / root_b, s)
+    # ascending photon numbers, the padding (inf until sorted) last
+    n = np.divide(n_lin, w, out=np.full_like(w, math.inf), where=(w > 0.0) & (n_lin > 0.0))
+    for i, j in ((0, 1), (1, 2), (0, 1)):
+        n[i], n[j] = np.minimum(n[i], n[j]), np.maximum(n[i], n[j])
+    branches = np.where(n < math.inf, n, np.nan).T
     bifurcated = (branches[:, 0] < branches[:, 1]) & (branches[:, 1] < branches[:, 2])
     return KerrSteadyState(photon_numbers=branches, bifurcated=bifurcated)
 
@@ -364,8 +369,8 @@ def bifurcation_point(
     d_c = sqrt(3) k/2, n_c = k/(sqrt(3) K),
     flux_c = (2 pi) k^3/(3 sqrt(3) K k_ex)  with k, K, k_ex in Hz.
     """
-    if not (kerr_rate > 0 and kappa > 0 and kappa_ex > 0):
-        raise ValueError("rates must be positive")
+    if not all(0 < rate < math.inf for rate in (kerr_rate, kappa, kappa_ex)):
+        raise ValueError("rates must be positive and finite")
     return BifurcationPoint(
         detuning=math.sqrt(3.0) * kappa / 2.0,
         photon_number=kappa / (math.sqrt(3.0) * kerr_rate),

@@ -592,10 +592,7 @@ def _reflection_guess(trace: Trace) -> Tuple[np.ndarray, float]:
     return guess, f_ref
 
 
-def fit_reflection_resonance(
-    trace: Trace,
-    initial_guess: Optional[Sequence[float]] = None,
-) -> FitResult:
+def fit_reflection_resonance(trace: Trace) -> FitResult:
     """Fit (f0, Q_in, Q_ex, amplitude, phase_offset, delay) to a complex trace.
 
     The automatic start is closed form: an algebraic circle fit (Chernov &
@@ -611,11 +608,7 @@ def fit_reflection_resonance(
     if not np.iscomplexobj(trace.response):
         raise ValueError("reflection fitting needs a complex trace")
     freq = trace.frequency
-    if initial_guess is not None:
-        guess = np.asarray(initial_guess, dtype=float)
-        f_ref = _middle_frequency(freq)
-    else:
-        guess, f_ref = _reflection_guess(trace)
+    guess, f_ref = _reflection_guess(trace)
     last = {"params": None, "s11": None}
 
     def model(params, f):

@@ -111,3 +111,32 @@ def test_every_module_constant_is_read():
                             and node.id not in read):
                         unread.append(f"{path.name}:{node.id}")
     assert unread == []
+
+
+def test_every_option_is_set_by_a_caller():
+    # a defaulted parameter of an exported function is an option; some call in
+    # a caller must set it, by position or keyword, or splat ** over it
+    callers = [path for path in MODULES if path.name != "__init__.py"] + OUTSIDE
+    calls = [node for path in callers for node in ast.walk(parsed(path))
+             if isinstance(node, ast.Call)]
+    exported, unset = exported_names(), []
+    for path in MODULES:
+        for function in parsed(path).body:
+            if not (isinstance(function, ast.FunctionDef) and function.name in exported):
+                continue
+            spec = function.args
+            positional = [arg.arg for arg in spec.posonlyargs + spec.args]
+            options = positional[len(positional) - len(spec.defaults):] + [
+                arg.arg for arg, default in zip(spec.kwonlyargs, spec.kw_defaults) if default]
+            passed = set()
+            for call in calls:
+                if function.name not in (getattr(call.func, "id", None),
+                                         getattr(call.func, "attr", None)):
+                    continue
+                if any(isinstance(arg, ast.Starred) for arg in call.args):
+                    passed.update(positional)
+                passed.update(positional[:len(call.args)])
+                for keyword in call.keywords:
+                    passed.update(options if keyword.arg is None else [keyword.arg])
+            unset += [f"{function.name}({option})" for option in options if option not in passed]
+    assert unset == []

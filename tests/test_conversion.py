@@ -430,17 +430,40 @@ class TestKerrSteadyState:
         with pytest.raises(ValueError):
             kerr_steady_state(0.0, 1.0, kerr_rate=0.1, kappa=0.0, kappa_ex=1.0)
 
-    @pytest.mark.parametrize("kerr_rate", [1e-150, 1e-170, 1e-320])
-    def test_rejects_a_kerr_rate_whose_cubic_leaves_the_float_range(self, kerr_rate):
-        # (2 pi K)^2 underflows toward 0, so the monic cubic's linear coefficient
-        # overflows (1e-150) or its division fails (1e-170); neither warns
-        with pytest.raises(ValueError, match="kerr_rate must keep the Kerr cubic's"):
-            kerr_steady_state(0.0, 1e10, kerr_rate, 1e5, 9e4)
+    # the linear response k_ex flux/(k/2)^2 at detuning 0, flux 1e10, k 1e5, k_ex 9e4
+    LINEAR = 2 * math.pi * 9e4 * 1e10 / (math.pi * 1e5) ** 2
 
-    @pytest.mark.parametrize("kerr_rate, flux", [(1e-148, 1e10), (0.1, math.inf)])
+    @pytest.mark.parametrize("kerr_rate", [1e-148, 1e-150, 1e-170, 1e-320])
+    def test_a_tiny_kerr_rate_gives_the_linear_response(self, kerr_rate):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = kerr_steady_state(0.0, 1e10, kerr_rate, 1e5, 9e4)
+        assert len(kerr_branches(state)) == 1 and not state.bifurcated[0]
+        assert rel_err(kerr_branches(state)[0], self.LINEAR) < 1e-12
+
+    def test_kerr_rate_scan_from_zero(self):
+        # K = 0 and one K per decade: one branch, falling as K grows, on the
+        # cubic, and the linear response while n_lin/n - 1 = (K n/(k/2))^2 is
+        # below 1e-13
+        rates = np.array([0.0] + [10.0**e for e in range(-320, 0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            states = [kerr_steady_state(0.0, 1e10, rate, 1e5, 9e4) for rate in rates]
+        rows = np.concatenate([state.photon_numbers for state in states])
+        assert np.all(np.isnan(rows[:, 1:])) and not any(s.bifurcated[0] for s in states)
+        assert np.all(np.diff(rows[:, 0]) <= 0.0) and rows[-1, 0] < 0.99 * self.LINEAR
+        residual = kerr_relative_residual(rows[:, :1], 0.0, np.full(rates.size, 1e10),
+                                          rates[:, None], 1e5, 9e4)
+        assert residual.max() <= 1e-15
+        linear = (rates * self.LINEAR / 5e4) ** 2 < 1e-13
+        assert np.all(linear[rates <= 1e-22])
+        assert np.all(np.abs(rows[linear, 0] - self.LINEAR) <= 1e-12 * self.LINEAR)
+
+    @pytest.mark.parametrize("kerr_rate, flux", [(0.1, 1e300), (1e5, 1e290)])
     def test_rejects_a_drive_whose_constant_term_is_not_finite(self, kerr_rate, flux):
-        # the linear coefficient is finite, the constant drive/(2 pi K)^2 is not
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="kerr_rate must keep"):
+        # s = K n_lin/sqrt(B) is finite, the constant -s^2 is not
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match="kerr_rate times the drive flux must keep the Kerr cubic's"):
             kerr_steady_state(0.0, flux, kerr_rate, 1e5, 9e4)
 
     def test_batched_matches_per_point_roots(self):

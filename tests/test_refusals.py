@@ -2,7 +2,8 @@
 
 Each refusal is written so that NaN fails its test (``not x > 0`` rather
 than ``x <= 0``), so no NaN slips past a check into a NaN result.  Where
-every finite value is good (a detuning), an infinite one is the bad value.
+every finite value is good (a detuning), an infinite one is the bad value;
+an infinite bad value elsewhere checks that infinity is refused too.
 """
 
 import math
@@ -41,6 +42,7 @@ CASES = {
     **{f"tls_{name}": (lambda x, j=j: conversion.TlsModel(*replaced(TLS, j, x)), 0.0)
        for j, name in enumerate(conversion.TlsModel._fields)},
     "kerr_flux": (lambda x: conversion.kerr_steady_state(0.0, x, *RATES), -1.0),
+    "kerr_flux_infinite": (lambda x: conversion.kerr_steady_state(0.0, x, *RATES), math.inf),
     "kerr_flux_entry": (lambda x: conversion.kerr_steady_state(0.0, np.array([1e10, x]), *RATES),
                         -1.0),
     "kerr_detuning": (lambda x: conversion.kerr_steady_state(x, 1e10, *RATES), math.inf),
@@ -53,17 +55,23 @@ CASES = {
     **{f"bifurcation_{name}": (lambda x, j=j: conversion.bifurcation_point(
         *replaced(RATES, j, x)), 0.0) for j, name in enumerate(["kerr_rate", "kappa",
                                                                   "kappa_ex"])},
+    **{f"bifurcation_{name}_infinite": (lambda x, j=j: conversion.bifurcation_point(
+        *replaced(RATES, j, x)), math.inf) for j, name in enumerate(["kerr_rate", "kappa",
+                                                                       "kappa_ex"])},
     "bifurcation_power": (lambda x: conversion.bifurcation_drive_power(4.85e9, x, 1e5, 9e4), 0.0),
     "bifurcation_frequency": (lambda x: conversion.bifurcation_drive_power(x, *RATES), 0.0),
     "bandwidth_kappa": (lambda x: conversion.matched_bandwidth(x, 1.0), 0.0),
     "bandwidth_c": (lambda x: conversion.matched_bandwidth(1e5, x), -1.0),
     "dbm": (conversion.dbm_from_watts, 0.0),
+    "watts": (conversion.watts_from_dbm, 4000.0),
     "calibrated_is": (lambda x: conversion.calibrated_efficiency(x, 1.0, 1.0, 1.0), -1.0),
     "calibrated_si": (lambda x: conversion.calibrated_efficiency(1.0, x, 1.0, 1.0), -1.0),
     "calibrated_ss": (lambda x: conversion.calibrated_efficiency(1.0, 1.0, x, 1.0), 0.0),
     "calibrated_ii": (lambda x: conversion.calibrated_efficiency(1.0, 1.0, 1.0, x), 0.0),
     "fringe_r": (lambda x: conversion.interference_fringe(0.0, x, 0.5), -0.1),
     "fringe_t": (lambda x: conversion.interference_fringe(0.0, 0.5, x), -0.1),
+    "visibility_r": (lambda x: conversion.fringe_visibility(x, 0.5), -0.5),
+    "visibility_t": (lambda x: conversion.fringe_visibility(0.5, x), -0.5),
     "tls_photons": (lambda x: conversion.tls_quality_factor(x, TLS), -1.0),
     "tls_photon_entry": (lambda x: conversion.tls_quality_factor(np.array([1.0, x]), TLS), -1.0),
     "single_photon_q_ex": (lambda x: conversion.single_photon_efficiency(TLS, x, 1.0), 0.0),
