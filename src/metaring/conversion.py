@@ -308,7 +308,7 @@ def kerr_steady_state(
     Solves n*[(k/2)^2 + (d - K n)^2] = k_ex*flux in angular units, with the
     soft-spring convention: the resonance pulls down under load, so positive
     ``detuning`` means driving below the unloaded resonance and is where the
-    response becomes multivalued.  All rate arguments are in Hz; the flux is
+    response becomes multivalued.  All rates are finite, in Hz; the flux is
     a finite absolute rate in photons/s, one value or a 1-D array of n, and
     the branches come back as (n, 3) rows (n = 1 for one value; see
     ``KerrSteadyState``).  ``bifurcated`` flags three distinct positive
@@ -325,8 +325,8 @@ def kerr_steady_state(
     hold the companion-matrix eigenvalues (the matrix ``np.roots`` builds)
     as the oracle for the branch count and the residual.
     """
-    if not (kappa > 0 and kappa_ex >= 0 and kerr_rate >= 0):
-        raise ValueError("kappa must be positive; kappa_ex and kerr_rate non-negative")
+    if not (0 < kappa < math.inf and 0 <= kappa_ex < math.inf and 0 <= kerr_rate < math.inf):
+        raise ValueError("rates must be finite, kappa positive, kappa_ex and kerr_rate >= 0")
     if not math.isfinite(detuning):
         raise ValueError("detuning must be finite")
     flux = np.atleast_1d(np.asarray(drive_photon_flux, dtype=float))

@@ -3,8 +3,9 @@
 The engine is a Levenberg-Marquardt iteration: the damping term
 lambda*diag(J^T J) grows on rejected steps and shrinks on accepted ones, so
 the accepted-step residual norm never increases.  The Jacobian always comes
-from the caller's ``jac``.  After each step the iteration stops, with a
-named reason, on the first of these MINPACK-style tests (More 1978):
+from the caller's ``jac``, handed the model value just computed at the same
+parameters.  After each step the iteration stops, with a named reason, on
+the first of these MINPACK-style tests (More 1978):
 
 * ``zero_residual``: the residuals vanish;
 * ``gtol``: the largest gradient component falls below ``_GTOL`` times its
@@ -33,14 +34,13 @@ weighted linear fit of the phase around the circle (Probst et al. 2015,
 Rev. Sci. Instrum. 86, 024706) gives f0 and Q_tot, and the edge phase slope
 less the resonator's own phase tail gives the cable delay.  The steps use
 the closed-form Jacobian of :func:`reflection_s11`, which reads the
-background from the model value the engine has just computed.  The
-ordinary least squares of mode frequency versus mode number is closed form
-and needs no engine.
+background from that model value.  The ordinary least squares of mode
+frequency versus mode number is closed form and needs no engine.
 """
 
 import io
 import math
-from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -169,9 +169,9 @@ def least_squares(
     model: Callable,
     data,
     initial: Sequence[float],
-    bounds: Optional[Tuple[Sequence[float], Sequence[float]]] = None,
-    param_names: Optional[Sequence[str]] = None,
-    scales: Optional[Sequence[float]] = None,
+    bounds: Tuple[Sequence[float], Sequence[float]],
+    param_names: Sequence[str],
+    scales: Sequence[float],
     *,
     jac: Callable,
 ) -> FitResult:
@@ -179,58 +179,66 @@ def least_squares(
 
     ``data`` is an ``(x, y)`` pair of arrays; a complex ``y`` is fitted on
     its real and imaginary parts, each point's real part followed by its
-    imaginary part.  ``bounds`` is an optional (lower, upper) pair of
-    per-parameter limits; a step leaves out every parameter held on its
+    imaginary part.  ``bounds`` is a (lower, upper) pair of per-parameter
+    limits, +-inf for none; a step leaves out every parameter held on its
     bound (the descent points out of the box there), so the others reach
     the constrained optimum, trial steps are projected onto the box, and a
-    stop held there by a bound is ``bound``, not converged.  ``scales``
-    (default max(|initial|, 1)) are the parameter sizes of the ``xtol`` test.
-    The required ``jac(params, x)`` returns the model's (n, n_par)
-    derivative; a complex one is split like the residuals, a real one must
-    already have one row per real residual.  At most ``_MAX_ITER`` steps
-    are accepted.  The standard errors take the inverse of the scaled normal
-    matrix D J^T J D, D = diag(J^T J)^(-1/2), by LU; NaN when it is singular.
-    Raises :class:`ConditioningError` when the damped normal equations are
-    singular (a parameter the model never responds to), and ``ValueError``
-    when ``initial``, or a residual of the data and the model at ``initial``,
-    is not finite, or an option lacks exactly one entry per parameter.
+    stop held there by a bound is ``bound``, not converged.  ``param_names``
+    key the result; ``scales`` are the parameter sizes of the ``xtol`` test.
+    The required ``jac(params, x, value)``, with ``value`` the model at
+    ``params``, returns the model's (n, n_par) derivative; a complex one is
+    split like the residuals, a real one must already have one row per real
+    residual.  At most ``_MAX_ITER`` steps are accepted.  The standard errors
+    take the inverse of the scaled normal matrix D J^T J D, D =
+    diag(J^T J)^(-1/2), by LU; NaN when it is singular.  Raises
+    :class:`ConditioningError` when the damped normal equations are singular
+    (a parameter the model never responds to), and ``ValueError`` when
+    ``initial``, or a residual of the data and the model at ``initial``, is
+    not finite, ``initial`` is out of bounds or a bound NaN, or an option
+    lacks one entry per parameter, a name is repeated or a scale is not
+    positive and finite.
     """
     x, y = data
     p = np.array(initial, dtype=float)
     n_par = len(p)
     if not np.isfinite(p).all():
         raise ValueError(f"initial: every parameter must be finite, got {p.tolist()}")
-    lower = np.full(n_par, -np.inf) if bounds is None else np.asarray(bounds[0], float)
-    upper = np.full(n_par, np.inf) if bounds is None else np.asarray(bounds[1], float)
-    names = list(param_names) if param_names else [f"p{j}" for j in range(n_par)]
-    step_scale = np.maximum(np.abs(p), 1.0) if scales is None else np.asarray(scales, float)
+    lower, upper = np.asarray(bounds[0], float), np.asarray(bounds[1], float)
+    names = list(param_names)
+    step_scale = np.asarray(scales, float)
     for option, shape in (("bounds", lower.shape), ("bounds", upper.shape),
                           ("param_names", (len(names),)), ("scales", step_scale.shape)):
         if shape != (n_par,):
             raise ValueError(f"{option}: must give one entry per parameter ({n_par}), "
                              f"got shape {shape}")
-    if (p < lower).any() or (p > upper).any():
+    if len(set(names)) < n_par:
+        raise ValueError(f"param_names: every name must be distinct, got {names}")
+    if not ((step_scale > 0.0) & (step_scale < math.inf)).all():
+        raise ValueError("scales: every entry must be positive and finite")
+    if not ((lower <= p) & (p <= upper)).all():
         raise ValueError("initial parameters must lie within bounds")
 
-    def residual(params: np.ndarray) -> np.ndarray:
-        return _stack(y - model(params, x))
+    def evaluate(params: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        value = model(params, x)
+        return value, _stack(y - value)
 
-    def gram(params: np.ndarray, res: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """(J^T J, J^T res) at ``params``.
+    def gram(params: np.ndarray, value: np.ndarray,
+             res: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(J^T J, J^T res) at ``params``, where the model value is ``value``.
 
         The Jacobian dies on return, so the next one is never built while
         an old one is still alive.
         """
-        jmat = _stack(jac(params, x))  # the stacked model's derivative
+        jmat = _stack(jac(params, x, value))  # the stacked model's derivative
         return jmat.T @ jmat, jmat.T @ res
 
-    res = residual(p)
+    value, res = evaluate(p)
     if not np.isfinite(res).all():
         raise ValueError("data or model at initial: every residual y - model(initial, x) "
                          "must be finite")
     cost = _sum_squares(res)
     history = [math.sqrt(cost)]
-    normal, descent = gram(p, res)  # descent: minus half the cost gradient
+    normal, descent = gram(p, value, res)  # descent: minus half the cost gradient
     grad_norm0 = float(abs(descent).max())
     grad_tol = _GTOL * grad_norm0
     termination = "zero_residual" if cost == 0.0 else "gtol" if grad_norm0 == 0.0 else ""
@@ -284,7 +292,7 @@ def least_squares(
         if (trial == p).all() and hold.any():
             termination = "bound"  # the box clips the whole step away
             break
-        res_trial = residual(trial)
+        value, res_trial = evaluate(trial)
         cost_trial = _sum_squares(res_trial)
         if cost_trial < cost:
             iterations += 1
@@ -293,7 +301,7 @@ def least_squares(
             p, res, cost = trial, res_trial, cost_trial
             history.append(math.sqrt(cost))
             lam = 0.0 if lam < 1e-12 else lam * 0.25
-            normal, descent = gram(p, res)
+            normal, descent = gram(p, value, res)
             if cost == 0.0:
                 termination = "zero_residual"
             elif float(abs(descent).max()) <= grad_tol:
@@ -358,10 +366,10 @@ def reflection_s11(
     f0: float,
     q_in: float,
     q_ex: float,
-    amplitude: float = 1.0,
-    phase_offset: float = 0.0,
-    delay: float = 0.0,
-    reference_frequency: Optional[float] = None,
+    amplitude: float,
+    phase_offset: float,
+    delay: float,
+    reference_frequency: float,
 ):
     """One-port reflection with background amplitude, phase and cable delay.
 
@@ -369,11 +377,10 @@ def reflection_s11(
              * ((1/Q_ex - 1/Q_in) - 2 i x) / ((1/Q_ex + 1/Q_in) + 2 i x),
 
     x = (f - f0)/f0.  The delay phase is referenced to ``reference_frequency``
-    (default f0) so delay and phase offset stay numerically independent on a
-    narrow span.
+    (the fit's is mid-trace) so delay and phase offset stay numerically
+    independent on a narrow span.
     """
     freq = np.asarray(frequency, dtype=float)
-    f_ref = f0 if reference_frequency is None else reference_frequency
     # the operations, operands and order of
     # A * phasor(theta + 2 pi (f - f_ref) tau) * ((a - 2ix) / (b + 2ix)),
     # each written into a buffer it owns
@@ -381,7 +388,7 @@ def reflection_s11(
     x /= f0
     a = 1.0 / q_ex - 1.0 / q_in
     b = 1.0 / q_ex + 1.0 / q_in
-    phase = freq - f_ref
+    phase = freq - reference_frequency
     np.multiply(2.0 * math.pi, phase, out=phase)
     phase *= delay
     np.add(phase_offset, phase, out=phase)
@@ -394,15 +401,17 @@ def reflection_s11(
 
 
 def reflection_jacobian(frequency, params, reference_frequency: float,
-                        s11: Optional[np.ndarray] = None) -> np.ndarray:
+                        s11: np.ndarray) -> np.ndarray:
     """Closed-form derivative of :func:`reflection_s11` for the engine.
 
     ``params`` is (f0, Q_in, Q_ex, amplitude, phase_offset, delay) with the
-    delay phase referenced to the fixed ``reference_frequency``.  ``s11``,
-    when given, must be :func:`reflection_s11` at these parameters; the
-    background is then read from it instead of from a complex exponential.
-    Returns the complex (n, 6) array dS11/dparams, the transpose of one
-    C-contiguous (6, n) array, which the engine splits without a copy.
+    delay phase referenced to the fixed ``reference_frequency``, and ``s11``
+    is :func:`reflection_s11` at these parameters.  The background is read
+    from ``s11``, unless S11's numerator (1/Q_ex - 1/Q_in) - 2ix, as computed,
+    is 0 at some point (critical coupling to rounding, at f = f0): then it
+    comes from a complex exponential.  Returns the complex (n, 6) array
+    dS11/dparams, the transpose of one C-contiguous (6, n) array, which the
+    engine splits without a copy.
     """
     freq = np.asarray(frequency, dtype=float)
     f0, q_in, q_ex, amplitude, phase_offset, delay = params
@@ -419,18 +428,17 @@ def reflection_jacobian(frequency, params, reference_frequency: float,
     np.subtract(freq, f0, out=x2)
     x2 *= 2.0 / f0
     unit = out[3]  # dS11/dA = S11/A
-    if s11 is None or a == 0.0:
-        # at critical coupling (a = 0) S11 vanishes at x = 0, so the
-        # background cannot be read back from it there
+    gap = np.subtract(a + b, d, out=out[2])  # a - 2ix, real part the scalar (a + b) - b
+    if (a + b) - b != 0.0 or gap.all():
+        np.multiply(s11, 1.0 / amplitude, out=unit)
+        h = np.divide(unit, gap, out=out[1])
+    else:
         phase = offset * (2.0 * math.pi * delay)
         phase += phase_offset
         e = _phasor(phase)
         h = np.divide(e, d, out=out[1])
         np.multiply(h, a + b, out=unit)
         unit -= e
-    else:
-        np.multiply(s11, 1.0 / amplitude, out=unit)
-        h = np.divide(unit, np.subtract(a + b, d, out=out[2]), out=out[1])
     v = np.divide(h, d, out=d)  # e / d^2
     np.multiply(unit, 1j * amplitude, out=out[4])
     offset *= 2.0 * math.pi
@@ -609,20 +617,12 @@ def fit_reflection_resonance(trace: Trace) -> FitResult:
         raise ValueError("reflection fitting needs a complex trace")
     freq = trace.frequency
     guess, f_ref = _reflection_guess(trace)
-    last = {"params": None, "s11": None}
 
     def model(params, f):
-        f0, q_in, q_ex, amplitude, phase_offset, delay = params
-        s11 = reflection_s11(
-            f, f0, q_in, q_ex, amplitude, phase_offset, delay, reference_frequency=f_ref
-        )
-        last["params"], last["s11"] = params, s11
-        return s11
+        return reflection_s11(f, *params, f_ref)
 
-    def jac(params, f):
-        # the engine takes each Jacobian at the very array it last evaluated the model at
-        same = params is last["params"]
-        return reflection_jacobian(f, params, f_ref, last["s11"] if same else None)
+    def jac(params, f, s11):
+        return reflection_jacobian(f, params, f_ref, s11)
 
     span = float(freq[-1] - freq[0])
     scales = np.array([span, guess[1], guess[2], max(guess[3], 1e-3), 1.0, 1.0 / span])

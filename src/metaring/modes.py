@@ -87,7 +87,7 @@ def _cyclic_second_difference(n_cells: int) -> np.ndarray:
     return matrix
 
 
-def eigenmode_frequencies(ring: RingSpec, island_potential: float = 0.0) -> np.ndarray:
+def eigenmode_frequencies(ring: RingSpec, island_potential: float) -> np.ndarray:
     """Spectrum from the dense cyclic second-difference eigenproblem [Hz].
 
     Returns all N frequencies sorted ascending with degeneracies preserved.

@@ -134,7 +134,7 @@ def twm_fwm_coefficients(loop: MicroloopSpec, bias: BiasState) -> NonlinearCoeff
 
 def taylor_coefficients(
     energy: Callable[[ArrayLike], ArrayLike],
-    scale: ArrayLike = 1.0,
+    scale: ArrayLike,
 ) -> Tuple[ArrayLike, ArrayLike]:
     """Cubic and quartic Taylor coefficients of a quartic ``energy`` about zero.
 
@@ -150,11 +150,11 @@ def taylor_coefficients(
     every point at once; it is called six times.  Raises ``PrecisionError``
     when, at any point, the energy at the check node 0.37*``scale`` misses
     the fitted quartic by more than ``_QUARTIC_RTOL`` of the spread of the
-    node energies.
+    node energies, or by NaN (an energy that overflowed).
     """
     scales = np.asarray(scale, dtype=float)
-    if not np.all(scales > 0):
-        raise ValueError("scale must be positive")
+    if not np.all((scales > 0) & (scales < np.inf)):
+        raise ValueError("scale must be positive and finite")
 
     x = [node * scales for node in _NODES]
     energies = [energy(x_k) for x_k in x]
@@ -170,7 +170,7 @@ def taylor_coefficients(
     fitted = newton[4]
     for k in (3, 2, 1, 0):
         fitted = newton[k] + (check - x[k]) * fitted
-    missed = np.abs(energy(check) - fitted) > _QUARTIC_RTOL * np.ptp(energies, axis=0)
+    missed = ~(np.abs(energy(check) - fitted) <= _QUARTIC_RTOL * np.ptp(energies, axis=0))
     if np.any(missed):
         raise PrecisionError(
             f"energy is not a quartic on the fit nodes: the check node misses the "

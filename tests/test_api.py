@@ -8,7 +8,9 @@ package defines, where one of those files reads it as an attribute
 (``x.name``); a parameter or local of the same name does not count.  Its own
 module counts too, outside the method's own definition.  API that only its
 unit tests reach is deleted instead.  Every module-level constant (an
-all-caps name) is read by some package module.
+all-caps name) is read by some package module.  Every option (a defaulted
+parameter) of an exported function is set by one of those calls and left at
+its default by another.
 """
 
 import ast
@@ -113,13 +115,18 @@ def test_every_module_constant_is_read():
     assert unread == []
 
 
-def test_every_option_is_set_by_a_caller():
-    # a defaulted parameter of an exported function is an option; some call in
-    # a caller must set it, by position or keyword, or splat ** over it
+def option_calls() -> dict:
+    """``function(option)`` for each option of an exported function, mapped to one
+    flag per call of the function in a caller: whether that call sets the option.
+
+    A defaulted parameter of an exported function is an option.  A call sets it
+    by position or keyword; a ``*`` splat sets every positional parameter and a
+    ``**`` splat every option.
+    """
     callers = [path for path in MODULES if path.name != "__init__.py"] + OUTSIDE
     calls = [node for path in callers for node in ast.walk(parsed(path))
              if isinstance(node, ast.Call)]
-    exported, unset = exported_names(), []
+    exported, found = exported_names(), {}
     for path in MODULES:
         for function in parsed(path).body:
             if not (isinstance(function, ast.FunctionDef) and function.name in exported):
@@ -128,15 +135,26 @@ def test_every_option_is_set_by_a_caller():
             positional = [arg.arg for arg in spec.posonlyargs + spec.args]
             options = positional[len(positional) - len(spec.defaults):] + [
                 arg.arg for arg, default in zip(spec.kwonlyargs, spec.kw_defaults) if default]
-            passed = set()
+            sets = []
             for call in calls:
                 if function.name not in (getattr(call.func, "id", None),
                                          getattr(call.func, "attr", None)):
                     continue
+                passed = set(positional[:len(call.args)])
                 if any(isinstance(arg, ast.Starred) for arg in call.args):
                     passed.update(positional)
-                passed.update(positional[:len(call.args)])
                 for keyword in call.keywords:
                     passed.update(options if keyword.arg is None else [keyword.arg])
-            unset += [f"{function.name}({option})" for option in options if option not in passed]
-    assert unset == []
+                sets.append(passed)
+            found.update({f"{function.name}({option})": [option in passed for passed in sets]
+                          for option in options})
+    return found
+
+
+def test_every_option_is_set_by_a_caller():
+    assert [option for option, set_by in option_calls().items() if not any(set_by)] == []
+
+
+def test_every_option_default_is_used_by_a_caller():
+    # an option that every call sets has a default only unit tests use
+    assert [option for option, set_by in option_calls().items() if all(set_by)] == []

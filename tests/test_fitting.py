@@ -184,7 +184,7 @@ def line(p, x):
     return p[0] * x + p[1]
 
 
-def line_jac(p, x):
+def line_jac(p, x, _value):
     return np.column_stack([x, np.ones_like(x)])
 
 
@@ -192,7 +192,7 @@ def ray(p, x):
     return p[0] * x
 
 
-def ray_jac(p, x):
+def ray_jac(p, x, _value):
     return x[:, None]
 
 
@@ -200,7 +200,7 @@ def valley(p, _):
     return np.array([10.0 * (p[1] - p[0] ** 2), 1.0 - p[0]])
 
 
-def valley_jac(p, _):
+def valley_jac(p, _x, _value):
     return np.array([[-20.0 * p[0], 10.0], [-1.0, 0.0]])
 
 
@@ -208,7 +208,7 @@ def lorentzian(p, x):
     return p[0] / (1.0 + ((x - p[1]) / p[2]) ** 2)
 
 
-def lorentzian_jac(p, x):
+def lorentzian_jac(p, x, _value):
     u = (x - p[1]) / p[2]
     d = 1.0 / (1.0 + u * u)
     return np.column_stack([d, 2.0 * p[0] * u * d * d / p[2], 2.0 * p[0] * u * u * d * d / p[2]])
@@ -218,7 +218,7 @@ def gaussian(p, x):
     return p[0] * np.exp(-0.5 * ((x - p[1]) / p[2]) ** 2)
 
 
-def gaussian_jac(p, x):
+def gaussian_jac(p, x, _value):
     u = (x - p[1]) / p[2]
     e = np.exp(-0.5 * u * u)
     return np.column_stack([e, p[0] * e * u / p[2], p[0] * e * u * u / p[2]])
@@ -228,7 +228,7 @@ def tanh_model(p, x):
     return np.tanh(p[0] * x)
 
 
-def tanh_jac(p, x):
+def tanh_jac(p, x, _value):
     return (x * (1.0 - np.tanh(p[0] * x) ** 2))[:, None]
 
 
@@ -236,7 +236,7 @@ def complex_line(p, x):
     return (p[0] + 1j * p[1]) * x
 
 
-def complex_line_jac(p, x):
+def complex_line_jac(p, x, _value):
     return np.column_stack([x, 1j * x])
 
 
@@ -244,9 +244,19 @@ def complex_exp(p, x):
     return np.exp((p[0] + 1j * p[1]) * x)
 
 
-def complex_exp_jac(p, x):
-    d = x * complex_exp(p, x)
+def complex_exp_jac(p, x, value):
+    d = x * value
     return np.column_stack([d, 1j * d])
+
+
+def engine_fit(model, data, initial, jac, **options):
+    """least_squares with each option it is not given free: no bounds, the names
+    p0, p1, ... and the scales max(|initial|, 1)."""
+    n_par = len(initial)
+    options = {"bounds": ([-np.inf] * n_par, [np.inf] * n_par),
+               "param_names": [f"p{j}" for j in range(n_par)],
+               "scales": np.maximum(np.abs(np.asarray(initial, dtype=float)), 1.0), **options}
+    return least_squares(model, data, initial, jac=jac, **options)
 
 
 # each engine test's model and Jacobian, with a point to check the Jacobian at
@@ -266,14 +276,14 @@ class TestLeastSquaresEngine:
     def test_linear_model_exact_in_two_iterations(self):
         x = np.arange(10.0)
         y = 3.5 * x + 1.25
-        result = least_squares(line, (x, y), [1.0, 0.0], param_names=("a", "b"), jac=line_jac)
+        result = engine_fit(line, (x, y), [1.0, 0.0], param_names=("a", "b"), jac=line_jac)
         assert result.converged
         assert len(result.residual_history) - 1 <= 2
         assert rel_err(result.parameters["a"], 3.5) < 1e-9
         assert rel_err(result.parameters["b"], 1.25) < 1e-9
 
     def test_bent_valley_converges_to_known_minimum(self):
-        result = least_squares(valley, (np.zeros(2), np.zeros(2)), [-1.2, 1.0], jac=valley_jac)
+        result = engine_fit(valley, (np.zeros(2), np.zeros(2)), [-1.2, 1.0], jac=valley_jac)
         assert result.converged
         assert abs(result.parameters["p0"] - 1.0) < 1e-8
         assert abs(result.parameters["p1"] - 1.0) < 1e-8
@@ -285,8 +295,8 @@ class TestLeastSquaresEngine:
         for seed in range(100):
             rng = np.random.default_rng(seed)
             y = lorentzian([2.0, 0.5, 1.2], x) + 0.02 * rng.standard_normal(x.size)
-            result = least_squares(lorentzian, (x, y), [1.0, 0.0, 2.0],
-                                   param_names=("amp", "x0", "w"), jac=lorentzian_jac)
+            result = engine_fit(lorentzian, (x, y), [1.0, 0.0, 2.0],
+                                param_names=("amp", "x0", "w"), jac=lorentzian_jac)
             hits += all(
                 abs(result.parameters[k] - v) <= 3 * result.standard_errors[k]
                 for k, v in true.items()
@@ -297,7 +307,7 @@ class TestLeastSquaresEngine:
         rng = np.random.default_rng(5)
         x = np.linspace(-3, 3, 101)
         y = np.exp(-0.5 * (x - 0.3) ** 2) + 0.05 * rng.standard_normal(x.size)
-        result = least_squares(gaussian, (x, y), [0.5, 0.0, 2.0], jac=gaussian_jac)
+        result = engine_fit(gaussian, (x, y), [0.5, 0.0, 2.0], jac=gaussian_jac)
         history = np.array(result.residual_history)
         assert np.all(np.diff(history) <= 0)
 
@@ -305,15 +315,15 @@ class TestLeastSquaresEngine:
         x = np.arange(10.0)
         y = 2.0 * x
         with pytest.raises(ConditioningError):
-            least_squares(lambda p, xx: p[0] * xx + 0.0 * p[1], (x, y), [1.0, 1.0],
-                          jac=lambda p, xx: np.column_stack([xx, 0.0 * xx]))
+            engine_fit(lambda p, xx: p[0] * xx + 0.0 * p[1], (x, y), [1.0, 1.0],
+                       jac=lambda p, xx, _value: np.column_stack([xx, 0.0 * xx]))
 
     def test_parameters_seen_only_as_a_sum_raise_conditioning_error(self):
         # each column is alive, but the two are one: the step's solve is singular
         x = np.arange(10.0)
         with pytest.raises(ConditioningError, match="least-squares step"):
-            least_squares(lambda p, xx: (p[0] + p[1]) * xx, (x, 2.0 * x), [1.0, 0.5],
-                          jac=lambda p, xx: np.column_stack([xx, xx]))
+            engine_fit(lambda p, xx: (p[0] + p[1]) * xx, (x, 2.0 * x), [1.0, 0.5],
+                       jac=lambda p, xx, _value: np.column_stack([xx, xx]))
 
     def test_step_that_is_not_finite_raises_conditioning_error(self, monkeypatch):
         # no finite residual and Jacobian are known to make a non-finite
@@ -321,7 +331,7 @@ class TestLeastSquaresEngine:
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full_like(b, np.nan))
         x = np.arange(10.0)
         with pytest.raises(ConditioningError, match="least-squares step"):
-            least_squares(ray, (x, 2.0 * x), [1.0], jac=ray_jac)
+            engine_fit(ray, (x, 2.0 * x), [1.0], jac=ray_jac)
 
     @pytest.mark.parametrize("bad, model", [
         (np.nan, ray), (np.inf, ray), (-np.inf, ray),
@@ -333,25 +343,25 @@ class TestLeastSquaresEngine:
         y = 2.0 * x
         y[3] += bad
         with pytest.raises(ValueError, match="data or model at initial: every residual"):
-            least_squares(model, (x, y), [1.0], jac=ray_jac)
+            engine_fit(model, (x, y), [1.0], jac=ray_jac)
 
     def test_xtol_measures_the_step_against_the_scales(self):
         # a parameter said to be of size 1e20 has moved by less than 1e-10
         # of that after a first step of about 0.7, so xtol stops it there
         x = np.linspace(-2, 2, 51)
-        result = least_squares(tanh_model, (x, np.tanh(3 * x)), [1.0], jac=tanh_jac,
-                               scales=[1e20])
+        result = engine_fit(tanh_model, (x, np.tanh(3 * x)), [1.0], jac=tanh_jac,
+                            scales=[1e20])
         assert (result.termination, result.iterations, result.converged) == ("xtol", 1, True)
         assert 1.0 < result.parameters["p0"] < 2.0
-        assert least_squares(tanh_model, (x, np.tanh(3 * x)), [1.0],
-                             jac=tanh_jac).termination == "gtol"
+        assert engine_fit(tanh_model, (x, np.tanh(3 * x)), [1.0],
+                          jac=tanh_jac).termination == "gtol"
 
     def test_non_convergence_flag(self, monkeypatch):
         monkeypatch.setattr("metaring.fitting._MAX_ITER", 1)
         rng = np.random.default_rng(9)
         x = np.linspace(-2, 2, 51)
         y = np.tanh(3 * x) + 0.05 * rng.standard_normal(x.size)
-        result = least_squares(tanh_model, (x, y), [50.0], jac=tanh_jac)
+        result = engine_fit(tanh_model, (x, y), [50.0], jac=tanh_jac)
         assert not result.converged
         assert result.termination == "max_iter"
         assert result.iterations == 1
@@ -361,7 +371,7 @@ class TestLeastSquaresEngine:
         x = np.arange(10.0)
         y = 2.0 * x + 1.0 + rng.standard_normal(x.size)
         slope, offset = np.polyfit(x, y, 1)
-        result = least_squares(line, (x, y), [slope, offset], jac=line_jac)
+        result = engine_fit(line, (x, y), [slope, offset], jac=line_jac)
         assert result.termination == "ftol"
         assert result.converged
 
@@ -382,7 +392,7 @@ class TestLeastSquaresEngine:
         rng = np.random.default_rng(0)
         x = np.arange(10.0)
         y = 2.0 * x + 1.0 + rng.standard_normal(x.size)
-        result = least_squares(line, (x, y), list(np.polyfit(x, y, 1)), jac=line_jac)
+        result = engine_fit(line, (x, y), list(np.polyfit(x, y, 1)), jac=line_jac)
         assert result.termination == "damping_cap"
         assert result.iterations == 0
         lam = np.array([d[0] for d in damped_diagonals]) - damped_diagonals[0][0]
@@ -392,7 +402,7 @@ class TestLeastSquaresEngine:
     def test_wrong_sign_jacobian_hits_damping_cap(self):
         x = np.arange(1.0, 11.0)
         y = 3.0 * x
-        result = least_squares(ray, (x, y), [1.0], jac=lambda p, xx: -xx[:, None])
+        result = engine_fit(ray, (x, y), [1.0], jac=lambda p, xx, _value: -xx[:, None])
         assert result.termination == "damping_cap"
         assert not result.converged
         assert result.iterations == 0
@@ -401,15 +411,15 @@ class TestLeastSquaresEngine:
     def test_jacobian_is_required(self):
         x = np.arange(10.0)
         with pytest.raises(TypeError, match="jac"):
-            least_squares(ray, (x, 3.5 * x), [1.0])
+            least_squares(ray, (x, 3.5 * x), [1.0], ([-np.inf], [np.inf]), ["p0"], [1.0])
 
     def test_bounds_respected(self):
         x = np.arange(10.0)
         y = 3.5 * x
-        result = least_squares(ray, (x, y), [1.0], bounds=([0.0], [2.0]), jac=ray_jac)
+        result = engine_fit(ray, (x, y), [1.0], bounds=([0.0], [2.0]), jac=ray_jac)
         assert result.parameters["p0"] <= 2.0 + 1e-15
         with pytest.raises(ValueError):
-            least_squares(ray, (x, y), [3.0], bounds=([0.0], [2.0]), jac=ray_jac)
+            engine_fit(ray, (x, y), [3.0], bounds=([0.0], [2.0]), jac=ray_jac)
 
     @pytest.mark.parametrize("options, initial, argument", [
         ({"bounds": ([0.0], [2.0])}, [1.0, 0.0], "bounds"),
@@ -423,14 +433,14 @@ class TestLeastSquaresEngine:
         # read as a singular fit
         x = np.arange(10.0)
         with pytest.raises(ValueError, match=f"^{argument}: "):
-            least_squares(line, (x, 3.5 * x + 1.25), initial, jac=line_jac, **options)
+            engine_fit(line, (x, 3.5 * x + 1.25), initial, jac=line_jac, **options)
 
     def test_stop_held_by_bound_is_not_converged(self):
         # the optimum p0 = 2 lies outside the box: the fit stops on p0 = 1
         # with p1 at the constrained optimum 4.8
         x = np.arange(10.0)
-        result = least_squares(line, (x, 2.0 * x + 0.3), [0.5, 0.0],
-                               bounds=([-np.inf, -np.inf], [1.0, np.inf]), jac=line_jac)
+        result = engine_fit(line, (x, 2.0 * x + 0.3), [0.5, 0.0],
+                            bounds=([-np.inf, -np.inf], [1.0, np.inf]), jac=line_jac)
         assert result.termination == "bound"
         assert not result.converged
         assert result.parameters["p0"] == 1.0
@@ -441,8 +451,8 @@ class TestLeastSquaresEngine:
         # one accepted step drops the cost by less than ftol, while the
         # descent still points out of the box at p0
         x = np.arange(10.0)
-        result = least_squares(line, (x, 2.0 * x + 0.3), [1.0, 4.8000000001],
-                               bounds=([-np.inf, -np.inf], [1.0, np.inf]), jac=line_jac)
+        result = engine_fit(line, (x, 2.0 * x + 0.3), [1.0, 4.8000000001],
+                            bounds=([-np.inf, -np.inf], [1.0, np.inf]), jac=line_jac)
         assert (result.termination, result.iterations, result.converged) == ("bound", 1, False)
         assert result.parameters["p0"] == 1.0
 
@@ -454,8 +464,8 @@ class TestLeastSquaresEngine:
             evals.append(float(p[0]))
             return p[0] * xx
 
-        result = least_squares(model, (x, 2.0 * x + 0.3), [0.5], bounds=([-np.inf], [1.0]),
-                               jac=ray_jac)
+        result = engine_fit(model, (x, 2.0 * x + 0.3), [0.5], bounds=([-np.inf], [1.0]),
+                            jac=ray_jac)
         assert result.termination == "bound"
         assert not result.converged
         assert result.parameters["p0"] == 1.0
@@ -474,28 +484,46 @@ class TestLeastSquaresEngine:
             alive_at_model_call.append(sum(ref() is not None for ref in jacobians))
             return params[0] * np.exp(-params[1] * x)
 
-        def jac(params, x):
+        def jac(params, x, _value):
             e = np.exp(-params[1] * x)
             jmat = np.column_stack([e, -params[0] * x * e])
             jacobians.append(weakref.ref(jmat))
             return jmat
 
-        result = least_squares(model, (x, y), [1.0, 1.0], jac=jac)
+        result = engine_fit(model, (x, y), [1.0, 1.0], jac=jac)
         assert result.converged
         assert len(jacobians) == 1 + result.iterations >= 2
         assert alive_at_model_call == [0] * len(alive_at_model_call)
 
+    def test_jacobian_gets_the_model_value_at_its_parameters(self):
+        # the very array the model returned, at the parameters the Jacobian is taken at
+        x = np.linspace(-3, 3, 101)
+        evaluated, handed = [], []
+
+        def model(p, xx):
+            evaluated.append((p.copy(), gaussian(p, xx)))
+            return evaluated[-1][1]
+
+        def jac(p, xx, value):
+            at, last = evaluated[-1]
+            handed.append(value is last and np.array_equal(p, at))
+            return gaussian_jac(p, xx, value)
+
+        result = engine_fit(model, (x, gaussian([1.0, 0.3, 1.2], x)), [0.5, 0.0, 2.0], jac=jac)
+        assert result.converged
+        assert len(handed) == 1 + result.iterations and all(handed)
+
     def test_complex_residuals_supported(self):
         x = np.linspace(0, 1, 21)
         y = (1.5 + 0.5j) * x
-        result = least_squares(complex_line, (x, y), [1.0, 0.0], jac=complex_line_jac)
+        result = engine_fit(complex_line, (x, y), [1.0, 0.0], jac=complex_line_jac)
         assert rel_err(result.parameters["p0"], 1.5) < 1e-9
         assert rel_err(result.parameters["p1"], 0.5) < 1e-9
 
     def test_complex_exponential_converges(self):
         x = np.linspace(0, 1, 21)
-        result = least_squares(complex_exp, (x, complex_exp([-1.5, 4.0], x)), [-1.0, 3.5],
-                               jac=complex_exp_jac)
+        result = engine_fit(complex_exp, (x, complex_exp([-1.5, 4.0], x)), [-1.0, 3.5],
+                            jac=complex_exp_jac)
         assert result.converged
         assert rel_err(result.parameters["p0"], -1.5) < 1e-9
         assert rel_err(result.parameters["p1"], 4.0) < 1e-9
@@ -503,7 +531,7 @@ class TestLeastSquaresEngine:
     @pytest.mark.parametrize("name", sorted(JACOBIAN_CASES))
     def test_jacobian_matches_differences(self, name):
         model, jac, params, x = JACOBIAN_CASES[name]
-        analytic = np.asarray(jac(np.array(params), x))
+        analytic = np.asarray(jac(np.array(params), x, model(np.array(params), x)))
         for j in range(len(params)):
             h = 1e-6 * max(abs(params[j]), 1.0)
             up = np.array(params, dtype=float); up[j] += h
@@ -545,7 +573,7 @@ class TestReflectionFit:
         # eta = 0.99: shallow amplitude dip but a full 2*pi phase winding
         q_in = 0.99 / 0.01 * Q_EX
         freq = np.linspace(F0 - 2e6, F0 + 2e6, 2001)
-        z = reflection_s11(freq, F0, q_in, Q_EX)
+        z = reflection_s11(freq, F0, q_in, Q_EX, 1.0, 0.0, 0.0, F0)
         winding = np.sum(np.diff(np.unwrap(np.angle(z)))) / (2 * math.pi)
         assert abs(abs(winding) - 1.0) < 0.05
         result = fit_reflection_resonance(Trace(frequency=freq, response=z))
@@ -666,8 +694,8 @@ class TestReflectionFit:
             np.ones(401, dtype=complex),
             0.8 * np.exp(2j * np.pi * np.linspace(0.0, 3.0, 401)),  # pure winding, no dip
             rng.standard_normal(401) + 1j * rng.standard_normal(401),
-            reflection_s11(freq, F0 + 0.99e6, Q_IN, Q_EX, 0.8, 0.3, 1e-9),  # dip at the edge
-            reflection_s11(freq, F0, 1e9, 1e3, 0.8, 0.3, 1e-9),  # wider than the span
+            reflection_s11(freq, F0 + 0.99e6, Q_IN, Q_EX, 0.8, 0.3, 1e-9, F0 + 0.99e6),  # edge dip
+            reflection_s11(freq, F0, 1e9, 1e3, 0.8, 0.3, 1e-9, F0),  # wider than the span
         ]
         for j, z in enumerate(traces):
             try:
@@ -733,8 +761,9 @@ class TestReflectionFit:
         result = fit_reflection_resonance(trace)  # first-call allocations happen here
         params = [result.parameters[name] for name in
                   ("f0", "q_in", "q_ex", "amplitude", "phase_offset", "delay")]
-        jac_bytes = reflection_jacobian(trace.frequency, params,
-                                        _middle_frequency(trace.frequency)).nbytes
+        f_ref = _middle_frequency(trace.frequency)
+        s11 = reflection_s11(trace.frequency, *params, f_ref)
+        jac_bytes = reflection_jacobian(trace.frequency, params, f_ref, s11).nbytes
         tracing = tracemalloc.is_tracing()
         tracemalloc.start()
         try:
@@ -817,6 +846,10 @@ class TestStandardErrors:
         assert result._replace(standard_errors=expected.standard_errors) == expected
 
 
+# 1/Q_ex - 1/Q_in is below the rounding of 1/Q_ex + 1/Q_in: S11 reads 0 at f0
+CRITICAL_Q = (47200.0, 47200.00000000001)
+
+
 def _differenced_reflection_jacobian(freq, params, f_ref, steps):
     columns = []
     for j, h in enumerate(steps):
@@ -832,15 +865,18 @@ class TestReflectionJacobian:
         (F0, Q_IN, Q_EX),            # design point
         (F0, Q_EX, Q_EX),            # critical coupling: S11 vanishes at f0
         (F0 + 3e5, Q_IN, Q_EX),      # resonance detuned from the span centre
+        (F0, *CRITICAL_Q),           # next to critical coupling, S11 = 0 at f0 to rounding
     ])
     def test_matches_central_differences(self, f0, q_in, q_ex):
         freq = np.linspace(F0 - 1e6, F0 + 1e6, 801)
+        assert F0 in freq
         f_ref = float(np.median(freq))
         params = (f0, q_in, q_ex, 0.8, 0.3, 1e-9)
         # the f0 step must be far below the ~200 kHz linewidth
         steps = (1.0, 1e-6 * q_in, 1e-6 * q_ex, 1e-6, 1e-6, 1e-14)
         numeric = _differenced_reflection_jacobian(freq, params, f_ref, steps)
-        analytic = reflection_jacobian(freq, params, f_ref)
+        analytic = reflection_jacobian(freq, params, f_ref,
+                                       reflection_s11(freq, *params, f_ref))
         assert analytic.shape == (freq.size, 6)
         for j in range(6):
             scale = np.max(np.abs(numeric[:, j]))
@@ -852,13 +888,14 @@ class TestReflectionJacobian:
         Q_EX * (1.0 + 1e-12),        # next to it: S11 nearly vanishes at f0
     ])
     def test_shared_s11_gives_same_columns(self, q_in):
+        # as those with the background from the complex exponential
         freq = np.linspace(F0 - 1e6, F0 + 1e6, 801)
         assert F0 in freq
         f_ref = float(np.median(freq))
         params = np.array([F0, q_in, Q_EX, 0.8, 0.3, 1e-9])
         s11 = reflection_s11(freq, *params, reference_frequency=f_ref)
         shared = reflection_jacobian(freq, params, f_ref, s11)
-        alone = reflection_jacobian(freq, params, f_ref)
+        alone = reference_reflection_jacobian(freq, params, f_ref)
         assert np.all(np.isfinite(shared))
         for j in range(6):
             scale = np.max(np.abs(alone[:, j]))
@@ -914,7 +951,10 @@ class TestBackgroundPhasor:
 
 
 def reference_reflection_jacobian(freq, params, f_ref, s11=None):
-    """reflection_jacobian as first written, with a fresh array per step: the bit oracle."""
+    """reflection_jacobian as first written, with a fresh array per step: the bit oracle.
+
+    Without ``s11`` the background always comes from the complex exponential.
+    """
     f0, q_in, q_ex, amplitude, phase_offset, delay = params
     a = 1.0 / q_ex - 1.0 / q_in
     b = 1.0 / q_ex + 1.0 / q_in
@@ -924,7 +964,7 @@ def reference_reflection_jacobian(freq, params, f_ref, s11=None):
     d.real = b
     np.multiply(freq - f0, 2.0 / f0, out=d.imag)
     unit = out[3]
-    if s11 is None or a == 0.0:
+    if s11 is None or not ((a + b) - d).all():
         phase = offset * (2.0 * math.pi * delay)
         phase += phase_offset
         e = np.exp(1j * phase)
@@ -955,12 +995,20 @@ class TestJacobianBits:
         (F0, Q_EX, Q_EX, 0.8, -0.0, -1e-9),                # critical coupling: a = 0
         (F0, Q_EX * (1.0 + 1e-12), Q_EX, 0.8, 0.3, 0.0),   # next to it, no delay
     ], ids=["design", "overcoupled", "critical", "near_critical"])
-    @pytest.mark.parametrize("shared", [False, True], ids=["phasor", "shared_s11"])
-    def test_has_the_bits_of_the_reference(self, freq, params, shared):
+    @pytest.mark.parametrize("path", ["phasor", "shared_s11"])
+    def test_has_the_bits_of_the_reference(self, freq, params, path):
         f_ref = float(np.median(freq))
-        s11 = reflection_s11(freq, *params, reference_frequency=f_ref) if shared else None
+        if path == "phasor":
+            # the background comes from the exponential only where S11 reads 0:
+            # the case's resonance moves onto a grid point at CRITICAL_Q
+            f0 = freq[np.abs(freq - params[0]).argmin()]
+            params = (f0, *CRITICAL_Q, *params[3:])
+        s11 = reflection_s11(freq, *params, reference_frequency=f_ref)
         got = reflection_jacobian(freq, params, f_ref, s11)
         want = reference_reflection_jacobian(freq, params, f_ref, s11)
+        if path == "phasor":
+            phasor = reference_reflection_jacobian(freq, params, f_ref)
+            assert same_bits(np.ascontiguousarray(want), np.ascontiguousarray(phasor))
         assert np.all(np.isfinite(got))
         assert same_bits(np.ascontiguousarray(got), np.ascontiguousarray(want))
 

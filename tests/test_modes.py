@@ -241,7 +241,7 @@ class TestEigenmodeOracle:
 
     def test_matches_analytic_for_all_m(self):
         ring = small_ring(256)
-        eig = eigenmode_frequencies(ring)
+        eig = eigenmode_frequencies(ring, 0.0)
         analytic = np.sort([analytic_mode_frequency(ring, m) for m in range(256)])
         scale = analytic[-1]
         assert np.all(np.abs(eig - analytic) <= 1e-9 * np.maximum(analytic, scale * 1e-3))
@@ -250,12 +250,12 @@ class TestEigenmodeOracle:
         ring = small_ring(4)
         f0 = ring.cell_frequency
         expected = np.sort([0.0, f0, f0, f0 * math.sqrt(2)])
-        eig = eigenmode_frequencies(ring)
+        eig = eigenmode_frequencies(ring, 0.0)
         assert np.allclose(eig, expected, rtol=1e-9, atol=1e-9 * f0)
 
     def test_degenerate_pairs(self):
         ring = small_ring(64)
-        eig = eigenmode_frequencies(ring)
+        eig = eigenmode_frequencies(ring, 0.0)
         # modes 1..31 appear twice: entries (2k-1, 2k) for k = 1..31
         for k in range(1, 32):
             a, b = eig[2 * k - 1], eig[2 * k]
@@ -264,7 +264,7 @@ class TestEigenmodeOracle:
     def test_dense_solve_limit(self, line_capacitance):
         ring = RingSpec(20001, LumpedCell(line_capacitance, 25e-6), GEOMETRIC_L, KINETIC_L)
         with pytest.raises(ValueError, match="dense solve"):
-            eigenmode_frequencies(ring)
+            eigenmode_frequencies(ring, 0.0)
 
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(
@@ -274,7 +274,7 @@ class TestEigenmodeOracle:
     )
     def test_property_oracle_equals_analytic(self, n_cells, kinetic, cap):
         ring = RingSpec(n_cells, LumpedCell(cap, 25e-6), kinetic / 100, kinetic)
-        eig = eigenmode_frequencies(ring)
+        eig = eigenmode_frequencies(ring, 0.0)
         analytic = np.sort([analytic_mode_frequency(ring, m) for m in range(n_cells)])
         scale = analytic[-1]
         assert np.all(np.abs(eig - analytic) <= 1e-9 * np.maximum(analytic, scale * 1e-3))

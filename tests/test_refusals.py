@@ -11,8 +11,9 @@ import math
 import numpy as np
 import pytest
 
-from metaring import conversion, dispersion, tuning
+from metaring import conversion, dispersion, fitting, tuning
 from metaring.core import BiasState, MicroloopSpec, SegmentParams
+from metaring.errors import PrecisionError
 
 SEGMENT = SegmentParams(57e-6, 289e-12, 25e-6)
 CELL = dispersion.UnitCell(segment1=SEGMENT, segment2=SegmentParams(3e-6, 880e-12, 5e-6))
@@ -30,6 +31,15 @@ def converter(**fields):
 
 def replaced(values, index, x):
     return (*values[:index], x, *values[index + 1:])
+
+
+def line_fit(bounds=((-math.inf, -math.inf), (math.inf, math.inf)), names=("a", "b"),
+             scales=(1.0, 1.0)):
+    """least_squares of a line from the start (1, 0), every option free but the one given."""
+    x = np.arange(10.0)
+    return fitting.least_squares(lambda p, xx: p[0] * xx + p[1], (x, 3.5 * x + 1.25), [1.0, 0.0],
+                                 bounds, names, scales,
+                                 jac=lambda p, xx, _: np.column_stack([xx, np.ones_like(xx)]))
 
 
 # id -> (call of one value, a value the call refuses, finite where one is)
@@ -52,6 +62,9 @@ CASES = {
         0.0, 1e10, *replaced(RATES, j, x)), bad)
        for j, (name, bad) in enumerate([("kerr_rate", -1.0), ("kappa", 0.0),
                                          ("kappa_ex", -1.0)])},
+    **{f"kerr_{name}_infinite": (lambda x, j=j: conversion.kerr_steady_state(
+        0.0, 1e10, *replaced(RATES, j, x)), math.inf)
+       for j, name in enumerate(["kerr_rate", "kappa", "kappa_ex"])},
     **{f"bifurcation_{name}": (lambda x, j=j: conversion.bifurcation_point(
         *replaced(RATES, j, x)), 0.0) for j, name in enumerate(["kerr_rate", "kappa",
                                                                   "kappa_ex"])},
@@ -78,6 +91,12 @@ CASES = {
     "single_photon_n_sat": (lambda x: conversion.single_photon_efficiency(TLS, 1e5, x), -1.0),
     "kinetic_inductance": (lambda x: tuning.kinetic_inductance(1e-9, 0.0, x), 0.0),
     "taylor_scale": (lambda x: tuning.taylor_coefficients(lambda e: e**4, scale=x), 0.0),
+    "taylor_scale_infinite": (lambda x: tuning.taylor_coefficients(lambda e: e**4, scale=x),
+                              math.inf),
+    "fit_scale": (lambda x: line_fit(scales=(x, 1.0)), 0.0),
+    "fit_scale_infinite": (lambda x: line_fit(scales=(1.0, x)), math.inf),
+    "fit_lower_bound": (lambda x: line_fit(bounds=((x, -math.inf), (math.inf, math.inf))), 2.0),
+    "fit_upper_bound": (lambda x: line_fit(bounds=((-math.inf, -math.inf), (math.inf, x))), -1.0),
     "loop_energy": (lambda x: tuning.loop_energy(x, LOOP, BiasState(0.0, 1e-4)), 1.0),
     "segment_abcd": (lambda x: dispersion.segment_abcd(SEGMENT, x), -1.0),
     "cell_trace": (lambda x: dispersion.cell_trace(CELL, x), -1.0),
@@ -93,3 +112,22 @@ def test_nan_gets_the_refusal_of_a_bad_value(call, bad):
     with pytest.raises(ValueError) as got:
         call(math.nan)
     assert str(got.value) == str(refused.value)
+
+
+def test_kerr_rates_have_their_own_refusal():
+    # an infinite kappa_ex once got the message about the cubic's coefficients
+    with pytest.raises(ValueError, match="^rates must be finite"):
+        conversion.kerr_steady_state(0.0, 1e10, 0.1, 1e5, math.inf)
+
+
+def test_fit_refuses_a_repeated_parameter_name():
+    # unchecked, the result kept one parameter under the name and dropped the other
+    with pytest.raises(ValueError, match="^param_names: every name must be distinct"):
+        line_fit(names=("a", "a"))
+
+
+@pytest.mark.parametrize("scale", [1e200, np.array([1.0, 1e200])])
+def test_taylor_fit_of_overflowing_energies_is_a_precision_error(scale):
+    # the energies overflow, so the check node's miss reads NaN
+    with np.errstate(all="ignore"), pytest.raises(PrecisionError):
+        tuning.taylor_coefficients(lambda e: e**4, scale=scale)
