@@ -66,12 +66,13 @@ def _pump(config: Config) -> tuple:
 def _run_tune(config: Config) -> list:
     loop, sweep = config.microloop, config.sweeps["field"]
     stop = sweep["stop_T"]
+    i_star = min(loop.i_star_narrow, loop.i_star_wide)  # as twm_fwm_coefficients checks
     # as BiasState.from_field, which would refuse an infinite current as a bias field
-    if abs(stop * loop.gap / loop.loop_dc_inductance) >= loop.i_star_narrow:
+    if abs(stop * loop.gap / loop.loop_dc_inductance) >= i_star:
         raise ConfigError([
             "sweep.field.stop_T: must drive a bias current below "
             f"device.microloop.i_star_narrow, so |stop_T| < "
-            f"{loop.i_star_narrow * loop.loop_dc_inductance / loop.gap!r} T, got {stop!r}"])
+            f"{i_star * loop.loop_dc_inductance / loop.gap!r} T, got {stop!r}"])
     fields = np.linspace(0.0, stop, sweep["points"])
     bias = tuning.BiasState.from_field(loop, fields)
     shift = tuning.fractional_frequency_shift(loop, bias)

@@ -179,7 +179,7 @@ class _CellRows:
         """
         if n_cells < 3:
             raise ValueError("n_cells must be >= 3")
-        if np.any(modes < 1):
+        if not np.all(modes >= 1):
             raise ValueError(f"mode index must be >= 1, got {modes.min()}")
         if np.any(modes % n_cells == 0):
             raise ValueError("m = 0 (mod N) only has the trivial root f = 0")
@@ -224,7 +224,7 @@ class _CellRows:
 
     def mode_index(self, n_cells: int, frequency: np.ndarray) -> np.ndarray:
         """Nearest first-band mode index of each row's cell at (rows, k) frequencies."""
-        if np.any(frequency < 0):
+        if not np.all(frequency >= 0):
             raise ValueError("frequency must be non-negative")
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowed phase
             value, floor = self._half_trace(*self._phases(frequency))
@@ -272,7 +272,7 @@ def solve_mode_frequency(
     docstring) and stops on its own test, a step or bracket below
     max(1e-4 Hz, 4 ulp) or a residual at rounding level, so a mode gets the
     same bits whether solved alone or in an array.  Raises ``ValueError``
-    for m < 1 and for the trivial m = 0 (mod N) target, and
+    for an m below 1 or NaN and for the trivial m = 0 (mod N) target, and
     ``PrecisionError`` for a root that does not stop within the step cap.
     """
     modes = np.asarray(m)
@@ -288,10 +288,10 @@ def mode_index_near(cell: UnitCell, n_cells: int,
 
     Inverts the dispersion relation directly: m = N*acos(cos k l_0)/(2 pi).
     One frequency gives an int, an array of them an int array of its shape.
-    Raises ``BandEdgeError`` when a frequency lies in a stop band, where the
-    half trace passes +-1 by more than the rounding floor at which
-    :func:`solve_mode_frequency` accepts a root, so every root it returns
-    has an index.
+    Raises ``ValueError`` for a negative or NaN frequency and
+    ``BandEdgeError`` for one in a stop band, where the half trace passes
+    +-1 by more than the rounding floor at which :func:`solve_mode_frequency`
+    accepts a root, so every root it returns has an index.
     """
     f = np.asarray(frequency, dtype=float)
     index = _CellRows(cell).mode_index(n_cells, f.reshape(1, -1)).reshape(f.shape)
@@ -310,11 +310,11 @@ class FsrCurve(NamedTuple):
 def fsr_curve(cell: UnitCell, n_cells: int, band: Tuple[float, float]) -> FsrCurve:
     """(f_m, f_{m+1} - f_m) for every first-band mode in ``band`` [Hz].
 
-    The top mode m = N/2 has no next one: its spacing is NaN.
+    Both edges are inclusive, so ``hi < lo`` gives an empty curve, and each
+    is refused as :func:`mode_index_near` refuses it, a negative or NaN one
+    too.  The top mode m = N/2 has no next one: its spacing is NaN.
     """
     lo, hi = band
-    if hi <= lo:
-        return FsrCurve(np.empty(0), np.empty(0))
     rows = _CellRows(cell)
     m_lo, m_hi = rows.mode_index(n_cells, np.array([[lo, hi]]))[0].tolist()
     modes = np.arange(max(1, m_lo - 1), min(m_hi + 1, n_cells // 2) + 1)

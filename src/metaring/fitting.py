@@ -34,8 +34,8 @@ weighted linear fit of the phase around the circle (Probst et al. 2015,
 Rev. Sci. Instrum. 86, 024706) gives f0 and Q_tot, and the edge phase slope
 less the resonator's own phase tail gives the cable delay.  The steps use
 the closed-form Jacobian of :func:`reflection_s11`, which reads the
-background from that model value.  The ordinary least squares of mode
-frequency versus mode number is closed form and needs no engine.
+background from that model value unless 1/Q_ex = 1/Q_in exactly.  The
+least squares of mode frequency versus mode number is closed form.
 """
 
 import io
@@ -406,12 +406,11 @@ def reflection_jacobian(frequency, params, reference_frequency: float,
 
     ``params`` is (f0, Q_in, Q_ex, amplitude, phase_offset, delay) with the
     delay phase referenced to the fixed ``reference_frequency``, and ``s11``
-    is :func:`reflection_s11` at these parameters.  The background is read
-    from ``s11``, unless S11's numerator (1/Q_ex - 1/Q_in) - 2ix, as computed,
-    is 0 at some point (critical coupling to rounding, at f = f0): then it
-    comes from a complex exponential.  Returns the complex (n, 6) array
-    dS11/dparams, the transpose of one C-contiguous (6, n) array, which the
-    engine splits without a copy.
+    is :func:`reflection_s11` at these parameters.  The background is
+    ``s11`` over S11's numerator (1/Q_ex - 1/Q_in) - 2ix, or a complex
+    exponential where 1/Q_ex = 1/Q_in exactly.  Returns the complex (n, 6)
+    array dS11/dparams, the transpose of one C-contiguous (6, n) array,
+    which the engine splits without a copy.
     """
     freq = np.asarray(frequency, dtype=float)
     f0, q_in, q_ex, amplitude, phase_offset, delay = params
@@ -419,26 +418,25 @@ def reflection_jacobian(frequency, params, reference_frequency: float,
     b = 1.0 / q_ex + 1.0 / q_in
     offset = freq - reference_frequency
     out = np.empty((6, freq.size), dtype=complex)
-    # S11 = A e (a - 2ix)/d with d = b + 2ix, e the unit background and
-    # a - 2ix = (a + b) - d; row 0 holds d until the f0 column replaces it,
-    # row 1 holds h = e/d and row 2 (a + b) - d until their own columns do
+    # S11 = A e (a - 2ix)/d with d = b + 2ix and e the unit background; rows
+    # 0, 1 and 2 hold d, h = e/d and a - 2ix until their own columns replace them
     d = out[0]
     d.real = b
     x2 = d.imag
     np.subtract(freq, f0, out=x2)
     x2 *= 2.0 / f0
+    numerator = np.conjugate(d, out=out[2])  # S11's own numerator a - 2ix
+    numerator.real = a
     unit = out[3]  # dS11/dA = S11/A
-    gap = np.subtract(a + b, d, out=out[2])  # a - 2ix, real part the scalar (a + b) - b
-    if (a + b) - b != 0.0 or gap.all():
+    if a != 0.0:
         np.multiply(s11, 1.0 / amplitude, out=unit)
-        h = np.divide(unit, gap, out=out[1])
+        h = np.divide(unit, numerator, out=out[1])
     else:
         phase = offset * (2.0 * math.pi * delay)
         phase += phase_offset
         e = _phasor(phase)
         h = np.divide(e, d, out=out[1])
-        np.multiply(h, a + b, out=unit)
-        unit -= e
+        np.multiply(h, numerator, out=unit)
     v = np.divide(h, d, out=d)  # e / d^2
     np.multiply(unit, 1j * amplitude, out=out[4])
     offset *= 2.0 * math.pi

@@ -64,6 +64,23 @@ class TestFieldAlias:
         assert len(violations[1]) == 1
         assert violations[1][0].startswith("sweep.field.stop_T: must drive a bias current")
 
+    def test_stop_bound_is_the_lower_wire_at_width_ratio_one(self, tmp_path,
+                                                             default_config_path):
+        # i_star_narrow may sit up to 1e-12 above i_star_wide at width_ratio 1; a
+        # stop driving a current between the two is a violation, as above the
+        # narrow wire, not a solver error of twm_fwm_coefficients
+        raw = load_default(default_config_path)
+        loop = raw["device"]["microloop"]
+        loop.update(width_ratio=1.0, inductance_narrow=loop["inductance_wide"],
+                    i_star_narrow=loop["i_star_wide"] * (1 + 5e-13))
+        stop = loop["i_star_wide"] * (1 + 2e-13) * loop["loop_dc_inductance"] / loop["gap"]
+        raw["sweep"]["field"] = {"stop_T": stop, "points": 41}
+        path = write_config(tmp_path, raw, default_config_path)
+        violations = validate_config(path)
+        assert len(violations) == 1
+        assert violations[0].startswith("sweep.field.stop_T: must drive a bias current")
+        assert main(["tune", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+
     def test_both_spellings_hash_alike(self, tmp_path, default_config_path):
         raw = load_default(default_config_path)
         raw["sweep"]["field"] = {"stop_T": 0.2 * 1e-3, "points": 41}

@@ -334,6 +334,13 @@ class TestFsrCurve:
         curve = fsr_curve(bloch_cell, N_CELLS, (5e9, 4e9))
         assert curve.f.shape == curve.fsr.shape == (0,)
 
+    def test_one_point_band_at_a_mode_keeps_it(self, bloch_cell):
+        # both edges are inclusive, as in modes.free_spectral_range
+        m = mode_index_near(bloch_cell, N_CELLS, 5e9)
+        f_m, f_next = solve_mode_frequency(bloch_cell, N_CELLS, np.array([m, m + 1])).tolist()
+        curve = fsr_curve(bloch_cell, N_CELLS, (f_m, f_m))
+        assert curve.f.tolist() == [f_m] and curve.fsr.tolist() == [f_next - f_m]
+
     def test_window_at_the_cell_count_cap_fits_the_sweep_cap(self, bloch_cell):
         # the top of the first band, at phase pi, has index N/2, so for the
         # largest ring a config may give fsr_curve's index window

@@ -102,6 +102,13 @@ CASES = {
     "cell_trace": (lambda x: dispersion.cell_trace(CELL, x), -1.0),
     "enhancement_offset": (lambda x: dispersion.idc_enhancement_sweep(
         CELL, 3200, 5e9, [x], [1.0]), 0.0),
+    "enhancement_signal": (lambda x: dispersion.idc_enhancement_sweep(
+        CELL, 3200, x, [1e9], [1.0]), -1.0),
+    "mode_index": (lambda x: dispersion.mode_index_near(CELL, 3200, x), -1.0),
+    "mode_index_entry": (lambda x: dispersion.mode_index_near(CELL, 3200, np.array([5e9, x])),
+                         -1.0),
+    "fsr_curve_lo": (lambda x: dispersion.fsr_curve(CELL, 3200, (x, 9e9)), -1.0),
+    "fsr_curve_hi": (lambda x: dispersion.fsr_curve(CELL, 3200, (4e9, x)), -1.0),
 }
 
 
@@ -112,6 +119,19 @@ def test_nan_gets_the_refusal_of_a_bad_value(call, bad):
     with pytest.raises(ValueError) as got:
         call(math.nan)
     assert str(got.value) == str(refused.value)
+
+
+@pytest.mark.parametrize("modes", [lambda m: m, lambda m: np.array([5.0, m])],
+                         ids=["scalar", "entry"])
+def test_nan_mode_gets_the_refusal_of_a_bad_one(modes):
+    # the message ends with the smallest mode, so the two agree up to it; a NaN
+    # mode once ran the Newton loop to its step cap
+    with pytest.raises(ValueError) as refused:
+        dispersion.solve_mode_frequency(CELL, 3200, modes(0.0))
+    with pytest.raises(ValueError) as got:
+        dispersion.solve_mode_frequency(CELL, 3200, modes(math.nan))
+    assert str(refused.value).endswith(", got 0.0")
+    assert str(got.value).rsplit(", got ", 1)[0] == str(refused.value).rsplit(", got ", 1)[0]
 
 
 def test_kerr_rates_have_their_own_refusal():
