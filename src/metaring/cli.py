@@ -63,6 +63,17 @@ def _pump(config: Config) -> tuple:
             f"at the top of the pump axis, got {pump['stop']!r}")
 
 
+def _tune_columns(loop, fields: np.ndarray) -> Optional[tuple]:
+    """The computed columns of tuning.csv, or None where one leaves the float range."""
+    bias = tuning.BiasState.from_field(loop, fields)
+    # looked up on its module, so perfbench's tracer sees it
+    report = _evaluate(tuning.nonlinearity_report, loop, bias)
+    if report is None or not all(np.isfinite(value).all() for value in report.values()):
+        return None
+    return (fields, bias.dc_current, tuning.fractional_frequency_shift(loop, bias),
+            report["twm"], report["fwm"], report["c3"], report["c4"])
+
+
 def _run_tune(config: Config) -> list:
     loop, sweep = config.microloop, config.sweeps["field"]
     stop = sweep["stop_T"]
@@ -73,13 +84,14 @@ def _run_tune(config: Config) -> list:
             "sweep.field.stop_T: must drive a bias current below "
             f"device.microloop.i_star_narrow, so |stop_T| < "
             f"{i_star * loop.loop_dc_inductance / loop.gap!r} T, got {stop!r}"])
-    fields = np.linspace(0.0, stop, sweep["points"])
-    bias = tuning.BiasState.from_field(loop, fields)
-    shift = tuning.fractional_frequency_shift(loop, bias)
-    report = tuning.nonlinearity_report(loop, bias)
+    columns = _tune_columns(loop, np.linspace(0.0, stop, sweep["points"]))
+    if columns is None:
+        bound = "must keep the mixing coefficients T, F, c3 and c4 in the float range"
+        if _tune_columns(loop, np.zeros(1)) is None:  # at zero field they are the loop's alone
+            raise ConfigError([f"device.microloop: {bound} at zero field"])
+        raise ConfigError([f"sweep.field.stop_T: {bound} on the field axis, got {stop!r}"])
     return [("tuning.csv", (("b_ext_tesla", "i_dc_amp", "df_over_f", "T", "F", "c3", "c4"),
-                            (fields, bias.dc_current, shift, report["twm"], report["fwm"],
-                             report["c3"], report["c4"])))]
+                            columns))]
 
 
 def _run_modes(config: Config) -> list:

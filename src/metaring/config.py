@@ -52,11 +52,12 @@ _MAX_CRITICAL_PHOTONS = 1e40
 
 
 def _evaluate(form: Callable, *args):
-    """``form(*args)``, or None where the closed form overflows or gives an invalid value."""
+    """``form(*args)``, or None where the closed form overflows, divides a float
+    by zero or gives an invalid value."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             return form(*args)
-    except FloatingPointError:
+    except ArithmeticError:  # FloatingPointError, or ZeroDivisionError of a float
         return None
 
 

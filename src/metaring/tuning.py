@@ -11,16 +11,18 @@ Expanding the inductive energy of the two-wire loop in the rf current of the
 narrow wire produces cubic (three-wave-mixing) and quartic (four-wave-mixing)
 terms.  The rf currents in the two wires are tied by the current division
 linearized at the dc operating point, I_rf2*L_k2(I_dc) = I_rf1*L_k1(I_dc).
-The energy is therefore an exact quartic in that rf current, and
-``taylor_coefficients`` reads its coefficients from one quartic fit.  It is
-the in-package check on the closed forms.
+Only each wire's quartic energy term L*I**4/(2 I*^2) reaches those powers of
+the rf current, so ``nonlinearity_report`` writes the coefficients term by
+term.  The energy is an exact quartic in the rf current, and
+``taylor_coefficients`` reads its coefficients from one quartic fit of
+``loop_energy``: that fit is the tests' numeric oracle for both.
 
 Every function of a bias takes one bias point or a whole field axis: the dc
 current may be a float or an array, and the results follow its shape.  The
-energy, the closed forms and the quartic fit write powers as products: numpy
-squares an array as x*x, while a float's x**2 calls libm's pow, which
-differs from x*x in the last bit for some x.  With products a point gets the
-same bits alone or in an array.
+energy, the closed forms, the expansion and the quartic fit write powers as
+products: numpy squares an array as x*x, while a float's x**2 calls libm's
+pow, which differs from x*x in the last bit for some x.  With products a
+point gets the same bits alone or in an array.
 """
 
 from typing import Callable, Dict, NamedTuple, Tuple, Union
@@ -40,8 +42,6 @@ _NODES = (0.0, np.cos(0.3 * np.pi), -np.cos(0.3 * np.pi), np.cos(0.1 * np.pi),
 # to the spread of the node energies
 _CHECK_NODE = 0.37
 _QUARTIC_RTOL = 1e-9
-# the fit nodes keep both wires below this fraction of their i*
-_NODE_SPAN = 0.95
 
 
 class NonlinearCoefficients(NamedTuple):
@@ -183,31 +183,29 @@ def taylor_coefficients(
 
 
 def nonlinearity_report(loop: MicroloopSpec, bias: BiasState) -> Dict[str, ArrayLike]:
-    """Closed forms next to the numeric expansion.
+    """Closed forms next to the term-by-term expansion of the loop energy.
 
-    ``c3``/``c4`` are the numeric cubic/quartic energy coefficients;
-    ``twm``/``fwm`` the closed forms.  The numeric expansion confirms the
-    closed forms are themselves the energy coefficients (no extra inductance
-    factor): the two agree to numerical noise.  Raises ``ValueError`` when
-    the dc current of any point reaches the characteristic current of either
-    wire.
+    ``twm``/``fwm`` are the closed forms of ``twm_fwm_coefficients``.
+    ``c3``/``c4`` expand each wire's energy in the narrow-wire rf current
+    i: with I1 = I_dc + r*i, I2 = I_dc - i and r = ``rf_current_ratio``,
+    only the quartic terms L*I**4/(2 I*^2) reach i**3 and i**4, so
+
+        c3 = 2 I_dc (r^3 L1/I1*^2 - L2/I2*^2)
+        c4 = (r^4 L1/I1*^2 + L2/I2*^2)/2
+
+    They use each wire's own inductance and i* where the closed forms use
+    gamma, and they agree with them to rounding over the whole field range
+    below i*.  Raises ``ValueError`` when the dc current of any point
+    reaches the characteristic current of either wire.
     """
     coeffs = twm_fwm_coefficients(loop, bias)
-    i_dc = bias.dc_current
-    # fit on the i_rf2 that keep both wire currents, I_dc - i_rf2 and
-    # I_dc + ratio*i_rf2, below _NODE_SPAN of their i*; near i* that interval
-    # leaves zero, and the fit is re-expanded about zero below
     ratio = rf_current_ratio(loop, bias)
-    narrow, wide = _NODE_SPAN * loop.i_star_narrow, _NODE_SPAN * loop.i_star_wide
-    low = np.maximum(i_dc - narrow, (-wide - i_dc) / ratio)
-    high = np.minimum(i_dc + narrow, (wide - i_dc) / ratio)
-    mid, half = 0.5 * (low + high), 0.5 * (high - low)
-    a3, a4 = taylor_coefficients(lambda y: loop_energy(y + mid, loop, bias), scale=half)
-    # a4*(i - mid)**4 contributes -4*mid*a4 to the cubic coefficient about zero
-    c3, c4 = a3 - 4.0 * mid * a4, a4
+    wide = loop.inductance_wide / (loop.i_star_wide * loop.i_star_wide)
+    narrow = loop.inductance_narrow / (loop.i_star_narrow * loop.i_star_narrow)
+    cube = ratio * ratio * ratio
     return {
         "twm": coeffs.twm,
         "fwm": coeffs.fwm,
-        "c3": c3,
-        "c4": c4,
+        "c3": 2.0 * bias.dc_current * (cube * wide - narrow),
+        "c4": 0.5 * (cube * ratio * wide + narrow),
     }

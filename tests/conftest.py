@@ -1,3 +1,4 @@
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,8 @@ from metaring import (
     UnitCell,
 )
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 
 # design-point constants used across the suite
 KINETIC_L = 57e-6        # H/m
@@ -92,3 +94,12 @@ def rel_err(value: float, reference: float) -> float:
 
 def approx_rel(value: float, reference: float, rtol: float) -> bool:
     return abs(value - reference) <= rtol * abs(reference)
+
+
+def perfbench_module(name: str):
+    """``perfbench/<name>.py``, loaded by path and left out of ``sys.modules``."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -25,6 +25,7 @@ from metaring.cli import main, run, validate_config
 from metaring.config import _MAX_SWEEP_POINTS, _SCHEMA, _Section, load_config
 from metaring.errors import ConfigError
 from test_csv import block_edges, write_csv_per_cell
+from test_tuning import C3_REL, C4_REL, closed_form_gaps
 
 
 def load_default(default_config_path) -> dict:
@@ -86,6 +87,63 @@ class TestFieldAlias:
         raw["sweep"]["field"] = {"stop_T": 0.2 * 1e-3, "points": 41}
         tesla = load_config(write_config(tmp_path, raw, default_config_path))
         assert tesla.config_hash == load_config(default_config_path).config_hash
+
+
+def tune_config(tmp_path, default_config_path, width_ratio, i_star_wide, stop_fraction) -> Path:
+    """The shipped config with its narrow wire set by ``width_ratio`` and the
+    field stop driving ``stop_fraction`` of the lower i*."""
+    raw = load_default(default_config_path)
+    loop = raw["device"]["microloop"]
+    loop.update(width_ratio=width_ratio, i_star_wide=i_star_wide,
+                i_star_narrow=width_ratio * i_star_wide,
+                inductance_narrow=loop["inductance_wide"] / width_ratio)
+    i_star = min(loop["i_star_narrow"], i_star_wide)
+    stop = stop_fraction * i_star * loop["loop_dc_inductance"] / loop["gap"]
+    raw["sweep"]["field"] = {"stop_T": stop, "points": 41}
+    return write_config(tmp_path, raw, default_config_path)
+
+
+class TestTuneRange:
+    @pytest.mark.parametrize("width_ratio, stop_fraction", [
+        (0.9, 0.999), (0.99, 0.99), (1.0, 0.99), (1.0, 0.95),
+    ], ids=["ratio_0.9_stop_0.999", "ratio_0.99_stop_0.99", "ratio_1_stop_0.99",
+            "ratio_1_stop_0.95"])
+    def test_stops_near_both_i_star_run(self, tmp_path, default_config_path, capsys,
+                                        width_ratio, stop_fraction):
+        # the quartic fit that once wrote c3 and c4 refused the first three
+        # ("scale must be positive and finite") and wrote c4 = 0.0 for the last
+        path = tune_config(tmp_path, default_config_path, width_ratio, 2e-3, stop_fraction)
+        assert main(["validate", "--config", str(path)]) == 0
+        assert main(["tune", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        rows = np.array(read_csv(tmp_path / "out" / "tuning.csv")[1:], dtype=float)
+        assert len(rows) == 41
+        twm, fwm, c3, c4 = rows[:, 3:].T
+        c3_gap, c4_gap = closed_form_gaps(load_config(path).microloop, twm, fwm, c3, c4)
+        assert c3_gap <= C3_REL and c4_gap <= C4_REL
+
+    @pytest.mark.parametrize("i_star_wide, stop_fraction, expected", [
+        (1e-160, 0.5, "device.microloop: must keep the mixing coefficients T, F, c3 and c4 "
+                      "in the float range at zero field"),
+        (1e-170, 0.5, "device.microloop: must keep the mixing coefficients T, F, c3 and c4 "
+                      "in the float range at zero field"),
+        (1.84e-158, 0.99, "sweep.field.stop_T: must keep the mixing coefficients T, F, c3 "
+                          "and c4 in the float range on the field axis, got "),
+    ], ids=["i_star_1e-160", "i_star_1e-170", "i_star_1.84e-158_top"])
+    def test_mixing_coefficients_outside_the_float_range_are_refused(
+            self, tmp_path, default_config_path, capsys, i_star_wide, stop_fraction, expected):
+        # at 1e-160 F overflowed to inf and the fit wrote c3 = c4 = 0.0 beside
+        # it; at 1e-170 i2*^2 underflows to zero and F divided by it; at
+        # 1.84e-158 F is finite at zero field and overflows near the stop
+        path = str(tune_config(tmp_path, default_config_path, 0.5, i_star_wide, stop_fraction))
+        assert main(["validate", "--config", path]) == 2
+        violations = capsys.readouterr().err.splitlines()
+        assert len(violations) == 1 and violations[0].startswith(expected), violations
+        for command in cli.COMMANDS:
+            out = tmp_path / command
+            assert main([command, "--config", path, "--out", str(out)]) == 2
+            assert capsys.readouterr().err == f"config error: {violations[0]}\n"
+            assert not out.exists()
 
 
 class TestValidate:
@@ -869,16 +927,16 @@ class TestMainExitCodes:
 
     def test_failed_tune_writes_nothing(self, tmp_path, default_config_path,
                                         monkeypatch, capsys):
-        # an energy that is no quartic fails the fit's check node in tune,
-        # the first runner the plan runs, before anything is written
-        energy = tuning.loop_energy
-        monkeypatch.setattr(tuning, "loop_energy",
-                            lambda i_rf2, loop, bias: energy(i_rf2, loop, bias)
-                            * (1.0 + 1e-3 * np.sin(1e4 * i_rf2)))
+        # tune is the first runner the plan runs: its solver error comes
+        # before anything is written
+        def fail(loop, bias):
+            raise ValueError("tune failed")
+
+        monkeypatch.setattr(tuning, "nonlinearity_report", fail)
         out = tmp_path / "out"
         code = main(["sweep", "--config", str(default_config_path), "--out", str(out)])
         assert code == 3
-        assert "solver error: energy is not a quartic" in capsys.readouterr().err
+        assert "solver error: tune failed" in capsys.readouterr().err
         assert not any(out.glob("*"))
 
     def test_late_io_error_writes_nothing(self, tmp_path, default_config_path,

@@ -8,7 +8,6 @@ The scaled sweep's output checks run here too, so an output they refuse
 fails the suite before it fails the benchmark.
 """
 
-import importlib.util
 import json
 import os
 import subprocess
@@ -16,8 +15,7 @@ import sys
 from pathlib import Path
 
 import metaring.cli
-
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT, perfbench_module
 
 CHILD = """
 import json, sys
@@ -43,15 +41,6 @@ def test_tracer_installs_and_sees_every_layer(tmp_path, default_config_path):
     runners = [f"cli.{name}_s" for name in metaring.cli._RUNNERS]
     assert all(totals[metric] > 0 for metric in ["config.load_s", *runners]), totals
     assert totals["fitting.model_evals"] >= 1
-
-
-def perfbench_module(name: str):
-    """``perfbench/<name>.py``, loaded by path and left out of ``sys.modules``."""
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
-                                                  ROOT / "perfbench" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_scaled_sweep_passes_the_benchmark_checks(tmp_path):
