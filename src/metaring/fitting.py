@@ -278,9 +278,8 @@ def least_squares(
         scale_free = scale[free]
         scaled = normal[free][:, free] * scale_free[:, None] * scale_free[None, :]
         scaled_descent = descent[free] * scale_free
-        damped = scaled.copy() if lam > 0.0 else scaled  # predicted_drop reads scaled
-        if lam > 0.0:
-            damped.ravel()[::len(damped) + 1] += lam
+        damped = scaled.copy()  # predicted_drop reads scaled
+        damped.ravel()[::len(damped) + 1] += lam
         step = np.zeros(n_par)
         try:
             step[free] = scale_free * np.linalg.solve(damped, scaled_descent)
@@ -325,15 +324,12 @@ def least_squares(
     errors = np.full(n_par, float("nan"))
     if m_res > n_par:
         sigma2 = cost / (m_res - n_par)
-        diag = normal.diagonal()
-        if np.isfinite(diag).all() and (diag > 0.0).all():
-            scale = 1.0 / np.sqrt(diag)
-            scaled = normal * scale[:, None] * scale[None, :]
-            try:
-                inverse = np.linalg.inv(scaled)
-            except np.linalg.LinAlgError:
-                inverse = np.full((n_par, n_par), math.nan)  # singular: every error is NaN
+        try:  # a singular matrix keeps every error NaN
+            scale = column_scale(normal)
+            inverse = np.linalg.inv(normal * scale[:, None] * scale[None, :])
             errors = np.sqrt(np.maximum(sigma2 * (inverse.diagonal() * scale * scale), 0.0))
+        except (ConditioningError, np.linalg.LinAlgError):
+            pass
     return FitResult(
         parameters=dict(zip(names, (float(v) for v in p))),
         standard_errors=dict(zip(names, (float(e) for e in errors))),
@@ -609,7 +605,9 @@ def fit_reflection_resonance(trace: Trace) -> FitResult:
     own phase tail gives the cable delay.  Raises :class:`NoResonanceError`
     when the trace holds no resonance circle.  The background scale is a
     nuisance parameter, so the extracted f0/Q_in/Q_ex are invariant under
-    multiplying the trace by any non-zero complex constant.
+    multiplying the trace by any non-zero complex constant while the circle
+    fit's moment products stay in the float range: the shipped 801-point
+    trace fits from about 1e-80 to 1e60 times its own scale.
     """
     if not np.iscomplexobj(trace.response):
         raise ValueError("reflection fitting needs a complex trace")
@@ -623,8 +621,8 @@ def fit_reflection_resonance(trace: Trace) -> FitResult:
         return reflection_jacobian(f, params, f_ref, s11)
 
     span = float(freq[-1] - freq[0])
-    scales = np.array([span, guess[1], guess[2], max(guess[3], 1e-3), 1.0, 1.0 / span])
-    lower = [freq[0], 1.0, 1.0, 1e-12, -math.tau, -1.0]
+    scales = np.array([span, guess[1], guess[2], guess[3], 1.0, 1.0 / span])
+    lower = [freq[0], 1.0, 1.0, 1e-12 * guess[3], -math.tau, -1.0]
     upper = [freq[-1], 1e12, 1e12, np.inf, math.tau, 1.0]
     return least_squares(
         model,

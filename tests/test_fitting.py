@@ -27,7 +27,7 @@ from metaring.fitting import (
     coupling_fraction,
     reflection_jacobian,
 )
-from conftest import rel_err
+from conftest import CONFIG_DIR, rel_err
 
 F0 = 4.85e9
 Q_IN = 3.93e5
@@ -568,6 +568,17 @@ class TestReflectionFit:
             assert rel_err(base.parameters[key], other.parameters[key]) < 1e-6
         assert rel_err(other.parameters["amplitude"],
                        0.37 * base.parameters["amplitude"]) < 1e-6
+        # the amplitude's bound and step scale follow its guess, so traces far
+        # below an amplitude of 1e-12 fit too; a power of two scales every
+        # operand exactly, so the resonance keeps its bits
+        shipped = Trace.from_csv(CONFIG_DIR / "trace_s11.csv")
+        base = fit_reflection_resonance(shipped)
+        for factor, tol in ((2.0 ** -40, 0.0), (2.0 ** 200, 0.0),
+                            (1e-13, 1e-12), (1e-60, 1e-12), (1e60, 1e-12)):
+            other = fit_reflection_resonance(Trace(shipped.frequency, shipped.response * factor))
+            assert other.converged, factor
+            for key in ("f0", "q_in", "q_ex"):
+                assert rel_err(other.parameters[key], base.parameters[key]) <= tol, (factor, key)
 
     def test_overcoupled_phase_winds_full_turn(self):
         # eta = 0.99: shallow amplitude dip but a full 2*pi phase winding

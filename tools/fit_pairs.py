@@ -4,18 +4,22 @@
 
 Each argument is a ``src`` directory that holds a ``metaring`` package tree;
 both are loaded as separate packages in one process.  Both fit the shipped
-trace ``configs/trace_s11.csv`` and every trace of perfbench's ``fit_batch``
+trace ``configs/trace_s11.csv``, that trace times 2**-40 and times 1e-13
+(the fit's scale invariance), and every trace of perfbench's ``fit_batch``
 for seeds 1-3 (``perfbench/inputs.py``, read here and not changed).  Each
 fit whose ``to_dict()``, residual history or refusal differs between the two
 is printed, and the script exits 1 if any does.  Then 40 rounds fit seed 1's
 batch through each version, in alternating order, and the output is each
-side's median and quartiles in ms a batch, the change's wins and the ratio
-of the medians.
+side's median and quartiles in ms a batch, its median count of minor page
+faults (``ru_minflt``) a batch, the change's wins and the ratio of the
+medians.  The page faults show allocator work that perfbench's ``fit_batch``
+does not see, because its worker runs a calibration kernel after each fit.
 """
 
 import argparse
 import importlib
 import importlib.util
+import resource
 import sys
 import time
 from pathlib import Path
@@ -48,14 +52,17 @@ def outcome(fitting, freq, response) -> str:
     return repr((result.to_dict(), result.residual_history))
 
 
-def batch_seconds(fitting, traces: list) -> float:
+def batch_cost(fitting, traces: list) -> tuple:
+    """(seconds, minor page faults) of fitting every trace once."""
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = time.perf_counter()
     for trace in traces:
         try:
             fitting.fit_reflection_resonance(trace)
         except (ValueError, RuntimeError):
             pass
-    return time.perf_counter() - start
+    seconds = time.perf_counter() - start
+    return seconds, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 
 
 def main() -> int:
@@ -70,6 +77,8 @@ def main() -> int:
 
     shipped = sides["parent"].Trace.from_csv(ROOT / "configs" / "trace_s11.csv")
     cases = [("shipped trace", shipped.frequency, shipped.response)]
+    cases += [(f"shipped trace times {factor!r}", shipped.frequency, shipped.response * factor)
+              for factor in (2.0 ** -40, 1e-13)]
     cases += [(f"seed {seed} {label}", freq, z)
               for seed in SEEDS for label, freq, z in inputs.fit_batch(seed)]
     moved = 0
@@ -81,20 +90,24 @@ def main() -> int:
     print(f"{moved} of {len(cases)} fits moved")
 
     times = {side: [] for side in sides}
+    faults = {side: [] for side in sides}
     traces = {side: [fitting.Trace(freq, z) for _, freq, z in inputs.fit_batch(SEEDS[0])]
               for side, fitting in sides.items()}
     for side, fitting in sides.items():
-        batch_seconds(fitting, traces[side])  # warm-up
+        batch_cost(fitting, traces[side])  # warm-up
     for round_ in range(ROUNDS):
         order = list(sides) if round_ % 2 == 0 else list(sides)[::-1]
         for side in order:
-            times[side].append(batch_seconds(sides[side], traces[side]))
+            seconds, minflt = batch_cost(sides[side], traces[side])
+            times[side].append(seconds)
+            faults[side].append(minflt)
     parent, change = (np.array(times[side]) * 1e3 for side in sides)
     print(f"seed {SEEDS[0]}'s batch of {len(traces['parent'])} fits, {ROUNDS} rounds; "
           "ms a batch:")
     for side, values in (("parent", parent), ("change", change)):
         q1, median, q3 = np.percentile(values, [25, 50, 75])
-        print(f"  {side:6}  median {median:8.2f}  quartiles {q1:8.2f} {q3:8.2f}")
+        print(f"  {side:6}  median {median:8.2f}  quartiles {q1:8.2f} {q3:8.2f}  "
+              f"minor faults {np.median(faults[side]):8.0f}")
     wins = int(np.count_nonzero(change < parent))
     print(f"  change faster in {wins} of {ROUNDS} rounds; "
           f"median ratio {np.median(change) / np.median(parent):.3f}")
