@@ -24,6 +24,7 @@ created.
 """
 
 import math
+import sys
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -206,6 +207,11 @@ class MicroloopSpec(NamedTuple):
         _positive("inductance_narrow", self.inductance_narrow)
         _positive("i_star_wide", self.i_star_wide)
         _positive("i_star_narrow", self.i_star_narrow)
+        for name in ("i_star_wide", "i_star_narrow"):  # T, F, c3 and c4 divide by i*^2
+            i_star = getattr(self, name)
+            if not i_star * i_star >= sys.float_info.min:
+                raise ValueError(f"{name}: must square to a normal float (at least "
+                                 f"{sys.float_info.min!r}), got {i_star!r}")
         expected_l2 = self.inductance_wide / self.width_ratio
         if abs(self.inductance_narrow - expected_l2) > _REL_TOL * expected_l2:
             raise ValueError(

@@ -462,14 +462,22 @@ def _circle_fit(z: np.ndarray) -> Tuple[complex, float]:
     u, v = w.real, w.imag
     s = u * u
     s += v * v
-    suu, svv, suv = float(np.dot(u, u)), float(np.dot(v, v)), float(np.dot(u, v))
-    sus, svs = float(np.dot(u, s)), float(np.dot(v, s))
+    s2 = float(s.sum() / len(s))
+    # the moments, scaled by powers of 2**e near the RMS radius, which is
+    # exact: their products, up to fifth powers, stay in the float range
+    e = math.frexp(s2)[1] // 2
+    suu = math.ldexp(float(np.dot(u, u)), -2 * e)
+    svv = math.ldexp(float(np.dot(v, v)), -2 * e)
+    suv = math.ldexp(float(np.dot(u, v)), -2 * e)
+    sus = math.ldexp(float(np.dot(u, s)), -3 * e)
+    svs = math.ldexp(float(np.dot(v, s)), -3 * e)
     det = suu * svv - suv * suv
     if not det > 0.0:
         raise NoResonanceError("trace points are collinear: no resonance circle")
     cu = 0.5 * (svv * sus - suv * svs) / det
     cv = 0.5 * (suu * svs - suv * sus) / det
-    return mean + complex(cu, cv), math.sqrt(cu * cu + cv * cv + float(s.sum() / len(s)))
+    radius = math.sqrt(cu * cu + cv * cv + math.ldexp(s2, -2 * e))
+    return mean + complex(math.ldexp(cu, e), math.ldexp(cv, e)), math.ldexp(radius, e)
 
 
 def _circle_phase_fit(z: np.ndarray, offset: np.ndarray) -> Tuple[complex, float, float, float]:
@@ -606,8 +614,9 @@ def fit_reflection_resonance(trace: Trace) -> FitResult:
     when the trace holds no resonance circle.  The background scale is a
     nuisance parameter, so the extracted f0/Q_in/Q_ex are invariant under
     multiplying the trace by any non-zero complex constant while the circle
-    fit's moment products stay in the float range: the shipped 801-point
-    trace fits from about 1e-80 to 1e60 times its own scale.
+    fit's third-power moments stay in the float range: the shipped 801-point
+    trace fits within 1e-12 of its own fit from about 1e-106 to 1e102 times
+    its own scale.
     """
     if not np.iscomplexobj(trace.response):
         raise ValueError("reflection fitting needs a complex trace")

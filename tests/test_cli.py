@@ -7,6 +7,8 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 import warnings
 from collections import Counter
 from contextlib import redirect_stderr
@@ -18,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import metaring
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, perfbench_module
 from metaring import _csv, cli, conversion, dispersion, tuning
 from metaring._csv import _CSV_BLOCK_CELLS
 from metaring.cli import main, run, validate_config
@@ -89,11 +91,13 @@ class TestFieldAlias:
         assert tesla.config_hash == load_config(default_config_path).config_hash
 
 
-def tune_config(tmp_path, default_config_path, width_ratio, i_star_wide, stop_fraction) -> Path:
+def tune_config(tmp_path, default_config_path, width_ratio, i_star_wide, stop_fraction,
+                inductance_wide=None) -> Path:
     """The shipped config with its narrow wire set by ``width_ratio`` and the
     field stop driving ``stop_fraction`` of the lower i*."""
     raw = load_default(default_config_path)
     loop = raw["device"]["microloop"]
+    loop["inductance_wide"] = inductance_wide or loop["inductance_wide"]
     loop.update(width_ratio=width_ratio, i_star_wide=i_star_wide,
                 i_star_narrow=width_ratio * i_star_wide,
                 inductance_narrow=loop["inductance_wide"] / width_ratio)
@@ -122,20 +126,28 @@ class TestTuneRange:
         c3_gap, c4_gap = closed_form_gaps(load_config(path).microloop, twm, fwm, c3, c4)
         assert c3_gap <= C3_REL and c4_gap <= C4_REL
 
-    @pytest.mark.parametrize("i_star_wide, stop_fraction, expected", [
-        (1e-160, 0.5, "device.microloop: must keep the mixing coefficients T, F, c3 and c4 "
-                      "in the float range at zero field"),
-        (1e-170, 0.5, "device.microloop: must keep the mixing coefficients T, F, c3 and c4 "
-                      "in the float range at zero field"),
-        (1.84e-158, 0.99, "sweep.field.stop_T: must keep the mixing coefficients T, F, c3 "
-                          "and c4 in the float range on the field axis, got "),
-    ], ids=["i_star_1e-160", "i_star_1e-170", "i_star_1.84e-158_top"])
+    @pytest.mark.parametrize("i_star_wide, inductance_wide, stop_fraction, expected", [
+        (1e-160, None, 0.5, "device.microloop.i_star_wide: must square to a normal float"),
+        (1e-170, None, 0.5, "device.microloop.i_star_wide: must square to a normal float"),
+        (1.84e-158, None, 0.99, "device.microloop.i_star_wide: must square to a normal float"),
+        (1e-150, 1e8, 0.5, "device.microloop: must keep the mixing coefficients T, F, c3 and "
+                           "c4 in the float range at zero field"),
+        (1.84e-153, 14.25, 0.99, "sweep.field.stop_T: must keep the mixing coefficients T, F, "
+                                 "c3 and c4 in the float range on the field axis, got "),
+    ], ids=["i_star_1e-160", "i_star_1e-170", "i_star_1.84e-158_top",
+            "inductance_1e8_zero_field", "inductance_14.25_top"])
     def test_mixing_coefficients_outside_the_float_range_are_refused(
-            self, tmp_path, default_config_path, capsys, i_star_wide, stop_fraction, expected):
+            self, tmp_path, default_config_path, capsys, i_star_wide, inductance_wide,
+            stop_fraction, expected):
         # at 1e-160 F overflowed to inf and the fit wrote c3 = c4 = 0.0 beside
         # it; at 1e-170 i2*^2 underflows to zero and F divided by it; at
-        # 1.84e-158 F is finite at zero field and overflows near the stop
-        path = str(tune_config(tmp_path, default_config_path, 0.5, i_star_wide, stop_fraction))
+        # 1.84e-158 F is finite at zero field and overflows near the stop.
+        # These i* square to subnormals, so they are refused at their leaf.
+        # With normal squares a large inductance takes F out of range: tune
+        # refuses 1e-150 at 1e8 H at zero field, and 1.84e-153 at 1e10 times
+        # the shipped 1.425 nH gives the 1.84e-158 case's F near the stop
+        path = str(tune_config(tmp_path, default_config_path, 0.5, i_star_wide, stop_fraction,
+                               inductance_wide))
         assert main(["validate", "--config", path]) == 2
         violations = capsys.readouterr().err.splitlines()
         assert len(violations) == 1 and violations[0].startswith(expected), violations
@@ -1184,6 +1196,153 @@ class TestMainExitCodes:
         code = main(["fringe", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 2
         assert "sweep.phase.points: must be <=" in capsys.readouterr().err
+
+
+def scaled_config(tmp_path: Path) -> Path:
+    """perfbench's seed-1 scaled config, the benchmark's sweep_scaled."""
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(perfbench_module("inputs").scaled_config(
+        CONFIG_DIR / "default.json", CONFIG_DIR / "trace_s11.csv", seed=1)))
+    return path
+
+
+def float_cells(config: Path) -> int:
+    return sum(cli._float_cells(file) for each in cli.plan(load_config(config)).values()
+               for file in each)
+
+
+def no_child_left() -> bool:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+class TestTwoProcessWriter:
+    """A run of at least ``_FORK_CELLS`` float cells writes part of its CSV
+    tables in a forked child; its outputs and failures are those of a run in
+    one process."""
+
+    def forks(self, monkeypatch) -> list:
+        """The pids of the children ``os.fork`` makes from now on."""
+        real_fork, pids = os.fork, []
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        return pids
+
+    def test_forked_run_matches_one_process(self, tmp_path, monkeypatch):
+        config = scaled_config(tmp_path)
+        assert float_cells(config) >= cli._FORK_CELLS
+        pids = self.forks(monkeypatch)
+        forked = run("sweep", config, tmp_path / "forked")
+        assert len(pids) == 1 and no_child_left()
+        monkeypatch.delattr(os, "fork")
+        alone = run("sweep", config, tmp_path / "alone")
+        assert forked.output_paths == alone.output_paths
+        for name in alone.output_paths:
+            assert (tmp_path / "forked" / name).read_bytes() == \
+                (tmp_path / "alone" / name).read_bytes(), name
+        assert sorted(path.name for path in (tmp_path / "forked").iterdir()) == \
+            sorted(alone.output_paths + ["manifest.json"])
+
+    def test_child_io_error_exit_4_writes_nothing(self, tmp_path, default_config_path,
+                                                  monkeypatch, capsys):
+        parent, real_write_csv = os.getpid(), _csv.write_csv
+
+        def fail_in_child(path, header, columns, work):
+            if os.getpid() != parent:
+                raise OSError(f"child disk full at {path.name}")
+            real_write_csv(path, header, columns, work)
+
+        monkeypatch.setattr(_csv, "write_csv", fail_in_child)
+        monkeypatch.setattr(cli, "_FORK_CELLS", 0)
+        pids = self.forks(monkeypatch)
+        out = tmp_path / "out"
+        code = main(["sweep", "--config", str(default_config_path), "--out", str(out)])
+        assert code == 4 and len(pids) == 1
+        assert "i/o error: child disk full at " in capsys.readouterr().err
+        assert not any(out.glob("*"))
+        assert no_child_left()
+
+    def test_child_failure_raises_its_traceback(self, tmp_path, default_config_path,
+                                                monkeypatch):
+        parent, real_write_csv = os.getpid(), _csv.write_csv
+
+        def fail_in_child(path, header, columns, work):
+            if os.getpid() != parent:
+                raise TypeError("a bad column")
+            real_write_csv(path, header, columns, work)
+
+        monkeypatch.setattr(_csv, "write_csv", fail_in_child)
+        monkeypatch.setattr(cli, "_FORK_CELLS", 0)
+        out = tmp_path / "out"
+        with pytest.raises(RuntimeError, match="(?s)exited with 1:.*TypeError: a bad column"):
+            run("sweep", default_config_path, out)
+        assert not any(out.glob("*"))
+        assert no_child_left()
+
+    def test_parent_failure_kills_the_writing_child(self, tmp_path, default_config_path,
+                                                    monkeypatch, capsys):
+        parent = os.getpid()
+
+        def child_hangs(path, header, columns, work):
+            if os.getpid() != parent:
+                time.sleep(60)  # killed long before
+            raise OSError("parent disk full")
+
+        monkeypatch.setattr(_csv, "write_csv", child_hangs)
+        monkeypatch.setattr(cli, "_FORK_CELLS", 0)
+        pids = self.forks(monkeypatch)
+        out = tmp_path / "out"
+        start = time.monotonic()
+        code = main(["sweep", "--config", str(default_config_path), "--out", str(out)])
+        assert time.monotonic() - start < 30
+        assert code == 4 and "i/o error: parent disk full" in capsys.readouterr().err
+        assert len(pids) == 1 and no_child_left()
+        assert not any(out.glob("*"))  # the staging directory is gone
+
+    def test_failed_fork_writes_in_one_process(self, tmp_path, default_config_path,
+                                               monkeypatch):
+        def fork():
+            raise BlockingIOError("no process to spare")
+
+        monkeypatch.setattr(cli, "_FORK_CELLS", 0)
+        monkeypatch.setattr(os, "fork", fork)
+        written = run("sweep", default_config_path, tmp_path / "out")
+        monkeypatch.delattr(os, "fork")
+        alone = run("sweep", default_config_path, tmp_path / "alone")
+        for name in alone.output_paths:
+            assert (tmp_path / "out" / name).read_bytes() == \
+                (tmp_path / "alone" / name).read_bytes(), name
+        assert written.output_paths == alone.output_paths
+
+    def test_live_thread_keeps_one_process(self, tmp_path, default_config_path, monkeypatch):
+        monkeypatch.setattr(cli, "_FORK_CELLS", 0)
+        pids = self.forks(monkeypatch)
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+        try:
+            run("sweep", default_config_path, tmp_path / "threaded")
+        finally:
+            done.set()
+            thread.join()
+        assert pids == []
+        run("sweep", default_config_path, tmp_path / "alone")
+        assert len(pids) == 1
+
+    def test_shipped_config_writes_in_one_process(self, tmp_path, default_config_path,
+                                                  monkeypatch):
+        # the desk run: a fork would cost it more than it saves
+        assert float_cells(default_config_path) < cli._FORK_CELLS
+        pids = self.forks(monkeypatch)
+        run("sweep", default_config_path, tmp_path / "out")
+        assert pids == []
 
 
 class TestConfigObjects:

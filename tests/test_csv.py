@@ -101,6 +101,7 @@ def test_no_cell_of_the_sweeps_left_to_repr(tmp_path, monkeypatch, default_confi
         return format_block(values, *args)
 
     monkeypatch.setattr(_csv, "repr_chars", recording)
+    monkeypatch.delattr(os, "fork")  # a forked writer's blocks would not be recorded here
     for name, config in (("default", default_config_path), ("scaled", scaled)):
         metaring.cli.run("sweep", config, tmp_path / name)
     ax = np.abs(np.concatenate(blocks))

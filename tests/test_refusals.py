@@ -6,12 +6,16 @@ every finite value is good (a detuning), an infinite one is the bad value;
 an infinite bad value elsewhere checks that infinity is refused too.
 """
 
+import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from conftest import CONFIG_DIR
 from metaring import conversion, dispersion, fitting, tuning
+from metaring.cli import validate_config
 from metaring.core import BiasState, MicroloopSpec, SegmentParams
 from metaring.errors import PrecisionError
 
@@ -151,3 +155,30 @@ def test_taylor_fit_of_overflowing_energies_is_a_precision_error(scale):
     # the energies overflow, so the check node's miss reads NaN
     with np.errstate(all="ignore"), pytest.raises(PrecisionError):
         tuning.taylor_coefficients(lambda e: e**4, scale=scale)
+
+
+@pytest.mark.parametrize("wire, i_star_wide", [("i_star_wide", 1e-160),
+                                              ("i_star_narrow", 2e-154)])
+def test_i_star_whose_square_is_subnormal_is_refused(tmp_path, wire, i_star_wide):
+    # T, F, c3 and c4 divide by i*^2, which would lose digits below the
+    # smallest normal float; the narrow wire carries half the wide one's i*
+    loop = dict(LOOP._asdict(), i_star_wide=i_star_wide, i_star_narrow=0.5 * i_star_wide)
+    with pytest.raises(ValueError, match=f"^{wire}: must square to a normal float"):
+        MicroloopSpec(**loop)
+    raw = json.loads((CONFIG_DIR / "default.json").read_text())
+    raw["device"]["microloop"].update(loop)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert validate_config(path) == [
+        f"device.microloop.{wire}: must square to a normal float "
+        f"(at least {sys.float_info.min!r}), got {loop[wire]!r}"]
+
+
+def test_i_star_at_the_root_of_the_smallest_normal_is_accepted():
+    root = math.sqrt(sys.float_info.min)
+    MicroloopSpec(**dict(LOOP._asdict(), width_ratio=1.0, inductance_narrow=1.425e-9,
+                         i_star_wide=root, i_star_narrow=root))
+    below = math.nextafter(root, 0.0)
+    with pytest.raises(ValueError, match="^i_star_wide: must square"):
+        MicroloopSpec(**dict(LOOP._asdict(), width_ratio=1.0, inductance_narrow=1.425e-9,
+                             i_star_wide=below, i_star_narrow=below))

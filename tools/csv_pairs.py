@@ -6,9 +6,12 @@ Both files are loaded as separate modules in one process.  The CSV tables
 of perfbench's seed-1 scaled sweep (``perfbench/inputs.py``, read here and
 not changed) are planned once through the package on ``PYTHONPATH``.  Each
 of 40 rounds then writes all of them through each version, in alternating order,
-into new files, as a run does (opening an existing file to overwrite it
-costs more on some file systems), takes each side's time as the best of 3
-writes, and asserts that both versions wrote the same bytes.  The output is
+into new files (opening an existing file to overwrite it costs more on some
+file systems), takes each side's time as the best of 3 writes, and asserts
+that both versions wrote the same bytes.  It times the serial kernel: every
+table in this one process, through one workspace, as a run below
+``cli._FORK_CELLS`` float cells writes them; a run as large as this one
+writes its tables in two processes.  The output is
 each side's median and quartiles in ms, the change's wins and the ratio of
 the medians.
 """
@@ -53,7 +56,7 @@ def scaled_tables(scratch: Path) -> list:
 
 def write_all(module, tables: list, out: Path) -> float:
     """Seconds to write every table into new files in ``out`` through one
-    fresh workspace, as a run does into its staging directory."""
+    fresh workspace, in this one process."""
     for name, *_ in tables:
         (out / name).unlink(missing_ok=True)
     start = time.perf_counter()

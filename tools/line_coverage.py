@@ -9,9 +9,12 @@ starts an ``ast`` statement and holds bytecode of the module; it ran if the
 tracer saw a line event on it.  The output lists each statement that never
 ran, as ``module.py:line  source``, and a count per module.
 
-Child processes are not traced: a statement that only a subprocess test runs
-(the CLI's ``__main__`` guard, say) is listed as never run.  The trace slows
-the run several times over.
+A forked child keeps the trace.  The tool alone wraps ``os._exit``, by which
+a forked child leaves (the CLI's CSV writer process does), so the child
+writes the lines it saw to a file and the tool merges them.  A new
+interpreter is not traced: a statement that only a subprocess test runs (the
+CLI's ``__main__`` guard, say) is listed as never run.  The trace slows the
+run several times over.
 
 To find code that only unit tests reach, run the tests that stand in for the
 package's callers (the acceptance contract, perfbench's hooks and the byte
@@ -27,7 +30,11 @@ coverage does not see fields), are candidates for deletion.
 """
 
 import ast
+import json
+import os
+import shutil
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
@@ -61,7 +68,17 @@ def main(argv: list) -> int:
     def tracer(frame, event, arg):
         return local if frame.f_code.co_filename in files else None
 
+    parent, real_exit = os.getpid(), os._exit
+    children = Path(tempfile.mkdtemp(prefix="line-coverage-"))
+
+    def exit_with_lines(code):
+        if os.getpid() != parent:  # a forked child hands its lines to the parent
+            lines = {name: sorted(numbers) for name, numbers in seen.items()}
+            (children / f"{os.getpid()}.json").write_text(json.dumps(lines))
+        real_exit(code)
+
     sys.path.insert(0, str(ROOT / "src"))
+    os._exit = exit_with_lines
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:
@@ -69,6 +86,11 @@ def main(argv: list) -> int:
     finally:
         sys.settrace(None)
         threading.settrace(None)
+        os._exit = real_exit
+        for child in children.glob("*.json"):
+            for name, numbers in json.loads(child.read_text()).items():
+                seen[name].update(numbers)
+        shutil.rmtree(children)
 
     lines = {}
     for name, path in files.items():
