@@ -12,17 +12,19 @@ staging directory inside the output directory, and the files are moved into
 place only once all are written, so a failed run adds no data file.
 
 A run of at least ``_FORK_CELLS`` float cells, on a system with
-``os.fork`` and with no other Python thread running, forks once before any
-write: a child writes about half of the CSV tables (dealt largest first to
-the group with fewer cells), this process the others and the JSON files,
-then it reaps the child and renames.  Every other run writes in one
-process; below the break-even the fork costs more than it saves.  A
-failure on either side kills and reaps the child before the staging
-directory is removed, and a child's ``OSError`` is raised here with its
-message.  Every command writes CSV (through ``metaring._csv``, one
-workspace a run) and/or JSON data files plus a ``manifest.json``.  Data
-files are byte-identical for identical (command, config), however they
-were written; the wall clock appears only in the manifest.
+``os.fork``, with no other Python thread running and with at least two CPUs
+in its affinity mask (where ``os.sched_getaffinity`` exists), forks once
+before any write: a child writes about half of the CSV tables (dealt
+largest first to the group with fewer cells), this process the others and
+the JSON files, then it reaps the child and renames.  Every other run
+writes in one process: below the break-even, or on one CPU, the fork costs
+more than it saves.  A failure on either side kills and reaps the child
+before the staging directory is removed, and a child's ``OSError`` is
+raised here with its message.  Every command writes CSV (through
+``metaring._csv``, one workspace a run) and/or JSON data files plus a
+``manifest.json``.  Data files are byte-identical for identical (command,
+config), however they were written; the wall clock appears only in the
+manifest.
 
 Exit codes: 0 success, 2 configuration invalid, 3 solver error, 4 I/O error.
 """
@@ -106,65 +108,61 @@ def _write(files: list, staging: Path, work: _csv.Workspace) -> None:
             _write_json(staging / name, content)
 
 
-class _Writer:
-    """A forked child process that writes some of a run's files.
+def _write_all(files: list, staging: Path, work: _csv.Workspace) -> None:
+    """Write each (name, content) of ``files`` into ``staging``, large runs
+    in two processes.
 
-    The child reports a failure by its exit code and on a pipe: 4 and the
-    message for an ``OSError``, 1 and the traceback for anything else.  It
-    always leaves by ``os._exit``, so it runs none of its parent's cleanup.
-    Where no process can be forked, the files are written in this one.
+    A forked child writes its share of the CSV tables and reports a failure
+    by its exit code and on a pipe: 4 and the message for an ``OSError``, 1
+    and the traceback for anything else.  It always leaves by ``os._exit``,
+    so it runs none of its parent's cleanup.  A failure here kills and reaps
+    the child before it propagates.  Where no process can be forked, the
+    files are written in this one.
     """
-
-    def __init__(self, files: list, staging: Path, work: _csv.Workspace):
-        read, write = os.pipe()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            self.pid, self.report = None, None
-            os.close(read)
-            os.close(write)
-            _write(files, staging, work)
-            return
-        if self.pid == 0:
-            code = 1
-            try:
-                os.close(read)
-                with open(write, "w", encoding="utf-8", errors="replace") as report:
-                    try:
-                        _write(files, staging, work)
-                        code = 0
-                    except OSError as exc:
-                        code = 4
-                        report.write(str(exc))
-                    except BaseException:  # reported, as the child never re-raises
-                        import traceback  # only a failed child needs it
-                        report.write(traceback.format_exc())
-            finally:
-                os._exit(code)
+    # a forked run is slower on one CPU; without an affinity mask the rest decides
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 2
+    if not (hasattr(os, "fork") and threading.active_count() == 1 and cpus >= 2
+            and sum(map(_float_cells, files)) >= _FORK_CELLS):
+        return _write(files, staging, work)
+    there, here = _split(files)
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
         os.close(write)
-        self.report = open(read, encoding="utf-8")
-
-    def join(self) -> None:
-        """Wait for the child, and raise its failure here."""
-        if self.pid is None:
-            return
-        message = self.report.read()  # to end of file, which the child's exit reaches
-        code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-        self.pid = None
-        if code == 4:
-            raise OSError(message)
-        if code:
-            raise RuntimeError(f"the CSV writer process exited with {code}:\n{message}")
-
-    def stop(self) -> None:
-        """Kill and reap the child unless it was joined, and close its pipe."""
-        if self.pid is not None:
-            import signal  # only a run that fails while its child writes needs it
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
-        if self.report is not None:
-            self.report.close()
+        return _write(files, staging, work)
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read)
+            with open(write, "w", encoding="utf-8", errors="replace") as report:
+                try:
+                    _write(there, staging, work)
+                    code = 0
+                except OSError as exc:
+                    code = 4
+                    report.write(str(exc))
+                except BaseException:  # reported, as the child never re-raises
+                    import traceback  # only a failed child needs it
+                    report.write(traceback.format_exc())
+        finally:
+            os._exit(code)
+    os.close(write)
+    try:
+        with open(read, encoding="utf-8") as report:
+            _write(here, staging, work)
+            message = report.read()  # to end of file, which the child's exit reaches
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    except BaseException:
+        import signal  # only a run that fails while its child writes needs it
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    if code == 4:
+        raise OSError(message)
+    if code:
+        raise RuntimeError(f"the CSV writer process exited with {code}:\n{message}")
 
 
 def _pump(config: Config) -> tuple:
@@ -189,13 +187,14 @@ def _tune_columns(loop, fields: np.ndarray) -> Optional[tuple]:
 def _run_tune(config: Config) -> list:
     loop, sweep = config.microloop, config.sweeps["field"]
     stop = sweep["stop_T"]
-    i_star = min(loop.i_star_narrow, loop.i_star_wide)  # as twm_fwm_coefficients checks
+    # the lower wire's i*, as twm_fwm_coefficients checks; narrow on a tie
+    wire = "i_star_wide" if loop.i_star_wide < loop.i_star_narrow else "i_star_narrow"
+    i_star = getattr(loop, wire)
     # as BiasState.from_field, which would refuse an infinite current as a bias field
     if abs(stop * loop.gap / loop.loop_dc_inductance) >= i_star:
         raise ConfigError([
-            "sweep.field.stop_T: must drive a bias current below "
-            f"device.microloop.i_star_narrow, so |stop_T| < "
-            f"{i_star * loop.loop_dc_inductance / loop.gap!r} T, got {stop!r}"])
+            f"sweep.field.stop_T: must drive a bias current below device.microloop.{wire}, "
+            f"so |stop_T| < {i_star * loop.loop_dc_inductance / loop.gap!r} T, got {stop!r}"])
     columns = _tune_columns(loop, np.linspace(0.0, stop, sweep["points"]))
     if columns is None:
         bound = "must keep the mixing coefficients T, F, c3 and c4 in the float range"
@@ -384,22 +383,12 @@ def run(command: str, config_path, out_dir) -> RunManifest:
     # os.replace within one file system is atomic, so out never holds a
     # file of a run that did not finish
     staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
-    work = _csv.Workspace()  # formats every table of the run, and dies with it
-    writer = None
     try:
-        here = files
-        if (hasattr(os, "fork") and threading.active_count() == 1
-                and sum(map(_float_cells, files)) >= _FORK_CELLS):
-            there, here = _split(files)
-            writer = _Writer(there, staging, work)
-        _write(here, staging, work)
-        if writer is not None:
-            writer.join()
+        # one workspace formats every table of the run, and dies with it
+        _write_all(files, staging, _csv.Workspace())
         for name, _ in files:
             os.replace(staging / name, out / name)
     finally:
-        if writer is not None:
-            writer.stop()
         shutil.rmtree(staging, ignore_errors=True)
     manifest = RunManifest(
         command=command,

@@ -463,14 +463,14 @@ def _circle_fit(z: np.ndarray) -> Tuple[complex, float]:
     s = u * u
     s += v * v
     s2 = float(s.sum() / len(s))
-    # the moments, scaled by powers of 2**e near the RMS radius, which is
-    # exact: their products, up to fifth powers, stay in the float range
+    # the points, scaled by 2**-e near the RMS radius, which is exact: the
+    # moments' products, up to fifth powers, stay in the float range
     e = math.frexp(s2)[1] // 2
-    suu = math.ldexp(float(np.dot(u, u)), -2 * e)
-    svv = math.ldexp(float(np.dot(v, v)), -2 * e)
-    suv = math.ldexp(float(np.dot(u, v)), -2 * e)
-    sus = math.ldexp(float(np.dot(u, s)), -3 * e)
-    svs = math.ldexp(float(np.dot(v, s)), -3 * e)
+    np.ldexp(u, -e, out=u)
+    np.ldexp(v, -e, out=v)
+    np.ldexp(s, -2 * e, out=s)
+    suu, svv, suv = float(np.dot(u, u)), float(np.dot(v, v)), float(np.dot(u, v))
+    sus, svs = float(np.dot(u, s)), float(np.dot(v, s))
     det = suu * svv - suv * suv
     if not det > 0.0:
         raise NoResonanceError("trace points are collinear: no resonance circle")
@@ -613,10 +613,10 @@ def fit_reflection_resonance(trace: Trace) -> FitResult:
     own phase tail gives the cable delay.  Raises :class:`NoResonanceError`
     when the trace holds no resonance circle.  The background scale is a
     nuisance parameter, so the extracted f0/Q_in/Q_ex are invariant under
-    multiplying the trace by any non-zero complex constant while the circle
-    fit's third-power moments stay in the float range: the shipped 801-point
-    trace fits within 1e-12 of its own fit from about 1e-106 to 1e102 times
-    its own scale.
+    multiplying the trace by any non-zero complex constant while the fit's
+    products stay in the float range: the shipped 801-point trace fits
+    within 1e-12 of its own fit from about 1e-148 to 1e146 times its own
+    scale.
     """
     if not np.iscomplexobj(trace.response):
         raise ValueError("reflection fitting needs a complex trace")

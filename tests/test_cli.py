@@ -70,8 +70,8 @@ class TestFieldAlias:
     def test_stop_bound_is_the_lower_wire_at_width_ratio_one(self, tmp_path,
                                                              default_config_path):
         # i_star_narrow may sit up to 1e-12 above i_star_wide at width_ratio 1; a
-        # stop driving a current between the two is a violation, as above the
-        # narrow wire, not a solver error of twm_fwm_coefficients
+        # stop driving a current between the two is a violation that names the
+        # wide wire, not a solver error of twm_fwm_coefficients
         raw = load_default(default_config_path)
         loop = raw["device"]["microloop"]
         loop.update(width_ratio=1.0, inductance_narrow=loop["inductance_wide"],
@@ -80,8 +80,10 @@ class TestFieldAlias:
         raw["sweep"]["field"] = {"stop_T": stop, "points": 41}
         path = write_config(tmp_path, raw, default_config_path)
         violations = validate_config(path)
-        assert len(violations) == 1
-        assert violations[0].startswith("sweep.field.stop_T: must drive a bias current")
+        assert violations == [
+            "sweep.field.stop_T: must drive a bias current below device.microloop.i_star_wide, "
+            f"so |stop_T| < {loop['i_star_wide'] * loop['loop_dc_inductance'] / loop['gap']!r} T, "
+            f"got {stop!r}"]
         assert main(["tune", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
 
     def test_both_spellings_hash_alike(self, tmp_path, default_config_path):
@@ -1222,6 +1224,11 @@ class TestTwoProcessWriter:
     tables in a forked child; its outputs and failures are those of a run in
     one process."""
 
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        """Two CPUs in the affinity mask, so a host held to one CPU forks here too."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
     def forks(self, monkeypatch) -> list:
         """The pids of the children ``os.fork`` makes from now on."""
         real_fork, pids = os.fork, []
@@ -1335,6 +1342,21 @@ class TestTwoProcessWriter:
         assert pids == []
         run("sweep", default_config_path, tmp_path / "alone")
         assert len(pids) == 1
+
+    def test_one_cpu_writes_in_one_process(self, tmp_path, default_config_path, monkeypatch):
+        monkeypatch.setattr(cli, "_FORK_CELLS", 0)
+        pids = self.forks(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        alone = run("sweep", default_config_path, tmp_path / "alone")
+        assert pids == []
+        # where no affinity mask can be read, the rest of the rule decides
+        monkeypatch.delattr(os, "sched_getaffinity")
+        forked = run("sweep", default_config_path, tmp_path / "forked")
+        assert len(pids) == 1 and no_child_left()
+        assert alone.output_paths == forked.output_paths
+        for name in forked.output_paths:
+            assert (tmp_path / "alone" / name).read_bytes() == \
+                (tmp_path / "forked" / name).read_bytes(), name
 
     def test_shipped_config_writes_in_one_process(self, tmp_path, default_config_path,
                                                   monkeypatch):

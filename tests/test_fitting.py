@@ -571,13 +571,14 @@ class TestReflectionFit:
         # the amplitude's bound and step scale follow its guess, so traces far
         # below an amplitude of 1e-12 fit too; a power of two scales every
         # operand exactly, so the resonance keeps its bits; the circle fit
-        # scales its moments, so they stay in the float range at 1e62 and
-        # 1e-82 too
+        # scales the points before their moments, so the moments stay in the
+        # float range, and normal, at 1e62, 1e140 and 1e-82 to 1e-130 too
         shipped = Trace.from_csv(CONFIG_DIR / "trace_s11.csv")
         base = fit_reflection_resonance(shipped)
         for factor, tol in ((2.0 ** -40, 0.0), (2.0 ** 200, 0.0),
                             (1e-13, 1e-12), (1e-60, 1e-12), (1e60, 1e-12),
-                            (1e62, 1e-12), (1e-82, 1e-12)):
+                            (1e62, 1e-12), (1e140, 1e-12), (1e-82, 1e-12),
+                            (1e-110, 1e-12), (1e-130, 1e-12)):
             other = fit_reflection_resonance(Trace(shipped.frequency, shipped.response * factor))
             assert other.converged, factor
             for key in ("f0", "q_in", "q_ex"):

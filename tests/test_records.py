@@ -29,9 +29,8 @@ RECORDS = (
     config.Config, config._Section, cli.RunManifest,
 )
 # what else the modules define: the fields of Trace, whose own __new__ turns
-# them into arrays, and three private helpers, the last one a run's forked
-# CSV writer process
-HELPERS = {fitting._TraceFields, dispersion._CellRows, config._JsonObject, cli._Writer}
+# them into arrays, and two private helpers
+HELPERS = {fitting._TraceFields, dispersion._CellRows, config._JsonObject}
 
 
 def test_every_class_is_a_record_an_error_or_a_helper():

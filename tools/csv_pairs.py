@@ -10,10 +10,10 @@ into new files (opening an existing file to overwrite it costs more on some
 file systems), takes each side's time as the best of 3 writes, and asserts
 that both versions wrote the same bytes.  It times the serial kernel: every
 table in this one process, through one workspace, as a run below
-``cli._FORK_CELLS`` float cells writes them; a run as large as this one
-writes its tables in two processes.  The output is
-each side's median and quartiles in ms, the change's wins and the ratio of
-the medians.
+``cli._FORK_CELLS`` float cells, or on one CPU, writes them; a run as large
+as this one writes its tables in two processes where it may use two CPUs.
+The output is each side's median and quartiles in ms, the change's wins and
+the ratio of the medians.
 """
 
 import argparse
