@@ -48,7 +48,6 @@ from .conversion import (
     calibrated_efficiency,
     conversion_bandwidth,
     conversion_spectrum,
-    cooperativity,
     interference_fringe,
     kerr_steady_state,
     matched_bandwidth,

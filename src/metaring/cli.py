@@ -286,15 +286,14 @@ def _run_convert(config: Config) -> list:
                           f"at the edges of the detuning axis, got {span!r}")
     if violations:
         raise ConfigError(violations)
-    c = conversion.cooperativity(converter)
-    pairs = conversion.pair_sweep(config.pairs, c)
+    pairs = conversion.pair_sweep(config.pairs, converter.p0_norm)
     return [
         ("pump.csv", (("p0_norm", "t2", "r2"), (pump, *law))),
         ("spectrum.csv", (("delta_hz", "t2", "r2"), (deltas, *spectrum))),
         ("pairs.csv", (("pair_index", "eta_product", "t2"),
                        (pairs.index, pairs.bound, pairs.efficiency))),
-        ("convert_summary.json", {
-            "cooperativity": c, "bandwidth_hz": conversion.conversion_bandwidth(converter)}),
+        ("convert_summary.json", {"cooperativity": converter.p0_norm,
+                                  "bandwidth_hz": conversion.conversion_bandwidth(converter)}),
     ]
 
 

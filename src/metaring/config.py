@@ -30,7 +30,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .conversion import (ConverterParams, bifurcation_drive_power, conversion_spectrum,
-                         cooperativity, scattering)
+                         scattering)
 from .core import LumpedCell, MicroloopSpec, RingSpec, SegmentParams, checked
 from .dispersion import UnitCell
 from .errors import ConfigError
@@ -173,7 +173,6 @@ def _is_pair(pair) -> bool:
 
 
 _number = _kind("a finite number", _is_finite)
-_number_or_null = _kind("a finite number or null", lambda v: v is None or _is_finite(v))
 _integer = _kind("an integer", lambda v: _is_finite(v) and float(v).is_integer(), int)
 _numbers = _kind("a list of finite numbers",
                  lambda v: isinstance(v, list) and all(map(_is_finite, v)),
@@ -241,20 +240,9 @@ def _law_bound(field: str, c: float) -> str:
 
 
 def _converter(kerr, fringe, pairs, **rates):
-    if rates["p0_norm"] is None and rates["n_eff"] is None:
-        raise ValueError("p0_norm: must be a finite number when n_eff is null, "
-                         "since one of them sets the cooperativity")
     params = ConverterParams(**rates)
-    if params.p0_norm is not None:  # it is the cooperativity, so g0 and n_eff would go unread
-        for field, unset in (("g0", 0.0), ("n_eff", None)):
-            if rates[field] != unset:
-                raise ValueError(f"{field}: must be left out or {json.dumps(unset)} while p0_norm "
-                                 "gives the cooperativity; give \"p0_norm\": null to derive "
-                                 "it from g0 and n_eff")
-    c = cooperativity(params)
-    if _evaluate(scattering, c, params.eta_s, params.eta_i) is None:  # as the pairs table does
-        field = "g0" if params.p0_norm is None else "p0_norm"
-        raise ValueError(_law_bound(field, c))
+    if _evaluate(scattering, params.p0_norm, params.eta_s, params.eta_i) is None:
+        raise ValueError(_law_bound("p0_norm", params.p0_norm))  # as the pairs table does
     if _evaluate(conversion_spectrum, 0.0, params) is None:
         raise ValueError("linewidths and cooperativity must keep the conversion spectrum "
                          "finite at zero detuning, where its denominator is "
@@ -288,8 +276,7 @@ _SCHEMA = _Section({
     }),
     "converter": _Section({
         "kappa_s": _number, "kappa_i": _number, "eta_s": _number, "eta_i": _number,
-        "g0": (_number, 0.0), "n_eff": (_number_or_null, None),
-        "p0_norm": (_number_or_null, 1.0),
+        "p0_norm": (_number, 1.0),
         "kerr": _numbers_section(
             KerrScenario, "rate_hz", "quality_factor", "coupling_efficiency", "frequency_hz"),
         "fringe": _Section({

@@ -1,9 +1,8 @@
 """Input-output model of the two-mode parametric converter.
 
 A pump at the signal/idler difference frequency couples the two modes with
-cooperativity C = 4 g0^2 n_eff/(kappa_s kappa_i), equal to the pump power
-normalized to the highest-efficiency power.  On-chip conversion follows the
-beam-splitter law
+cooperativity C, the pump power normalized to the highest-efficiency power
+(``p0_norm``).  On-chip conversion follows the beam-splitter law
 
     |t|^2 = eta_s eta_i 4C/(1+C)^2,      |r|^2 = 1 - |t|^2,
 
@@ -44,19 +43,15 @@ class ConverterParams(NamedTuple):
     """Mode-pair rates of the converter.
 
     ``kappa_s``/``kappa_i`` are total linewidths [Hz]; ``eta_s``/``eta_i``
-    external fractions; ``g0`` the single-photon coupling [Hz] (configured,
-    never derived here); ``n_eff`` the effective pump photon number;
-    ``p0_norm`` the pump power normalized to the highest-efficiency power.
-    When ``p0_norm`` is given it *is* the cooperativity.
+    external fractions; ``p0_norm`` the pump power normalized to the
+    highest-efficiency power, which is the cooperativity C.
     """
 
     kappa_s: float
     kappa_i: float
     eta_s: float
     eta_i: float
-    g0: float = 0.0
-    n_eff: Optional[float] = None
-    p0_norm: Optional[float] = None
+    p0_norm: float
 
     def _check(self) -> None:
         if not (self.kappa_s > 0 and self.kappa_i > 0):
@@ -64,29 +59,10 @@ class ConverterParams(NamedTuple):
         for name, eta in (("eta_s", self.eta_s), ("eta_i", self.eta_i)):
             if not (0.0 <= eta <= 1.0):
                 raise ValueError(f"{name} must lie in [0, 1], got {eta!r}")
-        if not self.g0 >= 0:
-            raise ValueError("g0 must be non-negative")
-        if self.n_eff is not None and not self.n_eff >= 0:
-            raise ValueError("n_eff must be non-negative")
-        if self.p0_norm is not None and not self.p0_norm >= 0:
+        if not self.p0_norm >= 0:
             raise ValueError("p0_norm must be non-negative")
-        try:
-            finite = (self.p0_norm is not None or self.n_eff is None
-                      or math.isfinite(cooperativity(self)))
-        except (OverflowError, ZeroDivisionError):  # g0**2 overflows, kappa_s kappa_i is 0
-            finite = False
-        if not finite:
-            raise ValueError("g0: must make the cooperativity 4 g0^2 n_eff/(kappa_s kappa_i) "
-                             "finite")
-
-
-def cooperativity(params: ConverterParams) -> float:
-    """C = 4 g0^2 n_eff/(kappa_s kappa_i), or p0_norm when driven that way."""
-    if params.p0_norm is not None:
-        return params.p0_norm
-    if params.n_eff is None:
-        raise ValueError("either p0_norm or n_eff must be set")
-    return 4.0 * params.g0**2 * params.n_eff / (params.kappa_s * params.kappa_i)
+        if self.p0_norm == math.inf:  # the spectrum would be NaN
+            raise ValueError("p0_norm must be finite")
 
 
 class ScatteringResult(NamedTuple):
@@ -137,7 +113,7 @@ def conversion_spectrum(
 
     which reduces to ``scattering`` at d = 0; r2 = 1 - t2 as at line center.
     """
-    c = cooperativity(params)
+    c = params.p0_norm
     delta = np.asarray(detuning, dtype=float)
     ks, ki = params.kappa_s, params.kappa_i
     g2 = c * ks * ki / 4.0
@@ -157,17 +133,18 @@ def matched_bandwidth(kappa: float, c: float) -> float:
     crossing is x = (2A - B + sqrt((2A-B)^2 + 4A^2))/2; above C = 1 the
     response splits (minimum of the quartic at x = A - B/2 > 0) and the outer
     half-peak crossing becomes x = (2A - B + sqrt(B(4A - B)))/2.  Both
-    branches meet at C = 1 where the width is sqrt(2)*kappa.
+    branches meet at C = 1 where the width is sqrt(2)*kappa.  They are
+    evaluated in units of B, so kappa is never squared and the width
+    2 kappa sqrt(x/B) scales with kappa exactly.
     """
-    if not (kappa > 0 and c >= 0):
-        raise ValueError("kappa must be positive and c non-negative")
-    a = kappa**2 * (1.0 + c) / 4.0
-    b = kappa**2
-    if a > b / 2.0:  # split peaks
-        x = (2.0 * a - b + math.sqrt(b * (4.0 * a - b))) / 2.0
+    if not (0.0 < kappa < math.inf and 0.0 <= c < math.inf):
+        raise ValueError("kappa must be positive and c non-negative, both finite")
+    a = (1.0 + c) / 4.0  # A/B
+    if 2.0 * a > 1.0:  # split peaks
+        x = (2.0 * a - 1.0 + math.sqrt(4.0 * a - 1.0)) / 2.0
     else:
-        x = (2.0 * a - b + math.hypot(2.0 * a - b, 2.0 * a)) / 2.0
-    return 2.0 * math.sqrt(x)
+        x = (2.0 * a - 1.0 + math.hypot(2.0 * a - 1.0, 2.0 * a)) / 2.0
+    return 2.0 * kappa * math.sqrt(x)
 
 
 def conversion_bandwidth(params: ConverterParams) -> Optional[float]:
@@ -184,7 +161,7 @@ def conversion_bandwidth(params: ConverterParams) -> Optional[float]:
     float range before the width does.  None when nothing converts (C, eta_s
     or eta_i is 0): a spectrum that is zero everywhere has no width.
     """
-    c = cooperativity(params)
+    c = params.p0_norm
     if c == 0.0 or params.eta_s == 0.0 or params.eta_i == 0.0:
         return None
     total = params.kappa_s + params.kappa_i  # 2 sqrt(B)
@@ -225,10 +202,12 @@ def interference_fringe(pump_phase: ArrayLike, r_mag: float, t_mag: float) -> Ar
 
     Maximum (r+t)^2 at phi = 0, minimum (r-t)^2 half a period later;
     visibility 2 r t/(r^2 + t^2); period exactly 2*pi.  A global phase
-    offset is a shift of ``pump_phase``.
+    offset is a shift of ``pump_phase``; a NaN or infinite phase is refused.
     """
     _check_amplitudes(r_mag, t_mag)
     phi = np.asarray(pump_phase, dtype=float)
+    if not np.all(np.isfinite(phi)):
+        raise ValueError("pump_phase must be finite")
     power = r_mag**2 + t_mag**2 + 2.0 * r_mag * t_mag * np.cos(phi)
     if np.ndim(pump_phase) == 0:
         return float(power)

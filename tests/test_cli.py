@@ -196,11 +196,13 @@ class TestValidate:
         (("sweeps",), {}, "sweeps: unknown key"),
         (("converter", "g_0"), 5, "converter.g_0: unknown key"),
         (("converter", "fringe", "etas"), 0.5, "converter.fringe.etas: unknown key"),
-        (("converter", "n_eff"), True, "converter.n_eff: must be a finite number or null"),
-        (("converter", "p0_norm"), True, "converter.p0_norm: must be a finite number or null"),
+        (("converter", "n_eff"), True, "converter.n_eff: unknown key"),
+        (("converter", "p0_norm"), True, "converter.p0_norm: must be a finite number, got True"),
+        (("converter", "p0_norm"), None, "converter.p0_norm: must be a finite number, got None"),
+        (("converter", "n_eff"), None, "converter.n_eff: unknown key"),
         (("sweep", "ratio", "values"), [1.0, True], "sweep.ratio.values: must be a list"),
         (("converter", "pairs"), [[0.99, 0.97], True], "converter.pairs: must be a list"),
-        (("converter", "n_eff"), float("nan"), "converter.n_eff: must be a finite number"),
+        (("converter", "n_eff"), float("nan"), "converter.n_eff: unknown key"),
         (("device", "ring", "segment2"), 5, "device.ring.segment2: unknown key"),
         (("sweep", "phase", "points"), True, "sweep.phase.points: must be an integer"),
         (("device", "ring", "cell_count"), 10 ** 400, "device.ring.cell_count: must be an integer"),
@@ -225,10 +227,8 @@ class TestValidate:
          "n >= 1 and m - n >= 1"),
         (("sweep", "ratio", "signal_hz"), -1e9,
          "sweep.ratio.signal_hz: frequency must be non-negative"),
-        (("converter", "n_eff"), 3, "converter.n_eff: must be left out or null while p0_norm "
-         'gives the cooperativity; give "p0_norm": null'),
-        (("converter", "g0"), 45961.94077712559, "converter.g0: must be left out or 0.0 while "
-         'p0_norm gives the cooperativity; give "p0_norm": null'),
+        (("converter", "n_eff"), 3, "converter.n_eff: unknown key"),
+        (("converter", "g0"), 45961.94077712559, "converter.g0: unknown key"),
         (("device", "ring", "geometric_inductance_per_length"), 1e300,
          "device.ring: kinetic_inductance_per_length + geometric_inductance_per_length and "
          "capacitance_per_length must keep L C and L/C positive and finite, got L C = "),
@@ -236,8 +236,9 @@ class TestValidate:
          "device.ring: kinetic_inductance_per_length + geometric_inductance_per_length and "
          "capacitance_per_length must keep L C and L/C positive and finite, got L C = "),
     ], ids=["top_unknown", "section_unknown", "nested_unknown", "n_eff_true", "p0_norm_true",
-            "values_true", "pairs_true", "n_eff_nan", "segment2_int", "points_true",
-            "cell_count_huge", "trace_csv_int", "fit_string", "offset_zero", "ratio_below_one",
+            "p0_norm_null", "n_eff_null", "values_true", "pairs_true", "n_eff_nan",
+            "segment2_int", "points_true", "cell_count_huge", "trace_csv_int", "fit_string",
+            "offset_zero", "ratio_below_one",
             "stop_given_twice", "alias_elsewhere", "stop_mT_true", "stop_past_i_star",
             "stop_past_minus_i_star", "pump_stop_negative", "band_start_negative",
             "band_stop_below_start", "signal_1e6", "signal_negative", "n_eff_with_p0_norm",
@@ -269,13 +270,12 @@ class TestValidate:
 
     def test_defaults_fill_optional_leaves(self, tmp_path, default_config_path):
         raw = load_default(default_config_path)
-        for key in ("n_eff", "p0_norm", "pairs"):
+        for key in ("p0_norm", "pairs"):
             del raw["converter"][key]
         del raw["converter"]["fringe"]["eta_s"]
         del raw["sweep"]["ratio"]["values"]
         config = load_config(write_config(tmp_path, raw, default_config_path))
-        assert (config.converter.g0, config.converter.n_eff, config.converter.p0_norm) == (
-            0.0, None, 1.0)
+        assert config.converter.p0_norm == 1.0
         assert config.pairs == () and config.sweeps["ratio"]["values"] == ()
         assert config.fringe.eta_s == 1.0
         assert config.ring.segment1 == metaring.LumpedCell(4.3687616373126585e-10, 2.5e-05)
@@ -987,11 +987,10 @@ class TestMainExitCodes:
         ({("converter", "kerr", "rate_hz"): 1e300}, "converter.kerr.rate_hz"),
         ({("converter", "kerr", "rate_hz"): 1e-30}, "converter.kerr.rate_hz"),
         ({("converter", "kerr", "frequency_hz"): 1e300}, "converter.kerr.frequency_hz"),
-        ({("converter", "p0_norm"): None, ("converter", "n_eff"): None}, "converter.p0_norm"),
+        ({("converter", "p0_norm"): None}, "converter.p0_norm"),
         ({("sweep", "ratio", "signal_hz"): 1e6}, "sweep.ratio.signal_hz"),
         ({("sweep", "ratio", "signal_hz"): -1e9}, "sweep.ratio.signal_hz"),
-        ({("converter", "g0"): 1e300, ("converter", "n_eff"): 3,
-          ("converter", "p0_norm"): None}, "converter.g0"),
+        ({("converter", "g0"): 1e300}, "converter.g0"),
         ({("converter", "kerr", "coupling_efficiency"): 1e-300},
          "converter.kerr.coupling_efficiency"),
         ({("sweep", "band", "stop_hz"): 1e300}, "sweep.band.stop_hz"),

@@ -14,7 +14,6 @@ from metaring import (
     calibrated_efficiency,
     conversion_bandwidth,
     conversion_spectrum,
-    cooperativity,
     interference_fringe,
     kerr_steady_state,
     matched_bandwidth,
@@ -38,25 +37,15 @@ def params_at(c: float, eta_s=0.99, eta_i=0.98, kappa=KAPPA_130K) -> ConverterPa
 
 class TestCooperativity:
     def test_zero_pump_photons(self):
-        params = ConverterParams(1e5, 1e5, 1.0, 1.0, g0=5e4, n_eff=0.0, p0_norm=None)
-        assert cooperativity(params) == 0.0
-
-    def test_normalized_power_identity(self):
-        assert cooperativity(params_at(1.0)) == 1.0
-
-    def test_linear_in_pump_photons(self):
-        base = ConverterParams(1e5, 1e5, 1.0, 1.0, g0=5e4, n_eff=1.0, p0_norm=None)
-        double = ConverterParams(1e5, 1e5, 1.0, 1.0, g0=5e4, n_eff=2.0, p0_norm=None)
-        assert cooperativity(double) == pytest.approx(2 * cooperativity(base), rel=1e-15)
-
-    def test_formula(self):
-        params = ConverterParams(2e5, 1e5, 1.0, 1.0, g0=4e4, n_eff=3.0, p0_norm=None)
-        assert cooperativity(params) == pytest.approx(4 * 4e4**2 * 3 / (2e5 * 1e5), rel=1e-15)
+        # p0_norm = 0 is an undriven converter: nothing converts, so no width
+        t2, r2 = conversion_spectrum(np.linspace(-1e6, 1e6, 5), params_at(0.0))
+        assert np.all(t2 == 0.0) and np.all(r2 == 1.0)
+        assert conversion_bandwidth(params_at(0.0)) is None
 
     def test_requires_a_drive_description(self):
-        params = ConverterParams(1e5, 1e5, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            cooperativity(params)
+        # p0_norm is the cooperativity's one source, and it has no default
+        with pytest.raises(TypeError, match="p0_norm"):
+            ConverterParams(1e5, 1e5, 1.0, 1.0)
 
 
 class TestScattering:
@@ -168,6 +157,13 @@ class TestConversionSpectrum:
         assert rel_err(conversion_bandwidth(params), 130e3) < 1e-3
         assert rel_err(matched_bandwidth(KAPPA_130K, 1.0), math.sqrt(2) * KAPPA_130K) < 1e-12
 
+    @pytest.mark.parametrize("c", [0.0, 0.5, 1.0, 1.8, 100.0])
+    def test_matched_bandwidth_scales_with_kappa_exactly(self, c):
+        # kappa^2 would underflow at 2^-600 kappa and overflow at 2^600 kappa
+        width = matched_bandwidth(KAPPA_130K, c)
+        for scale in (2.0**600, 2.0**-600):
+            assert matched_bandwidth(KAPPA_130K * scale, c) == width * scale
+
     def test_array_shape(self):
         params = params_at(1.0)
         delta = np.linspace(-1e6, 1e6, 11)
@@ -230,7 +226,7 @@ class TestBandwidthOracle:
         params_at(1e-9),
         # the shipped converter section of configs/default.json
         ConverterParams(kappa_s=91923.88155425117, kappa_i=91923.88155425117,
-                        eta_s=0.99, eta_i=0.98, g0=45961.94077712559, p0_norm=1.0),
+                        eta_s=0.99, eta_i=0.98, p0_norm=1.0),
         params_at(1.01),
         params_at(1.2),
         params_at(2.5),

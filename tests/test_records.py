@@ -92,7 +92,7 @@ GOOD = {
                              inductance_wide=1e-9, inductance_narrow=2e-9,
                              i_star_wide=1e-3, i_star_narrow=0.5e-3),
     core.BiasState: dict(external_field=0.0, dc_current=1e-4),
-    conversion.ConverterParams: dict(kappa_s=1e5, kappa_i=1e5, eta_s=0.9, eta_i=0.9),
+    conversion.ConverterParams: dict(kappa_s=1e5, kappa_i=1e5, eta_s=0.9, eta_i=0.9, p0_norm=1.0),
     conversion.TlsModel: dict(q_tls0=9891.0, n_c=23.35, alpha=1.0, q_other=1e6),
     fitting.Trace: dict(frequency=np.arange(6.0), response=np.ones(6, dtype=complex)),
     config.KerrScenario: dict(rate_hz=0.1, quality_factor=39e3, coupling_efficiency=0.94,
@@ -147,13 +147,8 @@ BAD = {
     conversion.ConverterParams: [
         (dict(kappa_i=0.0), "linewidths must be positive"),
         (dict(eta_i=1.5), "eta_i must lie in [0, 1], got 1.5"),
-        (dict(g0=-1.0), "g0 must be non-negative"),
-        (dict(n_eff=-1.0), "n_eff must be non-negative"),
         (dict(p0_norm=-1.0), "p0_norm must be non-negative"),
-        (dict(g0=1e300, n_eff=3.0),
-         "g0: must make the cooperativity 4 g0^2 n_eff/(kappa_s kappa_i) finite"),
-        (dict(kappa_s=1e-200, kappa_i=1e-200, g0=1.0, n_eff=3.0),
-         "g0: must make the cooperativity 4 g0^2 n_eff/(kappa_s kappa_i) finite"),
+        (dict(p0_norm=math.inf), "p0_norm must be finite"),
     ],
     conversion.TlsModel: [(dict(alpha=0.0), "all TLS model parameters must be positive")],
     fitting.Trace: [

@@ -50,8 +50,6 @@ def line_fit(bounds=((-math.inf, -math.inf), (math.inf, math.inf)), names=("a", 
 CASES = {
     "converter_kappa_s": (lambda x: converter(kappa_s=x), 0.0),
     "converter_kappa_i": (lambda x: converter(kappa_i=x), 0.0),
-    "converter_g0": (lambda x: converter(g0=x), -1.0),
-    "converter_n_eff": (lambda x: converter(n_eff=x), -1.0),
     "converter_p0_norm": (lambda x: converter(p0_norm=x), -1.0),
     **{f"tls_{name}": (lambda x, j=j: conversion.TlsModel(*replaced(TLS, j, x)), 0.0)
        for j, name in enumerate(conversion.TlsModel._fields)},
@@ -79,12 +77,17 @@ CASES = {
     "bifurcation_frequency": (lambda x: conversion.bifurcation_drive_power(x, *RATES), 0.0),
     "bandwidth_kappa": (lambda x: conversion.matched_bandwidth(x, 1.0), 0.0),
     "bandwidth_c": (lambda x: conversion.matched_bandwidth(1e5, x), -1.0),
+    "bandwidth_kappa_infinite": (lambda x: conversion.matched_bandwidth(x, 1.0), math.inf),
+    "bandwidth_c_infinite": (lambda x: conversion.matched_bandwidth(1e5, x), math.inf),
     "dbm": (conversion.dbm_from_watts, 0.0),
     "watts": (conversion.watts_from_dbm, 4000.0),
     "calibrated_is": (lambda x: conversion.calibrated_efficiency(x, 1.0, 1.0, 1.0), -1.0),
     "calibrated_si": (lambda x: conversion.calibrated_efficiency(1.0, x, 1.0, 1.0), -1.0),
     "calibrated_ss": (lambda x: conversion.calibrated_efficiency(1.0, 1.0, x, 1.0), 0.0),
     "calibrated_ii": (lambda x: conversion.calibrated_efficiency(1.0, 1.0, 1.0, x), 0.0),
+    "fringe_phase": (lambda x: conversion.interference_fringe(x, 0.5, 0.5), math.inf),
+    "fringe_phase_entry": (lambda x: conversion.interference_fringe(np.array([0.0, x]), 0.5, 0.5),
+                           -math.inf),
     "fringe_r": (lambda x: conversion.interference_fringe(0.0, x, 0.5), -0.1),
     "fringe_t": (lambda x: conversion.interference_fringe(0.0, 0.5, x), -0.1),
     "visibility_r": (lambda x: conversion.fringe_visibility(x, 0.5), -0.5),

@@ -4,18 +4,19 @@
 
 Each tree argument is a ``src`` directory that holds a ``metaring`` package
 tree.  Config k of a seed is ``configs/default.json`` plus literal edits of
-its microloop and field leaves, drawn by ``edits`` from the distributions
-below, so the same seed and count give the same configs on any machine.
-Each tree validates every config in one child process with ``PYTHONPATH``
-set to the tree, through ``metaring.cli.main(["validate", ...])``; an
-answer is the exit code and the standard error, or the exception that
-escaped ``main`` (exit 1).  Each config whose answer differs between the
+its microloop, field and converter leaves, drawn by ``edits`` from the
+distributions below, so the same seed and count give the same configs on any
+machine.  Each tree validates every config in one child process with
+``PYTHONPATH`` set to the tree, through ``metaring.cli.main``'s ``validate``
+command; an answer is the exit code and the standard error, or the exception
+that escaped ``main`` (exit 1).  Each config whose answer differs between the
 trees is printed with its edits and both answers, then a count of the moves
 by exit code.  The script exits 1 if any answer moved.
 """
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -38,7 +39,12 @@ DEFAULT = ROOT / "configs" / "default.json"
 # negative a quarter of the time: c is 1 - 10^-u or 1 + 10^-u (at the bound
 # and past it) a quarter of the time each, and log-uniform otherwise.  The
 # axis has 0 or 1 point one time in eight each, and 10^v points, v uniform,
-# otherwise.
+# otherwise.  The converter's linewidths are log-uniform, wide enough that
+# the spectrum's denominator (kappa_s kappa_i (1 + C)/4)^2 leaves the float
+# range at both ends.  Each eta is 0 one time in eight, 1 one time in four
+# and uniform otherwise.  p0_norm is 0 one time in eight, within or past
+# 10^-u of the conversion law's bound (where (1 + C)^2 overflows) one time in
+# eight each, and log-uniform up to that bound otherwise.
 I_STAR_WIDE_LOG10 = (-170.0, -1.0)
 INDUCTANCE_WIDE_LOG10 = (-12.0, -6.0)
 WIDTH_RATIO_LOG10 = (-3.0, 0.0)
@@ -47,6 +53,9 @@ NARROW_OFFSET = 2e-12
 STOP_FRACTION_LOG10 = (-6.0, 0.0)
 NEAR_BOUND_LOG10 = (-14.0, 0.0)
 POINTS_LOG10 = (0.0, 4.0)
+KAPPA_LOG10 = (-90.0, 90.0)
+LAW_BOUND = math.sqrt(sys.float_info.max)
+P0_NORM_LOG10 = (-20.0, math.log10(LAW_BOUND))
 
 CHILD = """
 import io, json, sys
@@ -87,6 +96,14 @@ def edits(rng: np.random.Generator, loop: dict) -> dict:
               * loop["loop_dc_inductance"] / loop["gap"])
     kind = rng.integers(8)
     points = int(kind) if kind < 2 else int(10.0 ** rng.uniform(*POINTS_LOG10))
+    kappa_s, kappa_i = (log_uniform(KAPPA_LOG10) for _ in range(2))
+    eta_s, eta_i = (0.0 if draw == 0 else 1.0 if draw < 3 else float(rng.uniform())
+                    for draw in rng.integers(8, size=2))
+    kind = rng.integers(8)
+    p0_norm = (0.0 if kind == 0
+               else LAW_BOUND * (1.0 - log_uniform(NEAR_BOUND_LOG10)) if kind == 1
+               else LAW_BOUND * (1.0 + log_uniform(NEAR_BOUND_LOG10)) if kind == 2
+               else log_uniform(P0_NORM_LOG10))
     return {
         "device.microloop.width_ratio": width_ratio,
         "device.microloop.inductance_wide": inductance_wide,
@@ -95,6 +112,11 @@ def edits(rng: np.random.Generator, loop: dict) -> dict:
         "device.microloop.i_star_narrow": i_star_narrow,
         "sweep.field.stop_mT": stop_t * 1e3,
         "sweep.field.points": points,
+        "converter.kappa_s": kappa_s,
+        "converter.kappa_i": kappa_i,
+        "converter.eta_s": eta_s,
+        "converter.eta_i": eta_i,
+        "converter.p0_norm": p0_norm,
     }
 
 
