@@ -47,7 +47,8 @@ from typing import Dict, List, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import _csv, conversion, dispersion, fitting, modes, tuning
-from .config import Config, _evaluate, load_config
+from .config import Config, load_config
+from .core import _evaluate
 from .errors import BandEdgeError, ConditioningError, ConfigError, PrecisionError
 
 COMMANDS = ("fit", "modes", "dispersion", "tune", "convert", "fringe", "saturate", "sweep")

@@ -10,7 +10,7 @@ each leaf's kind, fills in defaults, reports every key the schema does not
 name and builds each section with its constructor, which checks the
 section's physical bounds.  A bound that faults one field names it first
 (``"rate_hz: must ..."``) and is reported under that field's path.  Where a
-closed form would overflow, the bound is that form itself (``_evaluate``).
+closed form would overflow, the bound is that form itself (``core._evaluate``).
 Every bound on how much a run allocates is checked here.  The bounds that
 join sections belong to the runners whose work they bound, and ``cli.plan``
 checks them.
@@ -27,11 +27,8 @@ from collections import Counter
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-import numpy as np
-
-from .conversion import (ConverterParams, bifurcation_drive_power, conversion_spectrum,
-                         scattering)
-from .core import LumpedCell, MicroloopSpec, RingSpec, SegmentParams, checked
+from .conversion import ConverterParams, _law_bound, bifurcation_drive_power, scattering
+from .core import LumpedCell, MicroloopSpec, RingSpec, SegmentParams, _evaluate, checked
 from .dispersion import UnitCell
 from .errors import ConfigError
 
@@ -49,16 +46,6 @@ _MAX_MODE_FREQUENCY_HZ = 1e13
 # stays because removing it moves validate's answers, which waits until those
 # answers are committed data (ROADMAP item 11)
 _MAX_CRITICAL_PHOTONS = 1e40
-
-
-def _evaluate(form: Callable, *args):
-    """``form(*args)``, or None where the closed form overflows, divides a float
-    by zero or gives an invalid value."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            return form(*args)
-    except ArithmeticError:  # FloatingPointError, or ZeroDivisionError of a float
-        return None
 
 
 def _is_finite(value) -> bool:
@@ -234,20 +221,8 @@ def _numbers_section(build, *keys: str) -> _Section:
     return _Section(dict.fromkeys(keys, _number), build)
 
 
-def _law_bound(field: str, c: float) -> str:
-    return (f"{field}: must keep (1 + C)^2 of the conversion law 4C/(1 + C)^2 finite, "
-            f"got C = {c!r}")
-
-
 def _converter(kerr, fringe, pairs, **rates):
-    params = ConverterParams(**rates)
-    if _evaluate(scattering, params.p0_norm, params.eta_s, params.eta_i) is None:
-        raise ValueError(_law_bound("p0_norm", params.p0_norm))  # as the pairs table does
-    if _evaluate(conversion_spectrum, 0.0, params) is None:
-        raise ValueError("linewidths and cooperativity must keep the conversion spectrum "
-                         "finite at zero detuning, where its denominator is "
-                         "(kappa_s kappa_i (1 + C)/4)^2")
-    return dict(converter=params, kerr=kerr, fringe=fringe, pairs=pairs)
+    return dict(converter=ConverterParams(**rates), kerr=kerr, fringe=fringe, pairs=pairs)
 
 
 def _ratio_grid(**ratio) -> dict:

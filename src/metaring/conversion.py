@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import checked
+from .core import _evaluate, checked
 
 PLANCK_H = 6.62607015e-34  # J/Hz
 
@@ -44,7 +44,9 @@ class ConverterParams(NamedTuple):
 
     ``kappa_s``/``kappa_i`` are total linewidths [Hz]; ``eta_s``/``eta_i``
     external fractions; ``p0_norm`` the pump power normalized to the
-    highest-efficiency power, which is the cooperativity C.
+    highest-efficiency power, which is the cooperativity C.  A record whose
+    conversion law or spectrum at zero detuning leaves the float range is
+    refused, so every function of it gives numbers.
     """
 
     kappa_s: float
@@ -63,6 +65,17 @@ class ConverterParams(NamedTuple):
             raise ValueError("p0_norm must be non-negative")
         if self.p0_norm == math.inf:  # the spectrum would be NaN
             raise ValueError("p0_norm must be finite")
+        if _evaluate(scattering, self.p0_norm, self.eta_s, self.eta_i) is None:
+            raise ValueError(_law_bound("p0_norm", self.p0_norm))  # as the pairs table does
+        if _evaluate(conversion_spectrum, 0.0, self) is None:
+            raise ValueError("linewidths and cooperativity must keep the conversion spectrum "
+                             "finite at zero detuning, where its denominator is "
+                             "(kappa_s kappa_i (1 + C)/4)^2")
+
+
+def _law_bound(field: str, c: float) -> str:
+    return (f"{field}: must keep (1 + C)^2 of the conversion law 4C/(1 + C)^2 finite, "
+            f"got C = {c!r}")
 
 
 class ScatteringResult(NamedTuple):

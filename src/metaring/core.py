@@ -25,7 +25,7 @@ created.
 
 import math
 import sys
-from typing import NamedTuple, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -63,6 +63,16 @@ def checked(cls):
     cls.__new__ = staticmethod(__new__)
     cls._make = classmethod(lambda cls, iterable: cls(*iterable))
     return cls
+
+
+def _evaluate(form: Callable, *args):
+    """``form(*args)``, or None where the closed form overflows, divides a float
+    by zero or gives an invalid value."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return form(*args)
+    except ArithmeticError:  # FloatingPointError, or ZeroDivisionError of a float
+        return None
 
 
 @checked

@@ -43,8 +43,6 @@ import numpy as np
 from .core import SegmentParams, checked
 from .errors import BandEdgeError, PrecisionError
 
-_BRACKET_WIDTH = 1e-3  # Hz; the halvings that narrow a bracket below it cap the Newton steps
-
 ArrayLike = Union[float, np.ndarray]
 
 
@@ -80,11 +78,16 @@ class UnitCell(NamedTuple):
     segment2: SegmentParams
 
     def _check(self) -> None:
-        # the root bracket [0, 1/(2 cell_delay)], counted in _BRACKET_WIDTH steps
+        # the root bracket [0, 1/(2 cell_delay)], and the wave numbers 2 pi f/v
+        # at its top, the largest the half trace forms on its way to a phase
         delay = self.cell_delay
-        if not (0.0 < delay < math.inf and 0.5 / delay / _BRACKET_WIDTH < math.inf):
+        if not (0.0 < delay < math.inf and 0.5 / delay < math.inf):
             raise ValueError("segment lengths and line constants must keep the cell delay and "
                              f"1/(2 cell delay) positive and finite, got cell delay = {delay!r}")
+        k_top = [segment.wave_number(0.5 / delay) for segment in self]
+        if not all(0.0 < k < math.inf for k in k_top):
+            raise ValueError("each segment's wave number 2 pi f/v at the bracket top "
+                             f"f = 1/(2 cell delay) must be positive and finite, got {k_top!r}")
 
     @property
     def cell_delay(self) -> float:
@@ -121,6 +124,8 @@ class _CellRows:
     their order, so it gets the bits of :func:`cell_trace` on that cell.
     """
 
+    step_cap = 64  # Newton steps allowed a root: a count, as its stop width is relative
+
     def __init__(self, cell: UnitCell, ratios: Sequence[float] = (1.0,)) -> None:
         rail, bridge = cell
         r = np.asarray(ratios, dtype=float).reshape(-1, 1)
@@ -136,7 +141,7 @@ class _CellRows:
             self.mismatch = 0.5 * (rail.impedance / z + z / rail.impedance)
             self.omega = 2.0 * math.pi * self.l / self.v  # t_j = omega_j f
             # the checks of the scaled records: each of these in (0, inf)
-            checked = np.stack([c, lc, l_over_c, delay, self.f_top / _BRACKET_WIDTH])
+            checked = np.stack([c, lc, l_over_c, delay, *(2.0 * math.pi * self.f_top / self.v)])
             kept = (1.0 <= r) & np.all((0.0 < checked) & (checked < math.inf), axis=0)
         if not kept.all():  # the first refused ratio, with its records' own message
             ratio = ratios[int(kept.argmin())]
@@ -144,13 +149,6 @@ class _CellRows:
                 raise ValueError(f"capacitance enhancement ratio must be >= 1, got {ratio!r}")
             cell._replace(segment2=bridge._replace(
                 capacitance_per_length=bridge.capacitance_per_length * ratio))
-
-    @property
-    def step_cap(self) -> int:
-        """Newton steps allowed: the halvings that would narrow the widest
-        bracket below _BRACKET_WIDTH, plus a margin."""
-        top = float(self.f_top.max(initial=_BRACKET_WIDTH))
-        return max(math.ceil(math.log2(top / _BRACKET_WIDTH)), 0) + 4
 
     def _phases(self, f: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         t = 2.0 * math.pi * f / self.v * self.l
@@ -172,7 +170,7 @@ class _CellRows:
         Newton steps kept inside each root's bracket [0, 1/(2 cell_delay)],
         from the uniform-line root acos(cos(2*pi*m/N))/(omega_1 + omega_2).
         A root stops on its own test: |half trace - target| at the rounding
-        floor, or a step or bracket below max(1e-4 Hz, 4 ulp).  Every
+        floor, or a step or bracket below 2**-46 of the root.  Every
         operation is elementwise, so each mode gets the bits of a solve of
         its cell alone.  Raises ``PrecisionError`` naming the modes that
         have not stopped after ``step_cap`` steps.
@@ -208,9 +206,10 @@ class _CellRows:
                 f_lo = np.where(above, f, f_lo)
                 f_hi = np.where(above, f_hi, f)
                 # where it falls, |g| at the rounding floor of the trace or a
-                # step below max(1e-4 Hz, 4 ulp) stops the root; anywhere, a
-                # bracket that narrow
-                tol = np.maximum(f * 2.0**-50, 1e-4)
+                # step below 2**-46 of the root stops it; anywhere, a bracket
+                # that narrow.  The width is relative, so scaling every
+                # frequency by a power of two scales the roots' bits alike
+                tol = f * 2.0**-46
                 done = (falling & ((np.abs(g) <= floor) | (np.abs(step) <= tol))
                         | (f_hi - f_lo <= tol))
                 f_new = f + step
@@ -269,8 +268,8 @@ def solve_mode_frequency(
     ``m`` is one mode index (returns a float) or an integer array of them
     (returns an array of the same shape).  Every root is found by Newton
     steps kept inside the bracket [0, 1/(2 cell_delay)] (see the module
-    docstring) and stops on its own test, a step or bracket below
-    max(1e-4 Hz, 4 ulp) or a residual at rounding level, so a mode gets the
+    docstring) and stops on its own test, a step or bracket below 2**-46 of
+    the root or a residual at rounding level, so a mode gets the
     same bits whether solved alone or in an array.  Raises ``ValueError``
     for an m below 1 or NaN and for the trivial m = 0 (mod N) target, and
     ``PrecisionError`` for a root that does not stop within the step cap.

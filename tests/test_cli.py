@@ -25,8 +25,9 @@ from metaring import _csv, cli, conversion, dispersion, tuning
 from metaring._csv import _CSV_BLOCK_CELLS
 from metaring.cli import main, run, validate_config
 from metaring.config import _MAX_SWEEP_POINTS, _SCHEMA, _Section, load_config
-from metaring.errors import ConfigError
+from metaring.errors import ConfigError, PrecisionError
 from test_csv import block_edges, write_csv_per_cell
+from test_sweep_bytes import configs as byte_gate_configs
 from test_tuning import C3_REL, C4_REL, closed_form_gaps
 
 
@@ -796,6 +797,65 @@ class TestDeterminism:
         run("modes", write_config(tmp_path, raw, default_config_path), tmp_path / "out")
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["trace_sha256"] is None
+
+
+def dispersion_cells(config: Path) -> list:
+    """The dispersion runner's columns: fsr_curve's f_hz and fsr_hz, then
+    mismatch's ratio, offset_hz and delta_f_hz."""
+    (_, (_, curve)), (_, (_, mismatch)) = cli._run_dispersion(load_config(config))
+    return [np.asarray(column) for column in (*curve, *mismatch)]
+
+
+EXPONENTS = (-200, -60, -20, 10, 20, 41, 44, 60, 200)
+
+
+class TestScaleCovariance:
+    @pytest.mark.parametrize("leaf, factor, f_factor, refusal", [
+        *(("capacitance_per_length", 4.0**k, 2.0**-k, None) for k in EXPONENTS),
+        # 1/(2 cell delay) at about 1.5e306 Hz, then where 2 pi f/v overflows there
+        ("length", 2.0**-980, 2.0**980, None),
+        ("length", 2.0**-986, 2.0**986,
+         "device.cell: each segment's wave number 2 pi f/v at the bracket top "
+         "f = 1/(2 cell delay) must be positive and finite, got [inf, inf]"),
+    ], ids=[*(f"capacitance_4^{k}" for k in EXPONENTS), "length_2^-980", "length_2^-986"])
+    def test_dispersion_scales_bit_for_bit(self, tmp_path, default_config_path, leaf, factor,
+                                           f_factor, refusal):
+        # a leaf of both cell segments times its factor, and the band edges, the
+        # ratio signal and the offsets times a power of two: the shipped problem
+        # with every frequency times f_factor, which + - * / and sqrt carry
+        # exactly, so each frequency cell is the shipped cell times f_factor and
+        # the ratios stay, or validate refuses the config
+        raw = load_default(default_config_path)
+        shipped = dispersion_cells(write_config(tmp_path, raw, default_config_path))
+        for segment in raw["device"]["cell"].values():
+            segment[leaf] *= factor
+        band, ratio = raw["sweep"]["band"], raw["sweep"]["ratio"]
+        band["start_hz"], band["stop_hz"] = band["start_hz"] * f_factor, band["stop_hz"] * f_factor
+        ratio["signal_hz"] *= f_factor
+        ratio["offsets_hz"] = [offset * f_factor for offset in ratio["offsets_hz"]]
+        path = write_config(tmp_path, raw, default_config_path)
+        assert validate_config(path) == ([refusal] if refusal else [])
+        if refusal is None:
+            factors = [f_factor, f_factor, 1.0, f_factor, f_factor]
+            for name, got, cells, scale in zip(("f_hz", "fsr_hz", "ratio", "offset_hz",
+                                                "delta_f_hz"), dispersion_cells(path), shipped,
+                                               factors):
+                assert got.tobytes() == (cells * scale).tobytes(), name
+
+
+@pytest.mark.parametrize("cap", [5, 6])
+def test_byte_gate_configs_take_six_newton_steps(tmp_path, monkeypatch, cap):
+    # every Bloch root of both configs of the byte gate stops within 6 Newton
+    # steps, and some root of each needs all 6
+    monkeypatch.setattr(dispersion._CellRows, "step_cap", cap)
+    for name, raw in byte_gate_configs().items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(raw))
+        if cap == 6:
+            cli.plan(load_config(path))
+        else:
+            with pytest.raises(PrecisionError, match="did not converge in 5 Newton steps"):
+                cli.plan(load_config(path))
 
 
 class TestExitFreeze:

@@ -21,8 +21,9 @@ def test_same_tree_moves_no_answer():
 
 
 def test_a_moved_answer_is_printed_and_fails(tmp_path):
-    # a tree whose validate exits 5 on a config it accepts: seed 1 draws two such
-    # configs, 0 and 2, and a p0_norm past the conversion law's bound in config 1
+    # a tree whose validate exits 5 on a config it accepts: seed 1 draws one such
+    # config, 0, then a p0_norm past the conversion law's bound in config 1 and a
+    # field stop past i_star_narrow in config 2
     shutil.copytree(ROOT / "src" / "metaring", tmp_path / "metaring",
                     ignore=shutil.ignore_patterns("__pycache__"))
     cli = tmp_path / "metaring" / "cli.py"
@@ -34,4 +35,4 @@ def test_a_moved_answer_is_printed_and_fails(tmp_path):
     lines = proc.stdout.splitlines()
     assert lines[0].startswith('config 0 {"device.microloop.width_ratio": ')
     assert lines[1:3] == ["  parent: exit 0", "  change: exit 5"]
-    assert lines[-1] == "2 of 3 answers moved; exit 0 -> 5: 2"
+    assert lines[-1] == "1 of 3 answers moved; exit 0 -> 5: 1"

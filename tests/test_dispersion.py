@@ -45,7 +45,7 @@ def halving_count(cell: UnitCell) -> int:
 
 def reference_solve(cell: UnitCell, n_cells: int, modes) -> list:
     """One cell's modes bisected on [0, 1/(2 cell_delay)] through cell_trace
-    alone, to a bracket narrower than 1e-3 Hz."""
+    alone, to a bracket narrower than this oracle's own width, 1e-3 Hz."""
     target = np.cos(2.0 * math.pi * np.asarray(modes) / n_cells)
     f_lo = np.zeros(target.shape)
     f_hi = np.full(target.shape, 0.5 / cell.cell_delay)
@@ -58,11 +58,11 @@ def reference_solve(cell: UnitCell, n_cells: int, modes) -> list:
 
 
 def root_tolerance(cell: UnitCell, f) -> np.ndarray:
-    """The bisection's 1e-3 Hz bracket and 4 ulp of a root f, where the
-    Newton steps stop at or above 1e-3 Hz, plus the rounding floor of the
-    half trace at f over its slope there.  The floor is 8 * 2**-52 times the
-    size of the trace's two terms, |cos t_1 cos t_2| + chi |sin t_1 sin t_2|,
-    which is at most 8 * 2**-52 * (1 + chi) and far below it for a huge chi."""
+    """The width of the reference bisection, 1e-3 Hz, and 4 ulp of a root
+    f, plus the rounding floor of the half trace at f over its slope there.
+    The floor is 8 * 2**-52 times the size of the trace's two terms,
+    |cos t_1 cos t_2| + chi |sin t_1 sin t_2|, which is at most
+    8 * 2**-52 * (1 + chi) and far below it for a huge chi."""
     s1, s2 = cell.segment1, cell.segment2
     chi = 0.5 * (s1.impedance / s2.impedance + s2.impedance / s1.impedance)
     w1, w2 = (2.0 * math.pi * s.length / s.phase_velocity for s in (s1, s2))
@@ -531,9 +531,10 @@ class TestRatioRows:
         (DESIGN_RAIL, SegmentParams(3e-6, 1e10, 5e-6)),
         (DESIGN_RAIL, SegmentParams(1e-300, 1e10, 5e-6)),
         (DESIGN_RAIL, SegmentParams(3e-6, 1e-10, 1e300)),
+        (SegmentParams(1.0, 1.0, 1e-300), SegmentParams(1.0, 1e-10, 1e-310)),
     ], ids=["design", "rail_capacitance_1e-300", "rail_inductance_min_normal",
             "trace_over_minus_one", "bridge_capacitance_1e10", "bridge_lc_1e-290",
-            "bridge_length_1e300"])
+            "bridge_length_1e300", "bridge_wave_number_overflows"])
     def test_rows_agree_with_scaled_records(self, rail, bridge):
         # a ratio's row is refused exactly when its scaled record is, with
         # the same message, and otherwise has the bits of its record's

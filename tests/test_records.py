@@ -100,6 +100,9 @@ GOOD = {
     config.FringeScenario: dict(cooperativity=0.2, eta_s=1.0, eta_i=1.0),
 }
 
+_SPECTRUM_BOUND = ("linewidths and cooperativity must keep the conversion spectrum finite at "
+                   "zero detuning, where its denominator is (kappa_s kappa_i (1 + C)/4)^2")
+
 # record -> [(bad fields, the message that construction and _replace raise)]
 BAD = {
     core.SegmentParams: [
@@ -119,6 +122,11 @@ BAD = {
         (dict(segment1=core.SegmentParams(57e-6, 1e160, 1e300)),
          "segment lengths and line constants must keep the cell delay and 1/(2 cell delay) "
          "positive and finite, got cell delay = inf"),
+        # 1/(2 cell delay) is about 3e307 Hz, and 2 pi times it overflows
+        (dict(segment1=core.SegmentParams(57e-6, 437e-12, 1e-301),
+              segment2=core.SegmentParams(3e-6, 880e-12, 1e-302)),
+         "each segment's wave number 2 pi f/v at the bracket top f = 1/(2 cell delay) "
+         "must be positive and finite, got [inf, inf]"),
     ],
     core.RingSpec: [
         (dict(cell_count=2), "cell_count must be an integer >= 3, got 2"),
@@ -149,6 +157,11 @@ BAD = {
         (dict(eta_i=1.5), "eta_i must lie in [0, 1], got 1.5"),
         (dict(p0_norm=-1.0), "p0_norm must be non-negative"),
         (dict(p0_norm=math.inf), "p0_norm must be finite"),
+        # kappa_s kappa_i overflows, then underflows, in the spectrum at zero detuning
+        (dict(kappa_s=1e308, kappa_i=1e308, eta_s=1.0, eta_i=1.0), _SPECTRUM_BOUND),
+        (dict(kappa_s=1e-200, kappa_i=1e-200, eta_s=1.0, eta_i=1.0), _SPECTRUM_BOUND),
+        (dict(p0_norm=1e160), "p0_norm: must keep (1 + C)^2 of the conversion law "
+         "4C/(1 + C)^2 finite, got C = 1e+160"),
     ],
     conversion.TlsModel: [(dict(alpha=0.0), "all TLS model parameters must be positive")],
     fitting.Trace: [

@@ -4,7 +4,7 @@
 
 Each tree argument is a ``src`` directory that holds a ``metaring`` package
 tree.  Config k of a seed is ``configs/default.json`` plus literal edits of
-its microloop, field and converter leaves, drawn by ``edits`` from the
+its microloop, field, converter and cell leaves, drawn by ``edits`` from the
 distributions below, so the same seed and count give the same configs on any
 machine.  Each tree validates every config in one child process with
 ``PYTHONPATH`` set to the tree, through ``metaring.cli.main``'s ``validate``
@@ -44,7 +44,14 @@ DEFAULT = ROOT / "configs" / "default.json"
 # range at both ends.  Each eta is 0 one time in eight, 1 one time in four
 # and uniform otherwise.  p0_norm is 0 one time in eight, within or past
 # 10^-u of the conversion law's bound (where (1 + C)^2 overflows) one time in
-# eight each, and log-uniform up to that bound otherwise.
+# eight each, and log-uniform up to that bound otherwise.  The cell is the
+# shipped one a quarter of the time.  Another quarter, both segment lengths
+# are scaled so that the bracket top 1/(2 cell delay) of the Bloch solver is
+# log-uniform over the float range's top three decades, from 1.8e305 Hz.
+# Otherwise both capacitances are scaled by 4^k, k a uniform integer in
+# CAPACITANCE_EXPONENT, which scales every frequency of the cell by exactly
+# 2^-k.  Either way the band edges, the ratio signal and the offsets are
+# scaled alongside the cell's frequencies.
 I_STAR_WIDE_LOG10 = (-170.0, -1.0)
 INDUCTANCE_WIDE_LOG10 = (-12.0, -6.0)
 WIDTH_RATIO_LOG10 = (-3.0, 0.0)
@@ -56,6 +63,8 @@ POINTS_LOG10 = (0.0, 4.0)
 KAPPA_LOG10 = (-90.0, 90.0)
 LAW_BOUND = math.sqrt(sys.float_info.max)
 P0_NORM_LOG10 = (-20.0, math.log10(LAW_BOUND))
+CELL_TOP_LOG10 = (math.log10(sys.float_info.max) - 3.0, math.log10(sys.float_info.max))
+CAPACITANCE_EXPONENT = (-520, 520)
 
 CHILD = """
 import io, json, sys
@@ -74,11 +83,19 @@ print(json.dumps(answers))
 """
 
 
-def edits(rng: np.random.Generator, loop: dict) -> dict:
+def cell_top(cell: dict) -> float:
+    """1/(2 cell delay) [Hz] of a cell section, each delay length sqrt(L C)."""
+    delay = sum(s["length"] * math.sqrt(s["inductance_per_length"] * s["capacitance_per_length"])
+                for s in cell.values())
+    return 0.5 / delay
+
+
+def edits(rng: np.random.Generator, raw: dict) -> dict:
     """Literal edits of the shipped config, as {"json.path": value}."""
     def log_uniform(bounds):
         return float(10.0 ** rng.uniform(*bounds))
 
+    loop, cell, sweep = raw["device"]["microloop"], raw["device"]["cell"], raw["sweep"]
     i_star_wide = log_uniform(I_STAR_WIDE_LOG10)
     inductance_wide = log_uniform(INDUCTANCE_WIDE_LOG10)
     kind = rng.integers(4)
@@ -104,6 +121,13 @@ def edits(rng: np.random.Generator, loop: dict) -> dict:
                else LAW_BOUND * (1.0 - log_uniform(NEAR_BOUND_LOG10)) if kind == 1
                else LAW_BOUND * (1.0 + log_uniform(NEAR_BOUND_LOG10)) if kind == 2
                else log_uniform(P0_NORM_LOG10))
+    kind = rng.integers(4)
+    length_scale, k = 1.0, 0
+    if kind == 1:
+        length_scale = cell_top(cell) / log_uniform(CELL_TOP_LOG10)
+    elif kind > 1:
+        k = int(rng.integers(CAPACITANCE_EXPONENT[0], CAPACITANCE_EXPONENT[1] + 1))
+    f_scale = math.ldexp(1.0 / length_scale, -k)
     return {
         "device.microloop.width_ratio": width_ratio,
         "device.microloop.inductance_wide": inductance_wide,
@@ -117,6 +141,14 @@ def edits(rng: np.random.Generator, loop: dict) -> dict:
         "converter.eta_s": eta_s,
         "converter.eta_i": eta_i,
         "converter.p0_norm": p0_norm,
+        **{f"device.cell.{name}.length": segment["length"] * length_scale
+           for name, segment in cell.items()},
+        **{f"device.cell.{name}.capacitance_per_length":
+           math.ldexp(segment["capacitance_per_length"], 2 * k) for name, segment in cell.items()},
+        "sweep.band.start_hz": sweep["band"]["start_hz"] * f_scale,
+        "sweep.band.stop_hz": sweep["band"]["stop_hz"] * f_scale,
+        "sweep.ratio.signal_hz": sweep["ratio"]["signal_hz"] * f_scale,
+        "sweep.ratio.offsets_hz": [offset * f_scale for offset in sweep["ratio"]["offsets_hz"]],
     }
 
 
@@ -158,7 +190,7 @@ def main() -> int:
     args = parser.parse_args()
     raw = json.loads(DEFAULT.read_text())
     rng = np.random.default_rng(args.seed)
-    cases = [edits(rng, raw["device"]["microloop"]) for _ in range(args.count)]
+    cases = [edits(rng, raw) for _ in range(args.count)]
     with tempfile.TemporaryDirectory() as work:
         paths = []
         for k, changes in enumerate(cases):
